@@ -246,27 +246,34 @@ impl Dit {
     ///
     /// * [`DirectoryError::NoSuchEntry`] — absent.
     /// * [`DirectoryError::SchemaViolation`] — modification broke schema
-    ///   (the change is rolled back).
+    ///   (the stored entry is left untouched).
     pub fn modify(&mut self, dn: &Dn, f: impl FnOnce(&mut Entry)) -> Result<(), DirectoryError> {
-        let entry = self
+        let stored = self
             .entries
             .get_mut(dn)
             .ok_or_else(|| DirectoryError::NoSuchEntry(dn.clone()))?;
-        let backup = entry.clone();
-        f(entry);
+        let mut after = stored.clone();
+        f(&mut after);
         // The DN is structural; modifications must not change it.
-        entry.set_dn(dn.clone());
-        if let Err(e) = self.schema.validate(entry) {
-            *entry = backup;
-            return Err(e);
+        after.set_dn(dn.clone());
+        self.schema.validate(&after)?;
+        if self.observers.is_empty() {
+            *stored = after;
+            return Ok(());
         }
-        let change =
-            (!self.observers.is_empty() && *entry != backup).then(|| DitChange::Modified {
-                before: backup,
-                after: entry.clone(),
-            });
-        if let Some(c) = change {
-            self.notify(c);
+        if after == *stored {
+            return Ok(());
+        }
+        // Observers only borrow the change, so the new state travels in
+        // it and then moves into the tree rather than being copied; the
+        // placeholder is unreachable meanwhile, as `self` is borrowed.
+        let before = std::mem::replace(stored, Entry::new(dn.clone()));
+        let change = DitChange::Modified { before, after };
+        for obs in &self.observers {
+            obs.on_change(&change);
+        }
+        if let DitChange::Modified { after, .. } = change {
+            *stored = after;
         }
         Ok(())
     }

@@ -5,16 +5,30 @@
 //! left-to-right *leaf-last* string form used throughout the paper's era:
 //! `c=UK, o=Lancaster University, ou=Computing, cn=Tom Rodden`.
 //!
-//! Internally a [`Dn`] stores its RDNs **root-first**, so prefix
-//! relationships (`is_ancestor_of`) are simple slice prefixes.
+//! Internally a [`Dn`] stores its RDNs **root-first** behind a shared
+//! handle, next to one contiguous *order key*: the RDNs encoded as
+//! `attr \x01 value`, joined by `\x00`. Cloning is a reference-count
+//! bump, and comparing, hashing and prefix tests are single byte-string
+//! operations on the key. Both separators sort below every byte an RDN
+//! may contain ([`Rdn::new`] rejects them), so key order is exactly the
+//! RDN-by-RDN order of the names: type before value, shorter names first.
 
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::str::FromStr;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
 use crate::attribute::AttributeType;
 use crate::error::DirectoryError;
+
+/// Joins RDNs in a [`Dn`]'s order key.
+const RDN_SEPARATOR: char = '\x00';
+/// Joins an RDN's type and value in a [`Dn`]'s order key.
+const VALUE_SEPARATOR: char = '\x01';
+const KEY_SEPARATORS: [char; 2] = [RDN_SEPARATOR, VALUE_SEPARATOR];
 
 /// A relative distinguished name: one `attribute=value` naming step.
 ///
@@ -32,21 +46,25 @@ impl Rdn {
     /// # Errors
     ///
     /// Returns [`DirectoryError::InvalidName`] if the value is empty or
-    /// contains the reserved characters `,` or `=`.
+    /// contains the reserved characters `,` or `=`, or if either the type
+    /// or the value contains a DN order-key separator (`\x00`, `\x01`).
     pub fn new(
         attr: impl Into<AttributeType>,
         value: impl Into<String>,
     ) -> Result<Self, DirectoryError> {
-        let value = value.into();
-        if value.is_empty() || value.contains(',') || value.contains('=') {
+        let (attr, value) = (attr.into(), value.into());
+        if value.is_empty() || value.contains([',', '=']) || value.contains(KEY_SEPARATORS) {
             return Err(DirectoryError::InvalidName(format!(
                 "bad RDN value {value:?}"
             )));
         }
-        Ok(Rdn {
-            attr: attr.into(),
-            value,
-        })
+        if attr.as_str().contains(KEY_SEPARATORS) {
+            return Err(DirectoryError::InvalidName(format!(
+                "bad RDN attribute {:?}",
+                attr.as_str()
+            )));
+        }
+        Ok(Rdn { attr, value })
     }
 
     /// The attribute type (e.g. `cn`).
@@ -99,77 +117,147 @@ impl FromStr for Rdn {
 /// assert_eq!(parent.to_string(), "c=UK,o=Lancaster,ou=Computing");
 /// # Ok::<(), cscw_directory::DirectoryError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize)]
-pub struct Dn {
+#[derive(Clone, Serialize, Deserialize)]
+pub struct Dn(Arc<DnInner>);
+
+/// The immutable body shared by clones of one [`Dn`].
+struct DnInner {
+    /// The order key: `attr \x01 value` per RDN, root-first, joined by
+    /// `\x00`. Empty for the root.
+    key: String,
     rdns: Vec<Rdn>,
 }
 
 impl Dn {
     /// The root of the DIT (the empty name).
     pub fn root() -> Self {
-        Dn { rdns: Vec::new() }
+        Dn::from_rdns(Vec::new())
     }
 
     /// Builds a DN from root-first RDNs.
     pub fn from_rdns(rdns: Vec<Rdn>) -> Self {
-        Dn { rdns }
+        let len = rdns
+            .iter()
+            .map(|r| r.attr.as_str().len() + r.value.len() + 2)
+            .sum();
+        let mut key = String::with_capacity(len);
+        for rdn in &rdns {
+            push_key(&mut key, rdn);
+        }
+        Dn(Arc::new(DnInner { key, rdns }))
     }
 
     /// True for the DIT root.
     pub fn is_root(&self) -> bool {
-        self.rdns.is_empty()
+        self.0.rdns.is_empty()
     }
 
     /// Number of RDNs.
     pub fn depth(&self) -> usize {
-        self.rdns.len()
+        self.0.rdns.len()
     }
 
     /// The final (leaf) RDN, or `None` for the root.
     pub fn rdn(&self) -> Option<&Rdn> {
-        self.rdns.last()
+        self.0.rdns.last()
     }
 
     /// The RDNs, root-first.
     pub fn rdns(&self) -> &[Rdn] {
-        &self.rdns
+        &self.0.rdns
     }
 
     /// The name one level up, or `None` for the root.
     pub fn parent(&self) -> Option<Dn> {
-        if self.rdns.is_empty() {
-            None
-        } else {
-            Some(Dn {
-                rdns: self.rdns[..self.rdns.len() - 1].to_vec(),
-            })
-        }
+        let (_, rdns) = self.0.rdns.split_last()?;
+        let key_len = self.0.key.rfind(RDN_SEPARATOR).unwrap_or(0);
+        Some(Dn(Arc::new(DnInner {
+            key: self.0.key[..key_len].to_owned(),
+            rdns: rdns.to_vec(),
+        })))
     }
 
     /// Returns `self` extended by one RDN.
     pub fn child(&self, rdn: Rdn) -> Dn {
-        let mut rdns = self.rdns.clone();
+        let mut key = self.0.key.clone();
+        push_key(&mut key, &rdn);
+        let mut rdns = Vec::with_capacity(self.0.rdns.len() + 1);
+        rdns.extend_from_slice(&self.0.rdns);
         rdns.push(rdn);
-        Dn { rdns }
+        Dn(Arc::new(DnInner { key, rdns }))
     }
 
     /// True when `self` is a strict ancestor of `other`.
     pub fn is_ancestor_of(&self, other: &Dn) -> bool {
-        self.rdns.len() < other.rdns.len() && other.rdns[..self.rdns.len()] == self.rdns[..]
+        self.depth() < other.depth() && self.is_prefix_of(other)
     }
 
     /// True when `self` is `other` or an ancestor of it.
     pub fn is_prefix_of(&self, other: &Dn) -> bool {
-        self.rdns.len() <= other.rdns.len() && other.rdns[..self.rdns.len()] == self.rdns[..]
+        let (mine, theirs) = (self.0.key.as_bytes(), other.0.key.as_bytes());
+        self.is_root()
+            || (theirs.starts_with(mine)
+                && theirs
+                    .get(mine.len())
+                    .is_none_or(|&b| b == RDN_SEPARATOR as u8))
+    }
+}
+
+/// Appends one RDN to an order key.
+fn push_key(key: &mut String, rdn: &Rdn) {
+    if !key.is_empty() {
+        key.push(RDN_SEPARATOR);
+    }
+    key.push_str(rdn.attr.as_str());
+    key.push(VALUE_SEPARATOR);
+    key.push_str(&rdn.value);
+}
+
+impl Default for Dn {
+    /// The root.
+    fn default() -> Self {
+        Dn::root()
+    }
+}
+
+impl PartialEq for Dn {
+    fn eq(&self, other: &Dn) -> bool {
+        Arc::ptr_eq(&self.0, &other.0) || self.0.key == other.0.key
+    }
+}
+
+impl Eq for Dn {}
+
+impl Ord for Dn {
+    fn cmp(&self, other: &Dn) -> Ordering {
+        self.0.key.as_bytes().cmp(other.0.key.as_bytes())
+    }
+}
+
+impl PartialOrd for Dn {
+    fn partial_cmp(&self, other: &Dn) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Hash for Dn {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.key.hash(state);
+    }
+}
+
+impl fmt::Debug for Dn {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Dn").field("rdns", &self.0.rdns).finish()
     }
 }
 
 impl fmt::Display for Dn {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.rdns.is_empty() {
+        if self.is_root() {
             return f.write_str("<root>");
         }
-        for (i, rdn) in self.rdns.iter().enumerate() {
+        for (i, rdn) in self.rdns().iter().enumerate() {
             if i > 0 {
                 f.write_str(",")?;
             }
@@ -193,7 +281,7 @@ impl FromStr for Dn {
             .split(',')
             .map(|part| part.parse::<Rdn>())
             .collect::<Result<Vec<_>, _>>()?;
-        Ok(Dn { rdns })
+        Ok(Dn::from_rdns(rdns))
     }
 }
 
@@ -252,6 +340,22 @@ mod tests {
         assert!("cn=".parse::<Dn>().is_err());
         assert!(Rdn::new("cn", "a,b").is_err());
         assert!(Rdn::new("cn", "a=b").is_err());
+        for sep in ["\x00", "\x01"] {
+            assert!(Rdn::new("cn", format!("a{sep}b")).is_err());
+            assert!(Rdn::new(format!("c{sep}n"), "a").is_err());
+        }
+    }
+
+    #[test]
+    fn debug_rendering_is_pinned() {
+        let dn: Dn = "c=UK,cn=Tom Rodden".parse().unwrap();
+        assert_eq!(
+            format!("{dn:?}"),
+            "Dn { rdns: [Rdn { attr: AttributeType(\"c\"), value: \"UK\" }, \
+             Rdn { attr: AttributeType(\"cn\"), value: \"Tom Rodden\" }] }"
+        );
+        assert_eq!(format!("{:?}", Dn::root()), "Dn { rdns: [] }");
+        assert_eq!(Dn::default(), Dn::root());
     }
 
     #[test]

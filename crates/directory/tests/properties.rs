@@ -1,5 +1,6 @@
-//! Property tests for the directory data model: DN round-trips, filter
-//! algebra laws, substring matching, and DIT structural invariants.
+//! Property tests for the directory data model: DN round-trips and
+//! ordering, filter algebra laws, substring matching, and DIT structural
+//! invariants.
 
 use cscw_directory::*;
 use proptest::prelude::*;
@@ -23,6 +24,33 @@ fn arb_dn() -> impl Strategy<Value = Dn> {
                 .collect(),
         )
     })
+}
+
+/// RDNs from a tiny alphabet, so pairs collide often: attribute types
+/// that prefix one another (`c`/`cn`) and values that extend `a` with
+/// ` `, `.` or `-`, all of which sort below the `,` of the display form.
+fn arb_close_rdn() -> impl Strategy<Value = Rdn> {
+    (
+        prop_oneof![Just("c"), Just("cn")],
+        prop_oneof![Just("a"), Just("a b"), Just("a.b"), Just("a-b"), Just("b")],
+    )
+        .prop_map(|(a, v)| Rdn::new(a, v).expect("generated values are valid"))
+}
+
+/// Two DNs that share a generated prefix and then diverge (or not).
+fn arb_dn_pair() -> impl Strategy<Value = (Dn, Dn)> {
+    let part = || prop::collection::vec(arb_close_rdn(), 0..3);
+    (part(), part(), part()).prop_map(|(prefix, a, b)| {
+        let join = |tail: Vec<Rdn>| Dn::from_rdns(prefix.iter().cloned().chain(tail).collect());
+        (join(a), join(b))
+    })
+}
+
+fn hash_of(dn: &Dn) -> u64 {
+    use std::hash::{Hash, Hasher};
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    dn.hash(&mut h);
+    h.finish()
 }
 
 fn arb_value() -> impl Strategy<Value = AttributeValue> {
@@ -64,6 +92,27 @@ fn arb_entry() -> impl Strategy<Value = Entry> {
             }
             e
         })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// DN order, equality and hashing agree with the RDN sequence, and a
+    /// clone shares its allocation.
+    #[test]
+    fn dn_order_matches_rdn_order((a, b) in arb_dn_pair()) {
+        prop_assert_eq!(a.cmp(&b), a.rdns().cmp(b.rdns()), "{} vs {}", a, b);
+        prop_assert_eq!(a == b, a.rdns() == b.rdns(), "{} vs {}", a, b);
+        if a == b {
+            prop_assert_eq!(hash_of(&a), hash_of(&b));
+        }
+        prop_assert_eq!(
+            a.is_prefix_of(&b),
+            b.rdns().starts_with(a.rdns()),
+            "{} vs {}", a, b
+        );
+        prop_assert!(std::ptr::eq(a.rdns().as_ptr(), a.clone().rdns().as_ptr()));
+    }
 }
 
 proptest! {

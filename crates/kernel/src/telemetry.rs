@@ -441,8 +441,9 @@ impl Telemetry {
         if let Some(pos) = stream.stack.iter().rposition(|c| *c == ctx) {
             stream.stack.truncate(pos);
         }
-        if let Some(record) = stream.spans.iter_mut().rev().find(|s| s.id == ctx.span) {
-            record.end_micros = Some(at_micros);
+        // Ids are minted under the stream lock, so the store is sorted.
+        if let Ok(pos) = stream.spans.binary_search_by_key(&ctx.span, |s| s.id) {
+            stream.spans[pos].end_micros = Some(at_micros);
         }
     }
 
@@ -725,6 +726,36 @@ mod tests {
         assert_eq!(t.spans().len(), 1);
         assert_eq!(t.dropped_spans(), 1);
         assert_eq!(t.snapshot().dropped_spans, 1);
+    }
+
+    #[test]
+    fn span_end_stamps_the_recorded_span() {
+        let t = Telemetry::new();
+        let a = t.span_begin(Layer::App, "app.a", 1);
+        let b = t.span_begin(Layer::Env, "env.b", 2);
+        let c = t.span_begin(Layer::Odp, "odp.c", 3);
+        t.span_end(b, 7);
+        let ends: Vec<_> = t.spans().iter().map(|s| s.end_micros).collect();
+        assert_eq!(ends, [None, Some(7), None]);
+        t.span_end(c, 8);
+        t.span_end(a, 9);
+        let ends: Vec<_> = t.spans().iter().map(|s| s.end_micros).collect();
+        assert_eq!(ends, [Some(9), Some(7), Some(8)]);
+    }
+
+    #[test]
+    fn span_end_of_a_dropped_span_changes_no_record() {
+        let t = Telemetry::new();
+        t.set_span_capacity(3);
+        let kept: Vec<_> = (0..3)
+            .map(|i| t.span_begin(Layer::App, "app.kept", i))
+            .collect();
+        let before = t.spans();
+        let dropped = t.span_begin(Layer::Env, "env.dropped", 10);
+        assert_eq!(t.dropped_spans(), 1);
+        t.span_end(dropped, 11);
+        assert_eq!(t.spans(), before);
+        assert_eq!(t.current_context(), Some(kept[2]));
     }
 
     #[test]
