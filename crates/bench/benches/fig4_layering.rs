@@ -15,7 +15,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use cscw_bench::population_env;
 use cscw_directory::Dn;
-use cscw_kernel::Timestamp;
+use cscw_kernel::{Layer, Timestamp};
 use groupware::sample_artifact;
 use mocca::env::AppId;
 use odp::{
@@ -142,11 +142,11 @@ fn print_shape() {
     // Count simulated messages per operation at each layer.
     let (mut sim, client, server) = raw_world(1);
     raw_share(&mut sim, client, server);
-    let raw_msgs = sim.metrics().counter("messages_sent");
+    let raw_msgs = sim.telemetry().counter(Layer::Net, "net.sent");
 
     let (mut sim, mut channel) = odp_world(1);
     odp_share(&mut sim, &mut channel);
-    let odp_msgs = sim.metrics().counter("messages_sent");
+    let odp_msgs = sim.telemetry().counter(Layer::Net, "net.sent");
     let stats = channel.stats();
 
     let mut env = population_env().expect("static population");

@@ -13,7 +13,7 @@ use std::collections::BTreeSet;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use cscw_directory::Dn;
-use cscw_kernel::Timestamp;
+use cscw_kernel::{Layer, Timestamp};
 use mocca::activity::ActivityId;
 use mocca::env::{EnvEvent, EventBus};
 use mocca::info::InfoContent;
@@ -108,9 +108,9 @@ fn print_shape() {
             node: hosts[0],
             interface: "counter".into(),
         };
-        let before_msgs = sim.metrics().counter("messages_sent");
+        let before_msgs = sim.telemetry().counter(Layer::Net, "net.sent");
         let result = invoke_once(&mut sim, &mut invoker, &iref);
-        let msgs = sim.metrics().counter("messages_sent") - before_msgs;
+        let msgs = sim.telemetry().counter(Layer::Net, "net.sent") - before_msgs;
         let lookups = invoker.locator_mut().lookup_count();
         println!(
             "  {label:<18} {:<9} {:<17} {msgs:<9} {lookups}",

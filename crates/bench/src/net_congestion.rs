@@ -97,7 +97,7 @@ impl Node for FlashClient {
                 sent_micros: ctx.now_micros(),
             };
             let _ = ctx.send_sized(self.relay, Payload::new(msg), FLASH_MSG_BYTES);
-            ctx.metrics().incr("flash_offered");
+            ctx.telemetry().incr(Layer::Net, "net.flash.offered");
         }
     }
 }
@@ -115,7 +115,7 @@ impl Node for FlashRelay {
         };
         let outcome = ctx.send_sized(self.server, Payload::new(flash), FLASH_MSG_BYTES);
         if outcome.is_shed() {
-            ctx.metrics().incr("flash_relay_shed");
+            ctx.telemetry().incr(Layer::Net, "net.flash.relay_shed");
         }
     }
 }
@@ -129,16 +129,15 @@ impl Node for FlashServer {
             return;
         };
         let latency = ctx.now_micros().saturating_sub(flash.sent_micros);
-        ctx.metrics().incr("flash_delivered");
-        if let Some(t) = ctx.telemetry() {
-            t.record_micros(Layer::Net, "net.flash.latency", latency);
-            let phase = if flash.burst {
-                "net.flash.burst"
-            } else {
-                "net.flash.calm"
-            };
-            t.record_micros(Layer::Net, phase, latency);
-        }
+        let t = ctx.telemetry();
+        t.incr(Layer::Net, "net.flash.delivered");
+        t.record_micros(Layer::Net, "net.flash.latency", latency);
+        let phase = if flash.burst {
+            "net.flash.burst"
+        } else {
+            "net.flash.calm"
+        };
+        t.record_micros(Layer::Net, phase, latency);
     }
 }
 
@@ -245,7 +244,11 @@ fn breaker_probe(seed: u64) -> BreakerProbe {
         .inner_mut()
         .as_any_mut()
         .downcast_mut::<SimPlatform>()
-        .map(|sp| sp.sim().metrics().counter("dropped_queue_full"))
+        .map(|sp| {
+            sp.sim()
+                .telemetry()
+                .counter(Layer::Net, "net.dropped_queue_full")
+        })
         .unwrap_or(0);
     BreakerProbe {
         opened: trader_breaker == BreakerState::Open,
@@ -283,9 +286,7 @@ pub fn flash_crowd(seed: u64) -> FlashCrowdResult {
             .with_queue_capacity_msgs(64),
     );
 
-    let telemetry = Telemetry::new();
     let mut sim = Sim::new(b.build(), seed);
-    sim.attach_telemetry(telemetry.clone());
     for (i, &c) in clients.iter().enumerate() {
         sim.register(
             c,
@@ -299,7 +300,7 @@ pub fn flash_crowd(seed: u64) -> FlashCrowdResult {
     sim.register(server, FlashServer);
     sim.run_until_idle();
 
-    let m = sim.metrics();
+    let telemetry = sim.telemetry();
     let calm = PhaseQuantiles::from_summary(telemetry.histogram(Layer::Net, "net.flash.calm"));
     let burst = PhaseQuantiles::from_summary(telemetry.histogram(Layer::Net, "net.flash.burst"));
     let overall =
@@ -307,10 +308,10 @@ pub fn flash_crowd(seed: u64) -> FlashCrowdResult {
     let mut r = FlashCrowdResult {
         seed,
         clients: FLASH_CLIENTS,
-        offered: m.counter("flash_offered"),
-        delivered: m.counter("flash_delivered"),
-        shed: m.counter("flash_relay_shed"),
-        dropped_queue_full: m.counter("dropped_queue_full"),
+        offered: telemetry.counter(Layer::Net, "net.flash.offered"),
+        delivered: telemetry.counter(Layer::Net, "net.flash.delivered"),
+        shed: telemetry.counter(Layer::Net, "net.flash.relay_shed"),
+        dropped_queue_full: telemetry.counter(Layer::Net, "net.dropped_queue_full"),
         calm,
         burst,
         overall,
@@ -390,7 +391,7 @@ impl Node for StormGateway {
             };
             let outcome = ctx.send_classed(self.peer, Payload::new(msg), STORM_PING_BYTES, 0);
             if outcome.is_shed() {
-                ctx.metrics().incr("storm_ping_shed");
+                ctx.telemetry().incr(Layer::Net, "net.storm.ping_shed");
             }
         } else {
             for _ in 0..STORM_BULK_PER_BURST {
@@ -400,7 +401,7 @@ impl Node for StormGateway {
                 };
                 let outcome = ctx.send_classed(self.peer, Payload::new(msg), STORM_BULK_BYTES, 1);
                 if outcome.is_shed() {
-                    ctx.metrics().incr("storm_bulk_shed");
+                    ctx.telemetry().incr(Layer::Net, "net.storm.bulk_shed");
                 }
             }
         }
@@ -417,15 +418,13 @@ impl Node for StormPeer {
         };
         let latency = ctx.now_micros().saturating_sub(storm.sent_micros);
         if storm.class == 0 {
-            ctx.metrics().incr("storm_ping_delivered");
-            if let Some(t) = ctx.telemetry() {
-                t.record_micros(Layer::Net, "net.storm.interactive", latency);
-            }
+            let t = ctx.telemetry();
+            t.incr(Layer::Net, "net.storm.ping_delivered");
+            t.record_micros(Layer::Net, "net.storm.interactive", latency);
         } else {
-            ctx.metrics().incr("storm_bulk_delivered");
-            if let Some(t) = ctx.telemetry() {
-                t.record_micros(Layer::Net, "net.storm.bulk", latency);
-            }
+            let t = ctx.telemetry();
+            t.incr(Layer::Net, "net.storm.bulk_delivered");
+            t.record_micros(Layer::Net, "net.storm.bulk", latency);
         }
     }
 }
@@ -529,25 +528,23 @@ fn storm_side(seed: u64, discipline: QueueDiscipline, name: &'static str) -> Sto
             .with_discipline(discipline),
     );
 
-    let telemetry = Telemetry::new();
     let mut sim = Sim::new(b.build(), seed);
-    sim.attach_telemetry(telemetry.clone());
     sim.register(gw, StormGateway { peer });
     sim.register(peer, StormPeer);
     sim.run_until_idle();
 
-    let m = sim.metrics();
+    let telemetry = sim.telemetry();
     StormSide {
         discipline: name,
         interactive: PhaseQuantiles::from_summary(
             telemetry.histogram(Layer::Net, "net.storm.interactive"),
         ),
         bulk: PhaseQuantiles::from_summary(telemetry.histogram(Layer::Net, "net.storm.bulk")),
-        interactive_delivered: m.counter("storm_ping_delivered"),
-        interactive_shed: m.counter("storm_ping_shed"),
-        bulk_delivered: m.counter("storm_bulk_delivered"),
-        bulk_shed: m.counter("storm_bulk_shed"),
-        dropped_queue_full: m.counter("dropped_queue_full"),
+        interactive_delivered: telemetry.counter(Layer::Net, "net.storm.ping_delivered"),
+        interactive_shed: telemetry.counter(Layer::Net, "net.storm.ping_shed"),
+        bulk_delivered: telemetry.counter(Layer::Net, "net.storm.bulk_delivered"),
+        bulk_shed: telemetry.counter(Layer::Net, "net.storm.bulk_shed"),
+        dropped_queue_full: telemetry.counter(Layer::Net, "net.dropped_queue_full"),
     }
 }
 
@@ -629,16 +626,14 @@ impl Node for BridgeWorker {
                 return;
             };
             let latency = ctx.now_micros().saturating_sub(bridge.sent_micros);
-            ctx.metrics().incr("bridge_cross_delivered");
-            if let Some(t) = ctx.telemetry() {
-                t.record_micros(Layer::Net, "net.bridge.cross", latency);
-            }
+            let t = ctx.telemetry();
+            t.incr(Layer::Net, "net.bridge.cross_delivered");
+            t.record_micros(Layer::Net, "net.bridge.cross", latency);
         } else if let Ok(intra) = msg.payload.downcast::<IntraMsg>() {
             let latency = ctx.now_micros().saturating_sub(intra.sent_micros);
-            ctx.metrics().incr("bridge_intra_delivered");
-            if let Some(t) = ctx.telemetry() {
-                t.record_micros(Layer::Net, "net.bridge.intra", latency);
-            }
+            let t = ctx.telemetry();
+            t.incr(Layer::Net, "net.bridge.intra_delivered");
+            t.record_micros(Layer::Net, "net.bridge.intra", latency);
         }
     }
 
@@ -655,7 +650,7 @@ impl Node for BridgeWorker {
                 sent_micros: ctx.now_micros(),
             };
             let _ = ctx.send_sized(self.gw, Payload::new(msg), BRIDGE_CROSS_BYTES);
-            ctx.metrics().incr("bridge_cross_offered");
+            ctx.telemetry().incr(Layer::Net, "net.bridge.cross_offered");
         }
     }
 }
@@ -677,7 +672,7 @@ impl Node for BridgeGateway {
         let to = if local { dest } else { self.peer };
         let outcome = ctx.send_sized(to, Payload::new(bridge), BRIDGE_CROSS_BYTES);
         if outcome.is_shed() {
-            ctx.metrics().incr("bridge_shed");
+            ctx.telemetry().incr(Layer::Net, "net.bridge.shed");
         }
     }
 }
@@ -755,9 +750,7 @@ pub fn wan_bridge(seed: u64) -> WanBridgeResult {
         .with_queue_capacity_bytes(8_192);
     b.link_both(gw_a, gw_b, bridge);
 
-    let telemetry = Telemetry::new();
     let mut sim = Sim::new(b.build(), seed);
-    sim.attach_telemetry(telemetry.clone());
     sim.register(gw_a, BridgeGateway { peer: gw_b });
     sim.register(gw_b, BridgeGateway { peer: gw_a });
     for island in [
@@ -778,14 +771,14 @@ pub fn wan_bridge(seed: u64) -> WanBridgeResult {
     }
     sim.run_until_idle();
 
-    let m = sim.metrics();
+    let telemetry = sim.telemetry();
     let mut r = WanBridgeResult {
         seed,
-        cross_offered: m.counter("bridge_cross_offered"),
-        cross_delivered: m.counter("bridge_cross_delivered"),
-        cross_shed: m.counter("bridge_shed"),
-        intra_delivered: m.counter("bridge_intra_delivered"),
-        dropped_queue_full: m.counter("dropped_queue_full"),
+        cross_offered: telemetry.counter(Layer::Net, "net.bridge.cross_offered"),
+        cross_delivered: telemetry.counter(Layer::Net, "net.bridge.cross_delivered"),
+        cross_shed: telemetry.counter(Layer::Net, "net.bridge.shed"),
+        intra_delivered: telemetry.counter(Layer::Net, "net.bridge.intra_delivered"),
+        dropped_queue_full: telemetry.counter(Layer::Net, "net.dropped_queue_full"),
         intra: PhaseQuantiles::from_summary(telemetry.histogram(Layer::Net, "net.bridge.intra")),
         cross: PhaseQuantiles::from_summary(telemetry.histogram(Layer::Net, "net.bridge.cross")),
         fingerprint: String::new(),

@@ -12,6 +12,7 @@
 //!   [`cscw_messaging::UserAgent`].
 
 use cscw_directory::Dn;
+use cscw_kernel::Layer;
 use cscw_messaging::net::{Message, Node, NodeCtx, NodeId, Payload, Sim, SimTime};
 use cscw_messaging::{Ipm, OrAddress, SubmitOptions, UserAgent};
 use serde::{Deserialize, Serialize};
@@ -105,11 +106,11 @@ impl Node for SessionHub {
             SessionPdu::Join { who, member_node } => {
                 self.members.retain(|(dn, _)| dn != &who);
                 self.members.push((who, member_node));
-                ctx.metrics().incr("session_joins");
+                ctx.telemetry().incr(Layer::Env, "env.session.join");
             }
             SessionPdu::Leave { who } => {
                 self.members.retain(|(dn, _)| dn != &who);
-                ctx.metrics().incr("session_leaves");
+                ctx.telemetry().incr(Layer::Env, "env.session.leave");
             }
             SessionPdu::Utter { from, content } => {
                 let utterance = Utterance {
@@ -120,7 +121,7 @@ impl Node for SessionHub {
                 };
                 self.next_seq += 1;
                 self.log.push(utterance.clone());
-                ctx.metrics().incr("session_utterances");
+                ctx.telemetry().incr(Layer::Env, "env.session.utter");
                 for (_, node) in &self.members {
                     ctx.send_sized(
                         *node,

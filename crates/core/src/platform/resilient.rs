@@ -895,9 +895,24 @@ mod tests {
             .as_any_mut()
             .downcast_mut::<SimPlatform>()
             .expect("inner is the sim platform");
-        assert!(sp.sim().metrics().counter("dropped_queue_full") >= 3);
-        assert_eq!(sp.sim().metrics().counter("dropped_node_down"), 0);
-        assert_eq!(sp.sim().metrics().counter("dropped_partitioned"), 0);
+        assert!(
+            sp.sim()
+                .telemetry()
+                .counter(Layer::Net, "net.dropped_queue_full")
+                >= 3
+        );
+        assert_eq!(
+            sp.sim()
+                .telemetry()
+                .counter(Layer::Net, "net.dropped_node_down"),
+            0
+        );
+        assert_eq!(
+            sp.sim()
+                .telemetry()
+                .counter(Layer::Net, "net.dropped_partitioned"),
+            0
+        );
     }
 
     #[test]

@@ -108,7 +108,8 @@ impl SimPlatform {
         }
     }
 
-    /// The underlying simulation (to inject faults or inspect metrics).
+    /// The underlying simulation (to inject faults or read its Net
+    /// counters through [`Sim::telemetry`]).
     pub fn sim(&self) -> &Sim {
         &self.sim
     }
@@ -300,7 +301,7 @@ mod tests {
         let offers = p.import(&ImportRequest::any("printer")).unwrap();
         assert_eq!(offers.len(), 1);
         // The calls generated real network traffic…
-        assert!(p.sim().metrics().counter("messages_sent") >= 4);
+        assert!(p.sim().telemetry().counter(Layer::Net, "net.sent") >= 4);
         // …and telemetry at both the ODP and Net layers.
         assert!(p.telemetry.counter(Layer::Odp, "odp.export") == 1);
         assert!(p.telemetry.counter(Layer::Net, "net.sent") >= 4);

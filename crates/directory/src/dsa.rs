@@ -34,15 +34,12 @@ use crate::search::{SearchOutcome, SearchRequest};
 /// Maximum chaining depth before a request is refused (loop guard).
 pub const MAX_HOPS: u8 = 8;
 
-/// Mirrors a directory event into the kernel telemetry stream (if one
-/// is attached to the simulation) tagged [`Layer::Directory`]. The
-/// existing `Metrics` counters stay authoritative; telemetry adds the
-/// cross-layer view.
+/// Counts and records a directory event in the simulation's telemetry
+/// stream, tagged [`Layer::Directory`].
 fn emit_directory(ctx: &NodeCtx<'_>, name: &'static str, detail: impl Into<String>) {
-    if let Some(t) = ctx.telemetry() {
-        t.incr(Layer::Directory, name);
-        t.emit(ctx.now_micros(), Layer::Directory, name, detail);
-    }
+    let t = ctx.telemetry();
+    t.incr(Layer::Directory, name);
+    t.emit(ctx.now_micros(), Layer::Directory, name, detail);
 }
 
 /// A network-transferable entry modification (closures cannot cross the
@@ -318,7 +315,6 @@ impl DsaNode {
         req_id: u64,
         result: Result<DirResult, DirectoryError>,
     ) {
-        ctx.metrics().incr("dsa_responses");
         emit_directory(
             ctx,
             "dsa.respond",
@@ -335,7 +331,6 @@ impl DsaNode {
 
     fn push_shadow_update(&self, ctx: &mut NodeCtx<'_>, op: &DirOp) {
         for &shadow in &self.shadows {
-            ctx.metrics().incr("dsa_shadow_pushes");
             emit_directory(ctx, "dsa.shadow_push", format!("to {shadow:?}"));
             ctx.send(
                 shadow,
@@ -407,7 +402,6 @@ impl DsaNode {
                     );
                     return;
                 }
-                ctx.metrics().incr("dsa_chained");
                 emit_directory(ctx, "dsa.chain", format!("req {req_id} to {next:?}"));
                 ctx.send(
                     next,
@@ -420,7 +414,7 @@ impl DsaNode {
                 );
             }
             InteractionMode::Referral => {
-                ctx.metrics().incr("dsa_referrals");
+                ctx.telemetry().incr(Layer::Directory, "dir.dsa.referral");
                 ctx.send(
                     origin,
                     Payload::new(DapMessage::Referral {
@@ -464,7 +458,7 @@ impl DsaNode {
                 filter: req.filter.clone(),
                 size_limit: req.size_limit,
             };
-            ctx.metrics().incr("dsa_distributed_subsearches");
+            ctx.telemetry().incr(Layer::Directory, "dir.dsa.subsearch");
             ctx.send(
                 node,
                 Payload::new(DapMessage::Request {
@@ -544,7 +538,6 @@ impl Node for DsaNode {
                 op,
                 hops,
             } => {
-                ctx.metrics().incr("dsa_requests");
                 emit_directory(
                     ctx,
                     "dsa.request",
@@ -563,9 +556,11 @@ impl Node for DsaNode {
                 self.handle_partial(ctx, req_id, partial);
             }
             DapMessage::ShadowUpdate { op } => {
-                ctx.metrics().incr("dsa_shadow_applied");
+                ctx.telemetry()
+                    .incr(Layer::Directory, "dir.dsa.shadow_apply");
                 if self.execute_local(&op).is_err() {
-                    ctx.metrics().incr("dsa_shadow_conflicts");
+                    ctx.telemetry()
+                        .incr(Layer::Directory, "dir.dsa.shadow_conflict");
                 }
             }
             DapMessage::Referral { .. } | DapMessage::PartialSearch { .. } => {
@@ -831,7 +826,7 @@ mod tests {
         let e = dua.read(&mut sim, "c=DE,o=GMD".parse().unwrap()).unwrap();
         assert_eq!(e.first_text("o"), Some("GMD"));
         assert!(
-            sim.metrics().counter("dsa_chained") >= 2,
+            sim.telemetry().counter(Layer::Directory, "dsa.chain") >= 2,
             "add and read both chained"
         );
     }
@@ -840,8 +835,12 @@ mod tests {
     fn referral_mode_redirects_client() {
         let (mut sim, mut dua, _, _) = two_dsa_world(InteractionMode::Referral);
         dua.add(&mut sim, org("c=DE,o=GMD", "GMD")).unwrap();
-        assert!(sim.metrics().counter("dsa_referrals") >= 1);
-        assert_eq!(sim.metrics().counter("dsa_chained"), 0);
+        assert!(
+            sim.telemetry()
+                .counter(Layer::Directory, "dir.dsa.referral")
+                >= 1
+        );
+        assert_eq!(sim.telemetry().counter(Layer::Directory, "dsa.chain"), 0);
         let e = dua.read(&mut sim, "c=DE,o=GMD".parse().unwrap()).unwrap();
         assert_eq!(e.first_text("o"), Some("GMD"));
     }
@@ -954,7 +953,7 @@ mod tests {
             .add(&mut sim, org("c=UK,o=Oxford", "Oxford"))
             .unwrap_err();
         assert!(matches!(err, DirectoryError::NotMaster(_)));
-        assert!(sim.metrics().counter("dsa_shadow_pushes") >= 1);
+        assert!(sim.telemetry().counter(Layer::Directory, "dsa.shadow_push") >= 1);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! simultaneous presence.
 
 use cscw_directory::Dn;
-use cscw_kernel::Timestamp;
+use cscw_kernel::{Layer, Timestamp};
 use cscw_messaging::net::{Message, Node, NodeCtx, NodeId, Payload, Sim};
 use cscw_messaging::{Envelope, Ipm, MtsPdu, OrAddress};
 use serde::{Deserialize, Serialize};
@@ -159,7 +159,7 @@ impl BbsServer {
             &format!("{} wrote:\n{}", entry.author, entry.text),
         );
         let size = ipm.wire_size();
-        ctx.metrics().incr("bbs_notifications");
+        ctx.telemetry().incr(Layer::App, "app.bbs.notify");
         ctx.send_sized(
             self.mta,
             Payload::new(MtsPdu::Transfer { envelope, ipm }),
@@ -205,7 +205,7 @@ impl Node for BbsServer {
                 };
                 if !conference_exists || !parent_ok {
                     self.rejected_posts += 1;
-                    ctx.metrics().incr("bbs_rejected_posts");
+                    ctx.telemetry().incr(Layer::App, "app.bbs.reject");
                     return;
                 }
                 let entry = BbsEntry {
@@ -218,7 +218,7 @@ impl Node for BbsServer {
                     at: ctx.now().into(),
                 };
                 self.next_id += 1;
-                ctx.metrics().incr("bbs_posts");
+                ctx.telemetry().incr(Layer::App, "app.bbs.post");
                 self.notify(ctx, &entry);
                 self.entries.push(entry);
             }
@@ -430,6 +430,6 @@ mod tests {
         let inbox = mta.mailbox(&w.wolfgang_mailbox).unwrap().inbox();
         assert_eq!(inbox.len(), 1);
         assert!(inbox[0].ipm.heading.subject.contains("[c] news"));
-        assert_eq!(w.sim.metrics().counter("bbs_notifications"), 1);
+        assert_eq!(w.sim.telemetry().counter(Layer::App, "app.bbs.notify"), 1);
     }
 }

@@ -8,6 +8,7 @@
 //! accepted update (strict WYSIWIS).
 
 use cscw_directory::Dn;
+use cscw_kernel::Layer;
 use cscw_messaging::net::{Message, Node, NodeCtx, NodeId, Payload, Sim};
 use mocca::comm::channel::{SessionPdu, Utterance};
 
@@ -119,7 +120,8 @@ impl Node for ConferenceServer {
             ConferenceCmd::RequestFloor(who) => {
                 if self.floor.is_none() {
                     self.floor = Some(who);
-                    ctx.metrics().incr("conference_floor_grants");
+                    ctx.telemetry()
+                        .incr(Layer::App, "app.conference.floor_grant");
                 }
             }
             ConferenceCmd::ReleaseFloor(who) => {
@@ -131,11 +133,12 @@ impl Node for ConferenceServer {
                 if self.floor.as_ref() == Some(&who) {
                     let seq = self.window.len() as u64;
                     self.window.push(line.clone());
-                    ctx.metrics().incr("conference_draws");
+                    ctx.telemetry().incr(Layer::App, "app.conference.draw");
                     self.broadcast(ctx, &who, &line, seq);
                 } else {
                     self.rejected_draws += 1;
-                    ctx.metrics().incr("conference_rejected_draws");
+                    ctx.telemetry()
+                        .incr(Layer::App, "app.conference.reject_draw");
                 }
             }
         }

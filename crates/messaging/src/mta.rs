@@ -46,15 +46,12 @@ struct DeferredTransfer {
     attempts: u32,
 }
 
-/// Mirrors an MTS event into the kernel telemetry stream (if one is
-/// attached to the simulation) tagged [`Layer::Messaging`]. The
-/// existing `Metrics` counters stay authoritative; telemetry adds the
-/// cross-layer view.
+/// Counts and records an MTS event in the simulation's telemetry
+/// stream, tagged [`Layer::Messaging`].
 fn emit_messaging(ctx: &NodeCtx<'_>, name: &'static str, detail: impl Into<String>) {
-    if let Some(t) = ctx.telemetry() {
-        t.incr(Layer::Messaging, name);
-        t.emit(ctx.now_micros(), Layer::Messaging, name, detail);
-    }
+    let t = ctx.telemetry();
+    t.incr(Layer::Messaging, name);
+    t.emit(ctx.now_micros(), Layer::Messaging, name, detail);
 }
 
 /// The inter-MTA / UA-MTA wire protocol (P1-ish).
@@ -207,7 +204,7 @@ impl MtaNode {
                 }
                 envelope.expanded_dls.push(dl_key);
                 expanded_here = true;
-                ctx.metrics().incr("mts_dl_expansions");
+                ctx.telemetry().incr(Layer::Messaging, "mts.dl.expand");
                 for m in members.clone() {
                     queue.push_back(m);
                 }
@@ -254,15 +251,15 @@ impl MtaNode {
             if let Some(store) = self.mailboxes.get_mut(&recipient) {
                 store.deliver(envelope.message_id, now, ipm.clone());
             }
-            ctx.metrics().incr("mts_delivered");
             emit_messaging(
                 ctx,
                 "mts.deliver",
                 format!("{} delivered to {recipient}", envelope.message_id),
             );
-            ctx.metrics().record(
-                "mts_end_to_end",
-                now.saturating_since(envelope.submitted_at),
+            ctx.telemetry().record_micros(
+                Layer::Messaging,
+                "mts.end_to_end",
+                now.saturating_since(envelope.submitted_at).as_micros(),
             );
             if envelope.report_requested {
                 let report = DeliveryReport {
@@ -287,7 +284,6 @@ impl MtaNode {
                 }];
             }
             copy.recipients = recipients;
-            ctx.metrics().incr("mts_forwarded");
             emit_messaging(
                 ctx,
                 "mts.forward",
@@ -324,7 +320,6 @@ impl MtaNode {
             return;
         }
         if attempt >= MAX_TRANSFER_ATTEMPTS {
-            ctx.metrics().incr("mts_congestion_bounced");
             emit_messaging(
                 ctx,
                 "mts.congestion_bounce",
@@ -340,7 +335,6 @@ impl MtaNode {
             }
             return;
         }
-        ctx.metrics().incr("mts_deferred_congestion");
         emit_messaging(
             ctx,
             "mts.defer",
@@ -369,7 +363,6 @@ impl MtaNode {
         recipient: OrAddress,
         reason: NonDeliveryReason,
     ) {
-        ctx.metrics().incr("mts_non_delivered");
         emit_messaging(
             ctx,
             "mts.non_deliver",
@@ -393,11 +386,11 @@ impl MtaNode {
     ) {
         if let Some(store) = self.mailboxes.get_mut(&to) {
             store.file_report(report);
-            ctx.metrics().incr("mts_reports_filed");
+            ctx.telemetry().incr(Layer::Messaging, "mts.report.file");
             return;
         }
         if hops as usize >= MAX_HOPS {
-            ctx.metrics().incr("mts_reports_lost");
+            ctx.telemetry().incr(Layer::Messaging, "mts.report.lost");
             return;
         }
         match self.routing.next_hop(&to) {
@@ -411,7 +404,7 @@ impl MtaNode {
                     }),
                 );
             }
-            _ => ctx.metrics().incr("mts_reports_lost"),
+            _ => ctx.telemetry().incr(Layer::Messaging, "mts.report.lost"),
         }
     }
 
@@ -424,7 +417,7 @@ impl MtaNode {
     ) {
         if let Some(store) = self.mailboxes.get_mut(&to) {
             store.file_receipt(receipt);
-            ctx.metrics().incr("mts_receipts_filed");
+            ctx.telemetry().incr(Layer::Messaging, "mts.receipt.file");
             return;
         }
         if hops as usize >= MAX_HOPS {
@@ -453,7 +446,6 @@ impl Node for MtaNode {
         };
         match pdu {
             MtsPdu::Transfer { envelope, ipm } => {
-                ctx.metrics().incr("mts_received");
                 emit_messaging(
                     ctx,
                     "mts.transfer_in",
@@ -495,14 +487,16 @@ impl Node for MtaNode {
                 },
                 None => continue,
             };
-            ctx.metrics().incr("mts_recovered_after_restart");
+            ctx.telemetry()
+                .incr(Layer::Messaging, "mts.restart.recover");
             ctx.set_timer(delay, tag);
         }
         // Deferred (congestion-shed) transfers are durable too; retry
         // them one base delay after coming back up.
         let deferred_tags: Vec<u64> = self.deferred.keys().copied().collect();
         for tag in deferred_tags {
-            ctx.metrics().incr("mts_recovered_after_restart");
+            ctx.telemetry()
+                .incr(Layer::Messaging, "mts.restart.recover");
             ctx.set_timer(self.base_delay, tag);
         }
     }
@@ -720,7 +714,7 @@ mod tests {
         assert_eq!(inbox.len(), 1);
         assert_eq!(inbox[0].message_id, id);
         assert_eq!(inbox[0].ipm.heading.subject, "ODP paper");
-        assert!(w.sim.metrics().counter("mts_forwarded") >= 1);
+        assert!(w.sim.telemetry().counter(Layer::Messaging, "mts.forward") >= 1);
     }
 
     #[test]
@@ -736,7 +730,10 @@ mod tests {
         w.tom
             .submit_and_run(&mut w.sim, ipm, SubmitOptions::default());
         assert_eq!(w.tom.inbox(&w.sim).unwrap().len(), 1);
-        assert_eq!(w.sim.metrics().counter("mts_forwarded"), 0);
+        assert_eq!(
+            w.sim.telemetry().counter(Layer::Messaging, "mts.forward"),
+            0
+        );
     }
 
     #[test]
@@ -921,7 +918,10 @@ mod tests {
             .submit_and_run(&mut w.sim, ipm, SubmitOptions::default());
         assert_eq!(w.tom.inbox(&w.sim).unwrap().len(), 1);
         assert_eq!(w.wolfgang.inbox(&w.sim).unwrap().len(), 1);
-        assert_eq!(w.sim.metrics().counter("mts_dl_expansions"), 1);
+        assert_eq!(
+            w.sim.telemetry().counter(Layer::Messaging, "mts.dl.expand"),
+            1
+        );
     }
 
     #[test]
@@ -967,7 +967,12 @@ mod tests {
         w.tom
             .submit_and_run(&mut w.sim, ipm, SubmitOptions::default());
         assert!(w.wolfgang.inbox(&w.sim).unwrap().is_empty());
-        assert!(w.sim.metrics().counter("dropped_partitioned") >= 1);
+        assert!(
+            w.sim
+                .telemetry()
+                .counter(Layer::Net, "net.dropped_partitioned")
+                >= 1
+        );
     }
 
     #[test]
@@ -1063,8 +1068,13 @@ mod tests {
         }
         w.sim.run_until_idle();
         assert_eq!(w.wolfgang.inbox(&w.sim).unwrap().len(), 2);
-        assert!(w.sim.metrics().counter("mts_deferred_congestion") >= 1);
-        assert_eq!(w.sim.metrics().counter("mts_congestion_bounced"), 0);
+        assert!(w.sim.telemetry().counter(Layer::Messaging, "mts.defer") >= 1);
+        assert_eq!(
+            w.sim
+                .telemetry()
+                .counter(Layer::Messaging, "mts.congestion_bounce"),
+            0
+        );
         assert!(w.tom.reports(&w.sim).unwrap().is_empty());
     }
 
@@ -1086,7 +1096,12 @@ mod tests {
         w.sim.run_until_idle();
         // The wire-hogging first message still arrives eventually.
         assert_eq!(w.wolfgang.inbox(&w.sim).unwrap().len(), 1);
-        assert_eq!(w.sim.metrics().counter("mts_congestion_bounced"), 1);
+        assert_eq!(
+            w.sim
+                .telemetry()
+                .counter(Layer::Messaging, "mts.congestion_bounce"),
+            1
+        );
         let reports = w.tom.reports(&w.sim).unwrap();
         assert_eq!(reports.len(), 1);
         assert!(matches!(
@@ -1108,9 +1123,13 @@ mod tests {
         );
         w.tom
             .submit_and_run(&mut w.sim, ipm, SubmitOptions::default());
-        let h = w.sim.metrics().histogram("mts_end_to_end").unwrap();
-        assert_eq!(h.count(), 1);
+        let h = w
+            .sim
+            .telemetry()
+            .histogram(Layer::Messaging, "mts.end_to_end")
+            .unwrap();
+        assert_eq!(h.count, 1);
         // Store-and-forward must cost at least the two processing delays.
-        assert!(h.min().unwrap() >= SimDuration::from_millis(100));
+        assert!(h.min_micros >= SimDuration::from_millis(100).as_micros());
     }
 }

@@ -2,6 +2,7 @@
 //! media-conversion laws, and end-to-end delivery invariants under
 //! random multi-MTA workloads.
 
+use cscw_kernel::Layer;
 use cscw_messaging::*;
 use proptest::prelude::*;
 use simnet::{LinkSpec, NodeId, Sim, TopologyBuilder};
@@ -151,8 +152,8 @@ proptest! {
         let delivered: usize =
             agents.iter().map(|a| a.inbox(&sim).unwrap().len()).sum();
         prop_assert_eq!(delivered, sends.len(), "all messages delivered exactly once");
-        prop_assert_eq!(sim.metrics().counter("mts_delivered"), sends.len() as u64);
-        prop_assert_eq!(sim.metrics().counter("mts_non_delivered"), 0);
+        prop_assert_eq!(sim.telemetry().counter(Layer::Messaging, "mts.deliver"), sends.len() as u64);
+        prop_assert_eq!(sim.telemetry().counter(Layer::Messaging, "mts.non_deliver"), 0);
         let reports: usize = agents.iter().map(|a| a.reports(&sim).unwrap().len()).sum();
         prop_assert_eq!(reports, sends.len(), "one delivery report per message");
         // Every report is a success.

@@ -216,11 +216,11 @@ mod tests {
             ValueKind::Text,
         ));
         let mut chan = Binder::new(client).bind(iref, &offered, &required).unwrap();
-        let before = sim.metrics().counter("messages_sent");
+        let before = sim.telemetry().counter(cscw_kernel::Layer::Net, "net.sent");
         let err = chan.invoke(&mut sim, "extra", vec![]).unwrap_err();
         assert!(matches!(err, OdpError::NoSuchOperation { .. }));
         assert_eq!(
-            sim.metrics().counter("messages_sent"),
+            sim.telemetry().counter(cscw_kernel::Layer::Net, "net.sent"),
             before,
             "refused before the wire"
         );

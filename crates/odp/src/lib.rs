@@ -14,7 +14,8 @@
 //!   accounting ([`Binder`], [`Channel`]), and object migration.
 //! * **Trader** — typed service offers, constraint/preference imports,
 //!   pluggable [`TradingPolicy`] (where the paper attaches the
-//!   organisational knowledge base), and federation of linked traders.
+//!   organisational knowledge base), and the link and query-scope types
+//!   federated trading builds on.
 //! * **Selective distribution transparencies** — access, location,
 //!   migration, replication and failure, composable per call and
 //!   tailorable by *users*, as §6.1 demands ([`TransparentInvoker`]).
@@ -50,7 +51,7 @@ pub use object::{
 };
 pub use trader::{
     Constraint, ImportRequest, LinkState, OfferId, Preference, QueryScope, ServiceOffer, Trader,
-    TraderFederation, TraderLink, TradingPolicy,
+    TraderLink, TradingPolicy,
 };
 pub use trader_node::{RemoteTrader, TraderClientNode, TraderNode, TraderPdu};
 pub use transparency::{

@@ -195,16 +195,14 @@ impl Node for ObjectHost {
             args,
         } = pdu
         {
-            ctx.metrics().incr("odp_invocations");
-            if let Some(t) = ctx.telemetry() {
-                t.incr(cscw_kernel::Layer::Odp, "odp.invoke");
-                t.emit(
-                    ctx.now_micros(),
-                    cscw_kernel::Layer::Odp,
-                    "odp.invoke",
-                    format!("req {req_id}: {object}.{op}"),
-                );
-            }
+            let t = ctx.telemetry();
+            t.incr(cscw_kernel::Layer::Odp, "odp.invoke");
+            t.emit(
+                ctx.now_micros(),
+                cscw_kernel::Layer::Odp,
+                "odp.invoke",
+                format!("req {req_id}: {object}.{op}"),
+            );
             let result = self.invoke_local(&object, &op, &args);
             let size = 16 + result.as_ref().map(Value::wire_size).unwrap_or(32);
             ctx.send_sized(
@@ -396,7 +394,11 @@ mod tests {
             .unwrap();
         let got = invoker.invoke(&mut sim, &iref, "get", vec![]).unwrap();
         assert_eq!(got, Value::Int(42));
-        assert_eq!(sim.metrics().counter("odp_invocations"), 2);
+        assert_eq!(
+            sim.telemetry()
+                .counter(cscw_kernel::Layer::Odp, "odp.invoke"),
+            2
+        );
     }
 
     #[test]

@@ -412,87 +412,6 @@ impl Trader {
     }
 }
 
-/// A federation of linked traders.
-///
-/// Imports that fail locally are retried across links, breadth-first,
-/// with a visited-set loop guard — ODP's "interworking of traders".
-#[derive(Debug, Default)]
-pub struct TraderFederation {
-    traders: BTreeMap<String, Trader>,
-    links: BTreeMap<String, Vec<String>>,
-}
-
-impl TraderFederation {
-    /// Creates an empty federation.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds a trader.
-    pub fn add_trader(&mut self, trader: Trader) {
-        self.traders.insert(trader.name().to_owned(), trader);
-    }
-
-    /// Borrows a trader.
-    pub fn trader(&self, name: &str) -> Option<&Trader> {
-        self.traders.get(name)
-    }
-
-    /// Mutably borrows a trader.
-    pub fn trader_mut(&mut self, name: &str) -> Option<&mut Trader> {
-        self.traders.get_mut(name)
-    }
-
-    /// Links `from` to `to` (directed); federated imports at `from` will
-    /// consult `to`.
-    pub fn link(&mut self, from: &str, to: &str) {
-        self.links
-            .entry(from.to_owned())
-            .or_default()
-            .push(to.to_owned());
-    }
-
-    /// Imports starting at `start`, following links breadth-first until
-    /// some trader returns matches.
-    ///
-    /// # Errors
-    ///
-    /// * [`OdpError::NoSuchObject`] — unknown starting trader.
-    /// * [`OdpError::NoMatchingOffer`] — nothing matched anywhere
-    ///   reachable.
-    pub fn import_federated(
-        &self,
-        start: &str,
-        request: &ImportRequest,
-    ) -> Result<(String, Vec<ServiceOffer>), OdpError> {
-        if !self.traders.contains_key(start) {
-            return Err(OdpError::NoSuchObject(format!("trader {start}")));
-        }
-        let mut visited = vec![start.to_owned()];
-        let mut queue = std::collections::VecDeque::from([start.to_owned()]);
-        while let Some(name) = queue.pop_front() {
-            if let Some(trader) = self.traders.get(&name) {
-                match trader.import(request) {
-                    Ok(offers) => {
-                        return Ok((name, offers.into_iter().cloned().collect()));
-                    }
-                    Err(_) => {
-                        for next in self.links.get(&name).into_iter().flatten() {
-                            if !visited.contains(next) {
-                                visited.push(next.clone());
-                                queue.push_back(next.clone());
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        Err(OdpError::NoMatchingOffer {
-            service_type: request.service_type.clone(),
-        })
-    }
-}
-
 /// Health of a trader-interworking link. Links degrade under platform
 /// faults and heal afterwards; a down link removes its target domain
 /// from federated query propagation without unlinking it.
@@ -777,46 +696,6 @@ mod tests {
             .import(&ImportRequest::any("printer").with_constraint(any))
             .unwrap();
         assert_eq!(offers.len(), 2);
-    }
-
-    #[test]
-    fn federation_searches_linked_traders() {
-        let mut fed = TraderFederation::new();
-        let mut uk = Trader::new("uk");
-        uk.register_service_type(printer_type());
-        let mut de = Trader::new("de");
-        de.register_service_type(printer_type());
-        de.export("printer", &printer_type(), iref(9, "lp-de"), [])
-            .unwrap();
-        fed.add_trader(uk);
-        fed.add_trader(de);
-        fed.link("uk", "de");
-
-        let (found_at, offers) = fed
-            .import_federated("uk", &ImportRequest::any("printer"))
-            .unwrap();
-        assert_eq!(found_at, "de");
-        assert_eq!(offers.len(), 1);
-    }
-
-    #[test]
-    fn federation_loops_terminate() {
-        let mut fed = TraderFederation::new();
-        for name in ["a", "b", "c"] {
-            let mut t = Trader::new(name);
-            t.register_service_type(printer_type());
-            fed.add_trader(t);
-        }
-        fed.link("a", "b");
-        fed.link("b", "c");
-        fed.link("c", "a"); // cycle
-        let err = fed
-            .import_federated("a", &ImportRequest::any("printer"))
-            .unwrap_err();
-        assert!(matches!(err, OdpError::NoMatchingOffer { .. }));
-        assert!(fed
-            .import_federated("ghost", &ImportRequest::any("printer"))
-            .is_err());
     }
 
     #[test]

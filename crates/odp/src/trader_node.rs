@@ -97,16 +97,14 @@ impl Node for TraderNode {
                 interface,
                 properties,
             } => {
-                ctx.metrics().incr("trader_exports");
-                if let Some(t) = ctx.telemetry() {
-                    t.incr(Layer::Odp, "trader.export");
-                    t.emit(
-                        ctx.now_micros(),
-                        Layer::Odp,
-                        "trader.export",
-                        format!("req {req_id}: offer of {service_type}"),
-                    );
-                }
+                let t = ctx.telemetry();
+                t.incr(Layer::Odp, "trader.export");
+                t.emit(
+                    ctx.now_micros(),
+                    Layer::Odp,
+                    "trader.export",
+                    format!("req {req_id}: offer of {service_type}"),
+                );
                 // `export` takes 'static keys for ergonomic inline use;
                 // the wire carries owned strings, so go through the
                 // dynamic path.
@@ -126,16 +124,14 @@ impl Node for TraderNode {
                 reply_to,
                 request,
             } => {
-                ctx.metrics().incr("trader_imports");
-                if let Some(t) = ctx.telemetry() {
-                    t.incr(Layer::Odp, "trader.import");
-                    t.emit(
-                        ctx.now_micros(),
-                        Layer::Odp,
-                        "trader.import",
-                        format!("req {req_id}: seeking {}", request.service_type),
-                    );
-                }
+                let t = ctx.telemetry();
+                t.incr(Layer::Odp, "trader.import");
+                t.emit(
+                    ctx.now_micros(),
+                    Layer::Odp,
+                    "trader.import",
+                    format!("req {req_id}: seeking {}", request.service_type),
+                );
                 let result = self
                     .trader
                     .import(&request)
@@ -308,8 +304,8 @@ mod tests {
             .unwrap();
         assert_eq!(offers.len(), 1);
         assert_eq!(offers[0].property("dpi"), Some(&Value::Int(600)));
-        assert!(sim.metrics().counter("trader_exports") == 1);
-        assert!(sim.metrics().counter("trader_imports") == 1);
+        assert!(sim.telemetry().counter(Layer::Odp, "trader.export") == 1);
+        assert!(sim.telemetry().counter(Layer::Odp, "trader.import") == 1);
     }
 
     #[test]

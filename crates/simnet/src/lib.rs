@@ -62,19 +62,18 @@
 #![warn(missing_docs)]
 
 mod id;
-mod metrics;
 mod payload;
 mod rng;
 pub mod sim;
 mod time;
 pub mod topology;
-mod trace;
 
 pub use id::{MessageId, NodeId, TimerId};
-pub use metrics::{Histogram, Metrics};
 pub use payload::Payload;
 pub use rng::SimRng;
-pub use sim::{FaultAction, Message, Node, NodeCtx, SendOutcome, Sim, DEFAULT_MESSAGE_SIZE};
+pub use sim::{
+    DropReason, FaultAction, Message, NetCounters, Node, NodeCtx, SendOutcome, Sim,
+    DEFAULT_MESSAGE_SIZE,
+};
 pub use time::{SimDuration, SimTime};
 pub use topology::{shapes, IslandPlan, LinkSpec, QueueDiscipline, Topology, TopologyBuilder};
-pub use trace::{DropReason, Trace, TraceEvent, TraceKind};

@@ -38,12 +38,10 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use cscw_kernel::{EventQueue, Layer, ManualClock, SpanContext, Telemetry};
 
 use crate::id::{MessageId, NodeId, TimerId};
-use crate::metrics::Metrics;
 use crate::payload::Payload;
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{LinkSpec, QueueDiscipline, Topology};
-use crate::trace::{DropReason, Trace, TraceKind};
 
 /// Simulated size assumed by [`NodeCtx::send`] when the caller does not
 /// care about bandwidth effects.
@@ -137,6 +135,34 @@ impl SendOutcome {
     /// True when the message will never deliver.
     pub fn is_shed(&self) -> bool {
         matches!(self, SendOutcome::Shed { .. })
+    }
+}
+
+/// Why a message failed to deliver.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DropReason {
+    /// No link exists between the endpoints.
+    NoRoute,
+    /// The endpoints are currently partitioned.
+    Partitioned,
+    /// The destination (or source) node is crashed.
+    NodeDown,
+    /// Random loss on the link.
+    Loss,
+    /// The link's bounded egress queue refused the message (congestion).
+    QueueFull,
+}
+
+impl DropReason {
+    /// The [`Layer::Net`] counter that tallies drops for this reason.
+    pub fn counter(self) -> &'static str {
+        match self {
+            DropReason::NoRoute => "net.dropped_no_route",
+            DropReason::Partitioned => "net.dropped_partitioned",
+            DropReason::NodeDown => "net.dropped_node_down",
+            DropReason::Loss => "net.dropped_loss",
+            DropReason::QueueFull => "net.dropped_queue_full",
+        }
     }
 }
 
@@ -289,18 +315,12 @@ impl NodeCtx<'_> {
         &mut self.core.node_rngs[self.node.index()]
     }
 
-    /// The shared metrics registry.
-    pub fn metrics(&mut self) -> &mut Metrics {
-        &mut self.core.metrics
-    }
-
-    /// The attached layer-tagged telemetry stream, if any (a cheap
-    /// clone of the shared handle — see [`Sim::attach_telemetry`]).
-    /// Node behaviours use this to emit events tagged with their own
-    /// layer (Messaging, Directory, Odp) alongside the Net events the
-    /// simulator itself records.
-    pub fn telemetry(&self) -> Option<Telemetry> {
-        self.core.telemetry.clone()
+    /// The simulation's layer-tagged telemetry stream (see
+    /// [`Sim::telemetry`]). Node behaviours record their own layer's
+    /// counters and events here, beside the Net ones the simulator
+    /// writes.
+    pub fn telemetry(&self) -> &Telemetry {
+        &self.core.telemetry
     }
 
     /// Current simulation time in microseconds, for telemetry
@@ -334,12 +354,10 @@ struct Core {
     link_queues: BTreeMap<(NodeId, NodeId), LinkQueue>,
     rng: SimRng,
     node_rngs: Vec<SimRng>,
-    metrics: Metrics,
-    trace: Trace,
     /// Kernel-facing view of `now`; advanced in lockstep so code holding
     /// a [`ManualClock`] handle observes simulated time.
     clock: ManualClock,
-    telemetry: Option<Telemetry>,
+    telemetry: Telemetry,
 }
 
 impl Core {
@@ -393,40 +411,26 @@ impl Core {
     ) -> SendOutcome {
         let id = MessageId(self.next_msg);
         self.next_msg += 1;
-        self.metrics.incr("messages_sent");
+        let t = &self.telemetry;
         // If the sender is inside a traced operation, this send gets a
         // Net-layer span of its own, and the message carries its
         // context so the (possibly much later) delivery parents on it.
-        let span = self.telemetry.as_ref().and_then(|t| {
-            t.current_context().map(|_| {
-                let s = t.span_begin(Layer::Net, "net.send", self.now.as_micros());
-                t.span_end(s, self.now.as_micros());
-                s
-            })
+        let span = t.current_context().map(|_| {
+            let s = t.span_begin(Layer::Net, "net.send", self.now.as_micros());
+            t.span_end(s, self.now.as_micros());
+            s
         });
-        if let Some(t) = &self.telemetry {
-            t.incr(Layer::Net, "net.sent");
-            t.emit(
-                self.now.as_micros(),
-                Layer::Net,
-                "net.send",
-                format!(
-                    "{} -> {} {} ({size}B)",
-                    self.topology.node_name(from),
-                    self.topology.node_name(to),
-                    payload.type_label(),
-                ),
-            );
-        }
-        self.trace.push(
-            self.now,
-            TraceKind::Sent {
-                id,
-                from,
-                to,
-                label: payload.type_label(),
-                size,
-            },
+        t.incr(Layer::Net, "net.sent");
+        t.emit(
+            self.now.as_micros(),
+            Layer::Net,
+            "net.send",
+            format!(
+                "{} -> {} {} ({size}B)",
+                self.topology.node_name(from),
+                self.topology.node_name(to),
+                payload.type_label(),
+            ),
         );
 
         // A crashed host's bits never reach the wire: sends from a down
@@ -584,11 +588,9 @@ impl Core {
             return SendOutcome::Shed { id };
         }
 
-        self.metrics.incr("messages_queued");
-        if let Some(t) = &self.telemetry {
-            t.incr(Layer::Net, "net.queued");
-            t.record_micros(Layer::Net, "net.queue_depth", depth as u64);
-        }
+        self.telemetry.incr(Layer::Net, "net.queued");
+        self.telemetry
+            .record_micros(Layer::Net, "net.queue_depth", depth as u64);
         // Keep the invariant: a non-empty queue always has exactly one
         // LinkReady scheduled for the instant the wire frees.
         let busy_until = self
@@ -673,27 +675,15 @@ impl Core {
     }
 
     fn drop_message(&mut self, id: MessageId, reason: DropReason) {
-        self.metrics.incr("messages_dropped");
-        self.metrics.incr(match reason {
-            DropReason::NoRoute => "dropped_no_route",
-            DropReason::Partitioned => "dropped_partitioned",
-            DropReason::NodeDown => "dropped_node_down",
-            DropReason::Loss => "dropped_loss",
-            DropReason::QueueFull => "dropped_queue_full",
-        });
-        if let Some(t) = &self.telemetry {
-            t.incr(Layer::Net, "net.dropped");
-            if matches!(reason, DropReason::QueueFull) {
-                t.incr(Layer::Net, "net.dropped_queue_full");
-            }
-            t.emit(
-                self.now.as_micros(),
-                Layer::Net,
-                "net.drop",
-                format!("{id:?} {reason:?}"),
-            );
-        }
-        self.trace.push(self.now, TraceKind::Dropped { id, reason });
+        let t = &self.telemetry;
+        t.incr(Layer::Net, "net.dropped");
+        t.incr(Layer::Net, reason.counter());
+        t.emit(
+            self.now.as_micros(),
+            Layer::Net,
+            "net.drop",
+            format!("{id:?} {reason:?}"),
+        );
     }
 
     fn apply_fault(&mut self, action: FaultAction) {
@@ -708,17 +698,9 @@ impl Core {
             }
             FaultAction::Restart(n) => self.topology.restart_node(n),
         }
-        self.metrics.incr("faults_applied");
-        if let Some(t) = &self.telemetry {
-            t.incr(Layer::Net, "net.faults");
-            t.emit(
-                self.now.as_micros(),
-                Layer::Net,
-                "net.fault",
-                description.clone(),
-            );
-        }
-        self.trace.push(self.now, TraceKind::Fault { description });
+        self.telemetry.incr(Layer::Net, "net.faults");
+        self.telemetry
+            .emit(self.now.as_micros(), Layer::Net, "net.fault", description);
     }
 }
 
@@ -785,10 +767,8 @@ impl Sim {
                 link_queues: BTreeMap::new(),
                 rng,
                 node_rngs,
-                metrics: Metrics::new(),
-                trace: Trace::new(),
                 clock: ManualClock::new(),
-                telemetry: None,
+                telemetry: Telemetry::new(),
             },
             nodes: (0..n).map(|_| None).collect(),
             started: false,
@@ -798,7 +778,7 @@ impl Sim {
     /// Attaches behaviour to a node, replacing any previous behaviour.
     ///
     /// Nodes without behaviour silently drop deliveries (counted in the
-    /// `delivered_unhandled` metric), which suits pure traffic sinks.
+    /// `net.unhandled` counter), which suits pure traffic sinks.
     ///
     /// # Panics
     ///
@@ -883,29 +863,29 @@ impl Sim {
         self.core.now
     }
 
-    /// The metrics registry.
-    pub fn metrics(&self) -> &Metrics {
-        &self.core.metrics
+    /// The simulator's own Net counters under their historical names,
+    /// read-only — see [`NetCounters`]. New code reads
+    /// [`Sim::telemetry`] instead.
+    pub fn metrics(&self) -> NetCounters<'_> {
+        NetCounters(&self.core.telemetry)
     }
 
-    /// Mutable access to metrics (e.g. to reset between bench phases).
-    pub fn metrics_mut(&mut self) -> &mut Metrics {
-        &mut self.core.metrics
-    }
-
-    /// Attaches a kernel telemetry stream. From then on the simulator
-    /// mirrors its network-level activity (sends, deliveries, drops,
-    /// faults) into the stream as [`Layer::Net`] events and counters,
-    /// and node behaviours can retrieve the handle via
-    /// [`NodeCtx::telemetry`] to emit events for their own layers.
-    /// Detached (the default), telemetry costs nothing.
+    /// Replaces the simulation's telemetry stream, typically with a
+    /// clone of one shared with the layers above, so one operation's
+    /// Net activity lands in the same stream as its callers'. Counts
+    /// already written to the old stream stay there.
     pub fn attach_telemetry(&mut self, telemetry: Telemetry) {
-        self.core.telemetry = Some(telemetry);
+        self.core.telemetry = telemetry;
     }
 
-    /// The attached telemetry stream, if any.
-    pub fn telemetry(&self) -> Option<&Telemetry> {
-        self.core.telemetry.as_ref()
+    /// The one stream everything in the simulation writes to: the
+    /// simulator's [`Layer::Net`] counters (`net.sent`,
+    /// `net.delivered`, `net.queued`, `net.dropped` plus one
+    /// `net.dropped_<reason>` per [`DropReason`], `net.faults`,
+    /// `net.unhandled`), histograms and events, and whatever node
+    /// behaviours record through [`NodeCtx::telemetry`].
+    pub fn telemetry(&self) -> &Telemetry {
+        &self.core.telemetry
     }
 
     /// A kernel [`Clock`](cscw_kernel::Clock) handle that tracks
@@ -914,16 +894,6 @@ impl Sim {
     /// the handle stays valid for the simulator's lifetime.
     pub fn kernel_clock(&self) -> ManualClock {
         self.core.clock.clone()
-    }
-
-    /// The trace.
-    pub fn trace(&self) -> &Trace {
-        &self.core.trace
-    }
-
-    /// Mutable access to the trace (to enable/clear it).
-    pub fn trace_mut(&mut self) -> &mut Trace {
-        &mut self.core.trace
     }
 
     /// The topology (for inspection or direct fault injection).
@@ -989,9 +959,6 @@ impl Sim {
                     self.core.pending_timers.insert(timer);
                     self.core.push(at, EventKind::Timer { node, timer, tag });
                 }
-                self.core
-                    .trace
-                    .push(self.core.now, TraceKind::TimerFired { node, timer, tag });
                 if let Some(mut behaviour) = self.nodes[node.index()].take() {
                     let mut ctx = NodeCtx {
                         core: &mut self.core,
@@ -1014,49 +981,31 @@ impl Sim {
                     self.core.drop_message(id, DropReason::Partitioned);
                     return true;
                 }
-                self.core.metrics.incr("messages_delivered");
-                self.core.metrics.record(
-                    "delivery_latency",
-                    self.core.now.saturating_since(msg.sent_at),
+                let now = self.core.now.as_micros();
+                let t = &self.core.telemetry;
+                t.incr(Layer::Net, "net.delivered");
+                t.record_micros(
+                    Layer::Net,
+                    "net.delivery_latency",
+                    self.core.now.saturating_since(msg.sent_at).as_micros(),
                 );
-                if let Some(t) = &self.core.telemetry {
-                    t.incr(Layer::Net, "net.delivered");
-                    t.record_micros(
-                        Layer::Net,
-                        "net.delivery_latency",
-                        self.core.now.saturating_since(msg.sent_at).as_micros(),
-                    );
-                    t.emit(
-                        self.core.now.as_micros(),
-                        Layer::Net,
-                        "net.deliver",
-                        format!(
-                            "{} -> {} {}",
-                            self.core.topology.node_name(from),
-                            self.core.topology.node_name(to),
-                            msg.payload.type_label(),
-                        ),
-                    );
-                }
-                self.core
-                    .trace
-                    .push(self.core.now, TraceKind::Delivered { id, from, to });
+                t.emit(
+                    now,
+                    Layer::Net,
+                    "net.deliver",
+                    format!(
+                        "{} -> {} {}",
+                        self.core.topology.node_name(from),
+                        self.core.topology.node_name(to),
+                        msg.payload.type_label(),
+                    ),
+                );
                 // Resume the sender's trace for the delivery: the
                 // receiving handler's own emissions nest under this
                 // span even when delivery runs long after the send.
-                let deliver_span = match (&self.core.telemetry, msg.span) {
-                    (Some(t), Some(parent)) => {
-                        let t = t.clone();
-                        let s = t.span_begin_with_parent(
-                            parent,
-                            Layer::Net,
-                            "net.deliver",
-                            self.core.now.as_micros(),
-                        );
-                        Some((t, s))
-                    }
-                    _ => None,
-                };
+                let deliver_span = msg
+                    .span
+                    .map(|parent| t.span_begin_with_parent(parent, Layer::Net, "net.deliver", now));
                 if let Some(mut behaviour) = self.nodes[to.index()].take() {
                     let mut ctx = NodeCtx {
                         core: &mut self.core,
@@ -1065,10 +1014,10 @@ impl Sim {
                     behaviour.on_message(&mut ctx, msg);
                     self.nodes[to.index()] = Some(behaviour);
                 } else {
-                    self.core.metrics.incr("delivered_unhandled");
+                    self.core.telemetry.incr(Layer::Net, "net.unhandled");
                 }
-                if let Some((t, s)) = deliver_span {
-                    t.span_end(s, self.core.now.as_micros());
+                if let Some(s) = deliver_span {
+                    self.core.telemetry.span_end(s, self.core.now.as_micros());
                 }
             }
         }
@@ -1115,6 +1064,34 @@ impl Sim {
             self.core.set_now(deadline);
             self.core.queue.advance_to(deadline.into());
         }
+    }
+}
+
+/// A read-only view of a [`Sim`]'s [`Layer::Net`] counters under the
+/// names simnet used before it wrote only to kernel telemetry. Kept so
+/// existing readers of [`Sim::metrics`] keep working; every name maps
+/// onto one `net.*` counter, and unknown names read 0.
+#[derive(Debug, Clone, Copy)]
+pub struct NetCounters<'a>(&'a Telemetry);
+
+impl NetCounters<'_> {
+    /// Reads a counter by its historical name.
+    pub fn counter(&self, name: &str) -> u64 {
+        let net = match name {
+            "messages_sent" => "net.sent",
+            "messages_delivered" => "net.delivered",
+            "messages_dropped" => "net.dropped",
+            "messages_queued" => "net.queued",
+            "faults_applied" => "net.faults",
+            "delivered_unhandled" => "net.unhandled",
+            "dropped_no_route" => DropReason::NoRoute.counter(),
+            "dropped_partitioned" => DropReason::Partitioned.counter(),
+            "dropped_node_down" => DropReason::NodeDown.counter(),
+            "dropped_loss" => DropReason::Loss.counter(),
+            "dropped_queue_full" => DropReason::QueueFull.counter(),
+            _ => return 0,
+        };
+        self.0.counter(Layer::Net, net)
     }
 }
 
@@ -1196,7 +1173,10 @@ mod tests {
         sim.send_from(a, c, Payload::new(1u32), 8);
         sim.run_until_idle();
         assert!(sim.node::<Collector>(c).unwrap().received.is_empty());
-        assert_eq!(sim.metrics().counter("dropped_no_route"), 1);
+        assert_eq!(
+            sim.telemetry().counter(Layer::Net, "net.dropped_no_route"),
+            1
+        );
     }
 
     #[test]
@@ -1210,7 +1190,11 @@ mod tests {
         );
         sim.run_until_idle();
         assert!(sim.node::<Collector>(c).unwrap().received.is_empty());
-        assert_eq!(sim.metrics().counter("dropped_partitioned"), 1);
+        assert_eq!(
+            sim.telemetry()
+                .counter(Layer::Net, "net.dropped_partitioned"),
+            1
+        );
     }
 
     #[test]
@@ -1222,7 +1206,11 @@ mod tests {
         sim.send_from(a, c, Payload::new(1u32), 8);
         sim.run_until(SimTime::from_millis(200));
         // First message was in flight while partitioned: lost.
-        assert_eq!(sim.metrics().counter("dropped_partitioned"), 1);
+        assert_eq!(
+            sim.telemetry()
+                .counter(Layer::Net, "net.dropped_partitioned"),
+            1
+        );
         sim.send_from(a, c, Payload::new(2u32), 8);
         sim.run_until_idle();
         assert_eq!(sim.node::<Collector>(c).unwrap().received.len(), 1);
@@ -1235,7 +1223,10 @@ mod tests {
         sim.apply_fault(FaultAction::Crash(c));
         sim.send_from(a, c, Payload::new(1u32), 8);
         sim.run_until_idle();
-        assert_eq!(sim.metrics().counter("dropped_node_down"), 1);
+        assert_eq!(
+            sim.telemetry().counter(Layer::Net, "net.dropped_node_down"),
+            1
+        );
         sim.apply_fault(FaultAction::Restart(c));
         sim.send_from(a, c, Payload::new(2u32), 8);
         sim.run_until_idle();
@@ -1388,8 +1379,9 @@ mod tests {
                 .collect::<Vec<_>>();
             (
                 received,
-                sim.metrics().counter("dropped_loss"),
-                sim.metrics().counter("dropped_queue_full"),
+                sim.telemetry().counter(Layer::Net, "net.dropped_loss"),
+                sim.telemetry()
+                    .counter(Layer::Net, "net.dropped_queue_full"),
             )
         };
         let (_, _, shed) = run(42);
@@ -1440,7 +1432,7 @@ mod tests {
                 (11, 46_391),
             ],
         );
-        assert_eq!(sim.metrics().counter("dropped_loss"), 6);
+        assert_eq!(sim.telemetry().counter(Layer::Net, "net.dropped_loss"), 6);
     }
 
     #[test]
@@ -1462,7 +1454,10 @@ mod tests {
         let outcome = sim.send_from_classed(a, c, Payload::new(2u32), 8, 0);
         assert!(outcome.is_shed());
         sim.run_until_idle();
-        assert_eq!(sim.metrics().counter("dropped_node_down"), 1);
+        assert_eq!(
+            sim.telemetry().counter(Layer::Net, "net.dropped_node_down"),
+            1
+        );
         assert_eq!(sim.node::<Collector>(c).unwrap().received.len(), 1);
     }
 
@@ -1525,7 +1520,11 @@ mod tests {
         }
         sim.run_until_idle();
         assert_eq!(sim.node::<Collector>(c).unwrap().received.len(), 1);
-        assert_eq!(sim.metrics().counter("dropped_queue_full"), 4);
+        assert_eq!(
+            sim.telemetry()
+                .counter(Layer::Net, "net.dropped_queue_full"),
+            4
+        );
     }
 
     #[test]
@@ -1557,8 +1556,12 @@ mod tests {
             .map(|&(_, n, t)| (n, t.as_micros()))
             .collect();
         assert_eq!(got, vec![(0, 100), (1, 200), (2, 300), (3, 400)]);
-        assert_eq!(sim.metrics().counter("dropped_queue_full"), 6);
-        assert_eq!(sim.metrics().counter("messages_queued"), 3);
+        assert_eq!(
+            sim.telemetry()
+                .counter(Layer::Net, "net.dropped_queue_full"),
+            6
+        );
+        assert_eq!(sim.telemetry().counter(Layer::Net, "net.queued"), 3);
     }
 
     #[test]
@@ -1606,7 +1609,11 @@ mod tests {
                 (103, 420),
             ],
         );
-        assert_eq!(sim.metrics().counter("dropped_queue_full"), 0);
+        assert_eq!(
+            sim.telemetry()
+                .counter(Layer::Net, "net.dropped_queue_full"),
+            0
+        );
     }
 
     #[test]
@@ -1643,7 +1650,11 @@ mod tests {
             .map(|r| r.1)
             .collect();
         assert_eq!(got, vec![100, 0, 101], "102 was evicted, 103 shed");
-        assert_eq!(sim.metrics().counter("dropped_queue_full"), 2);
+        assert_eq!(
+            sim.telemetry()
+                .counter(Layer::Net, "net.dropped_queue_full"),
+            2
+        );
     }
 
     #[test]
@@ -1672,7 +1683,11 @@ mod tests {
         }
         sim.run_until_idle();
         assert_eq!(sim.node::<Collector>(c).unwrap().received.len(), 1);
-        assert_eq!(sim.metrics().counter("dropped_queue_full"), 3);
+        assert_eq!(
+            sim.telemetry()
+                .counter(Layer::Net, "net.dropped_queue_full"),
+            3
+        );
     }
 
     #[test]
@@ -1707,8 +1722,10 @@ mod tests {
             "deliveries must stay in send order: {got:?}"
         );
         let delivered = got.len() as u64;
-        let lost = sim.metrics().counter("dropped_loss");
-        let shed = sim.metrics().counter("dropped_queue_full");
+        let lost = sim.telemetry().counter(Layer::Net, "net.dropped_loss");
+        let shed = sim
+            .telemetry()
+            .counter(Layer::Net, "net.dropped_queue_full");
         assert_eq!(delivered + lost + shed, 40, "every message accounted for");
         assert!(shed > 0, "the burst must overflow the 32-slot queue");
     }
@@ -1736,7 +1753,10 @@ mod tests {
         // The message on the wire survives (bits had left the host);
         // the queued four die with the crashed sender's buffers.
         assert_eq!(sim.node::<Collector>(c).unwrap().received.len(), 1);
-        assert_eq!(sim.metrics().counter("dropped_node_down"), 4);
+        assert_eq!(
+            sim.telemetry().counter(Layer::Net, "net.dropped_node_down"),
+            4
+        );
     }
 
     #[test]
@@ -1775,15 +1795,16 @@ mod tests {
     }
 
     #[test]
-    fn metrics_count_sends_and_deliveries() {
+    fn telemetry_counts_sends_and_deliveries() {
         let (mut sim, a, c) = pair(1);
         sim.register(c, Collector::default());
         sim.send_from(a, c, Payload::new(1u32), 8);
         sim.run_until_idle();
-        assert_eq!(sim.metrics().counter("messages_sent"), 1);
-        assert_eq!(sim.metrics().counter("messages_delivered"), 1);
-        let h = sim.metrics().histogram("delivery_latency").unwrap();
-        assert_eq!(h.count(), 1);
+        let t = sim.telemetry();
+        assert_eq!(t.counter(Layer::Net, "net.sent"), 1);
+        assert_eq!(t.counter(Layer::Net, "net.delivered"), 1);
+        let h = t.histogram(Layer::Net, "net.delivery_latency").unwrap();
+        assert_eq!(h.count, 1);
     }
 
     #[test]
@@ -1791,21 +1812,19 @@ mod tests {
         let (mut sim, a, c) = pair(1);
         sim.send_from(a, c, Payload::new(1u32), 8);
         sim.run_until_idle();
-        assert_eq!(sim.metrics().counter("delivered_unhandled"), 1);
+        assert_eq!(sim.telemetry().counter(Layer::Net, "net.unhandled"), 1);
     }
 
     #[test]
-    fn trace_records_send_and_delivery_in_causal_order() {
+    fn events_record_send_and_delivery_in_causal_order() {
         let (mut sim, a, c) = pair(2);
-        sim.trace_mut().enable(100);
         sim.register(c, Collector::default());
         sim.send_from(a, c, Payload::new(1u32), 8);
         sim.run_until_idle();
-        let events = sim.trace().events();
-        assert_eq!(events.len(), 2);
-        assert!(matches!(events[0].kind, TraceKind::Sent { .. }));
-        assert!(matches!(events[1].kind, TraceKind::Delivered { .. }));
-        assert!(events[0].at <= events[1].at);
+        let events = sim.telemetry().events();
+        let names: Vec<_> = events.iter().map(|e| e.name).collect();
+        assert_eq!(names, ["net.send", "net.deliver"]);
+        assert!(events[0].at_micros < events[1].at_micros);
     }
 
     #[test]
@@ -2045,12 +2064,14 @@ mod tests {
     }
 
     #[test]
-    fn detached_telemetry_costs_nothing_and_reports_none() {
+    fn attach_replaces_the_stream() {
         let (mut sim, a, c) = pair(1);
-        assert!(sim.telemetry().is_none());
         sim.send_from(a, c, Payload::new(1u32), 8);
-        sim.run_until_idle();
-        assert!(sim.telemetry().is_none());
+        let shared = Telemetry::new();
+        sim.attach_telemetry(shared.clone());
+        assert!(sim.telemetry().same_stream(&shared));
+        sim.send_from(a, c, Payload::new(2u32), 8);
+        assert_eq!(shared.counter(Layer::Net, "net.sent"), 1);
     }
 
     #[test]
@@ -2063,6 +2084,67 @@ mod tests {
         sim.run_until_idle();
         assert_eq!(telemetry.counter(Layer::Net, "net.faults"), 1);
         assert_eq!(telemetry.counter(Layer::Net, "net.dropped"), 1);
+        assert_eq!(telemetry.counter(Layer::Net, "net.dropped_node_down"), 1);
         assert!(telemetry.events().iter().any(|e| e.name == "net.drop"));
+    }
+
+    #[test]
+    fn metrics_view_reads_each_historical_name_from_its_net_counter() {
+        // One run that exercises every counter the view maps: a queued
+        // and a shed send on a slow bounded link, random loss, no route,
+        // a partition, a crashed destination, an unhandled delivery and
+        // the faults themselves.
+        let mut b = TopologyBuilder::new();
+        let a = b.add_node("a");
+        let c = b.add_node("c");
+        let lossy = b.add_node("lossy");
+        let sink = b.add_node("sink");
+        let island = b.add_node("island");
+        b.link(
+            a,
+            c,
+            LinkSpec::fixed(SimDuration::ZERO)
+                .with_bandwidth(1_000_000)
+                .with_queue_capacity_msgs(1),
+        );
+        b.link(a, lossy, LinkSpec::lan().with_loss(1.0));
+        b.link_both(a, sink, LinkSpec::lan());
+        let mut sim = Sim::new(b.build(), 1);
+        sim.register(c, Collector::default());
+        for i in 0..3u32 {
+            sim.send_from(a, c, Payload::new(i), 100); // wire, queue, shed
+        }
+        sim.send_from(a, lossy, Payload::new(0u32), 8);
+        sim.send_from(a, island, Payload::new(0u32), 8);
+        sim.send_from(a, sink, Payload::new(0u32), 8);
+        sim.run_until_idle();
+        sim.apply_fault(FaultAction::Partition(vec![a], vec![sink]));
+        sim.send_from(a, sink, Payload::new(1u32), 8);
+        sim.run_until_idle();
+        sim.apply_fault(FaultAction::HealAll);
+        sim.apply_fault(FaultAction::Crash(sink));
+        sim.send_from(a, sink, Payload::new(2u32), 8);
+        sim.run_until_idle();
+
+        let pins = [
+            ("messages_sent", "net.sent"),
+            ("messages_delivered", "net.delivered"),
+            ("messages_dropped", "net.dropped"),
+            ("messages_queued", "net.queued"),
+            ("faults_applied", "net.faults"),
+            ("delivered_unhandled", "net.unhandled"),
+            ("dropped_no_route", "net.dropped_no_route"),
+            ("dropped_partitioned", "net.dropped_partitioned"),
+            ("dropped_node_down", "net.dropped_node_down"),
+            ("dropped_loss", "net.dropped_loss"),
+            ("dropped_queue_full", "net.dropped_queue_full"),
+        ];
+        for (old, net) in pins {
+            let want = sim.telemetry().counter(Layer::Net, net);
+            assert!(want > 0, "{net} was never exercised");
+            assert_eq!(sim.metrics().counter(old), want, "{old} -> {net}");
+        }
+        assert_eq!(sim.metrics().counter("delivery_latency"), 0);
+        assert_eq!(sim.metrics().counter("net.sent"), 0, "only old names map");
     }
 }

@@ -609,6 +609,7 @@ impl Topology {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cscw_kernel::Layer;
 
     fn three_node_line() -> (Topology, NodeId, NodeId, NodeId) {
         let mut b = TopologyBuilder::new();
@@ -792,17 +793,21 @@ mod tests {
         assert!(!sim.topology().can_reach(left, right));
         sim.send_from(left, right, Payload::new(1u32), 8);
         sim.run_until(SimTime::from_millis(200));
-        assert_eq!(sim.metrics().counter("dropped_partitioned"), 1);
+        assert_eq!(
+            sim.telemetry()
+                .counter(Layer::Net, "net.dropped_partitioned"),
+            1
+        );
         // ...intra-island traffic still flows...
         let (a0, a1) = (plan.groups[0][0], plan.groups[0][1]);
         sim.send_from(a0, a1, Payload::new(2u32), 8);
         sim.run_until(SimTime::from_millis(300));
-        assert_eq!(sim.metrics().counter("messages_delivered"), 1);
+        assert_eq!(sim.telemetry().counter(Layer::Net, "net.delivered"), 1);
         // ...and after the scheduled heal the bridge carries again.
         sim.run_until(SimTime::from_millis(600));
         assert!(sim.topology().can_reach(left, right));
         sim.send_from(left, right, Payload::new(3u32), 8);
         sim.run_until_idle();
-        assert_eq!(sim.metrics().counter("messages_delivered"), 2);
+        assert_eq!(sim.telemetry().counter(Layer::Net, "net.delivered"), 2);
     }
 }

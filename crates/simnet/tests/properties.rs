@@ -1,9 +1,22 @@
 //! Property-based tests for the simulator's core invariants:
 //! determinism, per-link FIFO, clock monotonicity, and conservation of
-//! messages (sent = delivered + dropped).
+//! messages (sent = delivered + dropped), all read off the simulation's
+//! telemetry stream.
 
+use cscw_kernel::Layer;
 use proptest::prelude::*;
 use simnet::*;
+
+/// Every counter in a stream, as `((layer, name), value)`.
+type Counters = Vec<((Layer, &'static str), u64)>;
+
+/// Reads one Net counter out of a counter snapshot (absent reads 0).
+fn net(counters: &Counters, name: &str) -> u64 {
+    counters
+        .iter()
+        .find(|((layer, n), _)| *layer == Layer::Net && *n == name)
+        .map_or(0, |&(_, v)| v)
+}
 
 /// A recorded delivery: (sender, sequence number, delivery time).
 type Deliveries = Vec<(NodeId, u32, SimTime)>;
@@ -43,20 +56,24 @@ fn arb_link() -> impl Strategy<Value = LinkSpec> {
         0u64..20,
         prop::option::of(1_000u64..10_000_000),
         0.0f64..0.3,
+        prop::option::of(0u32..8),
     )
-        .prop_map(|(lat, jit, bw, loss)| {
+        .prop_map(|(lat, jit, bw, loss, queue)| {
             let mut spec = LinkSpec::fixed(SimDuration::from_millis(lat))
                 .with_jitter(SimDuration::from_millis(jit))
                 .with_loss(loss);
             if let Some(bw) = bw {
                 spec = spec.with_bandwidth(bw);
             }
+            if let Some(cap) = queue {
+                spec = spec.with_queue_capacity_msgs(cap);
+            }
             spec
         })
 }
 
 /// Builds a fully-meshed sim with `n` collector nodes and runs `ops`.
-fn run(n: usize, spec: LinkSpec, ops: &[SendOp], seed: u64) -> (Vec<Deliveries>, Metrics) {
+fn run(n: usize, spec: LinkSpec, ops: &[SendOp], seed: u64) -> (Vec<Deliveries>, Counters) {
     let mut b = TopologyBuilder::new();
     let ids = b.add_nodes("s", n);
     b.full_mesh(spec);
@@ -72,7 +89,7 @@ fn run(n: usize, spec: LinkSpec, ops: &[SendOp], seed: u64) -> (Vec<Deliveries>,
         .iter()
         .map(|&id| sim.node::<Collector>(id).unwrap().received.clone())
         .collect();
-    (deliveries, sim.metrics().clone())
+    (deliveries, sim.telemetry().counters())
 }
 
 proptest! {
@@ -84,8 +101,7 @@ proptest! {
         let (d1, m1) = run(4, spec, &ops, seed);
         let (d2, m2) = run(4, spec, &ops, seed);
         prop_assert_eq!(d1, d2);
-        prop_assert_eq!(m1.counter("messages_delivered"), m2.counter("messages_delivered"));
-        prop_assert_eq!(m1.counter("messages_dropped"), m2.counter("messages_dropped"));
+        prop_assert_eq!(m1, m2);
     }
 
     /// Messages between the same ordered pair arrive in send order
@@ -119,28 +135,38 @@ proptest! {
     }
 
     /// Every sent message is either delivered or dropped — none vanish,
-    /// none duplicate.
+    /// none duplicate — and every drop is tallied under exactly one
+    /// reason, over lossy links with bounded egress queues.
     #[test]
     fn message_conservation(ops in send_ops(4, 60), spec in arb_link(), seed in any::<u64>()) {
-        let (deliveries, metrics) = run(4, spec, &ops, seed);
+        let (deliveries, counters) = run(4, spec, &ops, seed);
         let delivered: usize = deliveries.iter().map(Vec::len).sum();
-        prop_assert_eq!(delivered as u64, metrics.counter("messages_delivered"));
+        prop_assert_eq!(delivered as u64, net(&counters, "net.delivered"));
+        prop_assert_eq!(ops.len() as u64, net(&counters, "net.sent"));
         prop_assert_eq!(
-            metrics.counter("messages_sent"),
-            metrics.counter("messages_delivered") + metrics.counter("messages_dropped")
+            net(&counters, "net.sent"),
+            net(&counters, "net.delivered") + net(&counters, "net.dropped")
         );
+        let by_reason: u64 = [
+            DropReason::NoRoute,
+            DropReason::Partitioned,
+            DropReason::NodeDown,
+            DropReason::Loss,
+            DropReason::QueueFull,
+        ]
+        .iter()
+        .map(|r| net(&counters, r.counter()))
+        .sum();
+        prop_assert_eq!(net(&counters, "net.dropped"), by_reason);
     }
 
     /// With a lossless, partition-free topology every message arrives.
     #[test]
     fn lossless_delivers_everything(ops in send_ops(4, 60), seed in any::<u64>()) {
         let spec = LinkSpec::lan().with_jitter(SimDuration::from_millis(5));
-        let (_, metrics) = run(4, spec, &ops, seed);
-        prop_assert_eq!(metrics.counter("messages_dropped"), 0);
-        prop_assert_eq!(
-            metrics.counter("messages_sent"),
-            metrics.counter("messages_delivered")
-        );
+        let (_, counters) = run(4, spec, &ops, seed);
+        prop_assert_eq!(net(&counters, "net.dropped"), 0);
+        prop_assert_eq!(net(&counters, "net.sent"), net(&counters, "net.delivered"));
     }
 
     /// A partitioned pair exchanges nothing; unrelated pairs are

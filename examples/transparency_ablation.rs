@@ -5,6 +5,7 @@
 //!
 //! Run with: `cargo run --example transparency_ablation`
 
+use open_cscw::kernel::Layer;
 use open_cscw::mocca::tailor::{Constraint, Scope, TailorContext};
 use open_cscw::mocca::transparency::CscwTransparencySelection;
 use open_cscw::mocca::CscwEnvironment;
@@ -71,9 +72,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for (label, sel) in cases {
         let mut invoker = TransparentInvoker::new(client, sel);
         invoker.locator_mut().register("r".into(), vec![h0, h1]);
-        let before = sim.metrics().counter("messages_sent");
+        let before = sim.telemetry().counter(Layer::Net, "net.sent");
         let outcome = invoker.invoke(&mut sim, &iref, "set", vec![Value::Int(7)], OpMode::Update);
-        let msgs = sim.metrics().counter("messages_sent") - before;
+        let msgs = sim.telemetry().counter(Layer::Net, "net.sent") - before;
         println!(
             "  selection={label:<5} engaged={} result={:<30} messages={msgs}",
             sel.engaged_count(),

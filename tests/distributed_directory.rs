@@ -4,6 +4,7 @@
 use open_cscw::directory::{
     Attribute, DirectoryError, Dn, DsaNode, Dua, DuaNode, Entry, Filter, SearchRequest, SearchScope,
 };
+use open_cscw::kernel::Layer;
 use open_cscw::mocca::org::{KnowledgeBase, OrganisationalModel, Person, RelationKind, Role};
 use open_cscw::simnet::{FaultAction, LinkSpec, NodeId, Sim, TopologyBuilder};
 
@@ -127,7 +128,7 @@ fn knowledge_base_publishes_to_distributed_directory() {
         .unwrap();
     assert!(wolfgang.has_class("person"));
     assert!(
-        w.sim.metrics().counter("dsa_chained") > 0,
+        w.sim.telemetry().counter(Layer::Directory, "dsa.chain") > 0,
         "DE entries travelled by chaining"
     );
 }

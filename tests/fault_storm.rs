@@ -3,6 +3,7 @@
 //! duplicates a delivery, never livelocks, and accounts for every
 //! message (delivered, bounced with an NDR, or dropped on a dead link).
 
+use open_cscw::kernel::Layer;
 use open_cscw::messaging::{Ipm, MtaNode, OrAddress, SubmitOptions, UserAgent};
 use open_cscw::simnet::{
     FaultAction, LinkSpec, NodeId, Sim, SimDuration, SimTime, TopologyBuilder,
@@ -126,15 +127,16 @@ fn storm_terminates_with_full_accounting() {
     for seed in [1u64, 7, 42, 1992] {
         let (delivered, ndrs, sim) = storm(seed, 60);
         // Conservation at the simnet level: sent = delivered + dropped.
-        let m = sim.metrics();
+        let m = sim.telemetry();
         assert_eq!(
-            m.counter("messages_sent"),
-            m.counter("messages_delivered") + m.counter("messages_dropped"),
+            m.counter(Layer::Net, "net.sent"),
+            m.counter(Layer::Net, "net.delivered") + m.counter(Layer::Net, "net.dropped"),
             "seed {seed}: simnet conservation broken"
         );
         // Application accounting: every workload message either reached
         // a store, produced an NDR, or died on a dead link (counted).
-        let lost_on_wire = m.counter("dropped_partitioned") + m.counter("dropped_node_down");
+        let lost_on_wire = m.counter(Layer::Net, "net.dropped_partitioned")
+            + m.counter(Layer::Net, "net.dropped_node_down");
         assert!(
             delivered + ndrs + lost_on_wire as usize >= 60,
             "seed {seed}: {delivered} delivered + {ndrs} NDRs + {lost_on_wire} wire-lost < 60"
@@ -196,5 +198,10 @@ fn quiescence_is_reached_even_under_permanent_partition() {
     // run_until_idle terminating at all is the assertion: no retry storm.
     w.sim.run_until_idle();
     assert_eq!(w.agents[2].inbox(&w.sim).unwrap().len(), 0);
-    assert!(w.sim.metrics().counter("dropped_partitioned") >= 10);
+    assert!(
+        w.sim
+            .telemetry()
+            .counter(Layer::Net, "net.dropped_partitioned")
+            >= 10
+    );
 }

@@ -2,6 +2,7 @@
 //! distribution lists, media conversion on the wire, and fault
 //! injection (MTA crash, partition heal).
 
+use open_cscw::kernel::Layer;
 use open_cscw::messaging::{
     BodyPart, DeliveryOutcome, Ipm, MtaNode, NonDeliveryReason, OrAddress, Priority, SubmitOptions,
     UserAgent,
@@ -116,7 +117,10 @@ fn distribution_list_fans_out_to_all_countries() {
         let inbox = agent.inbox(&w.sim).unwrap();
         assert_eq!(inbox.len(), 1, "{} missed the DL copy", agent.address());
     }
-    assert_eq!(w.sim.metrics().counter("mts_dl_expansions"), 1);
+    assert_eq!(
+        w.sim.telemetry().counter(Layer::Messaging, "mts.dl.expand"),
+        1
+    );
 }
 
 #[test]

@@ -4,6 +4,7 @@
 //! of §6.1.
 
 use open_cscw::directory::Dn;
+use open_cscw::kernel::Layer;
 use open_cscw::mocca::org::{OrgRule, Person, RelationKind, Role, RuleKind};
 use open_cscw::mocca::CscwEnvironment;
 use open_cscw::odp::{
@@ -150,7 +151,7 @@ fn import_then_invoke_through_every_layer() {
 #[test]
 fn policy_refuses_unauthorised_importers_before_any_network_traffic() {
     let mut l = layered();
-    let before = l.sim.metrics().counter("messages_sent");
+    let before = l.sim.telemetry().counter(Layer::Net, "net.sent");
     let err = l
         .env
         .trader_mut()
@@ -158,7 +159,7 @@ fn policy_refuses_unauthorised_importers_before_any_network_traffic() {
         .unwrap_err();
     assert!(matches!(err, OdpError::NoMatchingOffer { .. }));
     assert_eq!(
-        l.sim.metrics().counter("messages_sent"),
+        l.sim.telemetry().counter(Layer::Net, "net.sent"),
         before,
         "refused at the trader"
     );
