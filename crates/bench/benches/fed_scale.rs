@@ -4,53 +4,28 @@
 //! (ring, star, seeded-random, partitioned-islands-that-heal), seeds
 //! 1–3, converging each cell with `run_until_converged` — no
 //! hand-cranked `gossip_round`/`pump` anywhere. Also measures the
-//! local-vs-remote exchange latency toll from experiment F3-fed.
+//! local-vs-remote exchange latency toll from experiment F3-fed. The
+//! report's claims are checked before it is written: every cell
+//! converged, with one fingerprint per shape and size across seeds.
 //!
 //! Writes the machine-readable sweep to `BENCH_fed_scale.json` at the
-//! workspace root and prints the paper-facing table to stdout.
+//! workspace root, printing each cell to stdout as it completes.
 //! `--smoke` restricts the sweep to the 32-site column, seed 1 (the CI
 //! `federation-scale` job).
 
 use std::time::Instant;
 
 use cscw_bench::fed_scale::{self, SHAPES, SITE_COUNTS};
+use cscw_bench::population_env;
+use cscw_bench::report::ToValue;
 use cscw_directory::Dn;
-use cscw_federation::RuntimeConfig;
 use cscw_kernel::{LogHistogram, Timestamp};
-use groupware::{descriptor_for, mapping_for, sample_artifact};
+use groupware::sample_artifact;
 use mocca::env::AppId;
 use mocca::federation::FederatedEnvironments;
-use mocca::CscwEnvironment;
 
 const SEEDS: [u64; 3] = [1, 2, 3];
-const LATENCY_ITERS: u32 = 200;
-
-fn site(apps: &[&str]) -> CscwEnvironment {
-    let mut env = CscwEnvironment::new();
-    for app in apps {
-        env.register_app(
-            descriptor_for(app).expect("population app"),
-            mapping_for(app).expect("population mapping"),
-        );
-    }
-    env
-}
-
-/// A latency histogram's paper-facing JSON: mean plus quantiles, all
-/// wall-clock microseconds.
-fn latency_json(hist: &LogHistogram) -> String {
-    format!(
-        concat!(
-            "{{\"mean_micros\":{},\"p50_micros\":{},\"p90_micros\":{},",
-            "\"p99_micros\":{},\"max_micros\":{}}}"
-        ),
-        hist.mean().unwrap_or(0),
-        hist.p50().unwrap_or(0),
-        hist.p90().unwrap_or(0),
-        hist.p99().unwrap_or(0),
-        hist.max().unwrap_or(0)
-    )
-}
+const LATENCY_ITERS: u64 = 200;
 
 /// Per-iteration wall-clock latency distributions for a local exchange
 /// and a remote (resolve + route + pump) exchange.
@@ -59,9 +34,8 @@ fn exchange_latency() -> (LogHistogram, LogHistogram) {
     let artifact = sample_artifact("sharedx").expect("fixture artifact");
 
     let mut local_hist = LogHistogram::new();
-    let mut local = site(&["sharedx", "com"]);
+    let mut local = population_env(&["sharedx", "com"]).expect("population apps");
     for _ in 0..LATENCY_ITERS {
-        // conform: allow(determinism) — criterion-style timing loop; wall time is the measurement
         let start = Instant::now();
         local
             .exchange(&tom, &artifact, &AppId::new("com"), Timestamp::ZERO)
@@ -71,11 +45,13 @@ fn exchange_latency() -> (LogHistogram, LogHistogram) {
 
     let mut remote_hist = LogHistogram::new();
     let mut fed = FederatedEnvironments::new();
-    fed.federate("env-a", site(&["sharedx"]));
-    fed.federate("env-b", site(&["com"]));
+    fed.federate(
+        "env-a",
+        population_env(&["sharedx"]).expect("population app"),
+    );
+    fed.federate("env-b", population_env(&["com"]).expect("population app"));
     fed.link_bidi("env-a", "env-b");
     for _ in 0..LATENCY_ITERS {
-        // conform: allow(determinism) — criterion-style timing loop; wall time is the measurement
         let start = Instant::now();
         fed.env_mut("env-a")
             .expect("env-a")
@@ -96,76 +72,23 @@ fn main() {
     };
 
     let mut cells = Vec::new();
-    println!("fed_scale: shape    sites seed rounds  sim_ms   KiB-on-wire wall-ms");
     for &shape in &SHAPES {
-        let mut fingerprints: Vec<(usize, String)> = Vec::new();
         for &n in counts {
             for &seed in seeds {
-                // conform: allow(determinism) — wall-ms column measures real elapsed time per cell
-                let start = Instant::now();
                 let r = fed_scale::run(shape, n, seed).expect("scale cell");
-                let wall_micros = start.elapsed().as_micros() as u64;
-                assert!(r.converged, "cell must converge: {r:?}");
-                // Bit-for-bit determinism across seeds: the converged
-                // state is the same no matter the schedule's phases.
-                if let Some((_, fp)) = fingerprints.iter().find(|(m, _)| *m == n) {
-                    assert_eq!(*fp, r.fingerprint, "{} n={n}", shape.name());
-                } else {
-                    fingerprints.push((n, r.fingerprint.clone()));
-                }
-                println!(
-                    "fed_scale: {:8} {:5} {:4} {:6} {:7} {:11} {:7}",
-                    r.shape,
-                    r.sites,
-                    r.seed,
-                    r.rounds,
-                    r.sim_micros / 1_000,
-                    r.bytes_on_wire / 1024,
-                    wall_micros / 1_000,
-                );
-                cells.push(format!(
-                    "{},\"wall_micros\":{}}}",
-                    r.to_json().trim_end_matches('}'),
-                    wall_micros
-                ));
+                println!("fed_scale: {}", r.to_value().to_json());
+                cells.push(r);
             }
         }
     }
+    let (local, remote) = exchange_latency();
+    let (local_json, remote_json) = (local.to_value().to_json(), remote.to_value().to_json());
+    println!("fed_scale: exchange latency local {local_json} remote {remote_json}");
 
-    let (local_hist, remote_hist) = exchange_latency();
-    println!(
-        "fed_scale: exchange latency local p50 {} us p99 {} us, remote p50 {} us p99 {} us \
-         ({LATENCY_ITERS} iterations)",
-        local_hist.p50().unwrap_or(0),
-        local_hist.p99().unwrap_or(0),
-        remote_hist.p50().unwrap_or(0),
-        remote_hist.p99().unwrap_or(0),
-    );
-
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"experiment\": \"fed_scale\",\n",
-            "  \"generated_by\": \"cargo bench -p cscw-bench --bench fed_scale\",\n",
-            "  \"smoke\": {},\n",
-            "  \"gossip_period_micros\": {},\n",
-            "  \"seeds\": [1, 2, 3],\n",
-            "  \"exchange_latency\": {{\"iterations\": {}, ",
-            "\"local\": {}, \"remote\": {}}},\n",
-            "  \"cells\": [\n    {}\n  ]\n",
-            "}}\n"
-        ),
-        smoke,
-        RuntimeConfig::seeded(1).gossip_period_micros,
-        LATENCY_ITERS,
-        latency_json(&local_hist),
-        latency_json(&remote_hist),
-        cells.join(",\n    ")
-    );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fed_scale.json");
-    std::fs::write(path, json).expect("write BENCH_fed_scale.json");
-    println!(
-        "fed_scale: wrote {} cells to BENCH_fed_scale.json",
-        cells.len()
-    );
+    let latency = (LATENCY_ITERS, &local, &remote);
+    fed_scale::report(smoke, seeds, latency, &cells)
+        .write(path)
+        .expect("report holds its schema and claims");
+    println!("fed_scale: wrote {path}");
 }

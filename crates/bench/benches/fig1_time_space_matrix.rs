@@ -144,7 +144,7 @@ fn print_shape() {
     println!("  diff times / diff places     (X.400 delivery):  {mail}");
     println!("  diff times / diff places     (COM read lag):    {bbs}");
     println!("  diff times / same place      (DOMINO span):     {proc_span}");
-    let env = population_env().expect("static population");
+    let env = population_env(&groupware::APP_POPULATION).expect("static population");
     println!(
         "  quadrants covered by one environment: {}/4",
         env.apps().covered_quadrants().len()

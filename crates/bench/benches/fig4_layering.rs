@@ -149,7 +149,7 @@ fn print_shape() {
     let odp_msgs = sim.telemetry().counter(Layer::Net, "net.sent");
     let stats = channel.stats();
 
-    let mut env = population_env().expect("static population");
+    let mut env = population_env(&groupware::APP_POPULATION).expect("static population");
     env_share(&mut env, 1);
     let ops = env.operations();
     let conversions = env.hub().conversions_performed();
@@ -178,7 +178,7 @@ fn bench(c: &mut Criterion) {
         b.iter(|| odp_share(&mut sim, &mut channel));
     });
     group.bench_function("layer3_cscw_environment_share", |b| {
-        let mut env = population_env().expect("static population");
+        let mut env = population_env(&groupware::APP_POPULATION).expect("static population");
         let mut n = 0;
         b.iter(|| {
             n += 1;

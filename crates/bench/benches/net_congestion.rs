@@ -3,133 +3,52 @@
 //! Sweeps the three `net_congestion` scenarios (flash crowd, gossip
 //! storm vs interactive, WAN bridge) over seeds 1–3, running every
 //! cell **twice** and insisting the fingerprints match — congestion,
-//! sheds and quantiles must replay bit-for-bit per seed. Also enforces
-//! the headline claims: the flash crowd's p99 dwarfs its p50 and opens
-//! a circuit breaker with zero injected faults; the priority
-//! discipline shields interactive traffic from the storm; the WAN
-//! bridge sheds cross-island overload while intra-island latency stays
-//! flat.
+//! sheds and quantiles must replay bit-for-bit per seed. The report's
+//! claims are checked before it is written: the flash crowd's p99
+//! dwarfs its p50 and opens a circuit breaker with zero injected
+//! faults; the priority discipline shields interactive traffic from
+//! the storm; the WAN bridge sheds cross-island overload while
+//! intra-island latency stays flat.
 //!
 //! Writes the machine-readable sweep to `BENCH_net_congestion.json` at
-//! the workspace root and prints the paper-facing table to stdout.
+//! the workspace root, printing each cell to stdout as it completes.
 //! `--smoke` restricts the sweep to seed 1 (the CI `net-congestion`
 //! job).
 
+use std::fmt::Debug;
+
 use cscw_bench::net_congestion::{self, SEEDS};
+use cscw_bench::report::ToValue;
+
+/// Runs `cell` twice per seed, insists the runs match bit-for-bit, and
+/// prints each cell as the report holds it.
+fn replayed<T: Debug + PartialEq + ToValue>(
+    name: &str,
+    seeds: &[u64],
+    cell: fn(u64) -> T,
+) -> Vec<T> {
+    let replay = |&seed: &u64| {
+        let r = cell(seed);
+        assert_eq!(r, cell(seed), "{name} seed {seed} must replay bit-for-bit");
+        println!("net_congestion: {name} {}", r.to_value().to_json());
+        r
+    };
+    seeds.iter().map(replay).collect()
+}
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let seeds: &[u64] = if smoke { &[1] } else { &SEEDS };
+    let flash = replayed("flash_crowd", seeds, net_congestion::flash_crowd);
+    let storm = replayed("gossip_storm", seeds, net_congestion::gossip_storm);
+    let bridge = replayed("wan_bridge", seeds, net_congestion::wan_bridge);
 
-    let mut flash_cells = Vec::new();
-    println!("net_congestion: flash_crowd  seed offered delivered shed  p50-ms p99-ms breaker");
-    for &seed in seeds {
-        let r = net_congestion::flash_crowd(seed);
-        let again = net_congestion::flash_crowd(seed);
-        assert_eq!(r, again, "flash_crowd seed {seed} must replay bit-for-bit");
-        assert!(
-            r.overall.p99 >= 10 * r.overall.p50.max(1),
-            "flash_crowd seed {seed}: p99 {} must dwarf p50 {}",
-            r.overall.p99,
-            r.overall.p50
-        );
-        assert!(r.shed > 0, "flash_crowd seed {seed} must shed: {r:?}");
-        assert!(
-            r.breaker.opened && r.breaker.injected_faults == 0,
-            "flash_crowd seed {seed}: congestion alone must open the breaker: {:?}",
-            r.breaker
-        );
-        println!(
-            "net_congestion: flash_crowd  {:4} {:7} {:9} {:4} {:7} {:6} {}",
-            r.seed,
-            r.offered,
-            r.delivered,
-            r.shed,
-            r.overall.p50 / 1_000,
-            r.overall.p99 / 1_000,
-            r.breaker.opened
-        );
-        flash_cells.push(r.to_json());
-    }
-
-    let mut storm_cells = Vec::new();
-    println!("net_congestion: gossip_storm seed  drop-tail-ping-p99-ms priority-ping-p99-ms");
-    for &seed in seeds {
-        let r = net_congestion::gossip_storm(seed);
-        let again = net_congestion::gossip_storm(seed);
-        assert_eq!(r, again, "gossip_storm seed {seed} must replay bit-for-bit");
-        assert!(
-            r.priority.interactive.p99 * 4 <= r.drop_tail.interactive.p99.max(1),
-            "gossip_storm seed {seed}: priority p99 {} vs drop-tail p99 {}",
-            r.priority.interactive.p99,
-            r.drop_tail.interactive.p99
-        );
-        println!(
-            "net_congestion: gossip_storm {:4} {:21} {:20}",
-            r.seed,
-            r.drop_tail.interactive.p99 / 1_000,
-            r.priority.interactive.p99 / 1_000
-        );
-        storm_cells.push(r.to_json());
-    }
-
-    let mut bridge_cells = Vec::new();
-    println!("net_congestion: wan_bridge   seed offered delivered shed  intra-p50-ms cross-p50-ms");
-    for &seed in seeds {
-        let r = net_congestion::wan_bridge(seed);
-        let again = net_congestion::wan_bridge(seed);
-        assert_eq!(r, again, "wan_bridge seed {seed} must replay bit-for-bit");
-        assert!(r.cross_shed > 0, "wan_bridge seed {seed} must shed: {r:?}");
-        assert!(
-            r.cross.p50 > 5 * r.intra.p50.max(1),
-            "wan_bridge seed {seed}: cross p50 {} vs intra p50 {}",
-            r.cross.p50,
-            r.intra.p50
-        );
-        println!(
-            "net_congestion: wan_bridge   {:4} {:7} {:9} {:4} {:12} {:12}",
-            r.seed,
-            r.cross_offered,
-            r.cross_delivered,
-            r.cross_shed,
-            r.intra.p50 / 1_000,
-            r.cross.p50 / 1_000
-        );
-        bridge_cells.push(r.to_json());
-    }
-
-    let seeds_json = seeds
-        .iter()
-        .map(|s| s.to_string())
-        .collect::<Vec<_>>()
-        .join(", ");
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"experiment\": \"net_congestion\",\n",
-            "  \"generated_by\": \"cargo bench -p cscw-bench --bench net_congestion\",\n",
-            "  \"smoke\": {},\n",
-            "  \"seeds\": [{}],\n",
-            "  \"flash_crowd\": [\n    {}\n  ],\n",
-            "  \"gossip_storm\": [\n    {}\n  ],\n",
-            "  \"wan_bridge\": [\n    {}\n  ]\n",
-            "}}\n"
-        ),
-        smoke,
-        seeds_json,
-        flash_cells.join(",\n    "),
-        storm_cells.join(",\n    "),
-        bridge_cells.join(",\n    ")
-    );
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/../../BENCH_net_congestion.json"
     );
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("net_congestion: wrote {path}"),
-        Err(e) => {
-            eprintln!("net_congestion: cannot write {path}: {e}");
-            std::process::exit(1);
-        }
-    }
+    net_congestion::report(smoke, seeds, &flash, &storm, &bridge)
+        .write(path)
+        .expect("report holds its schema and claims");
+    println!("net_congestion: wrote {path}");
 }

@@ -3,25 +3,23 @@
 //! Sweeps the `query_scale` cells (populations 200 / 2 000 / 20 000,
 //! seeds 1–3), running every cell **twice** and insisting the
 //! deterministic fields match bit-for-bit (wall-clock quantiles are
-//! scrubbed first). Enforces the headline claims per seed: the
-//! per-delta incremental evaluation count stays flat (within 2×)
-//! across the 100× population sweep, while the re-scan alternative
-//! grows linearly (≥ 50× end to end).
+//! scrubbed first). The report's claims are checked before it is
+//! written: the per-delta incremental evaluation count stays flat
+//! (within 2×) across the 100× population sweep, while the re-scan
+//! alternative grows linearly (≥ 50× within each seed).
 //!
 //! Writes the machine-readable sweep to `BENCH_query_scale.json` at
-//! the workspace root and prints the paper-facing table to stdout.
+//! the workspace root, printing each cell to stdout as it completes.
 //! `--smoke` restricts the sweep to seed 1 (the CI `query-scale` job).
 
-use cscw_bench::query_scale::{self, QueryScaleResult, POPULATIONS, SEEDS};
+use cscw_bench::query_scale::{self, POPULATIONS, SEEDS};
+use cscw_bench::report::ToValue;
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let seeds: &[u64] = if smoke { &[1] } else { &SEEDS };
 
-    let mut cells: Vec<QueryScaleResult> = Vec::new();
-    println!(
-        "query_scale: population seed deltas evals/delta rescan-entries/delta inc-p50-us rescan-p50-us"
-    );
+    let mut cells = Vec::new();
     for &seed in seeds {
         for &population in &POPULATIONS {
             let r = query_scale::run(population, seed).expect("cell");
@@ -31,96 +29,14 @@ fn main() {
                 query_scale::scrub(again),
                 "population {population} seed {seed} must replay bit-for-bit"
             );
-            println!(
-                "query_scale: {:10} {:4} {:6} {:11} {:20} {:10} {:13}",
-                r.population,
-                r.seed,
-                r.deltas_emitted,
-                r.incremental_evals_per_delta,
-                r.rescan_entries_per_delta,
-                r.incremental_micros.p50,
-                r.rescan_micros.p50
-            );
+            println!("query_scale: {}", r.to_value().to_json());
             cells.push(r);
         }
     }
 
-    // Headline claims, per seed across the population sweep.
-    for &seed in seeds {
-        let sweep: Vec<&QueryScaleResult> = cells.iter().filter(|c| c.seed == seed).collect();
-        let flat_min = sweep
-            .iter()
-            .map(|c| c.incremental_evals_per_delta)
-            .min()
-            .unwrap_or(0)
-            .max(1);
-        let flat_max = sweep
-            .iter()
-            .map(|c| c.incremental_evals_per_delta)
-            .max()
-            .unwrap_or(0);
-        assert!(
-            flat_max <= 2 * flat_min,
-            "seed {seed}: per-delta incremental cost must stay within 2x \
-             across a 100x population sweep ({flat_min}..{flat_max})"
-        );
-        let scan_min = sweep
-            .iter()
-            .map(|c| c.rescan_entries_per_delta)
-            .min()
-            .unwrap_or(0)
-            .max(1);
-        let scan_max = sweep
-            .iter()
-            .map(|c| c.rescan_entries_per_delta)
-            .max()
-            .unwrap_or(0);
-        assert!(
-            scan_max >= 50 * scan_min,
-            "seed {seed}: re-scan cost must track the population \
-             ({scan_min}..{scan_max})"
-        );
-    }
-
-    let seeds_json = seeds
-        .iter()
-        .map(|s| s.to_string())
-        .collect::<Vec<_>>()
-        .join(", ");
-    let populations_json = POPULATIONS
-        .iter()
-        .map(|p| p.to_string())
-        .collect::<Vec<_>>()
-        .join(", ");
-    let cells_json = cells
-        .iter()
-        .map(QueryScaleResult::to_json)
-        .collect::<Vec<_>>()
-        .join(",\n    ");
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"experiment\": \"query_scale\",\n",
-            "  \"generated_by\": \"cargo bench -p cscw-bench --bench query_scale\",\n",
-            "  \"smoke\": {},\n",
-            "  \"seeds\": [{}],\n",
-            "  \"populations\": [{}],\n",
-            "  \"ops_per_cell\": {},\n",
-            "  \"cells\": [\n    {}\n  ]\n",
-            "}}\n"
-        ),
-        smoke,
-        seeds_json,
-        populations_json,
-        query_scale::OPS,
-        cells_json
-    );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_query_scale.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("query_scale: wrote {path}"),
-        Err(e) => {
-            eprintln!("query_scale: cannot write {path}: {e}");
-            std::process::exit(1);
-        }
-    }
+    query_scale::report(smoke, seeds, &cells)
+        .write(path)
+        .expect("report holds its schema and claims");
+    println!("query_scale: wrote {path}");
 }

@@ -1,261 +1,35 @@
-//! Offline shape check for the committed bench reports — CI runs this
-//! after each `--smoke` sweep to catch codec drift before the artifact
-//! is uploaded. Hand-rolled on purpose: the vendored serde is a stub,
-//! and the emitters are hand-rolled too, so the checker validates the
-//! *shape contract* (required keys, per-cell field parity, balanced
-//! braces) rather than re-parsing into types. The document's
-//! `"experiment"` key picks the contract: `fed_scale`,
-//! `net_congestion` or `query_scale`.
+//! Offline check of a committed bench report — CI runs this after each
+//! `--smoke` sweep, and the same check runs when a bench writes its
+//! report. The file is parsed with `cscw_bench::report::parse`, its
+//! `"experiment"` key picks the contract (`fed_scale`,
+//! `net_congestion` or `query_scale`), every section must have exactly
+//! the key tree its result type's `to_value` writes, and then every
+//! declared claim must hold (`cscw_bench::report::check`).
 //!
 //! Usage: `validate_metrics_json [path]` (default
 //! `BENCH_fed_scale.json` in the current directory). Exits non-zero
-//! with a diagnostic on the first violation.
+//! with a diagnostic naming the first violation.
 
 use std::process::ExitCode;
 
-/// Top-level keys every `fed_scale` report must carry.
-const FED_SCALE_DOCUMENT_KEYS: [&str; 4] = [
-    "\"gossip_period_micros\":",
-    "\"seeds\":",
-    "\"exchange_latency\":",
-    "\"cells\":",
-];
-
-/// Quantile keys both exchange-latency distributions must carry.
-const LATENCY_KEYS: [&str; 5] = [
-    "\"mean_micros\":",
-    "\"p50_micros\":",
-    "\"p90_micros\":",
-    "\"p99_micros\":",
-    "\"max_micros\":",
-];
-
-/// Keys that must appear exactly once per `fed_scale` cell.
-const FED_SCALE_CELL_KEYS: [&str; 11] = [
-    "\"sites\":",
-    "\"seed\":",
-    "\"converged\":",
-    "\"sim_micros\":",
-    "\"rounds\":",
-    "\"gossip_pulses\":",
-    "\"updates_applied\":",
-    "\"bytes_on_wire\":",
-    "\"gossip_round_micros\":{\"p50\":",
-    "\"pump_micros\":{\"p50\":",
-    "\"fingerprint\":\"",
-];
-
-/// Top-level keys every `net_congestion` report must carry.
-const CONGESTION_DOCUMENT_KEYS: [&str; 4] = [
-    "\"seeds\":",
-    "\"flash_crowd\": [",
-    "\"gossip_storm\": [",
-    "\"wan_bridge\": [",
-];
-
-/// Keys that must appear exactly once per flash-crowd cell.
-const FLASH_CELL_KEYS: [&str; 8] = [
-    "\"clients\":",
-    "\"offered\":",
-    "\"calm_micros\":{\"p50\":",
-    "\"burst_micros\":{\"p50\":",
-    "\"overall_micros\":{\"p50\":",
-    "\"breaker_opened\":",
-    "\"breaker_trips\":",
-    "\"injected_faults\":",
-];
-
-/// Keys that must appear exactly once per gossip-storm cell (the two
-/// discipline sides carry their own nested keys, checked by count).
-const STORM_CELL_KEYS: [&str; 2] = [
-    "\"drop_tail\":{\"discipline\":\"drop_tail\"",
-    "\"priority\":{\"discipline\":\"priority\"",
-];
-
-/// Keys that must appear exactly once per WAN-bridge cell.
-const BRIDGE_CELL_KEYS: [&str; 5] = [
-    "\"cross_offered\":",
-    "\"cross_delivered\":",
-    "\"cross_shed\":",
-    "\"intra_micros\":{\"p50\":",
-    "\"cross_micros\":{\"p50\":",
-];
-
-/// Top-level keys every `query_scale` report must carry.
-const QUERY_SCALE_DOCUMENT_KEYS: [&str; 4] = [
-    "\"seeds\":",
-    "\"populations\":",
-    "\"ops_per_cell\":",
-    "\"cells\":",
-];
-
-/// Keys that must appear exactly once per `query_scale` cell.
-const QUERY_SCALE_CELL_KEYS: [&str; 9] = [
-    "\"seed\":",
-    "\"subscriptions\":",
-    "\"ops\":",
-    "\"deltas_emitted\":",
-    "\"incremental_evals_per_delta\":",
-    "\"rescan_entries_per_delta\":",
-    "\"incremental_micros\":{\"p50\":",
-    "\"rescan_micros\":{\"p50\":",
-    "\"fingerprint\":\"",
-];
-
-fn fail(msg: &str) -> ExitCode {
-    eprintln!("validate_metrics_json: FAIL: {msg}");
-    ExitCode::FAILURE
-}
-
-fn check_keys(text: &str, keys: &[&str], expected: usize, what: &str) -> Result<(), ExitCode> {
-    for key in keys {
-        let n = text.matches(key).count();
-        if n != expected {
-            return Err(fail(&format!(
-                "{what} key {key} appears {n}x, need {expected}"
-            )));
-        }
-    }
-    Ok(())
-}
-
-fn validate_fed_scale(text: &str, path: &str) -> ExitCode {
-    for key in FED_SCALE_DOCUMENT_KEYS {
-        if !text.contains(key) {
-            return fail(&format!("missing document key {key}"));
-        }
-    }
-    for key in LATENCY_KEYS {
-        // Once in "local", once in "remote".
-        let n = text.matches(key).count();
-        if n < 2 {
-            return fail(&format!("exchange_latency key {key} appears {n}x, need 2"));
-        }
-    }
-    let cells = text.matches("{\"shape\":\"").count();
-    if cells == 0 {
-        return fail("no cells");
-    }
-    if let Err(code) = check_keys(text, &FED_SCALE_CELL_KEYS, cells, "cell") {
-        return code;
-    }
-    println!("validate_metrics_json: OK: {cells} cells in {path}");
-    ExitCode::SUCCESS
-}
-
-fn validate_net_congestion(text: &str, path: &str) -> ExitCode {
-    for key in CONGESTION_DOCUMENT_KEYS {
-        if !text.contains(key) {
-            return fail(&format!("missing document key {key}"));
-        }
-    }
-    // Every scenario sweeps the same seeds, so cell counts must agree.
-    let flash = text.matches("\"breaker_opened\":").count();
-    if flash == 0 {
-        return fail("no flash_crowd cells");
-    }
-    if let Err(code) = check_keys(text, &FLASH_CELL_KEYS, flash, "flash_crowd") {
-        return code;
-    }
-    if let Err(code) = check_keys(text, &STORM_CELL_KEYS, flash, "gossip_storm") {
-        return code;
-    }
-    if let Err(code) = check_keys(text, &BRIDGE_CELL_KEYS, flash, "wan_bridge") {
-        return code;
-    }
-    let fingerprints = text.matches("\"fingerprint\":\"").count();
-    if fingerprints != 3 * flash {
-        return fail(&format!(
-            "{fingerprints} fingerprints across {flash} cells per scenario, need {}",
-            3 * flash
-        ));
-    }
-    // The headline acceptance: congestion alone opened the breaker in
-    // every committed flash-crowd cell, with zero injected faults.
-    if text.matches("\"breaker_opened\":true").count() != flash {
-        return fail("a flash_crowd cell did not open its breaker");
-    }
-    if text.matches("\"injected_faults\":0").count() != flash {
-        return fail("a flash_crowd cell reports injected faults");
-    }
-    println!("validate_metrics_json: OK: {flash} cells per scenario in {path}");
-    ExitCode::SUCCESS
-}
-
-/// Every integer that immediately follows `key` in `text`.
-fn values_after(text: &str, key: &str) -> Vec<u64> {
-    text.match_indices(key)
-        .filter_map(|(at, _)| {
-            let digits: String = text[at + key.len()..]
-                .chars()
-                .take_while(char::is_ascii_digit)
-                .collect();
-            digits.parse().ok()
-        })
-        .collect()
-}
-
-fn validate_query_scale(text: &str, path: &str) -> ExitCode {
-    for key in QUERY_SCALE_DOCUMENT_KEYS {
-        if !text.contains(key) {
-            return fail(&format!("missing document key {key}"));
-        }
-    }
-    let cells = text.matches("{\"population\":").count();
-    if cells == 0 {
-        return fail("no cells");
-    }
-    if let Err(code) = check_keys(text, &QUERY_SCALE_CELL_KEYS, cells, "cell") {
-        return code;
-    }
-    // The headline acceptance, re-checked on the committed artifact:
-    // per-delta incremental cost stays within 2x across the whole
-    // population sweep, while the re-scan alternative tracks the
-    // population (>= 50x between smallest and largest cell).
-    let incremental = values_after(text, "\"incremental_evals_per_delta\":");
-    let min = incremental.iter().copied().min().unwrap_or(0).max(1);
-    let max = incremental.iter().copied().max().unwrap_or(0);
-    if max > 2 * min {
-        return fail(&format!(
-            "incremental cost is not flat: {min}..{max} evals per delta"
-        ));
-    }
-    let rescan = values_after(text, "\"rescan_entries_per_delta\":");
-    let scan_min = rescan.iter().copied().min().unwrap_or(0).max(1);
-    let scan_max = rescan.iter().copied().max().unwrap_or(0);
-    if scan_max < 50 * scan_min {
-        return fail(&format!(
-            "re-scan cost does not track the population: {scan_min}..{scan_max} entries per delta"
-        ));
-    }
-    println!(
-        "validate_metrics_json: OK: {cells} cells in {path} \
-         (incremental {min}..{max}, rescan {scan_min}..{scan_max} per delta)"
-    );
-    ExitCode::SUCCESS
-}
+use cscw_bench::report;
 
 fn main() -> ExitCode {
     let path = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "BENCH_fed_scale.json".to_owned());
-    let text = match std::fs::read_to_string(&path) {
-        Ok(t) => t,
-        Err(e) => return fail(&format!("cannot read {path}: {e}")),
-    };
-
-    let opens = text.matches('{').count();
-    let closes = text.matches('}').count();
-    if opens != closes {
-        return fail(&format!("unbalanced braces: {opens} open, {closes} close"));
-    }
-    if text.contains("\"experiment\": \"fed_scale\"") {
-        validate_fed_scale(&text, &path)
-    } else if text.contains("\"experiment\": \"net_congestion\"") {
-        validate_net_congestion(&text, &path)
-    } else if text.contains("\"experiment\": \"query_scale\"") {
-        validate_query_scale(&text, &path)
-    } else {
-        fail("unknown experiment (expected fed_scale, net_congestion or query_scale)")
+    let checked = std::fs::read_to_string(&path)
+        .map_err(|e| format!("cannot read {path}: {e}"))
+        .and_then(|text| report::parse(&text))
+        .and_then(|doc| report::check(&doc));
+    match checked {
+        Ok(()) => {
+            println!("validate_metrics_json: OK: {path} has its schema and holds its claims");
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("validate_metrics_json: FAIL: {path}: {e}");
+            ExitCode::FAILURE
+        }
     }
 }

@@ -9,14 +9,19 @@
 //! gossip phase, the islands' scheduled heal, and therefore the
 //! convergence instant and the bytes shipped.
 
+use std::collections::BTreeMap;
+use std::time::Instant;
+
 use cscw_directory::Dn;
-use cscw_federation::RuntimeConfig;
-use cscw_kernel::{HistogramSummary, Layer, Timestamp};
+use cscw_federation::DEFAULT_GOSSIP_PERIOD_MICROS;
+use cscw_kernel::{Layer, LogHistogram, Timestamp};
 use mocca::federation::{ConvergenceReport, FederatedEnvironments};
 use mocca::info::{InfoContent, InfoObject, InfoObjectId};
 use mocca::{CscwEnvironment, MoccaError};
 use odp::LinkState;
 use simnet::shapes;
+
+use crate::report::{cell, every_cell, fnv1a, Claim, PhaseQuantiles, Report, ToValue, Value};
 
 /// When scheduled island bridges heal (2 simulated seconds).
 pub const ISLANDS_HEAL_AT_MICROS: u64 = 2_000_000;
@@ -90,7 +95,7 @@ pub fn build(shape: Shape, n: usize, seed: u64) -> Result<FederatedEnvironments,
             for (a, b) in &isl.intra {
                 fed.link_bidi(&domain(*a), &domain(*b));
             }
-            fed.start_runtime(RuntimeConfig::seeded(seed));
+            fed.start_runtime(seed);
             for (a, b) in &isl.bridges {
                 let (da, db) = (domain(*a), domain(*b));
                 fed.link_bidi(&da, &db);
@@ -124,89 +129,45 @@ pub fn build(shape: Shape, n: usize, seed: u64) -> Result<FederatedEnvironments,
     Ok(fed)
 }
 
-/// p50/p90/p99/max of one per-pulse phase histogram — the quantile
-/// view the paper-facing JSON carries per cell. Values are micros of
-/// the receiving platform's clock: simulated (replay-stable) time on
-/// sim platforms, wall-clock on the in-process [`LocalPlatform`] the
-/// scale cells run on — so, like `wall_micros`, these fields sit
-/// outside the bit-for-bit determinism guarantee.
-///
-/// [`LocalPlatform`]: mocca::platform::LocalPlatform
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PhaseQuantiles {
-    /// Median.
-    pub p50: u64,
-    /// 90th percentile.
-    pub p90: u64,
-    /// 99th percentile.
-    pub p99: u64,
-    /// Largest sample (exact).
-    pub max: u64,
-}
-
-impl PhaseQuantiles {
-    /// Extracts the quantile view (all-zero when the phase never ran).
-    pub fn from_summary(summary: Option<HistogramSummary>) -> Self {
-        match summary {
-            Some(s) => PhaseQuantiles {
-                p50: s.p50_micros,
-                p90: s.p90_micros,
-                p99: s.p99_micros,
-                max: s.max_micros,
-            },
-            None => PhaseQuantiles::default(),
-        }
+cell! {
+    /// One measured cell of the scaling sweep.
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct ScaleResult {
+        /// Link-graph family name.
+        pub shape: &'static str,
+        /// Number of federated sites.
+        pub sites: usize,
+        /// Seed the run derived all phases and graphs from.
+        pub seed: u64,
+        /// Whether every replica converged within [`MAX_SIM_MICROS`].
+        pub converged: bool,
+        /// Simulated microseconds to convergence.
+        pub sim_micros: u64,
+        /// Gossip periods elapsed (convergence rounds).
+        pub rounds: u64,
+        /// Gossip pulses handled.
+        pub gossip_pulses: usize,
+        /// Replica updates applied across all receivers.
+        pub updates_applied: usize,
+        /// Encoded gossip-frame bytes shipped over transports.
+        pub bytes_on_wire: u64,
+        /// Per-pulse gossip-round latency quantiles: micros of the
+        /// receiving platforms' clock spent shipping and applying frames.
+        /// The scale cells run on the in-process [`LocalPlatform`], whose
+        /// clock is wall time, so like `wall_micros` these sit outside the
+        /// bit-for-bit determinism guarantee.
+        ///
+        /// [`LocalPlatform`]: mocca::platform::LocalPlatform
+        pub gossip_round_micros: PhaseQuantiles,
+        /// Per-pulse pump (remote delivery) latency quantiles.
+        pub pump_micros: PhaseQuantiles,
+        /// Hex digest of the converged replica fingerprint (identical
+        /// across seeds; the raw fingerprint is multi-line text).
+        pub fingerprint: String,
+        /// Wall-clock microseconds the cell took to build and converge
+        /// (outside the determinism guarantee).
+        pub wall_micros: u64,
     }
-
-    /// The quantiles as one JSON object.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"p50\":{},\"p90\":{},\"p99\":{},\"max\":{}}}",
-            self.p50, self.p90, self.p99, self.max
-        )
-    }
-}
-
-/// One measured cell of the scaling sweep.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScaleResult {
-    /// Link-graph family name.
-    pub shape: &'static str,
-    /// Number of federated sites.
-    pub sites: usize,
-    /// Seed the run derived all phases and graphs from.
-    pub seed: u64,
-    /// Whether every replica converged within [`MAX_SIM_MICROS`].
-    pub converged: bool,
-    /// Simulated microseconds to convergence.
-    pub sim_micros: u64,
-    /// Gossip periods elapsed (convergence rounds).
-    pub rounds: u64,
-    /// Gossip pulses handled.
-    pub gossip_pulses: usize,
-    /// Replica updates applied across all receivers.
-    pub updates_applied: usize,
-    /// Encoded gossip-frame bytes shipped over transports.
-    pub bytes_on_wire: u64,
-    /// Per-pulse gossip-round latency quantiles (time the receiving
-    /// platforms spent shipping and applying frames; see
-    /// [`PhaseQuantiles`] for clock caveats).
-    pub gossip_round_micros: PhaseQuantiles,
-    /// Per-pulse pump (remote delivery) latency quantiles.
-    pub pump_micros: PhaseQuantiles,
-    /// Hex digest of the converged replica fingerprint (identical
-    /// across seeds; the raw fingerprint is multi-line text).
-    pub fingerprint: String,
-}
-
-/// FNV-1a 64-bit — a stable, dependency-free digest for fingerprints.
-pub(crate) fn fnv1a(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 /// Builds and converges one `(shape, n, seed)` cell.
@@ -215,62 +176,86 @@ pub(crate) fn fnv1a(s: &str) -> u64 {
 ///
 /// As [`build`]; also any delivery error during the run.
 pub fn run(shape: Shape, n: usize, seed: u64) -> Result<ScaleResult, MoccaError> {
+    let start = Instant::now();
     let mut fed = build(shape, n, seed)?;
     let report: ConvergenceReport = fed.run_until_converged(seed, MAX_SIM_MICROS)?;
-    let gossip_period = RuntimeConfig::seeded(seed).gossip_period_micros;
     let telemetry = fed.fabric().telemetry();
-    let gossip_round_micros = PhaseQuantiles::from_summary(
-        telemetry.histogram(Layer::Federation, "federation.gossip.pulse.micros"),
-    );
-    let pump_micros = PhaseQuantiles::from_summary(
-        telemetry.histogram(Layer::Federation, "federation.pump.pulse.micros"),
-    );
+    let quantiles = |name| PhaseQuantiles::of(&telemetry, Layer::Federation, name);
     Ok(ScaleResult {
         shape: shape.name(),
         sites: n,
         seed,
         converged: report.converged,
         sim_micros: report.sim_micros,
-        rounds: report.sim_micros / gossip_period,
+        rounds: report.sim_micros / DEFAULT_GOSSIP_PERIOD_MICROS,
         gossip_pulses: report.activity.gossip_pulses,
         updates_applied: report.activity.updates_applied,
         bytes_on_wire: report.activity.bytes_on_wire,
-        gossip_round_micros,
-        pump_micros,
+        gossip_round_micros: quantiles("federation.gossip.pulse.micros"),
+        pump_micros: quantiles("federation.pump.pulse.micros"),
         fingerprint: format!(
             "{:016x}",
             fnv1a(&fed.fingerprints().into_values().next().unwrap_or_default())
         ),
+        wall_micros: start.elapsed().as_micros() as u64,
     })
 }
 
-impl ScaleResult {
-    /// The cell as one JSON object (hand-rolled: every field is a
-    /// number, bool or identifier-safe string).
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"shape\":\"{}\",\"sites\":{},\"seed\":{},",
-                "\"converged\":{},\"sim_micros\":{},\"rounds\":{},",
-                "\"gossip_pulses\":{},\"updates_applied\":{},",
-                "\"bytes_on_wire\":{},\"gossip_round_micros\":{},",
-                "\"pump_micros\":{},\"fingerprint\":\"{}\"}}"
-            ),
-            self.shape,
-            self.sites,
-            self.seed,
-            self.converged,
-            self.sim_micros,
-            self.rounds,
-            self.gossip_pulses,
-            self.updates_applied,
-            self.bytes_on_wire,
-            self.gossip_round_micros.to_json(),
-            self.pump_micros.to_json(),
-            self.fingerprint
-        )
-    }
+/// The `BENCH_fed_scale.json` document over `seeds`' cells, with the
+/// wall-clock `local` and `remote` exchange latency over `iterations`
+/// exchanges each (experiment F3-fed's toll, next to the sweep).
+pub fn report(
+    smoke: bool,
+    seeds: &[u64],
+    (iterations, local, remote): (u64, &LogHistogram, &LogHistogram),
+    cells: &[ScaleResult],
+) -> Report {
+    let latency = [
+        ("iterations", iterations.to_value()),
+        ("local", local.to_value()),
+        ("remote", remote.to_value()),
+    ];
+    let sections = [
+        (
+            "gossip_period_micros",
+            Value::U64(DEFAULT_GOSSIP_PERIOD_MICROS),
+        ),
+        ("seeds", Value::list(seeds)),
+        ("exchange_latency", Value::object(latency)),
+        ("cells", Value::list(cells)),
+    ];
+    Report::new("fed_scale", smoke, sections)
 }
+
+/// The report over one default cell per section: every fed_scale
+/// report must have exactly its key tree.
+pub fn template() -> Report {
+    let empty = LogHistogram::new();
+    report(false, &[0], (0, &empty, &empty), &[ScaleResult::default()])
+}
+
+/// The fed_scale headline claims.
+pub const CLAIMS: &[Claim] = &[
+    Claim {
+        name: "every cell converged",
+        check: |doc| {
+            every_cell(doc, "cells", |c| {
+                Ok(c.at("converged")? == &Value::Bool(true))
+            })
+        },
+    },
+    Claim {
+        name: "one fingerprint per (shape, sites) across seeds",
+        check: |doc| {
+            let mut first = BTreeMap::new();
+            every_cell(doc, "cells", |c| {
+                let fingerprint = c.str_at("fingerprint")?;
+                let key = (c.str_at("shape")?, c.u64_at("sites")?);
+                Ok(*first.entry(key).or_insert(fingerprint) == fingerprint)
+            })
+        },
+    },
+];
 
 #[cfg(test)]
 mod tests {
@@ -284,11 +269,13 @@ mod tests {
         let q = a.gossip_round_micros;
         assert!(q.p50 <= q.p90 && q.p90 <= q.p99 && q.p99 <= q.max);
         let b = run(Shape::Ring, 8, 1).expect("run");
-        // Phase quantiles are wall-clock on the LocalPlatform cells
-        // and sit outside the determinism guarantee — scrub them.
+        // Phase quantiles and wall time are wall-clock on the
+        // LocalPlatform cells and sit outside the determinism
+        // guarantee — scrub them.
         let scrub = |mut r: ScaleResult| {
             r.gossip_round_micros = PhaseQuantiles::default();
             r.pump_micros = PhaseQuantiles::default();
+            r.wall_micros = 0;
             r
         };
         assert_eq!(
@@ -311,13 +298,16 @@ mod tests {
     }
 
     #[test]
-    fn json_cell_is_wellformed() {
-        let r = run(Shape::Star, 8, 1).expect("run");
-        let json = r.to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"shape\":\"star\""));
-        assert!(json.contains("\"converged\":true"));
-        assert!(json.contains("\"gossip_round_micros\":{\"p50\":"));
-        assert!(json.contains("\"pump_micros\":{\"p50\":"));
+    fn fresh_report_round_trips_and_passes_its_checks() {
+        let cell = run(Shape::Star, 8, 1).expect("run");
+        let empty = LogHistogram::new();
+        let report = report(true, &[1], (0, &empty, &empty), &[cell]);
+        let doc = crate::report::parse(&report.to_json()).expect("parse");
+        assert_eq!(doc, report.value());
+        crate::report::check(&doc).expect("schema and claims");
+        let cell = &doc.list_at("cells").expect("cells")[0];
+        assert_eq!(cell.str_at("shape"), Ok("star"));
+        assert_eq!(cell.at("converged"), Ok(&Value::Bool(true)));
+        assert!(cell.u64_at("pump_micros.p50").is_ok());
     }
 }

@@ -15,6 +15,9 @@
 pub mod fed_scale;
 pub mod net_congestion;
 pub mod query_scale;
+pub mod report;
+
+pub use report::Report;
 
 use cscw_directory::{Attribute, DirectoryError, Dit, Entry};
 use cscw_messaging::{MtaNode, MtsError, OrAddress, UserAgent};
@@ -89,15 +92,16 @@ pub fn populated_dit(n: usize, orgs: usize) -> Result<Dit, DirectoryError> {
     Ok(dit)
 }
 
-/// An environment with the full five-app population registered.
+/// An environment with `apps` registered
+/// (`&groupware::APP_POPULATION` for the full five-app population).
 ///
 /// # Errors
 ///
-/// [`GroupwareError::UnknownApp`] if the fixed population ever lists an
-/// app without a descriptor or mapping.
-pub fn population_env() -> Result<CscwEnvironment, GroupwareError> {
+/// [`GroupwareError::UnknownApp`] if an app has no descriptor or
+/// mapping.
+pub fn population_env(apps: &[&str]) -> Result<CscwEnvironment, GroupwareError> {
     let mut env = CscwEnvironment::new();
-    for app in groupware::APP_POPULATION {
+    for app in apps {
         env.register_app(descriptor_for(app)?, mapping_for(app)?);
     }
     Ok(env)

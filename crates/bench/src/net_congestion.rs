@@ -32,7 +32,7 @@ use simnet::{
     TopologyBuilder,
 };
 
-use crate::fed_scale::{fnv1a, PhaseQuantiles};
+use crate::report::{cell, every_cell, fnv1a, Claim, PhaseQuantiles, Report, Value};
 
 /// Seeds every scenario sweeps.
 pub const SEEDS: [u64; 3] = [1, 2, 3];
@@ -141,80 +141,49 @@ impl Node for FlashServer {
     }
 }
 
-/// What the congestion-only breaker probe observed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BreakerProbe {
-    /// Whether the trader breaker ended the probe open.
-    pub opened: bool,
-    /// `resilience.trader.breaker_open` transitions recorded.
-    pub trips: u64,
-    /// Queue-overflow drops on the simulated mesh during the probe.
-    pub dropped_queue_full: u64,
-    /// Crash/partition faults injected (always zero — that is the
-    /// point).
-    pub injected_faults: u64,
-}
-
-/// One measured flash-crowd cell.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FlashCrowdResult {
-    /// Simulation seed.
-    pub seed: u64,
-    /// Clients in the crowd.
-    pub clients: usize,
-    /// Messages offered to the relay.
-    pub offered: u64,
-    /// Messages the server received.
-    pub delivered: u64,
-    /// Messages the bounded uplink queue shed.
-    pub shed: u64,
-    /// `dropped_queue_full` as counted by the simulator itself.
-    pub dropped_queue_full: u64,
-    /// Calm-phase delivery latency quantiles (micros).
-    pub calm: PhaseQuantiles,
-    /// Burst-phase delivery latency quantiles (micros).
-    pub burst: PhaseQuantiles,
-    /// Whole-run delivery latency quantiles (micros).
-    pub overall: PhaseQuantiles,
-    /// The congestion-only circuit-breaker probe.
-    pub breaker: BreakerProbe,
-    /// Hex FNV-1a digest of every count and quantile above — equal
-    /// across reruns of the same seed.
-    pub fingerprint: String,
-}
-
-impl FlashCrowdResult {
-    /// The cell as one JSON object.
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"seed\":{},\"clients\":{},\"offered\":{},",
-                "\"delivered\":{},\"shed\":{},\"dropped_queue_full\":{},",
-                "\"calm_micros\":{},\"burst_micros\":{},\"overall_micros\":{},",
-                "\"breaker_opened\":{},\"breaker_trips\":{},",
-                "\"injected_faults\":{},\"fingerprint\":\"{}\"}}"
-            ),
-            self.seed,
-            self.clients,
-            self.offered,
-            self.delivered,
-            self.shed,
-            self.dropped_queue_full,
-            self.calm.to_json(),
-            self.burst.to_json(),
-            self.overall.to_json(),
-            self.breaker.opened,
-            self.breaker.trips,
-            self.breaker.injected_faults,
-            self.fingerprint
-        )
+cell! {
+    /// One measured flash-crowd cell.
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct FlashCrowdResult {
+        /// Simulation seed.
+        pub seed: u64,
+        /// Clients in the crowd.
+        pub clients: usize,
+        /// Messages offered to the relay.
+        pub offered: u64,
+        /// Messages the server received.
+        pub delivered: u64,
+        /// Messages the bounded uplink queue shed.
+        pub shed: u64,
+        /// `dropped_queue_full` as counted by the simulator itself.
+        pub dropped_queue_full: u64,
+        /// Calm-phase delivery latency quantiles (micros).
+        pub calm_micros: PhaseQuantiles,
+        /// Burst-phase delivery latency quantiles (micros).
+        pub burst_micros: PhaseQuantiles,
+        /// Whole-run delivery latency quantiles (micros).
+        pub overall_micros: PhaseQuantiles,
+        /// Whether the congestion-only probe left the trader breaker
+        /// open.
+        pub breaker_opened: bool,
+        /// The probe's `resilience.trader.breaker_open` transitions.
+        pub breaker_trips: u64,
+        /// Crash/partition faults the probe injected (always zero —
+        /// that is the point).
+        pub injected_faults: u64,
+        /// Hex FNV-1a digest of every count and quantile above plus the
+        /// probe's queue drops — equal across reruns of the same seed.
+        pub fingerprint: String,
     }
 }
 
 /// Floods the facade's own wire through [`ResilientPlatform`] until the
 /// trader breaker opens — no fault is ever injected; shed requests
 /// classify as transient and walk the breaker open on their own.
-fn breaker_probe(seed: u64) -> BreakerProbe {
+/// Returns whether the trader breaker ended open, its
+/// `resilience.trader.breaker_open` transitions, and the mesh's
+/// queue-overflow drops.
+fn breaker_probe(seed: u64) -> (bool, u64, u64) {
     let spec = LinkSpec::fixed(SimDuration::from_millis(1))
         .with_bandwidth(10_000)
         .with_queue_capacity_msgs(4);
@@ -250,12 +219,7 @@ fn breaker_probe(seed: u64) -> BreakerProbe {
                 .counter(Layer::Net, "net.dropped_queue_full")
         })
         .unwrap_or(0);
-    BreakerProbe {
-        opened: trader_breaker == BreakerState::Open,
-        trips,
-        dropped_queue_full: dropped,
-        injected_faults: 0,
-    }
+    (trader_breaker == BreakerState::Open, trips, dropped)
 }
 
 /// Runs one flash-crowd cell: calm baseline, then the stampede.
@@ -301,10 +265,8 @@ pub fn flash_crowd(seed: u64) -> FlashCrowdResult {
     sim.run_until_idle();
 
     let telemetry = sim.telemetry();
-    let calm = PhaseQuantiles::from_summary(telemetry.histogram(Layer::Net, "net.flash.calm"));
-    let burst = PhaseQuantiles::from_summary(telemetry.histogram(Layer::Net, "net.flash.burst"));
-    let overall =
-        PhaseQuantiles::from_summary(telemetry.histogram(Layer::Net, "net.flash.latency"));
+    let quantiles = |name| PhaseQuantiles::of(telemetry, Layer::Net, name);
+    let (breaker_opened, breaker_trips, probe_drops) = breaker_probe(seed);
     let mut r = FlashCrowdResult {
         seed,
         clients: FLASH_CLIENTS,
@@ -312,10 +274,12 @@ pub fn flash_crowd(seed: u64) -> FlashCrowdResult {
         delivered: telemetry.counter(Layer::Net, "net.flash.delivered"),
         shed: telemetry.counter(Layer::Net, "net.flash.relay_shed"),
         dropped_queue_full: telemetry.counter(Layer::Net, "net.dropped_queue_full"),
-        calm,
-        burst,
-        overall,
-        breaker: breaker_probe(seed),
+        calm_micros: quantiles("net.flash.calm"),
+        burst_micros: quantiles("net.flash.burst"),
+        overall_micros: quantiles("net.flash.latency"),
+        breaker_opened,
+        breaker_trips,
+        injected_faults: 0,
         fingerprint: String::new(),
     };
     r.fingerprint = format!(
@@ -327,12 +291,12 @@ pub fn flash_crowd(seed: u64) -> FlashCrowdResult {
             r.delivered,
             r.shed,
             r.dropped_queue_full,
-            r.calm.digest_field(),
-            r.burst.digest_field(),
-            r.overall.digest_field(),
-            r.breaker.opened,
-            r.breaker.trips,
-            r.breaker.dropped_queue_full,
+            r.calm_micros.digest_field(),
+            r.burst_micros.digest_field(),
+            r.overall_micros.digest_field(),
+            r.breaker_opened,
+            r.breaker_trips,
+            probe_drops,
         ))
     );
     r
@@ -429,53 +393,36 @@ impl Node for StormPeer {
     }
 }
 
-/// One discipline's half of the storm comparison.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StormSide {
-    /// Queue discipline name (`drop_tail` or `priority`).
-    pub discipline: &'static str,
-    /// Interactive delivery latency quantiles (micros).
-    pub interactive: PhaseQuantiles,
-    /// Bulk delivery latency quantiles (micros).
-    pub bulk: PhaseQuantiles,
-    /// Interactive pings delivered / shed.
-    pub interactive_delivered: u64,
-    /// Pings the full queue shed.
-    pub interactive_shed: u64,
-    /// Bulk messages delivered.
-    pub bulk_delivered: u64,
-    /// Bulk messages shed (at enqueue or displaced by class 0).
-    pub bulk_shed: u64,
-    /// Simulator-counted queue-overflow drops.
-    pub dropped_queue_full: u64,
+cell! {
+    /// One discipline's half of the storm comparison.
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct StormSide {
+        /// Queue discipline name (`drop_tail` or `priority`).
+        pub discipline: &'static str,
+        /// Interactive delivery latency quantiles (micros).
+        pub interactive_micros: PhaseQuantiles,
+        /// Bulk delivery latency quantiles (micros).
+        pub bulk_micros: PhaseQuantiles,
+        /// Interactive pings delivered / shed.
+        pub interactive_delivered: u64,
+        /// Pings the full queue shed.
+        pub interactive_shed: u64,
+        /// Bulk messages delivered.
+        pub bulk_delivered: u64,
+        /// Bulk messages shed (at enqueue or displaced by class 0).
+        pub bulk_shed: u64,
+        /// Simulator-counted queue-overflow drops.
+        pub dropped_queue_full: u64,
+    }
 }
 
 impl StormSide {
-    fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"discipline\":\"{}\",\"interactive_micros\":{},",
-                "\"bulk_micros\":{},\"interactive_delivered\":{},",
-                "\"interactive_shed\":{},\"bulk_delivered\":{},",
-                "\"bulk_shed\":{},\"dropped_queue_full\":{}}}"
-            ),
-            self.discipline,
-            self.interactive.to_json(),
-            self.bulk.to_json(),
-            self.interactive_delivered,
-            self.interactive_shed,
-            self.bulk_delivered,
-            self.bulk_shed,
-            self.dropped_queue_full
-        )
-    }
-
     fn digest_field(&self) -> String {
         format!(
             "{}:{}:{}:{}:{}:{}:{}",
             self.discipline,
-            self.interactive.digest_field(),
-            self.bulk.digest_field(),
+            self.interactive_micros.digest_field(),
+            self.bulk_micros.digest_field(),
             self.interactive_delivered,
             self.interactive_shed,
             self.bulk_delivered,
@@ -484,30 +431,19 @@ impl StormSide {
     }
 }
 
-/// One measured gossip-storm cell: the same storm under both queue
-/// disciplines.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GossipStormResult {
-    /// Simulation seed.
-    pub seed: u64,
-    /// The storm under [`QueueDiscipline::DropTail`].
-    pub drop_tail: StormSide,
-    /// The storm under [`QueueDiscipline::Priority`] (2 classes).
-    pub priority: StormSide,
-    /// Hex FNV-1a digest over both sides.
-    pub fingerprint: String,
-}
-
-impl GossipStormResult {
-    /// The cell as one JSON object.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"seed\":{},\"drop_tail\":{},\"priority\":{},\"fingerprint\":\"{}\"}}",
-            self.seed,
-            self.drop_tail.to_json(),
-            self.priority.to_json(),
-            self.fingerprint
-        )
+cell! {
+    /// One measured gossip-storm cell: the same storm under both queue
+    /// disciplines.
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct GossipStormResult {
+        /// Simulation seed.
+        pub seed: u64,
+        /// The storm under [`QueueDiscipline::DropTail`].
+        pub drop_tail: StormSide,
+        /// The storm under [`QueueDiscipline::Priority`] (2 classes).
+        pub priority: StormSide,
+        /// Hex FNV-1a digest over both sides.
+        pub fingerprint: String,
     }
 }
 
@@ -536,10 +472,8 @@ fn storm_side(seed: u64, discipline: QueueDiscipline, name: &'static str) -> Sto
     let telemetry = sim.telemetry();
     StormSide {
         discipline: name,
-        interactive: PhaseQuantiles::from_summary(
-            telemetry.histogram(Layer::Net, "net.storm.interactive"),
-        ),
-        bulk: PhaseQuantiles::from_summary(telemetry.histogram(Layer::Net, "net.storm.bulk")),
+        interactive_micros: PhaseQuantiles::of(telemetry, Layer::Net, "net.storm.interactive"),
+        bulk_micros: PhaseQuantiles::of(telemetry, Layer::Net, "net.storm.bulk"),
         interactive_delivered: telemetry.counter(Layer::Net, "net.storm.ping_delivered"),
         interactive_shed: telemetry.counter(Layer::Net, "net.storm.ping_shed"),
         bulk_delivered: telemetry.counter(Layer::Net, "net.storm.bulk_delivered"),
@@ -677,49 +611,28 @@ impl Node for BridgeGateway {
     }
 }
 
-/// One measured WAN-bridge cell.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WanBridgeResult {
-    /// Simulation seed.
-    pub seed: u64,
-    /// Cross-island messages offered by workers.
-    pub cross_offered: u64,
-    /// Cross-island messages delivered end-to-end.
-    pub cross_delivered: u64,
-    /// Cross-island messages the bridge queue shed.
-    pub cross_shed: u64,
-    /// Intra-island messages delivered.
-    pub intra_delivered: u64,
-    /// Simulator-counted queue-overflow drops.
-    pub dropped_queue_full: u64,
-    /// Intra-island delivery latency quantiles (micros).
-    pub intra: PhaseQuantiles,
-    /// Cross-island delivery latency quantiles (micros).
-    pub cross: PhaseQuantiles,
-    /// Hex FNV-1a digest of every count and quantile above.
-    pub fingerprint: String,
-}
-
-impl WanBridgeResult {
-    /// The cell as one JSON object.
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"seed\":{},\"cross_offered\":{},\"cross_delivered\":{},",
-                "\"cross_shed\":{},\"intra_delivered\":{},",
-                "\"dropped_queue_full\":{},\"intra_micros\":{},",
-                "\"cross_micros\":{},\"fingerprint\":\"{}\"}}"
-            ),
-            self.seed,
-            self.cross_offered,
-            self.cross_delivered,
-            self.cross_shed,
-            self.intra_delivered,
-            self.dropped_queue_full,
-            self.intra.to_json(),
-            self.cross.to_json(),
-            self.fingerprint
-        )
+cell! {
+    /// One measured WAN-bridge cell.
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct WanBridgeResult {
+        /// Simulation seed.
+        pub seed: u64,
+        /// Cross-island messages offered by workers.
+        pub cross_offered: u64,
+        /// Cross-island messages delivered end-to-end.
+        pub cross_delivered: u64,
+        /// Cross-island messages the bridge queue shed.
+        pub cross_shed: u64,
+        /// Intra-island messages delivered.
+        pub intra_delivered: u64,
+        /// Simulator-counted queue-overflow drops.
+        pub dropped_queue_full: u64,
+        /// Intra-island delivery latency quantiles (micros).
+        pub intra_micros: PhaseQuantiles,
+        /// Cross-island delivery latency quantiles (micros).
+        pub cross_micros: PhaseQuantiles,
+        /// Hex FNV-1a digest of every count and quantile above.
+        pub fingerprint: String,
     }
 }
 
@@ -779,8 +692,8 @@ pub fn wan_bridge(seed: u64) -> WanBridgeResult {
         cross_shed: telemetry.counter(Layer::Net, "net.bridge.shed"),
         intra_delivered: telemetry.counter(Layer::Net, "net.bridge.intra_delivered"),
         dropped_queue_full: telemetry.counter(Layer::Net, "net.dropped_queue_full"),
-        intra: PhaseQuantiles::from_summary(telemetry.histogram(Layer::Net, "net.bridge.intra")),
-        cross: PhaseQuantiles::from_summary(telemetry.histogram(Layer::Net, "net.bridge.cross")),
+        intra_micros: PhaseQuantiles::of(telemetry, Layer::Net, "net.bridge.intra"),
+        cross_micros: PhaseQuantiles::of(telemetry, Layer::Net, "net.bridge.cross"),
         fingerprint: String::new(),
     };
     r.fingerprint = format!(
@@ -793,12 +706,93 @@ pub fn wan_bridge(seed: u64) -> WanBridgeResult {
             r.cross_shed,
             r.intra_delivered,
             r.dropped_queue_full,
-            r.intra.digest_field(),
-            r.cross.digest_field(),
+            r.intra_micros.digest_field(),
+            r.cross_micros.digest_field(),
         ))
     );
     r
 }
+
+// ---------------------------------------------------------------------
+// The report and its claims.
+// ---------------------------------------------------------------------
+
+/// The `BENCH_net_congestion.json` document over `seeds`' cells.
+pub fn report(
+    smoke: bool,
+    seeds: &[u64],
+    flash: &[FlashCrowdResult],
+    storm: &[GossipStormResult],
+    bridge: &[WanBridgeResult],
+) -> Report {
+    let sections = [
+        ("seeds", Value::list(seeds)),
+        ("flash_crowd", Value::list(flash)),
+        ("gossip_storm", Value::list(storm)),
+        ("wan_bridge", Value::list(bridge)),
+    ];
+    Report::new("net_congestion", smoke, sections)
+}
+
+/// The report over one default cell per section: every net_congestion
+/// report must have exactly its key tree.
+pub fn template() -> Report {
+    report(
+        false,
+        &[0],
+        &[Default::default()],
+        &[Default::default()],
+        &[Default::default()],
+    )
+}
+
+/// The net_congestion headline claims.
+pub const CLAIMS: &[Claim] = &[
+    Claim {
+        name: "flash crowd p99 is at least 10x its p50",
+        check: |doc| {
+            every_cell(doc, "flash_crowd", |c| {
+                let p50 = c.u64_at("overall_micros.p50")?;
+                Ok(c.u64_at("overall_micros.p99")? >= 10 * p50.max(1))
+            })
+        },
+    },
+    Claim {
+        name: "flash crowd sheds",
+        check: |doc| every_cell(doc, "flash_crowd", |c| Ok(c.u64_at("shed")? > 0)),
+    },
+    Claim {
+        name: "congestion alone opens the breaker",
+        check: |doc| {
+            every_cell(doc, "flash_crowd", |c| {
+                let opened = c.at("breaker_opened")? == &Value::Bool(true);
+                Ok(opened && c.u64_at("injected_faults")? == 0)
+            })
+        },
+    },
+    Claim {
+        name: "priority shields interactive p99 at least 4x",
+        check: |doc| {
+            every_cell(doc, "gossip_storm", |c| {
+                let drop_tail = c.u64_at("drop_tail.interactive_micros.p99")?;
+                Ok(c.u64_at("priority.interactive_micros.p99")? * 4 <= drop_tail.max(1))
+            })
+        },
+    },
+    Claim {
+        name: "WAN bridge sheds cross-island traffic",
+        check: |doc| every_cell(doc, "wan_bridge", |c| Ok(c.u64_at("cross_shed")? > 0)),
+    },
+    Claim {
+        name: "WAN bridge cross p50 is over 5x intra p50",
+        check: |doc| {
+            every_cell(doc, "wan_bridge", |c| {
+                let intra = c.u64_at("intra_micros.p50")?;
+                Ok(c.u64_at("cross_micros.p50")? > 5 * intra.max(1))
+            })
+        },
+    },
+];
 
 #[cfg(test)]
 mod tests {
@@ -817,17 +811,18 @@ mod tests {
         assert!(r.dropped_queue_full >= r.shed, "{r:?}");
         // The headline: queueing alone makes the tail, p99 >> p50.
         assert!(
-            r.overall.p99 >= 10 * r.overall.p50.max(1),
+            r.overall_micros.p99 >= 10 * r.overall_micros.p50.max(1),
             "p99 {} must dwarf p50 {}",
-            r.overall.p99,
-            r.overall.p50
+            r.overall_micros.p99,
+            r.overall_micros.p50
         );
-        assert!(r.burst.p99 > r.calm.p99, "{r:?}");
+        assert!(r.burst_micros.p99 > r.calm_micros.p99, "{r:?}");
         // And sustained overload alone opens a breaker: zero faults.
-        assert!(r.breaker.opened, "{:?}", r.breaker);
-        assert_eq!(r.breaker.trips, 1, "{:?}", r.breaker);
-        assert_eq!(r.breaker.injected_faults, 0);
-        assert!(r.breaker.dropped_queue_full >= 3, "{:?}", r.breaker);
+        assert!(r.breaker_opened, "{r:?}");
+        assert_eq!(r.breaker_trips, 1, "{r:?}");
+        assert_eq!(r.injected_faults, 0);
+        let (_, _, probe_drops) = breaker_probe(1);
+        assert!(probe_drops >= 3, "{probe_drops}");
     }
 
     #[test]
@@ -850,10 +845,10 @@ mod tests {
             r.priority
         );
         assert!(
-            r.priority.interactive.p99 * 4 <= r.drop_tail.interactive.p99.max(1),
+            r.priority.interactive_micros.p99 * 4 <= r.drop_tail.interactive_micros.p99.max(1),
             "priority p99 {} vs drop-tail p99 {}",
-            r.priority.interactive.p99,
-            r.drop_tail.interactive.p99
+            r.priority.interactive_micros.p99,
+            r.drop_tail.interactive_micros.p99
         );
         assert!(
             r.drop_tail.dropped_queue_full > 0,
@@ -878,32 +873,33 @@ mod tests {
             "intra-island traffic never queues: {r:?}"
         );
         assert!(
-            r.cross.p50 > 5 * r.intra.p50.max(1),
+            r.cross_micros.p50 > 5 * r.intra_micros.p50.max(1),
             "cross p50 {} vs intra p50 {}",
-            r.cross.p50,
-            r.intra.p50
+            r.cross_micros.p50,
+            r.intra_micros.p50
         );
         let b = wan_bridge(1);
         assert_eq!(r, b, "bridge must replay exactly");
     }
 
     #[test]
-    fn json_cells_are_wellformed() {
-        let flash = flash_crowd(1).to_json();
-        let storm = gossip_storm(1).to_json();
-        let bridge = wan_bridge(1).to_json();
-        for json in [&flash, &storm, &bridge] {
-            assert_eq!(
-                json.matches('{').count(),
-                json.matches('}').count(),
-                "balanced braces: {json}"
-            );
-            assert!(json.contains("\"seed\":1"));
-            assert!(json.contains("\"fingerprint\":\""));
-        }
-        assert!(flash.contains("\"breaker_opened\":true"));
-        assert!(storm.contains("\"discipline\":\"drop_tail\""));
-        assert!(storm.contains("\"discipline\":\"priority\""));
-        assert!(bridge.contains("\"cross_micros\":{"));
+    fn fresh_report_round_trips_and_passes_its_checks() {
+        let report = report(
+            true,
+            &[1],
+            &[flash_crowd(1)],
+            &[gossip_storm(1)],
+            &[wan_bridge(1)],
+        );
+        let doc = crate::report::parse(&report.to_json()).expect("parse");
+        assert_eq!(doc, report.value());
+        crate::report::check(&doc).expect("schema and claims");
+        let cell = |section: &str| doc.list_at(section).expect("section")[0].clone();
+        let opened = cell("flash_crowd").at("breaker_opened").cloned();
+        assert_eq!(opened, Ok(Value::Bool(true)));
+        let storm = cell("gossip_storm");
+        assert_eq!(storm.str_at("drop_tail.discipline"), Ok("drop_tail"));
+        assert_eq!(storm.str_at("priority.discipline"), Ok("priority"));
+        assert!(cell("wan_bridge").at("cross_micros.p50").is_ok());
     }
 }

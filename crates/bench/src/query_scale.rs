@@ -29,7 +29,7 @@ use cscw_directory::{Attribute, ChangeCollector, Dit, Entry};
 use cscw_kernel::{Layer, Telemetry};
 use cscw_query::{SubscriptionId, SubscriptionRegistry};
 
-use crate::fed_scale::{fnv1a, PhaseQuantiles};
+use crate::report::{cell, fnv1a, Claim, PhaseQuantiles, Report, Value};
 
 /// DIT population sizes the experiment sweeps (100× end to end).
 pub const POPULATIONS: [usize; 3] = [200, 2_000, 20_000];
@@ -76,9 +76,9 @@ fn project_dn(j: u64) -> String {
     format!("c=UK,cn=proj{j}")
 }
 
-/// A DIT with `population` person entries (surnames, coordinator roles
-/// and project edges spread deterministically) plus [`PROJECTS`]
-/// project entries, half of them `active`.
+/// [`crate::populated_dit`] over ten organisations plus [`PROJECTS`]
+/// project entries, half of them `active`, with every other person
+/// working on one; the collector sees only changes after the build.
 ///
 /// # Errors
 ///
@@ -86,113 +86,118 @@ fn project_dn(j: u64) -> String {
 pub fn build_population(
     population: usize,
 ) -> Result<(Dit, ChangeCollector), cscw_directory::DirectoryError> {
-    let collector = ChangeCollector::new();
-    let mut dit = Dit::new();
-    dit.add(
-        Entry::new("c=UK".parse()?)
-            .with_class("country")
-            .with_attr(Attribute::single("c", "UK")),
-    )?;
-    for o in 0..10 {
-        dit.add(
-            Entry::new(format!("c=UK,o=org{o}").parse()?)
-                .with_class("organization")
-                .with_attr(Attribute::single("o", format!("org{o}"))),
-        )?;
-    }
+    let mut dit = crate::populated_dit(population, 10)?;
     for j in 0..PROJECTS as u64 {
+        let state = if j % 2 == 0 { "active" } else { "dormant" };
         dit.add(
             Entry::new(project_dn(j).parse()?)
                 .with_class("cscwproject")
                 .with_attr(Attribute::single("cn", format!("proj{j}")))
-                .with_attr(Attribute::single(
-                    "projectstate",
-                    if j % 2 == 0 { "active" } else { "dormant" },
-                )),
+                .with_attr(Attribute::single("projectstate", state)),
         )?;
     }
-    for i in 0..population as u64 {
-        let mut e = Entry::new(person_dn(i).parse()?)
-            .with_class("person")
-            .with_attr(Attribute::single("cn", format!("person{i}")))
-            .with_attr(Attribute::single("sn", format!("Surname{}", i % 50)));
-        if i % 3 == 0 {
-            e.put_attr(Attribute::single("occupiesrole", "cn=coordinator"));
-        }
-        if i % 2 == 0 {
-            e.put_attr(Attribute::single(
-                "workson",
-                project_dn(i % PROJECTS as u64),
-            ));
-        }
-        dit.add(e)?;
+    for i in (0..population as u64).step_by(2) {
+        let project = project_dn(i % PROJECTS as u64);
+        dit.modify(&person_dn(i).parse()?, |e| {
+            e.put_attr(Attribute::single("workson", project.as_str()));
+        })?;
     }
-    // The build itself is not part of the measured stream.
-    collector.drain();
+    let collector = ChangeCollector::new();
     dit.observe(Arc::new(collector.clone()));
     Ok((dit, collector))
 }
 
-/// One measured cell of the query-scaling sweep.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QueryScaleResult {
-    /// Person entries in the DIT.
-    pub population: usize,
-    /// Seed the mutation stream derived from.
-    pub seed: u64,
-    /// Standing queries registered.
-    pub subscriptions: usize,
-    /// Mutations replayed.
-    pub ops: u64,
-    /// Deltas the registry emitted over the stream.
-    pub deltas_emitted: u64,
-    /// Entries evaluated incrementally across the whole stream.
-    pub incremental_evals: u64,
-    /// [`Self::incremental_evals`] / [`Self::ops`] — the flat curve.
-    pub incremental_evals_per_delta: u64,
-    /// Entries a re-scan pass walked across the whole stream.
-    pub rescan_entries: u64,
-    /// [`Self::rescan_entries`] / [`Self::ops`] — the linear curve.
-    pub rescan_entries_per_delta: u64,
-    /// Wall-clock quantiles of the incremental apply per operation
-    /// (outside the determinism guarantee; scrubbed before replay
-    /// comparison).
-    pub incremental_micros: PhaseQuantiles,
-    /// Wall-clock quantiles of the oracle re-scan per operation (same
-    /// caveat).
-    pub rescan_micros: PhaseQuantiles,
-    /// Hex FNV-1a digest over every deterministic field above plus the
-    /// final result sets — equal across reruns of the same cell.
-    pub fingerprint: String,
-}
-
-impl QueryScaleResult {
-    /// The cell as one JSON object.
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"population\":{},\"seed\":{},\"subscriptions\":{},",
-                "\"ops\":{},\"deltas_emitted\":{},",
-                "\"incremental_evals\":{},\"incremental_evals_per_delta\":{},",
-                "\"rescan_entries\":{},\"rescan_entries_per_delta\":{},",
-                "\"incremental_micros\":{},\"rescan_micros\":{},",
-                "\"fingerprint\":\"{}\"}}"
-            ),
-            self.population,
-            self.seed,
-            self.subscriptions,
-            self.ops,
-            self.deltas_emitted,
-            self.incremental_evals,
-            self.incremental_evals_per_delta,
-            self.rescan_entries,
-            self.rescan_entries_per_delta,
-            self.incremental_micros.to_json(),
-            self.rescan_micros.to_json(),
-            self.fingerprint
-        )
+cell! {
+    /// One measured cell of the query-scaling sweep.
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct QueryScaleResult {
+        /// Person entries in the DIT.
+        pub population: usize,
+        /// Seed the mutation stream derived from.
+        pub seed: u64,
+        /// Standing queries registered.
+        pub subscriptions: usize,
+        /// Mutations replayed.
+        pub ops: u64,
+        /// Deltas the registry emitted over the stream.
+        pub deltas_emitted: u64,
+        /// Entries evaluated incrementally across the whole stream.
+        pub incremental_evals: u64,
+        /// [`Self::incremental_evals`] / [`Self::ops`] — the flat curve.
+        pub incremental_evals_per_delta: u64,
+        /// Entries a re-scan pass walked across the whole stream.
+        pub rescan_entries: u64,
+        /// [`Self::rescan_entries`] / [`Self::ops`] — the linear curve.
+        pub rescan_entries_per_delta: u64,
+        /// Wall-clock quantiles of the incremental apply per operation
+        /// (outside the determinism guarantee; scrubbed before replay
+        /// comparison).
+        pub incremental_micros: PhaseQuantiles,
+        /// Wall-clock quantiles of the oracle re-scan per operation (same
+        /// caveat).
+        pub rescan_micros: PhaseQuantiles,
+        /// Hex FNV-1a digest over every deterministic field above plus the
+        /// final result sets — equal across reruns of the same cell.
+        pub fingerprint: String,
     }
 }
+
+/// The `BENCH_query_scale.json` document over `seeds`' cells.
+pub fn report(smoke: bool, seeds: &[u64], cells: &[QueryScaleResult]) -> Report {
+    let sections = [
+        ("seeds", Value::list(seeds)),
+        ("populations", Value::list(POPULATIONS)),
+        ("ops_per_cell", Value::U64(OPS)),
+        ("cells", Value::list(cells)),
+    ];
+    Report::new("query_scale", smoke, sections)
+}
+
+/// The report over one default cell per section: every query_scale
+/// report must have exactly its key tree.
+pub fn template() -> Report {
+    report(false, &[0], &[QueryScaleResult::default()])
+}
+
+/// `(min, max)` of the integer `key` over `cells`, the minimum floored
+/// at 1.
+fn spread<'a>(cells: impl Iterator<Item = &'a Value>, key: &str) -> Result<(u64, u64), String> {
+    let values: Vec<u64> = cells.map(|c| c.u64_at(key)).collect::<Result<_, _>>()?;
+    let min = values.iter().copied().min().unwrap_or(0);
+    Ok((min.max(1), values.iter().copied().max().unwrap_or(0)))
+}
+
+/// The query_scale headline claims.
+pub const CLAIMS: &[Claim] = &[
+    Claim {
+        name: "incremental evals per delta stay within 2x across the whole file",
+        check: |doc| {
+            let (min, max) = spread(doc.list_at("cells")?.iter(), "incremental_evals_per_delta")?;
+            let flat = max <= 2 * min;
+            flat.then_some(())
+                .ok_or(format!("{min}..{max} evals per delta"))
+        },
+    },
+    Claim {
+        name: "re-scan entries per delta grow at least 50x within each seed",
+        check: |doc| {
+            for seed in doc.list_at("seeds")? {
+                let sweep = doc
+                    .list_at("cells")?
+                    .iter()
+                    .filter(|c| c.at("seed") == Ok(seed));
+                let (min, max) = spread(sweep, "rescan_entries_per_delta")?;
+                if max < 50 * min {
+                    return Err(format!(
+                        "seed {}: {min}..{max} entries per delta",
+                        seed.to_json()
+                    ));
+                }
+            }
+            Ok(())
+        },
+    },
+];
 
 /// Runs one `(population, seed)` cell: prime the panel, replay the
 /// mutation stream, measure both cost curves, then cross-check every
@@ -300,12 +305,8 @@ pub fn run(population: usize, seed: u64) -> Result<QueryScaleResult, Box<dyn std
         incremental_evals_per_delta: incremental_evals.div_ceil(OPS),
         rescan_entries,
         rescan_entries_per_delta: rescan_entries / OPS,
-        incremental_micros: PhaseQuantiles::from_summary(
-            telemetry.histogram(Layer::Query, "query.phase.incremental"),
-        ),
-        rescan_micros: PhaseQuantiles::from_summary(
-            telemetry.histogram(Layer::Query, "query.phase.rescan"),
-        ),
+        incremental_micros: PhaseQuantiles::of(&telemetry, Layer::Query, "query.phase.incremental"),
+        rescan_micros: PhaseQuantiles::of(&telemetry, Layer::Query, "query.phase.rescan"),
         fingerprint: String::new(),
     };
     r.fingerprint = format!(
@@ -335,6 +336,7 @@ pub fn scrub(mut r: QueryScaleResult) -> QueryScaleResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::ToValue;
 
     #[test]
     fn smallest_cell_is_incremental_and_replays() {
@@ -371,14 +373,15 @@ mod tests {
     }
 
     #[test]
-    fn json_cell_is_wellformed() {
+    fn fresh_report_round_trips_and_fails_only_the_sweep_claim() {
         let r = run(200, 1).expect("cell");
-        let json = r.to_json();
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(json.contains("\"population\":200"));
-        assert!(json.contains("\"incremental_evals_per_delta\":"));
-        assert!(json.contains("\"rescan_entries_per_delta\":"));
-        assert!(json.contains("\"incremental_micros\":{\"p50\":"));
-        assert!(json.contains("\"fingerprint\":\""));
+        let report = report(true, &[1], std::slice::from_ref(&r));
+        let doc = crate::report::parse(&report.to_json()).expect("parse");
+        assert_eq!(doc, report.value());
+        assert_eq!(doc.list_at("cells").expect("cells"), [r.to_value()]);
+        // Key tree, flatness and seeds hold; one population cannot show
+        // the re-scan growth the whole sweep claims.
+        let err = crate::report::check(&doc).expect_err("one population is no sweep");
+        assert!(err.contains("re-scan entries per delta grow"), "{err}");
     }
 }

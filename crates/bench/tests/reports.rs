@@ -1,0 +1,273 @@
+//! The committed `BENCH_*.json` reports against their declared schema
+//! and claims, and the report codec itself.
+//!
+//! Each claim test changes one field of a committed report and asserts
+//! that the check names the claim (or key path) that breaks.
+
+use cscw_bench::report::{check, parse, ToValue, Value};
+use cscw_bench::Report;
+
+const FED_SCALE: &str = include_str!("../../../BENCH_fed_scale.json");
+const NET_CONGESTION: &str = include_str!("../../../BENCH_net_congestion.json");
+const QUERY_SCALE: &str = include_str!("../../../BENCH_query_scale.json");
+
+fn fields(value: &mut Value) -> &mut Vec<(String, Value)> {
+    match value {
+        Value::Object(fields) => fields,
+        other => panic!("not an object: {other:?}"),
+    }
+}
+
+/// The value under `path` (keys, or list indices as decimal strings).
+fn at<'a>(mut value: &'a mut Value, path: &[&str]) -> &'a mut Value {
+    for step in path {
+        value = match value {
+            Value::List(items) => &mut items[step.parse::<usize>().expect("index")],
+            Value::Object(fields) => fields
+                .iter_mut()
+                .find(|(k, _)| k == step)
+                .map(|(_, v)| v)
+                .unwrap_or_else(|| panic!("no key {step}")),
+            other => panic!("cannot step into {other:?}"),
+        };
+    }
+    value
+}
+
+/// The check's verdict on `report` after `edit`.
+fn verdict(report: &str, edit: impl FnOnce(&mut Value)) -> Result<(), String> {
+    let mut doc = parse(report).expect("committed report parses");
+    edit(&mut doc);
+    check(&doc)
+}
+
+/// `report` with the value under `path` replaced fails naming `needle`.
+fn set_fails(report: &str, path: &[&str], new: Value, needle: &str) {
+    let err = verdict(report, |doc| *at(doc, path) = new).expect_err("edit must fail the check");
+    assert!(err.contains(needle), "{needle:?} not named in: {err}");
+}
+
+#[test]
+fn committed_reports_hold_their_schema_and_claims() {
+    for report in [FED_SCALE, NET_CONGESTION, QUERY_SCALE] {
+        let doc = parse(report).expect("parse");
+        check(&doc).expect("schema and claims");
+    }
+}
+
+#[test]
+fn key_tree_must_match_the_result_type_exactly() {
+    let err = verdict(FED_SCALE, |doc| {
+        fields(at(doc, &["cells", "3"])).retain(|(k, _)| k != "pump_micros");
+    });
+    assert_eq!(
+        err,
+        Err("fed_scale.cells[3]: `fingerprint` where `pump_micros` belongs".to_owned())
+    );
+    let err = verdict(NET_CONGESTION, |doc| {
+        fields(at(doc, &["flash_crowd", "1", "overall_micros"])).retain(|(k, _)| k != "p99");
+    });
+    assert_eq!(
+        err,
+        Err("net_congestion.flash_crowd[1].overall_micros: `max` where `p99` belongs".to_owned())
+    );
+    let err = verdict(QUERY_SCALE, |doc| {
+        fields(at(doc, &["cells", "0"])).push(("extra".to_owned(), Value::U64(1)));
+    });
+    assert_eq!(
+        err,
+        Err("query_scale.cells[0]: `extra` where no key belongs".to_owned())
+    );
+    let err = verdict(QUERY_SCALE, |doc| {
+        fields(at(doc, &["cells", "2"])).swap(0, 1)
+    });
+    assert_eq!(
+        err,
+        Err("query_scale.cells[2]: `seed` where `population` belongs".to_owned())
+    );
+    set_fails(
+        FED_SCALE,
+        &["cells", "0", "converged"],
+        Value::U64(1),
+        "fed_scale.cells[0].converged: an integer where a boolean belongs",
+    );
+    set_fails(
+        NET_CONGESTION,
+        &["wan_bridge"],
+        Value::List(Vec::new()),
+        "net_congestion.wan_bridge: empty list",
+    );
+    set_fails(
+        FED_SCALE,
+        &["experiment"],
+        "fed_scale_v2".to_value(),
+        "unknown experiment `fed_scale_v2`",
+    );
+}
+
+#[test]
+fn every_cell_seed_must_be_listed() {
+    set_fails(
+        QUERY_SCALE,
+        &["cells", "4", "seed"],
+        Value::U64(9),
+        "claim `every cell's seed is listed in `seeds`` fails: cells[4] (seed 9)",
+    );
+    set_fails(
+        NET_CONGESTION,
+        &["seeds"],
+        Value::list([1u64, 2]),
+        "every cell's seed is listed",
+    );
+}
+
+#[test]
+fn fed_scale_claims_are_checked() {
+    set_fails(
+        FED_SCALE,
+        &["cells", "5", "converged"],
+        Value::Bool(false),
+        "claim `every cell converged` fails: cells[5] (seed 3)",
+    );
+    // ring-8 seed 2 must share ring-8 seed 1's fingerprint.
+    set_fails(
+        FED_SCALE,
+        &["cells", "1", "fingerprint"],
+        "0000000000000000".to_value(),
+        "claim `one fingerprint per (shape, sites) across seeds` fails: cells[1] (seed 2)",
+    );
+}
+
+#[test]
+fn net_congestion_claims_are_checked() {
+    let flash_p50 = parse(NET_CONGESTION)
+        .map(|mut doc| at(&mut doc, &["flash_crowd", "0", "overall_micros", "p50"]).clone())
+        .expect("parse");
+    set_fails(
+        NET_CONGESTION,
+        &["flash_crowd", "0", "overall_micros", "p99"],
+        flash_p50,
+        "claim `flash crowd p99 is at least 10x its p50` fails: flash_crowd[0] (seed 1)",
+    );
+    set_fails(
+        NET_CONGESTION,
+        &["flash_crowd", "1", "shed"],
+        Value::U64(0),
+        "claim `flash crowd sheds` fails: flash_crowd[1] (seed 2)",
+    );
+    set_fails(
+        NET_CONGESTION,
+        &["flash_crowd", "2", "breaker_opened"],
+        Value::Bool(false),
+        "claim `congestion alone opens the breaker` fails: flash_crowd[2] (seed 3)",
+    );
+    set_fails(
+        NET_CONGESTION,
+        &["flash_crowd", "0", "injected_faults"],
+        Value::U64(1),
+        "claim `congestion alone opens the breaker` fails",
+    );
+    set_fails(
+        NET_CONGESTION,
+        &["gossip_storm", "1", "priority", "interactive_micros", "p99"],
+        Value::U64(969_713),
+        "claim `priority shields interactive p99 at least 4x` fails: gossip_storm[1] (seed 2)",
+    );
+    set_fails(
+        NET_CONGESTION,
+        &["wan_bridge", "0", "cross_shed"],
+        Value::U64(0),
+        "claim `WAN bridge sheds cross-island traffic` fails: wan_bridge[0] (seed 1)",
+    );
+    set_fails(
+        NET_CONGESTION,
+        &["wan_bridge", "2", "cross_micros", "p50"],
+        Value::U64(5_000),
+        "claim `WAN bridge cross p50 is over 5x intra p50` fails: wan_bridge[2] (seed 3)",
+    );
+}
+
+#[test]
+fn query_scale_claims_are_checked() {
+    set_fails(
+        QUERY_SCALE,
+        &["cells", "4", "incremental_evals_per_delta"],
+        Value::U64(7),
+        "claim `incremental evals per delta stay within 2x across the whole file` fails: 3..7",
+    );
+    // Seeds 1 and 3 still span 219..20019 across the file; the claim
+    // holds per seed, so seed 2's flat re-scan is caught.
+    set_fails(
+        QUERY_SCALE,
+        &["cells", "5", "rescan_entries_per_delta"],
+        Value::U64(219),
+        "claim `re-scan entries per delta grow at least 50x within each seed` fails: seed 2",
+    );
+}
+
+#[test]
+fn codec_round_trips_nested_values_and_escaped_strings() {
+    let value = Value::object([
+        ("plain", "star".to_value()),
+        (
+            "escaped",
+            "quote \" backslash \\ newline \n tab \t cr \r bell \u{7}".to_value(),
+        ),
+        ("unicode", "é → 😀".to_value()),
+        ("empty", "".to_value()),
+        ("flags", Value::list([true, false])),
+        ("max", Value::U64(u64::MAX)),
+        ("zero", Value::U64(0)),
+        ("nothing", Value::List(Vec::new())),
+        ("no fields", Value::Object(Vec::new())),
+        (
+            "nested",
+            Value::List(vec![Value::object([(
+                "deeper",
+                Value::object([("list", Value::list([1u64, 2, 3]))]),
+            )])]),
+        ),
+    ]);
+    assert_eq!(parse(&value.to_json()), Ok(value.clone()));
+    let sections = [
+        ("seeds", Value::list([1u64, 2])),
+        ("cells", Value::List(vec![value.clone(), value])),
+    ];
+    let report = Report::new("probe", true, sections);
+    assert_eq!(parse(&report.to_json()), Ok(report.value()));
+    assert!(report.to_json().contains("\n  \"seeds\": [1, 2],\n"));
+}
+
+#[test]
+fn malformed_input_is_a_positioned_error() {
+    assert_eq!(
+        parse("{\n  \"a\": tru\n}"),
+        Err("line 2, column 8: expected a value".to_owned())
+    );
+    let deep = "[".repeat(1_000);
+    for bad in [
+        "",
+        "{",
+        "{\"a\":1,}",
+        "{\"a\" 1}",
+        "{1:2}",
+        "[1 2]",
+        "[01]",
+        "-1",
+        "1.5",
+        "18446744073709551616",
+        "\"unterminated",
+        "\"raw \u{1} control\"",
+        "\"\\q\"",
+        "\"\\u00e9\"",
+        "\"\\u001F\"",
+        "\"\\u+01f\"",
+        "\"\\u12\"",
+        "null",
+        "{} {}",
+        deep.as_str(),
+    ] {
+        let err = parse(bad).expect_err(bad);
+        assert!(err.starts_with("line "), "{bad:?}: {err}");
+    }
+}

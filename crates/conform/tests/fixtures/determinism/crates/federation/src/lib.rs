@@ -3,10 +3,12 @@
 //! `fingerprint` delegates to a helper in another file that iterates a
 //! `HashMap` — only the cross-file call graph can see that the order
 //! escapes into the digest. `rearm` feeds `EventQueue` ordering as a
-//! transitive *caller* of `schedule`. `debug_dump` iterates the same
-//! map but is connected to no sink, so it must stay clean.
+//! transitive *caller* of `schedule`. `report.rs`'s `to_json` walks a
+//! map straight into committed-bench output. `debug_dump` iterates the
+//! same map but is connected to no sink, so it must stay clean.
 
 mod canon;
+mod report;
 
 use std::collections::HashMap;
 use std::time::Instant;

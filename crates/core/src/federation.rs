@@ -35,7 +35,9 @@
 
 use std::collections::BTreeMap;
 
-use cscw_federation::{FederatedTrader, FederationFabric, FederationRuntime, Pulse, RuntimeConfig};
+use cscw_federation::{
+    FederatedTrader, FederationFabric, FederationRuntime, Pulse, DEFAULT_GOSSIP_PERIOD_MICROS,
+};
 use cscw_kernel::{Layer, Timestamp};
 use cscw_messaging::gossip::GossipFrame;
 use cscw_messaging::OrAddress;
@@ -383,10 +385,10 @@ impl FederatedEnvironments {
     /// implicitly; call it yourself first when you need to
     /// [`schedule_link_change`](Self::schedule_link_change) before
     /// running.
-    pub fn start_runtime(&mut self, config: RuntimeConfig) -> &mut FederationRuntime {
+    pub fn start_runtime(&mut self, seed: u64) -> &mut FederationRuntime {
         let fabric = self.fabric.clone();
         self.runtime
-            .get_or_insert_with(|| FederationRuntime::new(fabric, config))
+            .get_or_insert_with(|| FederationRuntime::new(fabric, seed))
     }
 
     /// The event-driven runtime, once started.
@@ -425,7 +427,7 @@ impl FederatedEnvironments {
     /// errors as in [`pump`](Self::pump). Transport refusals degrade
     /// the link for that pulse instead of erroring.
     pub fn run_for(&mut self, duration_micros: u64, seed: u64) -> Result<RunReport, MoccaError> {
-        self.start_runtime(RuntimeConfig::seeded(seed));
+        self.start_runtime(seed);
         let mut report = RunReport {
             micros: duration_micros,
             ..RunReport::default()
@@ -469,8 +471,8 @@ impl FederatedEnvironments {
         seed: u64,
         max_micros: u64,
     ) -> Result<ConvergenceReport, MoccaError> {
-        let config = self.start_runtime(RuntimeConfig::seeded(seed)).config();
-        let slice = config.gossip_period_micros.max(1);
+        self.start_runtime(seed);
+        let slice = DEFAULT_GOSSIP_PERIOD_MICROS;
         let mut report = ConvergenceReport::default();
         loop {
             if self.converged() && self.fabric.pending_inbound() == 0 {
@@ -856,7 +858,7 @@ mod tests {
     #[test]
     fn scheduled_heal_lets_a_partitioned_federation_converge() {
         let mut fed = three_site_fed();
-        fed.start_runtime(cscw_federation::RuntimeConfig::seeded(1));
+        fed.start_runtime(1);
         // Partition env-b <-> env-c immediately; heal at t = 2s.
         fed.set_link_state("env-b", "env-c", LinkState::Down);
         fed.set_link_state("env-c", "env-b", LinkState::Down);

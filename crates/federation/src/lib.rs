@@ -47,5 +47,5 @@ pub use clock::{ClockOrder, VectorClock};
 pub use error::FederationError;
 pub use fabric::{DomainPort, FederationFabric, FederationPort, RemoteDelivery};
 pub use replica::{IngestReport, ReplEntry, ReplicatedStore};
-pub use runtime::{FedEvent, FederationRuntime, Pulse, RuntimeConfig};
+pub use runtime::{FedEvent, FederationRuntime, Pulse, DEFAULT_GOSSIP_PERIOD_MICROS};
 pub use trader::{FederatedTrader, Resolution, ResolutionSource, DEFAULT_HOP_LIMIT};

@@ -31,55 +31,12 @@ use odp::LinkState;
 
 use crate::fabric::FederationFabric;
 
-/// Default anti-entropy gossip period (250 simulated ms).
+/// Per-site anti-entropy gossip period (250 simulated ms).
 pub const DEFAULT_GOSSIP_PERIOD_MICROS: u64 = 250_000;
-/// Default delivery-pump period (50 simulated ms).
+/// Per-site delivery-pump period (50 simulated ms).
 pub const DEFAULT_PUMP_PERIOD_MICROS: u64 = 50_000;
-/// Default offer-TTL sweep period (1 simulated second).
+/// Fabric-wide offer-TTL sweep period (1 simulated second).
 pub const DEFAULT_TTL_SWEEP_PERIOD_MICROS: u64 = 1_000_000;
-
-/// Periods and seed for a [`FederationRuntime`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RuntimeConfig {
-    /// Seed all jittered phases derive from.
-    pub seed: u64,
-    /// Per-site anti-entropy gossip period, in microseconds.
-    pub gossip_period_micros: u64,
-    /// Per-site delivery-pump period, in microseconds.
-    pub pump_period_micros: u64,
-    /// Fabric-wide offer-TTL sweep period, in microseconds.
-    pub ttl_sweep_period_micros: u64,
-}
-
-impl RuntimeConfig {
-    /// Default periods under `seed`.
-    pub fn seeded(seed: u64) -> Self {
-        RuntimeConfig {
-            seed,
-            gossip_period_micros: DEFAULT_GOSSIP_PERIOD_MICROS,
-            pump_period_micros: DEFAULT_PUMP_PERIOD_MICROS,
-            ttl_sweep_period_micros: DEFAULT_TTL_SWEEP_PERIOD_MICROS,
-        }
-    }
-
-    /// Overrides the gossip period.
-    pub fn with_gossip_period_micros(mut self, micros: u64) -> Self {
-        self.gossip_period_micros = micros;
-        self
-    }
-
-    /// Overrides the pump period.
-    pub fn with_pump_period_micros(mut self, micros: u64) -> Self {
-        self.pump_period_micros = micros;
-        self
-    }
-
-    /// Overrides the TTL sweep period.
-    pub fn with_ttl_sweep_period_micros(mut self, micros: u64) -> Self {
-        self.ttl_sweep_period_micros = micros;
-        self
-    }
-}
 
 /// A scheduled federation event. `GossipPulse` / `PumpInbound` need
 /// environment machinery and surface as [`Pulse`]s; `TtlSweep` /
@@ -133,7 +90,7 @@ pub enum Pulse {
 pub struct FederationRuntime {
     fabric: FederationFabric,
     queue: EventQueue<FedEvent>,
-    config: RuntimeConfig,
+    seed: u64,
     gossip: BTreeMap<String, Periodic>,
     pump: BTreeMap<String, Periodic>,
     gossip_deferrals: BTreeMap<String, u32>,
@@ -144,14 +101,15 @@ pub struct FederationRuntime {
 
 impl FederationRuntime {
     /// A runtime over `fabric`'s current domains (installed in sorted
-    /// domain order, so phase assignment is deterministic).
-    pub fn new(fabric: FederationFabric, config: RuntimeConfig) -> Self {
+    /// domain order, so phase assignment is deterministic), every
+    /// jittered phase derived from `seed`.
+    pub fn new(fabric: FederationFabric, seed: u64) -> Self {
         let telemetry = fabric.telemetry();
-        let ttl_sweep = Periodic::every(config.ttl_sweep_period_micros);
+        let ttl_sweep = Periodic::every(DEFAULT_TTL_SWEEP_PERIOD_MICROS);
         let mut rt = FederationRuntime {
             fabric: fabric.clone(),
             queue: EventQueue::new(),
-            config,
+            seed,
             gossip: BTreeMap::new(),
             pump: BTreeMap::new(),
             gossip_deferrals: BTreeMap::new(),
@@ -178,12 +136,12 @@ impl FederationRuntime {
         }
         let index = self.installed;
         self.installed += 1;
-        let gossip = Periodic::jittered(self.config.gossip_period_micros, self.config.seed, index);
+        let gossip = Periodic::jittered(DEFAULT_GOSSIP_PERIOD_MICROS, self.seed, index);
         // Decorrelate the pump phase from the gossip phase so the two
         // timers do not ride the same grid.
         let pump = Periodic::jittered(
-            self.config.pump_period_micros,
-            self.config.seed ^ 0x5055_4D50, // "PUMP"
+            DEFAULT_PUMP_PERIOD_MICROS,
+            self.seed ^ 0x5055_4D50, // "PUMP"
             index,
         );
         let now = self.queue.now();
@@ -227,11 +185,6 @@ impl FederationRuntime {
     /// The fabric this runtime drives.
     pub fn fabric(&self) -> &FederationFabric {
         &self.fabric
-    }
-
-    /// The runtime's config.
-    pub fn config(&self) -> RuntimeConfig {
-        self.config
     }
 
     /// Backpressure hook: swallow `site`'s next `pulses` gossip pulses
@@ -327,7 +280,7 @@ mod tests {
     }
 
     fn pulse_trace(seed: u64, until_micros: u64) -> Vec<(u64, Pulse)> {
-        let mut rt = FederationRuntime::new(three_site_fabric(), RuntimeConfig::seeded(seed));
+        let mut rt = FederationRuntime::new(three_site_fabric(), seed);
         let deadline = Timestamp::from_micros(until_micros);
         let mut trace = Vec::new();
         while let Some((at, pulse)) = rt.poll(deadline) {
@@ -380,7 +333,7 @@ mod tests {
             .expect("federated resolve");
         assert_eq!(fabric.offer_cache_len(), 1);
 
-        let mut rt = FederationRuntime::new(fabric.clone(), RuntimeConfig::seeded(1));
+        let mut rt = FederationRuntime::new(fabric.clone(), 1);
         // Drain pulses past the 5s default TTL; no resolve_app call
         // happens anywhere in this window.
         while rt.poll(Timestamp::from_micros(6_000_000)).is_some() {}
@@ -400,7 +353,7 @@ mod tests {
     #[test]
     fn scheduled_link_changes_apply_at_their_time() {
         let fabric = three_site_fabric();
-        let mut rt = FederationRuntime::new(fabric.clone(), RuntimeConfig::seeded(1));
+        let mut rt = FederationRuntime::new(fabric.clone(), 1);
         rt.schedule_link_change(
             Timestamp::from_micros(100_000),
             "site-a",
@@ -432,7 +385,7 @@ mod tests {
     #[test]
     fn deferred_gossip_pulses_are_swallowed_then_resume() {
         let fabric = three_site_fabric();
-        let mut rt = FederationRuntime::new(fabric.clone(), RuntimeConfig::seeded(5));
+        let mut rt = FederationRuntime::new(fabric.clone(), 5);
         rt.defer_gossip("site-a", 2);
         let deadline = Timestamp::from_micros(2_000_000);
         let mut site_a_gossips = Vec::new();
@@ -467,7 +420,7 @@ mod tests {
         a.publish_entry("org:cn=Tom", "person Tom");
         c.publish_entry("org:cn=Wolfgang", "person Wolfgang");
 
-        let mut rt = FederationRuntime::new(fabric.clone(), RuntimeConfig::seeded(3));
+        let mut rt = FederationRuntime::new(fabric.clone(), 3);
         let deadline = Timestamp::from_micros(3_000_000);
         while let Some((_, pulse)) = rt.poll(deadline) {
             if let Pulse::Gossip { site } = pulse {

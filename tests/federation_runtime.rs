@@ -9,7 +9,7 @@
 //! on the next query.
 
 use cscw_bench::fed_scale::{self, Shape, ISLANDS_HEAL_AT_MICROS};
-use open_cscw::federation::RuntimeConfig;
+use open_cscw::federation::DEFAULT_GOSSIP_PERIOD_MICROS;
 use open_cscw::groupware::{descriptor_for, mapping_for};
 use open_cscw::kernel::{Layer, Timestamp};
 use open_cscw::mocca::env::CscwEnvironment;
@@ -113,11 +113,10 @@ fn runtime_reports_scheduled_activity() {
         fed.federate(d, CscwEnvironment::new());
     }
     fed.link_bidi("env-a", "env-b");
-    let config = RuntimeConfig::seeded(9);
-    fed.start_runtime(config);
+    fed.start_runtime(9);
     let report = fed.run_for(1_000_000, 9).expect("run");
     // Two sites × (1s / period) pulses each, phases jittered.
-    let expected = 2 * (1_000_000 / config.gossip_period_micros) as usize;
+    let expected = 2 * (1_000_000 / DEFAULT_GOSSIP_PERIOD_MICROS) as usize;
     assert!(
         report.gossip_pulses >= expected.saturating_sub(2) && report.gossip_pulses <= expected + 2,
         "pulse count should track the period grid: {report:?}"
