@@ -2,9 +2,8 @@
 //!
 //! Sweeps N ∈ {8, 32, 64, 128} sites over four link-graph families
 //! (ring, star, seeded-random, partitioned-islands-that-heal), seeds
-//! 1–3, converging each cell with `run_until_converged` — no
-//! hand-cranked `gossip_round`/`pump` anywhere. Also measures the
-//! local-vs-remote exchange latency toll from experiment F3-fed. The
+//! 1–3, converging each cell with `run_until_converged`. Also measures
+//! the local-vs-remote exchange latency toll from experiment F3-fed. The
 //! report's claims are checked before it is written: every cell
 //! converged, with one fingerprint per shape and size across seeds.
 //!
@@ -19,6 +18,7 @@ use cscw_bench::fed_scale::{self, SHAPES, SITE_COUNTS};
 use cscw_bench::population_env;
 use cscw_bench::report::ToValue;
 use cscw_directory::Dn;
+use cscw_federation::DEFAULT_GOSSIP_PERIOD_MICROS;
 use cscw_kernel::{LogHistogram, Timestamp};
 use groupware::sample_artifact;
 use mocca::env::AppId;
@@ -28,7 +28,8 @@ const SEEDS: [u64; 3] = [1, 2, 3];
 const LATENCY_ITERS: u64 = 200;
 
 /// Per-iteration wall-clock latency distributions for a local exchange
-/// and a remote (resolve + route + pump) exchange.
+/// and a remote one: resolve and route, then one gossip period of the
+/// event-driven runtime, whose pump pulse delivers it.
 fn exchange_latency() -> (LogHistogram, LogHistogram) {
     let tom: Dn = "cn=Tom".parse().expect("fixture dn");
     let artifact = sample_artifact("sharedx").expect("fixture artifact");
@@ -57,7 +58,8 @@ fn exchange_latency() -> (LogHistogram, LogHistogram) {
             .expect("env-a")
             .exchange(&tom, &artifact, &AppId::new("com"), Timestamp::ZERO)
             .expect("remote exchange");
-        fed.pump().expect("pump");
+        fed.run_for(DEFAULT_GOSSIP_PERIOD_MICROS, 1)
+            .expect("scheduled delivery");
         remote_hist.record(start.elapsed().as_micros() as u64);
     }
     (local_hist, remote_hist)

@@ -1,10 +1,10 @@
 //! Offline check of a committed bench report — CI runs this after each
-//! `--smoke` sweep, and the same check runs when a bench writes its
-//! report. The file is parsed with `cscw_bench::report::parse`, its
+//! bench regenerates its report, and the same check runs when a bench
+//! writes it. The file is parsed with `cscw_bench::report::parse`, its
 //! `"experiment"` key picks the contract (`fed_scale`,
-//! `net_congestion` or `query_scale`), every section must have exactly
-//! the key tree its result type's `to_value` writes, and then every
-//! declared claim must hold (`cscw_bench::report::check`).
+//! `net_congestion`, `query_scale` or `paper`), every section must have
+//! exactly the key tree its result type's `to_value` writes, and then
+//! every declared claim must hold (`cscw_bench::report::check`).
 //!
 //! Usage: `validate_metrics_json [path]` (default
 //! `BENCH_fed_scale.json` in the current directory). Exits non-zero

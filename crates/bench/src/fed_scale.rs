@@ -3,8 +3,8 @@
 //! Builders and the measured experiment behind `BENCH_fed_scale.json`:
 //! N ∈ {8, 32, 64, 128} sites on four link-graph families (ring, star,
 //! seeded-random, partitioned-islands-that-heal), each converged with
-//! [`FederatedEnvironments::run_until_converged`] — no hand-cranked
-//! `pump` / `gossip_round` anywhere. Everything is deterministic per
+//! [`FederatedEnvironments::run_until_converged`], the event-driven
+//! federation driver. Everything is deterministic per
 //! `(shape, n, seed)`: the random graph's edges, every site's jittered
 //! gossip phase, the islands' scheduled heal, and therefore the
 //! convergence instant and the bytes shipped.

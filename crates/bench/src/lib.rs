@@ -1,9 +1,11 @@
-//! Shared world-builders for the experiment benches.
+//! The experiment harness: shared world-builders, the experiment
+//! modules and the one report writer behind every committed
+//! `BENCH_*.json`.
 //!
-//! Each function assembles a deterministic simulated world used by one
-//! or more bench targets; the benches measure wall time with Criterion
-//! and print *simulated-time / count* shapes (the paper-facing result)
-//! to stdout.
+//! [`paper`] holds the paper's figure and requirement experiments;
+//! [`fed_scale`], [`net_congestion`] and [`query_scale`] the scale and
+//! congestion sweeps. Each records its results as `cell!` types and
+//! declares the claims its report must hold ([`report`]).
 //!
 //! The builders are fallible: addresses and names are parsed and tree
 //! insertions validated, so a typo in a fixture surfaces as a
@@ -14,6 +16,7 @@
 
 pub mod fed_scale;
 pub mod net_congestion;
+pub mod paper;
 pub mod query_scale;
 pub mod report;
 

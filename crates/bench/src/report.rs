@@ -259,12 +259,13 @@ pub(crate) fn every_cell<'a>(
 /// and experiment claim must hold. `Err` names the first key path or claim
 /// that fails.
 pub fn check(doc: &Value) -> Result<(), String> {
-    use crate::{fed_scale, net_congestion, query_scale};
+    use crate::{fed_scale, net_congestion, paper, query_scale};
     let name = doc.str_at("experiment")?;
     let (template, claims) = match name {
         "fed_scale" => (fed_scale::template(), fed_scale::CLAIMS),
         "net_congestion" => (net_congestion::template(), net_congestion::CLAIMS),
         "query_scale" => (query_scale::template(), query_scale::CLAIMS),
+        "paper" => (paper::template(), paper::CLAIMS),
         _ => return Err(format!("unknown experiment `{name}`")),
     };
     same_keys(&template.value(), doc, name)?;

@@ -5,11 +5,12 @@
 //! that the check names the claim (or key path) that breaks.
 
 use cscw_bench::report::{check, parse, ToValue, Value};
-use cscw_bench::Report;
+use cscw_bench::{paper, Report};
 
 const FED_SCALE: &str = include_str!("../../../BENCH_fed_scale.json");
 const NET_CONGESTION: &str = include_str!("../../../BENCH_net_congestion.json");
 const QUERY_SCALE: &str = include_str!("../../../BENCH_query_scale.json");
+const PAPER: &str = include_str!("../../../BENCH_paper.json");
 
 fn fields(value: &mut Value) -> &mut Vec<(String, Value)> {
     match value {
@@ -49,7 +50,7 @@ fn set_fails(report: &str, path: &[&str], new: Value, needle: &str) {
 
 #[test]
 fn committed_reports_hold_their_schema_and_claims() {
-    for report in [FED_SCALE, NET_CONGESTION, QUERY_SCALE] {
+    for report in [FED_SCALE, NET_CONGESTION, QUERY_SCALE, PAPER] {
         let doc = parse(report).expect("parse");
         check(&doc).expect("schema and claims");
     }
@@ -202,6 +203,153 @@ fn query_scale_claims_are_checked() {
         &["cells", "5", "rescan_entries_per_delta"],
         Value::U64(219),
         "claim `re-scan entries per delta grow at least 50x within each seed` fails: seed 2",
+    );
+}
+
+#[test]
+fn paper_report_regenerates_byte_for_byte() {
+    let cells = paper::run().expect("paper experiments");
+    assert_eq!(paper::report(&cells).to_json(), PAPER);
+}
+
+#[test]
+fn paper_claims_are_checked() {
+    let fails = |path: &[&str], new: Value, claim: &str, cell: &str| {
+        set_fails(PAPER, path, new, &format!("claim `{claim}` fails: {cell}"));
+    };
+    // The meeting's zero and the draw's latency swap places.
+    fails(
+        &["f1_quadrants", "1", "latency_micros"],
+        Value::U64(0),
+        "F1: quadrant latencies are strictly ordered",
+        "f1_quadrants[1] (seed 1)",
+    );
+    fails(
+        &["f1_quadrants_covered"],
+        Value::U64(3),
+        "F1: one environment covers all four quadrants",
+        "f1_quadrants_covered is 3",
+    );
+    fails(
+        &["f23_interop", "2", "closed_adapters"],
+        Value::U64(55),
+        "F2/F3: closed adapters = N(N-1), hub mappings = N",
+        "f23_interop[2] (seed 1)",
+    );
+    fails(
+        &["f23_interop", "1", "hub_mappings"],
+        Value::U64(5),
+        "F2/F3: closed adapters = N(N-1), hub mappings = N",
+        "f23_interop[1] (seed 1)",
+    );
+    fails(
+        &["f23_interop", "3", "hub_ok"],
+        Value::U64(239),
+        "F2/F3: hub success is 100% and half-wired closed success is 50%",
+        "f23_interop[3] (seed 1)",
+    );
+    fails(
+        &["f23_interop", "4", "half_wired_ok"],
+        Value::U64(497),
+        "F2/F3: hub success is 100% and half-wired closed success is 50%",
+        "f23_interop[4] (seed 1)",
+    );
+    fails(
+        &["f23_interop", "0", "hub_conversions"],
+        Value::U64(2),
+        "F2/F3: the hub converts twice per exchange, a direct adapter once",
+        "f23_interop[0] (seed 1)",
+    );
+    fails(
+        &["f3_fed_rings", "2", "converged"],
+        Value::Bool(false),
+        "F3-fed: every ring cell converges",
+        "f3_fed_rings[2] (seed 1)",
+    );
+    fails(
+        &["f4_layers", "2", "marshalled_bytes"],
+        Value::U64(16),
+        "F4: per-operation work never shrinks going up the stack",
+        "f4_layers[2] (seed 1)",
+    );
+    fails(
+        &["r1_search", "1", "base"],
+        Value::U64(2),
+        "R1: base = 1 and one-level = n/orgs",
+        "r1_search[1] (seed 1)",
+    );
+    fails(
+        &["r1_search", "2", "one_level"],
+        Value::U64(5_011),
+        "R1: base = 1 and one-level = n/orgs",
+        "r1_search[2] (seed 1)",
+    );
+    // Non-urgent mail arrives before normal.
+    fails(
+        &["r2_delivery", "3", "latency_micros"],
+        Value::U64(250_000),
+        "R2: sync < urgent < normal < non-urgent",
+        "r2_delivery[3] (seed 3)",
+    );
+    fails(
+        &["r2_media", "2", "fax_cost"],
+        Value::U64(64_001),
+        "R2: conversion cost is linear in size and fax outweighs paper on the wire",
+        "r2_media[2] (seed 1)",
+    );
+    fails(
+        &["r3_activities", "1", "downstream_a0"],
+        Value::U64(26),
+        "R3: the schedule covers every activity and a slip stays within its chain",
+        "r3_activities[1] (seed 1)",
+    );
+    fails(
+        &["r4_rules", "2", "fired_on_match"],
+        Value::U64(2),
+        "R4: a match fires 1 action and a miss fires 0",
+        "r4_rules[2] (seed 1)",
+    );
+    fails(
+        &["r4_rules", "0", "fired_on_miss"],
+        Value::U64(1),
+        "R4: a match fires 1 action and a miss fires 0",
+        "r4_rules[0] (seed 1)",
+    );
+    fails(
+        &["r5_ladder", "5", "msgs_per_op"],
+        Value::U64(2),
+        "R5: msgs/op never falls as transparencies engage, and only `none` fails remotely",
+        "r5_ladder[5] (seed 5)",
+    );
+    fails(
+        &["r5_ladder", "0", "works_remotely"],
+        Value::Bool(true),
+        "R5: msgs/op never falls as transparencies engage, and only `none` fails remotely",
+        "r5_ladder[0] (seed 5)",
+    );
+    fails(
+        &["r5_isolation", "0", "disturbances"],
+        Value::U64(1),
+        "R5: isolation on disturbs no one; off, every event disturbs every non-member",
+        "r5_isolation[0] (seed 1)",
+    );
+    fails(
+        &["r5_isolation", "1", "disturbances"],
+        Value::U64(899),
+        "R5: isolation on disturbs no one; off, every event disturbs every non-member",
+        "r5_isolation[1] (seed 1)",
+    );
+    fails(
+        &["r6_policy", "1", "matches_with_policy"],
+        Value::U64(100),
+        "R6: the policy hides exactly the UPC half",
+        "r6_policy[1] (seed 1)",
+    );
+    fails(
+        &["r6_policy", "0", "anonymous_matches"],
+        Value::U64(1),
+        "R6: an anonymous importer sees 0 offers",
+        "r6_policy[0] (seed 1)",
     );
 }
 

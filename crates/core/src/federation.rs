@@ -13,12 +13,7 @@
 //! one site's anti-entropy exchange over its up out-links, a pump
 //! pulse drains that site's queued remote deliveries. Offer-TTL expiry
 //! and scheduled partitions/heals execute inside the runtime itself.
-//! No caller hand-cranks rounds; the earlier
-//! [`pump`](FederatedEnvironments::pump) /
-//! [`gossip_round`](FederatedEnvironments::gossip_round) /
-//! [`gossip_until_quiet`](FederatedEnvironments::gossip_until_quiet)
-//! coordinator surface survives as thin compatibility shims over the
-//! same per-link / per-domain internals.
+//! This is the only driver: no caller hand-cranks rounds.
 //!
 //! Gossip frames ride the *messaging layer*: each exchange ships the
 //! digest and delta as [`cscw_messaging::gossip::GossipFrame`]
@@ -55,20 +50,6 @@ fn domain_address(domain: &str) -> Option<OrAddress> {
 /// Consecutive transport refusals halve it (floor 1) until the link
 /// recovers, so a congested receiver gets smaller catch-up frames.
 const DELTA_CAP_BASE: usize = 64;
-
-/// What one [`gossip_round`](FederatedEnvironments::gossip_round) did.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GossipRound {
-    /// Links walked (up links only).
-    pub links_walked: usize,
-    /// Links skipped because the receiving environment's transport
-    /// refused the frames (platform fault); retried next round.
-    pub links_degraded: usize,
-    /// Replica updates applied across all receivers.
-    pub updates_applied: usize,
-    /// Encoded gossip-frame bytes shipped over transports.
-    pub bytes_on_wire: u64,
-}
 
 /// What an event-driven run ([`FederatedEnvironments::run_for`]) did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -423,8 +404,11 @@ impl FederatedEnvironments {
     ///
     /// # Errors
     ///
-    /// [`MoccaError::Federation`] on fabric-level failures; delivery
-    /// errors as in [`pump`](Self::pump). Transport refusals degrade
+    /// [`MoccaError::Federation`] on fabric-level failures; the first
+    /// delivery error ([`MoccaError::UnknownApplication`] for stale
+    /// advertisements, repository/transport errors), after which the
+    /// rest of that pump pulse's deliveries are not delivered.
+    /// Transport refusals degrade
     /// the link for that pulse instead of erroring.
     pub fn run_for(&mut self, duration_micros: u64, seed: u64) -> Result<RunReport, MoccaError> {
         self.start_runtime(seed);
@@ -489,82 +473,6 @@ impl FederatedEnvironments {
         }
     }
 
-    /// Delivers every queued remote exchange into its destination
-    /// environment. Returns how many artifacts were delivered.
-    ///
-    /// Compatibility shim over the event-driven runtime's pump path:
-    /// [`run_for`](Self::run_for) does this per-site on scheduled pump
-    /// pulses.
-    ///
-    /// # Errors
-    ///
-    /// The first delivery error ([`MoccaError::UnknownApplication`]
-    /// for stale advertisements, repository/transport errors);
-    /// deliveries queued after the failing one remain undelivered.
-    pub fn pump(&mut self) -> Result<usize, MoccaError> {
-        let mut delivered = 0;
-        for domain in self.domains() {
-            delivered += self.pump_domain(&domain)?;
-        }
-        Ok(delivered)
-    }
-
-    /// One anti-entropy round over every *up* link `src → dst`.
-    ///
-    /// Compatibility shim over the event-driven runtime's gossip path:
-    /// [`run_for`](Self::run_for) does this per-site on scheduled
-    /// gossip pulses. A transport refusal (platform fault on the
-    /// receiving side) degrades that link for this round — the frames
-    /// are not applied, and the next round retries from unchanged
-    /// watermarks. Down links are skipped entirely.
-    ///
-    /// # Errors
-    ///
-    /// [`MoccaError::Federation`] on fabric-level failures (unknown
-    /// domain, undecodable frames) — not on transport refusals.
-    pub fn gossip_round(&mut self) -> Result<GossipRound, MoccaError> {
-        let mut round = GossipRound::default();
-        for (src, dst, state) in self.fabric.links() {
-            if state != LinkState::Up {
-                continue;
-            }
-            if !self.envs.contains_key(&src) || !self.envs.contains_key(&dst) {
-                continue;
-            }
-            round.links_walked += 1;
-            match self.gossip_link(&src, &dst)? {
-                LinkShip::Degraded => round.links_degraded += 1,
-                LinkShip::Applied {
-                    updates,
-                    bytes,
-                    micros: _,
-                } => {
-                    round.updates_applied += updates;
-                    round.bytes_on_wire += bytes;
-                }
-            }
-        }
-        Ok(round)
-    }
-
-    /// Runs gossip rounds until no round applies an update (converged)
-    /// or `max_rounds` is exhausted. Returns the number of rounds run.
-    ///
-    /// Compatibility shim; prefer
-    /// [`run_until_converged`](Self::run_until_converged).
-    ///
-    /// # Errors
-    ///
-    /// As [`gossip_round`](Self::gossip_round).
-    pub fn gossip_until_quiet(&mut self, max_rounds: usize) -> Result<usize, MoccaError> {
-        for n in 1..=max_rounds {
-            if self.gossip_round()?.updates_applied == 0 {
-                return Ok(n);
-            }
-        }
-        Ok(max_rounds)
-    }
-
     /// Current congestion pressure on a directed link: consecutive
     /// transport refusals since the last successful ship (0 for a
     /// healthy or unknown link).
@@ -616,60 +524,6 @@ mod tests {
         env
     }
 
-    #[test]
-    fn federated_exchange_crosses_environments() {
-        let mut fed = FederatedEnvironments::new();
-        fed.federate("env-a", env_with_app("sharedx", "subject"));
-        fed.federate("env-b", env_with_app("com", "betreff"));
-        fed.link_bidi("env-a", "env-b");
-
-        let sharer: Dn = "cn=Tom".parse().unwrap();
-        let artifact = NativeArtifact {
-            app: AppId::new("sharedx"),
-            format: "sharedx-native".into(),
-            fields: BTreeMap::from([("subject".to_owned(), "Minutes".to_owned())]),
-        };
-        let out = fed
-            .env_mut("env-a")
-            .unwrap()
-            .exchange(&sharer, &artifact, &AppId::new("com"), Timestamp::ZERO)
-            .expect("federated exchange");
-        assert_eq!(out.format, "common");
-        assert_eq!(fed.pump().unwrap(), 1);
-        // The destination environment raised and recorded the artifact.
-        let env_b = fed.env("env-b").unwrap();
-        assert_eq!(env_b.repository().len(), 1);
-    }
-
-    #[test]
-    fn gossip_converges_and_quiesces() {
-        let mut fed = FederatedEnvironments::new();
-        fed.federate("env-a", env_with_app("a1", "f"));
-        fed.federate("env-b", env_with_app("b1", "f"));
-        fed.federate("env-c", env_with_app("c1", "f"));
-        fed.link_bidi("env-a", "env-b");
-        fed.link_bidi("env-b", "env-c");
-        for (domain, note) in [("env-a", "alpha"), ("env-c", "gamma")] {
-            fed.env_mut(domain)
-                .unwrap()
-                .store_object(
-                    crate::info::InfoObject::new(
-                        crate::info::InfoObjectId::new(format!("doc-{note}")),
-                        "note",
-                        "cn=Tom".parse().unwrap(),
-                        crate::info::InfoContent::Text(note.into()),
-                    ),
-                    None,
-                    Timestamp::ZERO,
-                )
-                .unwrap();
-        }
-        assert!(!fed.converged());
-        let rounds = fed.gossip_until_quiet(8).unwrap();
-        assert!(rounds <= 8);
-        assert!(fed.converged(), "fingerprints: {:?}", fed.fingerprints());
-    }
-
     fn three_site_fed() -> FederatedEnvironments {
         let mut fed = FederatedEnvironments::new();
         fed.federate("env-a", env_with_app("a1", "f"));
@@ -702,6 +556,7 @@ mod tests {
         let report = fed.run_until_converged(1, 60_000_000).unwrap();
         assert!(report.converged, "fingerprints: {:?}", fed.fingerprints());
         assert!(fed.converged());
+        assert!(report.sim_micros <= 8 * DEFAULT_GOSSIP_PERIOD_MICROS);
         assert!(report.activity.gossip_pulses > 0);
         assert!(report.activity.bytes_on_wire > 0, "frames must ship");
         assert!(report.sim_micros > 0 && report.sim_micros <= 60_000_000);
@@ -727,7 +582,7 @@ mod tests {
     }
 
     #[test]
-    fn run_for_pumps_remote_deliveries_on_schedule() {
+    fn federated_exchange_crosses_environments() {
         let mut fed = FederatedEnvironments::new();
         fed.federate("env-a", env_with_app("sharedx", "subject"));
         fed.federate("env-b", env_with_app("com", "betreff"));
@@ -738,16 +593,19 @@ mod tests {
             format: "sharedx-native".into(),
             fields: BTreeMap::from([("subject".to_owned(), "Minutes".to_owned())]),
         };
-        fed.env_mut("env-a")
+        let out = fed
+            .env_mut("env-a")
             .unwrap()
             .exchange(&sharer, &artifact, &AppId::new("com"), Timestamp::ZERO)
             .expect("federated exchange");
+        assert_eq!(out.format, "common");
         assert_eq!(fed.fabric().pending_inbound(), 1);
-        // One simulated second of event-driven time delivers it —
-        // no explicit pump() call.
-        let report = fed.run_for(1_000_000, 1).unwrap();
+        // One gossip period of event-driven time delivers it on a
+        // scheduled pump pulse.
+        let report = fed.run_for(DEFAULT_GOSSIP_PERIOD_MICROS, 1).unwrap();
         assert_eq!(report.deliveries, 1);
         assert_eq!(fed.fabric().pending_inbound(), 0);
+        // The destination environment raised and recorded the artifact.
         assert_eq!(fed.env("env-b").unwrap().repository().len(), 1);
     }
 

@@ -62,7 +62,7 @@ pub mod transparency;
 
 pub use env::CscwEnvironment;
 pub use error::MoccaError;
-pub use federation::{ConvergenceReport, FederatedEnvironments, GossipRound, RunReport};
+pub use federation::{ConvergenceReport, FederatedEnvironments, RunReport};
 pub use platform::{
     DirectoryPort, LocalPlatform, Platform, ResilientPlatform, SimPlatform, TraderPort,
     TransportPort,

@@ -1,23 +1,24 @@
 //! Event-driven federation runtime.
 //!
 //! Earlier revisions of the federation were *hand-cranked*: a
-//! coordinator called `gossip_round()` / `pump()` in a loop, which
-//! means every site gossiped in lockstep, offer TTLs only expired when
-//! somebody happened to query, and nothing resembled the autonomous
-//! channels of RM-ODP's engineering viewpoint. This module folds those
-//! three activities — anti-entropy gossip, offer-TTL expiry and
-//! delivery pumping — into the kernel's deterministic scheduler
-//! ([`cscw_kernel::EventQueue`]): each site owns periodic timers with
-//! seeded, jittered phases ([`cscw_kernel::Periodic`]), so a
-//! 128-site federation interleaves naturally instead of thundering.
+//! coordinator looped over one gossip round across every link and one
+//! drain of every delivery queue, so every site gossiped in lockstep,
+//! offer TTLs only expired when somebody happened to query, and nothing
+//! resembled the autonomous channels of RM-ODP's engineering viewpoint.
+//! This module folds those three activities — anti-entropy gossip,
+//! offer-TTL expiry and delivery pumping — into the kernel's
+//! deterministic scheduler ([`cscw_kernel::EventQueue`]): each site
+//! owns periodic timers with seeded, jittered phases
+//! ([`cscw_kernel::Periodic`]), so a 128-site federation interleaves
+//! naturally instead of thundering.
 //!
 //! Division of labour: the runtime executes *fabric-local* events
 //! itself (TTL sweeps, scheduled link state changes) and surfaces the
 //! events that need environment machinery — gossip exchanges ride each
 //! destination's transport, deliveries land in application inboxes —
 //! as [`Pulse`] values from [`FederationRuntime::poll`]. The
-//! environment layer (`mocca`) drives `poll` in a loop; no caller ever
-//! hand-cranks a round again.
+//! environment layer (`mocca`) drives `poll` in a loop, and that loop
+//! (`run_for` / `run_until_converged`) is its only federation driver.
 //!
 //! Determinism contract: sites are installed in sorted domain order,
 //! every phase derives from `(seed, site index)`, and the queue pops

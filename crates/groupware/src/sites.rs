@@ -60,17 +60,22 @@ pub struct CrossSiteReport {
     pub exchange_format: String,
     /// Remote artifacts delivered into their destination environments.
     pub delivered: usize,
-    /// Gossip rounds until the replicas quiesced.
-    pub gossip_rounds: usize,
+    /// Simulated microseconds the event-driven run took to deliver and
+    /// converge.
+    pub sim_micros: u64,
     /// Did both sites' knowledge replicas converge bit-for-bit?
     pub converged: bool,
 }
 
+/// Simulated-time budget for the demo's run (one simulated minute).
+const DEMO_BUDGET_MICROS: u64 = 60_000_000;
+
 /// Runs the cross-site scenario on a fresh [`two_site_federation`]:
 /// a Shared X artifact at `site-sync` is exchanged to COM at
 /// `site-async` (resolved through trader interworking, routed through
-/// the fabric), the delivery is pumped, and gossip runs until the two
-/// sites' replicated knowledge converges.
+/// the fabric), and the event-driven runtime (seed 1) runs until the
+/// delivery has landed and the two sites' replicated knowledge has
+/// converged.
 ///
 /// # Errors
 ///
@@ -88,13 +93,12 @@ pub fn cross_site_demo() -> Result<CrossSiteReport, GroupwareError> {
         // panicking, per the workspace R2 rule.
         .ok_or_else(|| GroupwareError::UnknownApp("site-sync".to_owned()))?
         .exchange(&sharer, &artifact, &AppId::new("com"), Timestamp::ZERO)?;
-    let delivered = fed.pump()?;
-    let gossip_rounds = fed.gossip_until_quiet(8)?;
+    let run = fed.run_until_converged(1, DEMO_BUDGET_MICROS)?;
     Ok(CrossSiteReport {
         exchange_format: out.format,
-        delivered,
-        gossip_rounds,
-        converged: fed.converged(),
+        delivered: run.activity.deliveries,
+        sim_micros: run.sim_micros,
+        converged: run.converged,
     })
 }
 
@@ -135,7 +139,8 @@ mod tests {
             .unwrap()
             .exchange(&sharer, &artifact, &AppId::new("colab"), Timestamp::ZERO)
             .unwrap();
-        assert_eq!(fed.pump().unwrap(), 1);
+        let run = fed.run_until_converged(1, DEMO_BUDGET_MICROS).unwrap();
+        assert_eq!(run.activity.deliveries, 1);
         let sync = fed.env("site-sync").unwrap();
         assert_eq!(sync.repository().len(), 1);
     }

@@ -722,7 +722,7 @@ mod tests {
             .with_attr(Attribute::single("sn", sn))
     }
 
-    fn pump(
+    fn apply_changes(
         reg: &mut SubscriptionRegistry,
         collector: &ChangeCollector,
         dit: &Dit,
@@ -741,7 +741,7 @@ mod tests {
 
         dit.add(person("c=UK,cn=Tom Rodden", "Tom Rodden", "Rodden"))
             .unwrap();
-        let deltas = pump(&mut reg, &collector, &dit);
+        let deltas = apply_changes(&mut reg, &collector, &dit);
         assert_eq!(deltas.len(), 1);
         assert_eq!(
             deltas[0].1,
@@ -752,7 +752,7 @@ mod tests {
 
         let dn: Dn = "c=UK,cn=Tom Rodden".parse().unwrap();
         dit.add_value(&dn, "mail", "t@lancs.ac.uk").unwrap();
-        let deltas = pump(&mut reg, &collector, &dit);
+        let deltas = apply_changes(&mut reg, &collector, &dit);
         assert_eq!(deltas[0].1.kind(), "changed");
 
         // A modification that breaks the predicate removes it.
@@ -760,7 +760,7 @@ mod tests {
             e.replace_attr(Attribute::single("sn", "Other"));
         })
         .unwrap();
-        let deltas = pump(&mut reg, &collector, &dit);
+        let deltas = apply_changes(&mut reg, &collector, &dit);
         assert_eq!(deltas[0].1.kind(), "removed");
 
         dit.modify(&dn, |e| {
@@ -768,7 +768,7 @@ mod tests {
         })
         .unwrap();
         dit.remove(&dn).unwrap();
-        let deltas = pump(&mut reg, &collector, &dit);
+        let deltas = apply_changes(&mut reg, &collector, &dit);
         assert_eq!(deltas.len(), 2, "re-added then removed");
         assert_eq!(deltas[1].1.kind(), "removed");
         assert_eq!(reg.rescans(), 0, "steady state never re-scans");
@@ -793,7 +793,7 @@ mod tests {
         alice.put_attr(Attribute::single("workson", "c=UK,cn=odp-paper"));
         dit.add(alice).unwrap();
         assert!(
-            pump(&mut reg, &collector, &dit).is_empty(),
+            apply_changes(&mut reg, &collector, &dit).is_empty(),
             "project not active yet"
         );
 
@@ -805,7 +805,7 @@ mod tests {
                 .with_attr(Attribute::single("projectstate", "active")),
         )
         .unwrap();
-        let deltas = pump(&mut reg, &collector, &dit);
+        let deltas = apply_changes(&mut reg, &collector, &dit);
         assert_eq!(deltas.len(), 1);
         assert_eq!(
             deltas[0].1,
@@ -820,7 +820,7 @@ mod tests {
             e.replace_attr(Attribute::single("projectstate", "dormant"));
         })
         .unwrap();
-        let deltas = pump(&mut reg, &collector, &dit);
+        let deltas = apply_changes(&mut reg, &collector, &dit);
         assert_eq!(deltas.len(), 1);
         assert_eq!(
             deltas[0].1,
@@ -875,7 +875,7 @@ mod tests {
         assert!(reg.unsubscribe(sub));
         assert!(!reg.unsubscribe(sub));
         dit.add(person("c=UK,cn=A", "A A", "A")).unwrap();
-        assert!(pump(&mut reg, &collector, &dit).is_empty());
+        assert!(apply_changes(&mut reg, &collector, &dit).is_empty());
         assert!(reg.matches(sub).is_none());
     }
 
@@ -910,7 +910,7 @@ mod tests {
         ];
         for step in steps {
             step(&mut dit);
-            pump(&mut reg, &collector, &dit);
+            apply_changes(&mut reg, &collector, &dit);
             assert_eq!(
                 reg.matches(sub).unwrap(),
                 reg.oracle_matches(sub, &dit).unwrap(),

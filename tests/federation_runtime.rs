@@ -3,10 +3,9 @@
 //! The acceptance scenarios for folding gossip, TTL expiry and
 //! delivery pumping into the scheduler: federations of up to 128
 //! sites converge to bit-for-bit identical replica fingerprints under
-//! seeds 1–3 with **no** explicit `pump()` / `gossip_round()` call
-//! anywhere in this harness — every exchange happens because a
-//! scheduled event fired. Offer TTLs expire on swept time, not lazily
-//! on the next query.
+//! seeds 1–3, and every exchange happens because a scheduled event
+//! fired. Offer TTLs expire on swept time, not lazily on the next
+//! query.
 
 use cscw_bench::fed_scale::{self, Shape, ISLANDS_HEAL_AT_MICROS};
 use open_cscw::federation::DEFAULT_GOSSIP_PERIOD_MICROS;

@@ -13,13 +13,16 @@
 use std::collections::BTreeMap;
 
 use open_cscw::directory::Dn;
-use open_cscw::federation::{FederatedTrader, FederationError};
+use open_cscw::federation::{FederatedTrader, FederationError, DEFAULT_GOSSIP_PERIOD_MICROS};
 use open_cscw::groupware::{descriptor_for, mapping_for, sample_artifact};
 use open_cscw::kernel::{Layer, LayerError, RetryPolicy, Timestamp};
 use open_cscw::mocca::env::{AppId, CscwEnvironment};
 use open_cscw::mocca::federation::FederatedEnvironments;
 use open_cscw::mocca::{MoccaError, ResilientPlatform, SimPlatform};
 use open_cscw::odp::LinkState;
+
+/// Simulated-time budget for a two-site convergence (one minute).
+const CONVERGENCE_BUDGET_MICROS: u64 = 60_000_000;
 
 fn dn(s: &str) -> Dn {
     s.parse().unwrap()
@@ -67,7 +70,8 @@ fn run_scenario(seed: u64) -> BTreeMap<String, String> {
         .exchange(&tom, &artifact, &AppId::new("com"), Timestamp::ZERO)
         .expect("federated exchange succeeds");
     assert_eq!(out.format, "common");
-    assert_eq!(fed.pump().unwrap(), 1, "one remote delivery");
+    let run = fed.run_for(DEFAULT_GOSSIP_PERIOD_MICROS, seed).unwrap();
+    assert_eq!(run.deliveries, 1, "one remote delivery");
 
     // The destination environment raised the artifact into COM's
     // native vocabulary and recorded it.
@@ -91,8 +95,10 @@ fn run_scenario(seed: u64) -> BTreeMap<String, String> {
             .unwrap();
     }
     assert!(!fed.converged(), "distinct knowledge before gossip");
-    fed.gossip_until_quiet(8).unwrap();
-    assert!(fed.converged(), "replicas converge");
+    let run = fed
+        .run_until_converged(seed, CONVERGENCE_BUDGET_MICROS)
+        .unwrap();
+    assert!(run.converged && fed.converged(), "replicas converge");
 
     let prints = fed.fingerprints();
     assert!(
@@ -260,10 +266,13 @@ fn federation_composes_with_the_resilient_platform() {
         .unwrap()
         .exchange(&tom, &artifact, &AppId::new("com"), Timestamp::ZERO)
         .expect("exchange through resilient platforms");
-    assert_eq!(fed.pump().unwrap(), 1);
+    let run = fed.run_for(DEFAULT_GOSSIP_PERIOD_MICROS, 1).unwrap();
+    assert_eq!(run.deliveries, 1);
     fed.env_mut("env-a").unwrap().publish_knowledge().ok();
-    fed.gossip_until_quiet(8).unwrap();
-    assert!(fed.converged());
+    let run = fed
+        .run_until_converged(1, CONVERGENCE_BUDGET_MICROS)
+        .unwrap();
+    assert!(run.converged && fed.converged());
     // The gossip frames really crossed the messaging layer: the
     // receiving sites saw federation-gossip notifications.
     let t = fed.fabric().telemetry();

@@ -12,7 +12,7 @@
 use std::collections::BTreeMap;
 
 use open_cscw::directory::Dn;
-use open_cscw::federation::FederationFabric;
+use open_cscw::federation::{FederationFabric, DEFAULT_GOSSIP_PERIOD_MICROS};
 use open_cscw::groupware::{descriptor_for, mapping_for, sample_artifact};
 use open_cscw::kernel::{Layer, RetryPolicy, Telemetry, Timestamp};
 use open_cscw::mocca::env::{AppDescriptor, AppId, FormatMapping, Quadrant};
@@ -101,7 +101,8 @@ fn federated_exchange_yields_one_trace_covering_five_layers() {
             Timestamp::ZERO,
         )
         .expect("federated exchange");
-    fed.pump().expect("pump");
+    fed.run_for(DEFAULT_GOSSIP_PERIOD_MICROS, 1)
+        .expect("delivery on a scheduled pump pulse");
 
     // One trace, entered at the App layer, descending the Figure-4
     // stack through the federation fabric down to the simulated wire.
