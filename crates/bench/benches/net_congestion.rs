@@ -12,8 +12,8 @@
 //!
 //! Writes the machine-readable sweep to `BENCH_net_congestion.json` at
 //! the workspace root, printing each cell to stdout as it completes.
-//! `--smoke` restricts the sweep to seed 1 (the CI `net-congestion`
-//! job).
+//! The full sweep is cheap, so there is no smoke mode: CI regenerates
+//! the whole report and requires it to match the committed file.
 
 use std::fmt::Debug;
 
@@ -22,32 +22,26 @@ use cscw_bench::report::ToValue;
 
 /// Runs `cell` twice per seed, insists the runs match bit-for-bit, and
 /// prints each cell as the report holds it.
-fn replayed<T: Debug + PartialEq + ToValue>(
-    name: &str,
-    seeds: &[u64],
-    cell: fn(u64) -> T,
-) -> Vec<T> {
+fn replayed<T: Debug + PartialEq + ToValue>(name: &str, cell: fn(u64) -> T) -> Vec<T> {
     let replay = |&seed: &u64| {
         let r = cell(seed);
         assert_eq!(r, cell(seed), "{name} seed {seed} must replay bit-for-bit");
         println!("net_congestion: {name} {}", r.to_value().to_json());
         r
     };
-    seeds.iter().map(replay).collect()
+    SEEDS.iter().map(replay).collect()
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let seeds: &[u64] = if smoke { &[1] } else { &SEEDS };
-    let flash = replayed("flash_crowd", seeds, net_congestion::flash_crowd);
-    let storm = replayed("gossip_storm", seeds, net_congestion::gossip_storm);
-    let bridge = replayed("wan_bridge", seeds, net_congestion::wan_bridge);
+    let flash = replayed("flash_crowd", net_congestion::flash_crowd);
+    let storm = replayed("gossip_storm", net_congestion::gossip_storm);
+    let bridge = replayed("wan_bridge", net_congestion::wan_bridge);
 
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/../../BENCH_net_congestion.json"
     );
-    net_congestion::report(smoke, seeds, &flash, &storm, &bridge)
+    net_congestion::report(&SEEDS, &flash, &storm, &bridge)
         .write(path)
         .expect("report holds its schema and claims");
     println!("net_congestion: wrote {path}");

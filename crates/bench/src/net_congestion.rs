@@ -28,8 +28,7 @@
 use cscw_kernel::{BreakerState, Layer, RetryPolicy, Telemetry};
 use mocca::{Platform, ResilientPlatform, SimPlatform};
 use simnet::{
-    LinkSpec, Message, Node, NodeCtx, NodeId, Payload, QueueDiscipline, Sim, SimDuration,
-    TopologyBuilder,
+    LinkSpec, Message, Node, NodeCtx, NodeId, Payload, QueueDiscipline, Sim, TopologyBuilder,
 };
 
 use crate::report::{cell, every_cell, fnv1a, Claim, PhaseQuantiles, Report, Value};
@@ -81,9 +80,9 @@ impl Node for FlashClient {
         // whole crowd) so the bottleneck drains between them.
         for k in 0..FLASH_MSGS_PER_CLIENT {
             let at = (k * FLASH_CLIENTS as u64 + self.idx) * 50_000;
-            ctx.set_timer(SimDuration::from_micros(at), k);
+            ctx.set_timer(at, k);
         }
-        ctx.set_timer(SimDuration::from_micros(FLASH_BURST_AT_MICROS), TAG_BURST);
+        ctx.set_timer(FLASH_BURST_AT_MICROS, TAG_BURST);
     }
 
     fn on_message(&mut self, _ctx: &mut NodeCtx<'_>, _msg: Message) {}
@@ -184,7 +183,7 @@ cell! {
 /// `resilience.trader.breaker_open` transitions, and the mesh's
 /// queue-overflow drops.
 fn breaker_probe(seed: u64) -> (bool, u64, u64) {
-    let spec = LinkSpec::fixed(SimDuration::from_millis(1))
+    let spec = LinkSpec::fixed(1_000)
         .with_bandwidth(10_000)
         .with_queue_capacity_msgs(4);
     let sim_platform = SimPlatform::with_link_spec(seed, Telemetry::new(), spec);
@@ -233,11 +232,7 @@ pub fn flash_crowd(seed: u64) -> FlashCrowdResult {
     for &c in &clients {
         // Client access links are fast but jittered, so each seed
         // shuffles the burst's arrival order at the relay.
-        b.link(
-            c,
-            relay,
-            LinkSpec::lan().with_jitter(SimDuration::from_millis(3)),
-        );
+        b.link(c, relay, LinkSpec::lan().with_jitter(3_000));
     }
     // The bottleneck: 40 kB/s (5 ms per message) holding at most 64
     // queued messages — the flash crowd's tail queues here and the
@@ -245,7 +240,7 @@ pub fn flash_crowd(seed: u64) -> FlashCrowdResult {
     b.link(
         relay,
         server,
-        LinkSpec::fixed(SimDuration::from_millis(2))
+        LinkSpec::fixed(2_000)
             .with_bandwidth(40_000)
             .with_queue_capacity_msgs(64),
     );
@@ -333,15 +328,12 @@ struct StormGateway {
 impl Node for StormGateway {
     fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
         for j in 0..STORM_BULK_BURSTS {
-            ctx.set_timer(SimDuration::from_micros(j * 100_000), j);
+            ctx.set_timer(j * 100_000, j);
         }
         for k in 0..STORM_PINGS {
             // Pings land mid-burst (13 ms phase offset) so they always
             // contend with queued bulk.
-            ctx.set_timer(
-                SimDuration::from_micros(k * 25_000 + 13_000),
-                TAG_PING_BASE + k,
-            );
+            ctx.set_timer(k * 25_000 + 13_000, TAG_PING_BASE + k);
         }
     }
 
@@ -457,8 +449,8 @@ fn storm_side(seed: u64, discipline: QueueDiscipline, name: &'static str) -> Sto
     b.link(
         gw,
         peer,
-        LinkSpec::fixed(SimDuration::from_millis(5))
-            .with_jitter(SimDuration::from_millis(2))
+        LinkSpec::fixed(5_000)
+            .with_jitter(2_000)
             .with_bandwidth(100_000)
             .with_queue_capacity_msgs(64)
             .with_discipline(discipline),
@@ -544,13 +536,10 @@ impl Node for BridgeWorker {
         for k in 0..BRIDGE_CROSS_MSGS {
             // Three workers on a 20 ms cadence offer 4.5x the bridge's
             // service rate — the byte-capped queue fills and sheds.
-            ctx.set_timer(SimDuration::from_micros(k * 20_000), k);
+            ctx.set_timer(k * 20_000, k);
         }
         for k in 0..BRIDGE_INTRA_MSGS {
-            ctx.set_timer(
-                SimDuration::from_micros(k * 30_000 + 7_000),
-                TAG_INTRA_BASE + k,
-            );
+            ctx.set_timer(k * 30_000 + 7_000, TAG_INTRA_BASE + k);
         }
     }
 
@@ -717,9 +706,9 @@ pub fn wan_bridge(seed: u64) -> WanBridgeResult {
 // The report and its claims.
 // ---------------------------------------------------------------------
 
-/// The `BENCH_net_congestion.json` document over `seeds`' cells.
+/// The `BENCH_net_congestion.json` document over `seeds`' cells. The
+/// full sweep is cheap, so a report is never a smoke run.
 pub fn report(
-    smoke: bool,
     seeds: &[u64],
     flash: &[FlashCrowdResult],
     storm: &[GossipStormResult],
@@ -731,14 +720,13 @@ pub fn report(
         ("gossip_storm", Value::list(storm)),
         ("wan_bridge", Value::list(bridge)),
     ];
-    Report::new("net_congestion", smoke, sections)
+    Report::new("net_congestion", false, sections)
 }
 
 /// The report over one default cell per section: every net_congestion
 /// report must have exactly its key tree.
 pub fn template() -> Report {
     report(
-        false,
         &[0],
         &[Default::default()],
         &[Default::default()],
@@ -885,7 +873,6 @@ mod tests {
     #[test]
     fn fresh_report_round_trips_and_passes_its_checks() {
         let report = report(
-            true,
             &[1],
             &[flash_crowd(1)],
             &[gossip_storm(1)],

@@ -17,9 +17,7 @@ use odp::{
     Binder, Channel, ComputationalObject, InterfaceRef, InterfaceType, InvokerNode, ObjectHost,
     OdpError, OperationSig, Value, ValueKind,
 };
-use simnet::{
-    LinkSpec, Message, Node, NodeCtx, NodeId, Payload, Sim, SimDuration, SimTime, TopologyBuilder,
-};
+use simnet::{LinkSpec, Message, Node, NodeCtx, NodeId, Payload, Sim, TopologyBuilder};
 
 use super::Fallible;
 use crate::fed_scale::{self, Shape};
@@ -116,10 +114,6 @@ fn dn(s: &str) -> Fallible<Dn> {
     Ok(s.parse()?)
 }
 
-fn since(later: SimTime, earlier: SimTime) -> u64 {
-    later.saturating_since(earlier).as_micros()
-}
-
 /// F1's five workloads, in the order their latencies must rise.
 pub fn quadrants(seed: u64) -> Fallible<Vec<QuadrantCell>> {
     let cell = |quadrant, workload, latency_micros| QuadrantCell {
@@ -191,7 +185,7 @@ fn conference_draw(seed: u64) -> Fallible<u64> {
     tom.request_floor(&mut sim);
     let before = sim.now();
     tom.draw(&mut sim, "one shared line");
-    Ok(since(sim.now(), before))
+    Ok(sim.now() - before)
 }
 
 /// Different times / different places: X.400 end-to-end delivery.
@@ -200,7 +194,7 @@ fn mail_delivery(seed: u64) -> Fallible<u64> {
     let ipm = Ipm::text(a.address().clone(), b.address().clone(), "s", "t");
     a.submit_and_run(&mut sim, ipm, SubmitOptions::default());
     let delivered = b.inbox(&sim)?.first().ok_or("mail not delivered")?;
-    Ok(since(delivered.delivered_at, SimTime::ZERO))
+    Ok(delivered.delivered_at.as_micros())
 }
 
 /// Different times / different places: a BBS post read an hour later.
@@ -223,9 +217,9 @@ fn bbs_read_lag(seed: u64) -> Fallible<u64> {
     };
     client.create_conference(&mut sim, "c");
     client.post(&mut sim, "c", "subject", "text", None);
-    sim.run_until(sim.now() + SimDuration::from_secs(3600));
+    sim.run_until(sim.now() + 3_600_000_000);
     let entry = *client.read(&sim, "c")?.first().ok_or("post not accepted")?;
-    Ok(since(sim.now(), entry.at.into()))
+    Ok(sim.now() - entry.at)
 }
 
 /// Different times / same place: a three-step procedure performed four
@@ -241,12 +235,12 @@ fn procedure_span() -> Fallible<u64> {
         required_role: role.clone(),
     });
     let mut procedure = Procedure::new("claim", steps.collect());
-    let start = SimTime::from_secs(9 * 3600);
-    let at = |step: u64| start + SimDuration::from_secs(step * 4 * 3600);
+    let start = Timestamp::from_secs(9 * 3600);
+    let at = |step: u64| start + step * 4 * 3_600_000_000;
     for step in 0..3 {
-        procedure.perform(&org, step as usize, &clerk, at(step).into())?;
+        procedure.perform(&org, step as usize, &clerk, at(step))?;
     }
-    Ok(since(at(2), start))
+    Ok(at(2) - start)
 }
 
 /// Quadrants the full five-app population covers in one environment.

@@ -221,7 +221,7 @@ pub fn delivery() -> Fallible<Vec<DeliveryCell>> {
         };
         a.submit_and_run(&mut sim, ipm, options);
         let delivered = b.inbox(&sim)?.first().ok_or("mail not delivered")?;
-        let latency_micros = delivered.delivered_at.saturating_since(submit).as_micros();
+        let latency_micros = delivered.delivered_at - submit;
         cells.push(DeliveryCell {
             mode,
             seed,
@@ -257,7 +257,7 @@ fn session_relay(seed: u64) -> Fallible<u64> {
     sim.run_until_idle();
     let member = sim.node::<SessionMember>(c).ok_or("no member node")?;
     let heard = member.received().last().ok_or("utterance not relayed")?;
-    Ok(heard.at.saturating_since(before).as_micros())
+    Ok(heard.at - before)
 }
 
 /// R2: `chars` characters of text converted to fax and to paper.

@@ -4,6 +4,7 @@
 //! Each claim test changes one field of a committed report and asserts
 //! that the check names the claim (or key path) that breaks.
 
+use cscw_bench::net_congestion::{self, SEEDS};
 use cscw_bench::report::{check, parse, ToValue, Value};
 use cscw_bench::{paper, Report};
 
@@ -210,6 +211,17 @@ fn query_scale_claims_are_checked() {
 fn paper_report_regenerates_byte_for_byte() {
     let cells = paper::run().expect("paper experiments");
     assert_eq!(paper::report(&cells).to_json(), PAPER);
+}
+
+/// Every simnet-driven number — queue disciplines, jitter, loss, sheds
+/// and quantiles — regenerates exactly from the seeds.
+#[test]
+fn net_congestion_report_regenerates_byte_for_byte() {
+    let flash = SEEDS.map(net_congestion::flash_crowd);
+    let storm = SEEDS.map(net_congestion::gossip_storm);
+    let bridge = SEEDS.map(net_congestion::wan_bridge);
+    let report = net_congestion::report(&SEEDS, &flash, &storm, &bridge);
+    assert_eq!(report.to_json(), NET_CONGESTION);
 }
 
 #[test]

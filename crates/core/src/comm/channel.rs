@@ -12,8 +12,8 @@
 //!   [`cscw_messaging::UserAgent`].
 
 use cscw_directory::Dn;
-use cscw_kernel::Layer;
-use cscw_messaging::net::{Message, Node, NodeCtx, NodeId, Payload, Sim, SimTime};
+use cscw_kernel::{Layer, Timestamp};
+use cscw_messaging::net::{Message, Node, NodeCtx, NodeId, Payload, Sim};
 use cscw_messaging::{Ipm, OrAddress, SubmitOptions, UserAgent};
 use serde::{Deserialize, Serialize};
 
@@ -32,7 +32,7 @@ pub struct Utterance {
     /// Sequence number within the session.
     pub seq: u64,
     /// When the hub relayed it.
-    pub at: SimTime,
+    pub at: Timestamp,
     /// Who said it.
     pub from: Dn,
     /// What they said.
@@ -350,7 +350,7 @@ mod tests {
             .unwrap()
             .received();
         assert_eq!(got.len(), 1);
-        assert_eq!(got[0].at, sent_at + simnet::SimDuration::from_millis(1));
+        assert_eq!(got[0].at, sent_at + 1_000);
     }
 
     #[test]
@@ -386,6 +386,6 @@ mod tests {
             assert_eq!(inbox[0].ipm.heading.subject, "minutes");
         }
         // Store-and-forward costs at least one MTA processing delay.
-        assert!(sim.now() >= SimTime::from_millis(100));
+        assert!(sim.now() >= Timestamp::from_millis(100));
     }
 }

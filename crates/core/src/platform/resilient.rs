@@ -845,12 +845,12 @@ mod tests {
     #[test]
     fn congestion_alone_opens_a_breaker_with_zero_injected_faults() {
         use crate::platform::SimPlatform;
-        use simnet::{LinkSpec, NodeId, Payload, SimDuration};
+        use simnet::{LinkSpec, NodeId, Payload};
 
         // A slow, queue-bounded mesh: 10 kB/s wires that hold at most
         // 4 queued messages. No fault is ever injected — the only
         // adversary is offered load.
-        let spec = LinkSpec::fixed(SimDuration::from_millis(1))
+        let spec = LinkSpec::fixed(1_000)
             .with_bandwidth(10_000)
             .with_queue_capacity_msgs(4);
         let sim_platform = SimPlatform::with_link_spec(7, Telemetry::new(), spec);

@@ -10,7 +10,7 @@
 //! what makes the F4 layering bench's per-layer cost attribution work.
 
 use cscw_directory::{DirOp, DirResult, DirectoryError, Dn, DsaNode, Dua, DuaNode};
-use cscw_kernel::{Clock, Layer, ManualClock, Telemetry};
+use cscw_kernel::{Clock, Layer, Telemetry};
 use cscw_messaging::{Ipm, MtaNode, MtsError, OrAddress, SubmitOptions, UserAgent};
 use odp::{
     ImportRequest, InterfaceRef, InterfaceType, OdpError, OfferId, RemoteTrader, ServiceOffer,
@@ -36,7 +36,6 @@ fn courier_address() -> OrAddress {
 pub struct SimPlatform {
     sim: Sim,
     telemetry: Telemetry,
-    clock: ManualClock,
     mta_node: NodeId,
     trader_node: NodeId,
     remote_trader: RemoteTrader,
@@ -86,7 +85,6 @@ impl SimPlatform {
         let mut sim = Sim::new(b.build(), seed);
 
         sim.attach_telemetry(telemetry.clone());
-        let clock = sim.kernel_clock();
 
         sim.register(trader_node, TraderNode::new(Trader::new("mocca-trader")));
         sim.register(dsa_node, DsaNode::new([Dn::root()]));
@@ -102,7 +100,6 @@ impl SimPlatform {
             courier: UserAgent::new(courier_address(), ua_node, mta_node),
             sim,
             telemetry,
-            clock,
             mta_node,
             trader_node,
         }
@@ -122,7 +119,7 @@ impl SimPlatform {
     fn emit(&self, layer: Layer, name: &'static str, detail: String) {
         self.telemetry.incr(layer, name);
         self.telemetry
-            .emit(self.clock.now_micros(), layer, name, detail);
+            .emit(self.sim.now_micros(), layer, name, detail);
     }
 
     /// Opens the span a port call lowers into — the layer crossing the
@@ -130,11 +127,11 @@ impl SimPlatform {
     /// open beneath it while the call runs the event loop.
     fn port_span(&self, layer: Layer, name: &'static str) -> cscw_kernel::SpanContext {
         self.telemetry
-            .span_begin(layer, name, self.clock.now_micros())
+            .span_begin(layer, name, self.sim.now_micros())
     }
 
     fn end_span(&self, ctx: cscw_kernel::SpanContext) {
-        self.telemetry.span_end(ctx, self.clock.now_micros());
+        self.telemetry.span_end(ctx, self.sim.now_micros());
     }
 }
 
@@ -249,7 +246,7 @@ impl Platform for SimPlatform {
     }
 
     fn clock(&self) -> &dyn Clock {
-        &self.clock
+        &self.sim
     }
 
     fn telemetry(&self) -> &Telemetry {

@@ -215,7 +215,7 @@ impl Node for BbsServer {
                     subject,
                     text,
                     in_reply_to,
-                    at: ctx.now().into(),
+                    at: ctx.now(),
                 };
                 self.next_id += 1;
                 ctx.telemetry().incr(Layer::App, "app.bbs.post");
@@ -311,7 +311,7 @@ impl BbsClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cscw_messaging::net::{LinkSpec, SimTime, TopologyBuilder};
+    use cscw_messaging::net::{LinkSpec, TopologyBuilder};
     use cscw_messaging::MtaNode;
 
     fn dn(s: &str) -> Dn {
@@ -374,7 +374,7 @@ mod tests {
             None,
         );
         // Time passes; Wolfgang reads much later.
-        w.sim.run_until(SimTime::from_secs(3600));
+        w.sim.run_until(Timestamp::from_secs(3600));
         let entries = w.wolfgang.read(&w.sim, "odp-discussion").unwrap();
         assert_eq!(entries.len(), 1);
         assert_eq!(entries[0].subject, "Will ODP help?");

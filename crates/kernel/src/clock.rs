@@ -1,10 +1,10 @@
 //! Time sources.
 //!
 //! Everything above the kernel asks "what time is it" through [`Clock`],
-//! so the same code can run against simulated time (driven by `simnet`'s
-//! event loop) or wall-clock time (a real deployment, or benches) without
-//! knowing which. Timestamps are raw microseconds: the kernel sits below
-//! `simnet`, so it cannot use `SimTime`; `simnet` converts at its edge.
+//! so the same code can run against simulated time (`simnet`'s `Sim` is
+//! a `Clock` reading its event queue's `now`) or wall-clock time (a real
+//! deployment, or benches) without knowing which. Instants are
+//! [`Timestamp`](crate::Timestamp)s in every crate, simulated or not.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -28,7 +28,7 @@ impl WallClock {
         WallClock {
             // This is *the* designed-in wall-clock read: the one place
             // real time enters the system, behind the `Clock` port so
-            // everything above can replay against `SimClock` instead.
+            // everything above can replay against simulated time instead.
             // conform: allow(determinism) — WallClock is the Clock port's real-time anchor
             epoch: Instant::now(),
         }
@@ -47,10 +47,11 @@ impl Clock for WallClock {
     }
 }
 
-/// An externally-driven clock: whoever owns the simulation advances it.
+/// An externally-driven clock: whoever holds it advances it. A test
+/// fake for code that reads a [`Clock`] without running a simulation.
 ///
-/// Cloning shares the underlying time cell, so a simulator can hold one
-/// handle and advance it while platform code reads another.
+/// Cloning shares the underlying time cell, so a test can hold one
+/// handle and advance it while the code under test reads another.
 ///
 /// # Examples
 ///
@@ -74,8 +75,7 @@ impl ManualClock {
     }
 
     /// Sets the current time. Monotonicity is the driver's contract:
-    /// setting time backwards is not prevented here, but every driver in
-    /// this workspace (the simulator event loop) only moves forward.
+    /// setting time backwards is not prevented here.
     pub fn set_micros(&self, micros: u64) {
         self.micros.store(micros, Ordering::Relaxed);
     }

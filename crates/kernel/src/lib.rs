@@ -6,8 +6,8 @@
 //! its own. This crate is that substrate for the whole workspace:
 //!
 //! * [`Clock`] — one notion of time, with a wall-clock impl
-//!   ([`WallClock`]) and an externally-driven impl ([`ManualClock`])
-//!   that `simnet`'s event loop advances.
+//!   ([`WallClock`]) and an externally-driven test fake
+//!   ([`ManualClock`]); `simnet`'s simulator is itself a `Clock`.
 //! * [`SeededRng`] — seeded ChaCha8 randomness, so any platform (not
 //!   just the simulator) is reproducible from a seed.
 //! * [`Telemetry`] / [`Layer`] — one layer-tagged observability stream
@@ -26,10 +26,10 @@
 //!   it; the federation layer drives gossip, TTL expiry and delivery
 //!   pumping with it.
 //!
-//! The kernel sits **below** `simnet`: it knows nothing about nodes,
-//! topologies or simulated time types. [`Timestamp`] is the shared
-//! value type for instants — raw microseconds since the owning clock's
-//! epoch; `simnet` converts `SimTime` at its edge.
+//! The kernel sits **below** `simnet`: it knows nothing about nodes or
+//! topologies. [`Timestamp`] is the one value type for instants —
+//! microseconds since the owning clock's epoch — in every crate,
+//! `simnet` included; spans are plain `u64` microseconds.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,7 +1,7 @@
 //! Transfer envelopes and trace information.
 
+use cscw_kernel::Timestamp;
 use serde::{Deserialize, Serialize};
-use simnet::SimTime;
 
 use crate::address::OrAddress;
 
@@ -38,7 +38,7 @@ pub struct TraceHop {
     /// The MTA's name.
     pub mta: String,
     /// When it relayed the message.
-    pub at: SimTime,
+    pub at: Timestamp,
 }
 
 /// The transfer envelope (P1): everything MTAs need without opening the
@@ -55,9 +55,9 @@ pub struct Envelope {
     /// Grade of delivery.
     pub priority: Priority,
     /// Do not deliver before this time, if set.
-    pub deferred_until: Option<SimTime>,
+    pub deferred_until: Option<Timestamp>,
     /// When the message was submitted.
-    pub submitted_at: SimTime,
+    pub submitted_at: Timestamp,
     /// Whether the originator wants a delivery report.
     pub report_requested: bool,
     /// MTAs traversed so far.
@@ -72,7 +72,7 @@ impl Envelope {
         message_id: u64,
         originator: OrAddress,
         recipients: Vec<OrAddress>,
-        submitted_at: SimTime,
+        submitted_at: Timestamp,
     ) -> Self {
         Envelope {
             message_id,
@@ -96,7 +96,7 @@ impl Envelope {
 
     /// Returns the envelope with deferred delivery set.
     #[must_use]
-    pub fn with_deferred_delivery(mut self, until: SimTime) -> Self {
+    pub fn with_deferred_delivery(mut self, until: Timestamp) -> Self {
         self.deferred_until = Some(until);
         self
     }
@@ -136,22 +136,22 @@ mod tests {
 
     #[test]
     fn builders_set_fields() {
-        let e = Envelope::new(1, addr("A"), vec![addr("B")], SimTime::ZERO)
+        let e = Envelope::new(1, addr("A"), vec![addr("B")], Timestamp::ZERO)
             .with_priority(Priority::Urgent)
-            .with_deferred_delivery(SimTime::from_secs(60))
+            .with_deferred_delivery(Timestamp::from_secs(60))
             .with_report();
         assert_eq!(e.priority, Priority::Urgent);
-        assert_eq!(e.deferred_until, Some(SimTime::from_secs(60)));
+        assert_eq!(e.deferred_until, Some(Timestamp::from_secs(60)));
         assert!(e.report_requested);
     }
 
     #[test]
     fn trace_tracks_visits() {
-        let mut e = Envelope::new(1, addr("A"), vec![addr("B")], SimTime::ZERO);
+        let mut e = Envelope::new(1, addr("A"), vec![addr("B")], Timestamp::ZERO);
         assert!(!e.visited("mta-uk"));
         e.trace.push(TraceHop {
             mta: "mta-uk".into(),
-            at: SimTime::ZERO,
+            at: Timestamp::ZERO,
         });
         assert!(e.visited("mta-uk"));
         assert_eq!(e.hop_count(), 1);

@@ -17,8 +17,8 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use cscw_kernel::Layer;
-use simnet::{Message, Node, NodeCtx, NodeId, Payload, Sim, SimDuration, SimTime};
+use cscw_kernel::{Layer, Timestamp};
+use simnet::{Message, Node, NodeCtx, NodeId, Payload, Sim};
 
 use crate::address::OrAddress;
 use crate::content::Ipm;
@@ -94,7 +94,7 @@ pub struct MtaNode {
     routing: RoutingTable,
     mailboxes: BTreeMap<OrAddress, MessageStore>,
     dls: BTreeMap<OrAddress, Vec<OrAddress>>,
-    base_delay: SimDuration,
+    base_delay_micros: u64,
     pending: BTreeMap<u64, (Envelope, Ipm)>,
     deferred: BTreeMap<u64, DeferredTransfer>,
     next_tag: u64,
@@ -109,17 +109,17 @@ impl MtaNode {
             routing: RoutingTable::new(),
             mailboxes: BTreeMap::new(),
             dls: BTreeMap::new(),
-            base_delay: SimDuration::from_millis(50),
+            base_delay_micros: 50_000,
             pending: BTreeMap::new(),
             deferred: BTreeMap::new(),
             next_tag: 0,
         }
     }
 
-    /// Overrides the base per-hop processing delay.
+    /// Overrides the base per-hop processing delay, in microseconds.
     #[must_use]
-    pub fn with_base_delay(mut self, delay: SimDuration) -> Self {
-        self.base_delay = delay;
+    pub fn with_base_delay(mut self, delay_micros: u64) -> Self {
+        self.base_delay_micros = delay_micros;
         self
     }
 
@@ -162,14 +162,20 @@ impl MtaNode {
             .any(|a| a.domain() == addr.domain())
     }
 
-    fn schedule_processing(&mut self, ctx: &mut NodeCtx<'_>, envelope: Envelope, ipm: Ipm) {
-        let now = ctx.now();
-        let delay = match envelope.deferred_until {
-            Some(t) if t > now => t.saturating_since(now),
+    /// How long `envelope` waits before processing: until its deferred
+    /// delivery time if that is still ahead, else the base delay scaled
+    /// by its priority.
+    fn processing_delay(&self, envelope: &Envelope, now: Timestamp) -> u64 {
+        match envelope.deferred_until {
+            Some(t) if t > now => t - now,
             _ => self
-                .base_delay
+                .base_delay_micros
                 .saturating_mul(envelope.priority.delay_factor()),
-        };
+        }
+    }
+
+    fn schedule_processing(&mut self, ctx: &mut NodeCtx<'_>, envelope: Envelope, ipm: Ipm) {
+        let delay = self.processing_delay(&envelope, ctx.now());
         let tag = self.next_tag;
         self.next_tag += 1;
         self.pending.insert(tag, (envelope, ipm));
@@ -259,7 +265,7 @@ impl MtaNode {
             ctx.telemetry().record_micros(
                 Layer::Messaging,
                 "mts.end_to_end",
-                now.saturating_since(envelope.submitted_at).as_micros(),
+                now - envelope.submitted_at,
             );
             if envelope.report_requested {
                 let report = DeliveryReport {
@@ -352,7 +358,9 @@ impl MtaNode {
             },
         );
         // Exponential backoff in units of the per-hop processing delay.
-        let backoff = self.base_delay.saturating_mul(1u64 << attempt.min(6));
+        let backoff = self
+            .base_delay_micros
+            .saturating_mul(1u64 << attempt.min(6));
         ctx.set_timer(backoff, tag);
     }
 
@@ -475,18 +483,13 @@ impl Node for MtaNode {
         // The message queue is durable (disk-backed in a real MTA): any
         // message whose processing timer was lost to the crash is
         // re-armed now, preserving deferred-delivery times.
-        let tags: Vec<u64> = self.pending.keys().copied().collect();
         let now = ctx.now();
-        for tag in tags {
-            let delay = match self.pending.get(&tag) {
-                Some((envelope, _)) => match envelope.deferred_until {
-                    Some(t) if t > now => t.saturating_since(now),
-                    _ => self
-                        .base_delay
-                        .saturating_mul(envelope.priority.delay_factor()),
-                },
-                None => continue,
-            };
+        let rearm: Vec<(u64, u64)> = self
+            .pending
+            .iter()
+            .map(|(&tag, (envelope, _))| (tag, self.processing_delay(envelope, now)))
+            .collect();
+        for (tag, delay) in rearm {
             ctx.telemetry()
                 .incr(Layer::Messaging, "mts.restart.recover");
             ctx.set_timer(delay, tag);
@@ -497,7 +500,7 @@ impl Node for MtaNode {
         for tag in deferred_tags {
             ctx.telemetry()
                 .incr(Layer::Messaging, "mts.restart.recover");
-            ctx.set_timer(self.base_delay, tag);
+            ctx.set_timer(self.base_delay_micros, tag);
         }
     }
 }
@@ -508,7 +511,7 @@ pub struct SubmitOptions {
     /// Grade of delivery.
     pub priority: Priority,
     /// Hold delivery until this simulated time.
-    pub deferred_until: Option<SimTime>,
+    pub deferred_until: Option<Timestamp>,
     /// Request a delivery report.
     pub report: bool,
 }
@@ -847,7 +850,7 @@ mod tests {
             "later",
             "x",
         );
-        let defer_to = SimTime::from_secs(3600);
+        let defer_to = Timestamp::from_secs(3600);
         w.tom.submit_and_run(
             &mut w.sim,
             ipm,
@@ -1023,7 +1026,7 @@ mod tests {
         b.link(
             mta_uk,
             mta_de,
-            LinkSpec::fixed(simnet::SimDuration::from_millis(10))
+            LinkSpec::fixed(10_000)
                 .with_bandwidth(bandwidth)
                 .with_queue_capacity_msgs(0),
         );
@@ -1130,6 +1133,6 @@ mod tests {
             .unwrap();
         assert_eq!(h.count, 1);
         // Store-and-forward must cost at least the two processing delays.
-        assert!(h.min_micros >= SimDuration::from_millis(100).as_micros());
+        assert!(h.min_micros >= 100_000);
     }
 }

@@ -8,11 +8,12 @@
 //! messaging layer legitimately sits on `simnet`, so it is the right
 //! place to lend out the node machinery without eroding the layering.
 //!
-//! Time values that cross out of hosted nodes should be converted to
-//! [`cscw_kernel::Timestamp`] at the boundary (`ctx.now().into()`);
-//! only scheduling-internal code should keep [`SimTime`].
+//! Hosted nodes keep time the way every layer does: `ctx.now()` is a
+//! [`cscw_kernel::Timestamp`], and delays (`set_timer`, link latency)
+//! are plain `u64` microseconds, so no value needs converting on its
+//! way out of a node.
 
 pub use simnet::{
     LinkSpec, Message, Node, NodeCtx, NodeId, Payload, QueueDiscipline, SendOutcome, Sim,
-    SimDuration, SimTime, TopologyBuilder,
+    TopologyBuilder,
 };

@@ -1,7 +1,7 @@
 //! Delivery reports and receipt notifications.
 
+use cscw_kernel::Timestamp;
 use serde::{Deserialize, Serialize};
-use simnet::SimTime;
 
 use crate::address::OrAddress;
 
@@ -39,7 +39,7 @@ pub enum DeliveryOutcome {
     /// Delivered to the recipient's message store at the given time.
     Delivered {
         /// Delivery time.
-        at: SimTime,
+        at: Timestamp,
     },
     /// Delivery failed.
     NonDelivery {
@@ -76,7 +76,7 @@ pub struct ReceiptNotification {
     /// Who read it.
     pub recipient: OrAddress,
     /// When they read it.
-    pub at: SimTime,
+    pub at: Timestamp,
 }
 
 #[cfg(test)]
@@ -85,7 +85,10 @@ mod tests {
 
     #[test]
     fn outcome_predicate() {
-        assert!(DeliveryOutcome::Delivered { at: SimTime::ZERO }.is_delivered());
+        assert!(DeliveryOutcome::Delivered {
+            at: Timestamp::ZERO
+        }
+        .is_delivered());
         assert!(!DeliveryOutcome::NonDelivery {
             reason: NonDeliveryReason::NoRoute
         }

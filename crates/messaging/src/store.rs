@@ -6,8 +6,8 @@
 
 use std::collections::BTreeMap;
 
+use cscw_kernel::Timestamp;
 use serde::{Deserialize, Serialize};
-use simnet::SimTime;
 
 use crate::content::Ipm;
 use crate::report::{DeliveryReport, ReceiptNotification};
@@ -21,7 +21,7 @@ pub struct StoredMessage {
     /// MTS message id.
     pub message_id: u64,
     /// When the MTA delivered it.
-    pub delivered_at: SimTime,
+    pub delivered_at: Timestamp,
     /// Whether the user has fetched/read it.
     pub read: bool,
     /// The content.
@@ -43,7 +43,7 @@ impl MessageStore {
     }
 
     /// Files a delivery into the inbox.
-    pub fn deliver(&mut self, message_id: u64, delivered_at: SimTime, ipm: Ipm) {
+    pub fn deliver(&mut self, message_id: u64, delivered_at: Timestamp, ipm: Ipm) {
         self.folders
             .entry(INBOX.to_owned())
             .or_default()
@@ -152,7 +152,7 @@ mod tests {
     #[test]
     fn deliver_lands_in_inbox_unread() {
         let mut s = MessageStore::new();
-        s.deliver(1, SimTime::ZERO, ipm(1));
+        s.deliver(1, Timestamp::ZERO, ipm(1));
         assert_eq!(s.inbox().len(), 1);
         assert_eq!(s.unread_count(), 1);
         assert!(!s.inbox()[0].read);
@@ -161,7 +161,7 @@ mod tests {
     #[test]
     fn mark_read_clears_unread() {
         let mut s = MessageStore::new();
-        s.deliver(1, SimTime::ZERO, ipm(1));
+        s.deliver(1, Timestamp::ZERO, ipm(1));
         assert!(s.mark_read(1).is_some());
         assert_eq!(s.unread_count(), 0);
         assert!(s.mark_read(99).is_none());
@@ -170,8 +170,8 @@ mod tests {
     #[test]
     fn move_between_folders() {
         let mut s = MessageStore::new();
-        s.deliver(1, SimTime::ZERO, ipm(1));
-        s.deliver(2, SimTime::ZERO, ipm(2));
+        s.deliver(1, Timestamp::ZERO, ipm(1));
+        s.deliver(2, Timestamp::ZERO, ipm(2));
         assert!(s.move_message(1, INBOX, "archive"));
         assert_eq!(s.inbox().len(), 1);
         assert_eq!(s.folder("archive").len(), 1);
@@ -183,7 +183,7 @@ mod tests {
     #[test]
     fn delete_anywhere() {
         let mut s = MessageStore::new();
-        s.deliver(1, SimTime::ZERO, ipm(1));
+        s.deliver(1, Timestamp::ZERO, ipm(1));
         s.move_message(1, INBOX, "archive");
         assert!(s.delete(1));
         assert!(!s.delete(1));
@@ -198,12 +198,14 @@ mod tests {
         s.file_report(DeliveryReport {
             subject_message_id: 1,
             recipient: who.clone(),
-            outcome: DeliveryOutcome::Delivered { at: SimTime::ZERO },
+            outcome: DeliveryOutcome::Delivered {
+                at: Timestamp::ZERO,
+            },
         });
         s.file_receipt(ReceiptNotification {
             subject_message_id: 1,
             recipient: who,
-            at: SimTime::ZERO,
+            at: Timestamp::ZERO,
         });
         assert_eq!(s.reports().len(), 1);
         assert_eq!(s.receipts().len(), 1);

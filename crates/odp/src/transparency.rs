@@ -554,10 +554,8 @@ mod tests {
         ti.locator_mut().register("c".into(), vec![w.hosts[0]]);
         // Crash now; restart shortly — the retry finds it back up.
         w.sim.apply_fault(FaultAction::Crash(w.hosts[0]));
-        w.sim.schedule_fault(
-            w.sim.now() + simnet::SimDuration::from_millis(1),
-            FaultAction::Restart(w.hosts[0]),
-        );
+        w.sim
+            .schedule_fault(w.sim.now() + 1_000, FaultAction::Restart(w.hosts[0]));
         let target = iref(&w, 0, "c");
         let v = ti
             .invoke(&mut w.sim, &target, "get", vec![], OpMode::Read)

@@ -181,7 +181,7 @@ proptest! {
 /// call).
 mod transparency_monotonicity {
     use super::*;
-    use simnet::{FaultAction, LinkSpec, Sim, SimDuration, TopologyBuilder};
+    use simnet::{FaultAction, LinkSpec, Sim, TopologyBuilder};
 
     struct Reg {
         iface: InterfaceType,
@@ -229,7 +229,7 @@ mod transparency_monotonicity {
         if crash_primary {
             sim.apply_fault(FaultAction::Crash(hosts[0]));
             if let Some(ms) = restart_ms {
-                let at = sim.now() + SimDuration::from_millis(ms);
+                let at = sim.now() + ms * 1_000;
                 sim.schedule_fault(at, FaultAction::Restart(hosts[0]));
             }
         }

@@ -23,8 +23,13 @@
 //! * [`Sim`]: the event loop. Node behaviour implements [`Node`]; handlers
 //!   receive a [`NodeCtx`] to send messages and arm timers.
 //! * Links are FIFO (see [`sim`] module docs for the full delivery model).
-//! * All randomness derives from one seed ([`SimRng`]), so runs are
-//!   reproducible bit-for-bit.
+//! * Time is the kernel's [`Timestamp`](cscw_kernel::Timestamp): the
+//!   event queue's `now` is the simulation's one clock, and [`Sim`] is
+//!   itself a kernel [`Clock`](cscw_kernel::Clock). Spans (latency,
+//!   jitter, timer delays) are plain `u64` microseconds.
+//! * All randomness derives from one seed
+//!   ([`SeededRng`](cscw_kernel::SeededRng)), so runs are reproducible
+//!   bit-for-bit.
 //!
 //! ## Example
 //!
@@ -63,17 +68,13 @@
 
 mod id;
 mod payload;
-mod rng;
 pub mod sim;
-mod time;
 pub mod topology;
 
 pub use id::{MessageId, NodeId, TimerId};
 pub use payload::Payload;
-pub use rng::SimRng;
 pub use sim::{
     DropReason, FaultAction, Message, NetCounters, Node, NodeCtx, SendOutcome, Sim,
     DEFAULT_MESSAGE_SIZE,
 };
-pub use time::{SimDuration, SimTime};
 pub use topology::{shapes, IslandPlan, LinkSpec, QueueDiscipline, Topology, TopologyBuilder};

@@ -35,12 +35,10 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use cscw_kernel::{EventQueue, Layer, ManualClock, SpanContext, Telemetry};
+use cscw_kernel::{Clock, EventQueue, Layer, SeededRng, SpanContext, Telemetry, Timestamp};
 
 use crate::id::{MessageId, NodeId, TimerId};
 use crate::payload::Payload;
-use crate::rng::SimRng;
-use crate::time::{SimDuration, SimTime};
 use crate::topology::{LinkSpec, QueueDiscipline, Topology};
 
 /// Simulated size assumed by [`NodeCtx::send`] when the caller does not
@@ -59,7 +57,7 @@ pub struct Message {
     /// Simulated wire size in bytes.
     pub size: u64,
     /// When the sender handed the message to the network.
-    pub sent_at: SimTime,
+    pub sent_at: Timestamp,
     /// The trace context this send belongs to, if the sender was inside
     /// one — delivery resumes it, so a message delivered long after the
     /// originating call still lands in the right span tree.
@@ -217,8 +215,8 @@ struct LinkQueue {
 /// A periodic timer's recurrence: how to re-arm it each time it fires.
 #[derive(Debug, Clone, Copy)]
 struct PeriodicSpec {
-    period: SimDuration,
-    jitter: SimDuration,
+    period_micros: u64,
+    jitter_micros: u64,
 }
 
 /// Everything a node handler may touch while running.
@@ -229,8 +227,8 @@ pub struct NodeCtx<'a> {
 
 impl NodeCtx<'_> {
     /// The current simulation time.
-    pub fn now(&self) -> SimTime {
-        self.core.now
+    pub fn now(&self) -> Timestamp {
+        self.core.queue.now()
     }
 
     /// The id of the node this handler belongs to.
@@ -269,33 +267,37 @@ impl NodeCtx<'_> {
         self.core.enqueue_send(self.node, to, payload, size, class)
     }
 
-    /// Arms a one-shot timer `delay` from now; `tag` is echoed to
-    /// [`Node::on_timer`].
-    pub fn set_timer(&mut self, delay: SimDuration, tag: u64) -> TimerId {
-        self.core.set_timer(self.node, delay, tag)
+    /// Arms a one-shot timer `delay_micros` from now; `tag` is echoed
+    /// to [`Node::on_timer`].
+    pub fn set_timer(&mut self, delay_micros: u64, tag: u64) -> TimerId {
+        self.core.set_timer(self.node, delay_micros, tag)
     }
 
-    /// Arms a periodic timer firing every `period` from now; `tag` is
+    /// Arms a periodic timer firing every `period_micros` from now; `tag` is
     /// echoed to [`Node::on_timer`] on every firing. The timer re-arms
     /// itself after each firing until cancelled — the node behaves as
     /// an autonomous channel rather than waiting for an external
     /// driver. A crash silences it (the volatile clock is lost);
     /// [`Node::on_restart`] is the place to re-arm.
-    pub fn set_periodic_timer(&mut self, period: SimDuration, tag: u64) -> TimerId {
-        self.set_periodic_timer_jittered(period, SimDuration::ZERO, tag)
+    pub fn set_periodic_timer(&mut self, period_micros: u64, tag: u64) -> TimerId {
+        self.set_periodic_timer_jittered(period_micros, 0, tag)
     }
 
     /// Arms a periodic timer whose inter-fire delay is
-    /// `period + U[0, jitter]`, drawn from this node's private seeded
-    /// stream — N peers on the same period de-phase deterministically.
+    /// `period_micros + U[0, jitter_micros]`, drawn from this node's
+    /// private seeded stream — N peers on the same period de-phase
+    /// deterministically.
     pub fn set_periodic_timer_jittered(
         &mut self,
-        period: SimDuration,
-        jitter: SimDuration,
+        period_micros: u64,
+        jitter_micros: u64,
         tag: u64,
     ) -> TimerId {
-        self.core
-            .set_periodic_timer(self.node, PeriodicSpec { period, jitter }, tag)
+        let spec = PeriodicSpec {
+            period_micros,
+            jitter_micros,
+        };
+        self.core.set_periodic_timer(self.node, spec, tag)
     }
 
     /// Cancels a pending timer (one-shot or periodic). Cancelling an
@@ -311,7 +313,7 @@ impl NodeCtx<'_> {
     }
 
     /// This node's private deterministic random stream.
-    pub fn rng(&mut self) -> &mut SimRng {
+    pub fn rng(&mut self) -> &mut SeededRng {
         &mut self.core.node_rngs[self.node.index()]
     }
 
@@ -326,7 +328,7 @@ impl NodeCtx<'_> {
     /// Current simulation time in microseconds, for telemetry
     /// timestamps.
     pub fn now_micros(&self) -> u64 {
-        self.core.now.as_micros()
+        self.core.now().as_micros()
     }
 
     /// Read-only view of the topology (e.g. to enumerate neighbours).
@@ -339,9 +341,9 @@ struct Core {
     topology: Topology,
     /// The kernel's deterministic scheduler: `simnet`'s event loop is a
     /// client of the same `(time, sequence)`-ordered queue the layers
-    /// above use for their own scheduled behaviour.
+    /// above use for their own scheduled behaviour. Its `now()` is the
+    /// simulation's one clock.
     queue: EventQueue<EventKind>,
-    now: SimTime,
     next_msg: u64,
     next_timer: u64,
     cancelled_timers: BTreeSet<TimerId>,
@@ -349,45 +351,35 @@ struct Core {
     /// ids in here can enter the cancelled set.
     pending_timers: BTreeSet<TimerId>,
     periodic_timers: BTreeMap<TimerId, (NodeId, u64, PeriodicSpec)>,
-    link_busy_until: BTreeMap<(NodeId, NodeId), SimTime>,
-    link_last_delivery: BTreeMap<(NodeId, NodeId), SimTime>,
+    link_busy_until: BTreeMap<(NodeId, NodeId), Timestamp>,
+    link_last_delivery: BTreeMap<(NodeId, NodeId), Timestamp>,
     link_queues: BTreeMap<(NodeId, NodeId), LinkQueue>,
-    rng: SimRng,
-    node_rngs: Vec<SimRng>,
-    /// Kernel-facing view of `now`; advanced in lockstep so code holding
-    /// a [`ManualClock`] handle observes simulated time.
-    clock: ManualClock,
+    rng: SeededRng,
+    node_rngs: Vec<SeededRng>,
     telemetry: Telemetry,
 }
 
 impl Core {
-    /// Advances simulated time, keeping the kernel clock in lockstep.
-    fn set_now(&mut self, at: SimTime) {
-        self.now = at;
-        self.clock.set_micros(at.as_micros());
+    fn now(&self) -> Timestamp {
+        self.queue.now()
     }
 
-    fn push(&mut self, at: SimTime, kind: EventKind) {
-        self.queue.schedule(at.into(), kind);
-    }
-
-    fn set_timer(&mut self, node: NodeId, delay: SimDuration, tag: u64) -> TimerId {
+    fn set_timer(&mut self, node: NodeId, delay_micros: u64, tag: u64) -> TimerId {
         let timer = TimerId(self.next_timer);
         self.next_timer += 1;
         self.pending_timers.insert(timer);
-        let at = self.now + delay;
-        self.push(at, EventKind::Timer { node, timer, tag });
+        self.queue
+            .schedule_after(delay_micros, EventKind::Timer { node, timer, tag });
         timer
     }
 
     /// Draws this spec's next inter-fire delay: the period plus a fresh
     /// uniform jitter from the node's private stream.
-    fn periodic_delay(&mut self, node: NodeId, spec: PeriodicSpec) -> SimDuration {
-        if spec.jitter.is_zero() {
-            return spec.period;
+    fn periodic_delay(&mut self, node: NodeId, spec: PeriodicSpec) -> u64 {
+        if spec.jitter_micros == 0 {
+            return spec.period_micros;
         }
-        let draw = self.node_rngs[node.index()].below(spec.jitter.as_micros() + 1);
-        spec.period + SimDuration::from_micros(draw)
+        spec.period_micros + self.node_rngs[node.index()].below(spec.jitter_micros + 1)
     }
 
     fn set_periodic_timer(&mut self, node: NodeId, spec: PeriodicSpec, tag: u64) -> TimerId {
@@ -396,8 +388,8 @@ impl Core {
         self.pending_timers.insert(timer);
         self.periodic_timers.insert(timer, (node, tag, spec));
         let delay = self.periodic_delay(node, spec);
-        let at = self.now + delay;
-        self.push(at, EventKind::Timer { node, timer, tag });
+        self.queue
+            .schedule_after(delay, EventKind::Timer { node, timer, tag });
         timer
     }
 
@@ -415,14 +407,15 @@ impl Core {
         // If the sender is inside a traced operation, this send gets a
         // Net-layer span of its own, and the message carries its
         // context so the (possibly much later) delivery parents on it.
+        let now = self.now();
         let span = t.current_context().map(|_| {
-            let s = t.span_begin(Layer::Net, "net.send", self.now.as_micros());
-            t.span_end(s, self.now.as_micros());
+            let s = t.span_begin(Layer::Net, "net.send", now.as_micros());
+            t.span_end(s, now.as_micros());
             s
         });
         t.incr(Layer::Net, "net.sent");
         t.emit(
-            self.now.as_micros(),
+            now.as_micros(),
             Layer::Net,
             "net.send",
             format!(
@@ -445,14 +438,14 @@ impl Core {
             from,
             to,
             size,
-            sent_at: self.now,
+            sent_at: now,
             span,
             payload,
         };
 
         // Local delivery: no link involved, zero latency.
         if from == to {
-            self.push(self.now, EventKind::Deliver(msg));
+            self.queue.schedule(now, EventKind::Deliver(msg));
             return SendOutcome::Accepted { id };
         }
 
@@ -460,7 +453,7 @@ impl Core {
             self.drop_message(id, DropReason::NoRoute);
             return SendOutcome::Shed { id };
         };
-        if spec.transmission_delay(size) == SimDuration::MAX {
+        if spec.transmission_delay(size) == u64::MAX {
             // Zero-bandwidth link: the message never gets onto the wire.
             self.drop_message(id, DropReason::NoRoute);
             return SendOutcome::Shed { id };
@@ -471,12 +464,12 @@ impl Core {
             .link_busy_until
             .get(&key)
             .copied()
-            .unwrap_or(SimTime::ZERO);
+            .unwrap_or(Timestamp::ZERO);
         let queue_empty = self
             .link_queues
             .get(&key)
             .is_none_or(|q| q.waiting.is_empty());
-        if queue_empty && busy_until <= self.now {
+        if queue_empty && busy_until <= now {
             // Wire idle, nothing waiting: straight onto the wire.
             self.transmit(key, &spec, msg);
             return SendOutcome::Accepted { id };
@@ -488,19 +481,19 @@ impl Core {
     /// occupies it for the transmission delay, draws jitter and loss,
     /// applies the FIFO clamp, and schedules delivery.
     fn transmit(&mut self, key: (NodeId, NodeId), spec: &LinkSpec, msg: Message) {
-        let start = self.now.max(
+        let start = self.now().max(
             self.link_busy_until
                 .get(&key)
                 .copied()
-                .unwrap_or(SimTime::ZERO),
+                .unwrap_or(Timestamp::ZERO),
         );
         let wire_free = start + spec.transmission_delay(msg.size);
         self.link_busy_until.insert(key, wire_free);
 
-        let jitter = if spec.jitter.is_zero() {
-            SimDuration::ZERO
+        let jitter = if spec.jitter_micros == 0 {
+            0
         } else {
-            SimDuration::from_micros(self.rng.below(spec.jitter.as_micros() + 1))
+            self.rng.below(spec.jitter_micros + 1)
         };
 
         // Loss draws *before* the FIFO clamp registers: a lost message
@@ -516,10 +509,10 @@ impl Core {
             .link_last_delivery
             .get(&key)
             .copied()
-            .unwrap_or(SimTime::ZERO);
-        let deliver_at = (wire_free + spec.latency + jitter).max(last);
+            .unwrap_or(Timestamp::ZERO);
+        let deliver_at = (wire_free + spec.latency_micros + jitter).max(last);
         self.link_last_delivery.insert(key, deliver_at);
-        self.push(deliver_at, EventKind::Deliver(msg));
+        self.queue.schedule(deliver_at, EventKind::Deliver(msg));
     }
 
     /// Admits `msg` to the link's bounded egress queue (the wire is
@@ -597,14 +590,14 @@ impl Core {
             .link_busy_until
             .get(&key)
             .copied()
-            .unwrap_or(SimTime::ZERO);
-        let at = self.now.max(busy_until);
+            .unwrap_or(Timestamp::ZERO);
+        let at = self.now().max(busy_until);
         let needs_drain = self
             .link_queues
             .get_mut(&key)
             .is_some_and(|q| !std::mem::replace(&mut q.draining, true));
         if needs_drain {
-            self.push(
+            self.queue.schedule(
                 at,
                 EventKind::LinkReady {
                     from: key.0,
@@ -649,8 +642,12 @@ impl Core {
         q.draining = more;
         self.transmit(key, &spec, w.msg);
         if more {
-            let at = self.link_busy_until.get(&key).copied().unwrap_or(self.now);
-            self.push(at, EventKind::LinkReady { from, to });
+            let at = self
+                .link_busy_until
+                .get(&key)
+                .copied()
+                .unwrap_or(self.now());
+            self.queue.schedule(at, EventKind::LinkReady { from, to });
         }
     }
 
@@ -679,7 +676,7 @@ impl Core {
         t.incr(Layer::Net, "net.dropped");
         t.incr(Layer::Net, reason.counter());
         t.emit(
-            self.now.as_micros(),
+            self.now().as_micros(),
             Layer::Net,
             "net.drop",
             format!("{id:?} {reason:?}"),
@@ -700,7 +697,7 @@ impl Core {
         }
         self.telemetry.incr(Layer::Net, "net.faults");
         self.telemetry
-            .emit(self.now.as_micros(), Layer::Net, "net.fault", description);
+            .emit(self.now().as_micros(), Layer::Net, "net.fault", description);
     }
 }
 
@@ -750,13 +747,12 @@ impl Sim {
     /// `seed`.
     pub fn new(topology: Topology, seed: u64) -> Self {
         let n = topology.node_count();
-        let mut rng = SimRng::seed_from(seed);
+        let mut rng = SeededRng::seed_from(seed);
         let node_rngs = (0..n).map(|_| rng.fork()).collect();
         Sim {
             core: Core {
                 topology,
                 queue: EventQueue::new(),
-                now: SimTime::ZERO,
                 next_msg: 0,
                 next_timer: 0,
                 cancelled_timers: BTreeSet::new(),
@@ -767,7 +763,6 @@ impl Sim {
                 link_queues: BTreeMap::new(),
                 rng,
                 node_rngs,
-                clock: ManualClock::new(),
                 telemetry: Telemetry::new(),
             },
             nodes: (0..n).map(|_| None).collect(),
@@ -829,8 +824,8 @@ impl Sim {
     }
 
     /// Schedules a fault to occur at `at`.
-    pub fn schedule_fault(&mut self, at: SimTime, action: FaultAction) {
-        self.core.push(at, EventKind::Fault(action));
+    pub fn schedule_fault(&mut self, at: Timestamp, action: FaultAction) {
+        self.core.queue.schedule(at, EventKind::Fault(action));
     }
 
     /// Applies a fault immediately.
@@ -859,8 +854,8 @@ impl Sim {
     }
 
     /// Current simulation time.
-    pub fn now(&self) -> SimTime {
-        self.core.now
+    pub fn now(&self) -> Timestamp {
+        self.core.now()
     }
 
     /// The simulator's own Net counters under their historical names,
@@ -886,14 +881,6 @@ impl Sim {
     /// behaviours record through [`NodeCtx::telemetry`].
     pub fn telemetry(&self) -> &Telemetry {
         &self.core.telemetry
-    }
-
-    /// A kernel [`Clock`](cscw_kernel::Clock) handle that tracks
-    /// simulated time: it reads `0` until the first event runs and
-    /// advances whenever the event loop does. Clones share state, so
-    /// the handle stays valid for the simulator's lifetime.
-    pub fn kernel_clock(&self) -> ManualClock {
-        self.core.clock.clone()
     }
 
     /// The topology (for inspection or direct fault injection).
@@ -932,10 +919,9 @@ impl Sim {
     /// Processes the next event. Returns `false` when the queue is empty.
     pub fn step(&mut self) -> bool {
         self.start_if_needed();
-        let Some((at, kind)) = self.core.queue.pop() else {
+        let Some((_, kind)) = self.core.queue.pop() else {
             return false;
         };
-        self.core.set_now(at.into());
         match kind {
             EventKind::Fault(action) => self.handle_fault(action),
             EventKind::LinkReady { from, to } => self.core.link_ready(from, to),
@@ -955,9 +941,10 @@ impl Sim {
                 // a handler that cancels its own timer wins the race.
                 if let Some(&(_, _, spec)) = self.core.periodic_timers.get(&timer) {
                     let delay = self.core.periodic_delay(node, spec);
-                    let at = self.core.now + delay;
                     self.core.pending_timers.insert(timer);
-                    self.core.push(at, EventKind::Timer { node, timer, tag });
+                    self.core
+                        .queue
+                        .schedule_after(delay, EventKind::Timer { node, timer, tag });
                 }
                 if let Some(mut behaviour) = self.nodes[node.index()].take() {
                     let mut ctx = NodeCtx {
@@ -981,14 +968,11 @@ impl Sim {
                     self.core.drop_message(id, DropReason::Partitioned);
                     return true;
                 }
-                let now = self.core.now.as_micros();
+                let now = self.core.now();
                 let t = &self.core.telemetry;
                 t.incr(Layer::Net, "net.delivered");
-                t.record_micros(
-                    Layer::Net,
-                    "net.delivery_latency",
-                    self.core.now.saturating_since(msg.sent_at).as_micros(),
-                );
+                t.record_micros(Layer::Net, "net.delivery_latency", now - msg.sent_at);
+                let now = now.as_micros();
                 t.emit(
                     now,
                     Layer::Net,
@@ -1017,7 +1001,7 @@ impl Sim {
                     self.core.telemetry.incr(Layer::Net, "net.unhandled");
                 }
                 if let Some(s) = deliver_span {
-                    self.core.telemetry.span_end(s, self.core.now.as_micros());
+                    self.core.telemetry.span_end(s, self.core.now().as_micros());
                 }
             }
         }
@@ -1052,18 +1036,21 @@ impl Sim {
 
     /// Runs until simulated time reaches `deadline` (events at exactly
     /// `deadline` are processed) or the queue empties.
-    pub fn run_until(&mut self, deadline: SimTime) {
+    pub fn run_until(&mut self, deadline: Timestamp) {
         self.start_if_needed();
-        while let Some(at) = self.core.queue.peek_at() {
-            if SimTime::from(at) > deadline {
-                break;
-            }
+        while self.core.queue.peek_at().is_some_and(|at| at <= deadline) {
             self.step();
         }
-        if self.core.now < deadline {
-            self.core.set_now(deadline);
-            self.core.queue.advance_to(deadline.into());
-        }
+        self.core.queue.advance_to(deadline);
+    }
+}
+
+/// The simulator is its own kernel [`Clock`]: it reads the event
+/// queue's `now`, so a platform over simulated time needs no second
+/// copy of it.
+impl Clock for Sim {
+    fn now_micros(&self) -> u64 {
+        self.core.now().as_micros()
     }
 }
 
@@ -1098,7 +1085,7 @@ impl NetCounters<'_> {
 impl std::fmt::Debug for Sim {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Sim")
-            .field("now", &self.core.now)
+            .field("now", &self.core.now())
             .field("nodes", &self.nodes.len())
             .field("pending_events", &self.core.queue.len())
             .finish()
@@ -1112,7 +1099,7 @@ mod tests {
 
     #[derive(Debug, Default)]
     struct Collector {
-        received: Vec<(NodeId, u32, SimTime)>,
+        received: Vec<(NodeId, u32, Timestamp)>,
     }
 
     impl Node for Collector {
@@ -1134,7 +1121,7 @@ mod tests {
         let mut b = TopologyBuilder::new();
         let a = b.add_node("a");
         let c = b.add_node("c");
-        b.link_both(a, c, LinkSpec::fixed(SimDuration::from_millis(latency_ms)));
+        b.link_both(a, c, LinkSpec::fixed(latency_ms * 1_000));
         (Sim::new(b.build(), 7), a, c)
     }
 
@@ -1148,7 +1135,7 @@ mod tests {
         let got = &sim.node::<Collector>(a).unwrap().received;
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].1, 2);
-        assert_eq!(got[0].2, SimTime::from_millis(10));
+        assert_eq!(got[0].2, Timestamp::from_millis(10));
     }
 
     #[test]
@@ -1159,7 +1146,7 @@ mod tests {
         sim.run_until_idle();
         let got = &sim.node::<Collector>(a).unwrap().received;
         assert_eq!(got.len(), 1);
-        assert_eq!(got[0].2, SimTime::ZERO);
+        assert_eq!(got[0].2, Timestamp::ZERO);
     }
 
     #[test]
@@ -1185,7 +1172,7 @@ mod tests {
         sim.register(c, Collector::default());
         sim.send_from(a, c, Payload::new(1u32), 8);
         sim.schedule_fault(
-            SimTime::from_millis(5),
+            Timestamp::from_millis(5),
             FaultAction::Partition(vec![a], vec![c]),
         );
         sim.run_until_idle();
@@ -1202,9 +1189,9 @@ mod tests {
         let (mut sim, a, c) = pair(10);
         sim.register(c, Collector::default());
         sim.apply_fault(FaultAction::Partition(vec![a], vec![c]));
-        sim.schedule_fault(SimTime::from_millis(100), FaultAction::HealAll);
+        sim.schedule_fault(Timestamp::from_millis(100), FaultAction::HealAll);
         sim.send_from(a, c, Payload::new(1u32), 8);
-        sim.run_until(SimTime::from_millis(200));
+        sim.run_until(Timestamp::from_millis(200));
         // First message was in flight while partitioned: lost.
         assert_eq!(
             sim.telemetry()
@@ -1240,9 +1227,9 @@ mod tests {
         }
         impl Node for TimerNode {
             fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
-                ctx.set_timer(SimDuration::from_millis(2), 2);
-                ctx.set_timer(SimDuration::from_millis(1), 1);
-                ctx.set_timer(SimDuration::from_millis(3), 3);
+                ctx.set_timer(2_000, 2);
+                ctx.set_timer(1_000, 1);
+                ctx.set_timer(3_000, 3);
             }
             fn on_message(&mut self, _ctx: &mut NodeCtx<'_>, _msg: Message) {}
             fn on_timer(&mut self, _ctx: &mut NodeCtx<'_>, _timer: TimerId, tag: u64) {
@@ -1262,8 +1249,8 @@ mod tests {
         }
         impl Node for CancelNode {
             fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
-                let t = ctx.set_timer(SimDuration::from_millis(2), 99);
-                ctx.set_timer(SimDuration::from_millis(5), 1);
+                let t = ctx.set_timer(2_000, 99);
+                ctx.set_timer(5_000, 1);
                 ctx.cancel_timer(t);
             }
             fn on_message(&mut self, _ctx: &mut NodeCtx<'_>, _msg: Message) {}
@@ -1282,11 +1269,7 @@ mod tests {
         let mut b = TopologyBuilder::new();
         let a = b.add_node("a");
         let c = b.add_node("c");
-        b.link_both(
-            a,
-            c,
-            LinkSpec::fixed(SimDuration::from_millis(1)).with_jitter(SimDuration::from_millis(50)),
-        );
+        b.link_both(a, c, LinkSpec::fixed(1_000).with_jitter(50_000));
         let mut sim = Sim::new(b.build(), 3);
         sim.register(c, Collector::default());
         for i in 0..50u32 {
@@ -1309,21 +1292,17 @@ mod tests {
         let a = b.add_node("a");
         let c = b.add_node("c");
         // 1 byte/µs, zero latency link.
-        b.link(
-            a,
-            c,
-            LinkSpec::fixed(SimDuration::ZERO).with_bandwidth(1_000_000),
-        );
+        b.link(a, c, LinkSpec::fixed(0).with_bandwidth(1_000_000));
         let mut sim = Sim::new(b.build(), 3);
         sim.register(c, Collector::default());
         sim.send_from(a, c, Payload::new(0u32), 1_000);
         sim.send_from(a, c, Payload::new(1u32), 1_000);
         sim.run_until_idle();
         let got = &sim.node::<Collector>(c).unwrap().received;
-        assert_eq!(got[0].2, SimTime::from_micros(1_000));
+        assert_eq!(got[0].2, Timestamp::from_micros(1_000));
         assert_eq!(
             got[1].2,
-            SimTime::from_micros(2_000),
+            Timestamp::from_micros(2_000),
             "second message queued behind first"
         );
     }
@@ -1359,7 +1338,7 @@ mod tests {
                 a,
                 c,
                 LinkSpec::lan()
-                    .with_jitter(SimDuration::from_millis(20))
+                    .with_jitter(20_000)
                     .with_loss(0.2)
                     .with_bandwidth(200_000)
                     .with_queue_capacity_msgs(16),
@@ -1404,9 +1383,7 @@ mod tests {
         b.link(
             a,
             c,
-            LinkSpec::fixed(SimDuration::from_millis(1))
-                .with_jitter(SimDuration::from_millis(50))
-                .with_loss(0.5),
+            LinkSpec::fixed(1_000).with_jitter(50_000).with_loss(0.5),
         );
         let mut sim = Sim::new(b.build(), 11);
         sim.register(c, Collector::default());
@@ -1442,7 +1419,7 @@ mod tests {
         let (mut sim, a, c) = pair(10);
         sim.register(c, Collector::default());
         sim.send_from(a, c, Payload::new(1u32), 8);
-        sim.schedule_fault(SimTime::from_millis(5), FaultAction::Crash(a));
+        sim.schedule_fault(Timestamp::from_millis(5), FaultAction::Crash(a));
         sim.run_until_idle();
         assert_eq!(
             sim.node::<Collector>(c).unwrap().received.len(),
@@ -1471,10 +1448,9 @@ mod tests {
         impl Node for LateCanceller {
             fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
                 for i in 0..1000 {
-                    self.ids
-                        .push(ctx.set_timer(SimDuration::from_micros(i + 1), 0));
+                    self.ids.push(ctx.set_timer(i + 1, 0));
                 }
-                ctx.set_timer(SimDuration::from_millis(100), 1);
+                ctx.set_timer(100_000, 1);
             }
             fn on_message(&mut self, _ctx: &mut NodeCtx<'_>, _msg: Message) {}
             fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, _timer: TimerId, tag: u64) {
@@ -1506,7 +1482,7 @@ mod tests {
         b.link(
             a,
             c,
-            LinkSpec::fixed(SimDuration::ZERO)
+            LinkSpec::fixed(0)
                 .with_bandwidth(1_000_000)
                 .with_queue_capacity_msgs(0),
         );
@@ -1538,7 +1514,7 @@ mod tests {
         b.link(
             a,
             c,
-            LinkSpec::fixed(SimDuration::ZERO)
+            LinkSpec::fixed(0)
                 .with_bandwidth(1_000_000)
                 .with_queue_capacity_msgs(3),
         );
@@ -1572,7 +1548,7 @@ mod tests {
         b.link(
             a,
             c,
-            LinkSpec::fixed(SimDuration::ZERO)
+            LinkSpec::fixed(0)
                 .with_bandwidth(1_000_000)
                 .with_queue_capacity_msgs(10)
                 .with_discipline(QueueDiscipline::Priority { classes: 2 }),
@@ -1624,7 +1600,7 @@ mod tests {
         b.link(
             a,
             c,
-            LinkSpec::fixed(SimDuration::ZERO)
+            LinkSpec::fixed(0)
                 .with_bandwidth(1_000_000)
                 .with_queue_capacity_msgs(2)
                 .with_discipline(QueueDiscipline::Priority { classes: 2 }),
@@ -1665,7 +1641,7 @@ mod tests {
         b.link(
             a,
             c,
-            LinkSpec::fixed(SimDuration::ZERO)
+            LinkSpec::fixed(0)
                 .with_bandwidth(1_000_000)
                 .with_discipline(QueueDiscipline::Lossy { p: 1.0 }),
         );
@@ -1698,8 +1674,8 @@ mod tests {
         b.link(
             a,
             c,
-            LinkSpec::fixed(SimDuration::from_millis(1))
-                .with_jitter(SimDuration::from_millis(5))
+            LinkSpec::fixed(1_000)
+                .with_jitter(5_000)
                 .with_loss(0.3)
                 .with_bandwidth(1_000_000)
                 .with_queue_capacity_msgs(32),
@@ -1735,11 +1711,7 @@ mod tests {
         let mut b = TopologyBuilder::new();
         let a = b.add_node("a");
         let c = b.add_node("c");
-        b.link(
-            a,
-            c,
-            LinkSpec::fixed(SimDuration::ZERO).with_bandwidth(1_000),
-        );
+        b.link(a, c, LinkSpec::fixed(0).with_bandwidth(1_000));
         let mut sim = Sim::new(b.build(), 1);
         sim.register(c, Collector::default());
         // 1 byte/ms: the first send holds the wire until t = 100 ms,
@@ -1747,8 +1719,8 @@ mod tests {
         for i in 0..5u32 {
             sim.send_from(a, c, Payload::new(i), 100);
         }
-        sim.schedule_fault(SimTime::from_millis(10), FaultAction::Crash(a));
-        sim.schedule_fault(SimTime::from_secs(10), FaultAction::Restart(a));
+        sim.schedule_fault(Timestamp::from_millis(10), FaultAction::Crash(a));
+        sim.schedule_fault(Timestamp::from_secs(10), FaultAction::Restart(a));
         sim.run_until_idle();
         // The message on the wire survives (bits had left the host);
         // the queued four die with the crashed sender's buffers.
@@ -1767,7 +1739,7 @@ mod tests {
         b.link(
             a,
             c,
-            LinkSpec::fixed(SimDuration::ZERO)
+            LinkSpec::fixed(0)
                 .with_bandwidth(1_000_000)
                 .with_queue_capacity_msgs(2),
         );
@@ -1790,8 +1762,10 @@ mod tests {
     #[test]
     fn run_until_advances_clock_to_deadline() {
         let (mut sim, _a, _c) = pair(1);
-        sim.run_until(SimTime::from_secs(5));
-        assert_eq!(sim.now(), SimTime::from_secs(5));
+        sim.run_until(Timestamp::from_secs(5));
+        assert_eq!(sim.now(), Timestamp::from_secs(5));
+        // No event popped: the deadline itself moved the one clock.
+        assert_eq!(Clock::now_micros(&sim), 5_000_000);
     }
 
     #[test]
@@ -1857,11 +1831,7 @@ mod tests {
         let a = b.add_node("a");
         let c = b.add_node("c");
         // 1 byte/µs so size is visible in timing.
-        b.link_both(
-            a,
-            c,
-            LinkSpec::fixed(SimDuration::ZERO).with_bandwidth(1_000_000),
-        );
+        b.link_both(a, c, LinkSpec::fixed(0).with_bandwidth(1_000_000));
         let mut sim = Sim::new(b.build(), 1);
         sim.register(c, Echoless);
         sim.register(a, Collector::default());
@@ -1870,7 +1840,7 @@ mod tests {
         let got = &sim.node::<Collector>(a).unwrap().received;
         assert_eq!(got.len(), 1);
         // The reply took DEFAULT_MESSAGE_SIZE µs of transmission.
-        assert_eq!(got[0].2, SimTime::from_micros(DEFAULT_MESSAGE_SIZE));
+        assert_eq!(got[0].2, Timestamp::from_micros(DEFAULT_MESSAGE_SIZE));
     }
 
     #[test]
@@ -1880,7 +1850,7 @@ mod tests {
         }
         impl Node for TimerNode {
             fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
-                ctx.set_timer(SimDuration::from_millis(10), 1);
+                ctx.set_timer(10_000, 1);
             }
             fn on_message(&mut self, _ctx: &mut NodeCtx<'_>, _msg: Message) {}
             fn on_timer(&mut self, _ctx: &mut NodeCtx<'_>, _timer: TimerId, _tag: u64) {
@@ -1889,7 +1859,7 @@ mod tests {
         }
         let (mut sim, a, _c) = pair(1);
         sim.register(a, TimerNode { fired: 0 });
-        sim.schedule_fault(SimTime::from_millis(5), FaultAction::Crash(a));
+        sim.schedule_fault(Timestamp::from_millis(5), FaultAction::Crash(a));
         sim.run_until_idle();
         assert_eq!(sim.node::<TimerNode>(a).unwrap().fired, 0);
     }
@@ -1913,7 +1883,7 @@ mod tests {
         assert_eq!(sim.node::<Phoenix>(a).unwrap().restarts, 1);
         // Scheduled restarts fire the hook too.
         sim.apply_fault(FaultAction::Crash(a));
-        sim.schedule_fault(SimTime::from_millis(5), FaultAction::Restart(a));
+        sim.schedule_fault(Timestamp::from_millis(5), FaultAction::Restart(a));
         sim.run_until_idle();
         assert_eq!(sim.node::<Phoenix>(a).unwrap().restarts, 2);
     }
@@ -1921,13 +1891,13 @@ mod tests {
     #[test]
     fn periodic_timer_fires_until_cancelled() {
         struct Pulse {
-            fired: Vec<SimTime>,
+            fired: Vec<Timestamp>,
             stop_after: usize,
             timer: Option<TimerId>,
         }
         impl Node for Pulse {
             fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
-                self.timer = Some(ctx.set_periodic_timer(SimDuration::from_millis(10), 7));
+                self.timer = Some(ctx.set_periodic_timer(10_000, 7));
             }
             fn on_message(&mut self, _ctx: &mut NodeCtx<'_>, _msg: Message) {}
             fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, _timer: TimerId, tag: u64) {
@@ -1951,9 +1921,9 @@ mod tests {
         assert_eq!(
             sim.node::<Pulse>(a).unwrap().fired,
             vec![
-                SimTime::from_millis(10),
-                SimTime::from_millis(20),
-                SimTime::from_millis(30)
+                Timestamp::from_millis(10),
+                Timestamp::from_millis(20),
+                Timestamp::from_millis(30)
             ],
             "fires on the period grid, then the cancel sticks"
         );
@@ -1962,15 +1932,11 @@ mod tests {
     #[test]
     fn jittered_periodic_timer_is_seed_deterministic() {
         struct Pulse {
-            fired: Vec<SimTime>,
+            fired: Vec<Timestamp>,
         }
         impl Node for Pulse {
             fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
-                ctx.set_periodic_timer_jittered(
-                    SimDuration::from_millis(10),
-                    SimDuration::from_millis(5),
-                    1,
-                );
+                ctx.set_periodic_timer_jittered(10_000, 5_000, 1);
             }
             fn on_message(&mut self, _ctx: &mut NodeCtx<'_>, _msg: Message) {}
             fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, _timer: TimerId, _tag: u64) {
@@ -1982,15 +1948,15 @@ mod tests {
             let a = b.add_node("a");
             let mut sim = Sim::new(b.build(), seed);
             sim.register(a, Pulse { fired: vec![] });
-            sim.run_until(SimTime::from_millis(100));
+            sim.run_until(Timestamp::from_millis(100));
             sim.node::<Pulse>(a).unwrap().fired.clone()
         };
         assert_eq!(run(5), run(5), "same seed, same jittered firings");
         assert_ne!(run(5), run(6), "jitter really draws from the seed");
         for window in run(5).windows(2) {
-            let gap = window[1].saturating_since(window[0]);
+            let gap = window[1] - window[0];
             assert!(
-                (10_000..=15_000).contains(&gap.as_micros()),
+                (10_000..=15_000).contains(&gap),
                 "inter-fire gap {gap:?} outside period+jitter bound"
             );
         }
@@ -2003,23 +1969,23 @@ mod tests {
         }
         impl Node for Pulse {
             fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
-                ctx.set_periodic_timer(SimDuration::from_millis(10), 1);
+                ctx.set_periodic_timer(10_000, 1);
             }
             fn on_message(&mut self, _ctx: &mut NodeCtx<'_>, _msg: Message) {}
             fn on_timer(&mut self, _ctx: &mut NodeCtx<'_>, _timer: TimerId, _tag: u64) {
                 self.fired += 1;
             }
             fn on_restart(&mut self, ctx: &mut NodeCtx<'_>) {
-                ctx.set_periodic_timer(SimDuration::from_millis(10), 1);
+                ctx.set_periodic_timer(10_000, 1);
             }
         }
         let (mut sim, a, _c) = pair(1);
         sim.register(a, Pulse { fired: 0 });
         // Two firings (10, 20 ms), crash at 25 ms kills the recurrence,
         // restart at 55 ms re-arms it: firings resume at 65 ms.
-        sim.schedule_fault(SimTime::from_millis(25), FaultAction::Crash(a));
-        sim.schedule_fault(SimTime::from_millis(55), FaultAction::Restart(a));
-        sim.run_until(SimTime::from_millis(100));
+        sim.schedule_fault(Timestamp::from_millis(25), FaultAction::Crash(a));
+        sim.schedule_fault(Timestamp::from_millis(55), FaultAction::Restart(a));
+        sim.run_until(Timestamp::from_millis(100));
         // 10, 20 before the crash; 65, 75, 85, 95 after the restart.
         assert_eq!(sim.node::<Pulse>(a).unwrap().fired, 6);
     }
@@ -2035,13 +2001,10 @@ mod tests {
 
     #[test]
     fn attached_telemetry_mirrors_net_activity() {
-        use cscw_kernel::Clock;
-
         let (mut sim, a, c) = pair(5);
         let telemetry = Telemetry::new();
         sim.attach_telemetry(telemetry.clone());
-        let clock = sim.kernel_clock();
-        assert_eq!(clock.now_micros(), 0);
+        assert_eq!(sim.now_micros(), 0);
 
         sim.register(c, Echo);
         sim.register(a, Collector::default());
@@ -2058,9 +2021,9 @@ mod tests {
             .events()
             .iter()
             .any(|e| e.name == "net.deliver" && e.layer == Layer::Net));
-        // The kernel clock tracked the event loop: two 5 ms hops.
-        assert_eq!(clock.now_micros(), sim.now().as_micros());
-        assert_eq!(clock.now_micros(), 10_000);
+        // The simulator's kernel clock is its event loop: two 5 ms hops.
+        assert_eq!(sim.now_micros(), sim.now().as_micros());
+        assert_eq!(sim.now_micros(), 10_000);
     }
 
     #[test]
@@ -2103,7 +2066,7 @@ mod tests {
         b.link(
             a,
             c,
-            LinkSpec::fixed(SimDuration::ZERO)
+            LinkSpec::fixed(0)
                 .with_bandwidth(1_000_000)
                 .with_queue_capacity_msgs(1),
         );

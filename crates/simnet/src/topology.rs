@@ -21,7 +21,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use serde::{Deserialize, Serialize};
 
 use crate::id::NodeId;
-use crate::time::SimDuration;
+use cscw_kernel::Timestamp;
 
 /// Pure edge-list generators for the standard experiment families.
 ///
@@ -161,10 +161,10 @@ pub enum QueueDiscipline {
 /// unbounded and the link never sheds for congestion.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct LinkSpec {
-    /// Fixed propagation delay.
-    pub latency: SimDuration,
-    /// Maximum additional uniform random delay.
-    pub jitter: SimDuration,
+    /// Fixed propagation delay, in microseconds.
+    pub latency_micros: u64,
+    /// Maximum additional uniform random delay, in microseconds.
+    pub jitter_micros: u64,
     /// Throughput in bytes per simulated second; `None` models an
     /// uncongested link where size does not affect delay.
     pub bandwidth_bytes_per_sec: Option<u64>,
@@ -183,8 +183,8 @@ impl LinkSpec {
     /// A symmetric LAN-like link: 1 ms latency, no jitter, lossless.
     pub fn lan() -> Self {
         LinkSpec {
-            latency: SimDuration::from_millis(1),
-            jitter: SimDuration::ZERO,
+            latency_micros: 1_000,
+            jitter_micros: 0,
             bandwidth_bytes_per_sec: None,
             loss_probability: 0.0,
             queue_capacity_msgs: None,
@@ -196,17 +196,18 @@ impl LinkSpec {
     /// A WAN-like link: 40 ms latency, 10 ms jitter, lossless.
     pub fn wan() -> Self {
         LinkSpec {
-            latency: SimDuration::from_millis(40),
-            jitter: SimDuration::from_millis(10),
+            latency_micros: 40_000,
+            jitter_micros: 10_000,
             ..LinkSpec::lan()
         }
     }
 
-    /// A link with exactly the given fixed latency and nothing else.
-    pub fn fixed(latency: SimDuration) -> Self {
+    /// A link with exactly the given fixed latency (in microseconds)
+    /// and nothing else.
+    pub fn fixed(latency_micros: u64) -> Self {
         LinkSpec {
-            latency,
-            jitter: SimDuration::ZERO,
+            latency_micros,
+            jitter_micros: 0,
             ..LinkSpec::lan()
         }
     }
@@ -223,9 +224,9 @@ impl LinkSpec {
         self
     }
 
-    /// Returns a copy with the given jitter bound.
-    pub fn with_jitter(mut self, jitter: SimDuration) -> Self {
-        self.jitter = jitter;
+    /// Returns a copy with the given jitter bound, in microseconds.
+    pub fn with_jitter(mut self, jitter_micros: u64) -> Self {
+        self.jitter_micros = jitter_micros;
         self
     }
 
@@ -254,16 +255,17 @@ impl LinkSpec {
         self.queue_capacity_msgs.is_some() || self.queue_capacity_bytes.is_some()
     }
 
-    /// The size-dependent serialisation delay for `size` bytes.
-    pub fn transmission_delay(&self, size_bytes: u64) -> SimDuration {
+    /// The size-dependent serialisation delay for `size` bytes, in
+    /// microseconds (`u64::MAX` on a zero-bandwidth link).
+    pub fn transmission_delay(&self, size_bytes: u64) -> u64 {
         match self.bandwidth_bytes_per_sec {
-            None => SimDuration::ZERO,
-            Some(0) => SimDuration::MAX,
+            None => 0,
+            Some(0) => u64::MAX,
             Some(bw) => {
                 // micros = bytes * 1e6 / bw, rounded up so a non-empty
                 // message never transmits in zero time.
                 let micros = (size_bytes as u128 * 1_000_000).div_ceil(bw as u128);
-                SimDuration::from_micros(micros.min(u64::MAX as u128) as u64)
+                micros.min(u64::MAX as u128) as u64
             }
         }
     }
@@ -483,14 +485,14 @@ impl IslandPlan {
     }
 
     /// Schedules the partition of all islands at `at`.
-    pub fn schedule_partition(&self, sim: &mut crate::sim::Sim, at: crate::time::SimTime) {
+    pub fn schedule_partition(&self, sim: &mut crate::sim::Sim, at: Timestamp) {
         for action in self.partition_actions() {
             sim.schedule_fault(at, action);
         }
     }
 
     /// Schedules the heal of all islands at `at`.
-    pub fn schedule_heal(&self, sim: &mut crate::sim::Sim, at: crate::time::SimTime) {
+    pub fn schedule_heal(&self, sim: &mut crate::sim::Sim, at: Timestamp) {
         for action in self.heal_actions() {
             sim.schedule_fault(at, action);
         }
@@ -682,20 +684,17 @@ mod tests {
     #[test]
     fn transmission_delay_rounds_up() {
         let spec = LinkSpec::lan().with_bandwidth(1_000_000); // 1 MB/s -> 1 µs/byte
-        assert_eq!(spec.transmission_delay(0), SimDuration::ZERO);
-        assert_eq!(spec.transmission_delay(1), SimDuration::from_micros(1));
-        assert_eq!(
-            spec.transmission_delay(1_000),
-            SimDuration::from_micros(1_000)
-        );
+        assert_eq!(spec.transmission_delay(0), 0);
+        assert_eq!(spec.transmission_delay(1), 1);
+        assert_eq!(spec.transmission_delay(1_000), 1_000);
         let none = LinkSpec::lan();
-        assert_eq!(none.transmission_delay(1 << 30), SimDuration::ZERO);
+        assert_eq!(none.transmission_delay(1 << 30), 0);
     }
 
     #[test]
     fn zero_bandwidth_never_delivers() {
         let spec = LinkSpec::lan().with_bandwidth(0);
-        assert_eq!(spec.transmission_delay(1), SimDuration::MAX);
+        assert_eq!(spec.transmission_delay(1), u64::MAX);
     }
 
     #[test]
@@ -779,20 +778,19 @@ mod tests {
     fn islands_partition_and_heal_at_scheduled_times() {
         use crate::payload::Payload;
         use crate::sim::Sim;
-        use crate::time::SimTime;
 
         let mut b = TopologyBuilder::new();
         let plan = b.add_islands("i", 2, 2, LinkSpec::lan(), LinkSpec::wan());
         let (left, right) = (plan.groups[0][0], plan.groups[1][0]);
         let mut sim = Sim::new(b.build(), 1);
-        plan.schedule_partition(&mut sim, SimTime::ZERO);
-        plan.schedule_heal(&mut sim, SimTime::from_millis(500));
+        plan.schedule_partition(&mut sim, Timestamp::ZERO);
+        plan.schedule_heal(&mut sim, Timestamp::from_millis(500));
 
         // While partitioned, a cross-island send is dropped...
-        sim.run_until(SimTime::from_millis(100));
+        sim.run_until(Timestamp::from_millis(100));
         assert!(!sim.topology().can_reach(left, right));
         sim.send_from(left, right, Payload::new(1u32), 8);
-        sim.run_until(SimTime::from_millis(200));
+        sim.run_until(Timestamp::from_millis(200));
         assert_eq!(
             sim.telemetry()
                 .counter(Layer::Net, "net.dropped_partitioned"),
@@ -801,10 +799,10 @@ mod tests {
         // ...intra-island traffic still flows...
         let (a0, a1) = (plan.groups[0][0], plan.groups[0][1]);
         sim.send_from(a0, a1, Payload::new(2u32), 8);
-        sim.run_until(SimTime::from_millis(300));
+        sim.run_until(Timestamp::from_millis(300));
         assert_eq!(sim.telemetry().counter(Layer::Net, "net.delivered"), 1);
         // ...and after the scheduled heal the bridge carries again.
-        sim.run_until(SimTime::from_millis(600));
+        sim.run_until(Timestamp::from_millis(600));
         assert!(sim.topology().can_reach(left, right));
         sim.send_from(left, right, Payload::new(3u32), 8);
         sim.run_until_idle();

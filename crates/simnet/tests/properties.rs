@@ -3,7 +3,7 @@
 //! messages (sent = delivered + dropped), all read off the simulation's
 //! telemetry stream.
 
-use cscw_kernel::Layer;
+use cscw_kernel::{Layer, Timestamp};
 use proptest::prelude::*;
 use simnet::*;
 
@@ -19,12 +19,12 @@ fn net(counters: &Counters, name: &str) -> u64 {
 }
 
 /// A recorded delivery: (sender, sequence number, delivery time).
-type Deliveries = Vec<(NodeId, u32, SimTime)>;
+type Deliveries = Vec<(NodeId, u32, Timestamp)>;
 
 #[derive(Debug, Default)]
 struct Collector {
     received: Deliveries,
-    times: Vec<SimTime>,
+    times: Vec<Timestamp>,
 }
 
 impl Node for Collector {
@@ -59,8 +59,8 @@ fn arb_link() -> impl Strategy<Value = LinkSpec> {
         prop::option::of(0u32..8),
     )
         .prop_map(|(lat, jit, bw, loss, queue)| {
-            let mut spec = LinkSpec::fixed(SimDuration::from_millis(lat))
-                .with_jitter(SimDuration::from_millis(jit))
+            let mut spec = LinkSpec::fixed(lat * 1_000)
+                .with_jitter(jit * 1_000)
                 .with_loss(loss);
             if let Some(bw) = bw {
                 spec = spec.with_bandwidth(bw);
@@ -163,7 +163,7 @@ proptest! {
     /// With a lossless, partition-free topology every message arrives.
     #[test]
     fn lossless_delivers_everything(ops in send_ops(4, 60), seed in any::<u64>()) {
-        let spec = LinkSpec::lan().with_jitter(SimDuration::from_millis(5));
+        let spec = LinkSpec::lan().with_jitter(5_000);
         let (_, counters) = run(4, spec, &ops, seed);
         prop_assert_eq!(net(&counters, "net.dropped"), 0);
         prop_assert_eq!(net(&counters, "net.sent"), net(&counters, "net.delivered"));

@@ -165,8 +165,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let inbox = bernard_ua.inbox(&sim)?;
     println!(
-        "== Bernard's inbox after {}: {} message(s), first subject {:?}",
-        sim.now(),
+        "== Bernard's inbox after {} µs: {} message(s), first subject {:?}",
+        sim.now().as_micros(),
         inbox.len(),
         inbox[0].ipm.heading.subject
     );

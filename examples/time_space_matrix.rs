@@ -14,7 +14,7 @@ use open_cscw::kernel::Timestamp;
 use open_cscw::messaging::{MtaNode, OrAddress};
 use open_cscw::mocca::org::{Person, RelationKind, Role};
 use open_cscw::mocca::CscwEnvironment;
-use open_cscw::simnet::{LinkSpec, Sim, SimDuration, TopologyBuilder};
+use open_cscw::simnet::{LinkSpec, Sim, TopologyBuilder};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let tom: Dn = "cn=Tom".parse()?;
@@ -67,10 +67,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     p_tom.request_floor(&mut sim);
     let before = sim.now();
     p_tom.draw(&mut sim, "architecture diagram");
-    let sync_latency = sim.now().saturating_since(before);
+    let sync_latency = sim.now() - before;
     println!("[same time / different places]  Shared-X-style conference");
     println!(
-        "    draw relayed to all in {sync_latency}, WYSIWIS = {}",
+        "    draw relayed to all in {sync_latency} µs, WYSIWIS = {}",
         p_wolfgang.window_matches_server(&sim)
     );
 
@@ -108,12 +108,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         None,
     );
     // Wolfgang reads a simulated day later.
-    sim.run_until(sim.now() + SimDuration::from_secs(86_400));
+    sim.run_until(sim.now() + 86_400_000_000);
     let entries = bbs_wolfgang.read(&sim, "odp-discussion")?;
-    let async_latency = sim.now().saturating_since(entries[0].at.into());
+    let async_latency = sim.now() - entries[0].at;
     println!("[diff times / diff places]      COM-style conferencing");
     println!(
-        "    entry read {async_latency} after posting ({} entr(y/ies))",
+        "    entry read {async_latency} µs after posting ({} entr(y/ies))",
         entries.len()
     );
 

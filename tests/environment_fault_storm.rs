@@ -24,7 +24,7 @@ use open_cscw::messaging::{MtaNode, OrAddress};
 use open_cscw::mocca::env::AppId;
 use open_cscw::mocca::org::{Person, Role};
 use open_cscw::mocca::{CscwEnvironment, ResilientPlatform, SimPlatform};
-use open_cscw::simnet::{NodeId, SimDuration};
+use open_cscw::simnet::NodeId;
 
 /// Consecutive transient failures before a port's breaker opens.
 const BREAKER_THRESHOLD: u32 = 3;
@@ -159,7 +159,7 @@ impl Storm {
         let degraded_before = self.degraded_total();
         self.exchanges += 1;
         let artifact = sample_artifact("sharedx").unwrap();
-        let at = self.sim_platform().sim().now().into();
+        let at = self.sim_platform().sim().now();
         match self
             .env
             .exchange(&dn("cn=Tom"), &artifact, &AppId::new("com"), at)
@@ -194,7 +194,7 @@ impl Storm {
     /// port call is admitted as a half-open probe.
     fn cool_down(&mut self) {
         let sim = self.sim_platform().sim_mut();
-        let deadline = sim.now() + SimDuration::from_micros(2 * COOLDOWN_MICROS);
+        let deadline = sim.now() + 2 * COOLDOWN_MICROS;
         sim.run_until(deadline);
     }
 

@@ -3,11 +3,9 @@
 //! duplicates a delivery, never livelocks, and accounts for every
 //! message (delivered, bounced with an NDR, or dropped on a dead link).
 
-use open_cscw::kernel::Layer;
+use open_cscw::kernel::{Layer, Timestamp};
 use open_cscw::messaging::{Ipm, MtaNode, OrAddress, SubmitOptions, UserAgent};
-use open_cscw::simnet::{
-    FaultAction, LinkSpec, NodeId, Sim, SimDuration, SimTime, TopologyBuilder,
-};
+use open_cscw::simnet::{FaultAction, LinkSpec, NodeId, Sim, TopologyBuilder};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -59,9 +57,9 @@ fn storm(seed: u64, sends: usize) -> (usize, usize, Sim) {
 
     // Schedule a storm of faults across the first simulated minute.
     for _ in 0..6 {
-        let at = SimTime::from_millis(rng.gen_range(0..60_000));
+        let at = Timestamp::from_millis(rng.gen_range(0..60_000));
         let victim = w.mtas[rng.gen_range(0..3)];
-        let heal_after = SimDuration::from_millis(rng.gen_range(100..20_000));
+        let heal_after = rng.gen_range(100..20_000) * 1_000;
         if rng.gen_bool(0.5) {
             w.sim.schedule_fault(at, FaultAction::Crash(victim));
             w.sim
@@ -92,7 +90,7 @@ fn storm(seed: u64, sends: usize) -> (usize, usize, Sim) {
             &format!("storm-{n}"),
             "payload",
         );
-        let defer = SimTime::from_millis(rng.gen_range(0..60_000));
+        let defer = Timestamp::from_millis(rng.gen_range(0..60_000));
         w.agents[from].submit(
             &mut w.sim,
             ipm,
@@ -153,9 +151,11 @@ fn storm_terminates_with_full_accounting() {
 fn no_duplicate_message_ids_after_storm() {
     let mut w = world(99);
     w.sim
-        .schedule_fault(SimTime::from_millis(50), FaultAction::Crash(w.mtas[1]));
-    w.sim
-        .schedule_fault(SimTime::from_millis(5_000), FaultAction::Restart(w.mtas[1]));
+        .schedule_fault(Timestamp::from_millis(50), FaultAction::Crash(w.mtas[1]));
+    w.sim.schedule_fault(
+        Timestamp::from_millis(5_000),
+        FaultAction::Restart(w.mtas[1]),
+    );
     let to = w.agents[1].address().clone();
     for n in 0..20 {
         let ipm = Ipm::text(

@@ -2,12 +2,12 @@
 //! distribution lists, media conversion on the wire, and fault
 //! injection (MTA crash, partition heal).
 
-use open_cscw::kernel::Layer;
+use open_cscw::kernel::{Layer, Timestamp};
 use open_cscw::messaging::{
     BodyPart, DeliveryOutcome, Ipm, MtaNode, NonDeliveryReason, OrAddress, Priority, SubmitOptions,
     UserAgent,
 };
-use open_cscw::simnet::{FaultAction, LinkSpec, NodeId, Sim, SimTime, TopologyBuilder};
+use open_cscw::simnet::{FaultAction, LinkSpec, NodeId, Sim, TopologyBuilder};
 
 struct World {
     sim: Sim,
@@ -95,7 +95,7 @@ fn transit_routing_crosses_two_hops() {
     assert_eq!(inbox.len(), 1);
     // Multi-hop cost: at least three MTA processing delays (50ms × 2 ×
     // priority factor) plus WAN latency.
-    assert!(inbox[0].delivered_at >= SimTime::from_millis(300));
+    assert!(inbox[0].delivered_at >= Timestamp::from_millis(300));
     // The report made it all the way back.
     let reports = w.agents[0].reports(&w.sim).unwrap();
     assert_eq!(reports.len(), 1);
@@ -193,7 +193,7 @@ fn fax_body_part_travels_and_costs_more_wire() {
 #[test]
 fn deferred_delivery_holds_until_morning() {
     let mut w = world();
-    let morning = SimTime::from_secs(8 * 3600);
+    let morning = Timestamp::from_secs(8 * 3600);
     let ipm = Ipm::text(
         w.agents[1].address().clone(),
         w.agents[0].address().clone(),

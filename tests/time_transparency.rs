@@ -6,7 +6,7 @@ use open_cscw::directory::Dn;
 use open_cscw::messaging::{MtaNode, OrAddress, UserAgent};
 use open_cscw::mocca::comm::channel::{SessionHandle, SessionHub, SessionMember};
 use open_cscw::mocca::transparency::TimeBridge;
-use open_cscw::simnet::{LinkSpec, NodeId, Sim, SimDuration, TopologyBuilder};
+use open_cscw::simnet::{LinkSpec, NodeId, Sim, TopologyBuilder};
 
 fn dn(s: &str) -> Dn {
     s.parse().unwrap()
@@ -96,8 +96,7 @@ fn absent_member_catches_up_and_contributes_back() {
 
     // Next morning he replies by mail; direction 2: the bridge posts it
     // into the (still running) session.
-    w.sim
-        .run_until(w.sim.now() + SimDuration::from_secs(12 * 3600));
+    w.sim.run_until(w.sim.now() + 12 * 3_600_000_000);
     w.bridge.post_in(
         &mut w.sim,
         dn("cn=Leandro"),

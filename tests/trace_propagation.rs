@@ -178,7 +178,7 @@ fn trace_id_survives_resilient_retries() {
         .crash_node(trader);
     shared.clear();
 
-    let at = Timestamp::from_micros(sim_platform(&mut env).sim().now().as_micros());
+    let at = sim_platform(&mut env).sim().now();
     env.exchange(&dn("cn=Tom"), &artifact, &AppId::new("com"), at)
         .expect("degraded exchange still completes");
 
