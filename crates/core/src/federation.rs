@@ -28,10 +28,11 @@
 //! narrates gossip/pump pulses onto the fabric's Federation-layer
 //! stream even though the assembly lives in the environment crate.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use cscw_federation::{
-    FederatedTrader, FederationFabric, FederationRuntime, Pulse, DEFAULT_GOSSIP_PERIOD_MICROS,
+    FederatedTrader, FederationError, FederationFabric, FederationRuntime, Pulse,
+    DEFAULT_GOSSIP_PERIOD_MICROS,
 };
 use cscw_kernel::{Layer, Timestamp};
 use cscw_messaging::gossip::GossipFrame;
@@ -226,13 +227,11 @@ impl FederatedEnvironments {
     /// transport as gossip notifications, and applies the delta.
     fn gossip_link(&mut self, src: &str, dst: &str) -> Result<LinkShip, MoccaError> {
         let t = self.fabric.telemetry();
-        let key = (src.to_owned(), dst.to_owned());
-        let failures = self.pressure.get(&key).copied().unwrap_or(0);
+        let failures = self.link_pressure(src, dst);
         let cap = (failures > 0).then(|| (DELTA_CAP_BASE >> failures.min(6)).max(1));
         let digest = self.fabric.digest_frame(dst)?;
-        let delta = self.fabric.delta_frame_capped(src, &digest, cap)?;
         let digest_wire = digest.encode();
-        let delta_wire = delta.encode();
+        let delta_wire = self.fabric.delta_frame_capped(src, &digest, cap)?.encode();
         let started = self
             .envs
             .get_mut(dst)
@@ -252,11 +251,16 @@ impl FederatedEnvironments {
                 .ok()
         })();
         if shipped.is_none() {
-            *self.pressure.entry(key).or_insert(0) += 1;
+            *self
+                .pressure
+                .entry((src.to_owned(), dst.to_owned()))
+                .or_insert(0) += 1;
             t.incr(Layer::Federation, "federation.gossip.pressure");
             return Ok(LinkShip::Degraded);
         }
-        self.pressure.remove(&key);
+        if failures > 0 {
+            self.pressure.remove(&(src.to_owned(), dst.to_owned()));
+        }
         let finished = self
             .envs
             .get_mut(dst)
@@ -266,17 +270,18 @@ impl FederatedEnvironments {
             _ => 0,
         };
         t.record_micros(Layer::Federation, "federation.gossip.link.micros", micros);
-        // The apply span parents on the context the *wire* frame
-        // carried — the receiver only ever saw the encoded bytes.
+        // The receiver applies the frame it decodes from the *wire*
+        // bytes, and the apply span parents on the context they carried.
+        let received =
+            GossipFrame::decode(&delta_wire).map_err(|e| FederationError::Codec(e.to_string()))?;
         let at = finished.unwrap_or_default();
-        let carried = GossipFrame::decode(&delta_wire).ok().and_then(|f| f.ctx);
-        let span = match carried {
+        let span = match received.ctx {
             Some(parent) => {
                 t.span_begin_with_parent(parent, Layer::Federation, "federation.gossip.apply", at)
             }
             None => t.span_begin(Layer::Federation, "federation.gossip.apply", at),
         };
-        let report = self.fabric.ingest_delta(dst, &delta);
+        let report = self.fabric.ingest_delta(dst, &received);
         t.span_end(span, at);
         let report = report?;
         // Surface what the ingest applied to the receiving
@@ -284,11 +289,10 @@ impl FederatedEnvironments {
         // — awareness deltas flow from the change stream, not from
         // re-scanning the replica.
         if !report.applied.is_empty() {
-            let keys: std::collections::BTreeSet<String> =
-                report.applied.iter().map(|e| e.key.clone()).collect();
+            let keys: BTreeSet<&str> = report.applied.iter().map(|e| e.key.as_str()).collect();
             let pairs: Vec<(String, String)> = keys
                 .into_iter()
-                .filter_map(|k| self.fabric.replica_get(dst, &k).map(|v| (k, v)))
+                .filter_map(|k| self.fabric.replica_get(dst, k).map(|v| (k.to_owned(), v)))
                 .collect();
             if let Some(env) = self.envs.get_mut(dst) {
                 env.ingest_replicated(&pairs)?;
@@ -315,15 +319,12 @@ impl FederatedEnvironments {
         let mut pulse_micros = 0u64;
         let result = (|| {
             let mut degraded_here = false;
-            for (src, dst, state) in self.fabric.links() {
-                if src != site || state != LinkState::Up {
-                    continue;
-                }
-                if !self.envs.contains_key(&src) || !self.envs.contains_key(&dst) {
+            for dst in self.fabric.up_links_from(site) {
+                if !self.envs.contains_key(site) || !self.envs.contains_key(&dst) {
                     continue;
                 }
                 report.links_walked += 1;
-                match self.gossip_link(&src, &dst)? {
+                match self.gossip_link(site, &dst)? {
                     LinkShip::Degraded => {
                         report.links_degraded += 1;
                         degraded_here = true;
@@ -477,6 +478,9 @@ impl FederatedEnvironments {
     /// transport refusals since the last successful ship (0 for a
     /// healthy or unknown link).
     pub fn link_pressure(&self, from: &str, to: &str) -> u32 {
+        if self.pressure.is_empty() {
+            return 0; // a healthy federation builds no lookup key
+        }
         self.pressure
             .get(&(from.to_owned(), to.to_owned()))
             .copied()
@@ -491,13 +495,16 @@ impl FederatedEnvironments {
             .collect()
     }
 
-    /// Have all replicas converged to the same state?
+    /// Have all replicas converged to the same state? Renders one
+    /// fingerprint at a time and stops at the first that differs from
+    /// the first domain's.
     pub fn converged(&self) -> bool {
-        let mut prints = self.fingerprints().into_values();
-        match prints.next() {
-            None => true,
-            Some(first) => prints.all(|p| p == first),
-        }
+        let mut domains = self.envs.keys();
+        let Some(first) = domains.next() else {
+            return true;
+        };
+        let first = self.fabric.replica_fingerprint(first);
+        domains.all(|d| self.fabric.replica_fingerprint(d) == first)
     }
 }
 

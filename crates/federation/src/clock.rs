@@ -3,9 +3,10 @@
 //! environments: causality, not wall clocks).
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 use crate::error::FederationError;
+use crate::replica::{escape_into, unescape};
 
 /// A vector clock over federation domains.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -39,14 +40,23 @@ impl VectorClock {
 
     /// Advances one domain's component (a local event there).
     pub fn tick(&mut self, domain: &str) {
-        *self.counts.entry(domain.to_owned()).or_insert(0) += 1;
+        match self.counts.get_mut(domain) {
+            Some(n) => *n += 1,
+            None => {
+                self.counts.insert(domain.to_owned(), 1);
+            }
+        }
     }
 
     /// Component-wise maximum (learning another replica's history).
     pub fn merge(&mut self, other: &VectorClock) {
         for (domain, n) in &other.counts {
-            let slot = self.counts.entry(domain.clone()).or_insert(0);
-            *slot = (*slot).max(*n);
+            match self.counts.get_mut(domain) {
+                Some(slot) => *slot = (*slot).max(*n),
+                None => {
+                    self.counts.insert(domain.clone(), *n);
+                }
+            }
         }
     }
 
@@ -82,18 +92,25 @@ impl VectorClock {
         self.counts.values().sum()
     }
 
-    /// Canonical `domain:count` rendering, comma-separated, sorted.
-    pub fn encode(&self) -> String {
-        let parts: Vec<String> = self
-            .counts
-            .iter()
-            .filter(|(_, n)| **n > 0)
-            .map(|(d, n)| format!("{d}:{n}"))
-            .collect();
-        parts.join(",")
+    /// Appends the canonical rendering to `out`: `domain:count`
+    /// components, comma-separated, in domain order, zero components
+    /// omitted. Domain names are escaped as in the replica codec, with
+    /// `,` escaped too; `:` needs no escape because a component splits
+    /// at its last one.
+    pub fn encode_into(&self, out: &mut String) {
+        let mut first = true;
+        for (domain, n) in self.counts.iter().filter(|(_, n)| **n > 0) {
+            if !first {
+                out.push(',');
+            }
+            first = false;
+            escape_into(out, domain, b",");
+            // Writing to a String cannot fail.
+            let _ = write!(out, ":{n}");
+        }
     }
 
-    /// Parses the [`encode`](Self::encode) form.
+    /// Parses the [`encode_into`](Self::encode_into) form.
     ///
     /// # Errors
     ///
@@ -107,7 +124,7 @@ impl VectorClock {
             let n: u64 = n
                 .parse()
                 .map_err(|_| FederationError::Codec(format!("bad clock count: {part}")))?;
-            clock.counts.insert(domain.to_owned(), n);
+            clock.counts.insert(unescape(domain)?.into_owned(), n);
         }
         Ok(clock)
     }
@@ -115,7 +132,9 @@ impl VectorClock {
 
 impl fmt::Display for VectorClock {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.encode())
+        let mut out = String::new();
+        self.encode_into(&mut out);
+        f.write_str(&out)
     }
 }
 
@@ -144,11 +163,17 @@ mod tests {
         c.tick("env-a");
         c.tick("env-a");
         c.tick("env-b");
-        let wire = c.encode();
+        let wire = c.to_string();
         assert_eq!(wire, "env-a:2,env-b:1");
         assert_eq!(VectorClock::decode(&wire).unwrap(), c);
         assert_eq!(VectorClock::decode("").unwrap(), VectorClock::new());
         assert!(VectorClock::decode("nonsense").is_err());
         assert!(VectorClock::decode("a:x").is_err());
+        // Component names escape like replica fields, plus `,`.
+        let mut odd = VectorClock::new();
+        odd.tick("env,a%:b");
+        let wire = odd.to_string();
+        assert_eq!(wire, "env%2Ca%25:b:1");
+        assert_eq!(VectorClock::decode(&wire).unwrap(), odd);
     }
 }

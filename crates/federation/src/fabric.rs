@@ -197,8 +197,21 @@ impl FederationFabric {
         self.link(b, a);
     }
 
+    /// The destinations of `site`'s up out-links, in link insertion
+    /// order — the peers one gossip pulse from `site` walks.
+    pub fn up_links_from(&self, site: &str) -> Vec<String> {
+        self.inner
+            .lock()
+            .trader
+            .links()
+            .iter()
+            .filter(|l| l.from == site && l.state == LinkState::Up)
+            .map(|l| l.to.clone())
+            .collect()
+    }
+
     /// The trader link graph as `(from, to, state)` triples, in
-    /// insertion order — coordinators walk it to schedule gossip.
+    /// insertion order, for inspection.
     pub fn links(&self) -> Vec<(String, String, LinkState)> {
         self.inner
             .lock()
@@ -256,7 +269,7 @@ impl FederationFabric {
         // Frames built while a gossip span is open carry its context
         // over the wire, so the receiver's apply joins the same trace.
         let ctx = inner.telemetry.current_context();
-        Ok(GossipFrame::digest(domain, encode_digest(&state.replica.digest())).with_ctx(ctx))
+        Ok(GossipFrame::digest(domain, encode_digest(state.replica.digest())).with_ctx(ctx))
     }
 
     /// Answers a digest frame with `domain`'s delta for it.
@@ -312,7 +325,7 @@ impl FederationFabric {
             delta.len() as u64,
         );
         let ctx = inner.telemetry.current_context();
-        Ok(GossipFrame::delta(domain, encode_delta(&delta)).with_ctx(ctx))
+        Ok(GossipFrame::delta(domain, encode_delta(delta)).with_ctx(ctx))
     }
 
     /// Applies a delta frame to `domain`'s replica; returns the

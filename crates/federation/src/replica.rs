@@ -10,7 +10,10 @@
 //! all replicas converge to bit-for-bit identical state regardless of
 //! exchange order.
 
+use std::borrow::{Borrow, Cow};
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
+use std::sync::Arc;
 
 use crate::clock::VectorClock;
 use crate::error::FederationError;
@@ -30,21 +33,29 @@ pub struct ReplEntry {
     pub seq: u64,
 }
 
-/// Escapes the codec's structural characters.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '%' => out.push_str("%25"),
-            '\x1e' => out.push_str("%1E"),
-            '\x1f' => out.push_str("%1F"),
-            other => out.push(other),
-        }
+/// Appends `s` to `out`, escaping the codec's structural characters
+/// (`%` and the record/unit separators) plus any byte in `also`, each
+/// as `%` and two upper-case hex digits. Every escaped character is
+/// ASCII, so the unescaped runs between them stay valid UTF-8.
+pub(crate) fn escape_into(out: &mut String, s: &str, also: &[u8]) {
+    let mut rest = s;
+    while let Some(i) = rest
+        .bytes()
+        .position(|b| matches!(b, b'%' | b'\x1e' | b'\x1f') || also.contains(&b))
+    {
+        out.push_str(&rest[..i]);
+        // Writing to a String cannot fail.
+        let _ = write!(out, "%{:02X}", rest.as_bytes()[i]);
+        rest = &rest[i + 1..];
     }
-    out
+    out.push_str(rest);
 }
 
-fn unescape(s: &str) -> Result<String, FederationError> {
+/// Reverses [`escape_into`]; borrows `s` when it holds no escape.
+pub(crate) fn unescape(s: &str) -> Result<Cow<'_, str>, FederationError> {
+    if !s.contains('%') {
+        return Ok(Cow::Borrowed(s));
+    }
     let mut out = String::with_capacity(s.len());
     let mut chars = s.chars();
     while let Some(c) = chars.next() {
@@ -57,25 +68,29 @@ fn unescape(s: &str) -> Result<String, FederationError> {
             "25" => out.push('%'),
             "1E" => out.push('\x1e'),
             "1F" => out.push('\x1f'),
+            "2C" => out.push(','),
             other => {
                 return Err(FederationError::Codec(format!("bad escape: %{other}")));
             }
         }
     }
-    Ok(out)
+    Ok(Cow::Owned(out))
 }
 
 impl ReplEntry {
-    /// Encodes to one record: fields joined by the unit separator.
-    pub fn encode(&self) -> String {
-        [
-            escape(&self.key),
-            escape(&self.value),
-            self.clock.encode(),
-            escape(&self.origin),
-            self.seq.to_string(),
-        ]
-        .join("\x1f")
+    /// Appends one record to `out`: fields joined by the unit
+    /// separator.
+    pub fn encode_into(&self, out: &mut String) {
+        escape_into(out, &self.key, &[]);
+        out.push('\x1f');
+        escape_into(out, &self.value, &[]);
+        out.push('\x1f');
+        self.clock.encode_into(out);
+        out.push('\x1f');
+        escape_into(out, &self.origin, &[]);
+        out.push('\x1f');
+        // Writing to a String cannot fail.
+        let _ = write!(out, "{}", self.seq);
     }
 
     /// Decodes one record.
@@ -92,10 +107,10 @@ impl ReplEntry {
             )));
         };
         Ok(ReplEntry {
-            key: unescape(key)?,
-            value: unescape(value)?,
+            key: unescape(key)?.into_owned(),
+            value: unescape(value)?.into_owned(),
             clock: VectorClock::decode(clock)?,
-            origin: unescape(origin)?,
+            origin: unescape(origin)?.into_owned(),
             seq: seq
                 .parse()
                 .map_err(|_| FederationError::Codec(format!("bad seq: {seq}")))?,
@@ -103,13 +118,17 @@ impl ReplEntry {
     }
 }
 
-/// Encodes a delta (entry list) as one frame body.
-pub fn encode_delta(entries: &[ReplEntry]) -> String {
-    entries
-        .iter()
-        .map(ReplEntry::encode)
-        .collect::<Vec<_>>()
-        .join("\x1e")
+/// Encodes a delta (entry list) as one frame body: records joined by
+/// the record separator.
+pub fn encode_delta<'a>(entries: impl IntoIterator<Item = &'a ReplEntry>) -> String {
+    let mut body = String::new();
+    for (i, entry) in entries.into_iter().enumerate() {
+        if i > 0 {
+            body.push('\x1e');
+        }
+        entry.encode_into(&mut body);
+    }
+    body
 }
 
 /// Decodes a delta frame body.
@@ -126,19 +145,25 @@ pub fn decode_delta(body: &str) -> Result<Vec<ReplEntry>, FederationError> {
 
 /// Encodes a digest (per-origin watermarks) as one frame body.
 pub fn encode_digest(digest: &BTreeMap<String, u64>) -> String {
-    digest
-        .iter()
-        .map(|(origin, seq)| format!("{}\x1f{}", escape(origin), seq))
-        .collect::<Vec<_>>()
-        .join("\x1e")
+    let mut body = String::new();
+    for (i, (origin, seq)) in digest.iter().enumerate() {
+        if i > 0 {
+            body.push('\x1e');
+        }
+        escape_into(&mut body, origin, &[]);
+        // Writing to a String cannot fail.
+        let _ = write!(body, "\x1f{seq}");
+    }
+    body
 }
 
-/// Decodes a digest frame body.
+/// Decodes a digest frame body. Origins borrow from `body` unless
+/// they hold an escape; a repeated origin keeps its last watermark.
 ///
 /// # Errors
 ///
 /// [`FederationError::Codec`] on malformed records.
-pub fn decode_digest(body: &str) -> Result<BTreeMap<String, u64>, FederationError> {
+pub fn decode_digest(body: &str) -> Result<BTreeMap<Cow<'_, str>, u64>, FederationError> {
     let mut digest = BTreeMap::new();
     for record in body.split('\x1e').filter(|r| !r.is_empty()) {
         let (origin, seq) = record
@@ -161,7 +186,9 @@ pub fn decode_digest(body: &str) -> Result<BTreeMap<String, u64>, FederationErro
 pub struct IngestReport {
     /// Updates applied this call, in causal application order
     /// (includes previously buffered updates whose gap just filled).
-    pub applied: Vec<ReplEntry>,
+    /// Each is the same allocation the replica's log and resolved
+    /// state hold.
+    pub applied: Vec<Arc<ReplEntry>>,
     /// Updates from this batch still parked out-of-order in the
     /// pending buffer after the drain.
     pub buffered: usize,
@@ -178,13 +205,17 @@ impl IngestReport {
 }
 
 /// A replica of the federated knowledge state for one environment.
+///
+/// Every applied version is one shared [`ReplEntry`]: its origin's log,
+/// the resolved state (while it wins) and the [`IngestReport`] that
+/// applied it all point at the same allocation.
 #[derive(Debug, Clone, Default)]
 pub struct ReplicatedStore {
     domain: String,
     /// Resolved current value per key.
-    state: BTreeMap<String, ReplEntry>,
+    state: BTreeMap<String, Arc<ReplEntry>>,
     /// Gap-free update log per origin (index i holds seq i+1).
-    logs: BTreeMap<String, Vec<ReplEntry>>,
+    logs: BTreeMap<String, Vec<Arc<ReplEntry>>>,
     /// Highest contiguously applied seq per origin.
     applied: BTreeMap<String, u64>,
     /// Out-of-causal-order updates buffered until their gap fills.
@@ -225,39 +256,38 @@ impl ReplicatedStore {
 
     /// Resolved entries in key order.
     pub fn entries(&self) -> impl Iterator<Item = &ReplEntry> {
-        self.state.values()
+        self.state.values().map(|e| &**e)
     }
 
     /// Writes locally: ticks this domain's clock component, appends to
     /// its own log and applies immediately.
     pub fn put(&mut self, key: impl Into<String>, value: impl Into<String>) {
         self.clock.tick(&self.domain);
-        let log = self.logs.entry(self.domain.clone()).or_default();
-        let entry = ReplEntry {
+        let seq = self.applied.get(&self.domain).copied().unwrap_or(0) + 1;
+        let entry = Arc::new(ReplEntry {
             key: key.into(),
             value: value.into(),
             clock: self.clock.clone(),
             origin: self.domain.clone(),
-            seq: log.len() as u64 + 1,
-        };
-        log.push(entry.clone());
-        self.applied.insert(self.domain.clone(), entry.seq);
-        self.resolve(entry);
+            seq,
+        });
+        self.append(&entry);
+        self.resolve(&entry);
     }
 
     /// The digest: per-origin applied watermarks.
-    pub fn digest(&self) -> BTreeMap<String, u64> {
-        self.applied.clone()
+    pub fn digest(&self) -> &BTreeMap<String, u64> {
+        &self.applied
     }
 
     /// Every update a replica at `their` digest is missing, per-origin
     /// sequence order — gap-free because origin logs are gap-free.
-    pub fn delta_since(&self, their: &BTreeMap<String, u64>) -> Vec<ReplEntry> {
+    pub fn delta_since<K: Borrow<str> + Ord>(&self, their: &BTreeMap<K, u64>) -> Vec<&ReplEntry> {
         let mut delta = Vec::new();
         for (origin, log) in &self.logs {
-            let have = their.get(origin).copied().unwrap_or(0) as usize;
+            let have = their.get(origin.as_str()).copied().unwrap_or(0) as usize;
             if have < log.len() {
-                delta.extend(log[have..].iter().cloned());
+                delta.extend(log[have..].iter().map(|e| &**e));
             }
         }
         delta
@@ -272,7 +302,9 @@ impl ReplicatedStore {
     /// gap, and how many were stale duplicates.
     pub fn ingest(&mut self, updates: Vec<ReplEntry>) -> IngestReport {
         let mut report = IngestReport::default();
-        let mut inserted: Vec<(String, u64)> = Vec::new();
+        // The origins this batch parked updates for, sorted, each with
+        // the seqs it parked.
+        let mut parked: Vec<(String, Vec<u64>)> = Vec::new();
         for update in updates {
             if update.origin == self.domain {
                 report.stale += 1; // own history is authoritative locally
@@ -283,43 +315,62 @@ impl ReplicatedStore {
                 report.stale += 1; // duplicate of an already-applied seq
                 continue;
             }
-            inserted.push((update.origin.clone(), update.seq));
-            self.pending
-                .entry(update.origin.clone())
-                .or_default()
-                .insert(update.seq, update);
+            match parked.binary_search_by(|(o, _)| o.as_str().cmp(&update.origin)) {
+                Ok(i) => parked[i].1.push(update.seq),
+                Err(i) => parked.insert(i, (update.origin.clone(), vec![update.seq])),
+            }
+            match self.pending.get_mut(&update.origin) {
+                Some(buf) => {
+                    buf.insert(update.seq, update);
+                }
+                None => {
+                    let origin = update.origin.clone();
+                    self.pending
+                        .insert(origin, BTreeMap::from([(update.seq, update)]));
+                }
+            }
         }
-        // Drain every origin's pending run that now continues its log.
-        let origins: Vec<String> = self.pending.keys().cloned().collect();
-        for origin in origins {
+        // Only an origin this batch parked for can have a run that now
+        // continues its log: every earlier ingest drained all the rest.
+        for (origin, seqs) in &parked {
             loop {
-                let next_seq = self.applied.get(&origin).copied().unwrap_or(0) + 1;
+                let next_seq = self.applied.get(origin).copied().unwrap_or(0) + 1;
                 let Some(entry) = self
                     .pending
-                    .get_mut(&origin)
+                    .get_mut(origin)
                     .and_then(|buf| buf.remove(&next_seq))
                 else {
                     break;
                 };
-                self.logs
-                    .entry(origin.clone())
-                    .or_default()
-                    .push(entry.clone());
-                self.applied.insert(origin.clone(), next_seq);
+                let entry = Arc::new(entry);
                 self.clock.merge(&entry.clock);
-                self.resolve(entry.clone());
+                self.append(&entry);
+                self.resolve(&entry);
                 report.applied.push(entry);
             }
+            if let Some(buf) = self.pending.get(origin) {
+                report.buffered += seqs.iter().filter(|s| buf.contains_key(s)).count();
+            }
         }
-        report.buffered = inserted
-            .iter()
-            .filter(|(origin, seq)| {
-                self.pending
-                    .get(origin)
-                    .is_some_and(|buf| buf.contains_key(seq))
-            })
-            .count();
         report
+    }
+
+    /// Appends `entry` to its origin's log and advances the origin's
+    /// watermark to its seq.
+    fn append(&mut self, entry: &Arc<ReplEntry>) {
+        match self.logs.get_mut(&entry.origin) {
+            Some(log) => log.push(Arc::clone(entry)),
+            None => {
+                self.logs
+                    .insert(entry.origin.clone(), vec![Arc::clone(entry)]);
+            }
+        }
+        match self.applied.get_mut(&entry.origin) {
+            Some(watermark) => *watermark = entry.seq,
+            None => {
+                self.applied.insert(entry.origin.clone(), entry.seq);
+            }
+        }
     }
 
     /// Conflict resolution: the surviving version is the maximum under
@@ -329,11 +380,16 @@ impl ReplicatedStore {
     /// concurrent versions fall to the deterministic tie-break. A pure
     /// max over a total order makes the fold commutative, associative
     /// and idempotent: replicas converge regardless of apply order.
-    fn resolve(&mut self, incoming: ReplEntry) {
-        match self.state.get(&incoming.key) {
-            Some(current) if rank(current) >= rank(&incoming) => {}
-            _ => {
-                self.state.insert(incoming.key.clone(), incoming);
+    fn resolve(&mut self, incoming: &Arc<ReplEntry>) {
+        match self.state.get_mut(&incoming.key) {
+            Some(current) => {
+                if rank(current) < rank(incoming) {
+                    *current = Arc::clone(incoming);
+                }
+            }
+            None => {
+                self.state
+                    .insert(incoming.key.clone(), Arc::clone(incoming));
             }
         }
     }
@@ -343,13 +399,14 @@ impl ReplicatedStore {
     pub fn fingerprint(&self) -> String {
         let mut out = String::new();
         for entry in self.state.values() {
-            out.push_str(&format!(
-                "{}={} @{} by {}\n",
-                entry.key,
-                entry.value,
-                entry.clock.encode(),
-                entry.origin
-            ));
+            out.push_str(&entry.key);
+            out.push('=');
+            out.push_str(&entry.value);
+            out.push_str(" @");
+            entry.clock.encode_into(&mut out);
+            out.push_str(" by ");
+            out.push_str(&entry.origin);
+            out.push('\n');
         }
         out
     }
@@ -366,8 +423,22 @@ fn rank(e: &ReplEntry) -> (u64, &str, u64, &str) {
 mod tests {
     use super::*;
 
+    /// Owned copies of `from`'s delta for a replica at `their` digest —
+    /// what a receiver decodes off the wire.
+    fn delta(from: &ReplicatedStore, their: &BTreeMap<String, u64>) -> Vec<ReplEntry> {
+        from.delta_since(their).into_iter().cloned().collect()
+    }
+
     fn sync(from: &ReplicatedStore, to: &mut ReplicatedStore) -> usize {
-        to.ingest(from.delta_since(&to.digest())).applied_count()
+        to.ingest(delta(from, to.digest())).applied_count()
+    }
+
+    fn seqs(report: &IngestReport) -> Vec<(&str, u64)> {
+        report
+            .applied
+            .iter()
+            .map(|e| (e.origin.as_str(), e.seq))
+            .collect()
     }
 
     #[test]
@@ -383,7 +454,7 @@ mod tests {
         assert_eq!(a.len(), 3);
         assert_eq!(b.get("info:doc1"), Some("minutes v1"));
         // Already-synced: empty deltas.
-        assert!(a.delta_since(&b.digest()).is_empty());
+        assert!(a.delta_since(b.digest()).is_empty());
     }
 
     #[test]
@@ -392,7 +463,7 @@ mod tests {
         a.put("k1", "v1");
         a.put("k1", "v2");
         a.put("k2", "x");
-        let delta = a.delta_since(&BTreeMap::new());
+        let delta = delta(&a, &BTreeMap::new());
         let mut b = ReplicatedStore::new("env-b");
         // Deliver out of order: seq 3 and 2 first — nothing applies.
         let first = b.ingest(vec![delta[2].clone()]);
@@ -415,10 +486,38 @@ mod tests {
     }
 
     #[test]
+    fn a_batch_drains_only_the_origins_it_parked_for() {
+        let mut a = ReplicatedStore::new("env-a");
+        let mut b = ReplicatedStore::new("env-b");
+        for i in 1..=3 {
+            b.put(format!("b{i}"), "x");
+        }
+        let from_b = delta(&b, &BTreeMap::new());
+        let mut c = ReplicatedStore::new("env-c");
+        // env-b's seq 2 and 3 arrive ahead of seq 1: a buffered gap.
+        let gap = c.ingest(from_b[1..].to_vec());
+        assert_eq!((gap.applied_count(), gap.buffered), (0, 2));
+        // A batch touching only env-a applies and leaves env-b parked.
+        a.put("a1", "y");
+        a.put("a2", "y");
+        let only_a = c.ingest(delta(&a, &BTreeMap::new())[1..].to_vec());
+        assert_eq!((only_a.applied_count(), only_a.buffered), (0, 1));
+        let only_a = c.ingest(delta(&a, c.digest()));
+        assert_eq!(seqs(&only_a), vec![("env-a", 1), ("env-a", 2)]);
+        assert_eq!((only_a.buffered, only_a.stale), (0, 0));
+        assert_eq!(c.get("b2"), None, "env-b's run stays buffered");
+        // Filling env-b's gap applies its whole run in seq order.
+        let fill = c.ingest(vec![from_b[0].clone()]);
+        assert_eq!(seqs(&fill), vec![("env-b", 1), ("env-b", 2), ("env-b", 3)]);
+        assert_eq!(fill.buffered, 0);
+        assert_eq!(c.len(), 5);
+    }
+
+    #[test]
     fn stale_and_own_origin_updates_are_dropped_not_buffered() {
         let mut a = ReplicatedStore::new("env-a");
         a.put("k", "v");
-        let delta = a.delta_since(&BTreeMap::new());
+        let delta = delta(&a, &BTreeMap::new());
         let mut b = ReplicatedStore::new("env-b");
         assert_eq!(b.ingest(delta.clone()).applied_count(), 1);
         // Re-delivery is stale: dropped, not parked in pending forever.
@@ -433,14 +532,28 @@ mod tests {
     }
 
     #[test]
+    fn applied_entries_are_shared_with_the_log_and_the_state() {
+        let mut a = ReplicatedStore::new("env-a");
+        a.put("k", "v");
+        let mut b = ReplicatedStore::new("env-b");
+        let report = b.ingest(delta(&a, &BTreeMap::new()));
+        let applied = &report.applied[0];
+        assert!(std::ptr::eq(&**applied, b.entries().next().unwrap()));
+        assert!(std::ptr::eq(
+            &**applied,
+            b.delta_since(&BTreeMap::<String, u64>::new())[0]
+        ));
+    }
+
+    #[test]
     fn concurrent_writes_resolve_identically_both_ways() {
         let mut a = ReplicatedStore::new("env-a");
         let mut b = ReplicatedStore::new("env-b");
         a.put("shared", "from-a");
         b.put("shared", "from-b");
         // Exchange in opposite orders on each side.
-        let da = a.delta_since(&BTreeMap::new());
-        let db = b.delta_since(&BTreeMap::new());
+        let da = delta(&a, &BTreeMap::new());
+        let db = delta(&b, &BTreeMap::new());
         a.ingest(db);
         b.ingest(da);
         assert_eq!(
@@ -480,16 +593,93 @@ mod tests {
             origin: "env-a".into(),
             seq: 7,
         };
-        let decoded = ReplEntry::decode(&entry.encode()).unwrap();
-        assert_eq!(decoded, entry);
+        let mut record = String::new();
+        entry.encode_into(&mut record);
+        assert_eq!(ReplEntry::decode(&record).unwrap(), entry);
 
-        let body = encode_delta(std::slice::from_ref(&entry));
+        let body = encode_delta([&entry]);
         assert_eq!(decode_delta(&body).unwrap(), vec![entry]);
         assert!(decode_delta("garbage").is_err());
 
         let digest = BTreeMap::from([("env-a".to_owned(), 3u64), ("env-b".to_owned(), 9)]);
-        assert_eq!(decode_digest(&encode_digest(&digest)).unwrap(), digest);
+        let body = encode_digest(&digest);
+        let decoded = decode_digest(&body).unwrap();
+        assert!(decoded.keys().all(|o| matches!(o, Cow::Borrowed(_))));
+        assert!(decoded
+            .iter()
+            .map(|(o, n)| (o.as_ref(), *n))
+            .eq(digest.iter().map(|(o, n)| (o.as_str(), *n))));
         assert!(decode_digest("bad").is_err());
-        assert_eq!(decode_digest("").unwrap(), BTreeMap::new());
+        assert!(decode_digest("").unwrap().is_empty());
+        // A repeated origin keeps its last watermark.
+        let repeated = decode_digest("env-a\x1f3\x1eenv-a\x1f1").unwrap();
+        assert_eq!(repeated.get("env-a"), Some(&1));
+    }
+
+    /// The encoders' output, pinned byte for byte: the wire and every
+    /// fingerprint depend on it.
+    #[test]
+    fn wire_bytes_are_pinned() {
+        let digest = BTreeMap::from([
+            ("env-a".to_owned(), 3u64),
+            ("env-b%".to_owned(), 12),
+            ("env\x1ec".to_owned(), 1),
+        ]);
+        assert_eq!(
+            encode_digest(&digest),
+            "env%1Ec\x1f1\x1eenv-a\x1f3\x1eenv-b%25\x1f12"
+        );
+        let body = encode_digest(&digest);
+        let decoded = decode_digest(&body).unwrap();
+        assert_eq!(decoded.get("env\x1ec"), Some(&1));
+        assert_eq!(decoded.get("env-b%"), Some(&12));
+
+        let mut a = ReplicatedStore::new("env-a");
+        let mut b = ReplicatedStore::new("env-b");
+        a.put("info:100%", "v\x1e1");
+        b.put("org:cn=Tom\x1f", "50% off");
+        b.put("org:k", "x\x1fy\x1ez");
+        sync(&b, &mut a);
+        a.put("info:100%", "v2%");
+        let body = encode_delta(a.delta_since(&BTreeMap::<String, u64>::new()));
+        assert_eq!(
+            body,
+            "info:100%25\x1fv%1E1\x1fenv-a:1\x1fenv-a\x1f1\x1e\
+             info:100%25\x1fv2%25\x1fenv-a:2,env-b:2\x1fenv-a\x1f2\x1e\
+             org:cn=Tom%1F\x1f50%25 off\x1fenv-b:1\x1fenv-b\x1f1\x1e\
+             org:k\x1fx%1Fy%1Ez\x1fenv-b:2\x1fenv-b\x1f2"
+        );
+        assert_eq!(
+            a.fingerprint(),
+            "info:100%=v2% @env-a:2,env-b:2 by env-a\n\
+             org:cn=Tom\x1f=50% off @env-b:1 by env-b\n\
+             org:k=x\x1fy\x1ez @env-b:2 by env-b\n"
+        );
+
+        let zero = VectorClock::decode("env-a:0,env-b:2,env-c:1").unwrap();
+        let mut wire = String::new();
+        zero.encode_into(&mut wire);
+        assert_eq!(wire, "env-b:2,env-c:1", "zero components stay off the wire");
+    }
+
+    #[test]
+    fn awkward_domain_names_survive_the_delta_codec() {
+        for name in [
+            "env,a", "env%a", "env\x1fa", "env:a", "env\x1ea", "e,%:\x1f",
+        ] {
+            let mut origin = ReplicatedStore::new(name);
+            let mut peer = ReplicatedStore::new("env-b");
+            peer.put("k0", "v0");
+            sync(&peer, &mut origin);
+            origin.put("k1", "v1");
+            origin.put("k1", "v2");
+            let body = encode_delta(origin.delta_since(&BTreeMap::<String, u64>::new()));
+            let decoded = decode_delta(&body).unwrap_or_else(|e| panic!("{name:?}: {e}"));
+            assert_eq!(decoded, delta(&origin, &BTreeMap::new()), "{name:?}");
+            let last = decoded.iter().find(|e| e.origin == name && e.seq == 2);
+            assert_eq!(last.map(|e| e.clock.get(name)), Some(2), "{name:?}");
+            sync(&origin, &mut peer);
+            assert_eq!(peer.fingerprint(), origin.fingerprint(), "{name:?}");
+        }
     }
 }

@@ -427,12 +427,9 @@ mod tests {
             if let Pulse::Gossip { site } = pulse {
                 // Stand-in for the environment driver: push this
                 // site's delta over each up out-link.
-                for (from, to, state) in rt.fabric().links() {
-                    if from != site || state != LinkState::Up {
-                        continue;
-                    }
+                for to in rt.fabric().up_links_from(&site) {
                     let digest = rt.fabric().digest_frame(&to).expect("digest");
-                    let delta = rt.fabric().delta_frame(&from, &digest).expect("delta");
+                    let delta = rt.fabric().delta_frame(&site, &digest).expect("delta");
                     rt.fabric().ingest_delta(&to, &delta).expect("ingest");
                 }
             }
