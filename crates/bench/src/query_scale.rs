@@ -22,10 +22,9 @@
 //! cross-checks correctness: after the stream, each incremental result
 //! set must equal its oracle re-scan.
 
-use std::sync::Arc;
 use std::time::Instant;
 
-use cscw_directory::{Attribute, ChangeCollector, Dit, Entry};
+use cscw_directory::{Attribute, Dit, Entry};
 use cscw_kernel::{Layer, Telemetry};
 use cscw_query::{SubscriptionId, SubscriptionRegistry};
 
@@ -78,14 +77,13 @@ fn project_dn(j: u64) -> String {
 
 /// [`crate::populated_dit`] over ten organisations plus [`PROJECTS`]
 /// project entries, half of them `active`, with every other person
-/// working on one; the collector sees only changes after the build.
+/// working on one. The DIT records changes from the end of the build
+/// on, so its log holds only the measured stream.
 ///
 /// # Errors
 ///
 /// [`cscw_directory::DirectoryError`] if a fixture fails to insert.
-pub fn build_population(
-    population: usize,
-) -> Result<(Dit, ChangeCollector), cscw_directory::DirectoryError> {
+pub fn build_population(population: usize) -> Result<Dit, cscw_directory::DirectoryError> {
     let mut dit = crate::populated_dit(population, 10)?;
     for j in 0..PROJECTS as u64 {
         let state = if j % 2 == 0 { "active" } else { "dormant" };
@@ -102,9 +100,8 @@ pub fn build_population(
             e.put_attr(Attribute::single("workson", project.as_str()));
         })?;
     }
-    let collector = ChangeCollector::new();
-    dit.observe(Arc::new(collector.clone()));
-    Ok((dit, collector))
+    dit.record_changes();
+    Ok(dit)
 }
 
 cell! {
@@ -208,7 +205,7 @@ pub const CLAIMS: &[Claim] = &[
 /// Population build errors and [`cscw_query::QueryError`] from the
 /// fixed panel (which must always compile).
 pub fn run(population: usize, seed: u64) -> Result<QueryScaleResult, Box<dyn std::error::Error>> {
-    let (mut dit, collector) = build_population(population)?;
+    let mut dit = build_population(population)?;
     let telemetry = Telemetry::new();
     let mut reg = SubscriptionRegistry::with_telemetry(telemetry.clone());
     let subs: Vec<SubscriptionId> = PANEL
@@ -256,7 +253,8 @@ pub fn run(population: usize, seed: u64) -> Result<QueryScaleResult, Box<dyn std
         }
 
         let t0 = Instant::now();
-        deltas_emitted += reg.apply_dit_changes(&collector.drain(), &dit, op).len() as u64;
+        let changes = dit.take_changes();
+        deltas_emitted += reg.apply(&[], &changes, &dit, op).len() as u64;
         telemetry.record_micros(
             Layer::Query,
             "query.phase.incremental",

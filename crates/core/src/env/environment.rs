@@ -21,7 +21,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use cscw_directory::{Attribute, ChangeCollector, DirOp, Dn, Entry, Rdn};
+use cscw_directory::{Attribute, DirOp, Dn, Entry, Rdn};
 use cscw_federation::{FederationPort, RemoteDelivery};
 use cscw_kernel::Layer;
 use cscw_kernel::Timestamp;
@@ -59,8 +59,8 @@ fn app_service_type() -> odp::InterfaceType {
 }
 
 /// O/R address for a registered application's notification mailbox.
-fn app_address(app: &AppId) -> Option<OrAddress> {
-    OrAddress::new("ZZ", "mocca", ["apps"], app.as_str()).ok()
+fn app_address(app: &AppId) -> Result<OrAddress, cscw_messaging::MtsError> {
+    OrAddress::new("ZZ", "mocca", ["apps"], app.as_str())
 }
 
 /// O/R address for a person; DN separators are not legal in O/R
@@ -111,8 +111,8 @@ pub struct CscwEnvironment {
     platform: Box<dyn Platform>,
     federation: Option<Box<dyn FederationPort>>,
     queries: SubscriptionRegistry,
-    knowledge_changes: ChangeCollector,
-    query_apps: BTreeMap<SubscriptionId, AppId>,
+    /// App-bound subscriptions: the mailbox each one's deltas go to.
+    query_apps: BTreeMap<SubscriptionId, OrAddress>,
     pending_deltas: Vec<(SubscriptionId, QueryDelta)>,
     operations: u64,
 }
@@ -168,12 +168,10 @@ impl CscwEnvironment {
             .trader()
             .attach_policy(Box::new(OrgTradingPolicy::new(org.clone())));
         platform.trader().register_service_type(app_service_type());
-        // The knowledge base feeds a change collector; the standing-
-        // query registry consumes its deltas and shares the platform's
-        // telemetry stream.
-        let knowledge_changes = ChangeCollector::new();
+        // The knowledge base's DIT logs its changes for the standing-
+        // query registry, which shares the platform's telemetry stream.
         let mut knowledge = KnowledgeBase::new();
-        knowledge.observe(Arc::new(knowledge_changes.clone()));
+        knowledge.dit_mut().record_changes();
         let queries = SubscriptionRegistry::with_telemetry(platform.telemetry().clone());
         CscwEnvironment {
             org,
@@ -192,7 +190,6 @@ impl CscwEnvironment {
             platform,
             federation: None,
             queries,
-            knowledge_changes,
             query_apps: BTreeMap::new(),
             pending_deltas: Vec::new(),
             operations: 0,
@@ -316,9 +313,11 @@ impl CscwEnvironment {
 
     /// Mutable knowledge-base access, for entries maintained beyond
     /// what [`publish_knowledge`](Self::publish_knowledge) mirrors
-    /// (e.g. project state attributes). Pump afterwards with
+    /// (e.g. project state attributes). The knowledge DIT logs every
+    /// change made through it; pump afterwards with
     /// [`pump_queries`](Self::pump_queries) to push the resulting
-    /// standing-query deltas.
+    /// standing-query deltas (the next operation that feeds the
+    /// standing queries delivers them otherwise).
     pub fn knowledge_mut(&mut self) -> &mut KnowledgeBase {
         &mut self.knowledge
     }
@@ -346,21 +345,19 @@ impl CscwEnvironment {
         // DIT entry becomes a versioned replica entry gossiped to peer
         // environments (publication is idempotent — unchanged values
         // do not advance the replica clock). The same resolved pairs
-        // feed the local knowledge-query shadow.
+        // feed the knowledge queries, then the publication's DIT
+        // changes feed the entry queries.
+        let mut pairs = Vec::new();
         if let Some(port) = self.federation.as_mut() {
-            let mut pairs = Vec::with_capacity(entries.len());
+            pairs.reserve(entries.len());
             for entry in &entries {
                 let key = format!("org:{}", entry.dn());
                 let value = entry.to_string();
                 port.publish_entry(&key, &value);
                 pairs.push((key, value));
             }
-            let at = self.platform.clock().now_micros();
-            let deltas = self.queries.apply_replicated(&pairs, at);
-            self.dispatch_query_deltas(deltas)?;
         }
-        // Entry subscriptions see the publication's DIT changes.
-        self.pump_queries()?;
+        self.feed_queries(&pairs)?;
         Ok(published)
     }
 
@@ -392,29 +389,36 @@ impl CscwEnvironment {
     ///
     /// # Errors
     ///
-    /// As [`subscribe`](Self::subscribe).
+    /// As [`subscribe`](Self::subscribe), plus
+    /// [`MoccaError::Messaging`] when the app id is not a legal O/R
+    /// name and [`MoccaError::UnknownApplication`] when the app is not
+    /// registered; either way nothing is subscribed.
     pub fn subscribe_for_app(
         &mut self,
         src: &str,
         app: &AppId,
     ) -> Result<SubscriptionId, MoccaError> {
-        self.subscribe_inner(src, Some(app.clone()))
+        let mailbox = app_address(app)?;
+        if self.registry.app(app).is_none() {
+            return Err(MoccaError::UnknownApplication(app.to_string()));
+        }
+        self.subscribe_inner(src, Some(mailbox))
     }
 
     fn subscribe_inner(
         &mut self,
         src: &str,
-        app: Option<AppId>,
+        mailbox: Option<OrAddress>,
     ) -> Result<SubscriptionId, MoccaError> {
         self.count_op();
-        // Flush buffered directory changes first so priming sees a
+        // Flush logged directory changes first so priming sees a
         // consistent tree and emits no duplicate deltas.
-        self.pump_queries()?;
+        self.feed_queries(&[])?;
         let at = self.platform.clock().now_micros();
         let source = CompiledQuery::compile(src)?.source();
         let id = self.queries.subscribe(src, at)?;
-        if let Some(app) = app {
-            self.query_apps.insert(id, app);
+        if let Some(mailbox) = mailbox {
+            self.query_apps.insert(id, mailbox);
         }
         let initial = match source {
             Source::Entries => self.queries.prime(id, self.knowledge.dit(), at)?,
@@ -423,8 +427,7 @@ impl CscwEnvironment {
                 // older subscriptions see real catch-up deltas, if any.
                 if let Some(port) = self.federation.as_ref() {
                     let snapshot = port.replica_snapshot();
-                    let catchup = self.queries.apply_replicated(&snapshot, at);
-                    self.dispatch_query_deltas(catchup)?;
+                    self.feed_queries(&snapshot)?;
                 }
                 self.queries.prime_knowledge(id, at)?
             }
@@ -441,43 +444,38 @@ impl CscwEnvironment {
         self.queries.unsubscribe(id)
     }
 
-    /// Feeds buffered knowledge-base changes through the standing
-    /// queries. Called implicitly by the operations that mutate the
-    /// knowledge base; call it directly after mutating the DIT through
+    /// Feeds the knowledge DIT's logged changes through the standing
+    /// queries. The operations that mutate the knowledge base feed them
+    /// implicitly; call this directly after mutating the DIT through
     /// [`knowledge_mut`](Self::knowledge_mut).
     ///
     /// # Errors
     ///
     /// Transport errors from app-bound delta delivery.
     pub fn pump_queries(&mut self) -> Result<(), MoccaError> {
-        let changes = self.knowledge_changes.drain();
-        if changes.is_empty() {
+        self.feed_queries(&[])
+    }
+
+    /// The one path by which knowledge changes reach the standing
+    /// queries: the resolved replicated-knowledge `pairs` (a local
+    /// publish, a subscribe's catch-up, or what a gossip ingest
+    /// applied), then every change the knowledge DIT logged since the
+    /// last feed, through one registry apply; the deltas are then
+    /// dispatched.
+    ///
+    /// # Errors
+    ///
+    /// Transport errors from app-bound delta delivery.
+    pub(crate) fn feed_queries(&mut self, pairs: &[(String, String)]) -> Result<(), MoccaError> {
+        let changes = self.knowledge.dit_mut().take_changes();
+        if pairs.is_empty() && changes.is_empty() {
             return Ok(());
         }
         let at = self.platform.clock().now_micros();
         let deltas = self
             .queries
-            .apply_dit_changes(&changes, self.knowledge.dit(), at);
+            .apply(pairs, &changes, self.knowledge.dit(), at);
         self.dispatch_query_deltas(deltas)
-    }
-
-    /// Feeds resolved replicated-knowledge applies (key, value pairs a
-    /// gossip ingest surfaced) through the standing queries. The
-    /// federation driver calls this on the receiving environment after
-    /// each ingest. Returns how many deltas were emitted.
-    ///
-    /// # Errors
-    ///
-    /// Transport errors from app-bound delta delivery.
-    pub fn ingest_replicated(&mut self, pairs: &[(String, String)]) -> Result<usize, MoccaError> {
-        if pairs.is_empty() {
-            return Ok(0);
-        }
-        let at = self.platform.clock().now_micros();
-        let deltas = self.queries.apply_replicated(pairs, at);
-        let emitted = deltas.len();
-        self.dispatch_query_deltas(deltas)?;
-        Ok(emitted)
     }
 
     /// Drains the buffered deltas of subscriptions without an app
@@ -495,19 +493,18 @@ impl CscwEnvironment {
     ) -> Result<(), MoccaError> {
         for (id, delta) in deltas {
             self.emit_env("env.query_delta", format!("{id}: {delta}"));
-            let Some(app) = self.query_apps.get(&id) else {
+            let Some(dest) = self.query_apps.get(&id) else {
                 self.pending_deltas.push((id, delta));
                 continue;
             };
-            let from = OrAddress::new("ZZ", "mocca", ["queries"], id.to_string()).ok();
-            if let (Some(from), Some(dest)) = (from, app_address(app)) {
-                self.platform.transport().notify(
-                    &from,
-                    &dest,
-                    "query-delta",
-                    &format!("{id} {delta}"),
-                )?;
-            }
+            // `sub-<n>` is always a legal O/R name.
+            let from = OrAddress::new("ZZ", "mocca", ["queries"], id.to_string())?;
+            self.platform.transport().notify(
+                &from,
+                dest,
+                "query-delta",
+                &format!("{id} {delta}"),
+            )?;
         }
         Ok(())
     }
@@ -731,7 +728,7 @@ impl CscwEnvironment {
         ))?;
         self.mirror_to_directory(&id, "exchanged-artifact", sharer);
         // Notify the destination application's mailbox via the MTS.
-        if let (Some(from), Some(dest)) = (person_address(sharer), app_address(to)) {
+        if let (Some(from), Some(dest)) = (person_address(sharer), app_address(to).ok()) {
             self.platform
                 .transport()
                 .notify(&from, &dest, "artifact-exchanged", id.as_str())?;
@@ -868,7 +865,7 @@ impl CscwEnvironment {
             InfoContent::Fields(delivery.fields.clone()),
         ))?;
         self.mirror_to_directory(&id, "exchanged-artifact-inbound", &sharer);
-        if let (Some(from), Some(dest)) = (person_address(&sharer), app_address(&to)) {
+        if let (Some(from), Some(dest)) = (person_address(&sharer), app_address(&to).ok()) {
             self.platform
                 .transport()
                 .notify(&from, &dest, "artifact-exchanged", id.as_str())?;
@@ -991,9 +988,7 @@ impl CscwEnvironment {
             let key = format!("info:{id}");
             let value = format!("{kind}:{rendered}");
             port.publish_entry(&key, &value);
-            let at = self.platform.clock().now_micros();
-            let deltas = self.queries.apply_replicated(&[(key, value)], at);
-            self.dispatch_query_deltas(deltas)?;
+            self.feed_queries(&[(key, value)])?;
         }
         self.bus.publish(EnvEvent {
             kind: "object-stored".into(),
@@ -1130,6 +1125,56 @@ mod tests {
         e
     }
 
+    fn descriptor(id: &str) -> AppDescriptor {
+        AppDescriptor {
+            id: id.into(),
+            name: id.into(),
+            quadrant: Quadrant::DESKTOP_CONFERENCE,
+            native_format: format!("{id}-native"),
+            kinds: vec!["document".into()],
+        }
+    }
+
+    #[test]
+    fn app_bound_subscriptions_mail_their_deltas() {
+        let mut e = env();
+        e.publish_knowledge().unwrap();
+        e.register_app(descriptor("board"), FormatMapping::new([("x", "x")]));
+        e.telemetry().clear();
+        let id = e
+            .subscribe_for_app(r#"class = person and cn = "Tom""#, &"board".into())
+            .unwrap();
+        let mailbox = app_address(&"board".into()).unwrap();
+        assert_eq!(e.transport_mut().delivered(&mailbox), ["query-delta"]);
+        let named: Vec<String> = e
+            .telemetry()
+            .events()
+            .into_iter()
+            .filter(|ev| ev.name == "env.query_delta")
+            .map(|ev| ev.detail)
+            .collect();
+        assert_eq!(named, [format!("{id}: added cn=Tom")]);
+        assert!(e.take_query_deltas().is_empty(), "mailed, not buffered");
+    }
+
+    #[test]
+    fn app_subscriptions_need_a_registered_app_with_a_legal_name() {
+        let mut e = env();
+        e.register_app(descriptor("shared=board"), FormatMapping::new([("x", "x")]));
+        let query = "class = person";
+        assert!(matches!(
+            e.subscribe_for_app(query, &"shared=board".into()),
+            Err(MoccaError::Messaging(
+                cscw_messaging::MtsError::InvalidAddress(_)
+            ))
+        ));
+        assert!(matches!(
+            e.subscribe_for_app(query, &"unregistered".into()),
+            Err(MoccaError::UnknownApplication(_))
+        ));
+        assert_eq!(e.queries().len(), 0, "nothing was subscribed");
+    }
+
     #[test]
     fn activity_creation_is_authorised() {
         let mut e = env();
@@ -1210,16 +1255,7 @@ mod tests {
             ("sharedx", "window_title", "title"),
             ("com", "subject", "title"),
         ] {
-            e.register_app(
-                AppDescriptor {
-                    id: id.into(),
-                    name: id.into(),
-                    quadrant: Quadrant::DESKTOP_CONFERENCE,
-                    native_format: format!("{id}-native"),
-                    kinds: vec!["document".into()],
-                },
-                FormatMapping::new([(native, common)]),
-            );
+            e.register_app(descriptor(id), FormatMapping::new([(native, common)]));
         }
         let artifact = NativeArtifact::new(
             "sharedx".into(),

@@ -295,7 +295,7 @@ impl FederatedEnvironments {
                 .filter_map(|k| self.fabric.replica_get(dst, k).map(|v| (k.to_owned(), v)))
                 .collect();
             if let Some(env) = self.envs.get_mut(dst) {
-                env.ingest_replicated(&pairs)?;
+                env.feed_queries(&pairs)?;
             }
         }
         Ok(LinkShip::Applied {

@@ -9,11 +9,8 @@
 //! repository rather than through MOCCA's in-memory structures.
 
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
-use cscw_directory::{
-    Attribute, Dit, DitObserver, Dn, Dua, Entry, Filter, SearchRequest, SearchScope,
-};
+use cscw_directory::{Attribute, Dit, Dn, Dua, Entry, Filter, SearchRequest, SearchScope};
 use cscw_messaging::net::Sim;
 
 use crate::error::MoccaError;
@@ -51,13 +48,6 @@ impl KnowledgeBase {
     /// project state attributes).
     pub fn dit_mut(&mut self) -> &mut Dit {
         &mut self.dit
-    }
-
-    /// Attaches a change observer to the backing DIT; every
-    /// publication or direct mutation notifies it (the standing-query
-    /// layer's feed).
-    pub fn observe(&mut self, observer: Arc<dyn DitObserver>) {
-        self.dit.observe(observer);
     }
 
     /// Ensures every ancestor of `dn` exists, fabricating plain
@@ -114,7 +104,7 @@ impl KnowledgeBase {
     }
 
     /// Brings an existing entry's edge attributes in line with the
-    /// model; a no-op (and silent for observers) when nothing differs.
+    /// model; a no-op (logging no change) when nothing differs.
     /// Returns 1 when the entry was rewritten.
     fn sync_edges(
         &mut self,

@@ -6,14 +6,13 @@
 //! each) over the simulated network.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 
 use crate::attribute::{Attribute, AttributeType, AttributeValue};
 use crate::entry::Entry;
 use crate::error::DirectoryError;
 use crate::filter::Filter;
 use crate::name::Dn;
-use crate::observer::{DitChange, DitObserver};
+use crate::observer::DitChange;
 use crate::schema::Schema;
 use crate::search::{SearchOutcome, SearchRequest, SearchScope};
 
@@ -45,7 +44,9 @@ pub struct Dit {
     entries: BTreeMap<Dn, Entry>,
     children: BTreeMap<Dn, BTreeSet<Dn>>,
     schema: Schema,
-    observers: Vec<Arc<dyn DitObserver>>,
+    /// The change log, oldest first; `None` until
+    /// [`record_changes`](Dit::record_changes) turns it on.
+    changes: Option<Vec<DitChange>>,
 }
 
 impl Default for Dit {
@@ -55,15 +56,15 @@ impl Default for Dit {
 }
 
 impl Clone for Dit {
-    /// Cloning copies entries, structure and schema but **not**
-    /// observers: a clone is a detached snapshot, and mutations on it
-    /// must not surprise subscribers of the original.
+    /// Cloning copies entries, structure and schema but **not** the
+    /// change log: a clone is a detached snapshot that records nothing,
+    /// so mutations on it never reach readers of the original's log.
     fn clone(&self) -> Self {
         Dit {
             entries: self.entries.clone(),
             children: self.children.clone(),
             schema: self.schema.clone(),
-            observers: Vec::new(),
+            changes: None,
         }
     }
 }
@@ -75,7 +76,7 @@ impl Dit {
             entries: BTreeMap::new(),
             children: BTreeMap::new(),
             schema: Schema::standard(),
-            observers: Vec::new(),
+            changes: None,
         }
     }
 
@@ -85,21 +86,25 @@ impl Dit {
             entries: BTreeMap::new(),
             children: BTreeMap::new(),
             schema,
-            observers: Vec::new(),
+            changes: None,
         }
     }
 
-    /// Registers an observer notified after every applied mutation
-    /// (see [`DitChange`]). Observers are invoked in registration
-    /// order; clones of the DIT do not inherit them.
-    pub fn observe(&mut self, observer: Arc<dyn DitObserver>) {
-        self.observers.push(observer);
+    /// Starts logging every applied mutation as a [`DitChange`], for
+    /// [`take_changes`](Dit::take_changes). A DIT logs nothing until
+    /// this is called, so one nobody reads keeps no log; calling it
+    /// again keeps what is already logged.
+    pub fn record_changes(&mut self) {
+        self.changes.get_or_insert_with(Vec::new);
     }
 
-    fn notify(&self, change: DitChange) {
-        for obs in &self.observers {
-            obs.on_change(&change);
-        }
+    /// Takes every logged change, oldest first (nothing when the DIT
+    /// is not recording).
+    pub fn take_changes(&mut self) -> Vec<DitChange> {
+        self.changes
+            .as_mut()
+            .map(std::mem::take)
+            .unwrap_or_default()
     }
 
     /// The active schema.
@@ -147,11 +152,10 @@ impl Dit {
         }
         self.schema.validate(&entry)?;
         self.children.entry(parent).or_default().insert(dn.clone());
-        let snapshot = (!self.observers.is_empty()).then(|| entry.clone());
-        self.entries.insert(dn, entry);
-        if let Some(added) = snapshot {
-            self.notify(DitChange::Added(added));
+        if let Some(log) = self.changes.as_mut() {
+            log.push(DitChange::Added(entry.clone()));
         }
+        self.entries.insert(dn, entry);
         Ok(())
     }
 
@@ -197,8 +201,8 @@ impl Dit {
             .entries
             .remove(dn)
             .ok_or_else(|| DirectoryError::NoSuchEntry(dn.clone()))?;
-        if !self.observers.is_empty() {
-            self.notify(DitChange::Removed(entry.clone()));
+        if let Some(log) = self.changes.as_mut() {
+            log.push(DitChange::Removed(entry.clone()));
         }
         Ok(entry)
     }
@@ -232,10 +236,8 @@ impl Dit {
                 siblings.remove(dn);
             }
         }
-        if !self.observers.is_empty() {
-            for e in removed {
-                self.notify(DitChange::Removed(e));
-            }
+        if let Some(log) = self.changes.as_mut() {
+            log.extend(removed.into_iter().map(DitChange::Removed));
         }
         Ok(doomed.len())
     }
@@ -257,23 +259,15 @@ impl Dit {
         // The DN is structural; modifications must not change it.
         after.set_dn(dn.clone());
         self.schema.validate(&after)?;
-        if self.observers.is_empty() {
-            *stored = after;
-            return Ok(());
-        }
-        if after == *stored {
-            return Ok(());
-        }
-        // Observers only borrow the change, so the new state travels in
-        // it and then moves into the tree rather than being copied; the
-        // placeholder is unreachable meanwhile, as `self` is borrowed.
-        let before = std::mem::replace(stored, Entry::new(dn.clone()));
-        let change = DitChange::Modified { before, after };
-        for obs in &self.observers {
-            obs.on_change(&change);
-        }
-        if let DitChange::Modified { after, .. } = change {
-            *stored = after;
+        match self.changes.as_mut() {
+            None => *stored = after,
+            // A no-op modification logs nothing.
+            Some(_) if after == *stored => {}
+            Some(log) => {
+                // The old state moves out of the tree into the log.
+                let before = std::mem::replace(stored, after.clone());
+                log.push(DitChange::Modified { before, after });
+            }
         }
         Ok(())
     }
@@ -317,11 +311,10 @@ impl Dit {
             .entry(to_parent)
             .or_default()
             .insert(to.clone());
-        let snapshot = (!self.observers.is_empty()).then(|| entry.clone());
-        self.entries.insert(to, entry);
-        if let Some(added) = snapshot {
-            self.notify(DitChange::Added(added));
+        if let Some(log) = self.changes.as_mut() {
+            log.push(DitChange::Added(entry.clone()));
         }
+        self.entries.insert(to, entry);
         Ok(())
     }
 

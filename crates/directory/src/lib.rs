@@ -64,6 +64,6 @@ pub use entry::{Entry, OBJECT_CLASS};
 pub use error::DirectoryError;
 pub use filter::{Filter, SubstringPattern};
 pub use name::{Dn, Rdn};
-pub use observer::{ChangeCollector, DitChange, DitObserver};
+pub use observer::DitChange;
 pub use schema::{ObjectClass, Schema};
 pub use search::{SearchOutcome, SearchRequest, SearchScope};

@@ -1,20 +1,17 @@
-//! Change observation on a [`Dit`](crate::Dit).
+//! The change log of a [`Dit`](crate::Dit).
 //!
-//! The standing-query layer (and anything else that wants push-based
-//! awareness of directory state) registers a [`DitObserver`] on a DIT;
-//! every successful mutation — `add`, `modify`, `remove`,
-//! `remove_subtree`, `rename`, `add_value` — is reported as a
-//! [`DitChange`] carrying the full before/after entries, so observers
-//! can evaluate incrementally without re-reading the tree.
+//! A DIT that [records changes](crate::Dit::record_changes) logs every
+//! successful mutation — `add`, `modify`, `remove`, `remove_subtree`,
+//! `rename`, `add_value` — as a [`DitChange`] carrying the full
+//! before/after entries, so the standing-query layer (or anything else
+//! that wants push-based awareness of directory state) can evaluate
+//! incrementally without re-reading the tree. The reader
+//! [takes](crate::Dit::take_changes) the log, oldest first, when it is
+//! ready to evaluate a batch.
 //!
-//! Observers are notified *after* the mutation has been applied and
+//! A change is logged *after* the mutation has been applied and
 //! validated; failed operations (schema violations, missing parents)
-//! produce no change. The provided [`ChangeCollector`] is a buffering
-//! observer for callers that prefer to drain changes at a point where
-//! they hold `&Dit` again, rather than react re-entrantly.
-
-use std::fmt;
-use std::sync::{Arc, Mutex};
+//! and no-op modifications log nothing.
 
 use crate::entry::Entry;
 
@@ -24,7 +21,7 @@ pub enum DitChange {
     /// An entry was inserted (by `add` or the insert half of `rename`).
     Added(Entry),
     /// An entry was modified in place; `before != after` is guaranteed
-    /// (no-op modifications are not reported).
+    /// (no-op modifications are not logged).
     Modified {
         /// The entry as it was before the modification.
         before: Entry,
@@ -48,73 +45,6 @@ impl DitChange {
     }
 }
 
-/// A hook invoked after every applied DIT mutation.
-pub trait DitObserver: fmt::Debug + Send + Sync {
-    /// Called once per applied change, in application order.
-    fn on_change(&self, change: &DitChange);
-}
-
-/// A [`DitObserver`] that buffers changes for later draining.
-///
-/// Clones share the same buffer, so a caller can keep one handle and
-/// install another on the DIT:
-///
-/// ```
-/// use cscw_directory::{Attribute, ChangeCollector, Dit, DitChange, Entry};
-///
-/// let collector = ChangeCollector::new();
-/// let mut dit = Dit::new();
-/// dit.observe(std::sync::Arc::new(collector.clone()));
-/// dit.add(Entry::new("c=UK".parse()?)
-///     .with_class("country")
-///     .with_attr(Attribute::single("c", "UK")))?;
-/// let changes = collector.drain();
-/// assert!(matches!(changes.as_slice(), [DitChange::Added(_)]));
-/// # Ok::<(), cscw_directory::DirectoryError>(())
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct ChangeCollector {
-    buffer: Arc<Mutex<Vec<DitChange>>>,
-}
-
-impl ChangeCollector {
-    /// Creates an empty collector.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Takes every buffered change, oldest first.
-    pub fn drain(&self) -> Vec<DitChange> {
-        let mut buf = self
-            .buffer
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        std::mem::take(&mut *buf)
-    }
-
-    /// Number of buffered changes.
-    pub fn len(&self) -> usize {
-        self.buffer
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .len()
-    }
-
-    /// True when nothing is buffered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl DitObserver for ChangeCollector {
-    fn on_change(&self, change: &DitChange) {
-        self.buffer
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .push(change.clone());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,29 +59,30 @@ mod tests {
             .with_attr(Attribute::single("sn", sn))
     }
 
-    fn observed() -> (Dit, ChangeCollector) {
-        let collector = ChangeCollector::new();
+    fn country() -> Entry {
+        Entry::new("c=UK".parse().unwrap())
+            .with_class("country")
+            .with_attr(Attribute::single("c", "UK"))
+    }
+
+    /// A recording DIT holding `c=UK`, its log already taken.
+    fn recording() -> Dit {
         let mut dit = Dit::new();
-        dit.observe(Arc::new(collector.clone()));
-        dit.add(
-            Entry::new("c=UK".parse().unwrap())
-                .with_class("country")
-                .with_attr(Attribute::single("c", "UK")),
-        )
-        .unwrap();
-        collector.drain();
-        (dit, collector)
+        dit.record_changes();
+        dit.add(country()).unwrap();
+        dit.take_changes();
+        dit
     }
 
     #[test]
-    fn add_modify_remove_are_observed_in_order() {
-        let (mut dit, collector) = observed();
+    fn add_modify_remove_are_logged_in_order() {
+        let mut dit = recording();
         let dn: Dn = "c=UK,cn=Tom Rodden".parse().unwrap();
         dit.add(person("c=UK,cn=Tom Rodden", "Tom Rodden", "Rodden"))
             .unwrap();
         dit.add_value(&dn, "mail", "tom@lancs.ac.uk").unwrap();
         dit.remove(&dn).unwrap();
-        let changes = collector.drain();
+        let changes = dit.take_changes();
         assert_eq!(changes.len(), 3);
         assert!(matches!(&changes[0], DitChange::Added(e) if e.dn() == &dn));
         match &changes[1] {
@@ -162,16 +93,17 @@ mod tests {
             other => panic!("expected Modified, got {other:?}"),
         }
         assert!(matches!(&changes[2], DitChange::Removed(e) if e.dn() == &dn));
+        assert!(dit.take_changes().is_empty(), "taking empties the log");
     }
 
     #[test]
-    fn failed_and_noop_mutations_are_silent() {
-        let (mut dit, collector) = observed();
+    fn failed_and_noop_mutations_log_nothing() {
+        let mut dit = recording();
         let dn: Dn = "c=UK,cn=Tom Rodden".parse().unwrap();
         dit.add(person("c=UK,cn=Tom Rodden", "Tom Rodden", "Rodden"))
             .unwrap();
-        collector.drain();
-        // Schema violation rolls back: no change event.
+        dit.take_changes();
+        // Schema violation rolls back: nothing logged.
         assert!(dit
             .modify(&dn, |e| {
                 e.remove_attr(&"sn".into());
@@ -179,43 +111,70 @@ mod tests {
             .is_err());
         // A modification that leaves the entry identical is a no-op.
         dit.modify(&dn, |_| {}).unwrap();
-        // A failed add (duplicate) is silent too.
+        // A failed add (duplicate) logs nothing either.
         assert!(dit
             .add(person("c=UK,cn=Tom Rodden", "Tom Rodden", "Rodden"))
             .is_err());
-        assert!(collector.drain().is_empty());
+        assert!(dit.take_changes().is_empty());
     }
 
     #[test]
-    fn subtree_removal_reports_every_entry() {
-        let (mut dit, collector) = observed();
+    fn subtree_removal_logs_every_entry() {
+        let mut dit = recording();
         dit.add(person("c=UK,cn=A", "A A", "A")).unwrap();
         dit.add(person("c=UK,cn=B", "B B", "B")).unwrap();
-        collector.drain();
+        dit.take_changes();
         dit.remove_subtree(&"c=UK".parse().unwrap()).unwrap();
-        let changes = collector.drain();
+        let changes = dit.take_changes();
         assert_eq!(changes.len(), 3);
         assert!(changes.iter().all(|c| matches!(c, DitChange::Removed(_))));
     }
 
     #[test]
     fn rename_is_a_remove_plus_add() {
-        let (mut dit, collector) = observed();
+        let mut dit = recording();
         dit.add(person("c=UK,cn=A", "A A", "A")).unwrap();
-        collector.drain();
+        dit.take_changes();
         dit.rename(&"c=UK,cn=A".parse().unwrap(), "c=UK,cn=A2".parse().unwrap())
             .unwrap();
-        let changes = collector.drain();
+        let changes = dit.take_changes();
         assert_eq!(changes.len(), 2);
         assert!(matches!(&changes[0], DitChange::Removed(e) if e.dn().to_string() == "c=UK,cn=A"));
         assert!(matches!(&changes[1], DitChange::Added(e) if e.dn().to_string() == "c=UK,cn=A2"));
     }
 
     #[test]
-    fn clones_do_not_share_observers() {
-        let (dit, collector) = observed();
+    fn clones_do_not_record() {
+        let mut dit = recording();
         let mut copy = dit.clone();
         copy.add(person("c=UK,cn=A", "A A", "A")).unwrap();
-        assert!(collector.is_empty(), "clone mutations must not leak");
+        assert!(copy.take_changes().is_empty(), "a clone starts detached");
+        assert!(
+            dit.take_changes().is_empty(),
+            "clone mutations must not leak"
+        );
+    }
+
+    #[test]
+    fn a_dit_that_does_not_record_keeps_no_log() {
+        let mut dit = Dit::new();
+        dit.add(country()).unwrap();
+        dit.add(person("c=UK,cn=A", "A A", "A")).unwrap();
+        dit.add_value(&"c=UK,cn=A".parse().unwrap(), "mail", "a@uk")
+            .unwrap();
+        dit.remove_subtree(&"c=UK".parse().unwrap()).unwrap();
+        assert!(dit.take_changes().is_empty());
+    }
+
+    #[test]
+    fn recording_again_keeps_the_log() {
+        let mut dit = Dit::new();
+        dit.record_changes();
+        dit.add(country()).unwrap();
+        dit.record_changes();
+        dit.add(person("c=UK,cn=A", "A A", "A")).unwrap();
+        let changes = dit.take_changes();
+        assert_eq!(changes.len(), 2, "{changes:?}");
+        assert!(matches!(&changes[0], DitChange::Added(e) if e.dn().to_string() == "c=UK"));
     }
 }

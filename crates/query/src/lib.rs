@@ -14,11 +14,13 @@
 //!   one-hop joins such as `works-on (projectstate = active)`), and
 //!   `key`/`value` predicates over replicated knowledge;
 //! * an **incremental [`SubscriptionRegistry`]** that evaluates
-//!   standing queries against change *deltas* — directory mutations
-//!   surfaced by the [`DitObserver`](cscw_directory::DitObserver)
-//!   hook and replicated-knowledge applies surfaced by gossip ingest
-//!   reports — instead of re-scanning the population, and pushes
-//!   [`QueryDelta`]s (`Added`/`Removed`/`Changed`) to subscribers.
+//!   standing queries against change *deltas* instead of re-scanning
+//!   the population, and pushes [`QueryDelta`]s
+//!   (`Added`/`Removed`/`Changed`) to subscribers. Changes arrive
+//!   through one [`apply`](SubscriptionRegistry::apply): the resolved
+//!   values of replicated-knowledge keys (what a gossip ingest
+//!   applied, or a local publish), then the directory mutations a
+//!   recording [`Dit`](cscw_directory::Dit) logged.
 //!
 //! Interest indexes (per-attribute, per-key-prefix, and a reverse
 //! edge-occurrence map for joins) keep the per-change cost

@@ -1,12 +1,13 @@
 //! The incremental subscription engine.
 //!
 //! A [`SubscriptionRegistry`] holds standing queries and evaluates
-//! them *incrementally*: directory mutations arrive as
-//! [`DitChange`]s (from the [`DitObserver`](cscw_directory::DitObserver)
-//! hook), replicated-knowledge applies arrive as `(key, value)` pairs
-//! (from `IngestReport.applied` after gossip, or local publishes), and
-//! each change touches only the subscriptions whose interest indexes
-//! say it could matter:
+//! them *incrementally*. Every change reaches it through one
+//! [`apply`](SubscriptionRegistry::apply): resolved replicated-knowledge
+//! values as `(key, value)` pairs (the values of the keys a gossip
+//! ingest applied, or local publishes), then directory mutations as the
+//! [`DitChange`]s a recording [`Dit`] logged
+//! ([`Dit::take_changes`]). Each change touches only the subscriptions
+//! whose interest indexes say it could matter:
 //!
 //! * **attribute index** — entry subscriptions keyed by every
 //!   attribute type their query references; a change is routed to the
@@ -358,7 +359,7 @@ impl SubscriptionRegistry {
 
     /// Computes a knowledge subscription's initial result set from the
     /// registry's resolved shadow (seed the shadow first via
-    /// [`apply_replicated`](SubscriptionRegistry::apply_replicated)).
+    /// [`apply`](SubscriptionRegistry::apply)).
     ///
     /// # Errors
     ///
@@ -393,17 +394,24 @@ impl SubscriptionRegistry {
         Ok(deltas)
     }
 
-    /// Feeds a batch of directory changes through every interested
-    /// subscription; returns the emitted deltas in deterministic
-    /// (change, subscription id) order. `dit` is the post-change tree.
-    pub fn apply_dit_changes(
+    /// Feeds one batch of knowledge changes through every interested
+    /// subscription: first the resolved replicated-knowledge `pairs`
+    /// (idempotent: a pair equal to the shadowed value is a no-op),
+    /// then the directory `changes`, oldest first. Returns the emitted
+    /// deltas in deterministic (change, subscription id) order. `dit`
+    /// is the post-change tree.
+    pub fn apply(
         &mut self,
+        pairs: &[(String, String)],
         changes: &[DitChange],
         dit: &Dit,
         at: u64,
     ) -> Vec<(SubscriptionId, QueryDelta)> {
         let span = self.telemetry.span_begin(Layer::Query, "query.apply", at);
         let mut out = Vec::new();
+        for (key, value) in pairs {
+            self.apply_pair(key, value, &mut out);
+        }
         for change in changes {
             self.telemetry.incr(Layer::Query, "query.change.seen");
             self.apply_one_change(change, dit, &mut out);
@@ -556,75 +564,41 @@ impl SubscriptionRegistry {
         }
     }
 
-    /// Feeds resolved replicated-knowledge applies (gossip ingests or
-    /// local publishes) through every interested knowledge
-    /// subscription. Idempotent: a pair equal to the shadowed value is
-    /// a no-op.
-    pub fn apply_replicated(
-        &mut self,
-        pairs: &[(String, String)],
-        at: u64,
-    ) -> Vec<(SubscriptionId, QueryDelta)> {
-        let span = self.telemetry.span_begin(Layer::Query, "query.ingest", at);
-        let mut out = Vec::new();
-        for (key, value) in pairs {
-            if self.knowledge.get(key) == Some(value) {
+    fn apply_pair(&mut self, key: &str, value: &str, out: &mut Vec<(SubscriptionId, QueryDelta)>) {
+        if self.knowledge.get(key).is_some_and(|v| v == value) {
+            return;
+        }
+        self.knowledge.insert(key.to_owned(), value.to_owned());
+        self.telemetry.incr(Layer::Query, "query.change.seen");
+        for sub_id in self.knowledge_subs.iter().copied() {
+            let Some(sub) = self.subs.get_mut(&sub_id) else {
+                continue;
+            };
+            if !sub.primed {
                 continue;
             }
-            self.knowledge.insert(key.clone(), value.clone());
-            self.telemetry.incr(Layer::Query, "query.change.seen");
-            for sub_id in self.knowledge_subs.iter().copied() {
-                let Some(sub) = self.subs.get_mut(&sub_id) else {
+            if let Some(prefix) = sub.query.key_prefix() {
+                if !key.starts_with(prefix) {
                     continue;
-                };
-                if !sub.primed {
-                    continue;
-                }
-                if let Some(prefix) = sub.query.key_prefix() {
-                    if !key.starts_with(prefix) {
-                        continue;
-                    }
-                }
-                self.telemetry.incr(Layer::Query, "query.eval.entry");
-                let now = sub.query.eval_kv(key, value);
-                let was = sub.matched_keys.contains(key);
-                match (was, now) {
-                    (false, true) => {
-                        sub.matched_keys.insert(key.clone());
-                        out.push((
-                            SubscriptionId(sub_id),
-                            QueryDelta::Added { id: key.clone() },
-                        ));
-                    }
-                    (true, false) => {
-                        sub.matched_keys.remove(key);
-                        out.push((
-                            SubscriptionId(sub_id),
-                            QueryDelta::Removed { id: key.clone() },
-                        ));
-                    }
-                    (true, true) => {
-                        out.push((
-                            SubscriptionId(sub_id),
-                            QueryDelta::Changed { id: key.clone() },
-                        ));
-                    }
-                    (false, false) => {}
                 }
             }
+            self.telemetry.incr(Layer::Query, "query.eval.entry");
+            let now = sub.query.eval_kv(key, value);
+            let was = sub.matched_keys.contains(key);
+            let delta = match (was, now) {
+                (false, true) => {
+                    sub.matched_keys.insert(key.to_owned());
+                    QueryDelta::Added { id: key.to_owned() }
+                }
+                (true, false) => {
+                    sub.matched_keys.remove(key);
+                    QueryDelta::Removed { id: key.to_owned() }
+                }
+                (true, true) => QueryDelta::Changed { id: key.to_owned() },
+                (false, false) => continue,
+            };
+            out.push((SubscriptionId(sub_id), delta));
         }
-        for (_, delta) in &out {
-            self.telemetry.incr(
-                Layer::Query,
-                match delta {
-                    QueryDelta::Added { .. } => "query.delta.added",
-                    QueryDelta::Changed { .. } => "query.delta.changed",
-                    QueryDelta::Removed { .. } => "query.delta.removed",
-                },
-            );
-        }
-        self.telemetry.span_end(span, at);
-        out
     }
 
     /// The current incrementally-maintained result set (DN strings or
@@ -698,21 +672,20 @@ fn edge_values(entry: &Entry, attr: &AttributeType) -> BTreeSet<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cscw_directory::{Attribute, ChangeCollector};
-    use std::sync::Arc;
+    use cscw_directory::Attribute;
 
-    fn base_dit() -> (Dit, ChangeCollector) {
-        let collector = ChangeCollector::new();
+    /// A recording DIT holding `c=UK`, its log already taken.
+    fn base_dit() -> Dit {
         let mut dit = Dit::new();
-        dit.observe(Arc::new(collector.clone()));
+        dit.record_changes();
         dit.add(
             Entry::new("c=UK".parse().unwrap())
                 .with_class("country")
                 .with_attr(Attribute::single("c", "UK")),
         )
         .unwrap();
-        collector.drain();
-        (dit, collector)
+        dit.take_changes();
+        dit
     }
 
     fn person(dn: &str, cn: &str, sn: &str) -> Entry {
@@ -724,15 +697,26 @@ mod tests {
 
     fn apply_changes(
         reg: &mut SubscriptionRegistry,
-        collector: &ChangeCollector,
-        dit: &Dit,
+        dit: &mut Dit,
     ) -> Vec<(SubscriptionId, QueryDelta)> {
-        reg.apply_dit_changes(&collector.drain(), dit, 0)
+        let changes = dit.take_changes();
+        reg.apply(&[], &changes, dit, 0)
+    }
+
+    fn apply_pairs(
+        reg: &mut SubscriptionRegistry,
+        pairs: &[(&str, &str)],
+    ) -> Vec<(SubscriptionId, QueryDelta)> {
+        let pairs: Vec<(String, String)> = pairs
+            .iter()
+            .map(|(k, v)| ((*k).to_owned(), (*v).to_owned()))
+            .collect();
+        reg.apply(&pairs, &[], &Dit::new(), 0)
     }
 
     #[test]
     fn add_modify_remove_emit_deltas_without_rescans() {
-        let (mut dit, collector) = base_dit();
+        let mut dit = base_dit();
         let mut reg = SubscriptionRegistry::new();
         let sub = reg
             .subscribe(r#"class = person and sn = "Rodden""#, 0)
@@ -741,7 +725,7 @@ mod tests {
 
         dit.add(person("c=UK,cn=Tom Rodden", "Tom Rodden", "Rodden"))
             .unwrap();
-        let deltas = apply_changes(&mut reg, &collector, &dit);
+        let deltas = apply_changes(&mut reg, &mut dit);
         assert_eq!(deltas.len(), 1);
         assert_eq!(
             deltas[0].1,
@@ -752,7 +736,7 @@ mod tests {
 
         let dn: Dn = "c=UK,cn=Tom Rodden".parse().unwrap();
         dit.add_value(&dn, "mail", "t@lancs.ac.uk").unwrap();
-        let deltas = apply_changes(&mut reg, &collector, &dit);
+        let deltas = apply_changes(&mut reg, &mut dit);
         assert_eq!(deltas[0].1.kind(), "changed");
 
         // A modification that breaks the predicate removes it.
@@ -760,7 +744,7 @@ mod tests {
             e.replace_attr(Attribute::single("sn", "Other"));
         })
         .unwrap();
-        let deltas = apply_changes(&mut reg, &collector, &dit);
+        let deltas = apply_changes(&mut reg, &mut dit);
         assert_eq!(deltas[0].1.kind(), "removed");
 
         dit.modify(&dn, |e| {
@@ -768,7 +752,7 @@ mod tests {
         })
         .unwrap();
         dit.remove(&dn).unwrap();
-        let deltas = apply_changes(&mut reg, &collector, &dit);
+        let deltas = apply_changes(&mut reg, &mut dit);
         assert_eq!(deltas.len(), 2, "re-added then removed");
         assert_eq!(deltas[1].1.kind(), "removed");
         assert_eq!(reg.rescans(), 0, "steady state never re-scans");
@@ -777,7 +761,7 @@ mod tests {
 
     #[test]
     fn join_target_flips_reevaluate_referring_entries_only() {
-        let (mut dit, collector) = base_dit();
+        let mut dit = base_dit();
         dit.schema_mut().define(cscw_directory::ObjectClass::new(
             "cscwproject",
             ["cn"],
@@ -793,7 +777,7 @@ mod tests {
         alice.put_attr(Attribute::single("workson", "c=UK,cn=odp-paper"));
         dit.add(alice).unwrap();
         assert!(
-            apply_changes(&mut reg, &collector, &dit).is_empty(),
+            apply_changes(&mut reg, &mut dit).is_empty(),
             "project not active yet"
         );
 
@@ -805,7 +789,7 @@ mod tests {
                 .with_attr(Attribute::single("projectstate", "active")),
         )
         .unwrap();
-        let deltas = apply_changes(&mut reg, &collector, &dit);
+        let deltas = apply_changes(&mut reg, &mut dit);
         assert_eq!(deltas.len(), 1);
         assert_eq!(
             deltas[0].1,
@@ -820,7 +804,7 @@ mod tests {
             e.replace_attr(Attribute::single("projectstate", "dormant"));
         })
         .unwrap();
-        let deltas = apply_changes(&mut reg, &collector, &dit);
+        let deltas = apply_changes(&mut reg, &mut dit);
         assert_eq!(deltas.len(), 1);
         assert_eq!(
             deltas[0].1,
@@ -838,9 +822,8 @@ mod tests {
             .subscribe(r#"key prefix "org:" and value matches "*coordinator*""#, 0)
             .unwrap();
         assert!(reg.prime_knowledge(sub, 0).unwrap().is_empty());
-        let pair = |k: &str, v: &str| (k.to_owned(), v.to_owned());
 
-        let deltas = reg.apply_replicated(&[pair("org:cn=A", "role: coordinator")], 0);
+        let deltas = apply_pairs(&mut reg, &[("org:cn=A", "role: coordinator")]);
         assert_eq!(
             deltas[0].1,
             QueryDelta::Added {
@@ -848,19 +831,14 @@ mod tests {
             }
         );
         // Same value again: no delta.
-        assert!(reg
-            .apply_replicated(&[pair("org:cn=A", "role: coordinator")], 0)
-            .is_empty());
+        assert!(apply_pairs(&mut reg, &[("org:cn=A", "role: coordinator")]).is_empty());
         // Value changes but still matches: Changed.
-        let deltas = reg.apply_replicated(&[pair("org:cn=A", "senior coordinator")], 0);
+        let deltas = apply_pairs(&mut reg, &[("org:cn=A", "senior coordinator")]);
         assert_eq!(deltas[0].1.kind(), "changed");
         // Stops matching: Removed. Non-prefixed keys are skipped.
-        let deltas = reg.apply_replicated(
-            &[
-                pair("org:cn=A", "role: member"),
-                pair("info:x", "coordinator"),
-            ],
-            0,
+        let deltas = apply_pairs(
+            &mut reg,
+            &[("org:cn=A", "role: member"), ("info:x", "coordinator")],
         );
         assert_eq!(deltas.len(), 1);
         assert_eq!(deltas[0].1.kind(), "removed");
@@ -868,20 +846,20 @@ mod tests {
 
     #[test]
     fn unsubscribe_stops_deltas_and_cleans_indexes() {
-        let (mut dit, collector) = base_dit();
+        let mut dit = base_dit();
         let mut reg = SubscriptionRegistry::new();
         let sub = reg.subscribe("class = person", 0).unwrap();
         reg.prime(sub, &dit, 0).unwrap();
         assert!(reg.unsubscribe(sub));
         assert!(!reg.unsubscribe(sub));
         dit.add(person("c=UK,cn=A", "A A", "A")).unwrap();
-        assert!(apply_changes(&mut reg, &collector, &dit).is_empty());
+        assert!(apply_changes(&mut reg, &mut dit).is_empty());
         assert!(reg.matches(sub).is_none());
     }
 
     #[test]
     fn incremental_set_equals_oracle_after_every_change() {
-        let (mut dit, collector) = base_dit();
+        let mut dit = base_dit();
         let mut reg = SubscriptionRegistry::new();
         let sub = reg
             .subscribe(
@@ -910,7 +888,7 @@ mod tests {
         ];
         for step in steps {
             step(&mut dit);
-            apply_changes(&mut reg, &collector, &dit);
+            apply_changes(&mut reg, &mut dit);
             assert_eq!(
                 reg.matches(sub).unwrap(),
                 reg.oracle_matches(sub, &dit).unwrap(),
@@ -918,5 +896,48 @@ mod tests {
             );
         }
         assert_eq!(reg.rescans(), 5, "only the oracle re-scans");
+    }
+
+    #[test]
+    fn one_apply_feeds_pairs_before_directory_changes() {
+        let telemetry = Telemetry::new();
+        let mut dit = base_dit();
+        let mut reg = SubscriptionRegistry::with_telemetry(telemetry.clone());
+        let entries = reg.subscribe("class = person", 0).unwrap();
+        reg.prime(entries, &dit, 0).unwrap();
+        let knowledge = reg.subscribe(r#"key prefix "org:""#, 0).unwrap();
+        reg.prime_knowledge(knowledge, 0).unwrap();
+        apply_pairs(&mut reg, &[("org:cn=B", "b")]);
+        let seen = telemetry.counter(Layer::Query, "query.change.seen");
+
+        dit.add(person("c=UK,cn=A", "A A", "A")).unwrap();
+        let changes = dit.take_changes();
+        let pairs = [
+            ("org:cn=A".to_owned(), "a".to_owned()),
+            ("org:cn=B".to_owned(), "b".to_owned()),
+        ];
+        let deltas = reg.apply(&pairs, &changes, &dit, 0);
+        assert_eq!(
+            deltas,
+            [
+                (
+                    knowledge,
+                    QueryDelta::Added {
+                        id: "org:cn=A".into()
+                    }
+                ),
+                (
+                    entries,
+                    QueryDelta::Added {
+                        id: "c=UK,cn=A".into()
+                    }
+                ),
+            ]
+        );
+        // The pair equal to the shadow is no change at all.
+        assert_eq!(
+            telemetry.counter(Layer::Query, "query.change.seen"),
+            seen + 2
+        );
     }
 }

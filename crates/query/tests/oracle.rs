@@ -12,9 +12,7 @@
 //! [`SubscriptionRegistry::oracle_matches`], the authorized full
 //! re-scan.
 
-use std::sync::Arc;
-
-use cscw_directory::{Attribute, ChangeCollector, Dit, Dn, Entry};
+use cscw_directory::{Attribute, Dit, Dn, Entry};
 use cscw_query::{SubscriptionId, SubscriptionRegistry};
 
 /// SplitMix64 — deterministic, dependency-free stream of test entropy.
@@ -62,10 +60,11 @@ fn project_dn(j: u64) -> Dn {
     format!("c=UK,cn=proj{j}").parse().unwrap()
 }
 
-fn seed_dit() -> (Dit, ChangeCollector) {
-    let collector = ChangeCollector::new();
+/// A recording DIT holding the country and the projects, its log
+/// already taken.
+fn seed_dit() -> Dit {
     let mut dit = Dit::new();
-    dit.observe(Arc::new(collector.clone()));
+    dit.record_changes();
     dit.add(
         Entry::new("c=UK".parse().unwrap())
             .with_class("country")
@@ -81,8 +80,8 @@ fn seed_dit() -> (Dit, ChangeCollector) {
         )
         .unwrap();
     }
-    collector.drain();
-    (dit, collector)
+    dit.take_changes();
+    dit
 }
 
 /// One random mutation of the directory; returns `false` when the op
@@ -229,7 +228,7 @@ fn assert_incremental_equals_oracle(
 fn incremental_deltas_equal_full_rescan_at_every_step() {
     for seed in 1..=3u64 {
         let mut rng = Rng(seed);
-        let (mut dit, collector) = seed_dit();
+        let mut dit = seed_dit();
         let mut reg = SubscriptionRegistry::new();
         let mut subs = Vec::new();
         for src in ENTRY_QUERIES {
@@ -247,11 +246,11 @@ fn incremental_deltas_equal_full_rescan_at_every_step() {
             if rng.below(4) == 0 {
                 // Knowledge path: a batch of 1-3 replicated pairs.
                 let pairs: Vec<_> = (0..=rng.below(2)).map(|_| random_pair(&mut rng)).collect();
-                reg.apply_replicated(&pairs, step as u64);
+                reg.apply(&pairs, &[], &dit, step as u64);
             } else {
                 random_op(&mut rng, &mut dit);
-                let changes = collector.drain();
-                reg.apply_dit_changes(&changes, &dit, step as u64);
+                let changes = dit.take_changes();
+                reg.apply(&[], &changes, &dit, step as u64);
             }
             assert_incremental_equals_oracle(&mut reg, &subs, &dit, step, seed);
         }
@@ -264,7 +263,7 @@ fn oracle_comparison_is_deterministic_across_runs() {
     // identically for the same seed.
     let run = |seed: u64| {
         let mut rng = Rng(seed);
-        let (mut dit, collector) = seed_dit();
+        let mut dit = seed_dit();
         let mut reg = SubscriptionRegistry::new();
         let mut ids = Vec::new();
         for src in ENTRY_QUERIES {
@@ -275,7 +274,8 @@ fn oracle_comparison_is_deterministic_across_runs() {
         let mut trace = String::new();
         for step in 0..OPS {
             random_op(&mut rng, &mut dit);
-            for (id, delta) in reg.apply_dit_changes(&collector.drain(), &dit, step as u64) {
+            let changes = dit.take_changes();
+            for (id, delta) in reg.apply(&[], &changes, &dit, step as u64) {
                 trace.push_str(&format!("{step} {id} {delta}\n"));
             }
         }
