@@ -19,6 +19,7 @@
 //! ([`SimPlatform`](crate::platform::SimPlatform)).
 
 use std::collections::BTreeMap;
+use std::fmt;
 use std::sync::Arc;
 
 use cscw_directory::{Attribute, DirOp, Dn, Entry, Rdn};
@@ -65,7 +66,7 @@ fn app_address(app: &AppId) -> Result<OrAddress, cscw_messaging::MtsError> {
 
 /// O/R address for a person; DN separators are not legal in O/R
 /// components, so they are folded to `-` (`cn=Tom` → `cn-Tom`).
-fn person_address(dn: &Dn) -> Option<OrAddress> {
+fn person_address(dn: &Dn) -> Result<OrAddress, cscw_messaging::MtsError> {
     let name: String = dn
         .to_string()
         .chars()
@@ -77,7 +78,7 @@ fn person_address(dn: &Dn) -> Option<OrAddress> {
             }
         })
         .collect();
-    OrAddress::new("ZZ", "mocca", ["users"], name).ok()
+    OrAddress::new("ZZ", "mocca", ["users"], name)
 }
 
 /// Deterministic single-line rendering of object content for federation
@@ -227,7 +228,7 @@ impl CscwEnvironment {
 
     /// Emits an environment-layer telemetry event on the platform's
     /// stream.
-    fn emit_env(&self, name: &'static str, detail: String) {
+    fn emit_env(&self, name: &'static str, detail: impl fmt::Display) {
         let t = self.platform.telemetry();
         t.incr(Layer::Env, name);
         t.emit(self.platform.clock().now_micros(), Layer::Env, name, detail);
@@ -235,7 +236,7 @@ impl CscwEnvironment {
 
     /// Emits an application-layer telemetry event (the environment
     /// recording what the *application* asked of it).
-    fn emit_app(&self, name: &'static str, detail: String) {
+    fn emit_app(&self, name: &'static str, detail: impl fmt::Display) {
         let t = self.platform.telemetry();
         // conform: allow(R4) — deliberate: the event belongs to the app
         t.incr(Layer::App, name);
@@ -333,7 +334,7 @@ impl CscwEnvironment {
         self.count_op();
         let org = self.org.read().clone();
         let published = self.knowledge.publish(&org)?;
-        self.emit_env("env.publish_knowledge", format!("{published} entries"));
+        self.emit_env("env.publish_knowledge", format_args!("{published} entries"));
         let entries: Vec<Entry> = self.knowledge.dit().iter().cloned().collect();
         for entry in &entries {
             match self.platform.directory().apply(DirOp::Add(entry.clone())) {
@@ -432,7 +433,7 @@ impl CscwEnvironment {
                 self.queries.prime_knowledge(id, at)?
             }
         };
-        self.emit_env("env.subscribe", format!("{id}: {src}"));
+        self.emit_env("env.subscribe", format_args!("{id}: {src}"));
         let deltas: Vec<_> = initial.into_iter().map(|d| (id, d)).collect();
         self.dispatch_query_deltas(deltas)?;
         Ok(id)
@@ -492,7 +493,7 @@ impl CscwEnvironment {
         deltas: Vec<(SubscriptionId, QueryDelta)>,
     ) -> Result<(), MoccaError> {
         for (id, delta) in deltas {
-            self.emit_env("env.query_delta", format!("{id}: {delta}"));
+            self.emit_env("env.query_delta", format_args!("{id}: {delta}"));
             let Some(dest) = self.query_apps.get(&id) else {
                 self.pending_deltas.push((id, delta));
                 continue;
@@ -598,7 +599,7 @@ impl CscwEnvironment {
     pub fn register_app(&mut self, descriptor: AppDescriptor, mapping: FormatMapping) {
         self.count_op();
         let id = descriptor.id.clone();
-        self.emit_env("env.register_app", id.to_string());
+        self.emit_env("env.register_app", &id);
         self.hub.register_mapping(id.clone(), mapping);
         self.registry.register(descriptor);
         let export = self.platform.trader().export(
@@ -614,7 +615,7 @@ impl CscwEnvironment {
         if export.is_err() {
             // Registration itself succeeded; the app is just not
             // locatable via trading (e.g. the trader node is down).
-            self.emit_env("env.app_offer_failed", id.to_string());
+            self.emit_env("env.app_offer_failed", &id);
         }
         // Advertise into the federation so peer environments can
         // resolve this application through trader interworking.
@@ -659,6 +660,9 @@ impl CscwEnvironment {
     ///   (locally, and in the federation when one is joined).
     /// * [`MoccaError::Federation`] — the federation could not resolve
     ///   or route (partition, hop limit).
+    /// * [`MoccaError::Messaging`] — the sharer or the destination
+    ///   application has no legal O/R mailbox address; nothing is
+    ///   converted, stored or mirrored.
     /// * Repository errors for the shared record.
     /// * Substrate errors when the platform cannot complete the
     ///   lowering (trader unreachable, transfer failed).
@@ -696,13 +700,18 @@ impl CscwEnvironment {
         self.count_op();
         self.emit_app(
             "app.exchange",
-            format!("{} -> {} by {sharer}", artifact.app, to),
+            format_args!("{} -> {} by {sharer}", artifact.app, to),
         );
-        self.emit_env("env.exchange", format!("{} -> {to}", artifact.app));
+        self.emit_env("env.exchange", format_args!("{} -> {to}", artifact.app));
         let common = self.hub.to_common(artifact)?;
         if self.registry.app(to).is_none() && self.federation.is_some() {
             return self.exchange_remote(sharer, artifact, to, common, at);
         }
+        // Both mailboxes must be addressable before anything is
+        // converted, stored or mirrored: an exchange whose destination
+        // can never be notified is refused, not half done.
+        let from = person_address(sharer)?;
+        let dest = app_address(to)?;
         let result = self.hub.exchange(artifact, to)?;
         // Locate the destination application through the trading
         // function (§6.1): the environment imports under its own
@@ -728,11 +737,9 @@ impl CscwEnvironment {
         ))?;
         self.mirror_to_directory(&id, "exchanged-artifact", sharer);
         // Notify the destination application's mailbox via the MTS.
-        if let (Some(from), Some(dest)) = (person_address(sharer), app_address(to).ok()) {
-            self.platform
-                .transport()
-                .notify(&from, &dest, "artifact-exchanged", id.as_str())?;
-        }
+        self.platform
+            .transport()
+            .notify(&from, &dest, "artifact-exchanged", id.as_str())?;
         self.bus.publish(EnvEvent {
             kind: "artifact-exchanged".into(),
             activity: None,
@@ -779,7 +786,7 @@ impl CscwEnvironment {
         port.route_exchange(delivery)?;
         self.emit_env(
             "env.exchange_remote",
-            format!("{to} @ {}", resolution.domain),
+            format_args!("{to} @ {}", resolution.domain),
         );
         // Record the outbound exchange locally; ids are deterministic
         // per the operations ledger (the remote path performs no local
@@ -849,7 +856,7 @@ impl CscwEnvironment {
         self.count_op();
         self.emit_env(
             "env.deliver_remote",
-            format!("{} <- {}", delivery.to_app, delivery.from_domain),
+            format_args!("{} <- {}", delivery.to_app, delivery.from_domain),
         );
         let to = AppId::new(delivery.to_app.clone());
         let raised = self.hub.from_common(&to, &delivery.fields)?;
@@ -865,7 +872,7 @@ impl CscwEnvironment {
             InfoContent::Fields(delivery.fields.clone()),
         ))?;
         self.mirror_to_directory(&id, "exchanged-artifact-inbound", &sharer);
-        if let (Some(from), Some(dest)) = (person_address(&sharer), app_address(&to).ok()) {
+        if let (Ok(from), Ok(dest)) = (person_address(&sharer), app_address(&to)) {
             self.platform
                 .transport()
                 .notify(&from, &dest, "artifact-exchanged", id.as_str())?;
@@ -978,7 +985,7 @@ impl CscwEnvironment {
         let id = object.id.clone();
         let kind = object.kind.clone();
         let owner = object.owner.clone();
-        self.emit_env("env.store_object", id.to_string());
+        self.emit_env("env.store_object", &id);
         let rendered = render_content(&object.content);
         self.repository.store(object)?;
         self.mirror_to_directory(&id, &kind, &owner);
@@ -1275,6 +1282,60 @@ mod tests {
             "exchange recorded as shared object"
         );
         assert_eq!(e.hub().mappings_needed(), 2);
+    }
+
+    /// An environment with `sharedx` and `to` registered, and a
+    /// `sharedx` artifact to exchange.
+    fn exchange_env(to: &str) -> (CscwEnvironment, NativeArtifact) {
+        let mut e = env();
+        e.register_app(
+            descriptor("sharedx"),
+            FormatMapping::new([("window_title", "title")]),
+        );
+        e.register_app(descriptor(to), FormatMapping::new([("subject", "title")]));
+        let artifact = NativeArtifact::new(
+            "sharedx".into(),
+            "sharedx-native",
+            [("window_title", "Minutes".to_owned())],
+        );
+        (e, artifact)
+    }
+
+    fn is_invalid_address(result: Result<NativeArtifact, MoccaError>) -> bool {
+        matches!(
+            result,
+            Err(MoccaError::Messaging(
+                cscw_messaging::MtsError::InvalidAddress(_)
+            ))
+        )
+    }
+
+    #[test]
+    fn exchange_to_an_unaddressable_app_is_refused_whole() {
+        let (mut e, artifact) = exchange_env("shared=board");
+        let to = AppId::new("shared=board");
+        let result = e.exchange(&dn("cn=Tom"), &artifact, &to, Timestamp::ZERO);
+        assert!(is_invalid_address(result));
+        assert_eq!(e.repository().len(), 0, "nothing stored");
+        assert_eq!(e.hub().conversions_performed(), 0, "nothing converted");
+    }
+
+    #[test]
+    fn every_sharer_has_a_mailbox_so_the_destination_is_notified() {
+        // Folding DN separators leaves no reserved character, and the
+        // root renders as `<root>`, so no sharer is unaddressable.
+        for sharer in [Dn::root(), dn("cn=Tom"), dn("o=GMD,ou=FIT;x,cn=Wolfgang")] {
+            assert!(person_address(&sharer).is_ok(), "{sharer}");
+        }
+        let (mut e, artifact) = exchange_env("com");
+        e.exchange(&Dn::root(), &artifact, &"com".into(), Timestamp::ZERO)
+            .unwrap();
+        assert_eq!(e.repository().len(), 1);
+        let mailbox = app_address(&"com".into()).unwrap();
+        assert_eq!(
+            e.transport_mut().delivered(&mailbox),
+            ["artifact-exchanged"]
+        );
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! platforms produce comparable per-layer telemetry.
 
 use std::collections::BTreeMap;
+use std::fmt;
 
 use cscw_directory::{DirOp, DirResult, DirectoryError, Dit};
 use cscw_kernel::{Clock, Layer, Telemetry, WallClock};
@@ -71,7 +72,7 @@ impl LocalPlatform {
         &self.trader
     }
 
-    fn emit(&self, layer: Layer, name: &'static str, detail: String) {
+    fn emit(&self, layer: Layer, name: &'static str, detail: impl fmt::Display) {
         self.telemetry.incr(layer, name);
         self.telemetry
             .emit(self.clock.now_micros(), layer, name, detail);
@@ -90,7 +91,11 @@ impl TraderPort for LocalPlatform {
         interface: InterfaceRef,
         properties: Vec<(String, Value)>,
     ) -> Result<odp::OfferId, OdpError> {
-        self.emit(Layer::Odp, "odp.export", format!("offer of {service_type}"));
+        self.emit(
+            Layer::Odp,
+            "odp.export",
+            format_args!("offer of {service_type}"),
+        );
         self.trader
             .export_dynamic(service_type, offering_type, interface, properties)
     }
@@ -99,7 +104,7 @@ impl TraderPort for LocalPlatform {
         self.emit(
             Layer::Odp,
             "odp.import",
-            format!("seeking {}", request.service_type),
+            format_args!("seeking {}", request.service_type),
         );
         self.trader
             .import(request)
@@ -117,7 +122,7 @@ impl TraderPort for LocalPlatform {
 
 impl DirectoryPort for LocalPlatform {
     fn apply(&mut self, op: DirOp) -> Result<DirResult, DirectoryError> {
-        self.emit(Layer::Directory, "dir.apply", format!("{}", op.target()));
+        self.emit(Layer::Directory, "dir.apply", op.target());
         match op {
             DirOp::Add(entry) => {
                 self.dit.add(entry)?;
@@ -153,7 +158,11 @@ impl TransportPort for LocalPlatform {
         subject: &str,
         body: &str,
     ) -> Result<u64, MtsError> {
-        self.emit(Layer::Messaging, "mts.submit", format!("{from} -> {to}"));
+        self.emit(
+            Layer::Messaging,
+            "mts.submit",
+            format_args!("{from} -> {to}"),
+        );
         let id = self.next_message_id;
         self.next_message_id += 1;
         self.mailboxes.entry(to.clone()).or_default().push((

@@ -149,7 +149,7 @@ impl Resilience {
                 now_micros,
                 Layer::Env,
                 "resilience.breaker",
-                format!("{port:?} {} -> {}", before.as_str(), after.as_str()),
+                format_args!("{port:?} {} -> {}", before.as_str(), after.as_str()),
             );
             self.telemetry.span_end(span, now_micros);
         }
@@ -260,7 +260,7 @@ fn policed_attempts<T, E: LayerError>(
                     now.as_micros(),
                     Layer::Env,
                     "resilience.retry",
-                    format!("{op} attempt {} backoff {backoff}µs", attempt + 1),
+                    format_args!("{op} attempt {} backoff {backoff}µs", attempt + 1),
                 );
                 ctl.telemetry
                     .span_end(retry_span, now.as_micros().saturating_add(backoff));
@@ -500,7 +500,7 @@ impl ResilientPlatform {
                 self.now_micros(),
                 Layer::Env,
                 "resilience.stale_offers",
-                format!(
+                format_args!(
                     "served {} cached offer(s) for {:?}",
                     offers.len(),
                     request.service_type

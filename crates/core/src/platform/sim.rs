@@ -9,6 +9,8 @@
 //! each port call lowers *into* (Odp/Directory/Messaging), which is
 //! what makes the F4 layering bench's per-layer cost attribution work.
 
+use std::fmt;
+
 use cscw_directory::{DirOp, DirResult, DirectoryError, Dn, DsaNode, Dua, DuaNode};
 use cscw_kernel::{Clock, Layer, Telemetry};
 use cscw_messaging::{Ipm, MtaNode, MtsError, OrAddress, SubmitOptions, UserAgent};
@@ -116,7 +118,7 @@ impl SimPlatform {
         &mut self.sim
     }
 
-    fn emit(&self, layer: Layer, name: &'static str, detail: String) {
+    fn emit(&self, layer: Layer, name: &'static str, detail: impl fmt::Display) {
         self.telemetry.incr(layer, name);
         self.telemetry
             .emit(self.sim.now_micros(), layer, name, detail);
@@ -151,7 +153,11 @@ impl TraderPort for SimPlatform {
         properties: Vec<(String, Value)>,
     ) -> Result<OfferId, OdpError> {
         let span = self.port_span(Layer::Odp, "odp.export");
-        self.emit(Layer::Odp, "odp.export", format!("offer of {service_type}"));
+        self.emit(
+            Layer::Odp,
+            "odp.export",
+            format_args!("offer of {service_type}"),
+        );
         let result = self.remote_trader.export(
             &mut self.sim,
             service_type,
@@ -168,7 +174,7 @@ impl TraderPort for SimPlatform {
         self.emit(
             Layer::Odp,
             "odp.import",
-            format!("seeking {}", request.service_type),
+            format_args!("seeking {}", request.service_type),
         );
         let result = self.remote_trader.import(&mut self.sim, request.clone());
         self.end_span(span);
@@ -192,7 +198,7 @@ impl TraderPort for SimPlatform {
 impl DirectoryPort for SimPlatform {
     fn apply(&mut self, op: DirOp) -> Result<DirResult, DirectoryError> {
         let span = self.port_span(Layer::Directory, "dir.apply");
-        self.emit(Layer::Directory, "dir.apply", format!("{}", op.target()));
+        self.emit(Layer::Directory, "dir.apply", op.target());
         let result = self.dua.perform(&mut self.sim, op);
         self.end_span(span);
         result
@@ -208,7 +214,11 @@ impl TransportPort for SimPlatform {
         body: &str,
     ) -> Result<u64, MtsError> {
         let span = self.port_span(Layer::Messaging, "mts.submit");
-        self.emit(Layer::Messaging, "mts.submit", format!("{from} -> {to}"));
+        self.emit(
+            Layer::Messaging,
+            "mts.submit",
+            format_args!("{from} -> {to}"),
+        );
         if let Some(mta) = self.sim.node_mut::<MtaNode>(self.mta_node) {
             mta.register_mailbox(to.clone());
         }

@@ -5,6 +5,7 @@
 //! the CSCW knowledge base stores (names, roles, mailbox addresses,
 //! capability levels).
 
+use std::borrow::{Borrow, Cow};
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
@@ -19,7 +20,19 @@ pub struct AttributeType(String);
 impl AttributeType {
     /// Creates a type name (normalising to lowercase).
     pub fn new(name: impl AsRef<str>) -> Self {
-        AttributeType(name.as_ref().trim().to_ascii_lowercase())
+        AttributeType(Self::normal_form(name.as_ref()).into_owned())
+    }
+
+    /// `name` as [`AttributeType::new`] normalises it: trimmed and
+    /// lowercase. Borrowed, with no allocation, when `name` is already
+    /// in that form — the common case for lookups by literal name.
+    pub(crate) fn normal_form(name: &str) -> Cow<'_, str> {
+        let trimmed = name.trim();
+        if trimmed.bytes().any(|b| b.is_ascii_uppercase()) {
+            Cow::Owned(trimmed.to_ascii_lowercase())
+        } else {
+            Cow::Borrowed(trimmed)
+        }
     }
 
     /// The normalised name.
@@ -31,6 +44,21 @@ impl AttributeType {
 impl fmt::Display for AttributeType {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.0)
+    }
+}
+
+/// Lookups by `&str`: the derived `Eq`/`Ord` compare the normalised
+/// name exactly as `str` does, so maps keyed by `AttributeType` can be
+/// queried with a name in normal form.
+impl Borrow<str> for AttributeType {
+    fn borrow(&self) -> &str {
+        &self.0
+    }
+}
+
+impl AsRef<str> for AttributeType {
+    fn as_ref(&self) -> &str {
+        &self.0
     }
 }
 

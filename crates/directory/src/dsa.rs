@@ -19,6 +19,7 @@
 //! returns the outcome.
 
 use std::collections::BTreeMap;
+use std::fmt;
 
 use cscw_kernel::Layer;
 use serde::{Deserialize, Serialize};
@@ -36,7 +37,7 @@ pub const MAX_HOPS: u8 = 8;
 
 /// Counts and records a directory event in the simulation's telemetry
 /// stream, tagged [`Layer::Directory`].
-fn emit_directory(ctx: &NodeCtx<'_>, name: &'static str, detail: impl Into<String>) {
+fn emit_directory(ctx: &NodeCtx<'_>, name: &'static str, detail: impl fmt::Display) {
     let t = ctx.telemetry();
     t.incr(Layer::Directory, name);
     t.emit(ctx.now_micros(), Layer::Directory, name, detail);
@@ -277,19 +278,19 @@ impl DsaNode {
             .collect()
     }
 
-    fn execute_local(&mut self, op: &DirOp) -> Result<DirResult, DirectoryError> {
+    fn execute_local(&mut self, op: DirOp) -> Result<DirResult, DirectoryError> {
         match op {
             DirOp::Add(entry) => {
-                self.dit.add(entry.clone())?;
+                self.dit.add(entry)?;
                 Ok(DirResult::Done)
             }
             DirOp::Remove(dn) => {
-                self.dit.remove(dn)?;
+                self.dit.remove(&dn)?;
                 Ok(DirResult::Done)
             }
             DirOp::Modify(dn, mods) => {
-                self.dit.modify(dn, |e| {
-                    for m in mods {
+                self.dit.modify(&dn, |e| {
+                    for m in &mods {
                         m.apply(e);
                     }
                 })?;
@@ -298,14 +299,14 @@ impl DsaNode {
             DirOp::Rename(from, to) => {
                 // Renames may not cross naming contexts: the target must
                 // stay under a context this DSA masters.
-                if !self.masters(to) {
-                    return Err(DirectoryError::NoSuchContext(to.clone()));
+                if !self.masters(&to) {
+                    return Err(DirectoryError::NoSuchContext(to));
                 }
-                self.dit.rename(from, to.clone())?;
+                self.dit.rename(&from, to)?;
                 Ok(DirResult::Done)
             }
-            DirOp::Read(dn) => Ok(DirResult::Entry(self.dit.read(dn)?.clone())),
-            DirOp::Search(req) => Ok(DirResult::Search(self.dit.search(req)?)),
+            DirOp::Read(dn) => Ok(DirResult::Entry(self.dit.read(&dn)?.clone())),
+            DirOp::Search(req) => Ok(DirResult::Search(self.dit.search(&req)?)),
         }
     }
 
@@ -318,7 +319,7 @@ impl DsaNode {
         emit_directory(
             ctx,
             "dsa.respond",
-            format!(
+            format_args!(
                 "req {req_id}: {}",
                 if result.is_ok() { "ok" } else { "error" }
             ),
@@ -331,7 +332,7 @@ impl DsaNode {
 
     fn push_shadow_update(&self, ctx: &mut NodeCtx<'_>, op: &DirOp) {
         for &shadow in &self.shadows {
-            emit_directory(ctx, "dsa.shadow_push", format!("to {shadow:?}"));
+            emit_directory(ctx, "dsa.shadow_push", format_args!("to {shadow:?}"));
             ctx.send(
                 shadow,
                 Payload::new(DapMessage::ShadowUpdate { op: op.clone() }),
@@ -351,8 +352,11 @@ impl DsaNode {
 
         if op.is_write() {
             if self.masters(&target) {
-                let result = self.execute_local(&op);
-                if result.is_ok() {
+                // The write moves into the DIT; only a DSA with shadows
+                // to push to keeps a copy of it.
+                let push = (!self.shadows.is_empty()).then(|| op.clone());
+                let result = self.execute_local(op);
+                if let (Ok(_), Some(op)) = (&result, push) {
                     self.push_shadow_update(ctx, &op);
                 }
                 Self::respond(ctx, origin, req_id, result);
@@ -374,7 +378,7 @@ impl DsaNode {
                     }
                 }
             }
-            let result = self.execute_local(&op);
+            let result = self.execute_local(op);
             Self::respond(ctx, origin, req_id, result);
             return;
         }
@@ -402,7 +406,7 @@ impl DsaNode {
                     );
                     return;
                 }
-                emit_directory(ctx, "dsa.chain", format!("req {req_id} to {next:?}"));
+                emit_directory(ctx, "dsa.chain", format_args!("req {req_id} to {next:?}"));
                 ctx.send(
                     next,
                     Payload::new(DapMessage::Request {
@@ -541,7 +545,7 @@ impl Node for DsaNode {
                 emit_directory(
                     ctx,
                     "dsa.request",
-                    format!("req {req_id} for {}", op.target()),
+                    format_args!("req {req_id} for {}", op.target()),
                 );
                 // Detect sub-search responses bound for an aggregation:
                 // they come back as Response to *us*, not Request.
@@ -558,7 +562,7 @@ impl Node for DsaNode {
             DapMessage::ShadowUpdate { op } => {
                 ctx.telemetry()
                     .incr(Layer::Directory, "dir.dsa.shadow_apply");
-                if self.execute_local(&op).is_err() {
+                if self.execute_local(op).is_err() {
                     ctx.telemetry()
                         .incr(Layer::Directory, "dir.dsa.shadow_conflict");
                 }

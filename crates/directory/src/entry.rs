@@ -106,20 +106,23 @@ impl Entry {
         removed
     }
 
-    /// Looks up an attribute by type.
-    pub fn attr(&self, ty: impl Into<AttributeType>) -> Option<&Attribute> {
-        self.attrs.get(&ty.into())
+    /// Looks up an attribute by type name, case-insensitively. A name
+    /// already in normal form (trimmed, lowercase) is looked up without
+    /// allocating.
+    pub fn attr(&self, ty: impl AsRef<str>) -> Option<&Attribute> {
+        let name: &str = &AttributeType::normal_form(ty.as_ref());
+        self.attrs.get(name)
     }
 
     /// The first textual value of an attribute, a very common access.
-    pub fn first_text(&self, ty: impl Into<AttributeType>) -> Option<&str> {
+    pub fn first_text(&self, ty: impl AsRef<str>) -> Option<&str> {
         self.attr(ty)
             .and_then(|a| a.first())
             .and_then(|v| v.as_text())
     }
 
     /// The first integer value of an attribute.
-    pub fn first_int(&self, ty: impl Into<AttributeType>) -> Option<i64> {
+    pub fn first_int(&self, ty: impl AsRef<str>) -> Option<i64> {
         self.attr(ty)
             .and_then(|a| a.first())
             .and_then(|v| v.as_int())

@@ -160,13 +160,10 @@ impl Filter {
     pub fn matches(&self, entry: &Entry) -> bool {
         match self {
             Filter::True => true,
-            Filter::Present(ty) => entry.attr(ty.clone()).is_some(),
-            Filter::Equals(ty, value) => entry
-                .attr(ty.clone())
-                .map(|a| a.contains(value))
-                .unwrap_or(false),
+            Filter::Present(ty) => entry.attr(ty).is_some(),
+            Filter::Equals(ty, value) => entry.attr(ty).map(|a| a.contains(value)).unwrap_or(false),
             Filter::Substring(ty, pattern) => entry
-                .attr(ty.clone())
+                .attr(ty)
                 .map(|a| {
                     a.values()
                         .iter()
@@ -175,7 +172,7 @@ impl Filter {
                 })
                 .unwrap_or(false),
             Filter::GreaterOrEqual(ty, value) => entry
-                .attr(ty.clone())
+                .attr(ty)
                 .map(|a| {
                     a.values().iter().any(|v| {
                         v.partial_cmp_same_kind(value)
@@ -185,7 +182,7 @@ impl Filter {
                 })
                 .unwrap_or(false),
             Filter::LessOrEqual(ty, value) => entry
-                .attr(ty.clone())
+                .attr(ty)
                 .map(|a| {
                     a.values().iter().any(|v| {
                         v.partial_cmp_same_kind(value)

@@ -9,6 +9,8 @@
 //! the X.400 substrate and read the conference later — nothing requires
 //! simultaneous presence.
 
+use std::sync::Arc;
+
 use cscw_directory::Dn;
 use cscw_kernel::{Layer, Timestamp};
 use cscw_messaging::net::{Message, Node, NodeCtx, NodeId, Payload, Sim};
@@ -162,7 +164,10 @@ impl BbsServer {
         ctx.telemetry().incr(Layer::App, "app.bbs.notify");
         ctx.send_sized(
             self.mta,
-            Payload::new(MtsPdu::Transfer { envelope, ipm }),
+            Payload::new(MtsPdu::Transfer {
+                envelope,
+                ipm: Arc::new(ipm),
+            }),
             size,
         );
     }

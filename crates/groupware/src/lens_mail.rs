@@ -9,6 +9,7 @@
 //! environment rather than beside it.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use cscw_messaging::net::Sim;
 use cscw_messaging::{BodyPart, Ipm, OrAddress, SubmitOptions, UserAgent};
@@ -170,7 +171,7 @@ impl LensMailbox {
     ///
     /// Messaging errors from the store access.
     pub fn process_new_mail(&mut self, sim: &mut Sim) -> Result<usize, GroupwareError> {
-        let new: Vec<(u64, Ipm)> = self
+        let new: Vec<(u64, Arc<Ipm>)> = self
             .agent
             .inbox(sim)?
             .iter()
@@ -178,7 +179,7 @@ impl LensMailbox {
             .map(|m| (m.message_id, m.ipm.clone()))
             .collect();
         self.processed += new.len();
-        let mut forwards: Vec<(OrAddress, Ipm)> = Vec::new();
+        let mut forwards: Vec<(OrAddress, Arc<Ipm>)> = Vec::new();
         let mut count = 0;
         for (message_id, ipm) in new {
             count += 1;
@@ -231,7 +232,8 @@ impl LensMailbox {
                 });
             }
         }
-        for (addr, mut ipm) in forwards {
+        for (addr, ipm) in forwards {
+            let mut ipm = Arc::unwrap_or_clone(ipm);
             ipm.heading.subject = format!("Fwd: {}", ipm.heading.subject);
             let me = self.agent.address().clone();
             ipm.heading.originator = me;

@@ -332,16 +332,20 @@ impl Telemetry {
     /// Appends an event, stamped with the ambient span context if a
     /// span is open. Once the bounded store is full the event is
     /// dropped and counted — see [`Telemetry::dropped_events`].
+    ///
+    /// `detail` is formatted only when the event is stored, so callers
+    /// pass `format_args!(..)` or the value itself: a dropped event
+    /// costs one counter add and builds no text.
     pub fn emit(
         &self,
         at_micros: u64,
         layer: Layer,
         name: &'static str,
-        detail: impl Into<String>,
+        detail: impl fmt::Display,
     ) {
         let mut stream = self.stream();
         if stream.events.len() < stream.event_capacity {
-            let detail = detail.into();
+            let detail = detail.to_string();
             let span = stream.stack.last().copied();
             stream.events.push(TelemetryEvent {
                 at_micros,
@@ -572,6 +576,10 @@ impl Telemetry {
         if dropped > 0 {
             let _ = writeln!(out, "telemetry.events.dropped: {dropped}");
         }
+        let dropped = self.dropped_spans();
+        if dropped > 0 {
+            let _ = writeln!(out, "telemetry.spans.dropped: {dropped}");
+        }
         out
     }
 }
@@ -616,6 +624,28 @@ mod tests {
         assert_eq!(events[1].detail, "x");
         assert_eq!(t.dropped_events(), 1);
         assert_eq!(t.snapshot().dropped_events, 1);
+    }
+
+    #[test]
+    fn a_dropped_event_formats_nothing() {
+        /// A detail that counts how often it is formatted.
+        struct Counted<'a>(&'a std::cell::Cell<u32>);
+        impl fmt::Display for Counted<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                self.0.set(self.0.get() + 1);
+                f.write_str("counted")
+            }
+        }
+        let calls = std::cell::Cell::new(0);
+        let t = Telemetry::new();
+        t.set_event_capacity(1);
+        t.emit(1, Layer::Env, "kept", Counted(&calls));
+        assert_eq!(calls.get(), 1);
+        assert_eq!(t.events()[0].detail, "counted");
+        t.emit(2, Layer::Env, "dropped", Counted(&calls));
+        assert_eq!(calls.get(), 1, "a dropped event must not format its detail");
+        assert_eq!(t.dropped_events(), 1);
+        assert_eq!(t.events().len(), 1);
     }
 
     #[test]
@@ -668,6 +698,26 @@ mod tests {
         t.clear();
         assert!(t.events().is_empty());
         assert_eq!(t.counter(Layer::Odp, "exports"), 0);
+    }
+
+    #[test]
+    fn render_reports_drops_only_when_there_are_some() {
+        let t = Telemetry::new();
+        t.set_event_capacity(0);
+        t.set_span_capacity(1);
+        let kept = t.span_begin(Layer::App, "app.a", 1);
+        t.span_end(kept, 2);
+        let rendered = t.render();
+        assert!(!rendered.contains("telemetry.events.dropped"));
+        assert!(!rendered.contains("telemetry.spans.dropped"));
+        t.emit(3, Layer::App, "app.note", "");
+        let dropped = t.span_begin(Layer::App, "app.b", 4);
+        t.span_end(dropped, 5);
+        let dropped = t.span_begin(Layer::App, "app.c", 6);
+        t.span_end(dropped, 7);
+        let rendered = t.render();
+        assert!(rendered.contains("telemetry.events.dropped: 1\n"));
+        assert!(rendered.contains("telemetry.spans.dropped: 2\n"));
     }
 
     #[test]

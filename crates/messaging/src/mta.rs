@@ -16,6 +16,8 @@
 //! user's node and reads that user's store back out of the simulation.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::fmt;
+use std::sync::Arc;
 
 use cscw_kernel::{Layer, Timestamp};
 use simnet::{Message, Node, NodeCtx, NodeId, Payload, Sim};
@@ -42,13 +44,13 @@ pub const MAX_TRANSFER_ATTEMPTS: u32 = 4;
 struct DeferredTransfer {
     hop: NodeId,
     envelope: Envelope,
-    ipm: Ipm,
+    ipm: Arc<Ipm>,
     attempts: u32,
 }
 
 /// Counts and records an MTS event in the simulation's telemetry
 /// stream, tagged [`Layer::Messaging`].
-fn emit_messaging(ctx: &NodeCtx<'_>, name: &'static str, detail: impl Into<String>) {
+fn emit_messaging(ctx: &NodeCtx<'_>, name: &'static str, detail: impl fmt::Display) {
     let t = ctx.telemetry();
     t.incr(Layer::Messaging, name);
     t.emit(ctx.now_micros(), Layer::Messaging, name, detail);
@@ -64,8 +66,10 @@ pub enum MtsPdu {
     Transfer {
         /// The transfer envelope.
         envelope: Envelope,
-        /// The content.
-        ipm: Ipm,
+        /// The content, shared by every copy of the message: content is
+        /// immutable once submitted, so splitting, retrying and local
+        /// delivery bump a reference count instead of copying it.
+        ipm: Arc<Ipm>,
     },
     /// A delivery report travelling back to the originator.
     Report {
@@ -95,7 +99,7 @@ pub struct MtaNode {
     mailboxes: BTreeMap<OrAddress, MessageStore>,
     dls: BTreeMap<OrAddress, Vec<OrAddress>>,
     base_delay_micros: u64,
-    pending: BTreeMap<u64, (Envelope, Ipm)>,
+    pending: BTreeMap<u64, (Envelope, Arc<Ipm>)>,
     deferred: BTreeMap<u64, DeferredTransfer>,
     next_tag: u64,
 }
@@ -174,7 +178,7 @@ impl MtaNode {
         }
     }
 
-    fn schedule_processing(&mut self, ctx: &mut NodeCtx<'_>, envelope: Envelope, ipm: Ipm) {
+    fn schedule_processing(&mut self, ctx: &mut NodeCtx<'_>, envelope: Envelope, ipm: Arc<Ipm>) {
         let delay = self.processing_delay(&envelope, ctx.now());
         let tag = self.next_tag;
         self.next_tag += 1;
@@ -182,7 +186,7 @@ impl MtaNode {
         ctx.set_timer(delay, tag);
     }
 
-    fn process(&mut self, ctx: &mut NodeCtx<'_>, mut envelope: Envelope, ipm: Ipm) {
+    fn process(&mut self, ctx: &mut NodeCtx<'_>, mut envelope: Envelope, ipm: Arc<Ipm>) {
         // Loop protection before stamping our own hop.
         if envelope.hop_count() >= MAX_HOPS || envelope.visited(&self.name) {
             let recipients = std::mem::take(&mut envelope.recipients);
@@ -260,7 +264,7 @@ impl MtaNode {
             emit_messaging(
                 ctx,
                 "mts.deliver",
-                format!("{} delivered to {recipient}", envelope.message_id),
+                format_args!("{} delivered to {recipient}", envelope.message_id),
             );
             ctx.telemetry().record_micros(
                 Layer::Messaging,
@@ -293,7 +297,7 @@ impl MtaNode {
             emit_messaging(
                 ctx,
                 "mts.forward",
-                format!("{} via {}", envelope.message_id, self.name),
+                format_args!("{} via {}", envelope.message_id, self.name),
             );
             self.forward(ctx, hop, copy, ipm.clone(), 1);
         }
@@ -310,7 +314,7 @@ impl MtaNode {
         ctx: &mut NodeCtx<'_>,
         hop: NodeId,
         envelope: Envelope,
-        ipm: Ipm,
+        ipm: Arc<Ipm>,
         attempt: u32,
     ) {
         let size = ipm.wire_size();
@@ -329,7 +333,7 @@ impl MtaNode {
             emit_messaging(
                 ctx,
                 "mts.congestion_bounce",
-                format!(
+                format_args!(
                     "{} toward {hop:?} after {attempt} attempts",
                     envelope.message_id
                 ),
@@ -344,7 +348,7 @@ impl MtaNode {
         emit_messaging(
             ctx,
             "mts.defer",
-            format!("{} toward {hop:?} attempt {attempt}", envelope.message_id),
+            format_args!("{} toward {hop:?} attempt {attempt}", envelope.message_id),
         );
         let tag = self.next_tag;
         self.next_tag += 1;
@@ -374,7 +378,7 @@ impl MtaNode {
         emit_messaging(
             ctx,
             "mts.non_deliver",
-            format!("{} to {recipient}: {reason:?}", envelope.message_id),
+            format_args!("{} to {recipient}: {reason:?}", envelope.message_id),
         );
         let report = DeliveryReport {
             subject_message_id: envelope.message_id,
@@ -457,7 +461,7 @@ impl Node for MtaNode {
                 emit_messaging(
                     ctx,
                     "mts.transfer_in",
-                    format!("{} at {}", envelope.message_id, self.name),
+                    format_args!("{} at {}", envelope.message_id, self.name),
                 );
                 self.schedule_processing(ctx, envelope, ipm);
             }
@@ -565,7 +569,10 @@ impl UserAgent {
         sim.send_from(
             self.user_node,
             self.home_mta,
-            Payload::new(MtsPdu::Transfer { envelope, ipm }),
+            Payload::new(MtsPdu::Transfer {
+                envelope,
+                ipm: Arc::new(ipm),
+            }),
             size,
         );
         message_id
@@ -994,7 +1001,7 @@ mod tests {
         let got = &w.wolfgang.inbox(&w.sim).unwrap()[0].ipm;
         assert_eq!(got.body.len(), 2);
         assert_eq!(got.body[1].kind_name(), "fax");
-        assert_eq!(got, &ipm);
+        assert_eq!(**got, ipm);
     }
 
     #[test]
@@ -1011,6 +1018,33 @@ mod tests {
             .submit_and_run(&mut w.sim, ipm, SubmitOptions::default());
         assert_eq!(w.tom.inbox(&w.sim).unwrap().len(), 1);
         assert_eq!(w.wolfgang.inbox(&w.sim).unwrap().len(), 1);
+    }
+
+    #[test]
+    fn local_recipients_share_one_copy_of_the_content() {
+        let mut b = TopologyBuilder::new();
+        let ws = b.add_node("ws");
+        let mta = b.add_node("mta-de");
+        b.full_mesh(LinkSpec::lan());
+        let mut sim = Sim::new(b.build(), 3);
+        let wolfgang = addr("DE", "GMD", "Wolfgang Prinz");
+        let thomas = addr("DE", "GMD", "Thomas Kreifelts");
+        let mut node = MtaNode::new("mta-de");
+        node.register_mailbox(wolfgang.clone());
+        node.register_mailbox(thomas.clone());
+        sim.register(mta, node);
+
+        let mut ipm = Ipm::text(wolfgang.clone(), thomas.clone(), "minutes", "attached");
+        ipm.heading.cc.push(wolfgang.clone());
+        let mut ua = UserAgent::new(wolfgang.clone(), ws, mta);
+        ua.submit_and_run(&mut sim, ipm.clone(), SubmitOptions::default());
+
+        let node = sim.node::<MtaNode>(mta).unwrap();
+        let stored = |user: &OrAddress| node.mailbox(user).unwrap().inbox()[0].ipm.clone();
+        let (a, b) = (stored(&wolfgang), stored(&thomas));
+        assert!(Arc::ptr_eq(&a, &b), "both recipients share one body");
+        assert_eq!(*a, ipm);
+        assert_eq!(*b, ipm);
     }
 
     /// Like [`world`], but the UK→DE transfer link is a bottleneck:

@@ -5,6 +5,7 @@
 //! reports and receipt notifications.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use cscw_kernel::Timestamp;
 use serde::{Deserialize, Serialize};
@@ -24,8 +25,8 @@ pub struct StoredMessage {
     pub delivered_at: Timestamp,
     /// Whether the user has fetched/read it.
     pub read: bool,
-    /// The content.
-    pub ipm: Ipm,
+    /// The content, shared with every other recipient's copy.
+    pub ipm: Arc<Ipm>,
 }
 
 /// One user's message store.
@@ -43,7 +44,7 @@ impl MessageStore {
     }
 
     /// Files a delivery into the inbox.
-    pub fn deliver(&mut self, message_id: u64, delivered_at: Timestamp, ipm: Ipm) {
+    pub fn deliver(&mut self, message_id: u64, delivered_at: Timestamp, ipm: Arc<Ipm>) {
         self.folders
             .entry(INBOX.to_owned())
             .or_default()
@@ -143,10 +144,10 @@ mod tests {
     use super::*;
     use crate::address::OrAddress;
 
-    fn ipm(n: u64) -> Ipm {
+    fn ipm(n: u64) -> Arc<Ipm> {
         let a = OrAddress::new("UK", "L", Vec::<String>::new(), "A").unwrap();
         let b = OrAddress::new("UK", "L", Vec::<String>::new(), "B").unwrap();
-        Ipm::text(a, b, &format!("msg {n}"), "body")
+        Arc::new(Ipm::text(a, b, &format!("msg {n}"), "body"))
     }
 
     #[test]

@@ -201,7 +201,7 @@ impl Node for ObjectHost {
                 ctx.now_micros(),
                 cscw_kernel::Layer::Odp,
                 "odp.invoke",
-                format!("req {req_id}: {object}.{op}"),
+                format_args!("req {req_id}: {object}.{op}"),
             );
             let result = self.invoke_local(&object, &op, &args);
             let size = 16 + result.as_ref().map(Value::wire_size).unwrap_or(32);

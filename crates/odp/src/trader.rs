@@ -15,6 +15,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::error::OdpError;
 use crate::interface::InterfaceType;
@@ -32,8 +33,16 @@ impl fmt::Display for OfferId {
 }
 
 /// An advertised service.
+///
+/// An offer is immutable once exported, so clones share one body:
+/// handing import results to an importer (over the wire or in process)
+/// bumps a reference count instead of copying the property map.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ServiceOffer {
+pub struct ServiceOffer(Arc<OfferBody>);
+
+/// The immutable body shared by clones of one [`ServiceOffer`].
+#[derive(Debug, PartialEq)]
+struct OfferBody {
     id: OfferId,
     service_type: String,
     interface: InterfaceRef,
@@ -43,27 +52,27 @@ pub struct ServiceOffer {
 impl ServiceOffer {
     /// The offer id.
     pub fn id(&self) -> OfferId {
-        self.id
+        self.0.id
     }
 
     /// The service type it was exported under.
     pub fn service_type(&self) -> &str {
-        &self.service_type
+        &self.0.service_type
     }
 
     /// The interface to invoke.
     pub fn interface(&self) -> &InterfaceRef {
-        &self.interface
+        &self.0.interface
     }
 
     /// A property value.
     pub fn property(&self, name: &str) -> Option<&Value> {
-        self.properties.get(name)
+        self.0.properties.get(name)
     }
 
     /// All properties.
     pub fn properties(&self) -> &BTreeMap<String, Value> {
-        &self.properties
+        &self.0.properties
     }
 }
 
@@ -331,12 +340,12 @@ impl Trader {
         offering_type.conforms_to(required)?;
         let id = OfferId(self.next_offer);
         self.next_offer += 1;
-        self.offers.push(ServiceOffer {
+        self.offers.push(ServiceOffer(Arc::new(OfferBody {
             id,
             service_type: service_type.to_owned(),
             interface,
             properties: properties.into_iter().collect(),
-        });
+        })));
         Ok(id)
     }
 
@@ -347,7 +356,7 @@ impl Trader {
     /// [`OdpError::NoSuchObject`] when the offer id is unknown.
     pub fn withdraw(&mut self, id: OfferId) -> Result<(), OdpError> {
         let before = self.offers.len();
-        self.offers.retain(|o| o.id != id);
+        self.offers.retain(|o| o.id() != id);
         if self.offers.len() == before {
             return Err(OdpError::NoSuchObject(id.to_string()));
         }
@@ -369,7 +378,7 @@ impl Trader {
         let mut matches: Vec<&ServiceOffer> = self
             .offers
             .iter()
-            .filter(|o| self.type_matches(&o.service_type, &request.service_type))
+            .filter(|o| self.type_matches(o.service_type(), &request.service_type))
             .filter(|o| request.constraint.matches(o))
             .filter(|o| self.policies.iter().all(|p| p.allows(o, &request.importer)))
             .collect();
@@ -379,7 +388,7 @@ impl Trader {
             });
         }
         match &request.preference {
-            Preference::None => matches.sort_by_key(|o| o.id),
+            Preference::None => matches.sort_by_key(|o| o.id()),
             Preference::Max(p) => {
                 matches.sort_by_key(|o| {
                     std::cmp::Reverse(o.property(p).and_then(Value::as_int).unwrap_or(i64::MIN))

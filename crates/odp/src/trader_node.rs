@@ -103,7 +103,7 @@ impl Node for TraderNode {
                     ctx.now_micros(),
                     Layer::Odp,
                     "trader.export",
-                    format!("req {req_id}: offer of {service_type}"),
+                    format_args!("req {req_id}: offer of {service_type}"),
                 );
                 // `export` takes 'static keys for ergonomic inline use;
                 // the wire carries owned strings, so go through the
@@ -130,7 +130,7 @@ impl Node for TraderNode {
                     ctx.now_micros(),
                     Layer::Odp,
                     "trader.import",
-                    format!("req {req_id}: seeking {}", request.service_type),
+                    format_args!("req {req_id}: seeking {}", request.service_type),
                 );
                 let result = self
                     .trader

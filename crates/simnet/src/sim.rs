@@ -418,7 +418,7 @@ impl Core {
             now.as_micros(),
             Layer::Net,
             "net.send",
-            format!(
+            format_args!(
                 "{} -> {} {} ({size}B)",
                 self.topology.node_name(from),
                 self.topology.node_name(to),
@@ -679,25 +679,28 @@ impl Core {
             self.now().as_micros(),
             Layer::Net,
             "net.drop",
-            format!("{id:?} {reason:?}"),
+            format_args!("{id:?} {reason:?}"),
         );
     }
 
     fn apply_fault(&mut self, action: FaultAction) {
-        let description = format!("{action:?}");
-        match action {
-            FaultAction::Partition(a, b) => self.topology.partition(&a, &b),
-            FaultAction::Heal(a, b) => self.topology.heal(&a, &b),
+        match &action {
+            FaultAction::Partition(a, b) => self.topology.partition(a, b),
+            FaultAction::Heal(a, b) => self.topology.heal(a, b),
             FaultAction::HealAll => self.topology.heal_all(),
             FaultAction::Crash(n) => {
-                self.topology.crash_node(n);
-                self.clear_egress_queues(n);
+                self.topology.crash_node(*n);
+                self.clear_egress_queues(*n);
             }
-            FaultAction::Restart(n) => self.topology.restart_node(n),
+            FaultAction::Restart(n) => self.topology.restart_node(*n),
         }
         self.telemetry.incr(Layer::Net, "net.faults");
-        self.telemetry
-            .emit(self.now().as_micros(), Layer::Net, "net.fault", description);
+        self.telemetry.emit(
+            self.now().as_micros(),
+            Layer::Net,
+            "net.fault",
+            format_args!("{action:?}"),
+        );
     }
 }
 
@@ -977,7 +980,7 @@ impl Sim {
                     now,
                     Layer::Net,
                     "net.deliver",
-                    format!(
+                    format_args!(
                         "{} -> {} {}",
                         self.core.topology.node_name(from),
                         self.core.topology.node_name(to),

@@ -208,3 +208,39 @@ fn trace_id_survives_resilient_retries() {
     );
     assert!(trace.is_depth_ordered(), "tree:\n{}", trace.render_tree());
 }
+
+/// 64-bit FNV-1a, the digest the rendered stream is pinned by.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn rendered_stream_of_one_sim_exchange_is_pinned() {
+    // Default capacities keep every event, so the digest covers every
+    // counter and every event's text — registration, the trader import,
+    // the DSA add, the MTA notify and each simnet hop between them.
+    let mut env = CscwEnvironment::with_platform(Box::new(SimPlatform::new(5)));
+    env.org()
+        .write()
+        .add_person(Person::new(dn("cn=Tom"), "Tom"));
+    for app in ["sharedx", "com"] {
+        env.register_app(descriptor_for(app).unwrap(), mapping_for(app).unwrap());
+    }
+    let artifact = sample_artifact("sharedx").unwrap();
+    env.exchange(
+        &dn("cn=Tom"),
+        &artifact,
+        &AppId::new("com"),
+        Timestamp::ZERO,
+    )
+    .unwrap();
+    let rendered = env.telemetry().render();
+    assert_eq!(env.telemetry().dropped_events(), 0);
+    assert_eq!(
+        fnv1a(&rendered),
+        1_366_518_310_158_234_467,
+        "rendered telemetry moved:\n{rendered}"
+    );
+}
