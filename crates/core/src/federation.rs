@@ -34,7 +34,7 @@ use cscw_federation::{
     FederatedTrader, FederationError, FederationFabric, FederationRuntime, Pulse,
     DEFAULT_GOSSIP_PERIOD_MICROS,
 };
-use cscw_kernel::{Layer, Timestamp};
+use cscw_kernel::{percent_escape_into, Layer, Timestamp};
 use cscw_messaging::gossip::GossipFrame;
 use cscw_messaging::OrAddress;
 use odp::LinkState;
@@ -42,9 +42,13 @@ use odp::LinkState;
 use crate::env::CscwEnvironment;
 use crate::error::MoccaError;
 
-/// O/R address of a federation domain's gossip mailbox.
+/// O/R address of a federation domain's gossip mailbox. The domain
+/// becomes the personal name with `;` and `=`, the address grammar's
+/// separators, percent-escaped; `None` only for an empty domain.
 fn domain_address(domain: &str) -> Option<OrAddress> {
-    OrAddress::new("ZZ", "mocca", ["federation"], domain).ok()
+    let mut name = String::with_capacity(domain.len());
+    percent_escape_into(&mut name, domain, b";=");
+    OrAddress::new("ZZ", "mocca", ["federation"], name).ok()
 }
 
 /// Delta-frame budget for a healthy link, in replica updates.
@@ -124,6 +128,9 @@ pub struct FederatedEnvironments {
     /// congestion-pressure signal that shrinks delta frames and defers
     /// gossip pulses. Cleared the moment a link ships successfully.
     pressure: BTreeMap<(String, String), u32>,
+    /// Each federated domain's gossip mailbox, built once at
+    /// [`federate`](Self::federate).
+    mailboxes: BTreeMap<String, OrAddress>,
 }
 
 impl FederatedEnvironments {
@@ -147,6 +154,7 @@ impl FederatedEnvironments {
             envs: BTreeMap::new(),
             runtime: None,
             pressure: BTreeMap::new(),
+            mailboxes: BTreeMap::new(),
         }
     }
 
@@ -165,6 +173,9 @@ impl FederatedEnvironments {
         env.install_federation(Box::new(port));
         if let Some(rt) = self.runtime.as_mut() {
             rt.install_site(&domain);
+        }
+        if let Some(mailbox) = domain_address(&domain) {
+            self.mailboxes.insert(domain.clone(), mailbox);
         }
         self.envs.insert(domain, env);
     }
@@ -222,16 +233,15 @@ impl FederatedEnvironments {
         Ok(delivered)
     }
 
-    /// One link's anti-entropy exchange: builds `dst`'s digest, answers
-    /// it with `src`'s delta, ships both frames through `dst`'s
+    /// One link's anti-entropy exchange: writes `dst`'s digest frame,
+    /// answers it with `src`'s delta frame, ships both through `dst`'s
     /// transport as gossip notifications, and applies the delta.
     fn gossip_link(&mut self, src: &str, dst: &str) -> Result<LinkShip, MoccaError> {
         let t = self.fabric.telemetry();
         let failures = self.link_pressure(src, dst);
         let cap = (failures > 0).then(|| (DELTA_CAP_BASE >> failures.min(6)).max(1));
-        let digest = self.fabric.digest_frame(dst)?;
-        let digest_wire = digest.encode();
-        let delta_wire = self.fabric.delta_frame_capped(src, &digest, cap)?.encode();
+        let digest_wire = self.fabric.digest_wire(dst)?;
+        let delta_wire = self.fabric.delta_wire(src, &digest_wire, cap)?;
         let started = self
             .envs
             .get_mut(dst)
@@ -240,14 +250,14 @@ impl FederatedEnvironments {
         // messaging port; a refusal means this link gossips on the
         // next pulse instead.
         let shipped = (|| {
-            let (from, to) = (domain_address(src)?, domain_address(dst)?);
+            let (from, to) = (self.mailboxes.get(src)?, self.mailboxes.get(dst)?);
             let env = self.envs.get_mut(dst)?;
             let transport = env.platform_mut().transport();
             transport
-                .notify(&from, &to, "federation-gossip", &digest_wire)
+                .notify(from, to, "federation-gossip", &digest_wire)
                 .ok()?;
             transport
-                .notify(&from, &to, "federation-gossip", &delta_wire)
+                .notify(from, to, "federation-gossip", &delta_wire)
                 .ok()
         })();
         if shipped.is_none() {
@@ -270,10 +280,9 @@ impl FederatedEnvironments {
             _ => 0,
         };
         t.record_micros(Layer::Federation, "federation.gossip.link.micros", micros);
-        // The receiver applies the frame it decodes from the *wire*
+        // The receiver applies the frame it parses from the *wire*
         // bytes, and the apply span parents on the context they carried.
-        let received =
-            GossipFrame::decode(&delta_wire).map_err(|e| FederationError::Codec(e.to_string()))?;
+        let received = GossipFrame::parse(&delta_wire).map_err(FederationError::from)?;
         let at = finished.unwrap_or_default();
         let span = match received.ctx {
             Some(parent) => {
@@ -281,7 +290,7 @@ impl FederatedEnvironments {
             }
             None => t.span_begin(Layer::Federation, "federation.gossip.apply", at),
         };
-        let report = self.fabric.ingest_delta(dst, &received);
+        let report = self.fabric.ingest_frame(dst, &received);
         t.span_end(span, at);
         let report = report?;
         // Surface what the ingest applied to the receiving
@@ -718,6 +727,47 @@ mod tests {
             t.counter(Layer::Federation, "federation.runtime.gossip.deferred") >= 2,
             "each degraded pulse must earn a quiet period"
         );
+    }
+
+    /// Domain names holding a separator of some wire grammar: the
+    /// frame header (`|`, `@`), the O/R mailbox address (`;`, `=`),
+    /// the vector clock (`,`) and the escape character itself.
+    #[test]
+    fn awkward_domain_names_gossip_and_converge() {
+        for name in ["env|b", "env;b", "env=b", "env@1.2", "env,a", "env%a"] {
+            let mut fed = FederatedEnvironments::new();
+            for (domain, app) in [(name, "a1"), ("env-x", "x1"), ("env-y", "y1")] {
+                fed.federate(domain, env_with_app(app, "f"));
+            }
+            fed.link_bidi(name, "env-x");
+            fed.link_bidi("env-x", "env-y");
+            fed.link_bidi("env-y", name);
+            for domain in [name, "env-y"] {
+                fed.env_mut(domain)
+                    .unwrap()
+                    .store_object(
+                        crate::info::InfoObject::new(
+                            crate::info::InfoObjectId::new(format!("doc-{domain}")),
+                            "note",
+                            "cn=Tom".parse().unwrap(),
+                            crate::info::InfoContent::Text(domain.into()),
+                        ),
+                        None,
+                        Timestamp::ZERO,
+                    )
+                    .unwrap();
+            }
+            let report = fed
+                .run_until_converged(1, 20_000_000)
+                .unwrap_or_else(|e| panic!("{name:?}: {e}"));
+            assert!(report.converged, "{name:?}: {:?}", fed.fingerprints());
+            assert_eq!(report.activity.links_degraded, 0, "{name:?}");
+            let fingerprint = fed.fabric().replica_fingerprint("env-x");
+            assert!(
+                fingerprint.contains(&format!(" by {name}\n")),
+                "{name:?}: {fingerprint}"
+            );
+        }
     }
 
     #[test]

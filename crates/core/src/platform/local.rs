@@ -17,18 +17,20 @@ use odp::{
 
 use super::{DirectoryPort, Platform, TraderPort, TransportPort};
 
-/// A stored local notification: originator, subject, body.
-type Note = (OrAddress, String, String);
-
 /// Everything in one address space: a [`Trader`], a [`Dit`] and
 /// in-memory mailboxes. No wire is crossed, so no `Net`-layer telemetry
 /// appears — but the port calls still emit their own layer's events, so
 /// even a local run tells the layered story down to the substrate
 /// boundary.
+///
+/// A mailbox keeps only what [`delivered`](TransportPort::delivered)
+/// exposes, each notification's subject in arrival order. Originators
+/// and bodies are not stored, so a long run does not accumulate every
+/// gossip frame it ever shipped.
 pub struct LocalPlatform {
     trader: Trader,
     dit: Dit,
-    mailboxes: BTreeMap<OrAddress, Vec<Note>>,
+    mailboxes: BTreeMap<OrAddress, Vec<String>>,
     telemetry: Telemetry,
     clock: WallClock,
     next_message_id: u64,
@@ -156,7 +158,7 @@ impl TransportPort for LocalPlatform {
         from: &OrAddress,
         to: &OrAddress,
         subject: &str,
-        body: &str,
+        _body: &str,
     ) -> Result<u64, MtsError> {
         self.emit(
             Layer::Messaging,
@@ -165,24 +167,19 @@ impl TransportPort for LocalPlatform {
         );
         let id = self.next_message_id;
         self.next_message_id += 1;
-        self.mailboxes.entry(to.clone()).or_default().push((
-            from.clone(),
-            subject.to_owned(),
-            body.to_owned(),
-        ));
+        // An existing mailbox is found by reference; only a new one
+        // copies its address.
+        match self.mailboxes.get_mut(to) {
+            Some(subjects) => subjects.push(subject.to_owned()),
+            None => {
+                self.mailboxes.insert(to.clone(), vec![subject.to_owned()]);
+            }
+        }
         Ok(id)
     }
 
     fn delivered(&mut self, to: &OrAddress) -> Vec<String> {
-        self.mailboxes
-            .get(to)
-            .map(|notes| {
-                notes
-                    .iter()
-                    .map(|(_, subject, _)| subject.clone())
-                    .collect()
-            })
-            .unwrap_or_default()
+        self.mailboxes.get(to).cloned().unwrap_or_default()
     }
 }
 

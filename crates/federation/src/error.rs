@@ -43,6 +43,12 @@ impl fmt::Display for FederationError {
 
 impl std::error::Error for FederationError {}
 
+impl From<cscw_messaging::GossipCodecError> for FederationError {
+    fn from(e: cscw_messaging::GossipCodecError) -> Self {
+        FederationError::Codec(e.to_string())
+    }
+}
+
 impl LayerError for FederationError {
     fn layer(&self) -> Layer {
         Layer::Federation

@@ -13,15 +13,21 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use cscw_kernel::{Layer, SpanContext, Telemetry, Timestamp};
-use cscw_messaging::gossip::GossipFrame;
+use cscw_messaging::gossip::{FrameKind, GossipFrame};
 use odp::LinkState;
 use parking_lot::Mutex;
 
 use crate::error::FederationError;
 use crate::replica::{
-    decode_delta, decode_digest, encode_delta, encode_digest, IngestReport, ReplicatedStore,
+    decode_delta, decode_digest, encode_delta_into, encode_digest_into, IngestReport,
+    ReplicatedStore,
 };
 use crate::trader::{FederatedTrader, Resolution, ResolutionSource};
+
+/// Bytes of a frame header beyond its origin: `gossip/1|digest|`, the
+/// `@<trace>.<span>` context and the closing `|`. Frame buffers are
+/// sized from it so encoding a frame allocates once.
+const HEADER_BYTES: usize = 51;
 
 /// One remote exchange in flight: an artifact lowered to common-model
 /// fields, addressed across domains.
@@ -252,12 +258,13 @@ impl FederationFabric {
         taken
     }
 
-    /// Builds `domain`'s anti-entropy digest frame.
+    /// Writes `domain`'s anti-entropy digest frame, header and body
+    /// into one wire string.
     ///
     /// # Errors
     ///
     /// [`FederationError::UnknownDomain`].
-    pub fn digest_frame(&self, domain: &str) -> Result<GossipFrame, FederationError> {
+    pub fn digest_wire(&self, domain: &str) -> Result<String, FederationError> {
         let inner = self.inner.lock();
         let state = inner
             .domains
@@ -269,39 +276,38 @@ impl FederationFabric {
         // Frames built while a gossip span is open carry its context
         // over the wire, so the receiver's apply joins the same trace.
         let ctx = inner.telemetry.current_context();
-        Ok(GossipFrame::digest(domain, encode_digest(state.replica.digest())).with_ctx(ctx))
+        let digest = state.replica.digest();
+        // Per record: the origin, two separators and a short seq.
+        let body: usize = digest.keys().map(|origin| origin.len() + 8).sum();
+        let mut wire = String::with_capacity(HEADER_BYTES + domain.len() + body);
+        GossipFrame::write_header(&mut wire, FrameKind::Digest, domain, ctx);
+        encode_digest_into(&mut wire, digest);
+        Ok(wire)
     }
 
-    /// Answers a digest frame with `domain`'s delta for it.
+    /// Answers the digest frame in `digest_wire` with `domain`'s delta
+    /// frame, header and body written into one wire string. With a
+    /// `cap`, the delta holds at most `cap` updates. Congested
+    /// transports shrink their frames this way: `delta_since` emits
+    /// each origin's updates in ascending sequence order, so a
+    /// truncated delta is still a valid per-origin prefix — the
+    /// receiver's digest simply advances less and the remainder goes
+    /// out on a later round.
     ///
     /// # Errors
     ///
     /// [`FederationError::UnknownDomain`] / [`FederationError::Codec`].
-    pub fn delta_frame(
+    pub fn delta_wire(
         &self,
         domain: &str,
-        digest: &GossipFrame,
-    ) -> Result<GossipFrame, FederationError> {
-        self.delta_frame_capped(domain, digest, None)
-    }
-
-    /// Like [`FederationFabric::delta_frame`], but truncates the delta
-    /// to at most `cap` updates. Congested transports shrink their
-    /// frames this way: `delta_since` emits each origin's updates in
-    /// ascending sequence order, so a truncated delta is still a valid
-    /// per-origin prefix — the receiver's digest simply advances less
-    /// and the remainder goes out on a later round.
-    ///
-    /// # Errors
-    ///
-    /// [`FederationError::UnknownDomain`] / [`FederationError::Codec`].
-    pub fn delta_frame_capped(
-        &self,
-        domain: &str,
-        digest: &GossipFrame,
+        digest_wire: &str,
         cap: Option<usize>,
-    ) -> Result<GossipFrame, FederationError> {
-        let their = decode_digest(&digest.body)?;
+    ) -> Result<String, FederationError> {
+        let digest = GossipFrame::parse(digest_wire)?;
+        if digest.kind != FrameKind::Digest {
+            return Err(FederationError::Codec("expected a digest frame".into()));
+        }
+        let their = decode_digest(digest.body)?;
         let inner = self.inner.lock();
         let state = inner
             .domains
@@ -325,22 +331,34 @@ impl FederationFabric {
             delta.len() as u64,
         );
         let ctx = inner.telemetry.current_context();
-        Ok(GossipFrame::delta(domain, encode_delta(delta)).with_ctx(ctx))
+        // Per record: the four text fields, five separators and a seq.
+        let body: usize = delta
+            .iter()
+            .map(|e| e.key.len() + e.value.len() + e.clock.as_str().len() + e.origin.len() + 26)
+            .sum();
+        let mut wire = String::with_capacity(HEADER_BYTES + domain.len() + body);
+        GossipFrame::write_header(&mut wire, FrameKind::Delta, domain, ctx);
+        encode_delta_into(&mut wire, delta);
+        Ok(wire)
     }
 
-    /// Applies a delta frame to `domain`'s replica; returns the
-    /// [`IngestReport`] saying which updates applied, how many were
-    /// buffered out-of-order, and how many were stale.
+    /// Applies a delta frame, parsed from the wire string that carried
+    /// it, to `domain`'s replica; returns the [`IngestReport`] saying
+    /// which updates applied, how many were buffered out-of-order, and
+    /// how many were stale.
     ///
     /// # Errors
     ///
     /// [`FederationError::UnknownDomain`] / [`FederationError::Codec`].
-    pub fn ingest_delta(
+    pub fn ingest_frame(
         &self,
         domain: &str,
-        delta: &GossipFrame,
+        delta: &GossipFrame<'_>,
     ) -> Result<IngestReport, FederationError> {
-        let updates = decode_delta(&delta.body)?;
+        if delta.kind != FrameKind::Delta {
+            return Err(FederationError::Codec("expected a delta frame".into()));
+        }
+        let updates = decode_delta(delta.body)?;
         let mut inner = self.inner.lock();
         let state = inner
             .domains
@@ -571,6 +589,16 @@ mod tests {
         assert!(matches!(err, FederationError::UnknownDomain(_)));
     }
 
+    /// One link's exchange as the environment crate's `gossip_link`
+    /// runs it: `dst`'s digest wire, `src`'s delta answering it, and the
+    /// delta applied from its wire.
+    fn gossip(fabric: &FederationFabric, src: &str, dst: &str, cap: Option<usize>) -> usize {
+        let digest = fabric.digest_wire(dst).unwrap();
+        let delta = fabric.delta_wire(src, &digest, cap).unwrap();
+        let frame = GossipFrame::parse(&delta).unwrap();
+        fabric.ingest_frame(dst, &frame).unwrap().applied_count()
+    }
+
     #[test]
     fn gossip_frames_converge_replicas() {
         let fabric = FederationFabric::new();
@@ -581,9 +609,7 @@ mod tests {
         a.publish_entry("org:cn=Tom", "person Tom"); // idempotent
         for _ in 0..2 {
             for (src, dst) in [("env-a", "env-b"), ("env-b", "env-a")] {
-                let digest = fabric.digest_frame(dst).unwrap();
-                let delta = fabric.delta_frame(src, &digest).unwrap();
-                fabric.ingest_delta(dst, &delta).unwrap();
+                gossip(&fabric, src, dst, None);
             }
         }
         let fa = a.replica_fingerprint();
@@ -604,19 +630,9 @@ mod tests {
             a.publish_entry(&format!("org:cn=Person{i}"), &format!("person {i}"));
         }
         // A cap of 2 needs ceil(7/2) = 4 rounds to drain the backlog.
-        let mut applied_per_round = Vec::new();
-        for _ in 0..4 {
-            let digest = fabric.digest_frame("env-b").unwrap();
-            let delta = fabric
-                .delta_frame_capped("env-a", &digest, Some(2))
-                .unwrap();
-            applied_per_round.push(
-                fabric
-                    .ingest_delta("env-b", &delta)
-                    .unwrap()
-                    .applied_count(),
-            );
-        }
+        let applied_per_round: Vec<usize> = (0..4)
+            .map(|_| gossip(&fabric, "env-a", "env-b", Some(2)))
+            .collect();
         assert_eq!(applied_per_round, vec![2, 2, 2, 1]);
         assert_eq!(a.replica_fingerprint(), b.replica_fingerprint());
         assert_eq!(
@@ -634,20 +650,28 @@ mod tests {
         let mut a = fabric.join("env-a");
         fabric.join("env-b");
         a.publish_entry("k", "v|with\nhostile\x1echars");
-        let digest = fabric.digest_frame("env-b").unwrap();
-        let digest = GossipFrame::decode(&digest.encode()).unwrap();
-        let delta = fabric.delta_frame("env-a", &digest).unwrap();
-        let delta = GossipFrame::decode(&delta.encode()).unwrap();
-        assert_eq!(
-            fabric
-                .ingest_delta("env-b", &delta)
-                .unwrap()
-                .applied_count(),
-            1
-        );
+        assert_eq!(gossip(&fabric, "env-a", "env-b", None), 1);
         assert_eq!(
             fabric.replica_get("env-b", "k").as_deref(),
             Some("v|with\nhostile\x1echars")
         );
+    }
+
+    #[test]
+    fn frames_of_the_wrong_kind_are_refused() {
+        let fabric = FederationFabric::new();
+        fabric.join("env-a");
+        fabric.join("env-b");
+        let digest = fabric.digest_wire("env-b").unwrap();
+        let delta = fabric.delta_wire("env-a", &digest, None).unwrap();
+        assert!(matches!(
+            fabric.delta_wire("env-a", &delta, None),
+            Err(FederationError::Codec(_))
+        ));
+        let frame = GossipFrame::parse(&digest).unwrap();
+        assert!(matches!(
+            fabric.ingest_frame("env-b", &frame),
+            Err(FederationError::Codec(_))
+        ));
     }
 }

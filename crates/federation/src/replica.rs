@@ -15,7 +15,9 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use crate::clock::VectorClock;
+use cscw_kernel::{percent_escape_into, percent_unescape};
+
+use crate::clock::{ClockStamp, VectorClock};
 use crate::error::FederationError;
 
 /// One versioned update to a replicated key.
@@ -26,68 +28,34 @@ pub struct ReplEntry {
     /// Canonical value rendering.
     pub value: String,
     /// Version vector at write time.
-    pub clock: VectorClock,
+    pub clock: ClockStamp,
     /// The environment that wrote this version.
     pub origin: String,
     /// Gap-free per-origin sequence number (1-based).
     pub seq: u64,
 }
 
-/// Appends `s` to `out`, escaping the codec's structural characters
-/// (`%` and the record/unit separators) plus any byte in `also`, each
-/// as `%` and two upper-case hex digits. Every escaped character is
-/// ASCII, so the unescaped runs between them stay valid UTF-8.
-pub(crate) fn escape_into(out: &mut String, s: &str, also: &[u8]) {
-    let mut rest = s;
-    while let Some(i) = rest
-        .bytes()
-        .position(|b| matches!(b, b'%' | b'\x1e' | b'\x1f') || also.contains(&b))
-    {
-        out.push_str(&rest[..i]);
-        // Writing to a String cannot fail.
-        let _ = write!(out, "%{:02X}", rest.as_bytes()[i]);
-        rest = &rest[i + 1..];
-    }
-    out.push_str(rest);
-}
+/// The codec's structural characters, the record and unit separators,
+/// escaped in every field (with `%` itself) by
+/// [`percent_escape_into`].
+const FIELD_RESERVED: &[u8] = b"\x1e\x1f";
 
-/// Reverses [`escape_into`]; borrows `s` when it holds no escape.
+/// Reverses the field escaping; borrows `s` when it holds no escape.
 pub(crate) fn unescape(s: &str) -> Result<Cow<'_, str>, FederationError> {
-    if !s.contains('%') {
-        return Ok(Cow::Borrowed(s));
-    }
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '%' {
-            out.push(c);
-            continue;
-        }
-        let code: String = chars.by_ref().take(2).collect();
-        match code.as_str() {
-            "25" => out.push('%'),
-            "1E" => out.push('\x1e'),
-            "1F" => out.push('\x1f'),
-            "2C" => out.push(','),
-            other => {
-                return Err(FederationError::Codec(format!("bad escape: %{other}")));
-            }
-        }
-    }
-    Ok(Cow::Owned(out))
+    percent_unescape(s).ok_or_else(|| FederationError::Codec(format!("bad escape in {s:?}")))
 }
 
 impl ReplEntry {
     /// Appends one record to `out`: fields joined by the unit
     /// separator.
     pub fn encode_into(&self, out: &mut String) {
-        escape_into(out, &self.key, &[]);
+        percent_escape_into(out, &self.key, FIELD_RESERVED);
         out.push('\x1f');
-        escape_into(out, &self.value, &[]);
+        percent_escape_into(out, &self.value, FIELD_RESERVED);
         out.push('\x1f');
-        self.clock.encode_into(out);
+        out.push_str(self.clock.as_str());
         out.push('\x1f');
-        escape_into(out, &self.origin, &[]);
+        percent_escape_into(out, &self.origin, FIELD_RESERVED);
         out.push('\x1f');
         // Writing to a String cannot fail.
         let _ = write!(out, "{}", self.seq);
@@ -109,7 +77,7 @@ impl ReplEntry {
         Ok(ReplEntry {
             key: unescape(key)?.into_owned(),
             value: unescape(value)?.into_owned(),
-            clock: VectorClock::decode(clock)?,
+            clock: ClockStamp::decode(clock)?,
             origin: unescape(origin)?.into_owned(),
             seq: seq
                 .parse()
@@ -118,16 +86,21 @@ impl ReplEntry {
     }
 }
 
-/// Encodes a delta (entry list) as one frame body: records joined by
-/// the record separator.
-pub fn encode_delta<'a>(entries: impl IntoIterator<Item = &'a ReplEntry>) -> String {
-    let mut body = String::new();
+/// Appends a delta (entry list) to `out` as one frame body: records
+/// joined by the record separator.
+pub fn encode_delta_into<'a>(out: &mut String, entries: impl IntoIterator<Item = &'a ReplEntry>) {
     for (i, entry) in entries.into_iter().enumerate() {
         if i > 0 {
-            body.push('\x1e');
+            out.push('\x1e');
         }
-        entry.encode_into(&mut body);
+        entry.encode_into(out);
     }
+}
+
+/// [`encode_delta_into`] a fresh body.
+pub fn encode_delta<'a>(entries: impl IntoIterator<Item = &'a ReplEntry>) -> String {
+    let mut body = String::new();
+    encode_delta_into(&mut body, entries);
     body
 }
 
@@ -143,17 +116,23 @@ pub fn decode_delta(body: &str) -> Result<Vec<ReplEntry>, FederationError> {
         .collect()
 }
 
-/// Encodes a digest (per-origin watermarks) as one frame body.
-pub fn encode_digest(digest: &BTreeMap<String, u64>) -> String {
-    let mut body = String::new();
+/// Appends a digest (per-origin watermarks) to `out` as one frame
+/// body.
+pub fn encode_digest_into(out: &mut String, digest: &BTreeMap<String, u64>) {
     for (i, (origin, seq)) in digest.iter().enumerate() {
         if i > 0 {
-            body.push('\x1e');
+            out.push('\x1e');
         }
-        escape_into(&mut body, origin, &[]);
+        percent_escape_into(out, origin, FIELD_RESERVED);
         // Writing to a String cannot fail.
-        let _ = write!(body, "\x1f{seq}");
+        let _ = write!(out, "\x1f{seq}");
     }
+}
+
+/// [`encode_digest_into`] a fresh body.
+pub fn encode_digest(digest: &BTreeMap<String, u64>) -> String {
+    let mut body = String::new();
+    encode_digest_into(&mut body, digest);
     body
 }
 
@@ -267,7 +246,7 @@ impl ReplicatedStore {
         let entry = Arc::new(ReplEntry {
             key: key.into(),
             value: value.into(),
-            clock: self.clock.clone(),
+            clock: self.clock.stamp(),
             origin: self.domain.clone(),
             seq,
         });
@@ -295,7 +274,11 @@ impl ReplicatedStore {
 
     /// Ingests updates from a peer under causal per-origin FIFO: an
     /// update applies only once every earlier update from its origin
-    /// has applied; later arrivals buffer until the gap fills.
+    /// has applied; later arrivals buffer until the gap fills. An
+    /// update that continues its origin's log while nothing of that
+    /// origin is parked applies at once, so in-order delivery never
+    /// touches the buffer. A batch holds each `(origin, seq)` at most
+    /// once, as every delta does.
     ///
     /// Returns an [`IngestReport`]: *which* updates applied (buffered
     /// ones appear when their gap fills), how many still wait for a
@@ -313,6 +296,10 @@ impl ReplicatedStore {
             let watermark = self.applied.get(&update.origin).copied().unwrap_or(0);
             if update.seq <= watermark {
                 report.stale += 1; // duplicate of an already-applied seq
+                continue;
+            }
+            if update.seq == watermark + 1 && !self.pending.contains_key(&update.origin) {
+                self.apply(Arc::new(update), &mut report);
                 continue;
             }
             match parked.binary_search_by(|(o, _)| o.as_str().cmp(&update.origin)) {
@@ -342,17 +329,30 @@ impl ReplicatedStore {
                 else {
                     break;
                 };
-                let entry = Arc::new(entry);
-                self.clock.merge(&entry.clock);
-                self.append(&entry);
-                self.resolve(&entry);
-                report.applied.push(entry);
+                self.apply(Arc::new(entry), &mut report);
             }
-            if let Some(buf) = self.pending.get(origin) {
-                report.buffered += seqs.iter().filter(|s| buf.contains_key(s)).count();
+            // An emptied buffer goes, so an origin with parked updates
+            // is exactly a key of `pending`.
+            match self.pending.get(origin) {
+                Some(buf) if buf.is_empty() => {
+                    self.pending.remove(origin);
+                }
+                Some(buf) => {
+                    report.buffered += seqs.iter().filter(|s| buf.contains_key(s)).count();
+                }
+                None => {}
             }
         }
         report
+    }
+
+    /// Applies one update that continues its origin's log: learns its
+    /// clock, logs it, resolves it and reports it.
+    fn apply(&mut self, entry: Arc<ReplEntry>, report: &mut IngestReport) {
+        self.clock.merge_stamp(&entry.clock);
+        self.append(&entry);
+        self.resolve(&entry);
+        report.applied.push(entry);
     }
 
     /// Appends `entry` to its origin's log and advances the origin's
@@ -403,7 +403,7 @@ impl ReplicatedStore {
             out.push('=');
             out.push_str(&entry.value);
             out.push_str(" @");
-            entry.clock.encode_into(&mut out);
+            out.push_str(entry.clock.as_str());
             out.push_str(" by ");
             out.push_str(&entry.origin);
             out.push('\n');
@@ -422,6 +422,7 @@ fn rank(e: &ReplEntry) -> (u64, &str, u64, &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cscw_kernel::SeededRng;
 
     /// Owned copies of `from`'s delta for a replica at `their` digest —
     /// what a receiver decodes off the wire.
@@ -589,7 +590,7 @@ mod tests {
         let entry = ReplEntry {
             key: "info:weird\x1fkey%".into(),
             value: "line1\nline2\x1e".into(),
-            clock,
+            clock: clock.stamp(),
             origin: "env-a".into(),
             seq: 7,
         };
@@ -680,6 +681,146 @@ mod tests {
             assert_eq!(last.map(|e| e.clock.get(name)), Some(2), "{name:?}");
             sync(&origin, &mut peer);
             assert_eq!(peer.fingerprint(), origin.fingerprint(), "{name:?}");
+        }
+    }
+
+    /// The reference ingest: every update parks, then each origin the
+    /// batch parked for drains in order. The fast path must be
+    /// indistinguishable from it.
+    fn ingest_parking_only(store: &mut ReplicatedStore, updates: Vec<ReplEntry>) -> IngestReport {
+        let mut report = IngestReport::default();
+        let mut parked: BTreeMap<String, Vec<u64>> = BTreeMap::new();
+        for update in updates {
+            let watermark = store.applied.get(&update.origin).copied().unwrap_or(0);
+            if update.origin == store.domain || update.seq <= watermark {
+                report.stale += 1;
+                continue;
+            }
+            parked
+                .entry(update.origin.clone())
+                .or_default()
+                .push(update.seq);
+            store
+                .pending
+                .entry(update.origin.clone())
+                .or_default()
+                .insert(update.seq, update);
+        }
+        for (origin, seqs) in &parked {
+            loop {
+                let next_seq = store.applied.get(origin).copied().unwrap_or(0) + 1;
+                let Some(entry) = store
+                    .pending
+                    .get_mut(origin)
+                    .and_then(|buf| buf.remove(&next_seq))
+                else {
+                    break;
+                };
+                let entry = Arc::new(entry);
+                store.clock.merge_stamp(&entry.clock);
+                store.append(&entry);
+                store.resolve(&entry);
+                report.applied.push(entry);
+            }
+            if let Some(buf) = store.pending.get(origin) {
+                report.buffered += seqs.iter().filter(|s| buf.contains_key(s)).count();
+            }
+        }
+        report
+    }
+
+    /// Applied seqs grouped by origin, each in application order.
+    fn per_origin(report: &IngestReport) -> BTreeMap<&str, Vec<u64>> {
+        let mut out: BTreeMap<&str, Vec<u64>> = BTreeMap::new();
+        for e in &report.applied {
+            out.entry(e.origin.as_str()).or_default().push(e.seq);
+        }
+        out
+    }
+
+    /// Seeded batches mixing in-order, gapped, re-delivered and
+    /// own-origin updates: the fast path applies the same updates per
+    /// origin in the same order, parks and drops the same counts, and
+    /// resolves to the same fingerprint as parking every update.
+    #[test]
+    fn fast_path_ingest_matches_parking_only() {
+        const WRITERS: [&str; 3] = ["env-a", "env-b", "env-r"];
+        for seed in 1..=200 {
+            let mut rng = SeededRng::seed_from(seed);
+            // Writers interleave puts with syncs, so clocks carry
+            // several components.
+            let mut writers: Vec<ReplicatedStore> =
+                WRITERS.iter().map(|d| ReplicatedStore::new(*d)).collect();
+            for _ in 0..24 {
+                let w = rng.below(3) as usize;
+                if rng.chance(0.3) {
+                    let from = rng.below(3) as usize;
+                    if from != w {
+                        let updates = delta(&writers[from], writers[w].digest());
+                        writers[w].ingest(updates);
+                    }
+                } else {
+                    let key = format!("k{}", rng.below(6));
+                    writers[w].put(key, format!("v{}", rng.below(100)));
+                }
+            }
+            // Each writer's own log; the receiver is `env-r`, so its
+            // own log only ever arrives as own-origin updates.
+            let logs: Vec<Vec<ReplEntry>> = writers
+                .iter()
+                .map(|w| {
+                    delta(w, &BTreeMap::new())
+                        .into_iter()
+                        .filter(|e| e.origin == w.domain())
+                        .collect()
+                })
+                .collect();
+            let mut fast = ReplicatedStore::new("env-r");
+            let mut parking = ReplicatedStore::new("env-r");
+            let mut next = [0usize; 3];
+            for batch_no in 0..30 {
+                let mut batch: Vec<ReplEntry> = Vec::new();
+                for _ in 0..rng.range_inclusive(1, 6) {
+                    let w = rng.below(3) as usize;
+                    let log = &logs[w];
+                    if log.is_empty() {
+                        continue;
+                    }
+                    let i = if rng.chance(0.6) && next[w] < log.len() {
+                        next[w] += 1; // in order
+                        next[w] - 1
+                    } else {
+                        rng.below(log.len() as u64) as usize // gap or re-delivery
+                    };
+                    let update = &log[i];
+                    if !batch
+                        .iter()
+                        .any(|e| e.origin == update.origin && e.seq == update.seq)
+                    {
+                        batch.push(update.clone());
+                    }
+                }
+                if rng.chance(0.3) {
+                    batch.reverse();
+                }
+                let got = fast.ingest(batch.clone());
+                let want = ingest_parking_only(&mut parking, batch);
+                let at = format!("seed {seed} batch {batch_no}");
+                assert_eq!(per_origin(&got), per_origin(&want), "{at}");
+                assert_eq!(
+                    (got.buffered, got.stale),
+                    (want.buffered, want.stale),
+                    "{at}"
+                );
+                assert_eq!(fast.fingerprint(), parking.fingerprint(), "{at}");
+                assert_eq!(fast.digest(), parking.digest(), "{at}");
+            }
+            // Every log delivered in full settles both identically.
+            let all: Vec<ReplEntry> = logs.concat();
+            fast.ingest(all.clone());
+            ingest_parking_only(&mut parking, all);
+            assert_eq!(fast.fingerprint(), parking.fingerprint(), "seed {seed}");
+            assert!(fast.pending.is_empty(), "seed {seed}: nothing stays parked");
         }
     }
 }

@@ -269,6 +269,7 @@ impl FederationRuntime {
 mod tests {
     use super::*;
     use crate::fabric::FederationPort;
+    use cscw_messaging::gossip::GossipFrame;
 
     fn three_site_fabric() -> FederationFabric {
         let fabric = FederationFabric::new();
@@ -428,9 +429,10 @@ mod tests {
                 // Stand-in for the environment driver: push this
                 // site's delta over each up out-link.
                 for to in rt.fabric().up_links_from(&site) {
-                    let digest = rt.fabric().digest_frame(&to).expect("digest");
-                    let delta = rt.fabric().delta_frame(&site, &digest).expect("delta");
-                    rt.fabric().ingest_delta(&to, &delta).expect("ingest");
+                    let digest = rt.fabric().digest_wire(&to).expect("digest");
+                    let delta = rt.fabric().delta_wire(&site, &digest, None).expect("delta");
+                    let frame = GossipFrame::parse(&delta).expect("frame");
+                    rt.fabric().ingest_frame(&to, &frame).expect("ingest");
                 }
             }
         }

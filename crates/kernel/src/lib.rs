@@ -25,6 +25,9 @@
 //!   seeded jittered phases). `simnet` drives its network model with
 //!   it; the federation layer drives gossip, TTL expiry and delivery
 //!   pumping with it.
+//! * [`percent_escape_into`] / [`percent_unescape`] — the one escaping
+//!   rule the hand-rolled text codecs (gossip frames, replica records,
+//!   mailbox names) apply to their separators.
 //!
 //! The kernel sits **below** `simnet`: it knows nothing about nodes or
 //! topologies. [`Timestamp`] is the one value type for instants —
@@ -36,6 +39,7 @@
 
 mod clock;
 mod error;
+mod escape;
 mod metrics;
 mod resilience;
 mod rng;
@@ -46,6 +50,7 @@ mod trace;
 
 pub use clock::{Clock, ManualClock, WallClock};
 pub use error::{ErrorClass, KernelError, LayerError};
+pub use escape::{percent_escape_into, percent_unescape};
 pub use metrics::{json_escape, LogHistogram, MetricsSnapshot};
 pub use resilience::{BreakerState, CircuitBreaker, Deadline, RetryPolicy};
 pub use rng::SeededRng;

@@ -12,7 +12,7 @@
 //!
 //! Contexts cross process-shaped boundaries (federation `gossip/1`
 //! frames, remote exchange routing, simnet message delivery) as a
-//! [`SpanContext`], encoded with [`SpanContext::encode`] /
+//! [`SpanContext`], encoded with [`SpanContext::encode_into`] /
 //! [`SpanContext::decode`] for wire formats that are plain text.
 //!
 //! Identifiers come from process-wide atomic counters: collision-free
@@ -20,7 +20,7 @@
 //! deterministic in single-threaded simulation runs. Nothing here
 //! derives meaning from the raw numbers — only equality and parentage.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::telemetry::{Layer, TelemetryEvent};
@@ -94,15 +94,17 @@ pub struct SpanContext {
 }
 
 impl SpanContext {
-    /// Encodes as `"<trace-hex>.<span-hex>"` for text wire formats.
+    /// Appends `"<trace-hex>.<span-hex>"` to `out`, for text wire
+    /// formats.
     /// Fixed-width (zero-padded) so a carried context never changes a
     /// frame's byte count — wire-size accounting stays deterministic
     /// whatever the process-wide id counters happen to hold.
-    pub fn encode(&self) -> String {
-        format!("{:016x}.{:016x}", self.trace.0, self.span.0)
+    pub fn encode_into(&self, out: &mut String) {
+        // Writing to a String cannot fail.
+        let _ = write!(out, "{:016x}.{:016x}", self.trace.0, self.span.0);
     }
 
-    /// Decodes [`SpanContext::encode`] output; `None` on malformed input.
+    /// Decodes [`SpanContext::encode_into`] output; `None` on malformed input.
     pub fn decode(s: &str) -> Option<SpanContext> {
         let (t, sp) = s.split_once('.')?;
         Some(SpanContext {
@@ -271,7 +273,8 @@ mod tests {
             trace: TraceId(0xdead),
             span: SpanId(0xbeef),
         };
-        let wire = ctx.encode();
+        let mut wire = String::new();
+        ctx.encode_into(&mut wire);
         assert_eq!(wire, "000000000000dead.000000000000beef");
         assert_eq!(wire.len(), 33, "fixed-width for wire-size stability");
         assert_eq!(SpanContext::decode(&wire), Some(ctx));

@@ -10,17 +10,25 @@
 //!
 //! The codec is versioned (`gossip/1`) and splits on the first three
 //! `|` separators only, so frame bodies may contain arbitrary text
-//! (including `|`) without escaping.
+//! (including `|`) without escaping. The origin is percent-escaped
+//! (`%`, `|` and `@`), so any domain name fits the header; ordinary
+//! names encode to themselves.
 //!
 //! Frames optionally carry a [`SpanContext`] so a gossip round's trace
 //! survives the wire: the context rides in the origin field as
 //! `origin@<trace>.<span>` (a suffix old decoders never produced and
-//! plain origins never contain), keeping the `gossip/1` grammar and
+//! escaped origins never contain), keeping the `gossip/1` grammar and
 //! separator count unchanged.
+//!
+//! Neither side copies a frame. A sender writes the header with
+//! [`GossipFrame::write_header`] and appends its body to the same
+//! buffer; a receiver [`parse`](GossipFrame::parse)s the wire string
+//! into a frame that borrows its origin and body.
 
+use std::borrow::Cow;
 use std::fmt;
 
-use cscw_kernel::SpanContext;
+use cscw_kernel::{percent_escape_into, percent_unescape, SpanContext};
 
 /// What a gossip frame carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,18 +49,20 @@ impl FrameKind {
     }
 }
 
-/// One anti-entropy exchange unit: kind + originating domain + opaque
-/// body, with a stable textual encoding.
+/// One anti-entropy exchange unit as a receiver sees it: kind +
+/// originating domain + opaque body, borrowed from the wire string it
+/// was parsed from.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GossipFrame {
+pub struct GossipFrame<'a> {
     /// Digest or delta.
     pub kind: FrameKind,
-    /// The federation domain that produced the frame.
-    pub origin: String,
+    /// The federation domain that produced the frame (allocated only
+    /// when the name held an escape).
+    pub origin: Cow<'a, str>,
     /// The producing gossip round's trace context, if it was traced.
     pub ctx: Option<SpanContext>,
     /// Layer-above payload (digest watermarks, serialized updates).
-    pub body: String,
+    pub body: &'a str,
 }
 
 /// Why a wire string failed to decode as a gossip frame.
@@ -64,7 +74,7 @@ pub enum GossipCodecError {
     BadKind(String),
     /// Fewer separators than the frame grammar requires.
     Truncated,
-    /// The origin field was empty or contained a separator.
+    /// The origin field was empty or held a malformed escape.
     BadOrigin(String),
 }
 
@@ -99,55 +109,29 @@ impl cscw_kernel::LayerError for GossipCodecError {
     // every variant keeps the default Permanent classification.
 }
 
-impl GossipFrame {
-    /// Builds a digest frame.
-    pub fn digest(origin: impl Into<String>, body: impl Into<String>) -> Self {
-        GossipFrame {
-            kind: FrameKind::Digest,
-            origin: origin.into(),
-            ctx: None,
-            body: body.into(),
+impl<'a> GossipFrame<'a> {
+    /// Appends a frame header to `out`:
+    /// `gossip/1|<kind>|<origin>|`, with the origin escaped and a
+    /// traced frame's origin rendered as `<origin>@<trace>.<span>`.
+    /// The caller appends the body to the same buffer.
+    pub fn write_header(out: &mut String, kind: FrameKind, origin: &str, ctx: Option<SpanContext>) {
+        out.push_str("gossip/1|");
+        out.push_str(kind.tag());
+        out.push('|');
+        percent_escape_into(out, origin, b"|@");
+        if let Some(ctx) = ctx {
+            out.push('@');
+            ctx.encode_into(out);
         }
+        out.push('|');
     }
 
-    /// Builds a delta frame.
-    pub fn delta(origin: impl Into<String>, body: impl Into<String>) -> Self {
-        GossipFrame {
-            kind: FrameKind::Delta,
-            origin: origin.into(),
-            ctx: None,
-            body: body.into(),
-        }
-    }
-
-    /// Stamps (or clears) the frame's trace context.
-    pub fn with_ctx(mut self, ctx: Option<SpanContext>) -> Self {
-        self.ctx = ctx;
-        self
-    }
-
-    /// Encodes to the wire string: `gossip/1|<kind>|<origin>|<body>`,
-    /// with a traced frame's origin rendered as
-    /// `<origin>@<trace>.<span>`.
-    pub fn encode(&self) -> String {
-        match self.ctx {
-            Some(ctx) => format!(
-                "gossip/1|{}|{}@{}|{}",
-                self.kind.tag(),
-                self.origin,
-                ctx.encode(),
-                self.body
-            ),
-            None => format!("gossip/1|{}|{}|{}", self.kind.tag(), self.origin, self.body),
-        }
-    }
-
-    /// Decodes a wire string.
+    /// Parses a wire string into a frame borrowing from it.
     ///
     /// # Errors
     ///
     /// [`GossipCodecError`] describing the first grammar violation.
-    pub fn decode(wire: &str) -> Result<Self, GossipCodecError> {
+    pub fn parse(wire: &'a str) -> Result<Self, GossipCodecError> {
         let mut parts = wire.splitn(4, '|');
         let version = parts.next().unwrap_or_default();
         if version != "gossip/1" {
@@ -170,15 +154,15 @@ impl GossipFrame {
             },
             None => (origin_field, None),
         };
-        if origin.is_empty() {
-            return Err(GossipCodecError::BadOrigin(origin.to_owned()));
-        }
+        let origin = percent_unescape(origin)
+            .filter(|o| !o.is_empty())
+            .ok_or_else(|| GossipCodecError::BadOrigin(origin.to_owned()))?;
         let body = parts.next().ok_or(GossipCodecError::Truncated)?;
         Ok(GossipFrame {
             kind,
-            origin: origin.to_owned(),
+            origin,
             ctx,
-            body: body.to_owned(),
+            body,
         })
     }
 
@@ -193,65 +177,99 @@ impl GossipFrame {
 mod tests {
     use super::*;
 
+    fn encode(kind: FrameKind, origin: &str, ctx: Option<SpanContext>, body: &str) -> String {
+        let mut wire = String::new();
+        GossipFrame::write_header(&mut wire, kind, origin, ctx);
+        wire.push_str(body);
+        wire
+    }
+
     #[test]
     fn frames_round_trip() {
-        for frame in [
-            GossipFrame::digest("env-a", "a=3;b=7"),
-            GossipFrame::delta("env-b", "entry|with|pipes\nand newlines"),
-            GossipFrame::digest("env-c", ""),
+        for (kind, origin, body) in [
+            (FrameKind::Digest, "env-a", "a=3;b=7"),
+            (FrameKind::Delta, "env-b", "entry|with|pipes\nand newlines"),
+            (FrameKind::Digest, "env-c", ""),
         ] {
-            let wire = frame.encode();
+            let wire = encode(kind, origin, None, body);
             assert!(GossipFrame::is_gossip(&wire));
-            assert_eq!(GossipFrame::decode(&wire).unwrap(), frame);
+            let frame = GossipFrame::parse(&wire).unwrap();
+            assert_eq!(
+                (frame.kind, &*frame.origin, frame.body),
+                (kind, origin, body)
+            );
+            assert!(matches!(frame.origin, Cow::Borrowed(_)));
+            assert_eq!(frame.ctx, None);
         }
+        assert_eq!(
+            encode(FrameKind::Delta, "env-a", None, "x"),
+            "gossip/1|delta|env-a|x",
+            "ordinary origins encode to themselves"
+        );
     }
 
     #[test]
     fn trace_context_rides_the_origin_field() {
         let ctx = SpanContext::decode("2a.1f").unwrap();
-        let frame = GossipFrame::delta("env-a", "payload").with_ctx(Some(ctx));
-        let wire = frame.encode();
+        let wire = encode(FrameKind::Delta, "env-a", Some(ctx), "payload");
         assert!(wire.starts_with("gossip/1|delta|env-a@"));
-        let decoded = GossipFrame::decode(&wire).unwrap();
-        assert_eq!(decoded, frame);
+        let decoded = GossipFrame::parse(&wire).unwrap();
         assert_eq!(decoded.ctx, Some(ctx));
         assert_eq!(decoded.origin, "env-a");
+        assert_eq!(decoded.body, "payload");
+    }
+
+    #[test]
+    fn separators_in_origins_are_escaped() {
+        let ctx = SpanContext::decode("2a.1f").unwrap();
+        for origin in ["env|b", "env@1.2", "env%a", "e|@%|"] {
+            for ctx in [None, Some(ctx)] {
+                let wire = encode(FrameKind::Digest, origin, ctx, "b|o|dy");
+                let decoded = GossipFrame::parse(&wire).unwrap();
+                assert_eq!(
+                    (&*decoded.origin, decoded.ctx, decoded.body),
+                    (origin, ctx, "b|o|dy"),
+                    "{wire:?}"
+                );
+            }
+        }
+        assert_eq!(
+            encode(FrameKind::Digest, "env@1.2", None, ""),
+            "gossip/1|digest|env%401.2|"
+        );
     }
 
     #[test]
     fn legacy_frames_and_at_signs_still_decode() {
         // A frame from a pre-tracing encoder has no context.
-        let decoded = GossipFrame::decode("gossip/1|digest|env-a|body").unwrap();
+        let decoded = GossipFrame::parse("gossip/1|digest|env-a|body").unwrap();
         assert_eq!(decoded.ctx, None);
         // An `@` whose suffix is not a span context stays in the origin.
-        let decoded = GossipFrame::decode("gossip/1|digest|env@lan|body").unwrap();
+        let decoded = GossipFrame::parse("gossip/1|digest|env@lan|body").unwrap();
         assert_eq!(decoded.origin, "env@lan");
         assert_eq!(decoded.ctx, None);
     }
 
     #[test]
-    fn bodies_keep_separators_verbatim() {
-        let frame = GossipFrame::delta("env-a", "x|y|z");
-        let decoded = GossipFrame::decode(&frame.encode()).unwrap();
-        assert_eq!(decoded.body, "x|y|z");
-    }
-
-    #[test]
     fn malformed_frames_are_classified() {
         assert!(matches!(
-            GossipFrame::decode("gossip/2|digest|a|b"),
+            GossipFrame::parse("gossip/2|digest|a|b"),
             Err(GossipCodecError::BadVersion(_))
         ));
         assert!(matches!(
-            GossipFrame::decode("gossip/1|rumour|a|b"),
+            GossipFrame::parse("gossip/1|rumour|a|b"),
             Err(GossipCodecError::BadKind(_))
         ));
         assert!(matches!(
-            GossipFrame::decode("gossip/1|digest"),
+            GossipFrame::parse("gossip/1|digest"),
             Err(GossipCodecError::Truncated)
         ));
         assert!(matches!(
-            GossipFrame::decode("gossip/1|digest||body"),
+            GossipFrame::parse("gossip/1|digest||body"),
+            Err(GossipCodecError::BadOrigin(_))
+        ));
+        assert!(matches!(
+            GossipFrame::parse("gossip/1|digest|env%zz|body"),
             Err(GossipCodecError::BadOrigin(_))
         ));
         assert!(!GossipFrame::is_gossip("ordinary notification"));

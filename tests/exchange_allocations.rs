@@ -1,12 +1,15 @@
-//! Allocations per exchange, gated exactly.
+//! Allocations per exchange and per gossip period, gated exactly.
 //!
 //! Allocation counts are deterministic work counters: the same exchanges
 //! over the same seeded simulation allocate the same number of times.
-//! This test counts the allocations of 100 Figure-4 exchanges over a
+//! One test counts the allocations of 100 Figure-4 exchanges over a
 //! `SimPlatform` (env → trader import → DSA add → MTA notify, every hop
-//! on simnet) once the bounded telemetry stores are full, as they are in
-//! any long run, and pins the total. A change that makes the exchange
-//! path copy more — or less — moves the count and fails here.
+//! on simnet); another counts the gossip periods of a small federated
+//! ring (digest and delta frames, transport notify, replica ingest and
+//! the standing-query feed). Both measure once the bounded telemetry
+//! stores are full, as they are in any long run, and pin the total. A
+//! change that makes either path copy more — or less — moves its count
+//! and fails here.
 //!
 //! The counter is a std-only global allocator with a thread-local tally,
 //! so allocations on the test harness's other threads never leak into
@@ -16,11 +19,15 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use open_cscw::directory::Dn;
+use open_cscw::federation::DEFAULT_GOSSIP_PERIOD_MICROS;
 use open_cscw::groupware::{descriptor_for, mapping_for, sample_artifact, APP_POPULATION};
-use open_cscw::kernel::Timestamp;
+use open_cscw::kernel::{Telemetry, Timestamp};
 use open_cscw::mocca::env::AppId;
+use open_cscw::mocca::info::{InfoContent, InfoObject, InfoObjectId};
 use open_cscw::mocca::org::Person;
-use open_cscw::mocca::{CscwEnvironment, Platform, SimPlatform};
+use open_cscw::mocca::{
+    CscwEnvironment, FederatedEnvironments, LocalPlatform, Platform, SimPlatform,
+};
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
@@ -135,5 +142,90 @@ fn exchange_allocations_are_pinned() {
          ({:.1} per exchange). If the change is deliberate, re-pin \
          PINNED_ALLOCS in tests/exchange_allocations.rs to {measured}.",
         measured as f64 / EXCHANGES as f64
+    );
+}
+
+/// Sites in the gossip ring.
+const SITES: usize = 4;
+/// Gossip periods counted.
+const PERIODS: u64 = 20;
+
+/// Allocations made by [`PERIODS`] gossip periods of the ring in the
+/// debug profile. Re-pin as for [`PINNED_ALLOCS`].
+const PINNED_GOSSIP_ALLOCS: u64 = 2_822;
+
+fn bound(t: &Telemetry) {
+    t.set_event_capacity(STORE_RECORDS);
+    t.set_span_capacity(STORE_RECORDS);
+}
+
+/// Full and dropping: every kind of record the stream keeps has
+/// overflowed its bound at least once.
+fn saturated(t: &Telemetry) -> bool {
+    (t.events().is_empty() || t.dropped_events() > 0)
+        && (t.spans().is_empty() || t.dropped_spans() > 0)
+}
+
+#[test]
+fn gossip_allocations_are_pinned() {
+    let mut fed = FederatedEnvironments::new();
+    bound(&fed.fabric().telemetry());
+    let domains: Vec<String> = (0..SITES).map(|i| format!("site-{i}")).collect();
+    for domain in &domains {
+        let platform = LocalPlatform::new();
+        bound(platform.telemetry());
+        let mut env = CscwEnvironment::with_platform(Box::new(platform));
+        env.subscribe(r#"from knowledge key prefix "info:""#)
+            .unwrap();
+        fed.federate(domain.clone(), env);
+    }
+    for i in 0..SITES {
+        fed.link_bidi(&domains[i], &domains[(i + 1) % SITES]);
+    }
+    let owner: Dn = "cn=Tom".parse().unwrap();
+    // One period: site `n % SITES` stores an object, then the ring
+    // gossips for one period. Only the run itself is counted; the
+    // write and the delta drain around it are not.
+    let period = |fed: &mut FederatedEnvironments, n: u64| {
+        let site = &domains[n as usize % SITES];
+        let object = InfoObject::new(
+            InfoObjectId::new(format!("u{n}")),
+            "note",
+            owner.clone(),
+            InfoContent::Text(format!("update {n} from {site}")),
+        );
+        let env = fed.env_mut(site).unwrap();
+        env.store_object(object, None, Timestamp::ZERO).unwrap();
+        let before = allocs();
+        fed.run_for(DEFAULT_GOSSIP_PERIOD_MICROS, 1).unwrap();
+        let counted = allocs() - before;
+        for domain in &domains {
+            fed.env_mut(domain).unwrap().take_query_deltas();
+        }
+        counted
+    };
+    // Warm up until every bounded store is full and dropping.
+    let mut n = 0;
+    loop {
+        let streams = std::iter::once(fed.fabric().telemetry()).chain(
+            domains
+                .iter()
+                .map(|d| fed.env(d).unwrap().telemetry().clone()),
+        );
+        if streams.collect::<Vec<_>>().iter().all(saturated) {
+            break;
+        }
+        period(&mut fed, n);
+        n += 1;
+    }
+    let measured: u64 = (0..PERIODS).map(|i| period(&mut fed, n + i)).sum();
+    assert!(fed.run_until_converged(1, 60_000_000).unwrap().converged);
+    assert_eq!(
+        measured,
+        PINNED_GOSSIP_ALLOCS,
+        "{PERIODS} gossip periods allocated {measured} times, pinned \
+         {PINNED_GOSSIP_ALLOCS} ({:.1} per period). If the change is deliberate, \
+         re-pin PINNED_GOSSIP_ALLOCS in tests/exchange_allocations.rs to {measured}.",
+        measured as f64 / PERIODS as f64
     );
 }
