@@ -10,11 +10,12 @@
 //! applicationEntity) plus the CSCW extensions MOCCA introduces
 //! (cscwActivity, cscwResource, informationObject).
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
-use crate::attribute::AttributeType;
+use crate::attribute::{AttributeType, AttributeValue};
 use crate::entry::{Entry, OBJECT_CLASS};
 use crate::error::DirectoryError;
 
@@ -149,7 +150,14 @@ impl Schema {
 
     /// Looks up a class by (case-insensitive) name.
     pub fn class(&self, name: &str) -> Option<&ObjectClass> {
-        self.classes.get(&name.to_ascii_lowercase())
+        // Class names are kept lowercase; a lowercase name is looked
+        // up as it is, with no allocation.
+        let name = if name.bytes().any(|b| b.is_ascii_uppercase()) {
+            Cow::Owned(name.to_ascii_lowercase())
+        } else {
+            Cow::Borrowed(name)
+        };
+        self.classes.get(&*name)
     }
 
     /// Number of defined classes.
@@ -175,35 +183,44 @@ impl Schema {
             dn: entry.dn().clone(),
             reason,
         };
-        let classes = entry.classes();
-        if classes.is_empty() {
+        // The class names, walked in place; a valid entry allocates
+        // nothing here.
+        let values: &[AttributeValue] = entry
+            .attr(OBJECT_CLASS)
+            .map(|a| a.values())
+            .unwrap_or_default();
+        let names = || values.iter().filter_map(AttributeValue::as_text);
+        if names().next().is_none() {
             return Err(violation("entry has no object class".into()));
         }
-        let mut defs = Vec::with_capacity(classes.len());
-        for name in &classes {
-            match self.class(name) {
-                Some(def) => defs.push(def),
-                None => return Err(violation(format!("unknown object class {name:?}"))),
+        // One lookup per class. An unknown class anywhere outranks a
+        // missing attribute, so the first miss waits for the end.
+        let mut missing = None;
+        for name in names() {
+            let Some(def) = self.class(name) else {
+                return Err(violation(format!("unknown object class {name:?}")));
+            };
+            if missing.is_none() {
+                missing = def
+                    .mandatory()
+                    .iter()
+                    .find(|ty| entry.attr(ty).is_none())
+                    .map(|ty| (ty, def));
             }
         }
-        for def in &defs {
-            for ty in def.mandatory() {
-                if entry.attr(ty.clone()).is_none() {
-                    return Err(violation(format!(
-                        "missing mandatory attribute {ty} for class {}",
-                        def.name()
-                    )));
-                }
-            }
+        if let Some((ty, def)) = missing {
+            return Err(violation(format!(
+                "missing mandatory attribute {ty} for class {}",
+                def.name()
+            )));
         }
         if self.strict_attributes {
-            let object_class_ty = AttributeType::new(OBJECT_CLASS);
             for attr in entry.attrs() {
                 let ty = attr.ty();
-                if *ty == object_class_ty {
+                if ty.as_str() == OBJECT_CLASS {
                     continue;
                 }
-                if !defs.iter().any(|def| def.allows(ty)) {
+                if !names().any(|name| self.class(name).is_some_and(|def| def.allows(ty))) {
                     return Err(violation(format!(
                         "attribute {ty} not allowed by any class"
                     )));
@@ -297,6 +314,65 @@ mod tests {
         assert!(
             schema.class("CSCWActivity").is_some(),
             "lookup is case-insensitive"
+        );
+    }
+
+    #[test]
+    fn violations_are_reported_in_precedence_order() {
+        let mut schema = Schema::standard();
+        schema.set_strict_attributes(true);
+        let reason = |e: Entry| match schema.validate(&e) {
+            Err(DirectoryError::SchemaViolation { reason, .. }) => reason,
+            other => panic!("expected a schema violation, got {other:?}"),
+        };
+        let tom = || Entry::new("cn=Tom".parse().unwrap());
+        let extra = || Attribute::single("favouriteeditor", "vi");
+
+        // One violation each.
+        assert_eq!(
+            reason(tom().with_attr(Attribute::single("cn", "Tom"))),
+            "entry has no object class"
+        );
+        assert_eq!(
+            reason(person_entry().with_class("martian")),
+            r#"unknown object class "martian""#
+        );
+        assert_eq!(
+            reason(
+                tom()
+                    .with_class("person")
+                    .with_attr(Attribute::single("cn", "Tom"))
+            ),
+            "missing mandatory attribute sn for class person"
+        );
+        assert_eq!(
+            reason(person_entry().with_attr(extra())),
+            "attribute favouriteeditor not allowed by any class"
+        );
+
+        // Two at once: the earlier kind wins. The unknown class comes
+        // after a class missing an attribute, and is still reported.
+        assert_eq!(
+            reason(tom().with_attr(extra())),
+            "entry has no object class"
+        );
+        assert_eq!(
+            reason(
+                tom()
+                    .with_class("person")
+                    .with_class("martian")
+                    .with_attr(Attribute::single("cn", "Tom"))
+            ),
+            r#"unknown object class "martian""#
+        );
+        assert_eq!(
+            reason(
+                tom()
+                    .with_class("person")
+                    .with_attr(Attribute::single("cn", "Tom"))
+                    .with_attr(extra())
+            ),
+            "missing mandatory attribute sn for class person"
         );
     }
 }

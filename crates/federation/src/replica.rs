@@ -277,8 +277,8 @@ impl ReplicatedStore {
     /// has applied; later arrivals buffer until the gap fills. An
     /// update that continues its origin's log while nothing of that
     /// origin is parked applies at once, so in-order delivery never
-    /// touches the buffer. A batch holds each `(origin, seq)` at most
-    /// once, as every delta does.
+    /// touches the buffer. A seq the batch repeats parks once; each
+    /// repeat counts as stale.
     ///
     /// Returns an [`IngestReport`]: *which* updates applied (buffered
     /// ones appear when their gap fills), how many still wait for a
@@ -303,6 +303,10 @@ impl ReplicatedStore {
                 continue;
             }
             match parked.binary_search_by(|(o, _)| o.as_str().cmp(&update.origin)) {
+                Ok(i) if parked[i].1.contains(&update.seq) => {
+                    report.stale += 1; // repeated within this batch
+                    continue;
+                }
                 Ok(i) => parked[i].1.push(update.seq),
                 Err(i) => parked.insert(i, (update.origin.clone(), vec![update.seq])),
             }
@@ -533,6 +537,21 @@ mod tests {
     }
 
     #[test]
+    fn a_gapped_update_repeated_in_one_batch_parks_once() {
+        let mut a = ReplicatedStore::new("env-a");
+        a.put("k", "v1");
+        a.put("k", "v2");
+        let gapped = delta(&a, &BTreeMap::new())[1].clone();
+        let mut b = ReplicatedStore::new("env-b");
+        let report = b.ingest(vec![gapped.clone(), gapped]);
+        assert_eq!(
+            (report.applied_count(), report.buffered, report.stale),
+            (0, 1, 1)
+        );
+        assert_eq!(b.pending["env-a"].len(), 1, "one update parked");
+    }
+
+    #[test]
     fn applied_entries_are_shared_with_the_log_and_the_state() {
         let mut a = ReplicatedStore::new("env-a");
         a.put("k", "v");
@@ -696,10 +715,12 @@ mod tests {
                 report.stale += 1;
                 continue;
             }
-            parked
-                .entry(update.origin.clone())
-                .or_default()
-                .push(update.seq);
+            let seqs = parked.entry(update.origin.clone()).or_default();
+            if seqs.contains(&update.seq) {
+                report.stale += 1;
+                continue;
+            }
+            seqs.push(update.seq);
             store
                 .pending
                 .entry(update.origin.clone())
@@ -738,8 +759,8 @@ mod tests {
         out
     }
 
-    /// Seeded batches mixing in-order, gapped, re-delivered and
-    /// own-origin updates: the fast path applies the same updates per
+    /// Seeded batches mixing in-order, gapped, re-delivered (also
+    /// within one batch) and own-origin updates: the fast path applies the same updates per
     /// origin in the same order, parks and drops the same counts, and
     /// resolves to the same fingerprint as parking every update.
     #[test]
@@ -792,13 +813,7 @@ mod tests {
                     } else {
                         rng.below(log.len() as u64) as usize // gap or re-delivery
                     };
-                    let update = &log[i];
-                    if !batch
-                        .iter()
-                        .any(|e| e.origin == update.origin && e.seq == update.seq)
-                    {
-                        batch.push(update.clone());
-                    }
+                    batch.push(log[i].clone());
                 }
                 if rng.chance(0.3) {
                     batch.reverse();

@@ -14,6 +14,10 @@
 //!   union over the changed entry's attributes (plus negation-bearing
 //!   queries, which cannot be pruned, and queries that currently match
 //!   the changed DN — a removal is relevant to whoever matched it).
+//! * **membership** — one relation `DN → entry subscriptions whose
+//!   result set holds it`. It is the only record of entry results: one
+//!   lookup per change yields both the interested matchers and whether
+//!   each matched the DN before, and a transition updates it in place.
 //! * **key index** — knowledge subscriptions with a derivable key
 //!   prefix skip keys outside it.
 //! * **edge index** — a registry-wide reverse map `attr → target value
@@ -21,19 +25,21 @@
 //!   stops matching a join's inner filter) exactly the entries whose
 //!   edge attribute names that target are re-evaluated.
 //!
-//! Each subscription keeps its current result set; comparing the
-//! incremental evaluation against it yields [`QueryDelta`]s
+//! Comparing the incremental evaluation against the current result
+//! sets yields [`QueryDelta`]s
 //! (`Added`/`Removed`/`Changed`) with **zero re-scans** of the
 //! population in steady state. The only full scans are the one-time
 //! [`prime`](SubscriptionRegistry::prime) at subscribe time and the
 //! explicit [`oracle_matches`](SubscriptionRegistry::oracle_matches)
 //! used by equivalence tests — both tracked separately so callers can
-//! assert the zero-re-scan property.
+//! assert the zero-re-scan property. A change builds DN text only when
+//! a join target flips or a delta is emitted, and counters are added
+//! once per [`apply`](SubscriptionRegistry::apply).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use cscw_directory::{AttributeType, Dit, DitChange, Dn, Entry};
+use cscw_directory::{Attribute, AttributeType, Dit, DitChange, Dn, Entry};
 use cscw_kernel::{Layer, Telemetry};
 
 use crate::compile::{CompiledQuery, Source};
@@ -109,9 +115,8 @@ impl fmt::Display for QueryDelta {
 #[derive(Debug)]
 struct Subscription {
     query: CompiledQuery,
-    /// Current result set for entry queries.
-    matched_dns: BTreeSet<Dn>,
-    /// Current result set for knowledge queries.
+    /// Current result set for knowledge queries (an entry query's set
+    /// lives in the registry's membership relation).
     matched_keys: BTreeSet<String>,
     /// Per-join target sets (DN strings matching the join's inner
     /// filter), aligned with the compiled query's join table.
@@ -134,15 +139,18 @@ pub struct SubscriptionRegistry {
     wildcard_subs: BTreeSet<u64>,
     /// Knowledge subscriptions.
     knowledge_subs: BTreeSet<u64>,
-    /// Reverse membership: DN → entry subscriptions currently matching
-    /// it (removals are relevant to them regardless of attributes).
-    matched_index: BTreeMap<Dn, BTreeSet<u64>>,
+    /// Membership: DN → the entry subscriptions whose result set holds
+    /// it, ids sorted ascending. The only record of entry results.
+    matched_index: BTreeMap<Dn, Vec<u64>>,
     /// Edge occurrence index: edge attr → target value → referring DNs.
     edge_occ: BTreeMap<AttributeType, BTreeMap<String, BTreeSet<Dn>>>,
     /// How many subscriptions reference each indexed edge attribute.
     edge_refs: BTreeMap<AttributeType, usize>,
     /// Resolved shadow of replicated knowledge, fed by applies.
     knowledge: BTreeMap<String, String>,
+    /// Reused per change: interested subscription ids, each with
+    /// whether it matched the changed DN before the change.
+    interest: Vec<(u64, bool)>,
     next_id: u64,
     rescans: u64,
 }
@@ -171,6 +179,7 @@ impl SubscriptionRegistry {
             edge_occ: BTreeMap::new(),
             edge_refs: BTreeMap::new(),
             knowledge: BTreeMap::new(),
+            interest: Vec::new(),
             next_id: 0,
             rescans: 0,
         }
@@ -235,7 +244,6 @@ impl SubscriptionRegistry {
             id,
             Subscription {
                 query,
-                matched_dns: BTreeSet::new(),
                 matched_keys: BTreeSet::new(),
                 targets,
                 primed: false,
@@ -260,13 +268,13 @@ impl SubscriptionRegistry {
         }
         self.wildcard_subs.remove(&id.0);
         self.knowledge_subs.remove(&id.0);
-        for dn in &sub.matched_dns {
-            if let Some(set) = self.matched_index.get_mut(dn) {
-                set.remove(&id.0);
-                if set.is_empty() {
-                    self.matched_index.remove(dn);
+        if sub.query.source() == Source::Entries {
+            self.matched_index.retain(|_, ids| {
+                if let Ok(i) = ids.binary_search(&id.0) {
+                    ids.remove(i);
                 }
-            }
+                !ids.is_empty()
+            });
         }
         for join in &sub.query.joins {
             if let Some(refs) = self.edge_refs.get_mut(&join.attr) {
@@ -318,8 +326,10 @@ impl SubscriptionRegistry {
         for attr in missing {
             let mut occ: BTreeMap<String, BTreeSet<Dn>> = BTreeMap::new();
             for entry in dit.iter() {
-                for value in edge_values(entry, &attr) {
-                    occ.entry(value).or_default().insert(entry.dn().clone());
+                for value in edge_values(entry.attr(&attr)) {
+                    occ.entry(value.to_owned())
+                        .or_default()
+                        .insert(entry.dn().clone());
                 }
             }
             self.edge_occ.insert(attr, occ);
@@ -340,11 +350,7 @@ impl SubscriptionRegistry {
         let mut deltas = Vec::new();
         for entry in dit.iter() {
             if sub.query.eval_entry(entry, &sub.targets) {
-                sub.matched_dns.insert(entry.dn().clone());
-                self.matched_index
-                    .entry(entry.dn().clone())
-                    .or_default()
-                    .insert(id.0);
+                insert_member(&mut self.matched_index, entry.dn(), id.0);
                 deltas.push(QueryDelta::Added {
                     id: entry.dn().to_string(),
                 });
@@ -409,22 +415,32 @@ impl SubscriptionRegistry {
     ) -> Vec<(SubscriptionId, QueryDelta)> {
         let span = self.telemetry.span_begin(Layer::Query, "query.apply", at);
         let mut out = Vec::new();
+        let mut seen = changes.len() as u64;
+        let mut evals = 0;
         for (key, value) in pairs {
-            self.apply_pair(key, value, &mut out);
+            seen += u64::from(self.apply_pair(key, value, &mut evals, &mut out));
         }
         for change in changes {
-            self.telemetry.incr(Layer::Query, "query.change.seen");
-            self.apply_one_change(change, dit, &mut out);
+            self.apply_one_change(change, dit, &mut evals, &mut out);
         }
+        let mut kinds = [0; 3];
         for (_, delta) in &out {
-            self.telemetry.incr(
-                Layer::Query,
-                match delta {
-                    QueryDelta::Added { .. } => "query.delta.added",
-                    QueryDelta::Changed { .. } => "query.delta.changed",
-                    QueryDelta::Removed { .. } => "query.delta.removed",
-                },
-            );
+            kinds[match delta {
+                QueryDelta::Added { .. } => 0,
+                QueryDelta::Changed { .. } => 1,
+                QueryDelta::Removed { .. } => 2,
+            }] += 1;
+        }
+        for (name, n) in [
+            ("query.change.seen", seen),
+            ("query.eval.entry", evals),
+            ("query.delta.added", kinds[0]),
+            ("query.delta.changed", kinds[1]),
+            ("query.delta.removed", kinds[2]),
+        ] {
+            if n > 0 {
+                self.telemetry.add(Layer::Query, name, n);
+            }
         }
         self.telemetry.span_end(span, at);
         out
@@ -434,6 +450,7 @@ impl SubscriptionRegistry {
         &mut self,
         change: &DitChange,
         dit: &Dit,
+        evals: &mut u64,
         out: &mut Vec<(SubscriptionId, QueryDelta)>,
     ) {
         let (before, after) = match change {
@@ -441,50 +458,36 @@ impl SubscriptionRegistry {
             DitChange::Modified { before, after } => (Some(before), Some(after)),
             DitChange::Removed(e) => (Some(e), None),
         };
-        let dn = change.entry().dn().clone();
-        let dn_str = dn.to_string();
+        let dn = change.entry().dn();
+        self.index_edges(dn, before, after);
 
-        // Maintain the edge occurrence index for the changed entry.
-        let indexed: Vec<AttributeType> = self.edge_occ.keys().cloned().collect();
-        for attr in indexed {
-            let old: BTreeSet<String> = before.map(|e| edge_values(e, &attr)).unwrap_or_default();
-            let new: BTreeSet<String> = after.map(|e| edge_values(e, &attr)).unwrap_or_default();
-            if old == new {
-                continue;
-            }
-            let occ = self.edge_occ.entry(attr).or_default();
-            for gone in old.difference(&new) {
-                if let Some(set) = occ.get_mut(gone) {
-                    set.remove(&dn);
-                    if set.is_empty() {
-                        occ.remove(gone);
-                    }
-                }
-            }
-            for fresh in new.difference(&old) {
-                occ.entry(fresh.clone()).or_default().insert(dn.clone());
-            }
-        }
-
-        // Interested subscriptions: attribute-index union ∪ negation
-        // queries ∪ whoever currently matches this DN.
-        let mut touched: BTreeSet<&str> = BTreeSet::new();
+        // Interested subscriptions: negation queries ∪ attribute-index
+        // union ∪ whoever currently matches this DN, which also says
+        // who matched it before the change.
+        let mut interest = std::mem::take(&mut self.interest);
+        interest.clear();
+        interest.extend(self.wildcard_subs.iter().map(|&id| (id, false)));
         for e in before.iter().chain(after.iter()) {
             for attr in e.attrs() {
-                touched.insert(attr.ty().as_str());
+                if let Some(set) = self.attr_index.get(attr.ty().as_str()) {
+                    interest.extend(set.iter().map(|&id| (id, false)));
+                }
             }
         }
-        let mut interested: BTreeSet<u64> = self.wildcard_subs.clone();
-        for attr in touched {
-            if let Some(set) = self.attr_index.get(attr) {
-                interested.extend(set.iter().copied());
-            }
+        if let Some(ids) = self.matched_index.get(dn) {
+            interest.extend(ids.iter().map(|&id| (id, true)));
         }
-        if let Some(set) = self.matched_index.get(&dn) {
-            interested.extend(set.iter().copied());
-        }
+        // `(id, false)` sorts before `(id, true)`: keep the first, with
+        // the flag of either.
+        interest.sort_unstable();
+        interest.dedup_by(|next, kept| {
+            kept.1 |= next.1 && next.0 == kept.0;
+            next.0 == kept.0
+        });
 
-        for sub_id in interested {
+        let modified = matches!(change, DitChange::Modified { .. });
+        let mut dn_text: Option<String> = None;
+        for &(sub_id, was_member) in &interest {
             let Some(sub) = self.subs.get_mut(&sub_id) else {
                 continue;
             };
@@ -493,83 +496,136 @@ impl SubscriptionRegistry {
             }
             // Update join target sets; a flipped target re-evaluates
             // exactly the entries whose edge attribute names it.
-            let mut candidates: BTreeSet<Dn> = BTreeSet::from([dn.clone()]);
+            let mut referrers: Option<BTreeSet<Dn>> = None;
             for (j, join) in sub.query.joins.iter().enumerate() {
-                let was = before.map(|e| join.inner.matches(e)).unwrap_or(false);
-                let now = after.map(|e| join.inner.matches(e)).unwrap_or(false);
+                let was = before.is_some_and(|e| join.inner.matches(e));
+                let now = after.is_some_and(|e| join.inner.matches(e));
                 if was == now {
                     continue;
                 }
+                let text = dn_text.get_or_insert_with(|| dn.to_string());
                 if now {
-                    sub.targets[j].insert(dn_str.clone());
+                    sub.targets[j].insert(text.clone());
                 } else {
-                    sub.targets[j].remove(&dn_str);
+                    sub.targets[j].remove(text.as_str());
                 }
-                if let Some(referrers) = self
+                if let Some(refs) = self
                     .edge_occ
                     .get(&join.attr)
-                    .and_then(|occ| occ.get(&dn_str))
+                    .and_then(|occ| occ.get(text.as_str()))
                 {
-                    candidates.extend(referrers.iter().cloned());
+                    referrers
+                        .get_or_insert_with(BTreeSet::new)
+                        .extend(refs.iter().cloned());
                 }
             }
-            for cand in candidates {
-                self.telemetry.incr(Layer::Query, "query.eval.entry");
-                // The mutated entry is evaluated against its own
-                // post-change snapshot so a batch replays in stream
-                // order; join-flip candidates read the post-batch
-                // tree (later changes to them re-evaluate anyway).
-                let now = if cand == dn {
-                    after.is_some_and(|e| sub.query.eval_entry(e, &sub.targets))
+            // The mutated entry is evaluated against its own
+            // post-change snapshot so a batch replays in stream order;
+            // join-flip candidates read the post-batch tree (later
+            // changes to them re-evaluate anyway). Only the mutated
+            // entry itself can be "changed": entries re-evaluated via a
+            // flipped join target did not change state.
+            let mut settle = |cand: &Dn| {
+                *evals += 1;
+                let (was, now, changed) = if cand == dn {
+                    let now = after.is_some_and(|e| sub.query.eval_entry(e, &sub.targets));
+                    (was_member, now, modified)
                 } else {
-                    dit.get(&cand)
-                        .map(|e| sub.query.eval_entry(e, &sub.targets))
-                        .unwrap_or(false)
+                    let was = self
+                        .matched_index
+                        .get(cand)
+                        .is_some_and(|ids| ids.binary_search(&sub_id).is_ok());
+                    let now = dit
+                        .get(cand)
+                        .is_some_and(|e| sub.query.eval_entry(e, &sub.targets));
+                    (was, now, false)
                 };
-                let was = sub.matched_dns.contains(&cand);
-                let cand_str = cand.to_string();
-                match (was, now) {
+                let delta = match (was, now) {
                     (false, true) => {
-                        sub.matched_dns.insert(cand.clone());
-                        self.matched_index
-                            .entry(cand.clone())
-                            .or_default()
-                            .insert(sub_id);
-                        out.push((SubscriptionId(sub_id), QueryDelta::Added { id: cand_str }));
+                        insert_member(&mut self.matched_index, cand, sub_id);
+                        QueryDelta::Added {
+                            id: cand.to_string(),
+                        }
                     }
                     (true, false) => {
-                        sub.matched_dns.remove(&cand);
-                        if let Some(set) = self.matched_index.get_mut(&cand) {
-                            set.remove(&sub_id);
-                            if set.is_empty() {
-                                self.matched_index.remove(&cand);
+                        if let Some(ids) = self.matched_index.get_mut(cand) {
+                            if let Ok(i) = ids.binary_search(&sub_id) {
+                                ids.remove(i);
+                            }
+                            if ids.is_empty() {
+                                self.matched_index.remove(cand);
                             }
                         }
-                        out.push((SubscriptionId(sub_id), QueryDelta::Removed { id: cand_str }));
-                    }
-                    (true, true) => {
-                        // Only the mutated entry itself is "changed";
-                        // entries re-evaluated via a flipped join
-                        // target did not change state.
-                        if cand == dn && matches!(change, DitChange::Modified { .. }) {
-                            out.push((
-                                SubscriptionId(sub_id),
-                                QueryDelta::Changed { id: cand_str },
-                            ));
+                        QueryDelta::Removed {
+                            id: cand.to_string(),
                         }
                     }
-                    (false, false) => {}
+                    (true, true) if changed => QueryDelta::Changed {
+                        id: cand.to_string(),
+                    },
+                    _ => return,
+                };
+                out.push((SubscriptionId(sub_id), delta));
+            };
+            match referrers {
+                None => settle(dn),
+                Some(mut candidates) => {
+                    candidates.insert(dn.clone());
+                    candidates.iter().for_each(settle);
+                }
+            }
+        }
+        self.interest = interest;
+    }
+
+    /// Keeps the edge occurrence index in step with one changed entry;
+    /// an edge attribute equal before and after costs one comparison.
+    fn index_edges(&mut self, dn: &Dn, before: Option<&Entry>, after: Option<&Entry>) {
+        for (attr, occ) in &mut self.edge_occ {
+            let old_attr = before.and_then(|e| e.attr(attr));
+            let new_attr = after.and_then(|e| e.attr(attr));
+            if old_attr == new_attr {
+                continue;
+            }
+            let old = edge_values(old_attr);
+            let new = edge_values(new_attr);
+            for gone in old.difference(&new) {
+                if let Some(set) = occ.get_mut(*gone) {
+                    set.remove(dn);
+                    if set.is_empty() {
+                        occ.remove(*gone);
+                    }
+                }
+            }
+            for fresh in new.difference(&old) {
+                match occ.get_mut(*fresh) {
+                    Some(set) => {
+                        set.insert(dn.clone());
+                    }
+                    None => {
+                        occ.insert((*fresh).to_owned(), BTreeSet::from([dn.clone()]));
+                    }
                 }
             }
         }
     }
 
-    fn apply_pair(&mut self, key: &str, value: &str, out: &mut Vec<(SubscriptionId, QueryDelta)>) {
-        if self.knowledge.get(key).is_some_and(|v| v == value) {
-            return;
+    /// Feeds one resolved pair; returns whether it changed the shadow
+    /// (a pair equal to the shadowed value is no change at all).
+    fn apply_pair(
+        &mut self,
+        key: &str,
+        value: &String,
+        evals: &mut u64,
+        out: &mut Vec<(SubscriptionId, QueryDelta)>,
+    ) -> bool {
+        match self.knowledge.get_mut(key) {
+            Some(shadow) if shadow == value => return false,
+            Some(shadow) => shadow.clone_from(value),
+            None => {
+                self.knowledge.insert(key.to_owned(), value.clone());
+            }
         }
-        self.knowledge.insert(key.to_owned(), value.to_owned());
-        self.telemetry.incr(Layer::Query, "query.change.seen");
         for sub_id in self.knowledge_subs.iter().copied() {
             let Some(sub) = self.subs.get_mut(&sub_id) else {
                 continue;
@@ -582,7 +638,7 @@ impl SubscriptionRegistry {
                     continue;
                 }
             }
-            self.telemetry.incr(Layer::Query, "query.eval.entry");
+            *evals += 1;
             let now = sub.query.eval_kv(key, value);
             let was = sub.matched_keys.contains(key);
             let delta = match (was, now) {
@@ -599,6 +655,7 @@ impl SubscriptionRegistry {
             };
             out.push((SubscriptionId(sub_id), delta));
         }
+        true
     }
 
     /// The current incrementally-maintained result set (DN strings or
@@ -606,7 +663,12 @@ impl SubscriptionRegistry {
     pub fn matches(&self, id: SubscriptionId) -> Option<BTreeSet<String>> {
         let sub = self.subs.get(&id.0)?;
         Some(match sub.query.source() {
-            Source::Entries => sub.matched_dns.iter().map(|d| d.to_string()).collect(),
+            Source::Entries => self
+                .matched_index
+                .iter()
+                .filter(|(_, ids)| ids.binary_search(&id.0).is_ok())
+                .map(|(dn, _)| dn.to_string())
+                .collect(),
             Source::Knowledge => sub.matched_keys.clone(),
         })
     }
@@ -655,24 +717,23 @@ impl SubscriptionRegistry {
     }
 }
 
-/// Text values of one attribute of an entry, as a set.
-fn edge_values(entry: &Entry, attr: &AttributeType) -> BTreeSet<String> {
-    entry
-        .attr(attr.as_str())
-        .map(|a| {
-            a.values()
-                .iter()
-                .filter_map(|v| v.as_text())
-                .map(str::to_owned)
-                .collect()
-        })
+/// Text values of an edge attribute, as a set.
+fn edge_values(attr: Option<&Attribute>) -> BTreeSet<&str> {
+    attr.map(|a| a.values().iter().filter_map(|v| v.as_text()).collect())
         .unwrap_or_default()
+}
+
+/// Records that `dn` entered subscription `id`'s result set.
+fn insert_member(index: &mut BTreeMap<Dn, Vec<u64>>, dn: &Dn, id: u64) {
+    let ids = index.entry(dn.clone()).or_default();
+    if let Err(i) = ids.binary_search(&id) {
+        ids.insert(i, id);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cscw_directory::Attribute;
 
     /// A recording DIT holding `c=UK`, its log already taken.
     fn base_dit() -> Dit {
@@ -939,5 +1000,268 @@ mod tests {
             telemetry.counter(Layer::Query, "query.change.seen"),
             seen + 2
         );
+    }
+
+    /// Seeded operations for the equivalence property below.
+    mod stream {
+        use cscw_directory::{Attribute, Dit, Dn, Entry};
+        use cscw_kernel::SeededRng;
+
+        pub const PEOPLE: u64 = 16;
+        pub const PROJECTS: u64 = 2;
+        const SURNAMES: [&str; 3] = ["Rodden", "Prinz", "Navarro"];
+
+        pub fn person_dn(i: u64) -> Dn {
+            format!("c=UK,cn=p{i}").parse().unwrap()
+        }
+
+        pub fn project_dn(j: u64) -> Dn {
+            format!("c=UK,cn=proj{j}").parse().unwrap()
+        }
+
+        fn person(rng: &mut SeededRng, dn: Dn) -> Entry {
+            let sn = SURNAMES[rng.below(SURNAMES.len() as u64) as usize];
+            let mut e = Entry::new(dn)
+                .with_class("person")
+                .with_attr(Attribute::single("cn", "someone"))
+                .with_attr(Attribute::single("sn", sn));
+            if rng.chance(0.5) {
+                e.put_attr(Attribute::single("mail", "x@example.org"));
+            }
+            // Most people work on project 0, so its flips have many
+            // referrers.
+            if rng.chance(0.8) {
+                let j = if rng.chance(0.75) {
+                    0
+                } else {
+                    rng.below(PROJECTS)
+                };
+                e.put_attr(Attribute::single("workson", project_dn(j).to_string()));
+            }
+            if rng.chance(0.3) {
+                e.put_attr(Attribute::single("occupiesrole", "cn=chair"));
+            }
+            e
+        }
+
+        /// A recording DIT with the country, the projects (project 0
+        /// works on itself) and half the people, its log taken.
+        pub fn seed(rng: &mut SeededRng) -> Dit {
+            let mut dit = Dit::new();
+            dit.record_changes();
+            dit.add(
+                Entry::new("c=UK".parse().unwrap())
+                    .with_class("country")
+                    .with_attr(Attribute::single("c", "UK")),
+            )
+            .unwrap();
+            for j in 0..PROJECTS {
+                let mut e = Entry::new(project_dn(j))
+                    .with_class("cscwproject")
+                    .with_attr(Attribute::single("cn", format!("proj{j}")))
+                    .with_attr(Attribute::single("projectstate", "dormant"));
+                if j == 0 {
+                    e.put_attr(Attribute::single("workson", project_dn(0).to_string()));
+                }
+                dit.add(e).unwrap();
+            }
+            for i in (0..PEOPLE).step_by(2) {
+                let e = person(rng, person_dn(i));
+                dit.add(e).unwrap();
+            }
+            dit.take_changes();
+            dit
+        }
+
+        /// One random mutation of person `who` or of a project: add,
+        /// modify, remove or rename. Mutations that do not apply are
+        /// skipped.
+        pub fn op(rng: &mut SeededRng, dit: &mut Dit, who: u64) {
+            let dn = person_dn(who);
+            let present = dit.get(&dn).is_some();
+            match rng.below(8) {
+                0 if !present => {
+                    let e = person(rng, dn);
+                    dit.add(e).unwrap();
+                }
+                1 if present => {
+                    dit.remove(&dn).unwrap();
+                }
+                2 if present => {
+                    let to = person_dn(rng.below(PEOPLE));
+                    if dit.get(&to).is_none() {
+                        dit.rename(&dn, to).unwrap();
+                    }
+                }
+                3 if present => {
+                    let sn = SURNAMES[rng.below(SURNAMES.len() as u64) as usize];
+                    dit.modify(&dn, |e| e.replace_attr(Attribute::single("sn", sn)))
+                        .unwrap();
+                }
+                4 if present => {
+                    let mail = rng.chance(0.5);
+                    dit.modify(&dn, |e| {
+                        if mail {
+                            e.put_attr(Attribute::single("mail", "x@example.org"));
+                        } else {
+                            e.remove_attr(&"mail".into());
+                        }
+                    })
+                    .unwrap();
+                }
+                5 if present => {
+                    let target = project_dn(rng.below(PROJECTS)).to_string();
+                    let drop = rng.chance(0.2);
+                    dit.modify(&dn, |e| {
+                        if drop {
+                            e.remove_attr(&"workson".into());
+                        } else {
+                            e.replace_attr(Attribute::single("workson", target));
+                        }
+                    })
+                    .unwrap();
+                }
+                // Flip a join target: project state active <-> dormant.
+                6 | 7 => {
+                    let project = project_dn(rng.below(PROJECTS));
+                    let active = dit.get(&project).and_then(|e| e.first_text("projectstate"))
+                        == Some("active");
+                    let state = if active { "dormant" } else { "active" };
+                    dit.modify(&project, |e| {
+                        e.replace_attr(Attribute::single("projectstate", state));
+                    })
+                    .unwrap();
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// Whether any interest or membership index still names `id`.
+    fn indexes_name(reg: &SubscriptionRegistry, id: u64) -> bool {
+        reg.attr_index.values().any(|set| set.contains(&id))
+            || reg.wildcard_subs.contains(&id)
+            || reg.knowledge_subs.contains(&id)
+            || reg.matched_index.values().any(|set| set.contains(&id))
+    }
+
+    #[test]
+    fn incremental_registry_matches_its_oracle_on_seeded_batches() {
+        use cscw_kernel::SeededRng;
+        use std::collections::BTreeMap;
+
+        const QUERIES: [&str; 5] = [
+            r#"class = person and sn = "Rodden""#,
+            r#"class = person and not mail present"#,
+            r#"works-on (projectstate = active)"#,
+            r#"class = person and not works-on (projectstate = active)"#,
+            r#"occupies "cn=chair" or sn matches "P*""#,
+        ];
+        const BATCHES: u64 = 60;
+        for seed in 1..=40u64 {
+            let mut rng = SeededRng::seed_from(seed);
+            let mut dit = stream::seed(&mut rng);
+            let mut reg = SubscriptionRegistry::new();
+            let mut live: BTreeMap<SubscriptionId, BTreeSet<String>> = BTreeMap::new();
+            let subscribe = |reg: &mut SubscriptionRegistry, dit: &Dit, src: &str| {
+                let id = reg.subscribe(src, 0).unwrap();
+                let initial = reg.prime(id, dit, 0).unwrap();
+                let set: BTreeSet<String> = initial.iter().map(|d| d.id().to_owned()).collect();
+                assert_eq!(set.len(), initial.len(), "priming repeats a member");
+                (id, set)
+            };
+            for src in QUERIES {
+                let (id, set) = subscribe(&mut reg, &dit, src);
+                live.insert(id, set);
+            }
+            let knowledge = reg
+                .subscribe(r#"from knowledge key prefix "org:""#, 0)
+                .unwrap();
+            reg.prime_knowledge(knowledge, 0).unwrap();
+            let mut known: BTreeSet<String> = BTreeSet::new();
+
+            for batch in 0..BATCHES {
+                if batch == BATCHES / 2 {
+                    // Cancel one query mid-stream, then subscribe it
+                    // afresh under a new id.
+                    let victim = *live
+                        .keys()
+                        .nth(rng.below(live.len() as u64) as usize)
+                        .unwrap();
+                    let src = reg.query_src(victim).unwrap().to_owned();
+                    assert!(reg.unsubscribe(victim));
+                    live.remove(&victim);
+                    assert!(
+                        !indexes_name(&reg, victim.value()),
+                        "seed {seed}: an index still names cancelled {victim}"
+                    );
+                    let (id, set) = subscribe(&mut reg, &dit, &src);
+                    live.insert(id, set);
+                }
+                // Several changes per batch, often to one DN.
+                let focus = rng.below(stream::PEOPLE);
+                for _ in 0..=rng.below(4) {
+                    let who = if rng.chance(0.5) {
+                        focus
+                    } else {
+                        rng.below(stream::PEOPLE)
+                    };
+                    stream::op(&mut rng, &mut dit, who);
+                }
+                let pairs: Vec<(String, String)> = (0..rng.below(3))
+                    .map(|_| {
+                        let key = format!("org:{}", rng.below(4));
+                        (key, format!("v{}", rng.below(2)))
+                    })
+                    .collect();
+                let changes = dit.take_changes();
+                let modified: BTreeSet<String> = changes
+                    .iter()
+                    .filter(|c| matches!(c, DitChange::Modified { .. }))
+                    .map(|c| c.entry().dn().to_string())
+                    .collect();
+                let deltas = reg.apply(&pairs, &changes, &dit, batch);
+                for (id, delta) in &deltas {
+                    let set = if *id == knowledge {
+                        &mut known
+                    } else {
+                        live.get_mut(id).expect("a delta for a live query")
+                    };
+                    let member = delta.id().to_owned();
+                    match delta {
+                        QueryDelta::Added { .. } => {
+                            assert!(set.insert(member), "seed {seed}: {delta} twice");
+                        }
+                        QueryDelta::Removed { .. } => {
+                            assert!(set.remove(&member), "seed {seed}: {delta} of a non-member");
+                        }
+                        QueryDelta::Changed { .. } => {
+                            assert!(
+                                set.contains(&member),
+                                "seed {seed}: {delta} of a non-member"
+                            );
+                            assert!(
+                                *id == knowledge || modified.contains(&member),
+                                "seed {seed}: {delta} for an entry no change modified"
+                            );
+                        }
+                    }
+                }
+                for (id, set) in &live {
+                    assert_eq!(
+                        reg.matches(*id).as_ref(),
+                        Some(set),
+                        "seed {seed} batch {batch}: deltas do not sum to the result set of {id}"
+                    );
+                    assert_eq!(
+                        reg.oracle_matches(*id, &dit).as_ref(),
+                        Some(set),
+                        "seed {seed} batch {batch}: {id} diverged from the re-scan oracle"
+                    );
+                }
+                assert_eq!(reg.matches(knowledge).as_ref(), Some(&known));
+                assert_eq!(reg.oracle_matches(knowledge, &dit).as_ref(), Some(&known));
+            }
+        }
     }
 }

@@ -6,10 +6,11 @@
 //! `SimPlatform` (env → trader import → DSA add → MTA notify, every hop
 //! on simnet); another counts the gossip periods of a small federated
 //! ring (digest and delta frames, transport notify, replica ingest and
-//! the standing-query feed). Both measure once the bounded telemetry
-//! stores are full, as they are in any long run, and pin the total. A
-//! change that makes either path copy more — or less — moves its count
-//! and fails here.
+//! the standing-query feed); a third counts standing-query deltas over a
+//! knowledge DIT (directory modify, registry apply, delta drain). All
+//! measure once the bounded telemetry stores are full, as they are in
+//! any long run, and pin the total. A change that makes any of these
+//! paths copy more — or less — moves its count and fails here.
 //!
 //! The counter is a std-only global allocator with a thread-local tally,
 //! so allocations on the test harness's other threads never leak into
@@ -18,10 +19,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use open_cscw::directory::Dn;
+use open_cscw::directory::{Attribute, Dn, Entry};
 use open_cscw::federation::DEFAULT_GOSSIP_PERIOD_MICROS;
 use open_cscw::groupware::{descriptor_for, mapping_for, sample_artifact, APP_POPULATION};
-use open_cscw::kernel::{Telemetry, Timestamp};
+use open_cscw::kernel::{SeededRng, Telemetry, Timestamp};
 use open_cscw::mocca::env::AppId;
 use open_cscw::mocca::info::{InfoContent, InfoObject, InfoObjectId};
 use open_cscw::mocca::org::Person;
@@ -87,7 +88,7 @@ const EXCHANGES: u64 = 100;
 /// `cargo test` builds. To re-pin after a deliberate change, run
 /// `cargo test --test exchange_allocations` and copy the measured total
 /// from the failure message.
-const PINNED_ALLOCS: u64 = 13_351;
+const PINNED_ALLOCS: u64 = 12_851;
 
 /// The `i`-th exchange: source app, destination app, sharer.
 fn pick(i: u64) -> (usize, usize, usize) {
@@ -227,5 +228,142 @@ fn gossip_allocations_are_pinned() {
          {PINNED_GOSSIP_ALLOCS} ({:.1} per period). If the change is deliberate, \
          re-pin PINNED_GOSSIP_ALLOCS in tests/exchange_allocations.rs to {measured}.",
         measured as f64 / PERIODS as f64
+    );
+}
+
+/// People in the awareness DIT, spread over [`ORGS`] organisations.
+const AWARE_PEOPLE: u64 = 500;
+const ORGS: u64 = 10;
+/// Projects, every other one active.
+const PROJECTS: u64 = 8;
+/// Awareness operations counted.
+const AWARE_OPS: u64 = 200;
+
+/// Allocations made by [`AWARE_OPS`] awareness operations in the debug
+/// profile. Re-pin as for [`PINNED_ALLOCS`].
+const PINNED_AWARENESS_ALLOCS: u64 = 9_059;
+
+/// The standing-query panel: attribute filter, edge literal, one-hop
+/// join.
+const PANEL: [&str; 3] = [
+    r#"class = person and sn = "Surname7""#,
+    r#"class = person and occupies "cn=coordinator""#,
+    r#"class = person and works-on (projectstate = active)"#,
+];
+
+fn project_dn(j: u64) -> String {
+    format!("c=UK,cn=proj{j}")
+}
+
+/// A knowledge DIT of [`AWARE_PEOPLE`] people and [`PROJECTS`]
+/// projects; returns the people's DNs.
+fn populate_awareness(env: &mut CscwEnvironment) -> Vec<Dn> {
+    let dit = env.knowledge_mut().dit_mut();
+    dit.add(
+        Entry::new("c=UK".parse().unwrap())
+            .with_class("country")
+            .with_attr(Attribute::single("c", "UK")),
+    )
+    .unwrap();
+    for o in 0..ORGS {
+        dit.add(
+            Entry::new(format!("c=UK,o=org{o}").parse().unwrap())
+                .with_class("organization")
+                .with_attr(Attribute::single("o", format!("org{o}"))),
+        )
+        .unwrap();
+    }
+    for j in 0..PROJECTS {
+        let state = if j % 2 == 0 { "active" } else { "dormant" };
+        dit.add(
+            Entry::new(project_dn(j).parse().unwrap())
+                .with_class("cscwproject")
+                .with_attr(Attribute::single("cn", format!("proj{j}")))
+                .with_attr(Attribute::single("projectstate", state)),
+        )
+        .unwrap();
+    }
+    (0..AWARE_PEOPLE)
+        .map(|i| {
+            let dn: Dn = format!("c=UK,o=org{},cn=person{i}", i % ORGS)
+                .parse()
+                .unwrap();
+            let mut e = Entry::new(dn.clone())
+                .with_class("person")
+                .with_attr(Attribute::single("cn", format!("person{i}")))
+                .with_attr(Attribute::single("sn", format!("Surname{}", i % 50)));
+            if i % 3 == 0 {
+                e.put_attr(Attribute::single("occupiesrole", "cn=coordinator"));
+            }
+            if i % 2 == 0 {
+                e.put_attr(Attribute::single("workson", project_dn(i % PROJECTS)));
+            }
+            dit.add(e).unwrap();
+            dn
+        })
+        .collect()
+}
+
+/// One awareness operation: a seeded modify (surname rewrite,
+/// coordinator toggle or project move), then the query pump and the
+/// delta drain.
+fn awareness_op(env: &mut CscwEnvironment, people: &[Dn], rng: &mut SeededRng) {
+    let person = &people[rng.below(AWARE_PEOPLE) as usize];
+    let kind = rng.below(3);
+    let value = rng.below(50);
+    let dit = env.knowledge_mut().dit_mut();
+    match kind {
+        0 => dit.modify(person, |e| {
+            e.replace_attr(Attribute::single("sn", format!("Surname{value}")));
+        }),
+        1 => {
+            let occupied = dit
+                .get(person)
+                .is_some_and(|e| e.attr("occupiesrole").is_some());
+            dit.modify(person, |e| {
+                if occupied {
+                    e.remove_attr(&"occupiesrole".into());
+                } else {
+                    e.put_attr(Attribute::single("occupiesrole", "cn=coordinator"));
+                }
+            })
+        }
+        _ => dit.modify(person, |e| {
+            e.replace_attr(Attribute::single("workson", project_dn(value % PROJECTS)));
+        }),
+    }
+    .unwrap();
+    env.pump_queries().unwrap();
+    env.take_query_deltas();
+}
+
+#[test]
+fn awareness_allocations_are_pinned() {
+    let platform = LocalPlatform::new();
+    bound(platform.telemetry());
+    let mut env = CscwEnvironment::with_platform(Box::new(platform));
+    let people = populate_awareness(&mut env);
+    for src in PANEL {
+        env.subscribe(src).unwrap();
+    }
+    env.take_query_deltas();
+    let mut rng = SeededRng::seed_from(2);
+    // Warm up until both bounded stores are full and dropping.
+    while env.telemetry().dropped_events() == 0 || env.telemetry().dropped_spans() == 0 {
+        awareness_op(&mut env, &people, &mut rng);
+    }
+    let before = allocs();
+    for _ in 0..AWARE_OPS {
+        awareness_op(&mut env, &people, &mut rng);
+    }
+    let measured = allocs() - before;
+    assert_eq!(env.queries().rescans(), 0);
+    assert_eq!(
+        measured,
+        PINNED_AWARENESS_ALLOCS,
+        "{AWARE_OPS} awareness operations allocated {measured} times, pinned \
+         {PINNED_AWARENESS_ALLOCS} ({:.1} per operation). If the change is deliberate, \
+         re-pin PINNED_AWARENESS_ALLOCS in tests/exchange_allocations.rs to {measured}.",
+        measured as f64 / AWARE_OPS as f64
     );
 }
