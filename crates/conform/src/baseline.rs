@@ -8,8 +8,8 @@
 //! staleness a failure too, so CI keeps the ratchet tight).
 //!
 //! The format is a hand-parsed TOML subset (array-of-tables with three
-//! scalar keys), because the workspace's vendored `serde` stubs ship no
-//! TOML support and the analyzer depends on nothing it checks.
+//! scalar keys): the workspace is std-only, and the analyzer depends on
+//! nothing it checks.
 
 use std::collections::BTreeMap;
 

@@ -1,6 +1,6 @@
 //! A hand-rolled token scanner for Rust source.
 //!
-//! The workspace's dependencies are vendored API stubs, so `syn` is not
+//! The workspace builds offline on the standard library, so `syn` is not
 //! available; the conformance rules only need a token stream with line
 //! numbers, with comments, strings and char literals out of the way
 //! (doc-comment examples and string contents must never trigger a

@@ -8,12 +8,11 @@
 
 use cscw_directory::Dn;
 use cscw_kernel::Timestamp;
-use serde::{Deserialize, Serialize};
 
 use crate::error::MoccaError;
 
 /// Identifies an activity.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ActivityId(String);
 
 impl ActivityId {
@@ -41,7 +40,7 @@ impl From<&str> for ActivityId {
 }
 
 /// Activity lifecycle states.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ActivityState {
     /// Proposed, not yet agreed.
     Proposed,
@@ -92,11 +91,11 @@ impl ActivityState {
 
 /// A member's role within one activity (distinct from organisational
 /// roles — the inter-activity model maps between them).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ActivityRole(pub String);
 
 /// One cooperative activity.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Activity {
     /// The id.
     pub id: ActivityId,

@@ -13,13 +13,12 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use cscw_directory::Dn;
-use serde::{Deserialize, Serialize};
 
 use crate::activity::activity::{Activity, ActivityId, ActivityState};
 use crate::error::MoccaError;
 
 /// How two activities relate.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DependencyKind {
     /// `from` must complete before `to` starts ("well-defined temporal
     /// relationships").
@@ -32,7 +31,7 @@ pub enum DependencyKind {
 }
 
 /// One inter-activity dependency edge.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Dependency {
     /// Source activity.
     pub from: ActivityId,

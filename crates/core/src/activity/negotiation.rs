@@ -7,13 +7,12 @@
 //! recorded on the activity.
 
 use cscw_directory::Dn;
-use serde::{Deserialize, Serialize};
 
 use crate::activity::activity::ActivityId;
 use crate::error::MoccaError;
 
 /// What is being negotiated.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NegotiationSubject {
     /// Who is responsible for the activity.
     Responsibility(ActivityId),
@@ -27,7 +26,7 @@ pub enum NegotiationSubject {
 }
 
 /// Protocol states.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NegotiationState {
     /// A proposal is on the table for the respondent.
     AwaitingRespondent,
@@ -40,7 +39,7 @@ pub enum NegotiationState {
 }
 
 /// The move kinds a negotiation step can record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NegotiationAction {
     /// Opening proposal.
     Propose,
@@ -53,7 +52,7 @@ pub enum NegotiationAction {
 }
 
 /// One recorded protocol step.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NegotiationStep {
     /// Who moved.
     pub by: Dn,
@@ -65,7 +64,7 @@ pub struct NegotiationStep {
 }
 
 /// A negotiation between an initiator and a respondent.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Negotiation {
     /// What it is about.
     pub subject: NegotiationSubject,

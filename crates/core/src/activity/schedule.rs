@@ -6,13 +6,12 @@
 //! it.
 
 use cscw_kernel::Timestamp;
-use serde::{Deserialize, Serialize};
 
 use crate::activity::activity::{ActivityId, ActivityState};
 use crate::activity::deps::InterActivityModel;
 
 /// One activity's line in a monitoring report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ActivityStatus {
     /// The activity.
     pub id: ActivityId,
@@ -29,7 +28,7 @@ pub struct ActivityStatus {
 }
 
 /// A whole-model monitoring report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MonitorReport {
     /// When the report was taken.
     pub at: Timestamp,

@@ -15,7 +15,6 @@ use cscw_directory::Dn;
 use cscw_kernel::{Layer, Timestamp};
 use cscw_messaging::net::{Message, Node, NodeCtx, NodeId, Payload, Sim};
 use cscw_messaging::{Ipm, OrAddress, SubmitOptions, UserAgent};
-use serde::{Deserialize, Serialize};
 
 /// How a send travelled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,7 +26,7 @@ pub enum DeliveryMode {
 }
 
 /// One utterance in a session log.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Utterance {
     /// Sequence number within the session.
     pub seq: u64,

@@ -3,13 +3,12 @@
 use cscw_directory::Dn;
 use cscw_kernel::Timestamp;
 use cscw_messaging::OrAddress;
-use serde::{Deserialize, Serialize};
 
 use crate::activity::ActivityId;
 use crate::info::InfoObjectId;
 
 /// A participant in communication, with their reachable media.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Communicator {
     /// Directory identity.
     pub dn: Dn,
@@ -56,7 +55,7 @@ impl Communicator {
 
 /// The context communication happens in: which activity, which
 /// participants — "the context within which communication takes place".
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CommContext {
     /// Context id.
     pub id: String,
@@ -85,7 +84,7 @@ impl CommContext {
 }
 
 /// One recorded exchange.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CommEvent {
     /// When.
     pub at: Timestamp,

@@ -332,11 +332,15 @@ impl CscwEnvironment {
     /// Any directory error from entry creation.
     pub fn publish_knowledge(&mut self) -> Result<usize, MoccaError> {
         self.count_op();
-        let org = self.org.read().clone();
-        let published = self.knowledge.publish(&org)?;
+        // The read guard is released before any port call below.
+        let published = {
+            let org = self.org.read();
+            self.knowledge.publish(&org)?
+        };
         self.emit_env("env.publish_knowledge", format_args!("{published} entries"));
-        let entries: Vec<Entry> = self.knowledge.dit().iter().cloned().collect();
-        for entry in &entries {
+        // `knowledge` and `platform` are disjoint fields, so the DIT is
+        // walked in place; only the copy the DSA keeps is cloned.
+        for entry in self.knowledge.dit().iter() {
             match self.platform.directory().apply(DirOp::Add(entry.clone())) {
                 Ok(_) | Err(cscw_directory::DirectoryError::EntryExists(_)) => {}
                 Err(e) => return Err(e.into()),
@@ -350,8 +354,8 @@ impl CscwEnvironment {
         // changes feed the entry queries.
         let mut pairs = Vec::new();
         if let Some(port) = self.federation.as_mut() {
-            pairs.reserve(entries.len());
-            for entry in &entries {
+            pairs.reserve(self.knowledge.dit().len());
+            for entry in self.knowledge.dit().iter() {
                 let key = format!("org:{}", entry.dn());
                 let value = entry.to_string();
                 port.publish_entry(&key, &value);

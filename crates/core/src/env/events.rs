@@ -10,14 +10,13 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use cscw_directory::Dn;
 use cscw_kernel::Timestamp;
-use serde::{Deserialize, Serialize};
 
 use crate::activity::ActivityId;
 use crate::info::InfoContent;
 use crate::transparency::activity::{ActivityIsolation, Visibility};
 
 /// One environment event.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EnvEvent {
     /// Event kind (`activity-started`, `object-updated`, `utterance`…).
     pub kind: String,

@@ -15,13 +15,11 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::env::registry::AppId;
 use crate::error::MoccaError;
 
 /// An artifact in some application's native format.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NativeArtifact {
     /// The producing application.
     pub app: AppId,
@@ -48,7 +46,7 @@ impl NativeArtifact {
 
 /// A bidirectional mapping between native field names and common-model
 /// field names.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FormatMapping {
     /// Pairs of (native field, common field).
     pub pairs: Vec<(String, String)>,

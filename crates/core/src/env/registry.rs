@@ -5,10 +5,8 @@
 //! which information-object kinds it produces and consumes, and how its
 //! native format maps to the common information model.
 
-use serde::{Deserialize, Serialize};
-
 /// Identifies a registered application.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct AppId(String);
 
 impl AppId {
@@ -36,7 +34,7 @@ impl From<&str> for AppId {
 }
 
 /// The time dimension of Figure 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TimeMode {
     /// Same time (synchronous interaction).
     SameTime,
@@ -45,7 +43,7 @@ pub enum TimeMode {
 }
 
 /// The place dimension of Figure 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PlaceMode {
     /// Same place (co-located, e.g. a meeting room).
     SamePlace,
@@ -54,7 +52,7 @@ pub enum PlaceMode {
 }
 
 /// One cell of the groupware time–space matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Quadrant {
     /// Time dimension.
     pub time: TimeMode,
@@ -98,7 +96,7 @@ impl Quadrant {
 }
 
 /// A registered application.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AppDescriptor {
     /// The id.
     pub id: AppId,

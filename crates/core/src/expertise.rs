@@ -5,12 +5,11 @@
 //! the users individual skills."
 
 use cscw_directory::Dn;
-use serde::{Deserialize, Serialize};
 
 use crate::activity::ActivityId;
 
 /// One skill a user holds, with a proficiency level.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Capability {
     /// The skill name (`minute-taking`, `odp-modelling`, `german`…).
     pub skill: String,
@@ -29,7 +28,7 @@ impl Capability {
 }
 
 /// A responsibility imposed by the organisation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Responsibility {
     /// The activity it concerns.
     pub activity: ActivityId,
@@ -40,7 +39,7 @@ pub struct Responsibility {
 }
 
 /// One user's expertise record.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Expertise {
     /// Individual skills.
     pub capabilities: Vec<Capability>,

@@ -625,6 +625,39 @@ mod tests {
         assert_eq!(fed.env("env-b").unwrap().repository().len(), 1);
     }
 
+    /// Every gossip frame leaves its subject in the receiving mailbox,
+    /// but equal subjects share one stored run: a ring's mailbox stays
+    /// the same size however long it gossips, while `delivered` still
+    /// reports every frame.
+    #[test]
+    fn gossip_mailboxes_stay_bounded_over_long_runs() {
+        let sites = ["site-0", "site-1", "site-2", "site-3"];
+        let mut fed = FederatedEnvironments::new();
+        for site in sites {
+            fed.federate(site, CscwEnvironment::new());
+        }
+        for (i, site) in sites.iter().enumerate() {
+            fed.link_bidi(site, sites[(i + 1) % sites.len()]);
+        }
+        let mailbox = fed.mailboxes["site-0"].clone();
+        let mut gossip_for = |periods: u64| {
+            fed.run_for(periods * DEFAULT_GOSSIP_PERIOD_MICROS, 1)
+                .unwrap();
+            let platform = fed.env_mut("site-0").unwrap().platform_mut();
+            let frames = platform.transport().delivered(&mailbox).len();
+            let local = platform
+                .as_any_mut()
+                .downcast_mut::<crate::platform::LocalPlatform>()
+                .unwrap();
+            (local.stored_runs(&mailbox), frames)
+        };
+        let (runs_10, frames_10) = gossip_for(10);
+        let (runs_1110, frames_1110) = gossip_for(1_100);
+        // Two inbound links, a digest and a delta frame each per period.
+        assert_eq!((frames_10, frames_1110), (40, 4_440));
+        assert_eq!(runs_1110, runs_10, "stored runs grew with the run");
+    }
+
     /// A platform whose transport refuses its first `refusals` notify
     /// calls, then behaves — a stand-in for a congested receiver.
     struct CongestedPlatform {

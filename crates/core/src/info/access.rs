@@ -8,7 +8,6 @@
 //! the lower ones. The owner always holds every right.
 
 use cscw_directory::Dn;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 use crate::error::MoccaError;
@@ -16,7 +15,7 @@ use crate::info::object::InfoObjectId;
 use crate::org::OrganisationalModel;
 
 /// Rights over an information object, in increasing order of power.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum AccessRight {
     /// May read the object.
     Read,
@@ -27,7 +26,7 @@ pub enum AccessRight {
 }
 
 /// One grant: a principal (person or role DN) holds a right.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Grant {
     /// The person or role.
     pub principal: Dn,

@@ -9,10 +9,9 @@
 use std::collections::BTreeMap;
 
 use cscw_directory::Dn;
-use serde::{Deserialize, Serialize};
 
 /// Identifies an information object.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct InfoObjectId(String);
 
 impl InfoObjectId {
@@ -41,7 +40,7 @@ impl From<&str> for InfoObjectId {
 
 /// The content of an information object, in the *common* representation
 /// every registered application can convert to and from.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum InfoContent {
     /// Unstructured text.
     Text(String),
@@ -89,7 +88,7 @@ impl InfoContent {
 }
 
 /// An information object in the shared model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InfoObject {
     /// The id.
     pub id: InfoObjectId,

@@ -7,13 +7,11 @@
 
 use std::collections::{BTreeSet, VecDeque};
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::MoccaError;
 use crate::info::object::InfoObjectId;
 
 /// How two information objects relate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InfoRelationKind {
     /// `from` is a component of `to` (composition).
     PartOf,
@@ -24,7 +22,7 @@ pub enum InfoRelationKind {
 }
 
 /// One relation edge.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InfoRelation {
     /// Source object.
     pub from: InfoObjectId,

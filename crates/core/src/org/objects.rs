@@ -8,10 +8,9 @@
 
 use cscw_directory::Dn;
 use cscw_messaging::OrAddress;
-use serde::{Deserialize, Serialize};
 
 /// A person known to the organisation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Person {
     /// Directory identity.
     pub dn: Dn,
@@ -41,7 +40,7 @@ impl Person {
 
 /// An organisational role ("traditionally, roles have been used to
 /// signify different access rights of users", §4).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Role {
     /// Directory identity.
     pub dn: Dn,
@@ -64,7 +63,7 @@ impl Role {
 
 /// A shareable organisational resource (meeting room, printer,
 /// repository…).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Resource {
     /// Directory identity.
     pub dn: Dn,
@@ -87,7 +86,7 @@ impl Resource {
 
 /// A project: a long-lived organisational undertaking that activities
 /// belong to (e.g. "building the Channel Tunnel", §3).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Project {
     /// Directory identity.
     pub dn: Dn,
@@ -106,7 +105,7 @@ impl Project {
 }
 
 /// An organisational unit (department, institute, group).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OrgUnit {
     /// Directory identity.
     pub dn: Dn,
@@ -125,7 +124,7 @@ impl OrgUnit {
 }
 
 /// A typed relation between two organisational objects (by DN).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OrgRelation {
     /// Source object.
     pub from: Dn,
@@ -136,7 +135,7 @@ pub struct OrgRelation {
 }
 
 /// The relation kinds the organisational model tracks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RelationKind {
     /// Person reports to person.
     ReportsTo,

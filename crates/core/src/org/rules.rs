@@ -8,10 +8,9 @@
 //! audit against.
 
 use cscw_directory::Dn;
-use serde::{Deserialize, Serialize};
 
 /// Rule modality.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RuleKind {
     /// The role may perform the action.
     Permit,
@@ -22,7 +21,7 @@ pub enum RuleKind {
 }
 
 /// One organisational rule.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OrgRule {
     /// The role the rule binds (by DN).
     pub role: Dn,

@@ -24,13 +24,15 @@ use super::{DirectoryPort, Platform, TraderPort, TransportPort};
 /// boundary.
 ///
 /// A mailbox keeps only what [`delivered`](TransportPort::delivered)
-/// exposes, each notification's subject in arrival order. Originators
-/// and bodies are not stored, so a long run does not accumulate every
-/// gossip frame it ever shipped.
+/// exposes, each notification's subject in arrival order, stored as
+/// runs of equal consecutive subjects. Originators and bodies are not
+/// stored, and the gossip frames a federation ships under one subject
+/// share one run, so a long run's mailbox does not grow with every
+/// frame it ever shipped.
 pub struct LocalPlatform {
     trader: Trader,
     dit: Dit,
-    mailboxes: BTreeMap<OrAddress, Vec<String>>,
+    mailboxes: BTreeMap<OrAddress, Vec<(String, usize)>>,
     telemetry: Telemetry,
     clock: WallClock,
     next_message_id: u64,
@@ -72,6 +74,12 @@ impl LocalPlatform {
     /// Read access to the backing trader.
     pub fn raw_trader(&self) -> &Trader {
         &self.trader
+    }
+
+    /// How many runs of equal subjects `to`'s mailbox stores.
+    #[cfg(test)]
+    pub(crate) fn stored_runs(&self, to: &OrAddress) -> usize {
+        self.mailboxes.get(to).map_or(0, Vec::len)
     }
 
     fn emit(&self, layer: Layer, name: &'static str, detail: impl fmt::Display) {
@@ -168,18 +176,25 @@ impl TransportPort for LocalPlatform {
         let id = self.next_message_id;
         self.next_message_id += 1;
         // An existing mailbox is found by reference; only a new one
-        // copies its address.
+        // copies its address, and only a new run its subject.
         match self.mailboxes.get_mut(to) {
-            Some(subjects) => subjects.push(subject.to_owned()),
+            Some(runs) => match runs.last_mut() {
+                Some((last, count)) if last == subject => *count += 1,
+                _ => runs.push((subject.to_owned(), 1)),
+            },
             None => {
-                self.mailboxes.insert(to.clone(), vec![subject.to_owned()]);
+                self.mailboxes
+                    .insert(to.clone(), vec![(subject.to_owned(), 1)]);
             }
         }
         Ok(id)
     }
 
     fn delivered(&mut self, to: &OrAddress) -> Vec<String> {
-        self.mailboxes.get(to).cloned().unwrap_or_default()
+        let runs = self.mailboxes.get(to).into_iter().flatten();
+        runs.flat_map(|(subject, count)| std::iter::repeat_n(subject, *count))
+            .cloned()
+            .collect()
     }
 }
 
@@ -243,15 +258,20 @@ mod tests {
     #[test]
     fn transport_port_delivers_in_memory() {
         let mut p = LocalPlatform::new();
-        p.notify(&addr("env"), &addr("tom"), "artifact-exchanged", "doc1")
-            .unwrap();
-        p.notify(&addr("env"), &addr("tom"), "object-stored", "doc2")
-            .unwrap();
-        assert_eq!(
-            p.delivered(&addr("tom")),
-            vec!["artifact-exchanged".to_owned(), "object-stored".to_owned()]
-        );
+        let subjects = [
+            "artifact-exchanged",
+            "artifact-exchanged",
+            "object-stored",
+            "artifact-exchanged",
+        ];
+        for subject in subjects {
+            p.notify(&addr("env"), &addr("tom"), subject, "doc1")
+                .unwrap();
+        }
+        // Equal consecutive subjects share one stored run.
+        assert_eq!(p.stored_runs(&addr("tom")), 3);
+        assert_eq!(p.delivered(&addr("tom")), subjects);
         assert!(p.delivered(&addr("nobody")).is_empty());
-        assert_eq!(p.telemetry().counter(Layer::Messaging, "mts.submit"), 2);
+        assert_eq!(p.telemetry().counter(Layer::Messaging, "mts.submit"), 4);
     }
 }

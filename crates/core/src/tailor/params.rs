@@ -10,12 +10,11 @@
 use std::collections::BTreeMap;
 
 use odp::Value;
-use serde::{Deserialize, Serialize};
 
 use crate::error::MoccaError;
 
 /// Where a setting applies, in increasing precedence.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Scope {
     /// The declared default.
     System,
@@ -39,7 +38,7 @@ pub struct TailorContext {
 }
 
 /// What values a parameter accepts.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Constraint {
     /// Any text value.
     AnyText,

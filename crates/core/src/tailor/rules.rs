@@ -8,12 +8,11 @@
 //! events through a [`RuleEngine`].
 
 use cscw_directory::Dn;
-use serde::{Deserialize, Serialize};
 
 use crate::info::InfoContent;
 
 /// Matches events by kind and field values.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct EventPattern {
     /// Event kind to match; `None` matches every kind.
     pub kind: Option<String>,
@@ -70,7 +69,7 @@ impl EventPattern {
 }
 
 /// What a rule does when it fires.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum RuleAction {
     /// File the object into a folder.
     MoveToFolder(String),
@@ -85,7 +84,7 @@ pub enum RuleAction {
 }
 
 /// One user rule.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TailorRule {
     /// Rule name (for the user's rule list).
     pub name: String,

@@ -28,11 +28,9 @@ pub use organisation::OrganisationTransparency;
 pub use time::TimeBridge;
 pub use view::{View, ViewRegistry};
 
-use serde::{Deserialize, Serialize};
-
 /// Which CSCW transparencies are engaged. Plain data so the tailoring
 /// layer can expose it to end users, per §6.1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CscwTransparencySelection {
     /// Mask organisational boundaries and policies.
     pub organisation: bool,

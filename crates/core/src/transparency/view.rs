@@ -12,12 +12,11 @@
 use std::collections::BTreeMap;
 
 use cscw_directory::Dn;
-use serde::{Deserialize, Serialize};
 
 use crate::info::{InfoContent, InfoObject};
 
 /// A per-user projection of field-structured content.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct View {
     /// Fields shown, in order, as (common name, label shown to the
     /// user). An empty list shows everything unrelabelled.

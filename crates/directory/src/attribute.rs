@@ -8,13 +8,11 @@
 use std::borrow::{Borrow, Cow};
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A case-insensitive attribute type name (`cn`, `telephoneNumber`, …).
 ///
 /// Normalised to lowercase at construction so that lookups and schema
 /// checks need no case folding.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct AttributeType(String);
 
 impl AttributeType {
@@ -75,7 +73,7 @@ impl From<String> for AttributeType {
 }
 
 /// One attribute value.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum AttributeValue {
     /// A (case-sensitive) string value.
     Text(String),
@@ -139,7 +137,7 @@ impl From<i64> for AttributeValue {
 }
 
 /// A typed, multi-valued attribute.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Attribute {
     ty: AttributeType,
     values: Vec<AttributeValue>,

@@ -22,7 +22,6 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use cscw_kernel::Layer;
-use serde::{Deserialize, Serialize};
 use simnet::{Message, Node, NodeCtx, NodeId, Payload, Sim};
 
 use crate::attribute::{Attribute, AttributeType, AttributeValue};
@@ -45,7 +44,7 @@ fn emit_directory(ctx: &NodeCtx<'_>, name: &'static str, detail: impl fmt::Displ
 
 /// A network-transferable entry modification (closures cannot cross the
 /// simulated wire).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Modification {
     /// Add/merge an attribute.
     Put(Attribute),
@@ -74,7 +73,7 @@ impl Modification {
 }
 
 /// A directory operation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum DirOp {
     /// Add an entry.
     Add(Entry),

@@ -3,8 +3,6 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::attribute::{Attribute, AttributeType, AttributeValue};
 use crate::name::Dn;
 
@@ -27,7 +25,7 @@ use crate::name::Dn;
 /// assert_eq!(entry.first_text("sn"), Some("Rodden"));
 /// # Ok::<(), cscw_directory::DirectoryError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Entry {
     dn: Dn,
     attrs: BTreeMap<AttributeType, Attribute>,

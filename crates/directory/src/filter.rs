@@ -8,8 +8,6 @@
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 use crate::attribute::{AttributeType, AttributeValue};
 use crate::entry::Entry;
 use crate::error::DirectoryError;
@@ -28,7 +26,7 @@ use crate::error::DirectoryError;
 /// assert!(filter.matches(&entry));
 /// # Ok::<(), cscw_directory::DirectoryError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Filter {
     /// Matches every entry.
     True,
@@ -51,7 +49,7 @@ pub enum Filter {
 }
 
 /// A parsed `initial*any*…*final` substring pattern.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SubstringPattern {
     initial: Option<String>,
     any: Vec<String>,

@@ -19,8 +19,6 @@ use std::hash::{Hash, Hasher};
 use std::str::FromStr;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::attribute::AttributeType;
 use crate::error::DirectoryError;
 
@@ -34,7 +32,7 @@ const KEY_SEPARATORS: [char; 2] = [RDN_SEPARATOR, VALUE_SEPARATOR];
 ///
 /// Attribute types compare case-insensitively (they are normalised to
 /// lowercase on construction); values compare exactly.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Rdn {
     attr: AttributeType,
     value: String,
@@ -117,7 +115,7 @@ impl FromStr for Rdn {
 /// assert_eq!(parent.to_string(), "c=UK,o=Lancaster,ou=Computing");
 /// # Ok::<(), cscw_directory::DirectoryError>(())
 /// ```
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct Dn(Arc<DnInner>);
 
 /// The immutable body shared by clones of one [`Dn`].

@@ -13,14 +13,12 @@
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::attribute::{AttributeType, AttributeValue};
 use crate::entry::{Entry, OBJECT_CLASS};
 use crate::error::DirectoryError;
 
 /// One object-class definition.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ObjectClass {
     name: String,
     mandatory: Vec<AttributeType>,

@@ -1,13 +1,11 @@
 //! Search requests and results.
 
-use serde::{Deserialize, Serialize};
-
 use crate::entry::Entry;
 use crate::filter::Filter;
 use crate::name::Dn;
 
 /// How far below the base object a search extends.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SearchScope {
     /// The base object only.
     Base,
@@ -18,7 +16,7 @@ pub enum SearchScope {
 }
 
 /// A directory search.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SearchRequest {
     /// Where the search starts.
     pub base: Dn,
@@ -50,7 +48,7 @@ impl SearchRequest {
 }
 
 /// The result of a search.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SearchOutcome {
     /// Matching entries, in DN order.
     pub entries: Vec<Entry>,

@@ -15,12 +15,11 @@ use cscw_directory::Dn;
 use cscw_kernel::{Layer, Timestamp};
 use cscw_messaging::net::{Message, Node, NodeCtx, NodeId, Payload, Sim};
 use cscw_messaging::{Envelope, Ipm, MtsPdu, OrAddress};
-use serde::{Deserialize, Serialize};
 
 use crate::GroupwareError;
 
 /// One entry in a conference.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BbsEntry {
     /// Entry id, unique within the server.
     pub id: u64,

@@ -10,12 +10,11 @@
 use std::collections::BTreeMap;
 
 use cscw_directory::Dn;
-use serde::{Deserialize, Serialize};
 
 use crate::GroupwareError;
 
 /// Meeting phases, in order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MeetingPhase {
     /// Collecting items; everyone may contribute simultaneously.
     Brainstorm,
@@ -26,7 +25,7 @@ pub enum MeetingPhase {
 }
 
 /// One brainstormed item.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BoardItem {
     /// Item index on the board.
     pub index: usize,

@@ -14,12 +14,11 @@
 use cscw_directory::Dn;
 use cscw_kernel::Timestamp;
 use mocca::org::OrganisationalModel;
-use serde::{Deserialize, Serialize};
 
 use crate::GroupwareError;
 
 /// One step of a procedure.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProcedureStep {
     /// Step name.
     pub name: String,
@@ -28,7 +27,7 @@ pub struct ProcedureStep {
 }
 
 /// How a step ended.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum StepOutcome {
     /// Performed normally.
     Performed {
@@ -49,7 +48,7 @@ pub enum StepOutcome {
 }
 
 /// A running procedure instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Procedure {
     /// Instance name (e.g. "travel-claim-1992-07").
     pub name: String,

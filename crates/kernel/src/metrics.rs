@@ -13,8 +13,8 @@
 //!
 //! [`MetricsSnapshot`] is the machine-readable export: a deterministic,
 //! sorted capture of every counter and histogram in a [`crate::Telemetry`]
-//! stream with a stable hand-rolled JSON codec (the vendored serde is a
-//! stub, so nothing here depends on it).
+//! stream with a stable hand-rolled JSON codec, so the format is
+//! written down here and depends on no serialisation framework.
 
 use std::fmt::Write as _;
 
@@ -242,7 +242,7 @@ pub fn json_escape(s: &str) -> String {
 /// stream: every counter and histogram summary, grouped by layer and
 /// sorted by name, plus the drop accounting.
 ///
-/// Serialized with [`MetricsSnapshot::to_json`] — a stable hand-rolled
+/// Rendered by [`MetricsSnapshot::to_json`] — a stable hand-rolled
 /// codec (two snapshots with equal contents render byte-identically).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {

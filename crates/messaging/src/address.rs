@@ -8,8 +8,6 @@
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::MtsError;
 
 /// An O/R (originator/recipient) address.
@@ -25,7 +23,7 @@ use crate::error::MtsError;
 /// assert_eq!(addr.to_string(), "C=UK;O=Lancaster;OU=Computing;PN=Tom Rodden");
 /// # Ok::<(), cscw_messaging::MtsError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct OrAddress {
     country: String,
     organization: String,

@@ -8,14 +8,13 @@
 //! and opaque binary — and [`BodyPart::convert_to`] implements the legal
 //! conversions with an explicit cost model that the R2 bench measures.
 
-use bytes::Bytes;
-use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 use crate::address::OrAddress;
 use crate::error::MtsError;
 
 /// Message importance, carried in the heading.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum Importance {
     /// Routine traffic.
     #[default]
@@ -27,7 +26,7 @@ pub enum Importance {
 }
 
 /// The structured heading of an interpersonal message (P2 heading).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Heading {
     /// The author.
     pub originator: OrAddress,
@@ -68,7 +67,7 @@ impl Heading {
 /// Kinds of media a body part can be.
 ///
 /// `kind_name` strings appear in errors and metrics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum BodyPart {
     /// IA5-ish plain text.
     Text(String),
@@ -81,13 +80,13 @@ pub enum BodyPart {
     Binary {
         /// Format label (e.g. `application/oda`).
         format: String,
-        /// The bytes.
-        data: Bytes,
+        /// The bytes, shared by every copy of the body part.
+        data: Arc<[u8]>,
     },
 }
 
 /// A simulated G3 fax raster: fixed-width scan lines.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaxImage {
     /// Raster width in pixels (G3 standard is 1728).
     pub width: u32,
@@ -111,7 +110,7 @@ impl FaxImage {
 }
 
 /// A paper rendition: pages of rendered text.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PaperDocument {
     /// Rendered pages.
     pub pages: Vec<String>,
@@ -130,7 +129,7 @@ impl PaperDocument {
 /// The relative cost of a media conversion, in abstract work units.
 /// Used by the communication-requirement bench (R2) to show the shape of
 /// cross-media interchange.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct ConversionCost(pub u64);
 
 impl BodyPart {
@@ -253,7 +252,7 @@ fn paginate(text: &str) -> PaperDocument {
 }
 
 /// A complete interpersonal message: heading plus body parts.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Ipm {
     /// The heading.
     pub heading: Heading,
@@ -346,7 +345,7 @@ mod tests {
     fn binary_converts_to_nothing() {
         let b = BodyPart::Binary {
             format: "application/oda".into(),
-            data: Bytes::from_static(b"x"),
+            data: Arc::from(&b"x"[..]),
         };
         for target in ["text", "fax", "paper"] {
             assert!(b.convert_to(target).is_err());

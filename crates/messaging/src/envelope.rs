@@ -1,7 +1,6 @@
 //! Transfer envelopes and trace information.
 
 use cscw_kernel::Timestamp;
-use serde::{Deserialize, Serialize};
 
 use crate::address::OrAddress;
 
@@ -9,7 +8,7 @@ use crate::address::OrAddress;
 ///
 /// Priority scales each MTA's per-hop processing delay: urgent messages
 /// move through queues faster than non-urgent ones.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum Priority {
     /// Bulk traffic (4× processing delay).
     NonUrgent,
@@ -33,7 +32,7 @@ impl Priority {
 
 /// One hop recorded in the envelope's trace, for loop detection and
 /// observability.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceHop {
     /// The MTA's name.
     pub mta: String,
@@ -43,7 +42,7 @@ pub struct TraceHop {
 
 /// The transfer envelope (P1): everything MTAs need without opening the
 /// content.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Envelope {
     /// MTS-assigned message identifier (unique per submission).
     pub message_id: u64,

@@ -5,8 +5,8 @@
 //! and deltas belongs to the federation layer; what belongs here is the
 //! wire discipline: a [`GossipFrame`] that rides any text-bodied
 //! transport (MTS notifications, hosted nodes) with a hand-rolled,
-//! self-describing codec — the vendored serde is a stub, so frames are
-//! encoded by construction rather than derivation.
+//! self-describing codec: frames are encoded by construction rather
+//! than derivation, so the wire format is written down in one place.
 //!
 //! The codec is versioned (`gossip/1`) and splits on the first three
 //! `|` separators only, so frame bodies may contain arbitrary text

@@ -1,12 +1,11 @@
 //! Delivery reports and receipt notifications.
 
 use cscw_kernel::Timestamp;
-use serde::{Deserialize, Serialize};
 
 use crate::address::OrAddress;
 
 /// Why a recipient could not be served.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NonDeliveryReason {
     /// The recipient is unknown at the destination MTA.
     UnknownRecipient,
@@ -34,7 +33,7 @@ impl std::fmt::Display for NonDeliveryReason {
 }
 
 /// Per-recipient outcome in a delivery report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum DeliveryOutcome {
     /// Delivered to the recipient's message store at the given time.
     Delivered {
@@ -57,7 +56,7 @@ impl DeliveryOutcome {
 
 /// A delivery / non-delivery report sent back to the originator
 /// (X.400 DR/NDR).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeliveryReport {
     /// The message this reports on.
     pub subject_message_id: u64,
@@ -69,7 +68,7 @@ pub struct DeliveryReport {
 
 /// An end-to-end receipt notification: the *user* (not the MTA) has seen
 /// the message (X.420 IPN).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReceiptNotification {
     /// The message that was read.
     pub subject_message_id: u64,

@@ -8,7 +8,6 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use cscw_kernel::Timestamp;
-use serde::{Deserialize, Serialize};
 
 use crate::content::Ipm;
 use crate::report::{DeliveryReport, ReceiptNotification};
@@ -17,7 +16,7 @@ use crate::report::{DeliveryReport, ReceiptNotification};
 pub const INBOX: &str = "inbox";
 
 /// A message at rest in a store.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StoredMessage {
     /// MTS message id.
     pub message_id: u64,

@@ -12,12 +12,10 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::object::ObjectId;
 
 /// A management domain: a named administration with member objects.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Domain {
     name: String,
     members: Vec<ObjectId>,
@@ -75,7 +73,7 @@ impl Domain {
 }
 
 /// A federation contract between two domains for specific service types.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FederationContract {
     /// One party.
     pub a: String,

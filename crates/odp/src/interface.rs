@@ -8,13 +8,11 @@
 //! result). The trader matches service types by name *and* checks
 //! structural conformance at export time.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::OdpError;
 use crate::value::{Value, ValueKind};
 
 /// One operation signature.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OperationSig {
     name: String,
     params: Vec<ValueKind>,
@@ -102,7 +100,7 @@ impl OperationSig {
 /// assert!(fancy.conforms_to(&printer).is_ok(), "more ops, wider params: conformant");
 /// assert!(printer.conforms_to(&fancy).is_err(), "missing duplex");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InterfaceType {
     name: String,
     operations: Vec<OperationSig>,

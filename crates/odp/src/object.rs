@@ -9,14 +9,13 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use cscw_messaging::net::{Message, Node, NodeCtx, NodeId, Payload, Sim};
-use serde::{Deserialize, Serialize};
 
 use crate::error::OdpError;
 use crate::interface::InterfaceType;
 use crate::value::Value;
 
 /// A globally unique object name.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ObjectId(String);
 
 impl ObjectId {
@@ -46,7 +45,7 @@ impl From<&str> for ObjectId {
 /// A reference to an interface of an object at a known engineering
 /// location. Location transparency replaces the `node` with a locator
 /// lookup; see [`crate::TransparentInvoker`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InterfaceRef {
     /// The object.
     pub object: ObjectId,

@@ -24,14 +24,13 @@
 use std::collections::BTreeMap;
 
 use cscw_messaging::net::{NodeId, Sim};
-use serde::{Deserialize, Serialize};
 
 use crate::error::OdpError;
 use crate::object::{InterfaceRef, Invoker, ObjectHost, ObjectId};
 use crate::value::Value;
 
 /// Which distribution transparencies are engaged.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TransparencySelection {
     /// Mask heterogeneity of access (marshalling).
     pub access: bool,

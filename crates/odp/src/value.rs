@@ -2,10 +2,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A dynamically-typed value crossing an ODP operational interface.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// No value.
     Unit,
@@ -127,7 +125,7 @@ impl From<Vec<Value>> for Value {
 }
 
 /// Value kinds, for signatures. `Any` matches every kind.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ValueKind {
     /// No value.
     Unit,

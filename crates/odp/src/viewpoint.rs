@@ -11,12 +11,10 @@
 //! checks that make the five descriptions one system rather than five
 //! documents.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::OdpError;
 
 /// The five viewpoints.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Viewpoint {
     /// Purpose, scope, policies: communities, roles, obligations.
     Enterprise,
@@ -31,7 +29,7 @@ pub enum Viewpoint {
 }
 
 /// Deontic modality of an enterprise policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PolicyKind {
     /// The role must perform the behaviour.
     Obligation,
@@ -42,7 +40,7 @@ pub enum PolicyKind {
 }
 
 /// One enterprise policy statement.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EnterprisePolicy {
     /// Which role it binds.
     pub role: String,
@@ -53,7 +51,7 @@ pub struct EnterprisePolicy {
 }
 
 /// The enterprise specification: communities, roles, policies.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct EnterpriseSpec {
     /// Communities (e.g. organisations, projects).
     pub communities: Vec<String>,
@@ -64,7 +62,7 @@ pub struct EnterpriseSpec {
 }
 
 /// The information specification: named schemata.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct InformationSpec {
     /// Invariant schemata: always-true predicates, by name.
     pub invariants: Vec<String>,
@@ -75,7 +73,7 @@ pub struct InformationSpec {
 }
 
 /// One computational object declaration.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ComputationalObjectDecl {
     /// The object name.
     pub name: String,
@@ -86,7 +84,7 @@ pub struct ComputationalObjectDecl {
 }
 
 /// The computational specification.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ComputationalSpec {
     /// Declared objects.
     pub objects: Vec<ComputationalObjectDecl>,
@@ -95,7 +93,7 @@ pub struct ComputationalSpec {
 }
 
 /// One engineering placement.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Placement {
     /// The computational object placed.
     pub object: String,
@@ -104,7 +102,7 @@ pub struct Placement {
 }
 
 /// The engineering specification.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct EngineeringSpec {
     /// Node names.
     pub nodes: Vec<String>,
@@ -115,14 +113,14 @@ pub struct EngineeringSpec {
 }
 
 /// The technology specification.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TechnologySpec {
     /// Implementation choices as (component, technology) pairs.
     pub choices: Vec<(String, String)>,
 }
 
 /// A complete five-viewpoint system description.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SystemSpec {
     /// Enterprise viewpoint.
     pub enterprise: EnterpriseSpec,

@@ -2,14 +2,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifies a node (site/host) in the simulated network.
 ///
 /// Node ids are dense indices handed out by
 /// [`TopologyBuilder::add_node`](crate::TopologyBuilder::add_node) in
 /// registration order, which makes them usable as `Vec` indices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub(crate) u32);
 
 impl NodeId {
@@ -39,7 +37,7 @@ impl fmt::Display for NodeId {
 }
 
 /// Identifies a single message send; unique within one simulation run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MessageId(pub(crate) u64);
 
 impl MessageId {
@@ -56,7 +54,7 @@ impl fmt::Display for MessageId {
 }
 
 /// Identifies a pending timer; unique within one simulation run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TimerId(pub(crate) u64);
 
 impl TimerId {

@@ -18,8 +18,6 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use serde::{Deserialize, Serialize};
-
 use crate::id::NodeId;
 use cscw_kernel::Timestamp;
 
@@ -127,7 +125,7 @@ pub mod shapes {
 ///
 /// The discipline only matters while the wire is busy: an arrival on an
 /// idle link always transmits immediately, regardless of discipline.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum QueueDiscipline {
     /// Admit arrivals until the queue is full, then shed new arrivals.
     #[default]
@@ -159,7 +157,7 @@ pub enum QueueDiscipline {
 /// message, later arrivals wait in a bounded egress queue (see
 /// [`QueueDiscipline`]); with both capacities `None` the queue is
 /// unbounded and the link never sheds for congestion.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkSpec {
     /// Fixed propagation delay, in microseconds.
     pub latency_micros: u64,

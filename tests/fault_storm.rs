@@ -3,11 +3,9 @@
 //! duplicates a delivery, never livelocks, and accounts for every
 //! message (delivered, bounced with an NDR, or dropped on a dead link).
 
-use open_cscw::kernel::{Layer, Timestamp};
+use open_cscw::kernel::{Layer, SeededRng, Timestamp};
 use open_cscw::messaging::{Ipm, MtaNode, OrAddress, SubmitOptions, UserAgent};
 use open_cscw::simnet::{FaultAction, LinkSpec, NodeId, Sim, TopologyBuilder};
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
 
 struct World {
     sim: Sim,
@@ -53,19 +51,19 @@ fn world(seed: u64) -> World {
 /// (delivered, ndr_reports, sim).
 fn storm(seed: u64, sends: usize) -> (usize, usize, Sim) {
     let mut w = world(seed);
-    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xBAD);
+    let mut rng = SeededRng::seed_from(seed ^ 0xBAD);
 
     // Schedule a storm of faults across the first simulated minute.
     for _ in 0..6 {
-        let at = Timestamp::from_millis(rng.gen_range(0..60_000));
-        let victim = w.mtas[rng.gen_range(0..3)];
-        let heal_after = rng.gen_range(100..20_000) * 1_000;
-        if rng.gen_bool(0.5) {
+        let at = Timestamp::from_millis(rng.below(60_000));
+        let victim = w.mtas[rng.below(3) as usize];
+        let heal_after = (100 + rng.below(20_000 - 100)) * 1_000;
+        if rng.chance(0.5) {
             w.sim.schedule_fault(at, FaultAction::Crash(victim));
             w.sim
                 .schedule_fault(at + heal_after, FaultAction::Restart(victim));
         } else {
-            let other = w.mtas[rng.gen_range(0..3)];
+            let other = w.mtas[rng.below(3) as usize];
             if other != victim {
                 w.sim
                     .schedule_fault(at, FaultAction::Partition(vec![victim], vec![other]));
@@ -79,8 +77,8 @@ fn storm(seed: u64, sends: usize) -> (usize, usize, Sim) {
     // but the MTAs process through the storm).
     let recipients: Vec<OrAddress> = w.agents.iter().map(|a| a.address().clone()).collect();
     for n in 0..sends {
-        let from = rng.gen_range(0..3);
-        let mut to = rng.gen_range(0..3);
+        let from = rng.below(3) as usize;
+        let mut to = rng.below(3) as usize;
         if to == from {
             to = (to + 1) % 3;
         }
@@ -90,7 +88,7 @@ fn storm(seed: u64, sends: usize) -> (usize, usize, Sim) {
             &format!("storm-{n}"),
             "payload",
         );
-        let defer = Timestamp::from_millis(rng.gen_range(0..60_000));
+        let defer = Timestamp::from_millis(rng.below(60_000));
         w.agents[from].submit(
             &mut w.sim,
             ipm,
