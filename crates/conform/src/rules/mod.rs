@@ -51,6 +51,11 @@ impl FileContext<'_> {
 /// field/path chain. Returns `None` when there is no receiver (the dot
 /// opened the expression).
 pub fn receiver_chain(tokens: &[Token], call_dot: usize) -> Option<String> {
+    receiver_span(tokens, call_dot).map(|(_, chain)| chain)
+}
+
+/// As [`receiver_chain`], with the index of the chain's first token.
+pub fn receiver_span(tokens: &[Token], call_dot: usize) -> Option<(usize, String)> {
     let mut parts: Vec<String> = Vec::new();
     let mut i = call_dot; // index of the `.`
     loop {
@@ -83,7 +88,7 @@ pub fn receiver_chain(tokens: &[Token], call_dot: usize) -> Option<String> {
         return None;
     }
     parts.reverse();
-    Some(parts.concat())
+    Some((i, parts.concat()))
 }
 
 /// Finds the index of the `)` matching the `(` at `open`.

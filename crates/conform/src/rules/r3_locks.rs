@@ -19,14 +19,16 @@
 //!   (`OrgTradingPolicy::allows`), so holding it across the call is a
 //!   latent deadlock.
 //!
-//! Guard liveness is syntactic: `let g = x.read();` holds to the end of
-//! the function (or an explicit `drop(g)`); a chained
-//! `x.read().method()` is a statement-scoped temporary and releases at
-//! the `;`.
+//! Guard liveness is syntactic: `let g = x.read();` and
+//! `let g = &x.read();` (a borrow extends the temporary's life) hold to
+//! the end of the block (or an explicit `drop(g)`). Any other lock call
+//! is a statement-scoped temporary that releases at the `;`: a chained
+//! `x.read().method()`, and a guard inside a larger initializer, as in
+//! `let p = publish(&x.read())?;`.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use super::{matching_paren, receiver_chain, FileContext};
+use super::{matching_paren, receiver_chain, receiver_span, FileContext};
 use crate::diag::Finding;
 use crate::lexer::Token;
 
@@ -201,7 +203,7 @@ pub fn check_locks(ctx: &FileContext<'_>, graph: &mut LockGraph, findings: &mut 
                     let close = matching_paren(toks, i + 2);
                     if close == i + 3 {
                         // Zero-arg call: a genuine lock acquisition shape.
-                        if let Some(receiver) = receiver_chain(toks, i) {
+                        if let Some((start, receiver)) = receiver_span(toks, i) {
                             let lock = canonical_lock(&receiver, &ctx.rel_path);
                             let line = t.line;
                             for g in &held {
@@ -209,19 +211,12 @@ pub fn check_locks(ctx: &FileContext<'_>, graph: &mut LockGraph, findings: &mut 
                                     graph.add_edge(&g.lock, &lock, &ctx.rel_path, line);
                                 }
                             }
-                            // Let-bound guard (chain ends right here)?
-                            let chained = toks
-                                .get(close + 1)
-                                .map(|x| x.kind.is_punct("."))
-                                .unwrap_or(false);
-                            if !chained {
-                                if let Some(var) = let_binding_var(toks, stmt_start) {
-                                    held.push(Guard {
-                                        lock,
-                                        var,
-                                        brace_depth,
-                                    });
-                                }
+                            if let Some(var) = guard_binding(toks, stmt_start, start, close) {
+                                held.push(Guard {
+                                    lock,
+                                    var,
+                                    brace_depth,
+                                });
                             }
                         }
                     }
@@ -253,9 +248,11 @@ pub fn check_locks(ctx: &FileContext<'_>, graph: &mut LockGraph, findings: &mut 
     }
 }
 
-/// If the statement starting at `stmt_start` is `let [mut] name = …`,
-/// returns `name`.
-fn let_binding_var(toks: &[Token], stmt_start: usize) -> Option<String> {
+/// The variable that holds the guard of a lock call spanning tokens
+/// `start..=close`: `name` when the statement at `stmt_start` is
+/// `let [mut] name[: T] = [&[mut]] <call>;`, the call being the whole
+/// initializer. `None` for any other shape, whose guard is a temporary.
+fn guard_binding(toks: &[Token], stmt_start: usize, start: usize, close: usize) -> Option<String> {
     let mut i = stmt_start;
     if !toks.get(i)?.kind.is_ident("let") {
         return None;
@@ -265,10 +262,17 @@ fn let_binding_var(toks: &[Token], stmt_start: usize) -> Option<String> {
         i += 1;
     }
     let name = toks.get(i)?.kind.ident()?.to_owned();
-    if name == "_" {
+    if name == "_" || !toks.get(close + 1)?.kind.is_punct(";") {
         return None;
     }
-    Some(name)
+    let mut init = i + toks[i..start].iter().position(|t| t.kind.is_punct("="))? + 1;
+    if toks[init].kind.is_punct("&") {
+        init += 1;
+        if toks[init].kind.is_ident("mut") {
+            init += 1;
+        }
+    }
+    (init == start).then_some(name)
 }
 
 #[cfg(test)]
@@ -325,6 +329,31 @@ mod tests {
             &mut g,
         );
         assert_eq!(f.len(), 1);
+        assert!(f[0].message.contains("org-model"));
+    }
+
+    #[test]
+    fn a_guard_inside_an_initializer_is_a_temporary() {
+        let mut g = LockGraph::new();
+        let f = run(
+            "fn a(&mut self) { let p = self.knowledge.publish(&self.org.read())?; \
+             self.platform.directory().apply(op)?; }",
+            "a.rs",
+            &mut g,
+        );
+        assert!(f.is_empty(), "{f:?}");
+    }
+
+    #[test]
+    fn a_borrowed_guard_is_held() {
+        let mut g = LockGraph::new();
+        let f = run(
+            "fn a(&self) { let org = &self.org.read(); \
+             self.platform.directory().apply(op)?; }",
+            "a.rs",
+            &mut g,
+        );
+        assert_eq!(f.len(), 1, "{f:?}");
         assert!(f[0].message.contains("org-model"));
     }
 

@@ -332,14 +332,13 @@ impl CscwEnvironment {
     /// Any directory error from entry creation.
     pub fn publish_knowledge(&mut self) -> Result<usize, MoccaError> {
         self.count_op();
-        // The read guard is released before any port call below.
-        let published = {
-            let org = self.org.read();
-            self.knowledge.publish(&org)?
-        };
+        // The read guard is a temporary, released at the `;`, before
+        // any port call below.
+        let published = self.knowledge.publish(&self.org.read())?;
         self.emit_env("env.publish_knowledge", format_args!("{published} entries"));
         // `knowledge` and `platform` are disjoint fields, so the DIT is
-        // walked in place; only the copy the DSA keeps is cloned.
+        // walked in place. The copy the DSA keeps is a shallow clone: it
+        // shares every attribute with the knowledge DIT's entry.
         for entry in self.knowledge.dit().iter() {
             match self.platform.directory().apply(DirOp::Add(entry.clone())) {
                 Ok(_) | Err(cscw_directory::DirectoryError::EntryExists(_)) => {}

@@ -6,19 +6,71 @@
 //! capability levels).
 
 use std::borrow::{Borrow, Cow};
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
+
+/// The attribute names most entries carry: each name the standard
+/// schema declares, `objectclass`, and the CSCW edge names the
+/// knowledge base writes. Sorted, for binary search. A known name is
+/// held as a `&'static str`, so building and cloning it never
+/// allocates.
+const KNOWN_NAMES: [&str; 28] = [
+    "activitystate",
+    "c",
+    "cn",
+    "contenttype",
+    "deadline",
+    "dependson",
+    "description",
+    "location",
+    "mail",
+    "member",
+    "o",
+    "objectclass",
+    "occupiesrole",
+    "ou",
+    "owner",
+    "partof",
+    "postaladdress",
+    "presentationaddress",
+    "projectstate",
+    "resourcetype",
+    "roleoccupant",
+    "sn",
+    "supportedapplicationcontext",
+    "telephonenumber",
+    "title",
+    "userpassword",
+    "version",
+    "workson",
+];
 
 /// A case-insensitive attribute type name (`cn`, `telephoneNumber`, …).
 ///
 /// Normalised to lowercase at construction so that lookups and schema
-/// checks need no case folding.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct AttributeType(String);
+/// checks need no case folding. A shared name: a [known](KNOWN_NAMES)
+/// name is static, any other is one reference-counted string, so a
+/// clone is a copy or a count bump. Equality, order and hashing are
+/// those of the name text.
+#[derive(Clone)]
+pub struct AttributeType(Name);
+
+#[derive(Clone)]
+enum Name {
+    Known(&'static str),
+    Shared(Arc<str>),
+}
 
 impl AttributeType {
     /// Creates a type name (normalising to lowercase).
     pub fn new(name: impl AsRef<str>) -> Self {
-        AttributeType(Self::normal_form(name.as_ref()).into_owned())
+        let name = Self::normal_form(name.as_ref());
+        AttributeType(match KNOWN_NAMES.binary_search(&&*name) {
+            Ok(i) => Name::Known(KNOWN_NAMES[i]),
+            Err(_) => Name::Shared(Arc::from(name)),
+        })
     }
 
     /// `name` as [`AttributeType::new`] normalises it: trimmed and
@@ -35,28 +87,73 @@ impl AttributeType {
 
     /// The normalised name.
     pub fn as_str(&self) -> &str {
-        &self.0
+        match &self.0 {
+            Name::Known(name) => name,
+            Name::Shared(name) => name,
+        }
+    }
+
+    /// True when the name is one of the static known names.
+    #[cfg(test)]
+    pub(crate) fn is_known(&self) -> bool {
+        matches!(self.0, Name::Known(_))
+    }
+}
+
+impl PartialEq for AttributeType {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_str() == other.as_str()
+    }
+}
+
+impl Eq for AttributeType {}
+
+impl PartialOrd for AttributeType {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for AttributeType {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.as_str().cmp(other.as_str())
+    }
+}
+
+/// Hashes as the name's `str` does, as [`Borrow<str>`] requires.
+impl Hash for AttributeType {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_str().hash(state);
+    }
+}
+
+/// Prints the name as one tuple field: `AttributeType("cn")`.
+impl fmt::Debug for AttributeType {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("AttributeType")
+            .field(&self.as_str())
+            .finish()
     }
 }
 
 impl fmt::Display for AttributeType {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
+        f.write_str(self.as_str())
     }
 }
 
-/// Lookups by `&str`: the derived `Eq`/`Ord` compare the normalised
+/// Lookups by `&str`: `Eq`, `Ord` and `Hash` compare the normalised
 /// name exactly as `str` does, so maps keyed by `AttributeType` can be
 /// queried with a name in normal form.
 impl Borrow<str> for AttributeType {
     fn borrow(&self) -> &str {
-        &self.0
+        self.as_str()
     }
 }
 
 impl AsRef<str> for AttributeType {
     fn as_ref(&self) -> &str {
-        &self.0
+        self.as_str()
     }
 }
 
@@ -232,6 +329,28 @@ mod tests {
             AttributeType::new("surname")
         );
         assert_eq!(AttributeType::new("CN").to_string(), "cn");
+    }
+
+    #[test]
+    fn known_and_shared_names_behave_alike() {
+        assert!(
+            KNOWN_NAMES.windows(2).all(|w| w[0] < w[1]),
+            "sorted, unique"
+        );
+        let (known, shared) = (
+            AttributeType::new("CN"),
+            AttributeType::new("capabilityLevel"),
+        );
+        assert!(known.is_known() && !shared.is_known());
+        assert_eq!(shared.as_str(), "capabilitylevel");
+        assert!(
+            shared < known && known < AttributeType::new("mail"),
+            "ordered by text"
+        );
+        assert_eq!(
+            format!("{known:?} {shared:?}"),
+            r#"AttributeType("cn") AttributeType("capabilitylevel")"#
+        );
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! each) over the simulated network.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use crate::attribute::{Attribute, AttributeType, AttributeValue};
 use crate::entry::Entry;
@@ -17,6 +18,10 @@ use crate::schema::Schema;
 use crate::search::{SearchOutcome, SearchRequest, SearchScope};
 
 /// An in-memory DIT with schema checking.
+///
+/// Entries are immutable shared values: the tree, its change log and
+/// every clone of the tree hold the same `Arc<Entry>`, so logging a
+/// change or taking a snapshot copies no entry.
 ///
 /// # Examples
 ///
@@ -41,7 +46,7 @@ use crate::search::{SearchOutcome, SearchRequest, SearchScope};
 /// ```
 #[derive(Debug)]
 pub struct Dit {
-    entries: BTreeMap<Dn, Entry>,
+    entries: BTreeMap<Dn, Arc<Entry>>,
     children: BTreeMap<Dn, BTreeSet<Dn>>,
     schema: Schema,
     /// The change log, oldest first; `None` until
@@ -56,9 +61,11 @@ impl Default for Dit {
 }
 
 impl Clone for Dit {
-    /// Cloning copies entries, structure and schema but **not** the
-    /// change log: a clone is a detached snapshot that records nothing,
-    /// so mutations on it never reach readers of the original's log.
+    /// Cloning shares entries and copies structure and schema but
+    /// **not** the change log: a clone is a detached snapshot that
+    /// records nothing, so mutations on it never reach readers of the
+    /// original's log. Neither side sees the other's later writes: a
+    /// write replaces the writer's `Arc`, never the shared entry.
     fn clone(&self) -> Self {
         Dit {
             entries: self.entries.clone(),
@@ -152,16 +159,13 @@ impl Dit {
         }
         self.schema.validate(&entry)?;
         self.children.entry(parent).or_default().insert(dn.clone());
-        if let Some(log) = self.changes.as_mut() {
-            log.push(DitChange::Added(entry.clone()));
-        }
-        self.entries.insert(dn, entry);
+        self.insert(dn, Arc::new(entry));
         Ok(())
     }
 
     /// Reads an entry.
     pub fn get(&self, dn: &Dn) -> Option<&Entry> {
-        self.entries.get(dn)
+        self.entries.get(dn).map(|e| &**e)
     }
 
     /// Reads an entry, as a `Result`.
@@ -170,8 +174,7 @@ impl Dit {
     ///
     /// [`DirectoryError::NoSuchEntry`] when absent.
     pub fn read(&self, dn: &Dn) -> Result<&Entry, DirectoryError> {
-        self.entries
-            .get(dn)
+        self.get(dn)
             .ok_or_else(|| DirectoryError::NoSuchEntry(dn.clone()))
     }
 
@@ -181,7 +184,7 @@ impl Dit {
     ///
     /// * [`DirectoryError::NoSuchEntry`] — absent.
     /// * [`DirectoryError::NotLeaf`] — entry has children.
-    pub fn remove(&mut self, dn: &Dn) -> Result<Entry, DirectoryError> {
+    pub fn remove(&mut self, dn: &Dn) -> Result<Arc<Entry>, DirectoryError> {
         if !self.entries.contains_key(dn) {
             return Err(DirectoryError::NoSuchEntry(dn.clone()));
         }
@@ -202,7 +205,7 @@ impl Dit {
             .remove(dn)
             .ok_or_else(|| DirectoryError::NoSuchEntry(dn.clone()))?;
         if let Some(log) = self.changes.as_mut() {
-            log.push(DitChange::Removed(entry.clone()));
+            log.push(DitChange::Removed(Arc::clone(&entry)));
         }
         Ok(entry)
     }
@@ -244,6 +247,10 @@ impl Dit {
 
     /// Applies a closure to an entry and re-validates it.
     ///
+    /// The closure edits a clone that shares every attribute with the
+    /// stored entry; only attributes it writes are copied. The stored
+    /// entry is then replaced, and moves into the log as `before`.
+    ///
     /// # Errors
     ///
     /// * [`DirectoryError::NoSuchEntry`] — absent.
@@ -254,18 +261,19 @@ impl Dit {
             .entries
             .get_mut(dn)
             .ok_or_else(|| DirectoryError::NoSuchEntry(dn.clone()))?;
-        let mut after = stored.clone();
+        let mut after = Entry::clone(stored);
         f(&mut after);
         // The DN is structural; modifications must not change it.
         after.set_dn(dn.clone());
         self.schema.validate(&after)?;
         match self.changes.as_mut() {
-            None => *stored = after,
+            None => *stored = Arc::new(after),
             // A no-op modification logs nothing.
-            Some(_) if after == *stored => {}
+            Some(_) if after == **stored => {}
             Some(log) => {
                 // The old state moves out of the tree into the log.
-                let before = std::mem::replace(stored, after.clone());
+                let after = Arc::new(after);
+                let before = std::mem::replace(stored, Arc::clone(&after));
                 log.push(DitChange::Modified { before, after });
             }
         }
@@ -305,17 +313,22 @@ impl Dit {
         if !to_parent.is_root() && !self.entries.contains_key(&to_parent) {
             return Err(DirectoryError::NoParent(to));
         }
-        let mut entry = self.remove(from)?;
+        let mut entry = Arc::unwrap_or_clone(self.remove(from)?);
         entry.set_dn(to.clone());
         self.children
             .entry(to_parent)
             .or_default()
             .insert(to.clone());
-        if let Some(log) = self.changes.as_mut() {
-            log.push(DitChange::Added(entry.clone()));
-        }
-        self.entries.insert(to, entry);
+        self.insert(to, Arc::new(entry));
         Ok(())
+    }
+
+    /// Stores `entry` at `dn`, logging it as added.
+    fn insert(&mut self, dn: Dn, entry: Arc<Entry>) {
+        if let Some(log) = self.changes.as_mut() {
+            log.push(DitChange::Added(Arc::clone(&entry)));
+        }
+        self.entries.insert(dn, entry);
     }
 
     /// The immediate children of `base` (which may be the root).
@@ -324,12 +337,12 @@ impl Dit {
             .get(base)
             .into_iter()
             .flat_map(|set| set.iter())
-            .filter_map(|dn| self.entries.get(dn))
+            .filter_map(|dn| self.get(dn))
     }
 
     /// Iterates over every entry in DN order.
     pub fn iter(&self) -> impl Iterator<Item = &Entry> {
-        self.entries.values()
+        self.entries.values().map(|e| &**e)
     }
 
     /// Evaluates a search request.
@@ -345,13 +358,13 @@ impl Dit {
         let mut entries = Vec::new();
         let mut truncated = false;
         let candidates: Vec<&Entry> = match request.scope {
-            SearchScope::Base => self.entries.get(&request.base).into_iter().collect(),
+            SearchScope::Base => self.get(&request.base).into_iter().collect(),
             SearchScope::OneLevel => self.children(&request.base).collect(),
             SearchScope::Subtree => self
                 .entries
                 .range(request.base.clone()..)
                 .take_while(|(dn, _)| request.base.is_prefix_of(dn))
-                .map(|(_, e)| e)
+                .map(|(_, e)| &**e)
                 .collect(),
         };
         for entry in candidates {

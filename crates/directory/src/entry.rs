@@ -2,6 +2,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::attribute::{Attribute, AttributeType, AttributeValue};
 use crate::name::Dn;
@@ -11,6 +12,11 @@ use crate::name::Dn;
 ///
 /// The entry's object classes are themselves stored in the
 /// `objectclass` attribute, as in X.500.
+///
+/// Attributes are shared: a clone copies the attribute map but not the
+/// attributes, and a write copies only the attribute whose values it
+/// changes (copy on write), so a modified entry shares every other
+/// attribute with the entry it was cloned from.
 ///
 /// # Examples
 ///
@@ -28,7 +34,7 @@ use crate::name::Dn;
 #[derive(Debug, Clone, PartialEq)]
 pub struct Entry {
     dn: Dn,
-    attrs: BTreeMap<AttributeType, Attribute>,
+    attrs: BTreeMap<AttributeType, Arc<Attribute>>,
 }
 
 /// The attribute holding an entry's object classes.
@@ -67,41 +73,49 @@ impl Entry {
         self
     }
 
-    /// Adds or merges an attribute (values are unioned).
+    /// Adds or merges an attribute (values are unioned). A merge that
+    /// adds no value leaves the stored attribute shared.
     pub fn put_attr(&mut self, attr: Attribute) {
         match self.attrs.get_mut(attr.ty()) {
             Some(existing) => {
                 for v in attr.values() {
-                    existing.add_value(v.clone());
+                    if !existing.contains(v) {
+                        Arc::make_mut(existing).add_value(v.clone());
+                    }
                 }
             }
             None => {
-                self.attrs.insert(attr.ty().clone(), attr);
+                self.attrs.insert(attr.ty().clone(), Arc::new(attr));
             }
         }
     }
 
     /// Replaces an attribute wholesale.
     pub fn replace_attr(&mut self, attr: Attribute) {
-        self.attrs.insert(attr.ty().clone(), attr);
+        self.attrs.insert(attr.ty().clone(), Arc::new(attr));
     }
 
-    /// Removes an attribute entirely; returns it if present.
-    pub fn remove_attr(&mut self, ty: &AttributeType) -> Option<Attribute> {
+    /// Removes an attribute entirely; returns it, still shared with
+    /// any entry this one was cloned from, if present.
+    pub fn remove_attr(&mut self, ty: &AttributeType) -> Option<Arc<Attribute>> {
         self.attrs.remove(ty)
     }
 
     /// Removes a single value; drops the attribute when it empties.
-    /// Returns whether the value was present.
+    /// Returns whether the value was present. A value that is absent
+    /// leaves the stored attribute shared.
     pub fn remove_value(&mut self, ty: &AttributeType, value: &AttributeValue) -> bool {
         let Some(attr) = self.attrs.get_mut(ty) else {
             return false;
         };
-        let removed = attr.remove_value(value);
+        if !attr.contains(value) {
+            return false;
+        }
+        Arc::make_mut(attr).remove_value(value);
         if attr.is_empty() {
             self.attrs.remove(ty);
         }
-        removed
+        true
     }
 
     /// Looks up an attribute by type name, case-insensitively. A name
@@ -109,7 +123,7 @@ impl Entry {
     /// allocating.
     pub fn attr(&self, ty: impl AsRef<str>) -> Option<&Attribute> {
         let name: &str = &AttributeType::normal_form(ty.as_ref());
-        self.attrs.get(name)
+        self.attrs.get(name).map(|a| &**a)
     }
 
     /// The first textual value of an attribute, a very common access.
@@ -128,7 +142,7 @@ impl Entry {
 
     /// Iterates over all attributes in type order.
     pub fn attrs(&self) -> impl Iterator<Item = &Attribute> {
-        self.attrs.values()
+        self.attrs.values().map(|a| &**a)
     }
 
     /// Number of attributes.

@@ -2,10 +2,13 @@
 //!
 //! A DIT that [records changes](crate::Dit::record_changes) logs every
 //! successful mutation — `add`, `modify`, `remove`, `remove_subtree`,
-//! `rename`, `add_value` — as a [`DitChange`] carrying the full
-//! before/after entries, so the standing-query layer (or anything else
-//! that wants push-based awareness of directory state) can evaluate
-//! incrementally without re-reading the tree. The reader
+//! `rename`, `add_value` — as a [`DitChange`] carrying the before/after
+//! entries, so the standing-query layer (or anything else that wants
+//! push-based awareness of directory state) can evaluate incrementally
+//! without re-reading the tree. The log shares each entry with the tree
+//! (an `Arc<Entry>`, see [`Dit`](crate::Dit)): logging costs a
+//! reference-count bump, and a `Modified` pair shares every attribute
+//! the modification did not touch. The reader
 //! [takes](crate::Dit::take_changes) the log, oldest first, when it is
 //! ready to evaluate a batch.
 //!
@@ -13,24 +16,26 @@
 //! validated; failed operations (schema violations, missing parents)
 //! and no-op modifications log nothing.
 
+use std::sync::Arc;
+
 use crate::entry::Entry;
 
 /// One applied mutation on a DIT, with full entry state.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DitChange {
     /// An entry was inserted (by `add` or the insert half of `rename`).
-    Added(Entry),
+    Added(Arc<Entry>),
     /// An entry was modified in place; `before != after` is guaranteed
     /// (no-op modifications are not logged).
     Modified {
         /// The entry as it was before the modification.
-        before: Entry,
+        before: Arc<Entry>,
         /// The entry after the modification.
-        after: Entry,
+        after: Arc<Entry>,
     },
     /// An entry was removed (by `remove`, `remove_subtree`, or the
     /// remove half of `rename`).
-    Removed(Entry),
+    Removed(Arc<Entry>),
 }
 
 impl DitChange {
@@ -176,5 +181,76 @@ mod tests {
         let changes = dit.take_changes();
         assert_eq!(changes.len(), 2, "{changes:?}");
         assert!(matches!(&changes[0], DitChange::Added(e) if e.dn().to_string() == "c=UK"));
+    }
+
+    /// The `Debug` of the entry [`rendered`] builds.
+    const ENTRY_DEBUG: &str = "Entry { dn: Dn { rdns: [Rdn { attr: AttributeType(\"c\"), \
+        value: \"UK\" }, Rdn { attr: AttributeType(\"cn\"), value: \"Tom Rodden\" }] }, \
+        attrs: {AttributeType(\"capabilitylevel\"): Attribute { ty: AttributeType(\"capabilitylevel\"), \
+        values: [Int(4)] }, AttributeType(\"cn\"): Attribute { ty: AttributeType(\"cn\"), \
+        values: [Text(\"Tom Rodden\"), Text(\"Tom\")] }, AttributeType(\"objectclass\"): \
+        Attribute { ty: AttributeType(\"objectclass\"), values: [Text(\"person\")] }, \
+        AttributeType(\"sn\"): Attribute { ty: AttributeType(\"sn\"), values: [Text(\"Rodden\")] }} }";
+
+    /// The same entry after `mail` is added.
+    const AFTER_DEBUG: &str = "Entry { dn: Dn { rdns: [Rdn { attr: AttributeType(\"c\"), \
+        value: \"UK\" }, Rdn { attr: AttributeType(\"cn\"), value: \"Tom Rodden\" }] }, \
+        attrs: {AttributeType(\"capabilitylevel\"): Attribute { ty: AttributeType(\"capabilitylevel\"), \
+        values: [Int(4)] }, AttributeType(\"cn\"): Attribute { ty: AttributeType(\"cn\"), \
+        values: [Text(\"Tom Rodden\"), Text(\"Tom\")] }, AttributeType(\"mail\"): \
+        Attribute { ty: AttributeType(\"mail\"), values: [Text(\"tom@lancs.ac.uk\")] }, \
+        AttributeType(\"objectclass\"): Attribute { ty: AttributeType(\"objectclass\"), \
+        values: [Text(\"person\")] }, AttributeType(\"sn\"): Attribute { ty: AttributeType(\"sn\"), \
+        values: [Text(\"Rodden\")] }} }";
+
+    /// A multi-valued entry mixing known (`cn`, `sn`) and other
+    /// (`capabilityLevel`) attribute names.
+    fn rendered() -> Entry {
+        Entry::new("c=UK,cn=Tom Rodden".parse().unwrap())
+            .with_class("person")
+            .with_attr(Attribute::multi("cn", ["Tom Rodden", "Tom"]))
+            .with_attr(Attribute::single("sn", "Rodden"))
+            .with_attr(Attribute::single("capabilityLevel", 4i64))
+    }
+
+    #[test]
+    fn renderings_are_pinned() {
+        let before = rendered();
+        let after = before
+            .clone()
+            .with_attr(Attribute::single("mail", "tom@lancs.ac.uk"));
+        assert_eq!(format!("{before:?}"), ENTRY_DEBUG);
+        assert_eq!(
+            before.to_string(),
+            "c=UK,cn=Tom Rodden\n  capabilitylevel=4\n  cn=Tom Rodden|Tom\n  \
+             objectclass=person\n  sn=Rodden"
+        );
+        let mut dit = Dit::new();
+        dit.record_changes();
+        dit.add(
+            Entry::new("c=UK".parse().unwrap())
+                .with_class("country")
+                .with_attr(Attribute::single("c", "UK")),
+        )
+        .unwrap();
+        dit.take_changes();
+        dit.add(before).unwrap();
+        dit.add_value(after.dn(), "mail", "tom@lancs.ac.uk")
+            .unwrap();
+        dit.remove(after.dn()).unwrap();
+        let rendered: Vec<String> = dit
+            .take_changes()
+            .iter()
+            .map(|c| format!("{c:?}"))
+            .collect();
+        assert_eq!(
+            rendered,
+            [
+                format!("Added({ENTRY_DEBUG})"),
+                format!("Modified {{ before: {ENTRY_DEBUG}, after: {AFTER_DEBUG} }}"),
+                format!("Removed({AFTER_DEBUG})"),
+            ]
+        );
+        assert_eq!(format!("{after:?}"), AFTER_DEBUG);
     }
 }

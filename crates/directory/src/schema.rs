@@ -304,6 +304,22 @@ mod tests {
     }
 
     #[test]
+    fn every_standard_name_is_static() {
+        let schema = Schema::standard();
+        let declared = schema
+            .classes
+            .values()
+            .flat_map(|c| c.mandatory().iter().chain(c.optional()));
+        for ty in declared {
+            assert!(ty.is_known(), "{ty} builds as a shared name");
+        }
+        for name in [OBJECT_CLASS, "workson", "occupiesrole", "resourcetype"] {
+            assert!(AttributeType::new(name).is_known(), "{name}");
+        }
+        assert!(!AttributeType::new("favouriteeditor").is_known());
+    }
+
+    #[test]
     fn cscw_extension_classes_exist() {
         let schema = Schema::standard();
         for name in ["cscwactivity", "cscwresource", "informationobject"] {

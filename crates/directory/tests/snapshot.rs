@@ -1,0 +1,320 @@
+//! Seeded property test of copy-on-write entries: random streams of
+//! adds, modifies, removes, renames and subtree removals run on a
+//! recording [`Dit`] and on a reference model of deep-copied entries,
+//! with a [`Dit::clone`] snapshot taken mid-stream and written to on its
+//! own. Every logged change must carry the model's states, no-op
+//! modifies must log nothing, the snapshot and its source must never
+//! see each other's writes, and a `Modified` pair must share every
+//! attribute the modification did not touch: a shared attribute is one
+//! allocation, so `Entry::attr` returns the same address for both.
+
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
+use cscw_kernel::SeededRng;
+
+use cscw_directory::{Attribute, AttributeType, AttributeValue, Dit, DitChange, Dn, Entry, Schema};
+
+const SEEDS: u64 = 48;
+const STEPS: usize = 160;
+const ORGS: u64 = 3;
+const PEOPLE: u64 = 6;
+const MAILS: u64 = 3;
+
+/// One modification, applied alike to the DIT and to the model.
+#[derive(Debug, Clone, Copy)]
+enum Edit {
+    /// Merge one `mail` value (a no-op when present).
+    PutMail(u64),
+    /// Replace `sn` (a no-op when equal).
+    ReplaceSn(u64),
+    /// Remove an attribute: `mail` (maybe absent) or the mandatory
+    /// `sn` (a schema violation).
+    RemoveAttr(&'static str),
+    /// Remove one `mail` value (maybe absent).
+    RemoveMail(u64),
+    /// Change nothing.
+    Nothing,
+}
+
+impl Edit {
+    fn random(rng: &mut SeededRng) -> Self {
+        match rng.below(6) {
+            0 => Edit::PutMail(rng.below(MAILS)),
+            1 => Edit::ReplaceSn(rng.below(2)),
+            2 => Edit::RemoveAttr(if rng.chance(0.8) { "mail" } else { "sn" }),
+            3 => Edit::RemoveMail(rng.below(MAILS)),
+            _ => Edit::Nothing,
+        }
+    }
+
+    /// The attribute the edit writes, if any.
+    fn touches(self) -> Option<&'static str> {
+        match self {
+            Edit::PutMail(_) | Edit::RemoveMail(_) => Some("mail"),
+            Edit::ReplaceSn(_) => Some("sn"),
+            Edit::RemoveAttr(ty) => Some(ty),
+            Edit::Nothing => None,
+        }
+    }
+
+    fn apply(self, e: &mut Entry) {
+        match self {
+            Edit::PutMail(i) => e.put_attr(Attribute::single("mail", mail(i))),
+            Edit::ReplaceSn(i) => e.replace_attr(Attribute::single("sn", format!("S{i}"))),
+            Edit::RemoveAttr(ty) => {
+                e.remove_attr(&AttributeType::new(ty));
+            }
+            Edit::RemoveMail(i) => {
+                e.remove_value(&"mail".into(), &AttributeValue::from(mail(i)));
+            }
+            Edit::Nothing => {}
+        }
+    }
+}
+
+#[derive(Debug)]
+enum Op {
+    Add(Dn),
+    Modify(Dn, Edit),
+    Remove(Dn),
+    Rename(Dn, Dn),
+    RemoveSubtree(Dn),
+}
+
+fn mail(i: u64) -> String {
+    format!("m{i}@uk")
+}
+
+fn org_dn(o: u64) -> Dn {
+    format!("c=UK,o=org{o}").parse().unwrap()
+}
+
+fn person_dn(o: u64, p: u64) -> Dn {
+    format!("c=UK,o=org{o},cn=p{p}").parse().unwrap()
+}
+
+fn random_person(rng: &mut SeededRng) -> Dn {
+    person_dn(rng.below(ORGS), rng.below(PEOPLE))
+}
+
+fn random_op(rng: &mut SeededRng) -> Op {
+    match rng.below(20) {
+        0..=4 => Op::Add(if rng.chance(0.2) {
+            org_dn(rng.below(ORGS))
+        } else {
+            random_person(rng)
+        }),
+        5..=13 => Op::Modify(random_person(rng), Edit::random(rng)),
+        14..=15 => Op::Remove(random_person(rng)),
+        16..=18 => Op::Rename(random_person(rng), random_person(rng)),
+        _ => Op::RemoveSubtree(org_dn(rng.below(ORGS))),
+    }
+}
+
+/// A valid entry for `dn`: an organisation, or a person with a
+/// multi-valued `mail`.
+fn entry_for(dn: &Dn) -> Entry {
+    let rdn = dn.rdn().unwrap();
+    let e = Entry::new(dn.clone());
+    if rdn.attr().as_str() == "o" {
+        return e
+            .with_class("organization")
+            .with_attr(Attribute::single("o", rdn.value()));
+    }
+    e.with_class("person")
+        .with_attr(Attribute::single("cn", rdn.value()))
+        .with_attr(Attribute::single("sn", "S0"))
+        .with_attr(Attribute::multi("mail", [mail(0), mail(1)]))
+}
+
+/// A copy of `e` at `dn` that shares no attribute with it.
+fn deep_at(e: &Entry, dn: &Dn) -> Entry {
+    e.attrs()
+        .fold(Entry::new(dn.clone()), |copy, a| copy.with_attr(a.clone()))
+}
+
+/// A copy of `e` that shares no attribute with it.
+fn deep(e: &Entry) -> Entry {
+    deep_at(e, e.dn())
+}
+
+/// The reference model: deep-copied entries by DN.
+#[derive(Default)]
+struct Model(BTreeMap<Dn, Entry>);
+
+impl Model {
+    fn deep_clone(&self) -> Model {
+        Model(self.0.iter().map(|(dn, e)| (dn.clone(), deep(e))).collect())
+    }
+
+    fn has_parent(&self, dn: &Dn) -> bool {
+        dn.parent()
+            .is_some_and(|p| p.is_root() || self.0.contains_key(&p))
+    }
+
+    fn is_leaf(&self, dn: &Dn) -> bool {
+        !self.0.keys().any(|k| dn.is_ancestor_of(k))
+    }
+
+    /// Applies `op` to the model; returns whether it succeeds and the
+    /// changes a recording DIT must log for it.
+    fn apply(&mut self, op: &Op) -> (bool, Vec<DitChange>) {
+        let shared = |e: &Entry| Arc::new(deep(e));
+        match op {
+            Op::Add(dn) => {
+                if self.0.contains_key(dn) || !self.has_parent(dn) {
+                    return (false, vec![]);
+                }
+                let e = entry_for(dn);
+                let log = vec![DitChange::Added(shared(&e))];
+                self.0.insert(dn.clone(), e);
+                (true, log)
+            }
+            Op::Modify(dn, edit) => {
+                let Some(before) = self.0.get(dn) else {
+                    return (false, vec![]);
+                };
+                let mut after = deep(before);
+                edit.apply(&mut after);
+                if Schema::standard().validate(&after).is_err() {
+                    return (false, vec![]);
+                }
+                if after == *before {
+                    return (true, vec![]);
+                }
+                let log = vec![DitChange::Modified {
+                    before: shared(before),
+                    after: shared(&after),
+                }];
+                self.0.insert(dn.clone(), after);
+                (true, log)
+            }
+            Op::Remove(dn) => {
+                if !self.0.contains_key(dn) || !self.is_leaf(dn) {
+                    return (false, vec![]);
+                }
+                let e = self.0.remove(dn).unwrap();
+                (true, vec![DitChange::Removed(shared(&e))])
+            }
+            Op::Rename(from, to) => {
+                let ok = !self.0.contains_key(to)
+                    && self.has_parent(to)
+                    && self.0.contains_key(from)
+                    && self.is_leaf(from);
+                if !ok {
+                    return (false, vec![]);
+                }
+                let e = self.0.remove(from).unwrap();
+                let moved = deep_at(&e, to);
+                let log = vec![
+                    DitChange::Removed(shared(&e)),
+                    DitChange::Added(shared(&moved)),
+                ];
+                self.0.insert(to.clone(), moved);
+                (true, log)
+            }
+            Op::RemoveSubtree(dn) => {
+                if !self.0.contains_key(dn) {
+                    return (false, vec![]);
+                }
+                let doomed: Vec<Dn> = self
+                    .0
+                    .keys()
+                    .filter(|k| dn.is_prefix_of(k))
+                    .cloned()
+                    .collect();
+                let log = doomed
+                    .iter()
+                    .map(|d| DitChange::Removed(shared(&self.0.remove(d).unwrap())))
+                    .collect();
+                (true, log)
+            }
+        }
+    }
+}
+
+fn run(dit: &mut Dit, op: &Op) -> bool {
+    match op {
+        Op::Add(dn) => dit.add(entry_for(dn)).is_ok(),
+        Op::Modify(dn, edit) => dit.modify(dn, |e| edit.apply(e)).is_ok(),
+        Op::Remove(dn) => dit.remove(dn).is_ok(),
+        Op::Rename(from, to) => dit.rename(from, to.clone()).is_ok(),
+        Op::RemoveSubtree(dn) => dit.remove_subtree(dn).is_ok(),
+    }
+}
+
+/// Runs `op` on `dit` and `model` and checks the outcome, the log and
+/// the resulting state.
+fn step(dit: &mut Dit, model: &mut Model, op: &Op, ctx: &str) {
+    let (ok, expected) = model.apply(op);
+    assert_eq!(run(dit, op), ok, "{ctx}: outcome of {op:?}");
+    let logged = dit.take_changes();
+    assert_eq!(logged, expected, "{ctx}: log of {op:?}");
+    if let (Op::Modify(_, edit), [DitChange::Modified { before, after }]) = (op, &logged[..]) {
+        for attr in before.attrs() {
+            let ty = attr.ty().as_str();
+            if Some(ty) == edit.touches() {
+                continue;
+            }
+            let (b, a) = (before.attr(ty), after.attr(ty));
+            assert!(
+                b.zip(a).is_some_and(|(b, a)| std::ptr::eq(b, a)),
+                "{ctx}: {op:?} copied untouched attribute {ty}"
+            );
+        }
+    }
+    assert_state(dit, model, ctx);
+}
+
+fn assert_state(dit: &Dit, model: &Model, ctx: &str) {
+    assert!(
+        dit.iter().eq(model.0.values()),
+        "{ctx}: tree differs from the model"
+    );
+}
+
+#[test]
+fn logs_and_snapshots_match_a_deep_copied_model() {
+    for seed in 0..SEEDS {
+        let mut rng = SeededRng::seed_from(seed);
+        let mut dit = Dit::new();
+        dit.record_changes();
+        let mut model = Model::default();
+        let root: Dn = "c=UK".parse().unwrap();
+        dit.add(
+            Entry::new(root.clone())
+                .with_class("country")
+                .with_attr(Attribute::single("c", "UK")),
+        )
+        .unwrap();
+        model
+            .0
+            .insert(root.clone(), dit.get(&root).unwrap().clone());
+        dit.take_changes();
+        for o in 0..ORGS {
+            step(&mut dit, &mut model, &Op::Add(org_dn(o)), "set-up");
+        }
+
+        let mut snapshot = None;
+        for i in 0..STEPS {
+            let op = random_op(&mut rng);
+            step(&mut dit, &mut model, &op, &format!("seed {seed} step {i}"));
+            if i == STEPS / 2 {
+                let copy = dit.clone();
+                assert_state(&copy, &model, "fresh snapshot");
+                snapshot = Some((copy, model.deep_clone()));
+            }
+            if let Some((snap, snap_model)) = snapshot.as_mut() {
+                // The snapshot records nothing, so `step` checks it
+                // against an empty log and the model's state.
+                let op = random_op(&mut rng);
+                let (ok, _) = snap_model.apply(&op);
+                assert_eq!(run(snap, &op), ok, "seed {seed} step {i}: snapshot {op:?}");
+                assert!(snap.take_changes().is_empty(), "a snapshot records nothing");
+                assert_state(snap, snap_model, &format!("seed {seed} step {i}: snapshot"));
+                assert_state(&dit, &model, &format!("seed {seed} step {i}: source"));
+            }
+        }
+    }
+}

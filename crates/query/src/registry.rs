@@ -453,7 +453,7 @@ impl SubscriptionRegistry {
         evals: &mut u64,
         out: &mut Vec<(SubscriptionId, QueryDelta)>,
     ) {
-        let (before, after) = match change {
+        let (before, after): (Option<&Entry>, Option<&Entry>) = match change {
             DitChange::Added(e) => (None, Some(e)),
             DitChange::Modified { before, after } => (Some(before), Some(after)),
             DitChange::Removed(e) => (Some(e), None),
