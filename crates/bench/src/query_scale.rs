@@ -75,7 +75,7 @@ fn project_dn(j: u64) -> String {
     format!("c=UK,cn=proj{j}")
 }
 
-/// [`crate::populated_dit`] over ten organisations plus [`PROJECTS`]
+/// [`crate::populated_dit`] over ten organisations plus `PROJECTS`
 /// project entries, half of them `active`, with every other person
 /// working on one. The DIT records changes from the end of the build
 /// on, so its log holds only the measured stream.
@@ -254,7 +254,7 @@ pub fn run(population: usize, seed: u64) -> Result<QueryScaleResult, Box<dyn std
 
         let t0 = Instant::now();
         let changes = dit.take_changes();
-        deltas_emitted += reg.apply(&[], &changes, &dit, op).len() as u64;
+        deltas_emitted += reg.apply([], &changes, &dit, op).len() as u64;
         telemetry.record_micros(
             Layer::Query,
             "query.phase.incremental",
@@ -266,7 +266,7 @@ pub fn run(population: usize, seed: u64) -> Result<QueryScaleResult, Box<dyn std
         // freshness.
         let probe = subs[op as usize % subs.len()];
         let t0 = Instant::now();
-        let _ = reg.oracle_matches(probe, &dit);
+        let _ = reg.oracle_matches(probe, &dit, []);
         telemetry.record_micros(
             Layer::Query,
             "query.phase.rescan",
@@ -280,7 +280,7 @@ pub fn run(population: usize, seed: u64) -> Result<QueryScaleResult, Box<dyn std
     for (id, src) in subs.iter().zip(PANEL) {
         let incremental = reg.matches(*id).ok_or("subscription vanished")?;
         let oracle = reg
-            .oracle_matches(*id, &dit)
+            .oracle_matches(*id, &dit, [])
             .ok_or("subscription vanished")?;
         assert_eq!(
             incremental, oracle,

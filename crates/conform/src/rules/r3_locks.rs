@@ -250,8 +250,10 @@ pub fn check_locks(ctx: &FileContext<'_>, graph: &mut LockGraph, findings: &mut 
 
 /// The variable that holds the guard of a lock call spanning tokens
 /// `start..=close`: `name` when the statement at `stmt_start` is
-/// `let [mut] name[: T] = [&[mut]] <call>;`, the call being the whole
-/// initializer. `None` for any other shape, whose guard is a temporary.
+/// `let [mut] name[: T] = [&[mut]] <call>[.unwrap() | .expect(..)]*;`,
+/// the call being the whole initializer — unwrapping a poisonable
+/// lock's result still binds its guard. `None` for any other shape,
+/// whose guard is a temporary.
 fn guard_binding(toks: &[Token], stmt_start: usize, start: usize, close: usize) -> Option<String> {
     let mut i = stmt_start;
     if !toks.get(i)?.kind.is_ident("let") {
@@ -262,7 +264,15 @@ fn guard_binding(toks: &[Token], stmt_start: usize, start: usize, close: usize) 
         i += 1;
     }
     let name = toks.get(i)?.kind.ident()?.to_owned();
-    if name == "_" || !toks.get(close + 1)?.kind.is_punct(";") {
+    let mut end = close;
+    while toks.get(end + 1)?.kind.is_punct(".") {
+        let method = toks.get(end + 2)?.kind.ident()?;
+        if !matches!(method, "unwrap" | "expect") || !toks.get(end + 3)?.kind.is_punct("(") {
+            return None;
+        }
+        end = matching_paren(toks, end + 3);
+    }
+    if name == "_" || !toks.get(end + 1)?.kind.is_punct(";") {
         return None;
     }
     let mut init = i + toks[i..start].iter().position(|t| t.kind.is_punct("="))? + 1;
@@ -355,6 +365,35 @@ mod tests {
         );
         assert_eq!(f.len(), 1, "{f:?}");
         assert!(f[0].message.contains("org-model"));
+    }
+
+    #[test]
+    fn an_unwrapped_guard_is_held() {
+        for bind in [
+            "let org = self.org.lock().unwrap();",
+            r#"let org = self.org.lock().expect("poisoned");"#,
+        ] {
+            let mut g = LockGraph::new();
+            let f = run(
+                &format!("fn a(&self) {{ {bind} self.platform.directory().apply(op)?; }}"),
+                "a.rs",
+                &mut g,
+            );
+            assert_eq!(f.len(), 1, "{bind}: {f:?}");
+            assert!(f[0].message.contains("org-model"), "{bind}");
+        }
+    }
+
+    #[test]
+    fn an_unwrapped_guard_used_in_place_is_a_temporary() {
+        let mut g = LockGraph::new();
+        let f = run(
+            "fn a(&self) { let n = self.org.lock().unwrap().len(); \
+             self.platform.directory().apply(op)?; }",
+            "a.rs",
+            &mut g,
+        );
+        assert!(f.is_empty(), "{f:?}");
     }
 
     #[test]

@@ -348,20 +348,20 @@ impl CscwEnvironment {
         // Replicate the organisational model into the federation: each
         // DIT entry becomes a versioned replica entry gossiped to peer
         // environments (publication is idempotent — unchanged values
-        // do not advance the replica clock). The same resolved pairs
-        // feed the knowledge queries, then the publication's DIT
-        // changes feed the entry queries.
-        let mut pairs = Vec::new();
+        // do not advance the replica clock). The writes that changed
+        // the replica feed the knowledge queries, in DIT order, then
+        // the publication's DIT changes feed the entry queries.
+        let mut changed = Vec::new();
         if let Some(port) = self.federation.as_mut() {
-            pairs.reserve(self.knowledge.dit().len());
             for entry in self.knowledge.dit().iter() {
                 let key = format!("org:{}", entry.dn());
                 let value = entry.to_string();
-                port.publish_entry(&key, &value);
-                pairs.push((key, value));
+                if port.publish_entry(&key, &value) {
+                    changed.push((key, value));
+                }
             }
         }
-        self.feed_queries(&pairs)?;
+        self.feed_queries(changed.iter().map(|(k, v)| (k.as_str(), v.as_str())))?;
         Ok(published)
     }
 
@@ -417,7 +417,7 @@ impl CscwEnvironment {
         self.count_op();
         // Flush logged directory changes first so priming sees a
         // consistent tree and emits no duplicate deltas.
-        self.feed_queries(&[])?;
+        self.feed_queries([])?;
         let at = self.platform.clock().now_micros();
         let source = CompiledQuery::compile(src)?.source();
         let id = self.queries.subscribe(src, at)?;
@@ -427,13 +427,11 @@ impl CscwEnvironment {
         let initial = match source {
             Source::Entries => self.queries.prime(id, self.knowledge.dit(), at)?,
             Source::Knowledge => {
-                // Seed the knowledge shadow from the replica snapshot;
-                // older subscriptions see real catch-up deltas, if any.
-                if let Some(port) = self.federation.as_ref() {
-                    let snapshot = port.replica_snapshot();
-                    self.feed_queries(&snapshot)?;
-                }
-                self.queries.prime_knowledge(id, at)?
+                // The replica is the knowledge: prime from its snapshot.
+                let snapshot = self.federation.as_ref().map(|p| p.replica_snapshot());
+                let entries = snapshot.iter().flatten();
+                let knowledge = entries.map(|(k, v)| (k.as_str(), v.as_str()));
+                self.queries.prime_knowledge(id, knowledge, at)?
             }
         };
         self.emit_env("env.subscribe", format_args!("{id}: {src}"));
@@ -457,22 +455,26 @@ impl CscwEnvironment {
     ///
     /// Transport errors from app-bound delta delivery.
     pub fn pump_queries(&mut self) -> Result<(), MoccaError> {
-        self.feed_queries(&[])
+        self.feed_queries([])
     }
 
     /// The one path by which knowledge changes reach the standing
-    /// queries: the resolved replicated-knowledge `pairs` (a local
-    /// publish, a subscribe's catch-up, or what a gossip ingest
-    /// applied), then every change the knowledge DIT logged since the
-    /// last feed, through one registry apply; the deltas are then
-    /// dispatched.
+    /// queries: the replicated-knowledge `pairs` whose resolved value
+    /// changed (local publishes that changed the replica, or what a
+    /// gossip ingest reported changed), then every change the
+    /// knowledge DIT logged since the last feed, through one registry
+    /// apply; the deltas are then dispatched.
     ///
     /// # Errors
     ///
     /// Transport errors from app-bound delta delivery.
-    pub(crate) fn feed_queries(&mut self, pairs: &[(String, String)]) -> Result<(), MoccaError> {
+    pub(crate) fn feed_queries<'a>(
+        &mut self,
+        pairs: impl IntoIterator<Item = (&'a str, &'a str)>,
+    ) -> Result<(), MoccaError> {
+        let mut pairs = pairs.into_iter().peekable();
         let changes = self.knowledge.dit_mut().take_changes();
-        if pairs.is_empty() && changes.is_empty() {
+        if pairs.peek().is_none() && changes.is_empty() {
             return Ok(());
         }
         let at = self.platform.clock().now_micros();
@@ -992,13 +994,14 @@ impl CscwEnvironment {
         let rendered = render_content(&object.content);
         self.repository.store(object)?;
         self.mirror_to_directory(&id, &kind, &owner);
-        // Replicate the information-model record into the federation
-        // (and the local knowledge-query shadow).
+        // Replicate the information-model record into the federation;
+        // a write that changed the replica feeds the knowledge queries.
         if let Some(port) = self.federation.as_mut() {
             let key = format!("info:{id}");
             let value = format!("{kind}:{rendered}");
-            port.publish_entry(&key, &value);
-            self.feed_queries(&[(key, value)])?;
+            if port.publish_entry(&key, &value) {
+                self.feed_queries([(key.as_str(), value.as_str())])?;
+            }
         }
         self.bus.publish(EnvEvent {
             kind: "object-stored".into(),

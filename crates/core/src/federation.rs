@@ -5,7 +5,8 @@
 //! paces them ([`FederationRuntime`]); this module provides the
 //! *assembly*: [`FederatedEnvironments`] owns a set of
 //! [`CscwEnvironment`]s and one [`FederationFabric`], wires each
-//! environment to the fabric through its [`FederationPort`], and
+//! environment to the fabric through its
+//! [`FederationPort`](cscw_federation::FederationPort), and
 //! drives the whole federation from scheduled events —
 //! [`run_for`](FederatedEnvironments::run_for) /
 //! [`run_until_converged`](FederatedEnvironments::run_until_converged)
@@ -28,7 +29,7 @@
 //! narrates gossip/pump pulses onto the fabric's Federation-layer
 //! stream even though the assembly lives in the environment crate.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use cscw_federation::{
     FederatedTrader, FederationError, FederationFabric, FederationRuntime, Pulse,
@@ -293,18 +294,14 @@ impl FederatedEnvironments {
         let report = self.fabric.ingest_frame(dst, &received);
         t.span_end(span, at);
         let report = report?;
-        // Surface what the ingest applied to the receiving
-        // environment's standing queries, as resolved key/value pairs
-        // — awareness deltas flow from the change stream, not from
-        // re-scanning the replica.
+        // An ingest that applied anything feeds the receiving
+        // environment's standing queries what the replica reports
+        // changed, borrowed — awareness deltas flow from the change
+        // stream, not from re-scanning the replica.
         if !report.applied.is_empty() {
-            let keys: BTreeSet<&str> = report.applied.iter().map(|e| e.key.as_str()).collect();
-            let pairs: Vec<(String, String)> = keys
-                .into_iter()
-                .filter_map(|k| self.fabric.replica_get(dst, k).map(|v| (k.to_owned(), v)))
-                .collect();
+            let changed = report.changed.iter();
             if let Some(env) = self.envs.get_mut(dst) {
-                env.feed_queries(&pairs)?;
+                env.feed_queries(changed.map(|e| (e.key.as_str(), e.value.as_str())))?;
             }
         }
         Ok(LinkShip::Applied {

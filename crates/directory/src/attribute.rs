@@ -50,7 +50,7 @@ const KNOWN_NAMES: [&str; 28] = [
 /// A case-insensitive attribute type name (`cn`, `telephoneNumber`, …).
 ///
 /// Normalised to lowercase at construction so that lookups and schema
-/// checks need no case folding. A shared name: a [known](KNOWN_NAMES)
+/// checks need no case folding. A shared name: a known (standard)
 /// name is static, any other is one reference-counted string, so a
 /// clone is a copy or a count bump. Equality, order and hashing are
 /// those of the name text.

@@ -84,8 +84,10 @@ pub trait FederationPort: std::fmt::Debug + Send {
     fn route_exchange(&mut self, delivery: RemoteDelivery) -> Result<(), FederationError>;
 
     /// Writes one shareable knowledge entry into this domain's replica
-    /// (to be gossiped to the federation).
-    fn publish_entry(&mut self, key: &str, value: &str);
+    /// (to be gossiped to the federation); returns whether the write
+    /// changed the replica. Re-publishing the resolved value is no
+    /// write at all.
+    fn publish_entry(&mut self, key: &str, value: &str) -> bool;
 
     /// Canonical fingerprint of this domain's replicated knowledge.
     fn replica_fingerprint(&self) -> String;
@@ -111,15 +113,6 @@ struct FabricInner {
     domains: BTreeMap<String, DomainState>,
     trader: FederatedTrader,
     telemetry: Telemetry,
-}
-
-impl FabricInner {
-    fn advertised(&self) -> BTreeMap<String, BTreeSet<String>> {
-        self.domains
-            .iter()
-            .map(|(d, s)| (d.clone(), s.apps.clone()))
-            .collect()
-    }
 }
 
 /// The shared federation fabric. Cloning shares the underlying state;
@@ -422,15 +415,6 @@ impl FederationFabric {
             .map(|s| s.replica.fingerprint())
             .unwrap_or_default()
     }
-
-    /// A domain's resolved replica value for `key`.
-    pub fn replica_get(&self, domain: &str, key: &str) -> Option<String> {
-        self.inner
-            .lock()
-            .domains
-            .get(domain)
-            .and_then(|s| s.replica.get(key).map(str::to_owned))
-    }
 }
 
 /// One environment's handle onto the shared fabric.
@@ -456,13 +440,19 @@ impl FederationPort for DomainPort {
     }
 
     fn resolve_app(&mut self, app: &str, now: Timestamp) -> Result<Resolution, FederationError> {
-        let mut inner = self.inner.lock();
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
         let span =
             inner
                 .telemetry
                 .span_begin(Layer::Federation, "federation.resolve", now.as_micros());
-        let advertised = inner.advertised();
-        let outcome = inner.trader.resolve(&self.domain, app, &advertised, now);
+        let domains = &inner.domains;
+        let advertises = |domain: &str, app: &str| {
+            domains
+                .get(domain)
+                .is_some_and(|state| state.apps.contains(app))
+        };
+        let outcome = inner.trader.resolve(&self.domain, app, advertises, now);
         let name = match &outcome {
             Ok(r) => match r.source {
                 ResolutionSource::Local => "federation.resolve.local",
@@ -494,20 +484,23 @@ impl FederationPort for DomainPort {
         Ok(())
     }
 
-    fn publish_entry(&mut self, key: &str, value: &str) {
+    fn publish_entry(&mut self, key: &str, value: &str) -> bool {
         let mut inner = self.inner.lock();
-        if let Some(state) = inner.domains.get_mut(&self.domain) {
-            // Re-publishing an identical value is a no-op: idempotent
-            // publication keeps gossip deltas from growing on every
-            // call.
-            if state.replica.get(key) == Some(value) {
-                return;
-            }
-            state.replica.put(key, value);
-        }
+        // Re-publishing an identical value is a no-op: idempotent
+        // publication keeps gossip deltas from growing on every call.
+        // (A port's domain joined the fabric and never leaves it.)
+        let Some(state) = inner
+            .domains
+            .get_mut(&self.domain)
+            .filter(|state| state.replica.get(key) != Some(value))
+        else {
+            return false;
+        };
+        state.replica.put(key, value);
         inner
             .telemetry
             .incr(Layer::Federation, "federation.publish");
+        true
     }
 
     fn replica_fingerprint(&self) -> String {
@@ -604,9 +597,9 @@ mod tests {
         let fabric = FederationFabric::new();
         let mut a = fabric.join("env-a");
         let mut b = fabric.join("env-b");
-        a.publish_entry("org:cn=Tom", "person Tom");
-        b.publish_entry("org:cn=Wolfgang", "person Wolfgang");
-        a.publish_entry("org:cn=Tom", "person Tom"); // idempotent
+        assert!(a.publish_entry("org:cn=Tom", "person Tom"));
+        assert!(b.publish_entry("org:cn=Wolfgang", "person Wolfgang"));
+        assert!(!a.publish_entry("org:cn=Tom", "person Tom"), "idempotent");
         for _ in 0..2 {
             for (src, dst) in [("env-a", "env-b"), ("env-b", "env-a")] {
                 gossip(&fabric, src, dst, None);
@@ -615,10 +608,9 @@ mod tests {
         let fa = a.replica_fingerprint();
         assert!(!fa.is_empty());
         assert_eq!(fa, b.replica_fingerprint());
-        assert_eq!(
-            fabric.replica_get("env-b", "org:cn=Tom").as_deref(),
-            Some("person Tom")
-        );
+        assert!(b
+            .replica_snapshot()
+            .contains(&("org:cn=Tom".to_owned(), "person Tom".to_owned())));
     }
 
     #[test]
@@ -648,12 +640,12 @@ mod tests {
     fn frames_survive_the_wire_codec() {
         let fabric = FederationFabric::new();
         let mut a = fabric.join("env-a");
-        fabric.join("env-b");
+        let b = fabric.join("env-b");
         a.publish_entry("k", "v|with\nhostile\x1echars");
         assert_eq!(gossip(&fabric, "env-a", "env-b", None), 1);
         assert_eq!(
-            fabric.replica_get("env-b", "k").as_deref(),
-            Some("v|with\nhostile\x1echars")
+            b.replica_snapshot(),
+            [("k".to_owned(), "v|with\nhostile\x1echars".to_owned())]
         );
     }
 

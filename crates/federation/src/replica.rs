@@ -158,8 +158,8 @@ pub fn decode_digest(body: &str) -> Result<BTreeMap<Cow<'_, str>, u64>, Federati
 
 /// What one [`ReplicatedStore::ingest`] call did with its batch.
 ///
-/// Consumers that need more than a count — the standing-query layer
-/// turns applied entries into subscription deltas — read `applied`;
+/// The standing-query layer reads `changed`, the replica's own answer
+/// to "which resolved values did this batch change?"; `applied`,
 /// `buffered` and `stale` feed gossip telemetry.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IngestReport {
@@ -168,6 +168,11 @@ pub struct IngestReport {
     /// Each is the same allocation the replica's log and resolved
     /// state hold.
     pub applied: Vec<Arc<ReplEntry>>,
+    /// The resolved entries whose value this call changed: one per
+    /// key, carrying its final value, in key order. An update that
+    /// lost resolution, a new version with the old value, and a key
+    /// changed and changed back within the batch are not here.
+    pub changed: Vec<Arc<ReplEntry>>,
     /// Updates from this batch still parked out-of-order in the
     /// pending buffer after the drain.
     pub buffered: usize,
@@ -182,6 +187,10 @@ impl IngestReport {
         self.applied.len()
     }
 }
+
+/// The updates one batch's resolution let win, each with the version
+/// it displaced (`None` for a key new to the replica), in apply order.
+type Wins = Vec<(Arc<ReplEntry>, Option<Arc<ReplEntry>>)>;
 
 /// A replica of the federated knowledge state for one environment.
 ///
@@ -251,6 +260,8 @@ impl ReplicatedStore {
             seq,
         });
         self.append(&entry);
+        // A local write always wins: the clock it carries has merged
+        // every version this replica resolved, and then ticked.
         self.resolve(&entry);
     }
 
@@ -285,6 +296,7 @@ impl ReplicatedStore {
     /// gap, and how many were stale duplicates.
     pub fn ingest(&mut self, updates: Vec<ReplEntry>) -> IngestReport {
         let mut report = IngestReport::default();
+        let mut wins = Vec::new();
         // The origins this batch parked updates for, sorted, each with
         // the seqs it parked.
         let mut parked: Vec<(String, Vec<u64>)> = Vec::new();
@@ -299,7 +311,7 @@ impl ReplicatedStore {
                 continue;
             }
             if update.seq == watermark + 1 && !self.pending.contains_key(&update.origin) {
-                self.apply(Arc::new(update), &mut report);
+                self.apply(Arc::new(update), &mut report, &mut wins);
                 continue;
             }
             match parked.binary_search_by(|(o, _)| o.as_str().cmp(&update.origin)) {
@@ -333,7 +345,7 @@ impl ReplicatedStore {
                 else {
                     break;
                 };
-                self.apply(Arc::new(entry), &mut report);
+                self.apply(Arc::new(entry), &mut report, &mut wins);
             }
             // An emptied buffer goes, so an origin with parked updates
             // is exactly a key of `pending`.
@@ -347,16 +359,36 @@ impl ReplicatedStore {
                 None => {}
             }
         }
+        report.changed = self.changes(wins);
         report
     }
 
     /// Applies one update that continues its origin's log: learns its
-    /// clock, logs it, resolves it and reports it.
-    fn apply(&mut self, entry: Arc<ReplEntry>, report: &mut IngestReport) {
+    /// clock, logs it, resolves it and reports it; a win joins `wins`.
+    fn apply(&mut self, entry: Arc<ReplEntry>, report: &mut IngestReport, wins: &mut Wins) {
         self.clock.merge_stamp(&entry.clock);
         self.append(&entry);
-        self.resolve(&entry);
+        if let Some(displaced) = self.resolve(&entry) {
+            wins.push((Arc::clone(&entry), displaced));
+        }
         report.applied.push(entry);
+    }
+
+    /// A batch's `changed` report from its `wins`: per key, the final
+    /// resolved entry when its value differs from the one the batch
+    /// started from, in key order.
+    fn changes(&self, mut wins: Wins) -> Vec<Arc<ReplEntry>> {
+        // Stable, so each key's first win holds the version the batch
+        // started from.
+        wins.sort_by(|(a, _), (b, _)| a.key.cmp(&b.key));
+        wins.dedup_by(|(next, _), (first, _)| next.key == first.key);
+        wins.into_iter()
+            .filter_map(|(won, displaced)| {
+                let now = &self.state[&won.key];
+                let same = displaced.is_some_and(|old| old.value == now.value);
+                (!same).then(|| Arc::clone(now))
+            })
+            .collect()
     }
 
     /// Appends `entry` to its origin's log and advances the origin's
@@ -384,16 +416,19 @@ impl ReplicatedStore {
     /// concurrent versions fall to the deterministic tie-break. A pure
     /// max over a total order makes the fold commutative, associative
     /// and idempotent: replicas converge regardless of apply order.
-    fn resolve(&mut self, incoming: &Arc<ReplEntry>) {
+    ///
+    /// Returns `Some` when `incoming` won, holding the version it
+    /// displaced (`None` for a key new to the replica).
+    fn resolve(&mut self, incoming: &Arc<ReplEntry>) -> Option<Option<Arc<ReplEntry>>> {
         match self.state.get_mut(&incoming.key) {
-            Some(current) => {
-                if rank(current) < rank(incoming) {
-                    *current = Arc::clone(incoming);
-                }
+            Some(current) if rank(current) < rank(incoming) => {
+                Some(Some(std::mem::replace(current, Arc::clone(incoming))))
             }
+            Some(_) => None,
             None => {
                 self.state
                     .insert(incoming.key.clone(), Arc::clone(incoming));
+                Some(None)
             }
         }
     }
@@ -549,6 +584,94 @@ mod tests {
             (0, 1, 1)
         );
         assert_eq!(b.pending["env-a"].len(), 1, "one update parked");
+    }
+
+    /// A report's changed entries as `(key, value)`.
+    fn changed(report: &IngestReport) -> Vec<(&str, &str)> {
+        report
+            .changed
+            .iter()
+            .map(|e| (e.key.as_str(), e.value.as_str()))
+            .collect()
+    }
+
+    #[test]
+    fn a_losing_update_is_not_reported() {
+        let mut a = ReplicatedStore::new("env-a");
+        let mut b = ReplicatedStore::new("env-b");
+        a.put("shared", "from-a");
+        b.put("shared", "from-b");
+        let mut c = ReplicatedStore::new("env-c");
+        // Concurrent versions tie on clock total; the origin breaks it.
+        let won = c.ingest(delta(&b, &BTreeMap::new()));
+        assert_eq!(changed(&won), vec![("shared", "from-b")]);
+        let lost = c.ingest(delta(&a, c.digest()));
+        assert_eq!(lost.applied_count(), 1);
+        assert!(
+            lost.changed.is_empty(),
+            "the losing version changed nothing"
+        );
+        assert_eq!(c.get("shared"), Some("from-b"));
+    }
+
+    #[test]
+    fn a_same_valued_version_from_another_origin_is_not_reported() {
+        let mut a = ReplicatedStore::new("env-a");
+        let mut b = ReplicatedStore::new("env-b");
+        a.put("k", "same");
+        b.put("k", "same");
+        let mut c = ReplicatedStore::new("env-c");
+        assert_eq!(
+            changed(&c.ingest(delta(&a, &BTreeMap::new()))),
+            vec![("k", "same")]
+        );
+        let again = c.ingest(delta(&b, c.digest()));
+        assert_eq!(again.applied_count(), 1);
+        assert!(again.changed.is_empty(), "the new version wins, same value");
+        assert!(c.fingerprint().contains("by env-b"));
+    }
+
+    #[test]
+    fn a_key_written_twice_in_one_batch_is_reported_once_with_its_final_value() {
+        let mut a = ReplicatedStore::new("env-a");
+        a.put("k", "v1");
+        a.put("k", "v2");
+        let mut b = ReplicatedStore::new("env-b");
+        let report = b.ingest(delta(&a, &BTreeMap::new()));
+        assert_eq!(report.applied_count(), 2);
+        assert_eq!(changed(&report), vec![("k", "v2")]);
+    }
+
+    #[test]
+    fn a_key_changed_and_changed_back_in_one_batch_is_not_reported() {
+        let mut a = ReplicatedStore::new("env-a");
+        let mut b = ReplicatedStore::new("env-b");
+        a.put("k", "v1");
+        sync(&a, &mut b);
+        a.put("k", "v2");
+        a.put("k", "v1");
+        let report = b.ingest(delta(&a, b.digest()));
+        assert_eq!(report.applied_count(), 2);
+        assert!(report.changed.is_empty());
+    }
+
+    #[test]
+    fn reported_keys_come_in_key_order() {
+        let mut a = ReplicatedStore::new("env-a");
+        for key in ["m", "z", "a", "m"] {
+            a.put(key, format!("{key}-value"));
+        }
+        let mut b = ReplicatedStore::new("env-b");
+        let report = b.ingest(delta(&a, &BTreeMap::new()));
+        assert_eq!(
+            changed(&report),
+            vec![("a", "a-value"), ("m", "m-value"), ("z", "z-value")]
+        );
+        // Each reported entry is the resolved state's own allocation.
+        assert!(std::ptr::eq(
+            &*report.changed[0],
+            b.entries().next().unwrap()
+        ));
     }
 
     #[test]
@@ -750,6 +873,14 @@ mod tests {
         report
     }
 
+    /// The resolved `key → value` map.
+    fn resolved(store: &ReplicatedStore) -> BTreeMap<String, String> {
+        store
+            .entries()
+            .map(|e| (e.key.clone(), e.value.clone()))
+            .collect()
+    }
+
     /// Applied seqs grouped by origin, each in application order.
     fn per_origin(report: &IngestReport) -> BTreeMap<&str, Vec<u64>> {
         let mut out: BTreeMap<&str, Vec<u64>> = BTreeMap::new();
@@ -762,7 +893,9 @@ mod tests {
     /// Seeded batches mixing in-order, gapped, re-delivered (also
     /// within one batch) and own-origin updates: the fast path applies the same updates per
     /// origin in the same order, parks and drops the same counts, and
-    /// resolves to the same fingerprint as parking every update.
+    /// resolves to the same fingerprint as parking every update. Its
+    /// change report names exactly the keys whose resolved value the
+    /// batch changed, with their new values.
     #[test]
     fn fast_path_ingest_matches_parking_only() {
         const WRITERS: [&str; 3] = ["env-a", "env-b", "env-r"];
@@ -818,9 +951,17 @@ mod tests {
                 if rng.chance(0.3) {
                     batch.reverse();
                 }
+                let before = resolved(&fast);
                 let got = fast.ingest(batch.clone());
                 let want = ingest_parking_only(&mut parking, batch);
                 let at = format!("seed {seed} batch {batch_no}");
+                let after = resolved(&fast);
+                let diff: Vec<(&str, &str)> = after
+                    .iter()
+                    .filter(|(k, v)| before.get(*k) != Some(*v))
+                    .map(|(k, v)| (k.as_str(), v.as_str()))
+                    .collect();
+                assert_eq!(changed(&got), diff, "{at}: the change report");
                 assert_eq!(per_origin(&got), per_origin(&want), "{at}");
                 assert_eq!(
                     (got.buffered, got.stale),

@@ -8,7 +8,7 @@
 //! resolutions stop paying the federated walk until the cache entry
 //! goes stale.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use cscw_kernel::Timestamp;
 use odp::{LinkState, QueryScope, TraderLink};
@@ -132,9 +132,9 @@ impl FederatedTrader {
         before - self.cache.len()
     }
 
-    /// Resolves the domain advertising `app`, querying `advertised`
-    /// (domain → advertised application names) from `from` across up
-    /// links.
+    /// Resolves the domain advertising `app`, asking `advertises`
+    /// (does this domain advertise this application?) from `from`
+    /// across up links.
     ///
     /// # Errors
     ///
@@ -147,11 +147,11 @@ impl FederatedTrader {
         &mut self,
         from: &str,
         app: &str,
-        advertised: &BTreeMap<String, BTreeSet<String>>,
+        advertises: impl Fn(&str, &str) -> bool,
         now: Timestamp,
     ) -> Result<Resolution, FederationError> {
         // Local first: federation must never shadow the home domain.
-        if advertised.get(from).is_some_and(|apps| apps.contains(app)) {
+        if advertises(from, app) {
             return Ok(Resolution {
                 domain: from.to_owned(),
                 source: ResolutionSource::Local,
@@ -178,7 +178,7 @@ impl FederatedTrader {
         let mut degraded = false;
         let mut queue = VecDeque::from([from.to_owned()]);
         while let Some(here) = queue.pop_front() {
-            if advertised.get(&here).is_some_and(|apps| apps.contains(app)) {
+            if advertises(&here, app) {
                 self.cache.insert(
                     app.to_owned(),
                     CacheSlot {
@@ -222,9 +222,11 @@ impl FederatedTrader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
-    fn ads(pairs: &[(&str, &[&str])]) -> BTreeMap<String, BTreeSet<String>> {
-        pairs
+    /// Whether a domain advertises an application, over a fixed table.
+    fn ads(pairs: &[(&str, &[&str])]) -> impl Fn(&str, &str) -> bool {
+        let table: BTreeMap<String, BTreeSet<String>> = pairs
             .iter()
             .map(|(d, apps)| {
                 (
@@ -232,7 +234,8 @@ mod tests {
                     apps.iter().map(|a| (*a).to_owned()).collect(),
                 )
             })
-            .collect()
+            .collect();
+        move |domain, app| table.get(domain).is_some_and(|apps| apps.contains(app))
     }
 
     #[test]

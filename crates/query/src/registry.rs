@@ -2,12 +2,12 @@
 //!
 //! A [`SubscriptionRegistry`] holds standing queries and evaluates
 //! them *incrementally*. Every change reaches it through one
-//! [`apply`](SubscriptionRegistry::apply): resolved replicated-knowledge
-//! values as `(key, value)` pairs (the values of the keys a gossip
-//! ingest applied, or local publishes), then directory mutations as the
-//! [`DitChange`]s a recording [`Dit`] logged
-//! ([`Dit::take_changes`]). Each change touches only the subscriptions
-//! whose interest indexes say it could matter:
+//! [`apply`](SubscriptionRegistry::apply): replicated-knowledge values
+//! the replica reports changed, as borrowed `(key, value)` pairs, then
+//! directory mutations as the [`DitChange`]s a recording [`Dit`]
+//! logged ([`Dit::take_changes`]). It keeps result sets, never the
+//! knowledge itself. Each change touches only the subscriptions whose
+//! interest indexes say it could matter:
 //!
 //! * **attribute index** — entry subscriptions keyed by every
 //!   attribute type their query references; a change is routed to the
@@ -146,8 +146,6 @@ pub struct SubscriptionRegistry {
     edge_occ: BTreeMap<AttributeType, BTreeMap<String, BTreeSet<Dn>>>,
     /// How many subscriptions reference each indexed edge attribute.
     edge_refs: BTreeMap<AttributeType, usize>,
-    /// Resolved shadow of replicated knowledge, fed by applies.
-    knowledge: BTreeMap<String, String>,
     /// Reused per change: interested subscription ids, each with
     /// whether it matched the changed DN before the change.
     interest: Vec<(u64, bool)>,
@@ -178,7 +176,6 @@ impl SubscriptionRegistry {
             matched_index: BTreeMap::new(),
             edge_occ: BTreeMap::new(),
             edge_refs: BTreeMap::new(),
-            knowledge: BTreeMap::new(),
             interest: Vec::new(),
             next_id: 0,
             rescans: 0,
@@ -195,9 +192,9 @@ impl SubscriptionRegistry {
         self.subs.is_empty()
     }
 
-    /// How many full re-scans ([`oracle_matches`]
-    /// (SubscriptionRegistry::oracle_matches)) have run — stays `0`
-    /// under purely incremental operation.
+    /// How many full re-scans
+    /// ([`oracle_matches`](SubscriptionRegistry::oracle_matches)) have
+    /// run — stays `0` under purely incremental operation.
     pub fn rescans(&self) -> u64 {
         self.rescans
     }
@@ -364,15 +361,17 @@ impl SubscriptionRegistry {
     }
 
     /// Computes a knowledge subscription's initial result set from the
-    /// registry's resolved shadow (seed the shadow first via
-    /// [`apply`](SubscriptionRegistry::apply)).
+    /// resolved `knowledge` it is given (a replica snapshot) and
+    /// returns the initial `Added` deltas. Later changes to that
+    /// knowledge must reach [`apply`](SubscriptionRegistry::apply).
     ///
     /// # Errors
     ///
     /// [`QueryError::UnknownSubscription`] for an unknown id.
-    pub fn prime_knowledge(
+    pub fn prime_knowledge<'a>(
         &mut self,
         id: SubscriptionId,
+        knowledge: impl IntoIterator<Item = (&'a str, &'a str)>,
         at: u64,
     ) -> Result<Vec<QueryDelta>, QueryError> {
         let span = self
@@ -386,10 +385,10 @@ impl SubscriptionRegistry {
             }
         };
         let mut deltas = Vec::new();
-        for (key, value) in &self.knowledge {
+        for (key, value) in knowledge {
             if sub.query.eval_kv(key, value) {
-                sub.matched_keys.insert(key.clone());
-                deltas.push(QueryDelta::Added { id: key.clone() });
+                sub.matched_keys.insert(key.to_owned());
+                deltas.push(QueryDelta::Added { id: key.to_owned() });
             }
         }
         sub.primed = true;
@@ -401,14 +400,14 @@ impl SubscriptionRegistry {
     }
 
     /// Feeds one batch of knowledge changes through every interested
-    /// subscription: first the resolved replicated-knowledge `pairs`
-    /// (idempotent: a pair equal to the shadowed value is a no-op),
-    /// then the directory `changes`, oldest first. Returns the emitted
-    /// deltas in deterministic (change, subscription id) order. `dit`
-    /// is the post-change tree.
-    pub fn apply(
+    /// subscription: first the replicated-knowledge `pairs`, each a
+    /// key whose resolved value changed to the value given, then the
+    /// directory `changes`, oldest first. Returns the emitted deltas in
+    /// deterministic (change, subscription id) order. `dit` is the
+    /// post-change tree.
+    pub fn apply<'a>(
         &mut self,
-        pairs: &[(String, String)],
+        pairs: impl IntoIterator<Item = (&'a str, &'a str)>,
         changes: &[DitChange],
         dit: &Dit,
         at: u64,
@@ -418,7 +417,8 @@ impl SubscriptionRegistry {
         let mut seen = changes.len() as u64;
         let mut evals = 0;
         for (key, value) in pairs {
-            seen += u64::from(self.apply_pair(key, value, &mut evals, &mut out));
+            seen += 1;
+            self.apply_pair(key, value, &mut evals, &mut out);
         }
         for change in changes {
             self.apply_one_change(change, dit, &mut evals, &mut out);
@@ -610,22 +610,14 @@ impl SubscriptionRegistry {
         }
     }
 
-    /// Feeds one resolved pair; returns whether it changed the shadow
-    /// (a pair equal to the shadowed value is no change at all).
+    /// Feeds one changed pair through the knowledge subscriptions.
     fn apply_pair(
         &mut self,
         key: &str,
-        value: &String,
+        value: &str,
         evals: &mut u64,
         out: &mut Vec<(SubscriptionId, QueryDelta)>,
-    ) -> bool {
-        match self.knowledge.get_mut(key) {
-            Some(shadow) if shadow == value => return false,
-            Some(shadow) => shadow.clone_from(value),
-            None => {
-                self.knowledge.insert(key.to_owned(), value.clone());
-            }
-        }
+    ) {
         for sub_id in self.knowledge_subs.iter().copied() {
             let Some(sub) = self.subs.get_mut(&sub_id) else {
                 continue;
@@ -655,7 +647,6 @@ impl SubscriptionRegistry {
             };
             out.push((SubscriptionId(sub_id), delta));
         }
-        true
     }
 
     /// The current incrementally-maintained result set (DN strings or
@@ -684,8 +675,14 @@ impl SubscriptionRegistry {
     /// incremental state is not modified.
     ///
     /// Entry queries scan `dit`; knowledge queries scan the resolved
-    /// shadow (pass any `Dit` — it is unused for them).
-    pub fn oracle_matches(&mut self, id: SubscriptionId, dit: &Dit) -> Option<BTreeSet<String>> {
+    /// `knowledge` they are given (each source is unused by the other
+    /// kind).
+    pub fn oracle_matches<'a>(
+        &mut self,
+        id: SubscriptionId,
+        dit: &Dit,
+        knowledge: impl IntoIterator<Item = (&'a str, &'a str)>,
+    ) -> Option<BTreeSet<String>> {
         let sub = self.subs.get(&id.0)?;
         self.rescans += 1;
         self.telemetry.incr(Layer::Query, "query.rescan");
@@ -707,11 +704,10 @@ impl SubscriptionRegistry {
                     .map(|e| e.dn().to_string())
                     .collect()
             }
-            Source::Knowledge => self
-                .knowledge
-                .iter()
+            Source::Knowledge => knowledge
+                .into_iter()
                 .filter(|(k, v)| sub.query.eval_kv(k, v))
-                .map(|(k, _)| k.clone())
+                .map(|(k, _)| k.to_owned())
                 .collect(),
         })
     }
@@ -761,18 +757,14 @@ mod tests {
         dit: &mut Dit,
     ) -> Vec<(SubscriptionId, QueryDelta)> {
         let changes = dit.take_changes();
-        reg.apply(&[], &changes, dit, 0)
+        reg.apply([], &changes, dit, 0)
     }
 
     fn apply_pairs(
         reg: &mut SubscriptionRegistry,
         pairs: &[(&str, &str)],
     ) -> Vec<(SubscriptionId, QueryDelta)> {
-        let pairs: Vec<(String, String)> = pairs
-            .iter()
-            .map(|(k, v)| ((*k).to_owned(), (*v).to_owned()))
-            .collect();
-        reg.apply(&pairs, &[], &Dit::new(), 0)
+        reg.apply(pairs.iter().copied(), &[], &Dit::new(), 0)
     }
 
     #[test]
@@ -877,12 +869,25 @@ mod tests {
     }
 
     #[test]
-    fn knowledge_subscriptions_follow_applied_pairs_idempotently() {
+    fn knowledge_subscriptions_follow_changed_pairs() {
         let mut reg = SubscriptionRegistry::new();
         let sub = reg
             .subscribe(r#"key prefix "org:" and value matches "*coordinator*""#, 0)
             .unwrap();
-        assert!(reg.prime_knowledge(sub, 0).unwrap().is_empty());
+        // Priming reads the knowledge it is given.
+        let primed = reg
+            .prime_knowledge(
+                sub,
+                [("org:cn=B", "coordinator"), ("info:x", "coordinator")],
+                0,
+            )
+            .unwrap();
+        assert_eq!(
+            primed,
+            [QueryDelta::Added {
+                id: "org:cn=B".into()
+            }]
+        );
 
         let deltas = apply_pairs(&mut reg, &[("org:cn=A", "role: coordinator")]);
         assert_eq!(
@@ -891,8 +896,6 @@ mod tests {
                 id: "org:cn=A".into()
             }
         );
-        // Same value again: no delta.
-        assert!(apply_pairs(&mut reg, &[("org:cn=A", "role: coordinator")]).is_empty());
         // Value changes but still matches: Changed.
         let deltas = apply_pairs(&mut reg, &[("org:cn=A", "senior coordinator")]);
         assert_eq!(deltas[0].1.kind(), "changed");
@@ -903,6 +906,10 @@ mod tests {
         );
         assert_eq!(deltas.len(), 1);
         assert_eq!(deltas[0].1.kind(), "removed");
+        assert_eq!(
+            reg.matches(sub).unwrap(),
+            BTreeSet::from(["org:cn=B".to_owned()])
+        );
     }
 
     #[test]
@@ -952,7 +959,7 @@ mod tests {
             apply_changes(&mut reg, &mut dit);
             assert_eq!(
                 reg.matches(sub).unwrap(),
-                reg.oracle_matches(sub, &dit).unwrap(),
+                reg.oracle_matches(sub, &dit, []).unwrap(),
                 "incremental result diverged from the re-scan oracle"
             );
         }
@@ -967,17 +974,13 @@ mod tests {
         let entries = reg.subscribe("class = person", 0).unwrap();
         reg.prime(entries, &dit, 0).unwrap();
         let knowledge = reg.subscribe(r#"key prefix "org:""#, 0).unwrap();
-        reg.prime_knowledge(knowledge, 0).unwrap();
-        apply_pairs(&mut reg, &[("org:cn=B", "b")]);
+        reg.prime_knowledge(knowledge, [("org:cn=B", "b")], 0)
+            .unwrap();
         let seen = telemetry.counter(Layer::Query, "query.change.seen");
 
         dit.add(person("c=UK,cn=A", "A A", "A")).unwrap();
         let changes = dit.take_changes();
-        let pairs = [
-            ("org:cn=A".to_owned(), "a".to_owned()),
-            ("org:cn=B".to_owned(), "b".to_owned()),
-        ];
-        let deltas = reg.apply(&pairs, &changes, &dit, 0);
+        let deltas = reg.apply([("org:cn=A", "a")], &changes, &dit, 0);
         assert_eq!(
             deltas,
             [
@@ -995,7 +998,7 @@ mod tests {
                 ),
             ]
         );
-        // The pair equal to the shadow is no change at all.
+        // Every pair is a change: one pair and one DIT change seen.
         assert_eq!(
             telemetry.counter(Layer::Query, "query.change.seen"),
             seen + 2
@@ -1177,8 +1180,11 @@ mod tests {
             let knowledge = reg
                 .subscribe(r#"from knowledge key prefix "org:""#, 0)
                 .unwrap();
-            reg.prime_knowledge(knowledge, 0).unwrap();
+            reg.prime_knowledge(knowledge, [], 0).unwrap();
             let mut known: BTreeSet<String> = BTreeSet::new();
+            // Stands in for the replica: current values, and the
+            // judge of which written pairs are changes.
+            let mut replica: BTreeMap<String, String> = BTreeMap::new();
 
             for batch in 0..BATCHES {
                 if batch == BATCHES / 2 {
@@ -1208,19 +1214,23 @@ mod tests {
                     };
                     stream::op(&mut rng, &mut dit, who);
                 }
-                let pairs: Vec<(String, String)> = (0..rng.below(3))
+                let written: Vec<(String, String)> = (0..rng.below(3))
                     .map(|_| {
                         let key = format!("org:{}", rng.below(4));
                         (key, format!("v{}", rng.below(2)))
                     })
+                    .filter(|(key, value)| {
+                        replica.insert(key.clone(), value.clone()).as_ref() != Some(value)
+                    })
                     .collect();
+                let pairs = written.iter().map(|(k, v)| (k.as_str(), v.as_str()));
                 let changes = dit.take_changes();
                 let modified: BTreeSet<String> = changes
                     .iter()
                     .filter(|c| matches!(c, DitChange::Modified { .. }))
                     .map(|c| c.entry().dn().to_string())
                     .collect();
-                let deltas = reg.apply(&pairs, &changes, &dit, batch);
+                let deltas = reg.apply(pairs, &changes, &dit, batch);
                 for (id, delta) in &deltas {
                     let set = if *id == knowledge {
                         &mut known
@@ -1254,13 +1264,17 @@ mod tests {
                         "seed {seed} batch {batch}: deltas do not sum to the result set of {id}"
                     );
                     assert_eq!(
-                        reg.oracle_matches(*id, &dit).as_ref(),
+                        reg.oracle_matches(*id, &dit, []).as_ref(),
                         Some(set),
                         "seed {seed} batch {batch}: {id} diverged from the re-scan oracle"
                     );
                 }
                 assert_eq!(reg.matches(knowledge).as_ref(), Some(&known));
-                assert_eq!(reg.oracle_matches(knowledge, &dit).as_ref(), Some(&known));
+                let current = replica.iter().map(|(k, v)| (k.as_str(), v.as_str()));
+                assert_eq!(
+                    reg.oracle_matches(knowledge, &dit, current).as_ref(),
+                    Some(&known)
+                );
             }
         }
     }

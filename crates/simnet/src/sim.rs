@@ -12,7 +12,7 @@
 //! 1. if `l`'s wire is idle and its egress queue empty, the message
 //!    starts serialising immediately; otherwise it enters the bounded
 //!    egress queue, where the link's
-//!    [`QueueDiscipline`](crate::QueueDiscipline) decides admission
+//!    [`QueueDiscipline`] decides admission
 //!    (over capacity the message is shed with
 //!    [`DropReason::QueueFull`]) and dequeue order. The sender sees
 //!    which happened via [`SendOutcome`];

@@ -153,7 +153,7 @@ const PERIODS: u64 = 20;
 
 /// Allocations made by [`PERIODS`] gossip periods of the ring in the
 /// debug profile. Re-pin as for [`PINNED_ALLOCS`].
-const PINNED_GOSSIP_ALLOCS: u64 = 2_502;
+const PINNED_GOSSIP_ALLOCS: u64 = 2_143;
 
 fn bound(t: &Telemetry) {
     t.set_event_capacity(STORE_RECORDS);

@@ -40,9 +40,9 @@ const WORKERS_QUERY: &str = r#"from knowledge key prefix "org:" and value matche
 /// The stream of operations replayed. Between them the steps drive
 /// every path by which knowledge reaches the standing queries: a
 /// federated `publish_knowledge`, a gossip ingest (every step's
-/// convergence run), a knowledge-query subscribe with its catch-up, a
-/// federated `store_object`, and a direct knowledge-base edit pumped
-/// with `pump_queries`.
+/// convergence run), a knowledge-query subscribe primed from the
+/// replica, a federated `store_object`, and a direct knowledge-base
+/// edit pumped with `pump_queries`.
 #[derive(Debug, Clone, Copy)]
 enum Op {
     /// `env-a` introduces a person.
@@ -428,4 +428,58 @@ fn unpumped_edit_rides_the_next_ingest_once() {
     assert_eq!(deltas.iter().filter(|d| **d == edit).count(), 1);
     env.pump_queries().unwrap();
     assert!(env.take_query_deltas().is_empty(), "delivered once");
+}
+
+/// The replica alone decides what changed: re-publishing an unchanged
+/// org model, and storing an object whose record the replica already
+/// holds, write nothing and emit no delta.
+#[test]
+fn unchanged_republication_emits_no_delta() {
+    let mut fed = FederatedEnvironments::new();
+    fed.federate("env-a", CscwEnvironment::new());
+    fed.federate("env-b", CscwEnvironment::new());
+    fed.link_bidi("env-a", "env-b");
+    let note = || {
+        InfoObject::new(
+            InfoObjectId::new("note-0"),
+            "note",
+            dn(PEOPLE[0]),
+            InfoContent::Text("minutes".into()),
+        )
+    };
+    {
+        let env = fed.env_mut("env-a").unwrap();
+        env.org()
+            .write()
+            .add_person(Person::new(dn(PEOPLE[0]), PEOPLE[0]));
+        env.publish_knowledge().unwrap();
+        env.store_object(note(), None, Timestamp::ZERO).unwrap();
+    }
+    assert!(fed.run_until_converged(1, 60_000_000).unwrap().converged);
+    for domain in ["env-a", "env-b"] {
+        let env = fed.env_mut(domain).unwrap();
+        env.subscribe("class = person").unwrap();
+        env.subscribe(r#"from knowledge key prefix "org:""#)
+            .unwrap();
+        env.subscribe(INFO_QUERY).unwrap();
+        let primed = env.take_query_deltas();
+        assert!(
+            primed.iter().any(|(_, d)| d.id() == "info:note-0"),
+            "{domain}: primed {primed:?}"
+        );
+    }
+    let fingerprints = fed.fingerprints();
+
+    fed.env_mut("env-a").unwrap().publish_knowledge().unwrap();
+    // env-b already holds the record env-a replicated.
+    fed.env_mut("env-b")
+        .unwrap()
+        .store_object(note(), None, Timestamp::ZERO)
+        .unwrap();
+    assert_eq!(fed.fingerprints(), fingerprints, "no new version");
+    assert!(fed.run_until_converged(1, 10_000_000).unwrap().converged);
+    for domain in ["env-a", "env-b"] {
+        let env = fed.env_mut(domain).unwrap();
+        assert!(env.take_query_deltas().is_empty(), "{domain}: no delta");
+    }
 }
