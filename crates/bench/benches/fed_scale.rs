@@ -18,11 +18,10 @@ use cscw_bench::fed_scale::{self, SHAPES, SITE_COUNTS};
 use cscw_bench::population_env;
 use cscw_bench::report::ToValue;
 use cscw_directory::Dn;
-use cscw_federation::DEFAULT_GOSSIP_PERIOD_MICROS;
 use cscw_kernel::{LogHistogram, Timestamp};
 use groupware::sample_artifact;
 use mocca::env::AppId;
-use mocca::federation::FederatedEnvironments;
+use mocca::federation::{FederatedEnvironments, DEFAULT_GOSSIP_PERIOD_MICROS};
 
 const SEEDS: [u64; 3] = [1, 2, 3];
 const LATENCY_ITERS: u64 = 200;

@@ -13,9 +13,8 @@ use std::collections::BTreeMap;
 use std::time::Instant;
 
 use cscw_directory::Dn;
-use cscw_federation::DEFAULT_GOSSIP_PERIOD_MICROS;
 use cscw_kernel::{Layer, LogHistogram, Timestamp};
-use mocca::federation::{ConvergenceReport, FederatedEnvironments};
+use mocca::federation::{ConvergenceReport, FederatedEnvironments, DEFAULT_GOSSIP_PERIOD_MICROS};
 use mocca::info::{InfoContent, InfoObject, InfoObjectId};
 use mocca::{CscwEnvironment, MoccaError};
 use odp::LinkState;

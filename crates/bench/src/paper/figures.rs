@@ -340,7 +340,7 @@ pub fn ring(sites: usize, seed: u64) -> Fallible<RingCell> {
         sites,
         seed,
         converged: report.converged,
-        gossip_periods: report.sim_micros / cscw_federation::DEFAULT_GOSSIP_PERIOD_MICROS,
+        gossip_periods: report.sim_micros / mocca::federation::DEFAULT_GOSSIP_PERIOD_MICROS,
         gossip_pulses: report.activity.gossip_pulses,
         updates_applied: report.activity.updates_applied,
         bytes_on_wire: report.activity.bytes_on_wire,

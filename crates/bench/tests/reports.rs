@@ -224,11 +224,13 @@ fn net_congestion_report_regenerates_byte_for_byte() {
     assert_eq!(report.to_json(), NET_CONGESTION);
 }
 
-/// Every deterministic field of the committed seed-1 fed_scale cells
-/// at 8 and 32 sites (32 is CI's smoke column) regenerates exactly in
-/// process, so a moved byte count or fingerprint fails here even though
-/// the smoke run only re-checks the claims. The wall-clock fields
-/// (`gossip_round_micros`, `pump_micros`, `wall_micros`) are left out.
+/// Every deterministic field of the committed fed_scale cells at 8 and
+/// 32 sites (32 is CI's smoke column) under every seed regenerates
+/// exactly in process, so a moved byte count or fingerprint fails here
+/// even though the smoke run only re-checks the claims. Phases are drawn
+/// from the seed, so each seed schedules differently. The wall-clock
+/// fields (`gossip_round_micros`, `pump_micros`, `wall_micros`) are
+/// left out.
 #[test]
 fn fed_scale_cells_reproduce_committed_deterministic_fields() {
     const DETERMINISTIC: [&str; 7] = [
@@ -244,18 +246,20 @@ fn fed_scale_cells_reproduce_committed_deterministic_fields() {
     let cells = committed.list_at("cells").expect("cells");
     for shape in fed_scale::SHAPES {
         for sites in [8, 32] {
-            let cell = format!("{}-{sites} seed 1", shape.name());
-            let want = cells
-                .iter()
-                .find(|c| {
-                    c.str_at("shape") == Ok(shape.name())
-                        && c.u64_at("sites") == Ok(sites as u64)
-                        && c.u64_at("seed") == Ok(1)
-                })
-                .unwrap_or_else(|| panic!("{cell} is committed"));
-            let fresh = fed_scale::run(shape, sites, 1).expect("run").to_value();
-            for field in DETERMINISTIC {
-                assert_eq!(fresh.at(field), want.at(field), "{cell} → {field}");
+            for seed in [1, 2, 3] {
+                let cell = format!("{}-{sites} seed {seed}", shape.name());
+                let want = cells
+                    .iter()
+                    .find(|c| {
+                        c.str_at("shape") == Ok(shape.name())
+                            && c.u64_at("sites") == Ok(sites as u64)
+                            && c.u64_at("seed") == Ok(seed)
+                    })
+                    .unwrap_or_else(|| panic!("{cell} is committed"));
+                let fresh = fed_scale::run(shape, sites, seed).expect("run").to_value();
+                for field in DETERMINISTIC {
+                    assert_eq!(fresh.at(field), want.at(field), "{cell} → {field}");
+                }
             }
         }
     }

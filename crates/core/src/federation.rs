@@ -1,20 +1,28 @@
 //! Federating N environments — the event-driven driver.
 //!
 //! `cscw-federation` provides the mechanisms (trader interworking,
-//! anti-entropy replication, remote routing) and the scheduler that
-//! paces them ([`FederationRuntime`]); this module provides the
-//! *assembly*: [`FederatedEnvironments`] owns a set of
-//! [`CscwEnvironment`]s and one [`FederationFabric`], wires each
-//! environment to the fabric through its
-//! [`FederationPort`](cscw_federation::FederationPort), and
-//! drives the whole federation from scheduled events —
+//! anti-entropy replication, remote routing); this module provides
+//! the *assembly* and its only driver: [`FederatedEnvironments`] owns
+//! a set of [`CscwEnvironment`]s and one [`FederationFabric`], wires
+//! each environment to the fabric through its
+//! [`FederationPort`](cscw_federation::FederationPort), and runs the
+//! whole federation from one deterministic event queue.
 //! [`run_for`](FederatedEnvironments::run_for) /
 //! [`run_until_converged`](FederatedEnvironments::run_until_converged)
-//! poll the runtime and act on each [`Pulse`]: a gossip pulse pushes
-//! one site's anti-entropy exchange over its up out-links, a pump
-//! pulse drains that site's queued remote deliveries. Offer-TTL expiry
-//! and scheduled partitions/heals execute inside the runtime itself.
-//! This is the only driver: no caller hand-cranks rounds.
+//! act on every event kind themselves: a gossip timer pushes one
+//! site's anti-entropy exchange over its up out-links, a pump timer
+//! drains that site's queued remote deliveries, the TTL sweep expires
+//! stale remote offers, and a scheduled link change partitions or
+//! heals a link. No caller hand-cranks rounds.
+//!
+//! Events name sites by their fabric [`SiteId`], and every per-site
+//! table here is indexed by it, so no scheduled event copies, compares
+//! or looks up a site's name.
+//!
+//! Determinism contract: timers are installed in sorted domain order
+//! when the schedule starts and in federate order after, every phase
+//! derives from `(seed, install index)`, and the queue pops in `(time,
+//! enqueue-sequence)` order — identical seeds replay bit-for-bit.
 //!
 //! Gossip frames ride the *messaging layer*: each exchange ships the
 //! digest and delta as [`cscw_messaging::gossip::GossipFrame`]
@@ -31,17 +39,21 @@
 
 use std::collections::BTreeMap;
 
-use cscw_federation::{
-    FederatedTrader, FederationError, FederationFabric, FederationRuntime, Pulse,
-    DEFAULT_GOSSIP_PERIOD_MICROS,
-};
-use cscw_kernel::{percent_escape_into, Layer, Timestamp};
+use cscw_federation::{FederatedTrader, FederationError, FederationFabric, SiteId};
+use cscw_kernel::{percent_escape_into, EventQueue, Layer, Periodic, Telemetry, Timestamp};
 use cscw_messaging::gossip::GossipFrame;
 use cscw_messaging::OrAddress;
 use odp::LinkState;
 
 use crate::env::CscwEnvironment;
 use crate::error::MoccaError;
+
+/// Per-site anti-entropy gossip period (250 simulated ms).
+pub const DEFAULT_GOSSIP_PERIOD_MICROS: u64 = 250_000;
+/// Per-site delivery-pump period (50 simulated ms).
+const PUMP_PERIOD_MICROS: u64 = 50_000;
+/// Fabric-wide offer-TTL sweep period (1 simulated second).
+const TTL_SWEEP_PERIOD_MICROS: u64 = 1_000_000;
 
 /// O/R address of a federation domain's gossip mailbox. The domain
 /// becomes the personal name with `;` and `=`, the address grammar's
@@ -119,19 +131,130 @@ enum LinkShip {
     },
 }
 
+/// One scheduled federation event.
+#[derive(Debug, Clone, Copy)]
+enum Event {
+    /// A site's anti-entropy gossip timer fired.
+    Gossip(SiteId),
+    /// A site's delivery-pump timer fired.
+    Pump(SiteId),
+    /// The fabric-wide offer-TTL sweep timer fired.
+    TtlSweep,
+    /// A scheduled link health transition (partition or heal).
+    LinkChange(SiteId, SiteId, LinkState),
+}
+
+/// A site's periodic timers.
+#[derive(Debug)]
+struct Timers {
+    gossip: Periodic,
+    pump: Periodic,
+    /// Gossip pulses still to be swallowed: backpressure from a
+    /// transport that refused this site's frames.
+    deferred: u32,
+}
+
+/// The federation's schedule: one deterministic event queue, the
+/// fabric-wide TTL sweep and each site's jittered timers.
+#[derive(Debug)]
+pub struct FederationRuntime {
+    queue: EventQueue<Event>,
+    seed: u64,
+    ttl_sweep: Periodic,
+    /// Each site's timers, by [`SiteId`]; `None` until installed.
+    timers: Vec<Option<Timers>>,
+    installed: u64,
+}
+
+impl FederationRuntime {
+    fn new(seed: u64) -> Self {
+        let ttl_sweep = Periodic::every(TTL_SWEEP_PERIOD_MICROS);
+        let mut queue = EventQueue::new();
+        queue.schedule(ttl_sweep.next_after(Timestamp::ZERO), Event::TtlSweep);
+        FederationRuntime {
+            queue,
+            seed,
+            ttl_sweep,
+            timers: Vec::new(),
+            installed: 0,
+        }
+    }
+
+    /// The schedule's current simulated time (time of the last event).
+    pub fn now(&self) -> Timestamp {
+        self.queue.now()
+    }
+
+    /// Installs `site`'s gossip and pump timers, phases derived from
+    /// `(seed, install index)`; a site that has them keeps them.
+    fn install(&mut self, site: SiteId, telemetry: &Telemetry) {
+        let slot = site.index();
+        if self.timers.len() <= slot {
+            self.timers.resize_with(slot + 1, || None);
+        }
+        if self.timers[slot].is_some() {
+            return;
+        }
+        let index = self.installed;
+        self.installed += 1;
+        let gossip = Periodic::jittered(DEFAULT_GOSSIP_PERIOD_MICROS, self.seed, index);
+        // Decorrelate the pump phase from the gossip phase so the two
+        // timers do not ride the same grid (the salt spells "PUMP").
+        let pump = Periodic::jittered(PUMP_PERIOD_MICROS, self.seed ^ 0x5055_4D50, index);
+        let now = self.queue.now();
+        self.queue
+            .schedule(gossip.first().max(now), Event::Gossip(site));
+        self.queue
+            .schedule(pump.first().max(now), Event::Pump(site));
+        self.timers[slot] = Some(Timers {
+            gossip,
+            pump,
+            deferred: 0,
+        });
+        telemetry.incr(Layer::Federation, "federation.runtime.site");
+    }
+
+    fn timers_mut(&mut self, site: SiteId) -> Option<&mut Timers> {
+        self.timers.get_mut(site.index())?.as_mut()
+    }
+
+    /// Pops the next event due by `deadline` and re-arms the periodic
+    /// timer that fired it. `None` once nothing is due, leaving the
+    /// clock at `deadline`.
+    fn next(&mut self, deadline: Timestamp) -> Option<(Timestamp, Event)> {
+        if self.queue.peek_at().is_none_or(|at| at > deadline) {
+            self.queue.advance_to(deadline);
+            return None;
+        }
+        let (at, event) = self.queue.pop()?;
+        let timers = |site: SiteId| self.timers.get(site.index())?.as_ref();
+        let rearm = match event {
+            Event::Gossip(site) => timers(site).map(|t| t.gossip.next_after(at)),
+            Event::Pump(site) => timers(site).map(|t| t.pump.next_after(at)),
+            Event::TtlSweep => Some(self.ttl_sweep.next_after(at)),
+            Event::LinkChange(..) => None,
+        };
+        if let Some(next) = rearm {
+            self.queue.schedule(next, event);
+        }
+        Some((at, event))
+    }
+}
+
 /// N federated environments and the fabric that joins them.
 #[derive(Debug, Default)]
 pub struct FederatedEnvironments {
     fabric: FederationFabric,
-    envs: BTreeMap<String, CscwEnvironment>,
+    /// Each federated site's environment, by [`SiteId`].
+    envs: Vec<Option<CscwEnvironment>>,
+    /// Each federated site's gossip mailbox, by [`SiteId`], built once
+    /// at [`federate`](Self::federate).
+    mailboxes: Vec<Option<OrAddress>>,
     runtime: Option<FederationRuntime>,
     /// Consecutive transport refusals per directed link — the
     /// congestion-pressure signal that shrinks delta frames and defers
     /// gossip pulses. Cleared the moment a link ships successfully.
-    pressure: BTreeMap<(String, String), u32>,
-    /// Each federated domain's gossip mailbox, built once at
-    /// [`federate`](Self::federate).
-    mailboxes: BTreeMap<String, OrAddress>,
+    pressure: BTreeMap<(SiteId, SiteId), u32>,
 }
 
 impl FederatedEnvironments {
@@ -152,10 +275,7 @@ impl FederatedEnvironments {
     pub fn with_fabric(fabric: FederationFabric) -> Self {
         FederatedEnvironments {
             fabric,
-            envs: BTreeMap::new(),
-            runtime: None,
-            pressure: BTreeMap::new(),
-            mailboxes: BTreeMap::new(),
+            ..Self::default()
         }
     }
 
@@ -171,34 +291,51 @@ impl FederatedEnvironments {
     pub fn federate(&mut self, domain: impl Into<String>, mut env: CscwEnvironment) {
         let domain = domain.into();
         let port = self.fabric.join(&domain);
+        let site = port.site();
         env.install_federation(Box::new(port));
         if let Some(rt) = self.runtime.as_mut() {
-            rt.install_site(&domain);
+            rt.install(site, &self.fabric.telemetry());
         }
-        if let Some(mailbox) = domain_address(&domain) {
-            self.mailboxes.insert(domain.clone(), mailbox);
+        let slot = site.index();
+        if self.envs.len() <= slot {
+            self.envs.resize_with(slot + 1, || None);
+            self.mailboxes.resize_with(slot + 1, || None);
         }
-        self.envs.insert(domain, env);
+        self.mailboxes[slot] = domain_address(&domain);
+        self.envs[slot] = Some(env);
     }
 
     /// The federated domains, in name order.
     pub fn domains(&self) -> Vec<String> {
-        self.envs.keys().cloned().collect()
+        let sites = self.fabric.sites().into_iter();
+        sites
+            .filter(|(_, site)| self.site_env(*site).is_some())
+            .map(|(domain, _)| domain)
+            .collect()
     }
 
     /// A federated environment by domain.
     pub fn env(&self, domain: &str) -> Option<&CscwEnvironment> {
-        self.envs.get(domain)
+        self.site_env(self.fabric.site(domain)?)
     }
 
     /// Mutable access to a federated environment.
     pub fn env_mut(&mut self, domain: &str) -> Option<&mut CscwEnvironment> {
-        self.envs.get_mut(domain)
+        self.site_env_mut(self.fabric.site(domain)?)
     }
 
-    /// Adds a directed trader link between domains.
-    pub fn link(&self, from: &str, to: &str) {
-        self.fabric.link(from, to);
+    fn site_env(&self, site: SiteId) -> Option<&CscwEnvironment> {
+        self.envs.get(site.index())?.as_ref()
+    }
+
+    fn site_env_mut(&mut self, site: SiteId) -> Option<&mut CscwEnvironment> {
+        self.envs.get_mut(site.index())?.as_mut()
+    }
+
+    /// Adds a directed trader link between domains; `false`, adding
+    /// nothing, when either domain never joined.
+    pub fn link(&self, from: &str, to: &str) -> bool {
+        self.fabric.link(from, to)
     }
 
     /// Links two domains both ways.
@@ -208,13 +345,16 @@ impl FederatedEnvironments {
 
     /// Sets one directed link's health; `false` when no such link.
     pub fn set_link_state(&self, from: &str, to: &str, state: LinkState) -> bool {
-        self.fabric.set_link_state(from, to, state)
+        match (self.fabric.site(from), self.fabric.site(to)) {
+            (Some(from), Some(to)) => self.fabric.set_link_state(from, to, state),
+            _ => false,
+        }
     }
 
-    /// Drains the deliveries queued into one domain's environment.
-    fn pump_domain(&mut self, domain: &str) -> Result<usize, MoccaError> {
-        let deliveries = self.fabric.take_inbound(domain);
-        let Some(env) = self.envs.get_mut(domain) else {
+    /// Drains the deliveries queued into one site's environment.
+    fn pump_site(&mut self, site: SiteId) -> Result<usize, MoccaError> {
+        let deliveries = self.fabric.take_inbound(site);
+        let Some(env) = self.site_env_mut(site) else {
             return Ok(0);
         };
         let mut delivered = 0;
@@ -237,22 +377,22 @@ impl FederatedEnvironments {
     /// One link's anti-entropy exchange: writes `dst`'s digest frame,
     /// answers it with `src`'s delta frame, ships both through `dst`'s
     /// transport as gossip notifications, and applies the delta.
-    fn gossip_link(&mut self, src: &str, dst: &str) -> Result<LinkShip, MoccaError> {
+    fn gossip_link(&mut self, src: SiteId, dst: SiteId) -> Result<LinkShip, MoccaError> {
         let t = self.fabric.telemetry();
-        let failures = self.link_pressure(src, dst);
+        let failures = self.pressure.get(&(src, dst)).copied().unwrap_or(0);
         let cap = (failures > 0).then(|| (DELTA_CAP_BASE >> failures.min(6)).max(1));
-        let digest_wire = self.fabric.digest_wire(dst)?;
+        let digest_wire = self.fabric.digest_wire(dst);
         let delta_wire = self.fabric.delta_wire(src, &digest_wire, cap)?;
         let started = self
-            .envs
-            .get_mut(dst)
+            .site_env_mut(dst)
             .map(|env| env.platform_mut().clock().now_micros());
         // Lower both frames through the receiving environment's
         // messaging port; a refusal means this link gossips on the
         // next pulse instead.
         let shipped = (|| {
-            let (from, to) = (self.mailboxes.get(src)?, self.mailboxes.get(dst)?);
-            let env = self.envs.get_mut(dst)?;
+            let from = self.mailboxes.get(src.index())?.as_ref()?;
+            let to = self.mailboxes.get(dst.index())?.as_ref()?;
+            let env = self.envs.get_mut(dst.index())?.as_mut()?;
             let transport = env.platform_mut().transport();
             transport
                 .notify(from, to, "federation-gossip", &digest_wire)
@@ -262,19 +402,15 @@ impl FederatedEnvironments {
                 .ok()
         })();
         if shipped.is_none() {
-            *self
-                .pressure
-                .entry((src.to_owned(), dst.to_owned()))
-                .or_insert(0) += 1;
+            *self.pressure.entry((src, dst)).or_insert(0) += 1;
             t.incr(Layer::Federation, "federation.gossip.pressure");
             return Ok(LinkShip::Degraded);
         }
         if failures > 0 {
-            self.pressure.remove(&(src.to_owned(), dst.to_owned()));
+            self.pressure.remove(&(src, dst));
         }
         let finished = self
-            .envs
-            .get_mut(dst)
+            .site_env_mut(dst)
             .map(|env| env.platform_mut().clock().now_micros());
         let micros = match (started, finished) {
             (Some(before), Some(after)) => after.saturating_sub(before),
@@ -300,7 +436,7 @@ impl FederatedEnvironments {
         // stream, not from re-scanning the replica.
         if !report.applied.is_empty() {
             let changed = report.changed.iter();
-            if let Some(env) = self.envs.get_mut(dst) {
+            if let Some(env) = self.site_env_mut(dst) {
                 env.feed_queries(changed.map(|e| (e.key.as_str(), e.value.as_str())))?;
             }
         }
@@ -311,26 +447,29 @@ impl FederatedEnvironments {
         })
     }
 
-    /// One site's gossip pulse: anti-entropy over every up out-link,
-    /// traced as one `federation.gossip.pulse` root span whose context
-    /// rides every frame the pulse ships.
-    fn gossip_from(&mut self, site: &str, report: &mut RunReport) -> Result<(), MoccaError> {
+    /// One site's gossip pulse at `at`: anti-entropy over every up
+    /// out-link, traced as one `federation.gossip.pulse` root span whose
+    /// context rides every frame the pulse ships.
+    fn gossip_from(
+        &mut self,
+        site: SiteId,
+        at: Timestamp,
+        report: &mut RunReport,
+    ) -> Result<(), MoccaError> {
         let t = self.fabric.telemetry();
-        let now = self
-            .runtime
-            .as_ref()
-            .map(|rt| rt.now().as_micros())
-            .unwrap_or_default();
+        let now = at.as_micros();
         let span = t.span_begin(Layer::Federation, "federation.gossip.pulse", now);
         let mut pulse_micros = 0u64;
         let result = (|| {
             let mut degraded_here = false;
-            for dst in self.fabric.up_links_from(site) {
-                if !self.envs.contains_key(site) || !self.envs.contains_key(&dst) {
+            let mut cursor = 0;
+            while let Some((link, dst)) = self.fabric.next_up_link(site, cursor) {
+                cursor = link + 1;
+                if self.site_env(site).is_none() || self.site_env(dst).is_none() {
                     continue;
                 }
                 report.links_walked += 1;
-                match self.gossip_link(site, &dst)? {
+                match self.gossip_link(site, dst)? {
                     LinkShip::Degraded => {
                         report.links_degraded += 1;
                         degraded_here = true;
@@ -351,8 +490,8 @@ impl FederatedEnvironments {
             // before its next exchange (the frames it ships then are
             // already shrunk by the per-link pressure cap).
             if degraded_here {
-                if let Some(rt) = self.runtime.as_mut() {
-                    rt.defer_gossip(site, 1);
+                if let Some(timers) = self.runtime.as_mut().and_then(|rt| rt.timers_mut(site)) {
+                    timers.deferred += 1;
                 }
             }
             Ok(())
@@ -366,26 +505,34 @@ impl FederatedEnvironments {
         result
     }
 
-    /// Starts the event-driven runtime over the current fabric (no-op
-    /// when one is already running — the existing runtime and its
+    /// Starts the event-driven schedule over the current fabric (no-op
+    /// when one is already running — the existing schedule and its
     /// clock are kept). [`run_for`](Self::run_for) and
     /// [`run_until_converged`](Self::run_until_converged) call this
     /// implicitly; call it yourself first when you need to
     /// [`schedule_link_change`](Self::schedule_link_change) before
     /// running.
-    pub fn start_runtime(&mut self, seed: u64) -> &mut FederationRuntime {
-        let fabric = self.fabric.clone();
-        self.runtime
-            .get_or_insert_with(|| FederationRuntime::new(fabric, seed))
+    pub fn start_runtime(&mut self, seed: u64) {
+        if self.runtime.is_some() {
+            return;
+        }
+        let mut rt = FederationRuntime::new(seed);
+        let telemetry = self.fabric.telemetry();
+        for (_, site) in self.fabric.sites() {
+            rt.install(site, &telemetry);
+        }
+        self.runtime = Some(rt);
     }
 
-    /// The event-driven runtime, once started.
+    /// The event-driven schedule, once started.
     pub fn runtime(&self) -> Option<&FederationRuntime> {
         self.runtime.as_ref()
     }
 
-    /// Schedules a link partition/heal as a first-class runtime event.
-    /// Returns `false` when the runtime has not been started.
+    /// Schedules a link partition/heal as a first-class event. Returns
+    /// `false` when the schedule has not been started or either domain
+    /// never joined. A change that finds no such link when it fires
+    /// does nothing.
     pub fn schedule_link_change(
         &mut self,
         at: Timestamp,
@@ -393,21 +540,23 @@ impl FederatedEnvironments {
         to: &str,
         state: LinkState,
     ) -> bool {
-        match self.runtime.as_mut() {
-            Some(rt) => {
-                rt.schedule_link_change(at, from, to, state);
-                true
-            }
-            None => false,
-        }
+        let (Some(from), Some(to)) = (self.fabric.site(from), self.fabric.site(to)) else {
+            return false;
+        };
+        let Some(rt) = self.runtime.as_mut() else {
+            return false;
+        };
+        rt.queue.schedule(at, Event::LinkChange(from, to, state));
+        true
     }
 
     /// Advances the federation `duration_micros` of simulated time,
     /// acting on every scheduled event in the window: gossip pulses
     /// push one site's exchanges, pump pulses drain one site's
-    /// deliveries, TTL sweeps and scheduled link changes execute inside
-    /// the runtime. Starts the runtime under `seed` if not yet running
-    /// (a later call's `seed` is ignored — the running schedule wins).
+    /// deliveries, TTL sweeps expire stale remote offers and scheduled
+    /// link changes apply. Starts the schedule under `seed` if not yet
+    /// running (a later call's `seed` is ignored — the running schedule
+    /// wins).
     ///
     /// # Errors
     ///
@@ -426,22 +575,33 @@ impl FederatedEnvironments {
         let Some(deadline) = self.runtime.as_ref().map(|rt| rt.now() + duration_micros) else {
             return Ok(report);
         };
-        loop {
-            let pulse = match self.runtime.as_mut() {
-                Some(rt) => rt.poll(deadline),
-                None => None,
-            };
-            let Some((_, pulse)) = pulse else {
-                break;
-            };
-            match pulse {
-                Pulse::Gossip { site } => {
+        let t = self.fabric.telemetry();
+        while let Some((at, event)) = self.runtime.as_mut().and_then(|rt| rt.next(deadline)) {
+            match event {
+                Event::Gossip(site) => {
+                    let timers = self.runtime.as_mut().and_then(|rt| rt.timers_mut(site));
+                    if let Some(timers) = timers.filter(|timers| timers.deferred > 0) {
+                        timers.deferred -= 1;
+                        t.incr(Layer::Federation, "federation.runtime.gossip.deferred");
+                        continue;
+                    }
+                    t.incr(Layer::Federation, "federation.runtime.gossip.pulse");
                     report.gossip_pulses += 1;
-                    self.gossip_from(&site, &mut report)?;
+                    self.gossip_from(site, at, &mut report)?;
                 }
-                Pulse::Pump { site } => {
+                Event::Pump(site) => {
+                    t.incr(Layer::Federation, "federation.runtime.pump.pulse");
                     report.pump_pulses += 1;
-                    report.deliveries += self.pump_domain(&site)?;
+                    report.deliveries += self.pump_site(site)?;
+                }
+                Event::TtlSweep => {
+                    self.fabric.expire_offer_cache(at);
+                    t.incr(Layer::Federation, "federation.runtime.ttl.sweep");
+                }
+                Event::LinkChange(from, to, state) => {
+                    if self.fabric.set_link_state(from, to, state) {
+                        t.incr(Layer::Federation, "federation.runtime.link.change");
+                    }
                 }
             }
         }
@@ -484,33 +644,31 @@ impl FederatedEnvironments {
     /// transport refusals since the last successful ship (0 for a
     /// healthy or unknown link).
     pub fn link_pressure(&self, from: &str, to: &str) -> u32 {
-        if self.pressure.is_empty() {
-            return 0; // a healthy federation builds no lookup key
-        }
-        self.pressure
-            .get(&(from.to_owned(), to.to_owned()))
-            .copied()
-            .unwrap_or(0)
+        let (Some(from), Some(to)) = (self.fabric.site(from), self.fabric.site(to)) else {
+            return 0;
+        };
+        self.pressure.get(&(from, to)).copied().unwrap_or(0)
     }
 
     /// Every domain's replica fingerprint, in domain order.
     pub fn fingerprints(&self) -> BTreeMap<String, String> {
-        self.envs
-            .keys()
-            .map(|d| (d.clone(), self.fabric.replica_fingerprint(d)))
+        let sites = self.fabric.sites().into_iter();
+        sites
+            .filter(|(_, site)| self.site_env(*site).is_some())
+            .map(|(domain, site)| (domain, self.fabric.replica_fingerprint(site)))
             .collect()
     }
 
     /// Have all replicas converged to the same state? Renders one
     /// fingerprint at a time and stops at the first that differs from
-    /// the first domain's.
+    /// the first site's.
     pub fn converged(&self) -> bool {
-        let mut domains = self.envs.keys();
-        let Some(first) = domains.next() else {
+        let envs = self.envs.iter().flatten();
+        let mut prints = envs.map(CscwEnvironment::federation_fingerprint);
+        let Some(first) = prints.next() else {
             return true;
         };
-        let first = self.fabric.replica_fingerprint(first);
-        domains.all(|d| self.fabric.replica_fingerprint(d) == first)
+        prints.all(|print| print == first)
     }
 }
 
@@ -636,7 +794,8 @@ mod tests {
         for (i, site) in sites.iter().enumerate() {
             fed.link_bidi(site, sites[(i + 1) % sites.len()]);
         }
-        let mailbox = fed.mailboxes["site-0"].clone();
+        let site_0 = fed.fabric().site("site-0").unwrap();
+        let mailbox = fed.mailboxes[site_0.index()].clone().unwrap();
         let mut gossip_for = |periods: u64| {
             fed.run_for(periods * DEFAULT_GOSSIP_PERIOD_MICROS, 1)
                 .unwrap();
@@ -792,7 +951,7 @@ mod tests {
                 .unwrap_or_else(|e| panic!("{name:?}: {e}"));
             assert!(report.converged, "{name:?}: {:?}", fed.fingerprints());
             assert_eq!(report.activity.links_degraded, 0, "{name:?}");
-            let fingerprint = fed.fabric().replica_fingerprint("env-x");
+            let fingerprint = fed.fingerprints().remove("env-x").unwrap();
             assert!(
                 fingerprint.contains(&format!(" by {name}\n")),
                 "{name:?}: {fingerprint}"
@@ -822,5 +981,180 @@ mod tests {
         // After the heal fires, convergence completes.
         let report = fed.run_until_converged(1, 60_000_000).unwrap();
         assert!(report.converged, "fingerprints: {:?}", fed.fingerprints());
+    }
+
+    /// The gossip and pump events a three-site schedule fires by
+    /// `until_micros`, as `(time, kind, site index)`.
+    fn event_trace(seed: u64, until_micros: u64) -> Vec<(u64, &'static str, usize)> {
+        let mut fed = three_site_fed();
+        fed.start_runtime(seed);
+        let rt = fed.runtime.as_mut().unwrap();
+        let mut trace = Vec::new();
+        while let Some((at, event)) = rt.next(Timestamp::from_micros(until_micros)) {
+            match event {
+                Event::Gossip(site) => trace.push((at.as_micros(), "gossip", site.index())),
+                Event::Pump(site) => trace.push((at.as_micros(), "pump", site.index())),
+                Event::TtlSweep | Event::LinkChange(..) => {}
+            }
+        }
+        trace
+    }
+
+    #[test]
+    fn pulse_schedule_is_deterministic_per_seed() {
+        let a = event_trace(1, 2_000_000);
+        let b = event_trace(1, 2_000_000);
+        assert_eq!(a, b, "same seed must replay the same schedule");
+        assert_ne!(
+            a,
+            event_trace(2, 2_000_000),
+            "different seeds must differ in phase"
+        );
+        // Every site both gossips and pumps within the window.
+        for site in 0..3 {
+            assert!(a.iter().any(|&(_, kind, s)| (kind, s) == ("gossip", site)));
+            assert!(a.iter().any(|&(_, kind, s)| (kind, s) == ("pump", site)));
+        }
+    }
+
+    #[test]
+    fn jittered_phases_spread_sites_within_a_period() {
+        let trace = event_trace(7, DEFAULT_GOSSIP_PERIOD_MICROS);
+        let gossip_times: Vec<u64> = trace
+            .iter()
+            .filter(|(_, kind, _)| *kind == "gossip")
+            .map(|(at, _, _)| *at)
+            .collect();
+        assert_eq!(gossip_times.len(), 3, "each site gossips once per period");
+        let distinct: std::collections::BTreeSet<u64> = gossip_times.into_iter().collect();
+        assert!(distinct.len() > 1, "sites must not fire in lockstep");
+    }
+
+    #[test]
+    fn ttl_sweep_expires_cached_offers_without_any_query() {
+        let mut fed = FederatedEnvironments::new();
+        fed.federate("site-a", CscwEnvironment::new());
+        fed.federate("site-b", env_with_app("com", "f"));
+        fed.link_bidi("site-a", "site-b");
+        use cscw_federation::FederationPort;
+        fed.fabric()
+            .join("site-a")
+            .resolve_app("com", Timestamp::ZERO)
+            .expect("federated resolve");
+        assert_eq!(fed.fabric().offer_cache_len(), 1);
+        // Run past the 5s default TTL; no resolve_app call happens
+        // anywhere in this window.
+        fed.run_for(6_000_000, 1).unwrap();
+        assert_eq!(
+            fed.fabric().offer_cache_len(),
+            0,
+            "sweep must expire the offer with no query"
+        );
+        assert_eq!(
+            fed.fabric()
+                .telemetry()
+                .counter(Layer::Federation, "federation.ttl.expired"),
+            1
+        );
+    }
+
+    #[test]
+    fn scheduled_link_changes_apply_at_their_time() {
+        let mut fed = three_site_fed();
+        fed.start_runtime(1);
+        for (at, state) in [(100_000, LinkState::Down), (300_000, LinkState::Up)] {
+            let at = Timestamp::from_micros(at);
+            assert!(fed.schedule_link_change(at, "env-a", "env-b", state));
+        }
+        let link_state = |fed: &FederatedEnvironments| {
+            fed.fabric()
+                .links()
+                .iter()
+                .find(|(f, t, _)| f == "env-a" && t == "env-b")
+                .map(|(_, _, s)| *s)
+                .expect("link exists")
+        };
+        fed.run_for(50_000, 1).unwrap();
+        assert_eq!(link_state(&fed), LinkState::Up);
+        fed.run_for(150_000, 1).unwrap();
+        assert_eq!(link_state(&fed), LinkState::Down);
+        fed.run_for(200_000, 1).unwrap();
+        assert_eq!(link_state(&fed), LinkState::Up);
+    }
+
+    /// Only a change that finds its link counts: one naming a domain
+    /// that never joined is refused up front, one between joined but
+    /// unlinked domains fires and changes nothing.
+    #[test]
+    fn link_changes_that_change_no_link_are_not_counted() {
+        let mut fed = three_site_fed();
+        fed.start_runtime(1);
+        let at = Timestamp::from_micros(100_000);
+        assert!(!fed.schedule_link_change(at, "env-a", "ghost", LinkState::Down));
+        assert!(fed.schedule_link_change(at, "env-a", "env-c", LinkState::Down));
+        assert!(fed.schedule_link_change(at, "env-a", "env-b", LinkState::Down));
+        fed.run_for(200_000, 1).unwrap();
+        let t = fed.fabric().telemetry();
+        assert_eq!(
+            t.counter(Layer::Federation, "federation.runtime.link.change"),
+            1
+        );
+        assert_eq!(t.counter(Layer::Federation, "federation.link.down"), 1);
+    }
+
+    #[test]
+    fn deferred_gossip_pulses_are_swallowed_then_resume() {
+        // Only site-a has an out-link, so a slice walks a link exactly
+        // when site-a's gossip pulse surfaces in it.
+        let mut fed = FederatedEnvironments::new();
+        for site in ["site-a", "site-b", "site-c"] {
+            fed.federate(site, CscwEnvironment::new());
+        }
+        fed.link("site-a", "site-b");
+        fed.start_runtime(5);
+        let site_a = fed.fabric().site("site-a").unwrap();
+        let rt = fed.runtime.as_mut().unwrap();
+        rt.timers_mut(site_a).unwrap().deferred = 2;
+        let mut site_a_gossips = Vec::new();
+        for slice in 1..=200 {
+            if fed.run_for(10_000, 5).unwrap().links_walked > 0 {
+                site_a_gossips.push(slice * 10_000);
+            }
+        }
+        // ~8 gossip periods fit in 2s; the first two site-a pulses are
+        // swallowed, so the first surfaced one fires in period 3+.
+        assert!(!site_a_gossips.is_empty(), "gossip must resume");
+        assert!(
+            site_a_gossips[0] > 2 * DEFAULT_GOSSIP_PERIOD_MICROS,
+            "first surfaced pulse ({}) must come after the two deferred periods",
+            site_a_gossips[0]
+        );
+        assert_eq!(
+            fed.fabric()
+                .telemetry()
+                .counter(Layer::Federation, "federation.runtime.gossip.deferred"),
+            2
+        );
+    }
+
+    #[test]
+    fn gossip_pulses_drive_replica_convergence() {
+        let mut fed = FederatedEnvironments::new();
+        for site in ["site-a", "site-b", "site-c"] {
+            fed.federate(site, CscwEnvironment::new());
+        }
+        fed.link_bidi("site-a", "site-b");
+        fed.link_bidi("site-b", "site-c");
+        use cscw_federation::FederationPort;
+        let mut a = fed.fabric().join("site-a");
+        let mut c = fed.fabric().join("site-c");
+        a.publish_entry("org:cn=Tom", "person Tom");
+        c.publish_entry("org:cn=Wolfgang", "person Wolfgang");
+        fed.run_for(3_000_000, 3).unwrap();
+        let prints = fed.fingerprints();
+        let fp = &prints["site-a"];
+        assert!(!fp.is_empty());
+        assert_eq!(fp, &prints["site-b"]);
+        assert_eq!(fp, &prints["site-c"]);
     }
 }

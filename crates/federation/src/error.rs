@@ -14,8 +14,6 @@ pub enum FederationError {
     /// The application may exist, but every path to it crossed a down
     /// link — the resolver fell back to local-only matching.
     Partitioned(String),
-    /// A federated query revisited a domain (link cycle).
-    QueryLoop(String),
     /// The hop budget ran out before the query matched.
     HopLimitExceeded(String),
     /// A gossip frame or replicated entry failed to decode.
@@ -32,7 +30,6 @@ impl fmt::Display for FederationError {
             FederationError::Partitioned(a) => {
                 write!(f, "federation partitioned while resolving: {a}")
             }
-            FederationError::QueryLoop(d) => write!(f, "federated query loop at domain: {d}"),
             FederationError::HopLimitExceeded(a) => {
                 write!(f, "federated query hop budget exhausted resolving: {a}")
             }
@@ -59,7 +56,6 @@ impl LayerError for FederationError {
             FederationError::UnknownDomain(_) => "unknown_domain",
             FederationError::UnknownApplication(_) => "unknown_application",
             FederationError::Partitioned(_) => "partitioned",
-            FederationError::QueryLoop(_) => "query_loop",
             FederationError::HopLimitExceeded(_) => "hop_limit_exceeded",
             FederationError::Codec(_) => "codec",
         }

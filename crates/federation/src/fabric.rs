@@ -101,8 +101,22 @@ pub trait FederationPort: std::fmt::Debug + Send {
     }
 }
 
-#[derive(Debug, Default)]
-struct DomainState {
+/// A site's dense id in its fabric: its position in join order. Ids
+/// index the fabric's per-site state, so the calls a federation driver
+/// makes per scheduled event take an id and never look a name up.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct SiteId(pub(crate) usize);
+
+impl SiteId {
+    /// The site's position in join order (0 for the first site).
+    pub fn index(self) -> usize {
+        self.0
+    }
+}
+
+#[derive(Debug)]
+struct Site {
+    name: String,
     apps: BTreeSet<String>,
     replica: ReplicatedStore,
     inbound: Vec<RemoteDelivery>,
@@ -110,13 +124,19 @@ struct DomainState {
 
 #[derive(Debug)]
 struct FabricInner {
-    domains: BTreeMap<String, DomainState>,
+    /// Per-site state, indexed by [`SiteId`].
+    sites: Vec<Site>,
+    /// The one name→id map, for the names that arrive from outside.
+    ids: BTreeMap<String, SiteId>,
     trader: FederatedTrader,
     telemetry: Telemetry,
 }
 
 /// The shared federation fabric. Cloning shares the underlying state;
 /// [`join`](Self::join) hands out per-environment ports onto it.
+///
+/// Methods taking a [`SiteId`] expect one this fabric issued: another
+/// fabric's id names a different site here, or none, and then panics.
 #[derive(Debug, Clone)]
 pub struct FederationFabric {
     inner: Arc<Mutex<FabricInner>>,
@@ -138,7 +158,8 @@ impl FederationFabric {
     pub fn with_trader(trader: FederatedTrader) -> Self {
         FederationFabric {
             inner: Arc::new(Mutex::new(FabricInner {
-                domains: BTreeMap::new(),
+                sites: Vec::new(),
+                ids: BTreeMap::new(),
                 trader,
                 telemetry: Telemetry::new(),
             })),
@@ -157,37 +178,51 @@ impl FederationFabric {
         self.inner.lock().telemetry.clone()
     }
 
-    /// Registers a domain and returns its environment-facing port.
-    /// Joining an existing domain returns a fresh port onto the same
-    /// state.
+    /// Registers a domain under the next dense [`SiteId`] and returns
+    /// its environment-facing port. Joining an existing domain returns
+    /// a fresh port onto the same state, under the id it already has.
     pub fn join(&self, domain: impl Into<String>) -> DomainPort {
         let domain = domain.into();
-        let mut inner = self.inner.lock();
-        inner
-            .domains
-            .entry(domain.clone())
-            .or_insert_with(|| DomainState {
-                replica: ReplicatedStore::new(domain.clone()),
-                ..Default::default()
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
+        let site = *inner.ids.entry(domain).or_insert_with_key(|name| {
+            inner.sites.push(Site {
+                name: name.clone(),
+                apps: BTreeSet::new(),
+                replica: ReplicatedStore::new(name.clone()),
+                inbound: Vec::new(),
             });
+            SiteId(inner.sites.len() - 1)
+        });
         inner.telemetry.incr(Layer::Federation, "federation.join");
-        drop(inner);
+        drop(guard);
         DomainPort {
             inner: self.inner.clone(),
-            domain,
+            site,
         }
     }
 
-    /// The joined domains, in name order.
-    pub fn domains(&self) -> Vec<String> {
-        self.inner.lock().domains.keys().cloned().collect()
+    /// The id `domain` joined under, if it joined.
+    pub fn site(&self, domain: &str) -> Option<SiteId> {
+        self.inner.lock().ids.get(domain).copied()
     }
 
-    /// Adds a directed trader link.
-    pub fn link(&self, from: &str, to: &str) {
+    /// The joined domains and their ids, in name order.
+    pub fn sites(&self) -> Vec<(String, SiteId)> {
+        let inner = self.inner.lock();
+        inner.ids.iter().map(|(d, s)| (d.clone(), *s)).collect()
+    }
+
+    /// Adds a directed trader link; `false`, adding nothing, when
+    /// either domain never joined.
+    pub fn link(&self, from: &str, to: &str) -> bool {
         let mut inner = self.inner.lock();
+        let (Some(&from), Some(&to)) = (inner.ids.get(from), inner.ids.get(to)) else {
+            return false;
+        };
         inner.trader.link(from, to);
         inner.telemetry.incr(Layer::Federation, "federation.link");
+        true
     }
 
     /// Adds links both ways — the common federation shape.
@@ -196,33 +231,30 @@ impl FederationFabric {
         self.link(b, a);
     }
 
-    /// The destinations of `site`'s up out-links, in link insertion
-    /// order — the peers one gossip pulse from `site` walks.
-    pub fn up_links_from(&self, site: &str) -> Vec<String> {
-        self.inner
-            .lock()
-            .trader
-            .links()
-            .iter()
-            .filter(|l| l.from == site && l.state == LinkState::Up)
-            .map(|l| l.to.clone())
-            .collect()
+    /// `site`'s first up out-link at or after position `cursor` of the
+    /// trader's link list: that position and the link's destination.
+    /// A gossip pulse walks its peers in link insertion order by asking
+    /// again one past each position it gets, so nothing is copied out.
+    pub fn next_up_link(&self, site: SiteId, cursor: usize) -> Option<(usize, SiteId)> {
+        let inner = self.inner.lock();
+        let links = inner.trader.links().iter().enumerate().skip(cursor);
+        links
+            .filter(|(_, l)| l.from == site && l.is_up())
+            .map(|(at, l)| (at, l.to))
+            .next()
     }
 
     /// The trader link graph as `(from, to, state)` triples, in
     /// insertion order, for inspection.
     pub fn links(&self) -> Vec<(String, String, LinkState)> {
-        self.inner
-            .lock()
-            .trader
-            .links()
-            .iter()
-            .map(|l| (l.from.clone(), l.to.clone(), l.state))
-            .collect()
+        let inner = self.inner.lock();
+        let name = |site: SiteId| inner.sites[site.0].name.clone();
+        let links = inner.trader.links().iter();
+        links.map(|l| (name(l.from), name(l.to), l.state)).collect()
     }
 
     /// Sets one directed link's health; `false` when no such link.
-    pub fn set_link_state(&self, from: &str, to: &str, state: LinkState) -> bool {
+    pub fn set_link_state(&self, from: SiteId, to: SiteId, state: LinkState) -> bool {
         let mut inner = self.inner.lock();
         let found = inner.trader.set_link_state(from, to, state);
         if found {
@@ -235,14 +267,10 @@ impl FederationFabric {
         found
     }
 
-    /// Takes (drains) the deliveries queued *into* `domain`.
-    pub fn take_inbound(&self, domain: &str) -> Vec<RemoteDelivery> {
+    /// Takes (drains) the deliveries queued *into* `site`.
+    pub fn take_inbound(&self, site: SiteId) -> Vec<RemoteDelivery> {
         let mut inner = self.inner.lock();
-        let taken = inner
-            .domains
-            .get_mut(domain)
-            .map(|s| std::mem::take(&mut s.inbound))
-            .unwrap_or_default();
+        let taken = std::mem::take(&mut inner.sites[site.0].inbound);
         if !taken.is_empty() {
             inner
                 .telemetry
@@ -251,18 +279,11 @@ impl FederationFabric {
         taken
     }
 
-    /// Writes `domain`'s anti-entropy digest frame, header and body
-    /// into one wire string.
-    ///
-    /// # Errors
-    ///
-    /// [`FederationError::UnknownDomain`].
-    pub fn digest_wire(&self, domain: &str) -> Result<String, FederationError> {
+    /// Writes `site`'s anti-entropy digest frame, header and body into
+    /// one wire string.
+    pub fn digest_wire(&self, site: SiteId) -> String {
         let inner = self.inner.lock();
-        let state = inner
-            .domains
-            .get(domain)
-            .ok_or_else(|| FederationError::UnknownDomain(domain.to_owned()))?;
+        let state = &inner.sites[site.0];
         inner
             .telemetry
             .incr(Layer::Federation, "federation.gossip.digest");
@@ -272,13 +293,13 @@ impl FederationFabric {
         let digest = state.replica.digest();
         // Per record: the origin, two separators and a short seq.
         let body: usize = digest.keys().map(|origin| origin.len() + 8).sum();
-        let mut wire = String::with_capacity(HEADER_BYTES + domain.len() + body);
-        GossipFrame::write_header(&mut wire, FrameKind::Digest, domain, ctx);
+        let mut wire = String::with_capacity(HEADER_BYTES + state.name.len() + body);
+        GossipFrame::write_header(&mut wire, FrameKind::Digest, &state.name, ctx);
         encode_digest_into(&mut wire, digest);
-        Ok(wire)
+        wire
     }
 
-    /// Answers the digest frame in `digest_wire` with `domain`'s delta
+    /// Answers the digest frame in `digest_wire` with `site`'s delta
     /// frame, header and body written into one wire string. With a
     /// `cap`, the delta holds at most `cap` updates. Congested
     /// transports shrink their frames this way: `delta_since` emits
@@ -289,10 +310,10 @@ impl FederationFabric {
     ///
     /// # Errors
     ///
-    /// [`FederationError::UnknownDomain`] / [`FederationError::Codec`].
+    /// [`FederationError::Codec`].
     pub fn delta_wire(
         &self,
-        domain: &str,
+        site: SiteId,
         digest_wire: &str,
         cap: Option<usize>,
     ) -> Result<String, FederationError> {
@@ -302,10 +323,7 @@ impl FederationFabric {
         }
         let their = decode_digest(digest.body)?;
         let inner = self.inner.lock();
-        let state = inner
-            .domains
-            .get(domain)
-            .ok_or_else(|| FederationError::UnknownDomain(domain.to_owned()))?;
+        let state = &inner.sites[site.0];
         let mut delta = state.replica.delta_since(&their);
         if let Some(cap) = cap {
             let excess = delta.len().saturating_sub(cap);
@@ -329,23 +347,23 @@ impl FederationFabric {
             .iter()
             .map(|e| e.key.len() + e.value.len() + e.clock.as_str().len() + e.origin.len() + 26)
             .sum();
-        let mut wire = String::with_capacity(HEADER_BYTES + domain.len() + body);
-        GossipFrame::write_header(&mut wire, FrameKind::Delta, domain, ctx);
+        let mut wire = String::with_capacity(HEADER_BYTES + state.name.len() + body);
+        GossipFrame::write_header(&mut wire, FrameKind::Delta, &state.name, ctx);
         encode_delta_into(&mut wire, delta);
         Ok(wire)
     }
 
     /// Applies a delta frame, parsed from the wire string that carried
-    /// it, to `domain`'s replica; returns the [`IngestReport`] saying
+    /// it, to `site`'s replica; returns the [`IngestReport`] saying
     /// which updates applied, how many were buffered out-of-order, and
     /// how many were stale.
     ///
     /// # Errors
     ///
-    /// [`FederationError::UnknownDomain`] / [`FederationError::Codec`].
+    /// [`FederationError::Codec`].
     pub fn ingest_frame(
         &self,
-        domain: &str,
+        site: SiteId,
         delta: &GossipFrame<'_>,
     ) -> Result<IngestReport, FederationError> {
         if delta.kind != FrameKind::Delta {
@@ -353,11 +371,7 @@ impl FederationFabric {
         }
         let updates = decode_delta(delta.body)?;
         let mut inner = self.inner.lock();
-        let state = inner
-            .domains
-            .get_mut(domain)
-            .ok_or_else(|| FederationError::UnknownDomain(domain.to_owned()))?;
-        let report = state.replica.ingest(updates);
+        let report = inner.sites[site.0].replica.ingest(updates);
         inner.telemetry.add(
             Layer::Federation,
             "federation.gossip.applied",
@@ -397,23 +411,13 @@ impl FederationFabric {
 
     /// Total deliveries queued but not yet pumped, across all domains.
     pub fn pending_inbound(&self) -> usize {
-        self.inner
-            .lock()
-            .domains
-            .values()
-            .map(|s| s.inbound.len())
-            .sum()
+        let inner = self.inner.lock();
+        inner.sites.iter().map(|s| s.inbound.len()).sum()
     }
 
-    /// A domain's replica fingerprint (empty string for unknown
-    /// domains).
-    pub fn replica_fingerprint(&self, domain: &str) -> String {
-        self.inner
-            .lock()
-            .domains
-            .get(domain)
-            .map(|s| s.replica.fingerprint())
-            .unwrap_or_default()
+    /// A site's replica fingerprint.
+    pub fn replica_fingerprint(&self, site: SiteId) -> String {
+        self.inner.lock().sites[site.0].replica.fingerprint()
     }
 }
 
@@ -421,19 +425,24 @@ impl FederationFabric {
 #[derive(Debug, Clone)]
 pub struct DomainPort {
     inner: Arc<Mutex<FabricInner>>,
-    domain: String,
+    site: SiteId,
+}
+
+impl DomainPort {
+    /// The id this port's domain joined under.
+    pub fn site(&self) -> SiteId {
+        self.site
+    }
 }
 
 impl FederationPort for DomainPort {
     fn domain(&self) -> String {
-        self.domain.clone()
+        self.inner.lock().sites[self.site.0].name.clone()
     }
 
     fn advertise_app(&mut self, app: &str) {
         let mut inner = self.inner.lock();
-        if let Some(state) = inner.domains.get_mut(&self.domain) {
-            state.apps.insert(app.to_owned());
-        }
+        inner.sites[self.site.0].apps.insert(app.to_owned());
         inner
             .telemetry
             .incr(Layer::Federation, "federation.advertise");
@@ -446,13 +455,9 @@ impl FederationPort for DomainPort {
             inner
                 .telemetry
                 .span_begin(Layer::Federation, "federation.resolve", now.as_micros());
-        let domains = &inner.domains;
-        let advertises = |domain: &str, app: &str| {
-            domains
-                .get(domain)
-                .is_some_and(|state| state.apps.contains(app))
-        };
-        let outcome = inner.trader.resolve(&self.domain, app, advertises, now);
+        let sites = &inner.sites;
+        let advertises = |site: SiteId, app: &str| sites[site.0].apps.contains(app);
+        let outcome = inner.trader.resolve(self.site, app, advertises, now);
         let name = match &outcome {
             Ok(r) => match r.source {
                 ResolutionSource::Local => "federation.resolve.local",
@@ -464,21 +469,25 @@ impl FederationPort for DomainPort {
         };
         inner.telemetry.incr(Layer::Federation, name);
         inner.telemetry.span_end(span, now.as_micros());
-        outcome
+        outcome.map(|r| Resolution {
+            domain: sites[r.domain.0].name.clone(),
+            source: r.source,
+            degraded: r.degraded,
+        })
     }
 
     fn route_exchange(&mut self, delivery: RemoteDelivery) -> Result<(), FederationError> {
-        let mut inner = self.inner.lock();
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
         let at = delivery.at.as_micros();
         let span = inner
             .telemetry
             .span_begin(Layer::Federation, "federation.route", at);
-        let to = delivery.to_domain.clone();
-        let Some(state) = inner.domains.get_mut(&to) else {
+        let Some(&to) = inner.ids.get(&delivery.to_domain) else {
             inner.telemetry.span_end(span, at);
-            return Err(FederationError::UnknownDomain(to));
+            return Err(FederationError::UnknownDomain(delivery.to_domain));
         };
-        state.inbound.push(delivery);
+        inner.sites[to.0].inbound.push(delivery);
         inner.telemetry.incr(Layer::Federation, "federation.route");
         inner.telemetry.span_end(span, at);
         Ok(())
@@ -488,15 +497,11 @@ impl FederationPort for DomainPort {
         let mut inner = self.inner.lock();
         // Re-publishing an identical value is a no-op: idempotent
         // publication keeps gossip deltas from growing on every call.
-        // (A port's domain joined the fabric and never leaves it.)
-        let Some(state) = inner
-            .domains
-            .get_mut(&self.domain)
-            .filter(|state| state.replica.get(key) != Some(value))
-        else {
+        let replica = &mut inner.sites[self.site.0].replica;
+        if replica.get(key) == Some(value) {
             return false;
-        };
-        state.replica.put(key, value);
+        }
+        replica.put(key, value);
         inner
             .telemetry
             .incr(Layer::Federation, "federation.publish");
@@ -504,26 +509,13 @@ impl FederationPort for DomainPort {
     }
 
     fn replica_fingerprint(&self) -> String {
-        self.inner
-            .lock()
-            .domains
-            .get(&self.domain)
-            .map(|s| s.replica.fingerprint())
-            .unwrap_or_default()
+        self.inner.lock().sites[self.site.0].replica.fingerprint()
     }
 
     fn replica_snapshot(&self) -> Vec<(String, String)> {
-        self.inner
-            .lock()
-            .domains
-            .get(&self.domain)
-            .map(|s| {
-                s.replica
-                    .entries()
-                    .map(|e| (e.key.clone(), e.value.clone()))
-                    .collect()
-            })
-            .unwrap_or_default()
+        let inner = self.inner.lock();
+        let entries = inner.sites[self.site.0].replica.entries();
+        entries.map(|e| (e.key.clone(), e.value.clone())).collect()
     }
 }
 
@@ -551,16 +543,38 @@ mod tests {
             ctx: None,
         })
         .unwrap();
-        let inbound = fabric.take_inbound("env-b");
+        let inbound = fabric.take_inbound(b.site());
         assert_eq!(inbound.len(), 1);
         assert_eq!(inbound[0].to_app, "com");
-        assert!(fabric.take_inbound("env-b").is_empty(), "drained");
+        assert!(fabric.take_inbound(b.site()).is_empty(), "drained");
         let t = fabric.telemetry();
         assert_eq!(t.counter(Layer::Federation, "federation.route"), 1);
         assert_eq!(
             t.counter(Layer::Federation, "federation.resolve.federated"),
             1
         );
+    }
+
+    #[test]
+    fn sites_get_dense_ids_in_join_order() {
+        let fabric = FederationFabric::new();
+        let b = fabric.join("env-b").site();
+        let a = fabric.join("env-a").site();
+        assert_eq!((b.index(), a.index()), (0, 1));
+        assert_eq!(fabric.join("env-b").site(), b, "re-joining keeps the id");
+        assert_eq!(fabric.site("env-a"), Some(a));
+        assert_eq!(fabric.site("ghost"), None);
+        assert_eq!(
+            fabric.sites(),
+            [("env-a".to_owned(), a), ("env-b".to_owned(), b)],
+            "name order"
+        );
+        assert!(!fabric.link("env-a", "ghost"), "no link to a stranger");
+        assert!(fabric.link("env-a", "env-b"));
+        assert_eq!(fabric.next_up_link(a, 0), Some((0, b)));
+        assert_eq!(fabric.next_up_link(a, 1), None);
+        assert!(fabric.set_link_state(a, b, LinkState::Down));
+        assert_eq!(fabric.next_up_link(a, 0), None, "down links are skipped");
     }
 
     #[test]
@@ -585,8 +599,8 @@ mod tests {
     /// One link's exchange as the environment crate's `gossip_link`
     /// runs it: `dst`'s digest wire, `src`'s delta answering it, and the
     /// delta applied from its wire.
-    fn gossip(fabric: &FederationFabric, src: &str, dst: &str, cap: Option<usize>) -> usize {
-        let digest = fabric.digest_wire(dst).unwrap();
+    fn gossip(fabric: &FederationFabric, src: SiteId, dst: SiteId, cap: Option<usize>) -> usize {
+        let digest = fabric.digest_wire(dst);
         let delta = fabric.delta_wire(src, &digest, cap).unwrap();
         let frame = GossipFrame::parse(&delta).unwrap();
         fabric.ingest_frame(dst, &frame).unwrap().applied_count()
@@ -601,7 +615,7 @@ mod tests {
         assert!(b.publish_entry("org:cn=Wolfgang", "person Wolfgang"));
         assert!(!a.publish_entry("org:cn=Tom", "person Tom"), "idempotent");
         for _ in 0..2 {
-            for (src, dst) in [("env-a", "env-b"), ("env-b", "env-a")] {
+            for (src, dst) in [(a.site(), b.site()), (b.site(), a.site())] {
                 gossip(&fabric, src, dst, None);
             }
         }
@@ -623,7 +637,7 @@ mod tests {
         }
         // A cap of 2 needs ceil(7/2) = 4 rounds to drain the backlog.
         let applied_per_round: Vec<usize> = (0..4)
-            .map(|_| gossip(&fabric, "env-a", "env-b", Some(2)))
+            .map(|_| gossip(&fabric, a.site(), b.site(), Some(2)))
             .collect();
         assert_eq!(applied_per_round, vec![2, 2, 2, 1]);
         assert_eq!(a.replica_fingerprint(), b.replica_fingerprint());
@@ -642,7 +656,7 @@ mod tests {
         let mut a = fabric.join("env-a");
         let b = fabric.join("env-b");
         a.publish_entry("k", "v|with\nhostile\x1echars");
-        assert_eq!(gossip(&fabric, "env-a", "env-b", None), 1);
+        assert_eq!(gossip(&fabric, a.site(), b.site(), None), 1);
         assert_eq!(
             b.replica_snapshot(),
             [("k".to_owned(), "v|with\nhostile\x1echars".to_owned())]
@@ -652,17 +666,17 @@ mod tests {
     #[test]
     fn frames_of_the_wrong_kind_are_refused() {
         let fabric = FederationFabric::new();
-        fabric.join("env-a");
-        fabric.join("env-b");
-        let digest = fabric.digest_wire("env-b").unwrap();
-        let delta = fabric.delta_wire("env-a", &digest, None).unwrap();
+        let a = fabric.join("env-a").site();
+        let b = fabric.join("env-b").site();
+        let digest = fabric.digest_wire(b);
+        let delta = fabric.delta_wire(a, &digest, None).unwrap();
         assert!(matches!(
-            fabric.delta_wire("env-a", &delta, None),
+            fabric.delta_wire(a, &delta, None),
             Err(FederationError::Codec(_))
         ));
         let frame = GossipFrame::parse(&digest).unwrap();
         assert!(matches!(
-            fabric.ingest_frame("env-b", &frame),
+            fabric.ingest_frame(b, &frame),
             Err(FederationError::Codec(_))
         ));
     }

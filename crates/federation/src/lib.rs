@@ -22,11 +22,11 @@
 //!   routes the artifact (lowered to the common information model) to
 //!   the hosting environment.
 //!
-//! All three are *driven* by a fourth piece, the event-driven
-//! [`FederationRuntime`]: gossip rounds, offer-TTL expiry and delivery
-//! pumping are scheduled events on the kernel's deterministic queue,
-//! one jittered periodic timer set per site, so federations of 100+
-//! sites run without any hand-cranked coordinator loop.
+//! The crate holds mechanisms only. Every site joins the fabric under
+//! a dense [`SiteId`], and the calls made per gossip or pump take that
+//! id. What paces them lives one layer up: the environment crate's
+//! federation driver owns the one event queue and runs gossip, pumps,
+//! offer-TTL sweeps and link changes as its own scheduled events.
 //!
 //! In the Figure-4 stack the federation layer sits between the ODP
 //! functions and the environment: it is built *from* odp + messaging
@@ -40,12 +40,10 @@ pub mod clock;
 pub mod error;
 pub mod fabric;
 pub mod replica;
-pub mod runtime;
 pub mod trader;
 
 pub use clock::{ClockOrder, VectorClock};
 pub use error::FederationError;
-pub use fabric::{DomainPort, FederationFabric, FederationPort, RemoteDelivery};
+pub use fabric::{DomainPort, FederationFabric, FederationPort, RemoteDelivery, SiteId};
 pub use replica::{IngestReport, ReplEntry, ReplicatedStore};
-pub use runtime::{FedEvent, FederationRuntime, Pulse, DEFAULT_GOSSIP_PERIOD_MICROS};
 pub use trader::{FederatedTrader, Resolution, ResolutionSource, DEFAULT_HOP_LIMIT};

@@ -6,7 +6,7 @@
 //! breadth-first, bounded by a hop budget and a visited set
 //! ([`odp::QueryScope`]), and hits are cached with a TTL so repeat
 //! resolutions stop paying the federated walk until the cache entry
-//! goes stale.
+//! goes stale. Domains are the fabric's dense [`SiteId`]s.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -14,6 +14,7 @@ use cscw_kernel::Timestamp;
 use odp::{LinkState, QueryScope, TraderLink};
 
 use crate::error::FederationError;
+use crate::fabric::SiteId;
 
 /// Where a resolution's answer came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -26,11 +27,13 @@ pub enum ResolutionSource {
     Federated,
 }
 
-/// The answer to "which environment hosts this application?".
+/// The answer to "which environment hosts this application?". The
+/// trader names the domain by [`SiteId`]; the fabric's ports hand it
+/// out by name.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Resolution {
+pub struct Resolution<D = String> {
     /// The hosting domain.
-    pub domain: String,
+    pub domain: D,
     /// Where the answer came from.
     pub source: ResolutionSource,
     /// True when at least one link was down during the walk — the
@@ -40,14 +43,14 @@ pub struct Resolution {
 
 #[derive(Debug, Clone)]
 struct CacheSlot {
-    domain: String,
+    site: SiteId,
     cached_at: Timestamp,
 }
 
 /// Links + offer cache for federated application resolution.
 #[derive(Debug, Clone)]
 pub struct FederatedTrader {
-    links: Vec<TraderLink>,
+    links: Vec<TraderLink<SiteId>>,
     cache: BTreeMap<String, CacheSlot>,
     hop_limit: u8,
     ttl_micros: u64,
@@ -95,13 +98,13 @@ impl FederatedTrader {
     }
 
     /// Adds a directed link.
-    pub fn link(&mut self, from: impl Into<String>, to: impl Into<String>) {
+    pub fn link(&mut self, from: SiteId, to: SiteId) {
         self.links.push(TraderLink::new(from, to));
     }
 
     /// Sets one directed link's health. Returns false when no such link
     /// exists.
-    pub fn set_link_state(&mut self, from: &str, to: &str, state: LinkState) -> bool {
+    pub fn set_link_state(&mut self, from: SiteId, to: SiteId, state: LinkState) -> bool {
         let mut found = false;
         for link in &mut self.links {
             if link.from == from && link.to == to {
@@ -112,8 +115,8 @@ impl FederatedTrader {
         found
     }
 
-    /// The links, for inspection.
-    pub fn links(&self) -> &[TraderLink] {
+    /// The links, in insertion order.
+    pub fn links(&self) -> &[TraderLink<SiteId>] {
         &self.links
     }
 
@@ -145,15 +148,15 @@ impl FederatedTrader {
     ///   only authoritative for the reachable fragment.
     pub fn resolve(
         &mut self,
-        from: &str,
+        from: SiteId,
         app: &str,
-        advertises: impl Fn(&str, &str) -> bool,
+        advertises: impl Fn(SiteId, &str) -> bool,
         now: Timestamp,
-    ) -> Result<Resolution, FederationError> {
+    ) -> Result<Resolution<SiteId>, FederationError> {
         // Local first: federation must never shadow the home domain.
         if advertises(from, app) {
             return Ok(Resolution {
-                domain: from.to_owned(),
+                domain: from,
                 source: ResolutionSource::Local,
                 degraded: false,
             });
@@ -162,7 +165,7 @@ impl FederatedTrader {
         if let Some(slot) = self.cache.get(app) {
             if now.micros_since(slot.cached_at) < self.ttl_micros {
                 return Ok(Resolution {
-                    domain: slot.domain.clone(),
+                    domain: slot.site,
                     source: ResolutionSource::Cache,
                     degraded: false,
                 });
@@ -172,17 +175,17 @@ impl FederatedTrader {
         // Federated walk: breadth-first over up links, hop-budgeted,
         // loop-suppressed.
         let mut scope = QueryScope::with_hop_limit(self.hop_limit);
-        scope
-            .enter(from)
-            .map_err(|_| FederationError::QueryLoop(from.to_owned()))?;
         let mut degraded = false;
-        let mut queue = VecDeque::from([from.to_owned()]);
+        let mut queue = VecDeque::new();
+        if scope.enter(from).is_ok() {
+            queue.push_back(from);
+        }
         while let Some(here) = queue.pop_front() {
-            if advertises(&here, app) {
+            if advertises(here, app) {
                 self.cache.insert(
                     app.to_owned(),
                     CacheSlot {
-                        domain: here.clone(),
+                        site: here,
                         cached_at: now,
                     },
                 );
@@ -197,18 +200,14 @@ impl FederatedTrader {
                     degraded = true;
                     continue;
                 }
-                if scope.visited().contains(&link.to) {
-                    continue; // loop suppression: each domain once
-                }
-                if !scope.descend() {
-                    // Budget exhausted: stop expanding, finish scanning
-                    // what is already queued.
+                // Loop suppression: each domain is entered once. Once
+                // the budget is exhausted it stops the expansion for
+                // good, so a domain entered but not queued then is
+                // never looked at again.
+                if scope.enter(link.to).is_err() || !scope.descend() {
                     continue;
                 }
-                scope
-                    .enter(&link.to)
-                    .map_err(|_| FederationError::QueryLoop(link.to.clone()))?;
-                queue.push_back(link.to.clone());
+                queue.push_back(link.to);
             }
         }
         if degraded {
@@ -224,55 +223,49 @@ mod tests {
     use super::*;
     use std::collections::BTreeSet;
 
+    const A: SiteId = SiteId(0);
+    const B: SiteId = SiteId(1);
+    const C: SiteId = SiteId(2);
+    const D: SiteId = SiteId(3);
+
     /// Whether a domain advertises an application, over a fixed table.
-    fn ads(pairs: &[(&str, &[&str])]) -> impl Fn(&str, &str) -> bool {
-        let table: BTreeMap<String, BTreeSet<String>> = pairs
+    fn ads(pairs: &[(SiteId, &[&str])]) -> impl Fn(SiteId, &str) -> bool {
+        let table: BTreeMap<SiteId, BTreeSet<String>> = pairs
             .iter()
-            .map(|(d, apps)| {
-                (
-                    (*d).to_owned(),
-                    apps.iter().map(|a| (*a).to_owned()).collect(),
-                )
-            })
+            .map(|(d, apps)| (*d, apps.iter().map(|a| (*a).to_owned()).collect()))
             .collect();
-        move |domain, app| table.get(domain).is_some_and(|apps| apps.contains(app))
+        move |domain, app| table.get(&domain).is_some_and(|apps| apps.contains(app))
     }
 
     #[test]
     fn local_wins_without_a_walk() {
         let mut t = FederatedTrader::new();
-        t.link("a", "b");
-        let advertised = ads(&[("a", &["editor"]), ("b", &["editor"])]);
+        t.link(A, B);
+        let advertised = ads(&[(A, &["editor"]), (B, &["editor"])]);
         let r = t
-            .resolve("a", "editor", &advertised, Timestamp::ZERO)
+            .resolve(A, "editor", &advertised, Timestamp::ZERO)
             .unwrap();
-        assert_eq!(r.domain, "a");
+        assert_eq!(r.domain, A);
         assert_eq!(r.source, ResolutionSource::Local);
     }
 
     #[test]
     fn federated_hit_is_cached_until_ttl() {
         let mut t = FederatedTrader::new().with_ttl_micros(100);
-        t.link("a", "b");
-        let advertised = ads(&[("a", &[]), ("b", &["com"])]);
-        let r = t.resolve("a", "com", &advertised, Timestamp::ZERO).unwrap();
-        assert_eq!(
-            (r.domain.as_str(), r.source),
-            ("b", ResolutionSource::Federated)
-        );
+        t.link(A, B);
+        let advertised = ads(&[(A, &[]), (B, &["com"])]);
+        let r = t.resolve(A, "com", &advertised, Timestamp::ZERO).unwrap();
+        assert_eq!((r.domain, r.source), (B, ResolutionSource::Federated));
         // Second query: cache, even if the link has gone down.
-        t.set_link_state("a", "b", LinkState::Down);
+        t.set_link_state(A, B, LinkState::Down);
         let r = t
-            .resolve("a", "com", &advertised, Timestamp::from_micros(50))
+            .resolve(A, "com", &advertised, Timestamp::from_micros(50))
             .unwrap();
-        assert_eq!(
-            (r.domain.as_str(), r.source),
-            ("b", ResolutionSource::Cache)
-        );
+        assert_eq!((r.domain, r.source), (B, ResolutionSource::Cache));
         // Past the TTL the stale entry expires and the walk (now
         // partitioned) degrades.
         let err = t
-            .resolve("a", "com", &advertised, Timestamp::from_micros(200))
+            .resolve(A, "com", &advertised, Timestamp::from_micros(200))
             .unwrap_err();
         assert!(matches!(err, FederationError::Partitioned(_)));
         // The stale resolve above already evicted the entry.
@@ -283,15 +276,15 @@ mod tests {
     #[test]
     fn cycles_terminate_via_visited_set() {
         let mut t = FederatedTrader::new();
-        t.link("a", "b");
-        t.link("b", "c");
-        t.link("c", "a"); // A→B→C→A
-        let advertised = ads(&[("a", &[]), ("b", &[]), ("c", &["com"])]);
-        let r = t.resolve("a", "com", &advertised, Timestamp::ZERO).unwrap();
-        assert_eq!(r.domain, "c");
+        t.link(A, B);
+        t.link(B, C);
+        t.link(C, A); // A→B→C→A
+        let advertised = ads(&[(A, &[]), (B, &[]), (C, &["com"])]);
+        let r = t.resolve(A, "com", &advertised, Timestamp::ZERO).unwrap();
+        assert_eq!(r.domain, C);
         // And an unmatched query on the same cycle still terminates.
         let err = t
-            .resolve("a", "ghost", &advertised, Timestamp::ZERO)
+            .resolve(A, "ghost", &advertised, Timestamp::ZERO)
             .unwrap_err();
         assert!(matches!(err, FederationError::UnknownApplication(_)));
     }
@@ -299,42 +292,38 @@ mod tests {
     #[test]
     fn hop_budget_bounds_chain_depth() {
         let mut t = FederatedTrader::new().with_hop_limit(2);
-        t.link("a", "b");
-        t.link("b", "c");
-        t.link("c", "d");
-        let advertised = ads(&[("a", &[]), ("b", &[]), ("c", &[]), ("d", &["far"])]);
+        t.link(A, B);
+        t.link(B, C);
+        t.link(C, D);
+        let advertised = ads(&[(A, &[]), (B, &[]), (C, &[]), (D, &["far"])]);
         // d is 3 hops out; budget is 2.
         let err = t
-            .resolve("a", "far", &advertised, Timestamp::ZERO)
+            .resolve(A, "far", &advertised, Timestamp::ZERO)
             .unwrap_err();
         assert!(matches!(err, FederationError::UnknownApplication(_)));
         // c is 2 hops out: reachable.
-        let advertised = ads(&[("a", &[]), ("b", &[]), ("c", &["near"]), ("d", &[])]);
-        let r = t
-            .resolve("a", "near", &advertised, Timestamp::ZERO)
-            .unwrap();
-        assert_eq!(r.domain, "c");
+        let advertised = ads(&[(A, &[]), (B, &[]), (C, &["near"]), (D, &[])]);
+        let r = t.resolve(A, "near", &advertised, Timestamp::ZERO).unwrap();
+        assert_eq!(r.domain, C);
     }
 
     #[test]
     fn down_links_degrade_to_local_only() {
         let mut t = FederatedTrader::new();
-        t.link("a", "b");
-        t.set_link_state("a", "b", LinkState::Down);
-        let advertised = ads(&[("a", &["home"]), ("b", &["com"])]);
+        t.link(A, B);
+        t.set_link_state(A, B, LinkState::Down);
+        let advertised = ads(&[(A, &["home"]), (B, &["com"])]);
         // Local still resolves.
-        let r = t
-            .resolve("a", "home", &advertised, Timestamp::ZERO)
-            .unwrap();
+        let r = t.resolve(A, "home", &advertised, Timestamp::ZERO).unwrap();
         assert_eq!(r.source, ResolutionSource::Local);
         // Remote is behind the partition: transient, flagged.
         let err = t
-            .resolve("a", "com", &advertised, Timestamp::ZERO)
+            .resolve(A, "com", &advertised, Timestamp::ZERO)
             .unwrap_err();
         assert!(matches!(err, FederationError::Partitioned(_)));
         // Heal: resolves federated again.
-        assert!(t.set_link_state("a", "b", LinkState::Up));
-        let r = t.resolve("a", "com", &advertised, Timestamp::ZERO).unwrap();
+        assert!(t.set_link_state(A, B, LinkState::Up));
+        let r = t.resolve(A, "com", &advertised, Timestamp::ZERO).unwrap();
         assert_eq!(r.source, ResolutionSource::Federated);
     }
 }

@@ -434,23 +434,24 @@ pub enum LinkState {
 
 /// A directed interworking link between two trading *domains* — ODP's
 /// "linked traders". The federation layer owns a set of these; the odp
-/// crate owns the vocabulary so both ends speak the same types.
+/// crate owns the vocabulary so both ends speak the same types. `D`
+/// names a domain: its text, or a dense id the owner assigns.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraderLink {
+pub struct TraderLink<D> {
     /// The querying domain.
-    pub from: String,
+    pub from: D,
     /// The domain unmatched queries are forwarded to.
-    pub to: String,
+    pub to: D,
     /// Current link health.
     pub state: LinkState,
 }
 
-impl TraderLink {
+impl<D> TraderLink<D> {
     /// Creates an up link.
-    pub fn new(from: impl Into<String>, to: impl Into<String>) -> Self {
+    pub fn new(from: D, to: D) -> Self {
         TraderLink {
-            from: from.into(),
-            to: to.into(),
+            from,
+            to,
             state: LinkState::Up,
         }
     }
@@ -466,12 +467,12 @@ impl TraderLink {
 /// arbitrary link graphs — cycles are cut by the visited set, long
 /// chains by the hop budget.
 #[derive(Debug, Clone)]
-pub struct QueryScope {
+pub struct QueryScope<D> {
     hops_left: u8,
-    visited: Vec<String>,
+    visited: Vec<D>,
 }
 
-impl QueryScope {
+impl<D: PartialEq> QueryScope<D> {
     /// A scope allowing at most `hops` link traversals beyond the
     /// originating domain.
     pub fn with_hop_limit(hops: u8) -> Self {
@@ -487,7 +488,7 @@ impl QueryScope {
     }
 
     /// Domains consulted so far, in visit order.
-    pub fn visited(&self) -> &[String] {
+    pub fn visited(&self) -> &[D] {
         &self.visited
     }
 
@@ -497,11 +498,11 @@ impl QueryScope {
     ///
     /// [`OdpError::FederationLoop`] when the domain was already
     /// consulted within this query — the loop-suppression guarantee.
-    pub fn enter(&mut self, domain: &str) -> Result<(), OdpError> {
-        if self.visited.iter().any(|d| d == domain) {
+    pub fn enter(&mut self, domain: D) -> Result<(), OdpError> {
+        if self.visited.contains(&domain) {
             return Err(OdpError::FederationLoop);
         }
-        self.visited.push(domain.to_owned());
+        self.visited.push(domain);
         Ok(())
     }
 

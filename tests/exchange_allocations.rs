@@ -20,10 +20,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use open_cscw::directory::{Attribute, Dn, Entry};
-use open_cscw::federation::DEFAULT_GOSSIP_PERIOD_MICROS;
 use open_cscw::groupware::{descriptor_for, mapping_for, sample_artifact, APP_POPULATION};
 use open_cscw::kernel::{SeededRng, Telemetry, Timestamp};
 use open_cscw::mocca::env::AppId;
+use open_cscw::mocca::federation::DEFAULT_GOSSIP_PERIOD_MICROS;
 use open_cscw::mocca::info::{InfoContent, InfoObject, InfoObjectId};
 use open_cscw::mocca::org::Person;
 use open_cscw::mocca::{
@@ -153,7 +153,7 @@ const PERIODS: u64 = 20;
 
 /// Allocations made by [`PERIODS`] gossip periods of the ring in the
 /// debug profile. Re-pin as for [`PINNED_ALLOCS`].
-const PINNED_GOSSIP_ALLOCS: u64 = 2_143;
+const PINNED_GOSSIP_ALLOCS: u64 = 1_423;
 
 fn bound(t: &Telemetry) {
     t.set_event_capacity(STORE_RECORDS);

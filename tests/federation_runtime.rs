@@ -8,11 +8,11 @@
 //! query.
 
 use cscw_bench::fed_scale::{self, Shape, ISLANDS_HEAL_AT_MICROS};
-use open_cscw::federation::DEFAULT_GOSSIP_PERIOD_MICROS;
 use open_cscw::groupware::{descriptor_for, mapping_for};
 use open_cscw::kernel::{Layer, Timestamp};
 use open_cscw::mocca::env::CscwEnvironment;
 use open_cscw::mocca::federation::FederatedEnvironments;
+use open_cscw::mocca::federation::DEFAULT_GOSSIP_PERIOD_MICROS;
 
 /// Converges one `(shape, n)` cell per seed and returns the replica
 /// fingerprint digests — callers assert they are identical.

@@ -13,11 +13,11 @@
 use std::collections::BTreeMap;
 
 use open_cscw::directory::Dn;
-use open_cscw::federation::{FederatedTrader, FederationError, DEFAULT_GOSSIP_PERIOD_MICROS};
+use open_cscw::federation::{FederatedTrader, FederationError};
 use open_cscw::groupware::{descriptor_for, mapping_for, sample_artifact};
 use open_cscw::kernel::{Layer, LayerError, RetryPolicy, Timestamp};
 use open_cscw::mocca::env::{AppId, CscwEnvironment};
-use open_cscw::mocca::federation::FederatedEnvironments;
+use open_cscw::mocca::federation::{FederatedEnvironments, DEFAULT_GOSSIP_PERIOD_MICROS};
 use open_cscw::mocca::{MoccaError, ResilientPlatform, SimPlatform};
 use open_cscw::odp::LinkState;
 

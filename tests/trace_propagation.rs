@@ -12,10 +12,11 @@
 use std::collections::BTreeMap;
 
 use open_cscw::directory::Dn;
-use open_cscw::federation::{FederationFabric, DEFAULT_GOSSIP_PERIOD_MICROS};
+use open_cscw::federation::FederationFabric;
 use open_cscw::groupware::{descriptor_for, mapping_for, sample_artifact};
 use open_cscw::kernel::{Layer, RetryPolicy, Telemetry, Timestamp};
 use open_cscw::mocca::env::{AppDescriptor, AppId, FormatMapping, Quadrant};
+use open_cscw::mocca::federation::DEFAULT_GOSSIP_PERIOD_MICROS;
 use open_cscw::mocca::org::Person;
 use open_cscw::mocca::{CscwEnvironment, FederatedEnvironments, ResilientPlatform, SimPlatform};
 use open_cscw::simnet::NodeId;
