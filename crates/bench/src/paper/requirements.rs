@@ -3,7 +3,6 @@
 //! (transparencies) and R6 (the organisational trading policy).
 
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 use cscw_directory::{Dn, Filter, SearchRequest, SearchScope};
 use cscw_kernel::{Layer, Timestamp};
@@ -16,6 +15,7 @@ use mocca::env::{EnvEvent, EventBus};
 use mocca::info::InfoContent;
 use mocca::org::{
     OrgRule, OrgTradingPolicy, OrganisationalModel, Person, RelationKind, Role, RuleKind,
+    SharedOrgModel,
 };
 use mocca::tailor::{EventPattern, RuleAction, RuleEngine, TailorRule};
 use mocca::transparency::ActivityIsolation;
@@ -24,7 +24,6 @@ use odp::{
     OdpError, OpMode, OperationSig, Trader, TransparencySelection, TransparentInvoker, Value,
     ValueKind,
 };
-use parking_lot::RwLock;
 use simnet::{LinkSpec, NodeId, Sim, TopologyBuilder};
 
 use super::Fallible;
@@ -455,7 +454,7 @@ fn staff_policy() -> Fallible<OrgTradingPolicy> {
     ] {
         m.add_rule(OrgRule::new(staff.clone(), kind, action, target));
     }
-    Ok(OrgTradingPolicy::new(Arc::new(RwLock::new(m))))
+    Ok(OrgTradingPolicy::new(SharedOrgModel::new(m)))
 }
 
 /// R6 over `offers` printer offers.

@@ -9,8 +9,9 @@
 //!   with `simnet` encapsulated below the communication services.
 //! * **R2** — no panics in library code; public fallible APIs return
 //!   `cscw_kernel::LayerError`-classified error types.
-//! * **R3** — lock-acquisition order is acyclic workspace-wide and no
-//!   lock guard is held across a `Platform` port call.
+//! * **R3** — no `Mutex`, `RwLock` or `parking_lot` in the
+//!   single-threaded stack, and no `RefCell` borrow guard held across a
+//!   `Platform` port call.
 //! * **R4** — telemetry events carry the emitting crate's own layer tag.
 //! * **R5** — determinism discipline: no wall-clock reads, unseeded
 //!   randomness, or `HashMap`/`HashSet` iteration in code that feeds a
@@ -51,7 +52,7 @@ use graph::CallGraph;
 use lexer::{lex, strip_test_code};
 use rules::{
     check_determinism, check_errors, check_layering, check_locks, check_spans, check_telemetry,
-    collect_classified_errors, collect_hash_names, FileContext, LockGraph,
+    collect_classified_errors, collect_hash_names, FileContext,
 };
 use workspace::{discover, Waivers};
 
@@ -115,11 +116,8 @@ pub fn analyze(root: &Path) -> std::io::Result<Analysis> {
     let streams: Vec<&[lexer::Token]> = prepared.iter().map(|f| f.tokens.as_slice()).collect();
     let call_graph = CallGraph::build(&streams);
 
-    // Phase 2: run the per-file rules; R3 also accumulates the global
-    // lock-acquisition graph, whose cycles are judged at the end, and
-    // R5/R6 consult the call graph.
+    // Phase 2: run the per-file rules; R5/R6 consult the call graph.
     let empty = BTreeSet::new();
-    let mut graph = LockGraph::new();
     for (idx, file) in prepared.iter().enumerate() {
         let ctx = FileContext {
             krate: file.krate,
@@ -129,13 +127,12 @@ pub fn analyze(root: &Path) -> std::io::Result<Analysis> {
         };
         check_layering(&ctx, &mut analysis.findings);
         check_errors(&ctx, &analysis.classified_errors, &mut analysis.findings);
-        check_locks(&ctx, &mut graph, &mut analysis.findings);
+        check_locks(&ctx, &mut analysis.findings);
         check_telemetry(&ctx, &mut analysis.findings);
         let crate_hashes = hash_names.get(&file.krate.dir_name).unwrap_or(&empty);
         check_determinism(&ctx, idx, &call_graph, crate_hashes, &mut analysis.findings);
         check_spans(&ctx, idx, &call_graph, &mut analysis.findings);
     }
-    analysis.findings.extend(graph.inversion_findings());
 
     sort_findings(&mut analysis.findings);
     Ok(analysis)

@@ -4,7 +4,7 @@
 //! |------|----------|--------------|
 //! | R1   | Figure-4 layer dependencies | §3/§6, Fig. 4 |
 //! | R2   | panic-free libraries, `LayerError`-classified public APIs | layered failure model |
-//! | R3   | lock acquisition order, no locks across `Platform` ports | engineering viewpoint |
+//! | R3   | no lock types in a single-threaded stack, no borrow guard held across a `Platform` port | engineering viewpoint |
 //! | R4   | telemetry events carry the emitting crate's layer tag | telemetry layers |
 //! | R5   | determinism discipline: no wall-clock, unseeded rng, or hash-order iteration feeding a fingerprint, wire codec, `EventQueue` ordering, or committed-bench output (call-graph-aware) | replication transparency |
 //! | R6   | span discipline: `span_begin`/`span_end` balance on every path, `SpanContext` threaded across `Platform` ports, dotted span names | engineering-viewpoint bindings |
@@ -18,7 +18,7 @@ mod r6_spans;
 
 pub use r1_layering::check_layering;
 pub use r2_errors::{check_errors, collect_classified_errors};
-pub use r3_locks::{check_locks, LockGraph};
+pub use r3_locks::check_locks;
 pub use r4_telemetry::check_telemetry;
 pub use r5_determinism::{check_determinism, collect_hash_names};
 pub use r6_spans::check_spans;

@@ -63,19 +63,24 @@ fn errors_fixture_flags_panics_and_unclassified_apis() {
 }
 
 #[test]
-fn locks_fixture_flags_port_calls_and_inversions() {
+fn locks_fixture_flags_lock_types_and_guards_across_ports() {
     let findings = findings_for("locks");
     let r3: Vec<_> = findings.iter().filter(|f| f.rule == "R3").collect();
-    assert_eq!(r3.len(), 3, "{findings:#?}");
-    assert!(r3
+    assert_eq!(r3.len(), 4, "{findings:#?}");
+    let banned: Vec<_> = r3
         .iter()
-        .any(|f| f.message.contains("held across Platform port call")
-            && f.message.contains("org-model")));
-    let inversions: Vec<_> = r3
-        .iter()
-        .filter(|f| f.message.contains("lock order inversion"))
+        .filter(|f| f.message.contains("lock type"))
         .collect();
-    assert_eq!(inversions.len(), 2, "{r3:#?}");
+    assert_eq!(banned.len(), 2, "{r3:#?}");
+    assert!(banned.iter().any(|f| f.message.contains("`parking_lot`")));
+    assert!(banned.iter().any(|f| f.message.contains("`Mutex`")));
+    let held: Vec<_> = r3
+        .iter()
+        .filter(|f| f.message.contains("held across Platform port call"))
+        .collect();
+    assert_eq!(held.len(), 2, "{r3:#?}");
+    assert!(held.iter().any(|f| f.message.contains("`self.org`")));
+    assert!(held.iter().any(|f| f.message.contains("`self.inner`")));
 }
 
 #[test]

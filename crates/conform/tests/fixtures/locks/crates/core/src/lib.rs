@@ -1,35 +1,31 @@
-//! Violating fixture for R3: a guard held across a Platform port call,
-//! and a lock-order inversion between two functions.
+//! Violating fixture for R3: two lock types, and two guards held
+//! across a Platform port call.
 
-pub struct Env;
+use std::cell::RefCell;
+
+pub struct Env {
+    org: parking_lot::RwLock<Model>,
+    log: std::sync::Mutex<Vec<String>>,
+    inner: RefCell<State>,
+}
 
 impl Env {
-    // Held-across-port: `org` is still live at the trader() call.
-    pub fn bad_port_call(&self) {
+    // Held-across-port: the `org` read guard is live at the trader() call.
+    pub fn read_across_port(&self) {
         let org = self.org.read();
         let offers = self.platform.trader().import(&org);
         drop(offers);
     }
 
-    // Temporary guard: released at the end of the statement, fine.
-    pub fn good_port_call(&self) {
-        self.org.read().check();
+    // Held-across-port: the `inner` borrow is live at the trader() call.
+    pub fn borrow_across_port(&self) {
+        let mut inner = self.inner.borrow_mut();
+        inner.offers = self.platform.trader().import_all();
+    }
+
+    // Temporary borrow: released at the end of the statement, fine.
+    pub fn temporary_borrow(&self) {
+        self.inner.borrow_mut().check();
         let _offers = self.platform.trader().import_all();
-    }
-
-    // Acquires alpha then beta…
-    pub fn forward(&self) {
-        let a = self.alpha.lock();
-        let b = self.beta.lock();
-        drop(b);
-        drop(a);
-    }
-
-    // …and beta then alpha elsewhere: an inversion.
-    pub fn backward(&self) {
-        let b = self.beta.lock();
-        let a = self.alpha.lock();
-        drop(a);
-        drop(b);
     }
 }

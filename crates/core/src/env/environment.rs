@@ -20,7 +20,6 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
 
 use cscw_directory::{Attribute, DirOp, Dn, Entry, Rdn};
 use cscw_federation::{FederationPort, RemoteDelivery};
@@ -28,7 +27,6 @@ use cscw_kernel::Layer;
 use cscw_kernel::Timestamp;
 use cscw_messaging::OrAddress;
 use cscw_query::{CompiledQuery, QueryDelta, Source, SubscriptionId, SubscriptionRegistry};
-use parking_lot::RwLock;
 
 use crate::activity::{Activity, ActivityId, ActivityRole, InterActivityModel};
 use crate::comm::CommunicationModel;
@@ -38,7 +36,7 @@ use crate::env::registry::{AppDescriptor, AppId, AppRegistry};
 use crate::error::MoccaError;
 use crate::expertise::UserExpertiseModel;
 use crate::info::{InfoContent, InfoObject, InfoObjectId, InformationRepository};
-use crate::org::{KnowledgeBase, OrgTradingPolicy, OrganisationalModel, ENV_PRINCIPAL};
+use crate::org::{KnowledgeBase, OrgTradingPolicy, SharedOrgModel, ENV_PRINCIPAL};
 use crate::platform::{DirectoryPort, LocalPlatform, Platform, TraderPort, TransportPort};
 use crate::tailor::TailorStore;
 use crate::transparency::activity::ActivityIsolation;
@@ -96,7 +94,7 @@ fn render_content(content: &InfoContent) -> String {
 
 /// The assembled open CSCW environment.
 pub struct CscwEnvironment {
-    org: Arc<RwLock<OrganisationalModel>>,
+    org: SharedOrgModel,
     knowledge: KnowledgeBase,
     activities: InterActivityModel,
     repository: InformationRepository,
@@ -164,7 +162,7 @@ impl CscwEnvironment {
     /// attached and the [`APP_SERVICE_TYPE`] registered, so application
     /// registration can advertise offers immediately.
     pub fn with_platform(mut platform: Box<dyn Platform>) -> Self {
-        let org = Arc::new(RwLock::new(OrganisationalModel::new()));
+        let org = SharedOrgModel::default();
         platform
             .trader()
             .attach_policy(Box::new(OrgTradingPolicy::new(org.clone())));
@@ -253,7 +251,7 @@ impl CscwEnvironment {
     // ---- model access ----------------------------------------------------
 
     /// The shared organisational model.
-    pub fn org(&self) -> Arc<RwLock<OrganisationalModel>> {
+    pub fn org(&self) -> SharedOrgModel {
         self.org.clone()
     }
 

@@ -20,7 +20,7 @@ pub mod rules;
 pub mod trading;
 
 pub use knowledge::KnowledgeBase;
-pub use model::OrganisationalModel;
+pub use model::{OrganisationalModel, SharedOrgModel};
 pub use objects::{OrgRelation, OrgUnit, Person, Project, RelationKind, Resource, Role};
 pub use rules::{evaluate, obligations, Authorisation, OrgRule, RuleKind};
 pub use trading::{OrgTradingPolicy, ENV_PRINCIPAL};

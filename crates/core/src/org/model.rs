@@ -3,7 +3,9 @@
 //! "The aim of the organisational model is to make explicit the sharing
 //! of organisational resources, policies and regulations" (§5).
 
+use std::cell::{Ref, RefCell, RefMut};
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 use cscw_directory::Dn;
 
@@ -220,6 +222,31 @@ impl OrganisationalModel {
                 target: target_kind.to_owned(),
             })
         }
+    }
+}
+
+/// The one organisational model the environment and its trading policy
+/// share: cloning the handle shares the model. The stack runs on one
+/// thread, so the handle is a `RefCell` and takes no lock; a borrow
+/// from [`read`](Self::read) or [`write`](Self::write) must end before
+/// a conflicting one starts, or the second panics.
+#[derive(Debug, Clone, Default)]
+pub struct SharedOrgModel(Rc<RefCell<OrganisationalModel>>);
+
+impl SharedOrgModel {
+    /// Shares `model`.
+    pub fn new(model: OrganisationalModel) -> Self {
+        SharedOrgModel(Rc::new(RefCell::new(model)))
+    }
+
+    /// Borrows the model to read it.
+    pub fn read(&self) -> Ref<'_, OrganisationalModel> {
+        self.0.borrow()
+    }
+
+    /// Borrows the model to change it.
+    pub fn write(&self) -> RefMut<'_, OrganisationalModel> {
+        self.0.borrow_mut()
     }
 }
 

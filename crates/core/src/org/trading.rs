@@ -8,13 +8,10 @@
 //! organisational rule base, so trader imports respect organisational
 //! authority. Bench R6 measures imports with and without it.
 
-use std::sync::Arc;
-
 use cscw_directory::Dn;
 use odp::{ServiceOffer, TradingPolicy, Value};
-use parking_lot::RwLock;
 
-use crate::org::model::OrganisationalModel;
+use crate::org::model::SharedOrgModel;
 
 /// The DN under which the environment itself performs engineering
 /// imports (e.g. locating the destination application's interface
@@ -34,7 +31,7 @@ pub const ENV_PRINCIPAL: &str = "cn=mocca-environment";
 /// identity ([`ENV_PRINCIPAL`]) is always allowed.
 #[derive(Clone)]
 pub struct OrgTradingPolicy {
-    model: Arc<RwLock<OrganisationalModel>>,
+    model: SharedOrgModel,
 }
 
 impl std::fmt::Debug for OrgTradingPolicy {
@@ -45,7 +42,7 @@ impl std::fmt::Debug for OrgTradingPolicy {
 
 impl OrgTradingPolicy {
     /// Creates the policy over a shared organisational model.
-    pub fn new(model: Arc<RwLock<OrganisationalModel>>) -> Self {
+    pub fn new(model: SharedOrgModel) -> Self {
         OrgTradingPolicy { model }
     }
 }
@@ -86,6 +83,7 @@ impl TradingPolicy for OrgTradingPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::org::model::OrganisationalModel;
     use crate::org::objects::{Person, Role};
     use crate::org::rules::{OrgRule, RuleKind};
     use crate::org::RelationKind;
@@ -96,7 +94,7 @@ mod tests {
         s.parse().unwrap()
     }
 
-    fn shared_model() -> Arc<RwLock<OrganisationalModel>> {
+    fn shared_model() -> SharedOrgModel {
         let mut m = OrganisationalModel::new();
         m.add_person(Person::new(dn("c=UK,cn=Tom"), "Tom"));
         m.add_person(Person::new(dn("c=DE,cn=Wolfgang"), "Wolfgang"));
@@ -122,10 +120,10 @@ mod tests {
             "import-from",
             "org:UPC",
         ));
-        Arc::new(RwLock::new(m))
+        SharedOrgModel::new(m)
     }
 
-    fn trader_with_policy(model: Arc<RwLock<OrganisationalModel>>) -> Trader {
+    fn trader_with_policy(model: SharedOrgModel) -> Trader {
         let iface = InterfaceType::new("printer").with_operation(OperationSig::new(
             "print",
             [ValueKind::Text],

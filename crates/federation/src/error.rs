@@ -14,8 +14,6 @@ pub enum FederationError {
     /// The application may exist, but every path to it crossed a down
     /// link — the resolver fell back to local-only matching.
     Partitioned(String),
-    /// The hop budget ran out before the query matched.
-    HopLimitExceeded(String),
     /// A gossip frame or replicated entry failed to decode.
     Codec(String),
 }
@@ -29,9 +27,6 @@ impl fmt::Display for FederationError {
             }
             FederationError::Partitioned(a) => {
                 write!(f, "federation partitioned while resolving: {a}")
-            }
-            FederationError::HopLimitExceeded(a) => {
-                write!(f, "federated query hop budget exhausted resolving: {a}")
             }
             FederationError::Codec(msg) => write!(f, "federation codec error: {msg}"),
         }
@@ -56,7 +51,6 @@ impl LayerError for FederationError {
             FederationError::UnknownDomain(_) => "unknown_domain",
             FederationError::UnknownApplication(_) => "unknown_application",
             FederationError::Partitioned(_) => "partitioned",
-            FederationError::HopLimitExceeded(_) => "hop_limit_exceeded",
             FederationError::Codec(_) => "codec",
         }
     }

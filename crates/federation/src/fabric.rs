@@ -8,14 +8,18 @@
 //! and talks to it through the [`FederationPort`] trait — the
 //! environment never sees the other environments, only its port
 //! (organisation transparency across sites).
+//!
+//! The federated environments run on one thread, so the fabric and its
+//! ports share one `Rc<RefCell<_>>` and take no lock; each method
+//! borrows the state for its own body and never hands a borrow out.
 
+use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
+use std::rc::Rc;
 
 use cscw_kernel::{Layer, SpanContext, Telemetry, Timestamp};
 use cscw_messaging::gossip::{FrameKind, GossipFrame};
 use odp::LinkState;
-use parking_lot::Mutex;
 
 use crate::error::FederationError;
 use crate::replica::{
@@ -57,7 +61,7 @@ pub struct RemoteDelivery {
 /// consults it when its local trader cannot locate an exchange
 /// partner, advertises its registered applications into it, and
 /// mirrors shareable knowledge through it.
-pub trait FederationPort: std::fmt::Debug + Send {
+pub trait FederationPort: std::fmt::Debug {
     /// This environment's federation domain.
     fn domain(&self) -> String;
 
@@ -139,7 +143,7 @@ struct FabricInner {
 /// fabric's id names a different site here, or none, and then panics.
 #[derive(Debug, Clone)]
 pub struct FederationFabric {
-    inner: Arc<Mutex<FabricInner>>,
+    inner: Rc<RefCell<FabricInner>>,
 }
 
 impl Default for FederationFabric {
@@ -157,7 +161,7 @@ impl FederationFabric {
     /// A fabric with a configured trader (hop budget, TTL).
     pub fn with_trader(trader: FederatedTrader) -> Self {
         FederationFabric {
-            inner: Arc::new(Mutex::new(FabricInner {
+            inner: Rc::new(RefCell::new(FabricInner {
                 sites: Vec::new(),
                 ids: BTreeMap::new(),
                 trader,
@@ -169,13 +173,13 @@ impl FederationFabric {
     /// Routes the fabric's telemetry onto an existing stream (e.g. a
     /// platform's), so one render shows the whole stack.
     pub fn with_telemetry(self, telemetry: Telemetry) -> Self {
-        self.inner.lock().telemetry = telemetry;
+        self.inner.borrow_mut().telemetry = telemetry;
         self
     }
 
     /// The fabric's telemetry stream.
     pub fn telemetry(&self) -> Telemetry {
-        self.inner.lock().telemetry.clone()
+        self.inner.borrow().telemetry.clone()
     }
 
     /// Registers a domain under the next dense [`SiteId`] and returns
@@ -183,7 +187,7 @@ impl FederationFabric {
     /// a fresh port onto the same state, under the id it already has.
     pub fn join(&self, domain: impl Into<String>) -> DomainPort {
         let domain = domain.into();
-        let mut guard = self.inner.lock();
+        let mut guard = self.inner.borrow_mut();
         let inner = &mut *guard;
         let site = *inner.ids.entry(domain).or_insert_with_key(|name| {
             inner.sites.push(Site {
@@ -204,19 +208,19 @@ impl FederationFabric {
 
     /// The id `domain` joined under, if it joined.
     pub fn site(&self, domain: &str) -> Option<SiteId> {
-        self.inner.lock().ids.get(domain).copied()
+        self.inner.borrow().ids.get(domain).copied()
     }
 
     /// The joined domains and their ids, in name order.
     pub fn sites(&self) -> Vec<(String, SiteId)> {
-        let inner = self.inner.lock();
+        let inner = self.inner.borrow();
         inner.ids.iter().map(|(d, s)| (d.clone(), *s)).collect()
     }
 
     /// Adds a directed trader link; `false`, adding nothing, when
     /// either domain never joined.
     pub fn link(&self, from: &str, to: &str) -> bool {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         let (Some(&from), Some(&to)) = (inner.ids.get(from), inner.ids.get(to)) else {
             return false;
         };
@@ -236,7 +240,7 @@ impl FederationFabric {
     /// A gossip pulse walks its peers in link insertion order by asking
     /// again one past each position it gets, so nothing is copied out.
     pub fn next_up_link(&self, site: SiteId, cursor: usize) -> Option<(usize, SiteId)> {
-        let inner = self.inner.lock();
+        let inner = self.inner.borrow();
         let links = inner.trader.links().iter().enumerate().skip(cursor);
         links
             .filter(|(_, l)| l.from == site && l.is_up())
@@ -247,7 +251,7 @@ impl FederationFabric {
     /// The trader link graph as `(from, to, state)` triples, in
     /// insertion order, for inspection.
     pub fn links(&self) -> Vec<(String, String, LinkState)> {
-        let inner = self.inner.lock();
+        let inner = self.inner.borrow();
         let name = |site: SiteId| inner.sites[site.0].name.clone();
         let links = inner.trader.links().iter();
         links.map(|l| (name(l.from), name(l.to), l.state)).collect()
@@ -255,7 +259,7 @@ impl FederationFabric {
 
     /// Sets one directed link's health; `false` when no such link.
     pub fn set_link_state(&self, from: SiteId, to: SiteId, state: LinkState) -> bool {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         let found = inner.trader.set_link_state(from, to, state);
         if found {
             let name = match state {
@@ -269,7 +273,7 @@ impl FederationFabric {
 
     /// Takes (drains) the deliveries queued *into* `site`.
     pub fn take_inbound(&self, site: SiteId) -> Vec<RemoteDelivery> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         let taken = std::mem::take(&mut inner.sites[site.0].inbound);
         if !taken.is_empty() {
             inner
@@ -282,7 +286,7 @@ impl FederationFabric {
     /// Writes `site`'s anti-entropy digest frame, header and body into
     /// one wire string.
     pub fn digest_wire(&self, site: SiteId) -> String {
-        let inner = self.inner.lock();
+        let inner = self.inner.borrow();
         let state = &inner.sites[site.0];
         inner
             .telemetry
@@ -322,7 +326,7 @@ impl FederationFabric {
             return Err(FederationError::Codec("expected a digest frame".into()));
         }
         let their = decode_digest(digest.body)?;
-        let inner = self.inner.lock();
+        let inner = self.inner.borrow();
         let state = &inner.sites[site.0];
         let mut delta = state.replica.delta_since(&their);
         if let Some(cap) = cap {
@@ -370,7 +374,7 @@ impl FederationFabric {
             return Err(FederationError::Codec("expected a delta frame".into()));
         }
         let updates = decode_delta(delta.body)?;
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         let report = inner.sites[site.0].replica.ingest(updates);
         inner.telemetry.add(
             Layer::Federation,
@@ -393,7 +397,7 @@ impl FederationFabric {
     /// Expires stale trader cache entries at `now`; returns how many
     /// were dropped.
     pub fn expire_offer_cache(&self, now: Timestamp) -> usize {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         let expired = inner.trader.expire_cache(now);
         if expired > 0 {
             inner
@@ -406,25 +410,25 @@ impl FederationFabric {
     /// Remote offers currently cached by the federated trader (fresh
     /// or stale).
     pub fn offer_cache_len(&self) -> usize {
-        self.inner.lock().trader.cache_len()
+        self.inner.borrow().trader.cache_len()
     }
 
     /// Total deliveries queued but not yet pumped, across all domains.
     pub fn pending_inbound(&self) -> usize {
-        let inner = self.inner.lock();
+        let inner = self.inner.borrow();
         inner.sites.iter().map(|s| s.inbound.len()).sum()
     }
 
     /// A site's replica fingerprint.
     pub fn replica_fingerprint(&self, site: SiteId) -> String {
-        self.inner.lock().sites[site.0].replica.fingerprint()
+        self.inner.borrow().sites[site.0].replica.fingerprint()
     }
 }
 
 /// One environment's handle onto the shared fabric.
 #[derive(Debug, Clone)]
 pub struct DomainPort {
-    inner: Arc<Mutex<FabricInner>>,
+    inner: Rc<RefCell<FabricInner>>,
     site: SiteId,
 }
 
@@ -437,11 +441,11 @@ impl DomainPort {
 
 impl FederationPort for DomainPort {
     fn domain(&self) -> String {
-        self.inner.lock().sites[self.site.0].name.clone()
+        self.inner.borrow().sites[self.site.0].name.clone()
     }
 
     fn advertise_app(&mut self, app: &str) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         inner.sites[self.site.0].apps.insert(app.to_owned());
         inner
             .telemetry
@@ -449,7 +453,7 @@ impl FederationPort for DomainPort {
     }
 
     fn resolve_app(&mut self, app: &str, now: Timestamp) -> Result<Resolution, FederationError> {
-        let mut guard = self.inner.lock();
+        let mut guard = self.inner.borrow_mut();
         let inner = &mut *guard;
         let span =
             inner
@@ -477,7 +481,7 @@ impl FederationPort for DomainPort {
     }
 
     fn route_exchange(&mut self, delivery: RemoteDelivery) -> Result<(), FederationError> {
-        let mut guard = self.inner.lock();
+        let mut guard = self.inner.borrow_mut();
         let inner = &mut *guard;
         let at = delivery.at.as_micros();
         let span = inner
@@ -494,7 +498,7 @@ impl FederationPort for DomainPort {
     }
 
     fn publish_entry(&mut self, key: &str, value: &str) -> bool {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         // Re-publishing an identical value is a no-op: idempotent
         // publication keeps gossip deltas from growing on every call.
         let replica = &mut inner.sites[self.site.0].replica;
@@ -509,11 +513,11 @@ impl FederationPort for DomainPort {
     }
 
     fn replica_fingerprint(&self) -> String {
-        self.inner.lock().sites[self.site.0].replica.fingerprint()
+        self.inner.borrow().sites[self.site.0].replica.fingerprint()
     }
 
     fn replica_snapshot(&self) -> Vec<(String, String)> {
-        let inner = self.inner.lock();
+        let inner = self.inner.borrow();
         let entries = inner.sites[self.site.0].replica.entries();
         entries.map(|e| (e.key.clone(), e.value.clone())).collect()
     }

@@ -6,8 +6,8 @@
 //! deployment, or benches) without knowing which. Instants are
 //! [`Timestamp`](crate::Timestamp)s in every crate, simulated or not.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::cell::Cell;
+use std::rc::Rc;
 use std::time::Instant;
 
 /// A monotone microsecond time source.
@@ -65,7 +65,7 @@ impl Clock for WallClock {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ManualClock {
-    micros: Arc<AtomicU64>,
+    micros: Rc<Cell<u64>>,
 }
 
 impl ManualClock {
@@ -77,18 +77,18 @@ impl ManualClock {
     /// Sets the current time. Monotonicity is the driver's contract:
     /// setting time backwards is not prevented here.
     pub fn set_micros(&self, micros: u64) {
-        self.micros.store(micros, Ordering::Relaxed);
+        self.micros.set(micros);
     }
 
     /// Advances the current time by `delta` microseconds.
     pub fn advance_micros(&self, delta: u64) {
-        self.micros.fetch_add(delta, Ordering::Relaxed);
+        self.micros.set(self.micros.get() + delta);
     }
 }
 
 impl Clock for ManualClock {
     fn now_micros(&self) -> u64 {
-        self.micros.load(Ordering::Relaxed)
+        self.micros.get()
     }
 }
 

@@ -11,16 +11,18 @@
 //!
 //! `Telemetry` is a cheaply-cloneable handle: the simulator core, every
 //! simulated node, and the platform front-end all hold clones of the
-//! same stream. Counters and histograms are sharded per [`Layer`]
-//! behind independent locks, so hot paths in different layers never
-//! contend; histograms are fixed-memory [`LogHistogram`]s answering
+//! same stream. The stack runs on one thread, so the handle shares its
+//! state through `Rc`/`RefCell` and takes no lock; every borrow starts
+//! and ends inside one method. Counters and histograms are kept per
+//! [`Layer`]; histograms are fixed-memory [`LogHistogram`]s answering
 //! p50/p90/p99 with bounded error. Events and spans are bounded stores
 //! with explicit drop accounting ([`Telemetry::dropped_events`] /
 //! [`Telemetry::dropped_spans`]) — nothing is lost silently.
 
+use std::cell::{RefCell, RefMut};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 use crate::metrics::{LogHistogram, MetricsSnapshot};
 use crate::trace::{SpanContext, SpanId, SpanRecord, Trace, TraceId};
@@ -49,7 +51,7 @@ pub enum Layer {
     App,
 }
 
-/// Shard count: one lock per [`Layer`] variant.
+/// Shard count: one per [`Layer`] variant.
 const LAYER_COUNT: usize = 8;
 
 /// Every layer, in `Layer`'s `Ord` order (Net first).
@@ -110,7 +112,7 @@ impl Layer {
         }
     }
 
-    /// Index of this layer's storage shard.
+    /// Index of this layer's counter and histogram shard.
     fn shard(self) -> usize {
         match self {
             Layer::Net => 0,
@@ -185,9 +187,7 @@ pub struct HistogramSummary {
     pub p99_micros: u64,
 }
 
-/// Per-layer counter and histogram storage: each layer has its own
-/// shard behind its own lock, so emissions in different layers never
-/// contend and lookups are `O(log n)` map gets.
+/// One layer's counters and histograms.
 #[derive(Debug, Default)]
 struct Shard {
     counters: BTreeMap<&'static str, u64>,
@@ -210,10 +210,13 @@ struct Stream {
     stack: Vec<SpanContext>,
 }
 
+/// The shards and the stream sit in separate cells because
+/// [`Telemetry::emit`] formats its detail while the stream is
+/// borrowed, and a detail may read a counter.
 #[derive(Debug)]
 struct Shared {
-    shards: [Mutex<Shard>; LAYER_COUNT],
-    stream: Mutex<Stream>,
+    shards: RefCell<[Shard; LAYER_COUNT]>,
+    stream: RefCell<Stream>,
 }
 
 /// A cheaply-cloneable, layer-tagged telemetry stream.
@@ -239,7 +242,7 @@ struct Shared {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Telemetry {
-    shared: Arc<Shared>,
+    shared: Rc<Shared>,
 }
 
 impl Default for Telemetry {
@@ -255,9 +258,9 @@ impl Telemetry {
     /// Creates an empty stream with the default event/span capacities.
     pub fn new() -> Self {
         Telemetry {
-            shared: Arc::new(Shared {
+            shared: Rc::new(Shared {
                 shards: Default::default(),
-                stream: Mutex::new(Stream {
+                stream: RefCell::new(Stream {
                     events: Vec::new(),
                     event_capacity: DEFAULT_EVENT_CAPACITY,
                     events_dropped: 0,
@@ -272,17 +275,15 @@ impl Telemetry {
 
     /// True when `other` is a clone of this handle (same stream).
     pub fn same_stream(&self, other: &Telemetry) -> bool {
-        Arc::ptr_eq(&self.shared, &other.shared)
+        Rc::ptr_eq(&self.shared, &other.shared)
     }
 
-    fn shard(&self, layer: Layer) -> std::sync::MutexGuard<'_, Shard> {
-        self.shared.shards[layer.shard()]
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
+    fn shard(&self, layer: Layer) -> RefMut<'_, Shard> {
+        RefMut::map(self.shared.shards.borrow_mut(), |s| &mut s[layer.shard()])
     }
 
-    fn stream(&self) -> std::sync::MutexGuard<'_, Stream> {
-        self.shared.stream.lock().unwrap_or_else(|e| e.into_inner())
+    fn stream(&self) -> RefMut<'_, Stream> {
+        self.shared.stream.borrow_mut()
     }
 
     /// Adds one to a layer-tagged counter.
@@ -445,7 +446,7 @@ impl Telemetry {
         if let Some(pos) = stream.stack.iter().rposition(|c| *c == ctx) {
             stream.stack.truncate(pos);
         }
-        // Ids are minted under the stream lock, so the store is sorted.
+        // Ids are minted in increasing order, so the store is sorted.
         if let Ok(pos) = stream.spans.binary_search_by_key(&ctx.span, |s| s.id) {
             stream.spans[pos].end_micros = Some(at_micros);
         }
@@ -646,6 +647,21 @@ mod tests {
         assert_eq!(calls.get(), 1, "a dropped event must not format its detail");
         assert_eq!(t.dropped_events(), 1);
         assert_eq!(t.events().len(), 1);
+    }
+
+    #[test]
+    fn an_event_detail_may_read_a_counter_of_its_own_stream() {
+        /// A detail that reads a counter while it is formatted.
+        struct Reads(Telemetry);
+        impl fmt::Display for Reads {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                write!(f, "sent={}", self.0.counter(Layer::Net, "net.sent"))
+            }
+        }
+        let t = Telemetry::new();
+        t.add(Layer::Net, "net.sent", 3);
+        t.emit(1, Layer::Net, "net.note", Reads(t.clone()));
+        assert_eq!(t.events()[0].detail, "sent=3");
     }
 
     #[test]
