@@ -4,8 +4,17 @@
 //! structure. It is the single-DSA building block; the distributed
 //! directory in [`crate::dsa`] composes several DITs (one naming context
 //! each) over the simulated network.
+//!
+//! Every entry also has an identity under its name: a dense
+//! [`EntryId`], allocated by [`Dit::add`], kept by
+//! [`modify`](Dit::modify) and [`rename`](Dit::rename), and retired by
+//! a removal. Names are for people and for DN-ordered walks; ids are
+//! for state that follows one entry through its life, such as the
+//! standing-query layer's membership table. [`Dit::id`] and
+//! [`Dit::name`] translate between the two, and every logged
+//! [`DitChange`] carries its entry's id.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{btree_map, BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use crate::attribute::{Attribute, AttributeType, AttributeValue};
@@ -16,6 +25,92 @@ use crate::name::Dn;
 use crate::observer::DitChange;
 use crate::schema::Schema;
 use crate::search::{SearchOutcome, SearchRequest, SearchScope};
+
+/// The identity of one directory entry in one [`Dit`]: a dense slot
+/// plus a generation.
+///
+/// An entry keeps its id through [`modify`](Dit::modify) and
+/// [`rename`](Dit::rename). Removing the entry frees its slot; the
+/// next [`add`](Dit::add) may reuse the slot, under a higher
+/// generation, so an id that outlives its entry never names the new
+/// one ([`Dit::name`] answers `None` for it). Ids order by slot, then
+/// generation. A [`Dit::clone`] keeps every id.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct EntryId {
+    slot: u32,
+    generation: u32,
+}
+
+impl EntryId {
+    /// The slot: a dense index, below the number of entries the DIT
+    /// has ever held at once.
+    pub fn slot(self) -> usize {
+        self.slot as usize
+    }
+
+    /// How many entries held this slot before this one.
+    pub fn generation(self) -> u32 {
+        self.generation
+    }
+}
+
+/// The id table: per slot, its generation and the name of the entry
+/// that holds it.
+#[derive(Debug, Clone, Default)]
+struct Slots {
+    /// Per slot: the current generation and, while the slot is held,
+    /// the holder's name.
+    names: Vec<(u32, Option<Dn>)>,
+    /// Freed slots, reused last-freed first.
+    free: Vec<u32>,
+}
+
+impl Slots {
+    /// A fresh id for an entry named `dn`.
+    fn alloc(&mut self, dn: Dn) -> EntryId {
+        if let Some(slot) = self.free.pop() {
+            let (generation, name) = &mut self.names[slot as usize];
+            *name = Some(dn);
+            return EntryId {
+                slot,
+                generation: *generation,
+            };
+        }
+        // A DIT never holds 2^32 entries at once: that alone would
+        // take hundreds of GiB.
+        let slot = u32::try_from(self.names.len()).unwrap_or(u32::MAX);
+        self.names.push((0, Some(dn)));
+        EntryId {
+            slot,
+            generation: 0,
+        }
+    }
+
+    /// Retires `id`: its slot is free for reuse under the next
+    /// generation (which wraps after 2^32 reuses of one slot).
+    fn release(&mut self, id: EntryId) {
+        if let Some((generation, name)) = self.names.get_mut(id.slot()) {
+            *generation = generation.wrapping_add(1);
+            *name = None;
+            self.free.push(id.slot);
+        }
+    }
+
+    /// Gives `id` a new name.
+    fn relabel(&mut self, id: EntryId, dn: Dn) {
+        if let Some((_, name)) = self.names.get_mut(id.slot()) {
+            *name = Some(dn);
+        }
+    }
+
+    /// The name `id` holds, if it is still live.
+    fn name(&self, id: EntryId) -> Option<&Dn> {
+        match self.names.get(id.slot()) {
+            Some((generation, name)) if *generation == id.generation => name.as_ref(),
+            _ => None,
+        }
+    }
+}
 
 /// An in-memory DIT with schema checking.
 ///
@@ -42,12 +137,19 @@ use crate::search::{SearchOutcome, SearchRequest, SearchScope};
 ///     Filter::present("o"),
 /// ))?;
 /// assert_eq!(out.entries.len(), 1);
+///
+/// // A rename keeps the entry's identity.
+/// let id = dit.id(&"c=UK,o=Lancaster".parse()?).unwrap();
+/// dit.rename(&"c=UK,o=Lancaster".parse()?, "c=UK,o=Lancs".parse()?)?;
+/// assert_eq!(dit.name(id).unwrap().to_string(), "c=UK,o=Lancs");
 /// # Ok::<(), cscw_directory::DirectoryError>(())
 /// ```
 #[derive(Debug)]
 pub struct Dit {
-    entries: BTreeMap<Dn, Arc<Entry>>,
+    /// The one entry store, in DN order, each entry with its id.
+    entries: BTreeMap<Dn, (EntryId, Arc<Entry>)>,
     children: BTreeMap<Dn, BTreeSet<Dn>>,
+    slots: Slots,
     schema: Schema,
     /// The change log, oldest first; `None` until
     /// [`record_changes`](Dit::record_changes) turns it on.
@@ -61,15 +163,17 @@ impl Default for Dit {
 }
 
 impl Clone for Dit {
-    /// Cloning shares entries and copies structure and schema but
+    /// Cloning shares entries and copies structure, ids and schema but
     /// **not** the change log: a clone is a detached snapshot that
     /// records nothing, so mutations on it never reach readers of the
     /// original's log. Neither side sees the other's later writes: a
-    /// write replaces the writer's `Arc`, never the shared entry.
+    /// write replaces the writer's `Arc`, never the shared entry, and
+    /// each side allocates ids from its own copy of the id table.
     fn clone(&self) -> Self {
         Dit {
             entries: self.entries.clone(),
             children: self.children.clone(),
+            slots: self.slots.clone(),
             schema: self.schema.clone(),
             changes: None,
         }
@@ -79,12 +183,7 @@ impl Clone for Dit {
 impl Dit {
     /// Creates an empty DIT with the standard schema.
     pub fn new() -> Self {
-        Dit {
-            entries: BTreeMap::new(),
-            children: BTreeMap::new(),
-            schema: Schema::standard(),
-            changes: None,
-        }
+        Self::with_schema(Schema::standard())
     }
 
     /// Creates an empty DIT with a custom schema.
@@ -92,6 +191,7 @@ impl Dit {
         Dit {
             entries: BTreeMap::new(),
             children: BTreeMap::new(),
+            slots: Slots::default(),
             schema,
             changes: None,
         }
@@ -134,7 +234,7 @@ impl Dit {
         self.entries.is_empty()
     }
 
-    /// Adds an entry.
+    /// Adds an entry under a fresh [`EntryId`].
     ///
     /// # Errors
     ///
@@ -145,27 +245,49 @@ impl Dit {
     /// * [`DirectoryError::SchemaViolation`] — schema check failed.
     pub fn add(&mut self, entry: Entry) -> Result<(), DirectoryError> {
         let dn = entry.dn().clone();
-        if dn.is_root() {
-            return Err(DirectoryError::InvalidName("cannot add the root".into()));
-        }
-        if self.entries.contains_key(&dn) {
-            return Err(DirectoryError::EntryExists(dn));
-        }
         let Some(parent) = dn.parent() else {
             return Err(DirectoryError::InvalidName("cannot add the root".into()));
         };
+        // A taken name always has its parent, so checking the parent
+        // first reports what checking the name first would.
         if !parent.is_root() && !self.entries.contains_key(&parent) {
             return Err(DirectoryError::NoParent(dn));
         }
+        let btree_map::Entry::Vacant(vacant) = self.entries.entry(dn.clone()) else {
+            return Err(DirectoryError::EntryExists(dn));
+        };
         self.schema.validate(&entry)?;
-        self.children.entry(parent).or_default().insert(dn.clone());
-        self.insert(dn, Arc::new(entry));
+        let id = self.slots.alloc(dn.clone());
+        let entry = Arc::new(entry);
+        if let Some(log) = self.changes.as_mut() {
+            log.push(DitChange::Added {
+                id,
+                entry: Arc::clone(&entry),
+            });
+        }
+        vacant.insert((id, entry));
+        self.children.entry(parent).or_default().insert(dn);
         Ok(())
     }
 
     /// Reads an entry.
     pub fn get(&self, dn: &Dn) -> Option<&Entry> {
-        self.entries.get(dn).map(|e| &**e)
+        self.entries.get(dn).map(|(_, e)| &**e)
+    }
+
+    /// The id of the entry named `dn`.
+    pub fn id(&self, dn: &Dn) -> Option<EntryId> {
+        self.entries.get(dn).map(|(id, _)| *id)
+    }
+
+    /// The current name of the entry `id`; `None` once it is removed.
+    pub fn name(&self, id: EntryId) -> Option<&Dn> {
+        self.slots.name(id)
+    }
+
+    /// Reads an entry by id; `None` once it is removed.
+    pub fn entry(&self, id: EntryId) -> Option<&Entry> {
+        self.name(id).and_then(|dn| self.get(dn))
     }
 
     /// Reads an entry, as a `Result`.
@@ -178,40 +300,44 @@ impl Dit {
             .ok_or_else(|| DirectoryError::NoSuchEntry(dn.clone()))
     }
 
-    /// Removes a leaf entry.
+    /// Removes a leaf entry; its id is retired.
     ///
     /// # Errors
     ///
     /// * [`DirectoryError::NoSuchEntry`] — absent.
     /// * [`DirectoryError::NotLeaf`] — entry has children.
     pub fn remove(&mut self, dn: &Dn) -> Result<Arc<Entry>, DirectoryError> {
-        if !self.entries.contains_key(dn) {
-            return Err(DirectoryError::NoSuchEntry(dn.clone()));
-        }
-        if self
-            .children
-            .get(dn)
-            .map(|c| !c.is_empty())
-            .unwrap_or(false)
-        {
+        let (id, entry) = self.unlink(dn)?;
+        self.slots.release(id);
+        Ok(entry)
+    }
+
+    /// Takes a leaf entry out of the tree and logs it as removed, its
+    /// id still held.
+    fn unlink(&mut self, dn: &Dn) -> Result<(EntryId, Arc<Entry>), DirectoryError> {
+        if self.children.get(dn).is_some_and(|c| !c.is_empty()) {
             return Err(DirectoryError::NotLeaf(dn.clone()));
         }
+        let (id, entry) = self
+            .entries
+            .remove(dn)
+            .ok_or_else(|| DirectoryError::NoSuchEntry(dn.clone()))?;
         if let Some(siblings) = dn.parent().and_then(|p| self.children.get_mut(&p)) {
             siblings.remove(dn);
         }
         self.children.remove(dn);
-        let entry = self
-            .entries
-            .remove(dn)
-            .ok_or_else(|| DirectoryError::NoSuchEntry(dn.clone()))?;
         if let Some(log) = self.changes.as_mut() {
-            log.push(DitChange::Removed(Arc::clone(&entry)));
+            log.push(DitChange::Removed {
+                id,
+                entry: Arc::clone(&entry),
+            });
         }
-        Ok(entry)
+        Ok((id, entry))
     }
 
-    /// Removes an entire subtree rooted at `dn` (inclusive); returns how
-    /// many entries were removed.
+    /// Removes an entire subtree rooted at `dn` (inclusive), parent
+    /// first; returns how many entries were removed. Every removed id
+    /// is retired.
     ///
     /// # Errors
     ///
@@ -221,31 +347,31 @@ impl Dit {
         if !self.entries.contains_key(dn) {
             return Err(DirectoryError::NoSuchEntry(dn.clone()));
         }
+        // A subtree is one contiguous DN-ordered range.
         let doomed: Vec<Dn> = self
             .entries
-            .keys()
-            .filter(|k| dn.is_prefix_of(k))
+            .range(dn.clone()..)
+            .map(|(k, _)| k)
+            .take_while(|k| dn.is_prefix_of(k))
             .cloned()
             .collect();
-        let mut removed = Vec::with_capacity(doomed.len());
         for d in &doomed {
-            if let Some(e) = self.entries.remove(d) {
-                removed.push(e);
+            if let Some((id, entry)) = self.entries.remove(d) {
+                self.slots.release(id);
+                if let Some(log) = self.changes.as_mut() {
+                    log.push(DitChange::Removed { id, entry });
+                }
             }
             self.children.remove(d);
         }
-        if let Some(parent) = dn.parent() {
-            if let Some(siblings) = self.children.get_mut(&parent) {
-                siblings.remove(dn);
-            }
-        }
-        if let Some(log) = self.changes.as_mut() {
-            log.extend(removed.into_iter().map(DitChange::Removed));
+        if let Some(siblings) = dn.parent().and_then(|p| self.children.get_mut(&p)) {
+            siblings.remove(dn);
         }
         Ok(doomed.len())
     }
 
-    /// Applies a closure to an entry and re-validates it.
+    /// Applies a closure to an entry and re-validates it. The entry
+    /// keeps its id.
     ///
     /// The closure edits a clone that shares every attribute with the
     /// stored entry; only attributes it writes are copied. The stored
@@ -257,7 +383,7 @@ impl Dit {
     /// * [`DirectoryError::SchemaViolation`] — modification broke schema
     ///   (the stored entry is left untouched).
     pub fn modify(&mut self, dn: &Dn, f: impl FnOnce(&mut Entry)) -> Result<(), DirectoryError> {
-        let stored = self
+        let (id, stored) = self
             .entries
             .get_mut(dn)
             .ok_or_else(|| DirectoryError::NoSuchEntry(dn.clone()))?;
@@ -274,7 +400,11 @@ impl Dit {
                 // The old state moves out of the tree into the log.
                 let after = Arc::new(after);
                 let before = std::mem::replace(stored, Arc::clone(&after));
-                log.push(DitChange::Modified { before, after });
+                log.push(DitChange::Modified {
+                    id: *id,
+                    before,
+                    after,
+                });
             }
         }
         Ok(())
@@ -295,7 +425,10 @@ impl Dit {
         self.modify(dn, |e| e.put_attr(Attribute::multi(ty, [value])))
     }
 
-    /// Renames a **leaf** entry to a new name whose parent already exists.
+    /// Renames a **leaf** entry to a new name whose parent already
+    /// exists. The entry keeps its id; the log records the rename as
+    /// the removal of the old name and the addition of the new one,
+    /// both under that id.
     ///
     /// # Errors
     ///
@@ -313,22 +446,23 @@ impl Dit {
         if !to_parent.is_root() && !self.entries.contains_key(&to_parent) {
             return Err(DirectoryError::NoParent(to));
         }
-        let mut entry = Arc::unwrap_or_clone(self.remove(from)?);
+        let (id, entry) = self.unlink(from)?;
+        let mut entry = Arc::unwrap_or_clone(entry);
         entry.set_dn(to.clone());
+        let entry = Arc::new(entry);
+        self.slots.relabel(id, to.clone());
+        if let Some(log) = self.changes.as_mut() {
+            log.push(DitChange::Added {
+                id,
+                entry: Arc::clone(&entry),
+            });
+        }
         self.children
             .entry(to_parent)
             .or_default()
             .insert(to.clone());
-        self.insert(to, Arc::new(entry));
+        self.entries.insert(to, (id, entry));
         Ok(())
-    }
-
-    /// Stores `entry` at `dn`, logging it as added.
-    fn insert(&mut self, dn: Dn, entry: Arc<Entry>) {
-        if let Some(log) = self.changes.as_mut() {
-            log.push(DitChange::Added(Arc::clone(&entry)));
-        }
-        self.entries.insert(dn, entry);
     }
 
     /// The immediate children of `base` (which may be the root).
@@ -342,7 +476,12 @@ impl Dit {
 
     /// Iterates over every entry in DN order.
     pub fn iter(&self) -> impl Iterator<Item = &Entry> {
-        self.entries.values().map(|e| &**e)
+        self.entries.values().map(|(_, e)| &**e)
+    }
+
+    /// Iterates over every entry with its id, in DN order.
+    pub fn iter_ids(&self) -> impl Iterator<Item = (EntryId, &Entry)> {
+        self.entries.values().map(|(id, e)| (*id, &**e))
     }
 
     /// Evaluates a search request.
@@ -364,7 +503,7 @@ impl Dit {
                 .entries
                 .range(request.base.clone()..)
                 .take_while(|(dn, _)| request.base.is_prefix_of(dn))
-                .map(|(_, e)| &**e)
+                .map(|(_, (_, e))| &**e)
                 .collect(),
         };
         for entry in candidates {
@@ -498,6 +637,92 @@ mod tests {
         assert_eq!(removed, 4);
         assert_eq!(dit.len(), 3);
         assert!(dit.get(&"c=DE".parse().unwrap()).is_some());
+    }
+
+    #[test]
+    fn remove_subtree_spares_names_sharing_a_text_prefix() {
+        let mut dit = Dit::new();
+        dit.record_changes();
+        dit.add(
+            Entry::new("c=UK".parse().unwrap())
+                .with_class("country")
+                .with_attr(Attribute::single("c", "UK")),
+        )
+        .unwrap();
+        for o in ["org1", "org10"] {
+            dit.add(
+                Entry::new(format!("c=UK,o={o}").parse().unwrap())
+                    .with_class("organization")
+                    .with_attr(Attribute::single("o", o)),
+            )
+            .unwrap();
+            for p in ["a", "b"] {
+                dit.add(
+                    Entry::new(format!("c=UK,o={o},cn={p}").parse().unwrap())
+                        .with_class("person")
+                        .with_attr(Attribute::single("cn", p))
+                        .with_attr(Attribute::single("sn", p)),
+                )
+                .unwrap();
+            }
+        }
+        dit.take_changes();
+        let org1: Dn = "c=UK,o=org1".parse().unwrap();
+        assert_eq!(dit.remove_subtree(&org1).unwrap(), 3);
+        let removed: Vec<String> = dit
+            .take_changes()
+            .iter()
+            .map(|c| c.entry().dn().to_string())
+            .collect();
+        assert_eq!(
+            removed,
+            ["c=UK,o=org1", "c=UK,o=org1,cn=a", "c=UK,o=org1,cn=b"],
+            "parent first, DN order"
+        );
+        let left: Vec<String> = dit.iter().map(|e| e.dn().to_string()).collect();
+        assert_eq!(
+            left,
+            [
+                "c=UK",
+                "c=UK,o=org10",
+                "c=UK,o=org10,cn=a",
+                "c=UK,o=org10,cn=b"
+            ]
+        );
+        assert_eq!(dit.children(&"c=UK".parse().unwrap()).count(), 1);
+    }
+
+    #[test]
+    fn ids_survive_modify_and_rename_and_retire_on_removal() {
+        let mut dit = sample();
+        let from: Dn = "c=DE,o=GMD,cn=Wolfgang Prinz".parse().unwrap();
+        let to: Dn = "c=DE,o=GMD,cn=W Prinz".parse().unwrap();
+        let id = dit.id(&from).unwrap();
+        assert_eq!(dit.name(id), Some(&from));
+        dit.add_value(&from, "mail", "w@gmd.de").unwrap();
+        dit.rename(&from, to.clone()).unwrap();
+        assert_eq!(dit.id(&to), Some(id), "a rename keeps the id");
+        assert_eq!(dit.name(id), Some(&to));
+        assert_eq!(dit.entry(id).unwrap().first_text("mail"), Some("w@gmd.de"));
+        assert_eq!(dit.id(&from), None);
+
+        dit.remove(&to).unwrap();
+        assert_eq!(dit.name(id), None);
+        assert!(dit.entry(id).is_none());
+        dit.add(
+            Entry::new(from.clone())
+                .with_class("person")
+                .with_attr(Attribute::single("cn", "Wolfgang Prinz"))
+                .with_attr(Attribute::single("sn", "Prinz")),
+        )
+        .unwrap();
+        let reused = dit.id(&from).unwrap();
+        assert_eq!(reused.slot(), id.slot(), "the freed slot is reused");
+        assert!(reused.generation() > id.generation());
+        assert_eq!(dit.name(id), None, "the old id stays retired");
+        let ids: Vec<EntryId> = dit.iter_ids().map(|(id, _)| id).collect();
+        let named: Vec<EntryId> = dit.iter().map(|e| dit.id(e.dn()).unwrap()).collect();
+        assert_eq!(ids, named);
     }
 
     #[test]

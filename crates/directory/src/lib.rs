@@ -58,7 +58,7 @@ mod schema;
 mod search;
 
 pub use attribute::{Attribute, AttributeType, AttributeValue};
-pub use dit::Dit;
+pub use dit::{Dit, EntryId};
 pub use dsa::{DapMessage, DirOp, DirResult, DsaNode, Dua, DuaNode, InteractionMode, Modification};
 pub use entry::{Entry, OBJECT_CLASS};
 pub use error::DirectoryError;

@@ -17,7 +17,7 @@ use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::str::FromStr;
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 use crate::attribute::AttributeType;
 use crate::error::DirectoryError;
@@ -27,6 +27,8 @@ const RDN_SEPARATOR: char = '\x00';
 /// Joins an RDN's type and value in a [`Dn`]'s order key.
 const VALUE_SEPARATOR: char = '\x01';
 const KEY_SEPARATORS: [char; 2] = [RDN_SEPARATOR, VALUE_SEPARATOR];
+/// How the root is written and parsed.
+const ROOT_TEXT: &str = "<root>";
 
 /// A relative distinguished name: one `attribute=value` naming step.
 ///
@@ -78,7 +80,9 @@ impl Rdn {
 
 impl fmt::Display for Rdn {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}={}", self.attr, self.value)
+        f.write_str(self.attr.as_str())?;
+        f.write_str("=")?;
+        f.write_str(&self.value)
     }
 }
 
@@ -118,6 +122,14 @@ impl FromStr for Rdn {
 #[derive(Clone)]
 pub struct Dn(Arc<DnInner>);
 
+/// The root's body, shared by every root name.
+static ROOT: LazyLock<Dn> = LazyLock::new(|| {
+    Dn(Arc::new(DnInner {
+        key: String::new(),
+        rdns: Vec::new(),
+    }))
+});
+
 /// The immutable body shared by clones of one [`Dn`].
 struct DnInner {
     /// The order key: `attr \x01 value` per RDN, root-first, joined by
@@ -127,13 +139,17 @@ struct DnInner {
 }
 
 impl Dn {
-    /// The root of the DIT (the empty name).
+    /// The root of the DIT (the empty name). Every root shares one
+    /// body, so this allocates nothing.
     pub fn root() -> Self {
-        Dn::from_rdns(Vec::new())
+        ROOT.clone()
     }
 
     /// Builds a DN from root-first RDNs.
     pub fn from_rdns(rdns: Vec<Rdn>) -> Self {
+        if rdns.is_empty() {
+            return Dn::root();
+        }
         let len = rdns
             .iter()
             .map(|r| r.attr.as_str().len() + r.value.len() + 2)
@@ -168,6 +184,9 @@ impl Dn {
     /// The name one level up, or `None` for the root.
     pub fn parent(&self) -> Option<Dn> {
         let (_, rdns) = self.0.rdns.split_last()?;
+        if rdns.is_empty() {
+            return Some(Dn::root());
+        }
         let key_len = self.0.key.rfind(RDN_SEPARATOR).unwrap_or(0);
         Some(Dn(Arc::new(DnInner {
             key: self.0.key[..key_len].to_owned(),
@@ -183,6 +202,26 @@ impl Dn {
         rdns.extend_from_slice(&self.0.rdns);
         rdns.push(rdn);
         Dn(Arc::new(DnInner { key, rdns }))
+    }
+
+    /// The name's text, equal to its `to_string()`, built in one
+    /// allocation of exact length: the text of a non-root name is its
+    /// order key with each `\x00` written as `,` and each `\x01` as
+    /// `=`, so it is as long as the key.
+    pub fn text(&self) -> String {
+        if self.is_root() {
+            return ROOT_TEXT.to_owned();
+        }
+        let mut text = String::with_capacity(self.0.key.len());
+        for (i, rdn) in self.0.rdns.iter().enumerate() {
+            if i > 0 {
+                text.push(',');
+            }
+            text.push_str(rdn.attr.as_str());
+            text.push('=');
+            text.push_str(&rdn.value);
+        }
+        text
     }
 
     /// True when `self` is a strict ancestor of `other`.
@@ -253,13 +292,13 @@ impl fmt::Debug for Dn {
 impl fmt::Display for Dn {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.is_root() {
-            return f.write_str("<root>");
+            return f.write_str(ROOT_TEXT);
         }
         for (i, rdn) in self.rdns().iter().enumerate() {
             if i > 0 {
                 f.write_str(",")?;
             }
-            write!(f, "{rdn}")?;
+            fmt::Display::fmt(rdn, f)?;
         }
         Ok(())
     }
@@ -272,7 +311,7 @@ impl FromStr for Dn {
     /// and `"<root>"` parse to the root.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let s = s.trim();
-        if s.is_empty() || s == "<root>" {
+        if s.is_empty() || s == ROOT_TEXT {
             return Ok(Dn::root());
         }
         let rdns = s
@@ -299,6 +338,28 @@ mod tests {
     fn parse_tolerates_spaces_and_normalises_attr_case() {
         let dn: Dn = " C=UK , O=Lancaster ".parse().unwrap();
         assert_eq!(dn.to_string(), "c=UK,o=Lancaster");
+    }
+
+    #[test]
+    fn text_is_the_display_in_one_exact_allocation() {
+        for s in [
+            "c=UK",
+            "c=UK,o=Lancaster,ou=Computing,cn=Tom Rodden",
+            "c=ES,o=Ü,cn=é ñ",
+        ] {
+            let dn: Dn = s.parse().unwrap();
+            let text = dn.text();
+            assert_eq!(text, s);
+            assert_eq!(text, dn.to_string());
+            assert_eq!(text.len(), dn.0.key.len(), "{s}: as long as the order key");
+            assert_eq!(text.capacity(), text.len(), "{s}: no slack");
+        }
+        assert_eq!(Dn::root().text(), "<root>");
+        assert_eq!(
+            Rdn::new("CN", "Tom").unwrap().to_string(),
+            "cn=Tom",
+            "an RDN writes its normalised type"
+        );
     }
 
     #[test]

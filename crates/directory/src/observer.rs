@@ -15,19 +15,33 @@
 //! A change is logged *after* the mutation has been applied and
 //! validated; failed operations (schema violations, missing parents)
 //! and no-op modifications log nothing.
+//!
+//! Every change carries the [`EntryId`] of its entry ([`DitChange::id`]),
+//! so a reader can key its own state by identity and resolve names only
+//! where it shows them. A rename logs a `Removed` of the old name and an
+//! `Added` of the new one under the same id; a removal followed by an
+//! add of the same name logs two different ids.
 
 use std::sync::Arc;
 
+use crate::dit::EntryId;
 use crate::entry::Entry;
 
 /// One applied mutation on a DIT, with full entry state.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DitChange {
     /// An entry was inserted (by `add` or the insert half of `rename`).
-    Added(Arc<Entry>),
+    Added {
+        /// The entry's id.
+        id: EntryId,
+        /// The entry as inserted.
+        entry: Arc<Entry>,
+    },
     /// An entry was modified in place; `before != after` is guaranteed
     /// (no-op modifications are not logged).
     Modified {
+        /// The entry's id.
+        id: EntryId,
         /// The entry as it was before the modification.
         before: Arc<Entry>,
         /// The entry after the modification.
@@ -35,16 +49,30 @@ pub enum DitChange {
     },
     /// An entry was removed (by `remove`, `remove_subtree`, or the
     /// remove half of `rename`).
-    Removed(Arc<Entry>),
+    Removed {
+        /// The entry's id.
+        id: EntryId,
+        /// The entry as it was when removed.
+        entry: Arc<Entry>,
+    },
 }
 
 impl DitChange {
+    /// The changed entry's id.
+    pub fn id(&self) -> EntryId {
+        match self {
+            DitChange::Added { id, .. }
+            | DitChange::Modified { id, .. }
+            | DitChange::Removed { id, .. } => *id,
+        }
+    }
+
     /// The entry state after the change — the removed entry for
     /// [`DitChange::Removed`] (useful for interest matching: a removal
     /// is relevant to whoever matched the old state).
     pub fn entry(&self) -> &Entry {
         match self {
-            DitChange::Added(e) | DitChange::Removed(e) => e,
+            DitChange::Added { entry, .. } | DitChange::Removed { entry, .. } => entry,
             DitChange::Modified { after, .. } => after,
         }
     }
@@ -89,15 +117,19 @@ mod tests {
         dit.remove(&dn).unwrap();
         let changes = dit.take_changes();
         assert_eq!(changes.len(), 3);
-        assert!(matches!(&changes[0], DitChange::Added(e) if e.dn() == &dn));
+        assert!(matches!(&changes[0], DitChange::Added { entry, .. } if entry.dn() == &dn));
         match &changes[1] {
-            DitChange::Modified { before, after } => {
+            DitChange::Modified { before, after, .. } => {
                 assert_eq!(before.first_text("mail"), None);
                 assert_eq!(after.first_text("mail"), Some("tom@lancs.ac.uk"));
             }
             other => panic!("expected Modified, got {other:?}"),
         }
-        assert!(matches!(&changes[2], DitChange::Removed(e) if e.dn() == &dn));
+        assert!(matches!(&changes[2], DitChange::Removed { entry, .. } if entry.dn() == &dn));
+        assert!(
+            changes.iter().all(|c| c.id() == changes[0].id()),
+            "one entry, one id: {changes:?}"
+        );
         assert!(dit.take_changes().is_empty(), "taking empties the log");
     }
 
@@ -132,20 +164,27 @@ mod tests {
         dit.remove_subtree(&"c=UK".parse().unwrap()).unwrap();
         let changes = dit.take_changes();
         assert_eq!(changes.len(), 3);
-        assert!(changes.iter().all(|c| matches!(c, DitChange::Removed(_))));
+        assert!(changes
+            .iter()
+            .all(|c| matches!(c, DitChange::Removed { .. })));
     }
 
     #[test]
-    fn rename_is_a_remove_plus_add() {
+    fn rename_is_a_remove_plus_add_under_one_id() {
         let mut dit = recording();
         dit.add(person("c=UK,cn=A", "A A", "A")).unwrap();
-        dit.take_changes();
+        let id = dit.take_changes()[0].id();
         dit.rename(&"c=UK,cn=A".parse().unwrap(), "c=UK,cn=A2".parse().unwrap())
             .unwrap();
         let changes = dit.take_changes();
         assert_eq!(changes.len(), 2);
-        assert!(matches!(&changes[0], DitChange::Removed(e) if e.dn().to_string() == "c=UK,cn=A"));
-        assert!(matches!(&changes[1], DitChange::Added(e) if e.dn().to_string() == "c=UK,cn=A2"));
+        assert!(
+            matches!(&changes[0], DitChange::Removed { entry, .. } if entry.dn().to_string() == "c=UK,cn=A")
+        );
+        assert!(
+            matches!(&changes[1], DitChange::Added { entry, .. } if entry.dn().to_string() == "c=UK,cn=A2")
+        );
+        assert!(changes.iter().all(|c| c.id() == id));
     }
 
     #[test]
@@ -180,8 +219,14 @@ mod tests {
         dit.add(person("c=UK,cn=A", "A A", "A")).unwrap();
         let changes = dit.take_changes();
         assert_eq!(changes.len(), 2, "{changes:?}");
-        assert!(matches!(&changes[0], DitChange::Added(e) if e.dn().to_string() == "c=UK"));
+        assert!(
+            matches!(&changes[0], DitChange::Added { entry, .. } if entry.dn().to_string() == "c=UK")
+        );
     }
+
+    /// The `Debug` of the id the entry [`rendered`] builds gets, second
+    /// in its DIT.
+    const ID_DEBUG: &str = "EntryId { slot: 1, generation: 0 }";
 
     /// The `Debug` of the entry [`rendered`] builds.
     const ENTRY_DEBUG: &str = "Entry { dn: Dn { rdns: [Rdn { attr: AttributeType(\"c\"), \
@@ -246,9 +291,11 @@ mod tests {
         assert_eq!(
             rendered,
             [
-                format!("Added({ENTRY_DEBUG})"),
-                format!("Modified {{ before: {ENTRY_DEBUG}, after: {AFTER_DEBUG} }}"),
-                format!("Removed({AFTER_DEBUG})"),
+                format!("Added {{ id: {ID_DEBUG}, entry: {ENTRY_DEBUG} }}"),
+                format!(
+                    "Modified {{ id: {ID_DEBUG}, before: {ENTRY_DEBUG}, after: {AFTER_DEBUG} }}"
+                ),
+                format!("Removed {{ id: {ID_DEBUG}, entry: {AFTER_DEBUG} }}"),
             ]
         );
         assert_eq!(format!("{after:?}"), AFTER_DEBUG);

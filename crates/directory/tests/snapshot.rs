@@ -7,13 +7,21 @@
 //! see each other's writes, and a `Modified` pair must share every
 //! attribute the modification did not touch: a shared attribute is one
 //! allocation, so `Entry::attr` returns the same address for both.
+//!
+//! The model also keeps every entry's [`EntryId`]: a modify and a
+//! rename keep it, an add takes one no live entry holds (a reused slot
+//! under a higher generation), a removed entry's id stops resolving,
+//! and a snapshot keeps the ids of its source while each side's later
+//! writes leave the other's id table alone.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use cscw_kernel::SeededRng;
 
-use cscw_directory::{Attribute, AttributeType, AttributeValue, Dit, DitChange, Dn, Entry, Schema};
+use cscw_directory::{
+    Attribute, AttributeType, AttributeValue, Dit, DitChange, Dn, Entry, EntryId, Schema,
+};
 
 const SEEDS: u64 = 48;
 const STEPS: usize = 160;
@@ -139,40 +147,82 @@ fn deep(e: &Entry) -> Entry {
     deep_at(e, e.dn())
 }
 
-/// The reference model: deep-copied entries by DN.
+/// The reference model: deep-copied entries with their ids, by DN.
 #[derive(Default)]
-struct Model(BTreeMap<Dn, Entry>);
+struct Model {
+    entries: BTreeMap<Dn, (EntryId, Entry)>,
+    /// Per slot, the generation of its last holder; a removed entry's
+    /// id stays here, so it can be checked to resolve to nothing.
+    slots: BTreeMap<usize, EntryId>,
+}
 
 impl Model {
     fn deep_clone(&self) -> Model {
-        Model(self.0.iter().map(|(dn, e)| (dn.clone(), deep(e))).collect())
+        Model {
+            entries: self
+                .entries
+                .iter()
+                .map(|(dn, (id, e))| (dn.clone(), (*id, deep(e))))
+                .collect(),
+            slots: self.slots.clone(),
+        }
     }
 
     fn has_parent(&self, dn: &Dn) -> bool {
         dn.parent()
-            .is_some_and(|p| p.is_root() || self.0.contains_key(&p))
+            .is_some_and(|p| p.is_root() || self.entries.contains_key(&p))
     }
 
     fn is_leaf(&self, dn: &Dn) -> bool {
-        !self.0.keys().any(|k| dn.is_ancestor_of(k))
+        !self.entries.keys().any(|k| dn.is_ancestor_of(k))
+    }
+
+    /// Takes `id` as the id of a new entry: its slot is free, and a
+    /// reused slot comes back under a higher generation.
+    fn fresh(&mut self, id: EntryId, ctx: &str) -> EntryId {
+        assert!(
+            self.entries
+                .values()
+                .all(|(live, _)| live.slot() != id.slot()),
+            "{ctx}: {id:?} reuses a held slot"
+        );
+        if let Some(last) = self.slots.insert(id.slot(), id) {
+            assert!(
+                id.generation() > last.generation(),
+                "{ctx}: slot {} came back as {id:?} after {last:?}",
+                id.slot()
+            );
+        }
+        id
     }
 
     /// Applies `op` to the model; returns whether it succeeds and the
-    /// changes a recording DIT must log for it.
-    fn apply(&mut self, op: &Op) -> (bool, Vec<DitChange>) {
+    /// changes a recording DIT must log for it. `added` is the id the
+    /// DIT gave a name it added.
+    fn apply(
+        &mut self,
+        op: &Op,
+        added: impl FnOnce(&Dn) -> Option<EntryId>,
+        ctx: &str,
+    ) -> (bool, Vec<DitChange>) {
         let shared = |e: &Entry| Arc::new(deep(e));
         match op {
             Op::Add(dn) => {
-                if self.0.contains_key(dn) || !self.has_parent(dn) {
+                if self.entries.contains_key(dn) || !self.has_parent(dn) {
                     return (false, vec![]);
                 }
+                let id = added(dn).unwrap_or_else(|| panic!("{ctx}: {dn} added without an id"));
+                let id = self.fresh(id, ctx);
                 let e = entry_for(dn);
-                let log = vec![DitChange::Added(shared(&e))];
-                self.0.insert(dn.clone(), e);
+                let log = vec![DitChange::Added {
+                    id,
+                    entry: shared(&e),
+                }];
+                self.entries.insert(dn.clone(), (id, e));
                 (true, log)
             }
             Op::Modify(dn, edit) => {
-                let Some(before) = self.0.get(dn) else {
+                let Some((id, before)) = self.entries.get(dn) else {
                     return (false, vec![]);
                 };
                 let mut after = deep(before);
@@ -183,50 +233,70 @@ impl Model {
                 if after == *before {
                     return (true, vec![]);
                 }
+                let id = *id;
                 let log = vec![DitChange::Modified {
+                    id,
                     before: shared(before),
                     after: shared(&after),
                 }];
-                self.0.insert(dn.clone(), after);
+                self.entries.insert(dn.clone(), (id, after));
                 (true, log)
             }
             Op::Remove(dn) => {
-                if !self.0.contains_key(dn) || !self.is_leaf(dn) {
+                if !self.entries.contains_key(dn) || !self.is_leaf(dn) {
                     return (false, vec![]);
                 }
-                let e = self.0.remove(dn).unwrap();
-                (true, vec![DitChange::Removed(shared(&e))])
+                let (id, e) = self.entries.remove(dn).unwrap();
+                (
+                    true,
+                    vec![DitChange::Removed {
+                        id,
+                        entry: shared(&e),
+                    }],
+                )
             }
             Op::Rename(from, to) => {
-                let ok = !self.0.contains_key(to)
+                let ok = !self.entries.contains_key(to)
                     && self.has_parent(to)
-                    && self.0.contains_key(from)
+                    && self.entries.contains_key(from)
                     && self.is_leaf(from);
                 if !ok {
                     return (false, vec![]);
                 }
-                let e = self.0.remove(from).unwrap();
+                let (id, e) = self.entries.remove(from).unwrap();
                 let moved = deep_at(&e, to);
                 let log = vec![
-                    DitChange::Removed(shared(&e)),
-                    DitChange::Added(shared(&moved)),
+                    DitChange::Removed {
+                        id,
+                        entry: shared(&e),
+                    },
+                    DitChange::Added {
+                        id,
+                        entry: shared(&moved),
+                    },
                 ];
-                self.0.insert(to.clone(), moved);
+                self.entries.insert(to.clone(), (id, moved));
                 (true, log)
             }
             Op::RemoveSubtree(dn) => {
-                if !self.0.contains_key(dn) {
+                if !self.entries.contains_key(dn) {
                     return (false, vec![]);
                 }
                 let doomed: Vec<Dn> = self
-                    .0
+                    .entries
                     .keys()
                     .filter(|k| dn.is_prefix_of(k))
                     .cloned()
                     .collect();
                 let log = doomed
                     .iter()
-                    .map(|d| DitChange::Removed(shared(&self.0.remove(d).unwrap())))
+                    .map(|d| {
+                        let (id, e) = self.entries.remove(d).unwrap();
+                        DitChange::Removed {
+                            id,
+                            entry: shared(&e),
+                        }
+                    })
                     .collect();
                 (true, log)
             }
@@ -247,11 +317,12 @@ fn run(dit: &mut Dit, op: &Op) -> bool {
 /// Runs `op` on `dit` and `model` and checks the outcome, the log and
 /// the resulting state.
 fn step(dit: &mut Dit, model: &mut Model, op: &Op, ctx: &str) {
-    let (ok, expected) = model.apply(op);
-    assert_eq!(run(dit, op), ok, "{ctx}: outcome of {op:?}");
+    let ran = run(dit, op);
+    let (ok, expected) = model.apply(op, |dn| dit.id(dn), ctx);
+    assert_eq!(ran, ok, "{ctx}: outcome of {op:?}");
     let logged = dit.take_changes();
     assert_eq!(logged, expected, "{ctx}: log of {op:?}");
-    if let (Op::Modify(_, edit), [DitChange::Modified { before, after }]) = (op, &logged[..]) {
+    if let (Op::Modify(_, edit), [DitChange::Modified { before, after, .. }]) = (op, &logged[..]) {
         for attr in before.attrs() {
             let ty = attr.ty().as_str();
             if Some(ty) == edit.touches() {
@@ -267,11 +338,22 @@ fn step(dit: &mut Dit, model: &mut Model, op: &Op, ctx: &str) {
     assert_state(dit, model, ctx);
 }
 
+/// The tree holds the model's entries, each under the model's id, and
+/// every id the model saw retired resolves to nothing.
 fn assert_state(dit: &Dit, model: &Model, ctx: &str) {
     assert!(
-        dit.iter().eq(model.0.values()),
+        dit.iter_ids()
+            .eq(model.entries.values().map(|(id, e)| (*id, e))),
         "{ctx}: tree differs from the model"
     );
+    for (dn, (id, _)) in &model.entries {
+        assert_eq!(dit.name(*id), Some(dn), "{ctx}: {id:?} names another entry");
+    }
+    for id in model.slots.values() {
+        if !model.entries.values().any(|(live, _)| live == id) {
+            assert_eq!(dit.name(*id), None, "{ctx}: retired {id:?} still resolves");
+        }
+    }
 }
 
 #[test]
@@ -288,9 +370,11 @@ fn logs_and_snapshots_match_a_deep_copied_model() {
                 .with_attr(Attribute::single("c", "UK")),
         )
         .unwrap();
+        let root_id = dit.id(&root).unwrap();
+        model.slots.insert(root_id.slot(), root_id);
         model
-            .0
-            .insert(root.clone(), dit.get(&root).unwrap().clone());
+            .entries
+            .insert(root.clone(), (root_id, dit.get(&root).unwrap().clone()));
         dit.take_changes();
         for o in 0..ORGS {
             step(&mut dit, &mut model, &Op::Add(org_dn(o)), "set-up");
@@ -309,8 +393,10 @@ fn logs_and_snapshots_match_a_deep_copied_model() {
                 // The snapshot records nothing, so `step` checks it
                 // against an empty log and the model's state.
                 let op = random_op(&mut rng);
-                let (ok, _) = snap_model.apply(&op);
-                assert_eq!(run(snap, &op), ok, "seed {seed} step {i}: snapshot {op:?}");
+                let ctx = format!("seed {seed} step {i}: snapshot");
+                let ran = run(snap, &op);
+                let (ok, _) = snap_model.apply(&op, |dn| snap.id(dn), &ctx);
+                assert_eq!(ran, ok, "{ctx} {op:?}");
                 assert!(snap.take_changes().is_empty(), "a snapshot records nothing");
                 assert_state(snap, snap_model, &format!("seed {seed} step {i}: snapshot"));
                 assert_state(&dit, &model, &format!("seed {seed} step {i}: source"));

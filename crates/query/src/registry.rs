@@ -13,17 +13,29 @@
 //!   attribute type their query references; a change is routed to the
 //!   union over the changed entry's attributes (plus negation-bearing
 //!   queries, which cannot be pruned, and queries that currently match
-//!   the changed DN — a removal is relevant to whoever matched it).
-//! * **membership** — one relation `DN → entry subscriptions whose
-//!   result set holds it`. It is the only record of entry results: one
-//!   lookup per change yields both the interested matchers and whether
-//!   each matched the DN before, and a transition updates it in place.
+//!   the changed entry — a removal is relevant to whoever matched it).
+//! * **membership** — one table, indexed by the slot of the entry's
+//!   [`EntryId`], of `entry → its name and the entry subscriptions
+//!   whose result set holds it`. It is the only record of entry
+//!   results: one slot read per change yields both the interested
+//!   matchers and whether each matched the entry before, and a
+//!   transition updates it in place. A row whose generation is not the
+//!   id's reads as "not a member".
 //! * **key index** — knowledge subscriptions with a derivable key
 //!   prefix skip keys outside it.
 //! * **edge index** — a registry-wide reverse map `attr → target value
-//!   → referring DNs`, so when a join target flips (an entry starts or
-//!   stops matching a join's inner filter) exactly the entries whose
-//!   edge attribute names that target are re-evaluated.
+//!   → referring entry ids`, so when a join target flips (an entry
+//!   starts or stops matching a join's inner filter) exactly the
+//!   entries whose edge attribute names that target are re-evaluated,
+//!   in DN order.
+//!
+//! State is keyed by identity, not by name: an entry keeps its id
+//! through a modify and a rename, so no change searches a DN-keyed map
+//! here, and names are read only to sort flip candidates and to write
+//! a delta's text. A join-flip candidate is read in the post-batch tree
+//! by id; one that a later change of the same batch removes or renames
+//! reads as absent, since its name at the flip no longer names it, and
+//! that later change settles it.
 //!
 //! Comparing the incremental evaluation against the current result
 //! sets yields [`QueryDelta`]s
@@ -39,7 +51,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use cscw_directory::{Attribute, AttributeType, Dit, DitChange, Dn, Entry};
+use cscw_directory::{Attribute, AttributeType, Dit, DitChange, Dn, Entry, EntryId};
 use cscw_kernel::{Layer, Telemetry};
 
 use crate::compile::{CompiledQuery, Source};
@@ -116,7 +128,7 @@ impl fmt::Display for QueryDelta {
 struct Subscription {
     query: CompiledQuery,
     /// Current result set for knowledge queries (an entry query's set
-    /// lives in the registry's membership relation).
+    /// lives in the registry's membership table).
     matched_keys: BTreeSet<String>,
     /// Per-join target sets (DN strings matching the join's inner
     /// filter), aligned with the compiled query's join table.
@@ -139,11 +151,11 @@ pub struct SubscriptionRegistry {
     wildcard_subs: BTreeSet<u64>,
     /// Knowledge subscriptions.
     knowledge_subs: BTreeSet<u64>,
-    /// Membership: DN → the entry subscriptions whose result set holds
-    /// it, ids sorted ascending. The only record of entry results.
-    matched_index: BTreeMap<Dn, Vec<u64>>,
-    /// Edge occurrence index: edge attr → target value → referring DNs.
-    edge_occ: BTreeMap<AttributeType, BTreeMap<String, BTreeSet<Dn>>>,
+    /// Membership, by entry id slot. The only record of entry results.
+    members: Membership,
+    /// Edge occurrence index: edge attr → target value → referring
+    /// entries.
+    edge_occ: BTreeMap<AttributeType, BTreeMap<String, BTreeSet<EntryId>>>,
     /// How many subscriptions reference each indexed edge attribute.
     edge_refs: BTreeMap<AttributeType, usize>,
     /// Reused per change: interested subscription ids, each with
@@ -173,7 +185,7 @@ impl SubscriptionRegistry {
             attr_index: BTreeMap::new(),
             wildcard_subs: BTreeSet::new(),
             knowledge_subs: BTreeSet::new(),
-            matched_index: BTreeMap::new(),
+            members: Membership::default(),
             edge_occ: BTreeMap::new(),
             edge_refs: BTreeMap::new(),
             interest: Vec::new(),
@@ -266,12 +278,7 @@ impl SubscriptionRegistry {
         self.wildcard_subs.remove(&id.0);
         self.knowledge_subs.remove(&id.0);
         if sub.query.source() == Source::Entries {
-            self.matched_index.retain(|_, ids| {
-                if let Ok(i) = ids.binary_search(&id.0) {
-                    ids.remove(i);
-                }
-                !ids.is_empty()
-            });
+            self.members.cancel(id.0);
         }
         for join in &sub.query.joins {
             if let Some(refs) = self.edge_refs.get_mut(&join.attr) {
@@ -321,12 +328,10 @@ impl SubscriptionRegistry {
             .cloned()
             .collect();
         for attr in missing {
-            let mut occ: BTreeMap<String, BTreeSet<Dn>> = BTreeMap::new();
-            for entry in dit.iter() {
+            let mut occ: BTreeMap<String, BTreeSet<EntryId>> = BTreeMap::new();
+            for (entry_id, entry) in dit.iter_ids() {
                 for value in edge_values(entry.attr(&attr)) {
-                    occ.entry(value.to_owned())
-                        .or_default()
-                        .insert(entry.dn().clone());
+                    occ.entry(value.to_owned()).or_default().insert(entry_id);
                 }
             }
             self.edge_occ.insert(attr, occ);
@@ -340,16 +345,16 @@ impl SubscriptionRegistry {
             sub.targets[j] = dit
                 .iter()
                 .filter(|e| join.inner.matches(e))
-                .map(|e| e.dn().to_string())
+                .map(|e| e.dn().text())
                 .collect();
         }
         // Initial result set.
         let mut deltas = Vec::new();
-        for entry in dit.iter() {
+        for (entry_id, entry) in dit.iter_ids() {
             if sub.query.eval_entry(entry, &sub.targets) {
-                insert_member(&mut self.matched_index, entry.dn(), id.0);
+                self.members.insert(entry_id, entry.dn(), id.0);
                 deltas.push(QueryDelta::Added {
-                    id: entry.dn().to_string(),
+                    id: entry.dn().text(),
                 });
             }
         }
@@ -420,8 +425,13 @@ impl SubscriptionRegistry {
             seen += 1;
             self.apply_pair(key, value, &mut evals, &mut out);
         }
-        for change in changes {
-            self.apply_one_change(change, dit, &mut evals, &mut out);
+        let mut batch = Batch {
+            changes,
+            dit,
+            last_removal: None,
+        };
+        for at in 0..changes.len() {
+            self.apply_one_change(&mut batch, at, &mut evals, &mut out);
         }
         let mut kinds = [0; 3];
         for (_, delta) in &out {
@@ -448,34 +458,37 @@ impl SubscriptionRegistry {
 
     fn apply_one_change(
         &mut self,
-        change: &DitChange,
-        dit: &Dit,
+        batch: &mut Batch<'_>,
+        at: usize,
         evals: &mut u64,
         out: &mut Vec<(SubscriptionId, QueryDelta)>,
     ) {
+        let changes = batch.changes;
+        let change = &changes[at];
         let (before, after): (Option<&Entry>, Option<&Entry>) = match change {
-            DitChange::Added(e) => (None, Some(e)),
-            DitChange::Modified { before, after } => (Some(before), Some(after)),
-            DitChange::Removed(e) => (Some(e), None),
+            DitChange::Added { entry, .. } => (None, Some(entry)),
+            DitChange::Modified { before, after, .. } => (Some(before), Some(after)),
+            DitChange::Removed { entry, .. } => (Some(entry), None),
         };
+        let id = change.id();
         let dn = change.entry().dn();
-        self.index_edges(dn, before, after);
+        self.index_edges(id, before, after);
 
         // Interested subscriptions: negation queries ∪ attribute-index
-        // union ∪ whoever currently matches this DN, which also says
+        // union ∪ whoever currently matches this entry, which also says
         // who matched it before the change.
         let mut interest = std::mem::take(&mut self.interest);
         interest.clear();
-        interest.extend(self.wildcard_subs.iter().map(|&id| (id, false)));
+        interest.extend(self.wildcard_subs.iter().map(|&sub| (sub, false)));
         for e in before.iter().chain(after.iter()) {
             for attr in e.attrs() {
                 if let Some(set) = self.attr_index.get(attr.ty().as_str()) {
-                    interest.extend(set.iter().map(|&id| (id, false)));
+                    interest.extend(set.iter().map(|&sub| (sub, false)));
                 }
             }
         }
-        if let Some(ids) = self.matched_index.get(dn) {
-            interest.extend(ids.iter().map(|&id| (id, true)));
+        if let Some(member) = self.members.get(id) {
+            interest.extend(member.subs.iter().map(|&sub| (sub, true)));
         }
         // `(id, false)` sorts before `(id, true)`: keep the first, with
         // the flag of either.
@@ -496,14 +509,14 @@ impl SubscriptionRegistry {
             }
             // Update join target sets; a flipped target re-evaluates
             // exactly the entries whose edge attribute names it.
-            let mut referrers: Option<BTreeSet<Dn>> = None;
+            let mut referrers: Option<BTreeSet<EntryId>> = None;
             for (j, join) in sub.query.joins.iter().enumerate() {
                 let was = before.is_some_and(|e| join.inner.matches(e));
                 let now = after.is_some_and(|e| join.inner.matches(e));
                 if was == now {
                     continue;
                 }
-                let text = dn_text.get_or_insert_with(|| dn.to_string());
+                let text = dn_text.get_or_insert_with(|| dn.text());
                 if now {
                     sub.targets[j].insert(text.clone());
                 } else {
@@ -516,62 +529,70 @@ impl SubscriptionRegistry {
                 {
                     referrers
                         .get_or_insert_with(BTreeSet::new)
-                        .extend(refs.iter().cloned());
+                        .extend(refs.iter().copied());
                 }
             }
+            // A flip settles its candidates in DN order, each under its
+            // name at this change. One that reads as absent and was no
+            // member cannot change state, so it needs no name.
+            let named = referrers.map(|mut candidates| {
+                candidates.insert(id);
+                *evals += candidates.len() as u64;
+                let mut named: Vec<(Dn, EntryId, Option<&Entry>)> = candidates
+                    .into_iter()
+                    .filter_map(|cand| {
+                        if cand == id {
+                            return Some((dn.clone(), id, after));
+                        }
+                        match batch.settled(cand, at) {
+                            Some(e) => Some((e.dn().clone(), cand, Some(e))),
+                            None => self
+                                .members
+                                .get(cand)
+                                .filter(|m| m.subs.binary_search(&sub_id).is_ok())
+                                .map(|m| (m.dn.clone(), cand, None)),
+                        }
+                    })
+                    .collect();
+                named.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+                named
+            });
             // The mutated entry is evaluated against its own
             // post-change snapshot so a batch replays in stream order;
             // join-flip candidates read the post-batch tree (later
             // changes to them re-evaluate anyway). Only the mutated
             // entry itself can be "changed": entries re-evaluated via a
             // flipped join target did not change state.
-            let mut settle = |cand: &Dn| {
-                *evals += 1;
-                let (was, now, changed) = if cand == dn {
-                    let now = after.is_some_and(|e| sub.query.eval_entry(e, &sub.targets));
-                    (was_member, now, modified)
+            let mut settle = |cand: EntryId, name: &Dn, state: Option<&Entry>| {
+                let (was, changed) = if cand == id {
+                    (was_member, modified)
                 } else {
-                    let was = self
-                        .matched_index
-                        .get(cand)
-                        .is_some_and(|ids| ids.binary_search(&sub_id).is_ok());
-                    let now = dit
-                        .get(cand)
-                        .is_some_and(|e| sub.query.eval_entry(e, &sub.targets));
-                    (was, now, false)
+                    (self.members.holding(cand, sub_id).is_some(), false)
                 };
+                let now = state.is_some_and(|e| sub.query.eval_entry(e, &sub.targets));
                 let delta = match (was, now) {
                     (false, true) => {
-                        insert_member(&mut self.matched_index, cand, sub_id);
-                        QueryDelta::Added {
-                            id: cand.to_string(),
-                        }
+                        self.members.insert(cand, name, sub_id);
+                        QueryDelta::Added { id: name.text() }
                     }
                     (true, false) => {
-                        if let Some(ids) = self.matched_index.get_mut(cand) {
-                            if let Ok(i) = ids.binary_search(&sub_id) {
-                                ids.remove(i);
-                            }
-                            if ids.is_empty() {
-                                self.matched_index.remove(cand);
-                            }
-                        }
-                        QueryDelta::Removed {
-                            id: cand.to_string(),
-                        }
+                        self.members.remove(cand, sub_id);
+                        QueryDelta::Removed { id: name.text() }
                     }
-                    (true, true) if changed => QueryDelta::Changed {
-                        id: cand.to_string(),
-                    },
+                    (true, true) if changed => QueryDelta::Changed { id: name.text() },
                     _ => return,
                 };
                 out.push((SubscriptionId(sub_id), delta));
             };
-            match referrers {
-                None => settle(dn),
-                Some(mut candidates) => {
-                    candidates.insert(dn.clone());
-                    candidates.iter().for_each(settle);
+            match named {
+                None => {
+                    *evals += 1;
+                    settle(id, dn, after);
+                }
+                Some(named) => {
+                    for (name, cand, state) in &named {
+                        settle(*cand, name, *state);
+                    }
                 }
             }
         }
@@ -580,7 +601,7 @@ impl SubscriptionRegistry {
 
     /// Keeps the edge occurrence index in step with one changed entry;
     /// an edge attribute equal before and after costs one comparison.
-    fn index_edges(&mut self, dn: &Dn, before: Option<&Entry>, after: Option<&Entry>) {
+    fn index_edges(&mut self, id: EntryId, before: Option<&Entry>, after: Option<&Entry>) {
         for (attr, occ) in &mut self.edge_occ {
             let old_attr = before.and_then(|e| e.attr(attr));
             let new_attr = after.and_then(|e| e.attr(attr));
@@ -591,7 +612,7 @@ impl SubscriptionRegistry {
             let new = edge_values(new_attr);
             for gone in old.difference(&new) {
                 if let Some(set) = occ.get_mut(*gone) {
-                    set.remove(dn);
+                    set.remove(&id);
                     if set.is_empty() {
                         occ.remove(*gone);
                     }
@@ -600,10 +621,10 @@ impl SubscriptionRegistry {
             for fresh in new.difference(&old) {
                 match occ.get_mut(*fresh) {
                     Some(set) => {
-                        set.insert(dn.clone());
+                        set.insert(id);
                     }
                     None => {
-                        occ.insert((*fresh).to_owned(), BTreeSet::from([dn.clone()]));
+                        occ.insert((*fresh).to_owned(), BTreeSet::from([id]));
                     }
                 }
             }
@@ -655,10 +676,10 @@ impl SubscriptionRegistry {
         let sub = self.subs.get(&id.0)?;
         Some(match sub.query.source() {
             Source::Entries => self
-                .matched_index
-                .iter()
-                .filter(|(_, ids)| ids.binary_search(&id.0).is_ok())
-                .map(|(dn, _)| dn.to_string())
+                .members
+                .rows()
+                .filter(|m| m.subs.binary_search(&id.0).is_ok())
+                .map(|m| m.dn.text())
                 .collect(),
             Source::Knowledge => sub.matched_keys.clone(),
         })
@@ -695,13 +716,13 @@ impl SubscriptionRegistry {
                     .map(|join| {
                         dit.iter()
                             .filter(|e| join.inner.matches(e))
-                            .map(|e| e.dn().to_string())
+                            .map(|e| e.dn().text())
                             .collect()
                     })
                     .collect();
                 dit.iter()
                     .filter(|e| sub.query.eval_entry(e, &targets))
-                    .map(|e| e.dn().to_string())
+                    .map(|e| e.dn().text())
                     .collect()
             }
             Source::Knowledge => knowledge
@@ -719,11 +740,123 @@ fn edge_values(attr: Option<&Attribute>) -> BTreeSet<&str> {
         .unwrap_or_default()
 }
 
-/// Records that `dn` entered subscription `id`'s result set.
-fn insert_member(index: &mut BTreeMap<Dn, Vec<u64>>, dn: &Dn, id: u64) {
-    let ids = index.entry(dn.clone()).or_default();
-    if let Err(i) = ids.binary_search(&id) {
-        ids.insert(i, id);
+/// One row of the membership table: an entry that is in at least one
+/// entry subscription's result set.
+#[derive(Debug)]
+struct Member {
+    /// The entry; its slot is the row's index.
+    id: EntryId,
+    /// The entry's name as of the last change applied.
+    dn: Dn,
+    /// The subscriptions whose result set holds the entry, sorted
+    /// ascending; never empty.
+    subs: Vec<u64>,
+}
+
+/// Entry results, one optional row per entry id slot.
+#[derive(Debug, Default)]
+struct Membership(Vec<Option<Member>>);
+
+impl Membership {
+    /// The row of `id`; `None` when it is in no result set, or when
+    /// the slot's row belongs to another generation.
+    fn get(&self, id: EntryId) -> Option<&Member> {
+        self.0.get(id.slot())?.as_ref().filter(|m| m.id == id)
+    }
+
+    /// The row of `id` if subscription `sub`'s result set holds it.
+    fn holding(&self, id: EntryId, sub: u64) -> Option<&Member> {
+        self.get(id).filter(|m| m.subs.binary_search(&sub).is_ok())
+    }
+
+    /// Every row, in slot order.
+    fn rows(&self) -> impl Iterator<Item = &Member> {
+        self.0.iter().flatten()
+    }
+
+    /// Records that `id`, named `dn`, entered `sub`'s result set.
+    fn insert(&mut self, id: EntryId, dn: &Dn, sub: u64) {
+        let slot = id.slot();
+        if self.0.len() <= slot {
+            self.0.resize_with(slot + 1, || None);
+        }
+        match &mut self.0[slot] {
+            Some(m) if m.id == id => {
+                if let Err(i) = m.subs.binary_search(&sub) {
+                    m.subs.insert(i, sub);
+                }
+            }
+            row => {
+                *row = Some(Member {
+                    id,
+                    dn: dn.clone(),
+                    subs: vec![sub],
+                });
+            }
+        }
+    }
+
+    /// Records that `id` left `sub`'s result set.
+    fn remove(&mut self, id: EntryId, sub: u64) {
+        let Some(row) = self.0.get_mut(id.slot()) else {
+            return;
+        };
+        if let Some(m) = row.as_mut().filter(|m| m.id == id) {
+            if let Ok(i) = m.subs.binary_search(&sub) {
+                m.subs.remove(i);
+            }
+            if m.subs.is_empty() {
+                *row = None;
+            }
+        }
+    }
+
+    /// Drops a cancelled subscription from every row.
+    fn cancel(&mut self, sub: u64) {
+        for row in &mut self.0 {
+            if let Some(m) = row {
+                if let Ok(i) = m.subs.binary_search(&sub) {
+                    m.subs.remove(i);
+                }
+                if m.subs.is_empty() {
+                    *row = None;
+                }
+            }
+        }
+    }
+}
+
+/// The directory changes one [`apply`](SubscriptionRegistry::apply)
+/// feeds, with the tree they leave.
+struct Batch<'a> {
+    changes: &'a [DitChange],
+    dit: &'a Dit,
+    /// Per id, the index of its last removal in `changes`; built at the
+    /// first join flip that needs it.
+    last_removal: Option<BTreeMap<EntryId, usize>>,
+}
+
+impl<'a> Batch<'a> {
+    /// The post-batch state of join-flip candidate `id`, read at change
+    /// `at`: `None` when it is gone, or when a later change in the
+    /// batch removes or renames it, since its name at `at` no longer
+    /// names it after the batch.
+    fn settled(&mut self, id: EntryId, at: usize) -> Option<&'a Entry> {
+        if at + 1 < self.changes.len() {
+            let changes = self.changes;
+            let last = self.last_removal.get_or_insert_with(|| {
+                changes
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, c)| matches!(c, DitChange::Removed { .. }))
+                    .map(|(i, c)| (c.id(), i))
+                    .collect()
+            });
+            if last.get(&id).is_some_and(|&i| i > at) {
+                return None;
+            }
+        }
+        self.dit.entry(id)
     }
 }
 
@@ -1145,7 +1278,7 @@ mod tests {
         reg.attr_index.values().any(|set| set.contains(&id))
             || reg.wildcard_subs.contains(&id)
             || reg.knowledge_subs.contains(&id)
-            || reg.matched_index.values().any(|set| set.contains(&id))
+            || reg.members.rows().any(|m| m.subs.contains(&id))
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! operation stream.
 //!
 //! For each seed, a deterministic stream of directory operations
-//! (adds, edge rewrites, attribute toggles, removes, join-target
-//! flips) and replicated-knowledge applies is replayed through a
+//! (adds, edge rewrites, attribute toggles, removes, renames,
+//! join-target flips) and replicated-knowledge applies is replayed
+//! through a
 //! [`SubscriptionRegistry`] holding a mixed panel of standing queries
 //! — pure filters, negations (wildcard interest), one-hop joins, and
 //! knowledge key/value predicates. After every single operation, each
@@ -13,10 +14,15 @@
 //! re-scan. A model map of current values stands in for the replica:
 //! it decides which written pairs are changes, feeds only those, and
 //! is the knowledge the oracle scans.
+//!
+//! The same stream checks entry identity: a modify or a rename keeps
+//! an entry's [`EntryId`], a slot freed by a removal comes back to a
+//! later add under a higher generation, and a removed entry's id
+//! resolves to nothing from then on.
 
 use std::collections::BTreeMap;
 
-use cscw_directory::{Attribute, Dit, Dn, Entry};
+use cscw_directory::{Attribute, Dit, Dn, Entry, EntryId};
 use cscw_query::{SubscriptionId, SubscriptionRegistry};
 
 /// SplitMix64 — deterministic, dependency-free stream of test entropy.
@@ -88,18 +94,28 @@ fn seed_dit() -> Dit {
     dit
 }
 
-/// One random mutation of the directory; returns `false` when the op
-/// was a no-op (entry already present/absent) and nothing changed.
-fn random_op(rng: &mut Rng, dit: &mut Dit) -> bool {
-    match rng.below(6) {
+/// What one random mutation did to the directory.
+#[derive(Debug)]
+enum Done {
+    /// Nothing: the entry was already present or absent.
+    Nothing,
+    Added(Dn),
+    Removed(Dn),
+    Modified(Dn),
+    Renamed(Dn, Dn),
+}
+
+/// One random mutation of the directory.
+fn random_op(rng: &mut Rng, dit: &mut Dit) -> Done {
+    match rng.below(7) {
         // Add a person with random surname, mail, and edges.
         0 => {
             let dn = person_dn(rng.below(PEOPLE));
             if dit.get(&dn).is_some() {
-                return false;
+                return Done::Nothing;
             }
             let sn = SURNAMES[rng.below(SURNAMES.len() as u64) as usize];
-            let mut e = Entry::new(dn)
+            let mut e = Entry::new(dn.clone())
                 .with_class("person")
                 .with_attr(Attribute::single("cn", "someone"))
                 .with_attr(Attribute::single("sn", sn));
@@ -119,31 +135,35 @@ fn random_op(rng: &mut Rng, dit: &mut Dit) -> bool {
                 e.put_attr(Attribute::single("memberof", "cn=team-blue"));
             }
             dit.add(e).unwrap();
-            true
+            Done::Added(dn)
         }
         // Remove a person.
         1 => {
             let dn = person_dn(rng.below(PEOPLE));
-            dit.get(&dn).is_some() && dit.remove(&dn).is_ok()
+            if dit.get(&dn).is_none() {
+                return Done::Nothing;
+            }
+            dit.remove(&dn).unwrap();
+            Done::Removed(dn)
         }
         // Rewrite a person's surname.
         2 => {
             let dn = person_dn(rng.below(PEOPLE));
             if dit.get(&dn).is_none() {
-                return false;
+                return Done::Nothing;
             }
             let sn = SURNAMES[rng.below(SURNAMES.len() as u64) as usize];
             dit.modify(&dn, |e| {
                 e.replace_attr(Attribute::single("sn", sn));
             })
             .unwrap();
-            true
+            Done::Modified(dn)
         }
         // Toggle a person's mail attribute.
         3 => {
             let dn = person_dn(rng.below(PEOPLE));
             let Some(entry) = dit.get(&dn) else {
-                return false;
+                return Done::Nothing;
             };
             let has_mail = entry.attr("mail").is_some();
             dit.modify(&dn, |e| {
@@ -154,20 +174,30 @@ fn random_op(rng: &mut Rng, dit: &mut Dit) -> bool {
                 }
             })
             .unwrap();
-            true
+            Done::Modified(dn)
         }
         // Repoint a person's project edge.
         4 => {
             let dn = person_dn(rng.below(PEOPLE));
             if dit.get(&dn).is_none() {
-                return false;
+                return Done::Nothing;
             }
             let target = project_dn(rng.below(PROJECTS)).to_string();
             dit.modify(&dn, |e| {
                 e.replace_attr(Attribute::single("workson", target.as_str()));
             })
             .unwrap();
-            true
+            Done::Modified(dn)
+        }
+        // Rename a person to a free name.
+        5 => {
+            let from = person_dn(rng.below(PEOPLE));
+            let to = person_dn(rng.below(PEOPLE));
+            if dit.get(&from).is_none() || dit.get(&to).is_some() {
+                return Done::Nothing;
+            }
+            dit.rename(&from, to.clone()).unwrap();
+            Done::Renamed(from, to)
         }
         // Flip a join target: project state active <-> dormant. Every
         // person working on it must be re-evaluated incrementally.
@@ -188,7 +218,7 @@ fn random_op(rng: &mut Rng, dit: &mut Dit) -> bool {
                 e.replace_attr(Attribute::single("projectstate", flipped));
             })
             .unwrap();
-            true
+            Done::Modified(dn)
         }
     }
 }
@@ -208,6 +238,67 @@ fn random_pair(rng: &mut Rng) -> (String, String) {
         _ => "member and chair".to_owned(),
     };
     (key, value)
+}
+
+/// The ids the stream has seen: live entries by name, and per slot its
+/// last holder.
+#[derive(Default)]
+struct Ids {
+    live: BTreeMap<Dn, EntryId>,
+    slots: BTreeMap<usize, EntryId>,
+}
+
+impl Ids {
+    fn seeded(dit: &Dit) -> Ids {
+        let mut ids = Ids::default();
+        for (id, entry) in dit.iter_ids() {
+            ids.live.insert(entry.dn().clone(), id);
+            ids.slots.insert(id.slot(), id);
+        }
+        ids
+    }
+
+    /// Checks what `done` did to the ids of `dit`, then that every live
+    /// id names its entry and every retired one names nothing.
+    fn check(&mut self, done: &Done, dit: &Dit, ctx: &str) {
+        match done {
+            Done::Nothing => {}
+            Done::Added(dn) => {
+                let id = dit.id(dn).unwrap();
+                if let Some(last) = self.slots.insert(id.slot(), id) {
+                    assert!(
+                        id.generation() > last.generation(),
+                        "{ctx}: slot {} came back as {id:?} after {last:?}",
+                        id.slot()
+                    );
+                    assert_eq!(dit.name(last), None, "{ctx}: {last:?} resolves after reuse");
+                }
+                self.live.insert(dn.clone(), id);
+            }
+            Done::Removed(dn) => {
+                let id = self.live.remove(dn).unwrap();
+                assert_eq!(dit.name(id), None, "{ctx}: removed {id:?} resolves");
+            }
+            Done::Modified(dn) => {
+                assert_eq!(dit.id(dn), self.live.get(dn).copied(), "{ctx}: modify");
+            }
+            Done::Renamed(from, to) => {
+                let id = self.live.remove(from).unwrap();
+                assert_eq!(dit.id(to), Some(id), "{ctx}: a rename keeps the id");
+                assert_eq!(dit.id(from), None, "{ctx}: the old name is free");
+                self.live.insert(to.clone(), id);
+            }
+        }
+        for (dn, id) in &self.live {
+            assert_eq!(dit.name(*id), Some(dn), "{ctx}: {id:?}");
+        }
+        for id in self.slots.values() {
+            if !self.live.values().any(|live| live == id) {
+                assert_eq!(dit.name(*id), None, "{ctx}: retired {id:?} resolves");
+            }
+        }
+        assert_eq!(self.live.len(), dit.len(), "{ctx}: live ids");
+    }
 }
 
 fn assert_incremental_equals_oracle(
@@ -248,6 +339,7 @@ fn incremental_deltas_equal_full_rescan_at_every_step() {
             subs.push((id, src));
         }
         let mut replica: BTreeMap<String, String> = BTreeMap::new();
+        let mut ids = Ids::seeded(&dit);
 
         for step in 0..OPS {
             if rng.below(4) == 0 {
@@ -260,7 +352,8 @@ fn incremental_deltas_equal_full_rescan_at_every_step() {
                 let pairs = written.iter().map(|(k, v)| (k.as_str(), v.as_str()));
                 reg.apply(pairs, &[], &dit, step as u64);
             } else {
-                random_op(&mut rng, &mut dit);
+                let done = random_op(&mut rng, &mut dit);
+                ids.check(&done, &dit, &format!("seed {seed} step {step}: {done:?}"));
                 let changes = dit.take_changes();
                 reg.apply([], &changes, &dit, step as u64);
             }
@@ -288,7 +381,7 @@ fn oracle_comparison_is_deterministic_across_runs() {
             random_op(&mut rng, &mut dit);
             let changes = dit.take_changes();
             for (id, delta) in reg.apply([], &changes, &dit, step as u64) {
-                trace.push_str(&format!("{step} {id} {delta}\n"));
+                trace.push_str(&format!("{step} {id:?} {delta}\n"));
             }
         }
         for id in ids {
