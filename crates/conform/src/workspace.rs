@@ -130,9 +130,8 @@ fn classify(dir_name: &str) -> (String, CrateRole) {
 }
 
 /// Discovers the workspace under `root`: the root package's `src/` plus
-/// every `crates/*/src/`. `vendor/` is never scanned (stub crates are
-/// not part of the architecture), and `tests/`, `benches/` and
-/// `examples/` trees are excluded — the rules govern shipping code.
+/// every `crates/*/src/`. `tests/`, `benches/` and `examples/` trees
+/// are excluded — the rules govern shipping code.
 pub fn discover(root: &Path) -> std::io::Result<Vec<WorkspaceCrate>> {
     let mut crates = Vec::new();
     let root_src = root.join("src");

@@ -715,7 +715,7 @@ impl CscwEnvironment {
         // can never be notified is refused, not half done.
         let from = person_address(sharer)?;
         let dest = app_address(to)?;
-        let result = self.hub.exchange(artifact, to)?;
+        let result = self.hub.exchange_common(to, &common)?;
         // Locate the destination application through the trading
         // function (§6.1): the environment imports under its own
         // engineering identity.
@@ -989,12 +989,16 @@ impl CscwEnvironment {
         let kind = object.kind.clone();
         let owner = object.owner.clone();
         self.emit_env("env.store_object", &id);
-        let rendered = render_content(&object.content);
+        // Only a federation replicates the rendered record.
+        let rendered = self
+            .federation
+            .is_some()
+            .then(|| render_content(&object.content));
         self.repository.store(object)?;
         self.mirror_to_directory(&id, &kind, &owner);
         // Replicate the information-model record into the federation;
         // a write that changed the replica feeds the knowledge queries.
-        if let Some(port) = self.federation.as_mut() {
+        if let (Some(port), Some(rendered)) = (self.federation.as_mut(), rendered) {
             let key = format!("info:{id}");
             let value = format!("{kind}:{rendered}");
             if port.publish_entry(&key, &value) {

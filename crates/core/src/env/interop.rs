@@ -128,22 +128,28 @@ impl InteropHub {
         artifact: &NativeArtifact,
         to: &AppId,
     ) -> Result<NativeArtifact, MoccaError> {
-        let from_mapping = self
-            .mappings
-            .get(&artifact.app)
-            .ok_or_else(|| MoccaError::UnknownApplication(artifact.app.to_string()))?;
-        let to_mapping = self
-            .mappings
-            .get(to)
-            .ok_or_else(|| MoccaError::UnknownApplication(to.to_string()))?;
-        let common = from_mapping.to_common(&artifact.fields);
-        let native = to_mapping.from_common(&common);
-        self.conversions_performed += 2;
-        Ok(NativeArtifact {
-            app: to.clone(),
-            format: format!("{to}-native"),
-            fields: native,
-        })
+        let common = self.to_common(artifact)?;
+        self.exchange_common(to, &common)
+    }
+
+    /// The second half of [`Self::exchange`], for a caller that already
+    /// holds the artifact's common form from [`Self::to_common`]: raises
+    /// it into `to`'s native format and counts both conversions of the
+    /// exchange.
+    ///
+    /// # Errors
+    ///
+    /// [`MoccaError::UnknownApplication`] when `to` has no registered
+    /// mapping.
+    pub fn exchange_common(
+        &mut self,
+        to: &AppId,
+        common: &BTreeMap<String, String>,
+    ) -> Result<NativeArtifact, MoccaError> {
+        let raised = self.from_common(to, common)?;
+        // The sending half, which the caller's `to_common` performed.
+        self.conversions_performed += 1;
+        Ok(raised)
     }
 
     /// Materialises a common-model artifact into `to`'s native format —

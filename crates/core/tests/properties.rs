@@ -2,17 +2,27 @@
 //! monotonicity, activity-schedule validity, dependency acyclicity,
 //! negotiation safety, tailoring resolution, and the telemetry
 //! histogram's quantile math.
+//!
+//! The `k`-th property in this file draws case `c` from
+//! `SeededRng::seed_from((k << 32) | c)`; a failure names its case and
+//! seed, and replays from that seed alone.
 
 use cscw_directory::Dn;
-use cscw_kernel::LogHistogram;
+use cscw_kernel::{LogHistogram, SeededRng};
 use mocca::activity::{Activity, ActivityId, DependencyKind, InterActivityModel};
 use mocca::info::{AccessControl, AccessRight, InfoObjectId};
 use mocca::org::{OrgRule, OrganisationalModel, Person, RelationKind, Role, RuleKind};
 use mocca::tailor::{Constraint, Scope, TailorContext, TailorStore};
-use proptest::prelude::*;
 
 fn dn(s: &str) -> Dn {
     s.parse().expect("test DNs are valid")
+}
+
+/// Between `min` and `max` pairs `(below(a), below(b))`.
+fn pairs(rng: &mut SeededRng, min: u64, max: u64, a: u64, b: u64) -> Vec<(usize, usize)> {
+    (0..rng.range_inclusive(min, max))
+        .map(|_| (rng.below(a) as usize, rng.below(b) as usize))
+        .collect()
 }
 
 /// People p0..p3, roles r0..r3, with arbitrary occupancy.
@@ -33,17 +43,17 @@ fn org_with(occupancy: &[(usize, usize)]) -> OrganisationalModel {
     m
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    /// Access monotonicity: removing a role occupancy never grants an
-    /// access that was previously denied.
-    #[test]
-    fn access_is_monotone_in_roles(
-        occupancy in prop::collection::vec((0usize..4, 0usize..4), 0..8),
-        grants in prop::collection::vec((0usize..4, 0usize..3), 0..8),
-        drop_index in 0usize..8,
-    ) {
+/// Access monotonicity: removing a role occupancy never grants an
+/// access that was previously denied.
+#[test]
+fn access_is_monotone_in_roles() {
+    for case in 0..96 {
+        let seed = (1 << 32) | case;
+        let at = format!("case {case}, seed {seed:#x}");
+        let mut rng = SeededRng::seed_from(seed);
+        let occupancy = pairs(&mut rng, 0, 7, 4, 4);
+        let grants = pairs(&mut rng, 0, 7, 4, 3);
+        let drop_index = rng.below(8) as usize;
         let rights = [AccessRight::Read, AccessRight::Write, AccessRight::Share];
         let object: InfoObjectId = "doc".into();
         let mut ac = AccessControl::new();
@@ -54,7 +64,7 @@ proptest! {
         let reduced_occupancy: Vec<(usize, usize)> = occupancy
             .iter()
             .enumerate()
-            .filter(|(i, _)| *i != drop_index % 8)
+            .filter(|(i, _)| *i != drop_index)
             .map(|(_, &x)| x)
             .collect();
         let reduced = org_with(&reduced_occupancy);
@@ -63,89 +73,97 @@ proptest! {
             for right in rights {
                 let before = ac.check(&full, &person, right, &object);
                 let after = ac.check(&reduced, &person, right, &object);
-                prop_assert!(
-                    !after || before,
-                    "dropping a role occupancy granted {right:?} to p{p}"
-                );
+                let at = format!("{at}: p{p} gained {right:?}");
+                assert!(!after || before, "{at} when a role occupancy was dropped");
             }
         }
     }
+}
 
-    /// Whatever forbid/permit rules exist, a Forbid matching the
-    /// action always wins over any Permit.
-    #[test]
-    fn forbid_always_wins(
-        permits in prop::collection::vec(0usize..4, 1..5),
-        forbid_role in 0usize..4,
-        occupancy in prop::collection::vec((0usize..4, 0usize..4), 1..8),
-    ) {
-        let mut m = org_with(&occupancy);
-        for &r in &permits {
-            m.add_rule(OrgRule::new(dn(&format!("cn=r{r}")), RuleKind::Permit, "act", "*"));
+/// Whatever forbid/permit rules exist, a Forbid matching the action
+/// always wins over any Permit.
+#[test]
+fn forbid_always_wins() {
+    for case in 0..96 {
+        let seed = (2 << 32) | case;
+        let at = format!("case {case}, seed {seed:#x}");
+        let mut rng = SeededRng::seed_from(seed);
+        let mut m = org_with(&pairs(&mut rng, 1, 7, 4, 4));
+        for _ in 0..rng.range_inclusive(1, 4) {
+            let role = dn(&format!("cn=r{}", rng.below(4)));
+            m.add_rule(OrgRule::new(role, RuleKind::Permit, "act", "*"));
         }
-        m.add_rule(OrgRule::new(dn(&format!("cn=r{forbid_role}")), RuleKind::Forbid, "act", "*"));
+        let forbid_role = dn(&format!("cn=r{}", rng.below(4)));
+        m.add_rule(OrgRule::new(
+            forbid_role.clone(),
+            RuleKind::Forbid,
+            "act",
+            "*",
+        ));
         for p in 0..4 {
             let person = dn(&format!("cn=p{p}"));
-            let roles = m.roles_of(&person);
-            if roles.contains(&dn(&format!("cn=r{forbid_role}"))) {
-                prop_assert!(!m.authorise(&person, "act", "x").is_permitted());
+            if m.roles_of(&person).contains(&forbid_role) {
+                let permitted = m.authorise(&person, "act", "x").is_permitted();
+                assert!(!permitted, "{at}: p{p} permitted despite Forbid");
             }
         }
     }
 }
 
-/// A random batch of Before-dependency attempts over N activities.
-#[derive(Debug, Clone)]
-struct DepAttempt {
-    from: usize,
-    to: usize,
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// However many Before edges we try to add, accepted edges never
-    /// form a cycle, and the schedule order is always a valid topological
-    /// order containing every activity exactly once.
-    #[test]
-    fn schedule_is_always_a_valid_topological_order(
-        n in 2usize..8,
-        attempts in prop::collection::vec((0usize..8, 0usize..8), 0..40),
-    ) {
+/// However many Before edges we try to add, accepted edges never form
+/// a cycle, and the schedule order is always a valid topological order
+/// containing every activity exactly once.
+#[test]
+fn schedule_is_always_a_valid_topological_order() {
+    for case in 0..64 {
+        let seed = (3 << 32) | case;
+        let at = format!("case {case}, seed {seed:#x}");
+        let mut rng = SeededRng::seed_from(seed);
+        let n = rng.range_inclusive(2, 7) as usize;
+        let attempts = pairs(&mut rng, 0, 39, 8, 8);
         let mut model = InterActivityModel::new();
-        let ids: Vec<ActivityId> =
-            (0..n).map(|i| ActivityId::from(format!("a{i}").as_str())).collect();
+        let ids: Vec<ActivityId> = (0..n)
+            .map(|i| ActivityId::from(format!("a{i}").as_str()))
+            .collect();
         for id in &ids {
-            model.register(Activity::new(id.clone(), id.as_str())).unwrap();
+            model
+                .register(Activity::new(id.clone(), id.as_str()))
+                .unwrap();
         }
-        let mut accepted: Vec<DepAttempt> = Vec::new();
+        let mut accepted = Vec::new();
         for (f, t) in attempts {
             let (from, to) = (f % n, t % n);
             if model
                 .add_dependency(&ids[from], DependencyKind::Before, &ids[to])
                 .is_ok()
             {
-                accepted.push(DepAttempt { from, to });
+                accepted.push((from, to));
             }
         }
         let order = model.schedule_order();
-        prop_assert_eq!(order.len(), n, "every activity scheduled exactly once");
+        assert_eq!(
+            order.len(),
+            n,
+            "{at}: every activity scheduled exactly once"
+        );
         let pos = |id: &ActivityId| order.iter().position(|x| x == id).unwrap();
-        for dep in &accepted {
-            prop_assert!(
-                pos(&ids[dep.from]) < pos(&ids[dep.to]),
-                "edge a{} -> a{} violated by schedule",
-                dep.from,
-                dep.to
-            );
+        for (from, to) in accepted {
+            let kept = pos(&ids[from]) < pos(&ids[to]);
+            assert!(kept, "{at}: edge a{from} -> a{to} violated by schedule");
         }
     }
+}
 
-    /// Negotiations never accept out of turn, never mutate after close,
-    /// and the accepted assignee is always the last proposal made.
-    #[test]
-    fn negotiation_safety(moves in prop::collection::vec(0u8..4, 0..12)) {
-        use mocca::activity::{Negotiation, NegotiationState, NegotiationSubject};
+/// Negotiations never accept out of turn, never mutate after close, and
+/// the accepted assignee is always the last proposal made.
+#[test]
+fn negotiation_safety() {
+    use mocca::activity::{Negotiation, NegotiationState, NegotiationSubject};
+    for case in 0..64 {
+        let seed = (4 << 32) | case;
+        let at = format!("case {case}, seed {seed:#x}");
+        let mut rng = SeededRng::seed_from(seed);
+        let moves: Vec<u64> = (0..rng.below(12)).map(|_| rng.below(4)).collect();
         let tom = dn("cn=Tom");
         let wolfgang = dn("cn=Wolfgang");
         let mut n = Negotiation::propose(
@@ -155,9 +173,12 @@ proptest! {
             dn("cn=Candidate0"),
         );
         let mut last_proposal = dn("cn=Candidate0");
-        let mut counter_count = 0u32;
+        let mut counter_count = 0;
         for (i, m) in moves.iter().enumerate() {
-            let closed = matches!(n.state(), NegotiationState::Accepted | NegotiationState::Rejected);
+            let closed = matches!(
+                n.state(),
+                NegotiationState::Accepted | NegotiationState::Rejected
+            );
             let actor = match n.awaiting() {
                 Some(who) => who.clone(),
                 None => tom.clone(), // any move must fail now
@@ -166,42 +187,51 @@ proptest! {
                 0 => {
                     let candidate = dn(&format!("cn=Candidate{i}"));
                     if n.counter(&actor, candidate.clone()).is_ok() {
-                        prop_assert!(!closed, "counter succeeded on closed negotiation");
+                        assert!(!closed, "{at}: counter succeeded on closed negotiation");
                         last_proposal = candidate;
                         counter_count += 1;
                     }
                 }
                 1 => {
                     if let Ok(assignee) = n.accept(&actor) {
-                        prop_assert!(!closed);
-                        prop_assert_eq!(assignee, &last_proposal);
+                        assert!(!closed, "{at}: accept succeeded on closed negotiation");
+                        assert_eq!(assignee, &last_proposal, "{at}");
                     }
                 }
                 2 => {
                     if n.reject(&actor).is_ok() {
-                        prop_assert!(!closed);
+                        assert!(!closed, "{at}: reject succeeded on closed negotiation");
                     }
                 }
                 _ => {
                     // A third party can never move.
                     let outsider = dn("cn=Outsider");
-                    prop_assert!(n.counter(&outsider, dn("cn=X")).is_err());
+                    assert!(n.counter(&outsider, dn("cn=X")).is_err(), "{at}");
                 }
             }
         }
         // History is bounded by moves made plus the opening proposal.
-        prop_assert!(n.history().len() as u32 <= 2 + counter_count + moves.len() as u32);
+        let bound = 2 + counter_count + moves.len();
+        assert!(n.history().len() <= bound, "{at}: history too long");
     }
+}
 
-    /// Tailoring always resolves to a value satisfying the constraint,
-    /// whatever the override pattern.
-    #[test]
-    fn tailoring_resolution_respects_constraints(
-        overrides in prop::collection::vec((0u8..4, -20i64..40), 0..12),
-        user_groups in prop::collection::vec("[a-c]", 0..3),
-    ) {
+/// Tailoring always resolves to a value satisfying the constraint,
+/// whatever the override pattern.
+#[test]
+fn tailoring_resolution_respects_constraints() {
+    for case in 0..64 {
+        let seed = (5 << 32) | case;
+        let at = format!("case {case}, seed {seed:#x}");
+        let mut rng = SeededRng::seed_from(seed);
+        let overrides: Vec<(u64, i64)> = (0..rng.below(12))
+            .map(|_| (rng.below(4), rng.below(60) as i64 - 20))
+            .collect();
+        let user_groups = (0..rng.below(3)).map(|_| rng.word(b"abc", 1..=1)).collect();
         let mut store = TailorStore::new();
-        store.declare("limit", Constraint::IntRange(0, 20), odp::Value::Int(5)).unwrap();
+        store
+            .declare("limit", Constraint::IntRange(0, 20), odp::Value::Int(5))
+            .unwrap();
         for (scope_kind, value) in overrides {
             let scope = match scope_kind {
                 0 => Scope::System,
@@ -211,30 +241,37 @@ proptest! {
             };
             // Out-of-range sets must fail; in-range must succeed.
             let result = store.set("limit", scope, odp::Value::Int(value));
-            prop_assert_eq!(result.is_ok(), (0..=20).contains(&value));
+            assert_eq!(
+                result.is_ok(),
+                (0..=20).contains(&value),
+                "{at}: set {value}"
+            );
         }
         let ctx = TailorContext {
             user: "tom".into(),
             groups: user_groups,
             organisation: Some("org".into()),
         };
-        let effective = store.effective("limit", &ctx).unwrap();
-        let v = match effective {
-            odp::Value::Int(i) => i,
-            other => return Err(TestCaseError::fail(format!("non-int {other}"))),
-        };
-        prop_assert!((0..=20).contains(&v), "effective value {v} violates constraint");
+        match store.effective("limit", &ctx).unwrap() {
+            odp::Value::Int(v) => assert!((0..=20).contains(&v), "{at}: effective value {v}"),
+            other => panic!("{at}: non-int {other}"),
+        }
     }
+}
 
-    /// The log-bucketed histogram's quantiles track the exact ranked
-    /// sample from below, within the documented 1/16 relative error —
-    /// for arbitrary sample multisets, not just uniform ones.
-    #[test]
-    fn histogram_quantiles_track_exact_ranked_samples(
-        samples in prop::collection::vec(0u64..2_000_000, 1..300),
-        qi in 0usize..5,
-    ) {
-        let q = [0.0, 0.5, 0.9, 0.99, 1.0][qi];
+/// The log-bucketed histogram's quantiles track the exact ranked sample
+/// from below, within the documented 1/16 relative error — for
+/// arbitrary sample multisets, not just uniform ones.
+#[test]
+fn histogram_quantiles_track_exact_ranked_samples() {
+    for case in 0..64 {
+        let seed = (6 << 32) | case;
+        let at = format!("case {case}, seed {seed:#x}");
+        let mut rng = SeededRng::seed_from(seed);
+        let samples: Vec<u64> = (0..rng.range_inclusive(1, 299))
+            .map(|_| rng.below(2_000_000))
+            .collect();
+        let q = [0.0, 0.5, 0.9, 0.99, 1.0][rng.below(5) as usize];
         let mut h = LogHistogram::new();
         for &s in &samples {
             h.record(s);
@@ -244,34 +281,43 @@ proptest! {
         let rank = ((q * sorted.len() as f64).ceil() as usize).max(1) - 1;
         let truth = sorted[rank];
         let got = h.quantile(q).expect("non-empty histogram");
-        prop_assert!(got <= truth, "quantile({q}) = {got} > exact {truth}");
-        prop_assert!(
+        assert!(got <= truth, "{at}: quantile({q}) = {got} > exact {truth}");
+        assert!(
             (truth - got) as f64 <= truth as f64 / 16.0 + 1.0,
-            "quantile({q}) = {got} under-reports exact {truth} beyond 1/16"
+            "{at}: quantile({q}) = {got} under-reports exact {truth} beyond 1/16"
         );
         // Extremes are exact, whatever the distribution.
-        prop_assert_eq!(h.quantile(0.0), sorted.first().copied());
-        prop_assert_eq!(h.quantile(1.0), sorted.last().copied());
+        assert_eq!(h.quantile(0.0), sorted.first().copied(), "{at}");
+        assert_eq!(h.quantile(1.0), sorted.last().copied(), "{at}");
     }
+}
 
-    /// Quantiles are monotone in `q` and the summary is internally
-    /// consistent for arbitrary samples.
-    #[test]
-    fn histogram_summary_is_internally_consistent(
-        samples in prop::collection::vec(0u64..u64::MAX / 2, 1..200),
-    ) {
+/// Quantiles are monotone in `q` and the summary is internally
+/// consistent for arbitrary samples.
+#[test]
+fn histogram_summary_is_internally_consistent() {
+    for case in 0..64 {
+        let seed = (7 << 32) | case;
+        let at = format!("case {case}, seed {seed:#x}");
+        let mut rng = SeededRng::seed_from(seed);
+        let samples: Vec<u64> = (0..rng.range_inclusive(1, 199))
+            .map(|_| rng.below(u64::MAX / 2))
+            .collect();
         let mut h = LogHistogram::new();
         for &s in &samples {
             h.record(s);
         }
         let s = h.summary().expect("non-empty histogram");
-        prop_assert_eq!(s.count, samples.len() as u64);
-        prop_assert_eq!(s.min_micros, *samples.iter().min().unwrap());
-        prop_assert_eq!(s.max_micros, *samples.iter().max().unwrap());
-        prop_assert!(s.p50_micros <= s.p90_micros);
-        prop_assert!(s.p90_micros <= s.p99_micros);
-        prop_assert!(s.p99_micros <= s.max_micros);
-        prop_assert!(s.min_micros <= s.p50_micros);
-        prop_assert!(s.mean_micros <= s.max_micros && s.mean_micros >= s.min_micros);
+        assert_eq!(s.count, samples.len() as u64, "{at}");
+        assert_eq!(s.min_micros, *samples.iter().min().unwrap(), "{at}");
+        assert_eq!(s.max_micros, *samples.iter().max().unwrap(), "{at}");
+        assert!(s.p50_micros <= s.p90_micros, "{at}");
+        assert!(s.p90_micros <= s.p99_micros, "{at}");
+        assert!(s.p99_micros <= s.max_micros, "{at}");
+        assert!(s.min_micros <= s.p50_micros, "{at}");
+        assert!(
+            (s.min_micros..=s.max_micros).contains(&s.mean_micros),
+            "{at}"
+        );
     }
 }

@@ -1,22 +1,28 @@
 //! Property tests for the groupware applications: meeting-room voting
 //! invariants, procedure sequencing safety, BBS threading integrity,
 //! and conference WYSIWIS under random command interleavings.
+//!
+//! The `k`-th property in this file draws case `c` from
+//! `SeededRng::seed_from((k << 32) | c)`; a failure names its case and
+//! seed, and replays from that seed alone.
 
 use cscw_directory::Dn;
+use cscw_kernel::SeededRng;
 use groupware::meeting_room::MeetingPhase;
 use groupware::{
     BbsClient, BbsServer, ConferenceClient, ConferenceServer, MeetingRoom, Participant, Procedure,
     ProcedureStep,
 };
-use proptest::prelude::*;
 use simnet::{LinkSpec, Sim, TopologyBuilder};
 
 fn dn(s: &str) -> Dn {
     s.parse().unwrap()
 }
 
+const LOWER: &[u8] = b"abcdefghijklmnopqrstuvwxyz";
+
 /// Random meeting scripts: propose/vote/start/close by random actors.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum MeetingOp {
     Propose(usize, String),
     StartVoting(usize),
@@ -24,28 +30,31 @@ enum MeetingOp {
     Close(usize),
 }
 
-fn arb_meeting_ops() -> impl Strategy<Value = Vec<MeetingOp>> {
-    prop::collection::vec(
-        prop_oneof![
-            (0usize..4, "[a-z]{1,8}").prop_map(|(p, t)| MeetingOp::Propose(p, t)),
-            (0usize..4).prop_map(MeetingOp::StartVoting),
-            (0usize..4, 0usize..8).prop_map(|(p, i)| MeetingOp::Vote(p, i)),
-            (0usize..4).prop_map(MeetingOp::Close),
-        ],
-        1..40,
-    )
+fn arb_meeting_ops(rng: &mut SeededRng) -> Vec<MeetingOp> {
+    (0..rng.range_inclusive(1, 39))
+        .map(|_| {
+            let p = rng.below(4) as usize;
+            match rng.below(4) {
+                0 => MeetingOp::Propose(p, rng.word(LOWER, 1..=8)),
+                1 => MeetingOp::StartVoting(p),
+                2 => MeetingOp::Vote(p, rng.below(8) as usize),
+                _ => MeetingOp::Close(p),
+            }
+        })
+        .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Whatever the script: votes never exceed participants × items,
-    /// the phase machine never goes backwards, and the final ranking is
-    /// sorted by votes.
-    #[test]
-    fn meeting_invariants(ops in arb_meeting_ops()) {
-        let people: Vec<Dn> =
-            (0..4).map(|i| dn(&format!("cn=p{i}"))).collect();
+/// Whatever the script: votes never exceed participants × items, the
+/// phase machine never goes backwards, and the final ranking is sorted
+/// by votes.
+#[test]
+fn meeting_invariants() {
+    let people: Vec<Dn> = (0..4).map(|i| dn(&format!("cn=p{i}"))).collect();
+    for case in 0..64 {
+        let seed = (1 << 32) | case;
+        let at = format!("case {case}, seed {seed:#x}");
+        let mut rng = SeededRng::seed_from(seed);
+        let ops = arb_meeting_ops(&mut rng);
         let mut m = MeetingRoom::convene("m", people[0].clone(), people[1..].to_vec());
         let mut phase_rank = 0; // brainstorm=0, voting=1, closed=2
         for op in ops {
@@ -68,32 +77,44 @@ proptest! {
                 MeetingPhase::Voting => 1,
                 MeetingPhase::Closed => 2,
             };
-            prop_assert!(rank >= phase_rank, "phase went backwards");
+            assert!(rank >= phase_rank, "{at}: phase went backwards");
             phase_rank = rank;
             let total_votes: u32 = m.board().iter().map(|i| i.votes).sum();
-            prop_assert!(total_votes as usize <= 4 * m.board().len().max(1));
+            assert!(
+                total_votes as usize <= 4 * m.board().len().max(1),
+                "{at}: {total_votes} votes"
+            );
         }
-        let ranking = m.ranking();
-        for w in ranking.windows(2) {
-            prop_assert!(w[0].votes >= w[1].votes, "ranking not sorted");
+        for w in m.ranking().windows(2) {
+            assert!(w[0].votes >= w[1].votes, "{at}: ranking not sorted");
         }
     }
+}
 
-    /// Procedures never complete out of order and never exceed their
-    /// step count, whatever the interleaving of perform/skip attempts.
-    #[test]
-    fn procedure_safety(
-        attempts in prop::collection::vec((0usize..6, any::<bool>()), 1..30),
-        n_steps in 1usize..6,
-    ) {
-        let mut org = mocca::org::OrganisationalModel::new();
-        org.add_person(mocca::org::Person::new(dn("cn=A"), "A"));
-        org.add_role(mocca::org::Role::new(dn("cn=r"), "r"));
-        org.relate(&dn("cn=A"), mocca::org::RelationKind::Occupies, &dn("cn=r")).unwrap();
+/// Procedures never complete out of order and never exceed their step
+/// count, whatever the interleaving of perform/skip attempts.
+#[test]
+fn procedure_safety() {
+    let mut org = mocca::org::OrganisationalModel::new();
+    org.add_person(mocca::org::Person::new(dn("cn=A"), "A"));
+    org.add_role(mocca::org::Role::new(dn("cn=r"), "r"));
+    org.relate(&dn("cn=A"), mocca::org::RelationKind::Occupies, &dn("cn=r"))
+        .unwrap();
+    for case in 0..64 {
+        let seed = (2 << 32) | case;
+        let at = format!("case {case}, seed {seed:#x}");
+        let mut rng = SeededRng::seed_from(seed);
+        let attempts: Vec<(usize, bool)> = (0..rng.range_inclusive(1, 29))
+            .map(|_| (rng.below(6) as usize, rng.chance(0.5)))
+            .collect();
+        let n_steps = rng.range_inclusive(1, 5) as usize;
         let mut p = Procedure::new(
             "p",
             (0..n_steps)
-                .map(|i| ProcedureStep { name: format!("s{i}"), required_role: dn("cn=r") })
+                .map(|i| ProcedureStep {
+                    name: format!("s{i}"),
+                    required_role: dn("cn=r"),
+                })
                 .collect(),
         );
         for (step, skip) in attempts {
@@ -105,12 +126,12 @@ proptest! {
             };
             match result {
                 Ok(()) => {
-                    prop_assert_eq!(step, before, "only the due step may complete");
-                    prop_assert_eq!(p.outcomes().len(), before + 1);
+                    assert_eq!(step, before, "{at}: only the due step may complete");
+                    assert_eq!(p.outcomes().len(), before + 1, "{at}");
                 }
-                Err(_) => prop_assert_eq!(p.outcomes().len(), before),
+                Err(_) => assert_eq!(p.outcomes().len(), before, "{at}"),
             }
-            prop_assert!(p.outcomes().len() <= n_steps);
+            assert!(p.outcomes().len() <= n_steps, "{at}");
         }
     }
 }
@@ -138,32 +159,33 @@ fn conference_world(seed: u64) -> (Sim, Vec<Participant>) {
     (sim, participants)
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum ConfOp {
     RequestFloor(usize),
     ReleaseFloor(usize),
     Draw(usize, String),
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Strict WYSIWIS: whatever the interleaving of floor requests,
-    /// releases and draws, every joined member's window equals the
-    /// server's canonical window at quiescence.
-    #[test]
-    fn conference_wysiwis_under_fuzz(
-        ops in prop::collection::vec(
-            prop_oneof![
-                (0usize..3).prop_map(ConfOp::RequestFloor),
-                (0usize..3).prop_map(ConfOp::ReleaseFloor),
-                (0usize..3, "[a-z]{1,6}").prop_map(|(p, s)| ConfOp::Draw(p, s)),
-            ],
-            1..25,
-        ),
-        seed in any::<u64>(),
-    ) {
-        let (mut sim, participants) = conference_world(seed);
+/// Strict WYSIWIS: whatever the interleaving of floor requests,
+/// releases and draws, every joined member's window equals the server's
+/// canonical window at quiescence.
+#[test]
+fn conference_wysiwis_under_fuzz() {
+    for case in 0..32 {
+        let seed = (3 << 32) | case;
+        let at = format!("case {case}, seed {seed:#x}");
+        let mut rng = SeededRng::seed_from(seed);
+        let ops: Vec<ConfOp> = (0..rng.range_inclusive(1, 24))
+            .map(|_| {
+                let p = rng.below(3) as usize;
+                match rng.below(3) {
+                    0 => ConfOp::RequestFloor(p),
+                    1 => ConfOp::ReleaseFloor(p),
+                    _ => ConfOp::Draw(p, rng.word(LOWER, 1..=6)),
+                }
+            })
+            .collect();
+        let (mut sim, participants) = conference_world(rng.next_u64());
         for p in &participants {
             p.join(&mut sim);
         }
@@ -176,32 +198,41 @@ proptest! {
         }
         sim.run_until_idle();
         for p in &participants {
-            prop_assert!(p.window_matches_server(&sim), "{} diverged", p.who);
+            assert!(p.window_matches_server(&sim), "{at}: {} diverged", p.who);
         }
     }
+}
 
-    /// BBS threading: every reply's parent exists in the same
-    /// conference, and thread() returns each entry at most once.
-    #[test]
-    fn bbs_threading_integrity(
-        posts in prop::collection::vec((any::<bool>(), 0usize..10), 1..20),
-        seed in any::<u64>(),
-    ) {
+/// BBS threading: every reply's parent exists in the same conference,
+/// and thread() returns each entry at most once.
+#[test]
+fn bbs_threading_integrity() {
+    for case in 0..32 {
+        let seed = (4 << 32) | case;
+        let at = format!("case {case}, seed {seed:#x}");
+        let mut rng = SeededRng::seed_from(seed);
+        let posts: Vec<(bool, u64)> = (0..rng.range_inclusive(1, 19))
+            .map(|_| (rng.chance(0.5), rng.below(10)))
+            .collect();
         let mut b = TopologyBuilder::new();
         let server = b.add_node("bbs");
         let mta = b.add_node("mta");
         let ws = b.add_node("ws");
         b.full_mesh(LinkSpec::lan());
-        let mut sim = Sim::new(b.build(), seed);
+        let mut sim = Sim::new(b.build(), rng.next_u64());
         let addr: cscw_messaging::OrAddress = "C=UK;O=L;PN=BBS".parse().unwrap();
         let mut mta_node = cscw_messaging::MtaNode::new("mta");
         mta_node.register_mailbox(addr.clone());
         sim.register(mta, mta_node);
         sim.register(server, BbsServer::new(addr, mta));
-        let client = BbsClient { who: dn("cn=P"), node: ws, server };
+        let client = BbsClient {
+            who: dn("cn=P"),
+            node: ws,
+            server,
+        };
         client.create_conference(&mut sim, "c");
-        for (i, (reply, parent)) in posts.iter().enumerate() {
-            let in_reply_to = reply.then_some(*parent as u64);
+        for (i, &(reply, parent)) in posts.iter().enumerate() {
+            let in_reply_to = reply.then_some(parent);
             client.post(&mut sim, "c", &format!("s{i}"), "t", in_reply_to);
             sim.run_until_idle();
         }
@@ -209,9 +240,10 @@ proptest! {
         let entries = bbs.conference("c");
         for e in &entries {
             if let Some(parent) = e.in_reply_to {
-                prop_assert!(
+                assert!(
                     entries.iter().any(|p| p.id == parent),
-                    "entry {} has dangling parent {parent}", e.id
+                    "{at}: entry {} has dangling parent {parent}",
+                    e.id
                 );
             }
         }
@@ -219,9 +251,9 @@ proptest! {
         let mut seen = std::collections::BTreeSet::new();
         for root in entries.iter().filter(|e| e.in_reply_to.is_none()) {
             for e in bbs.thread(root.id) {
-                prop_assert!(seen.insert(e.id), "entry {} in two threads", e.id);
+                assert!(seen.insert(e.id), "{at}: entry {} in two threads", e.id);
             }
         }
-        prop_assert_eq!(seen.len(), entries.len(), "threads cover all entries");
+        assert_eq!(seen.len(), entries.len(), "{at}: threads cover all entries");
     }
 }

@@ -11,6 +11,8 @@
 //! `u64` seed with SplitMix64, one 32-bit key word per step. A `u64`
 //! draw is two consecutive keystream words, low word first.
 
+use std::ops::RangeInclusive;
+
 /// ChaCha double rounds per block (ChaCha8).
 const DOUBLE_ROUNDS: usize = 4;
 
@@ -105,6 +107,36 @@ impl SeededRng {
     /// one `u64` draw.
     pub fn unit(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    }
+
+    /// Returns a string whose length is drawn uniformly from `len` and
+    /// whose characters are each drawn uniformly from the ASCII
+    /// `alphabet`: what a character-class pattern such as `[a-z]{1,8}`
+    /// generates.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `alphabet` is empty or not ASCII, or if `len` is empty.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use cscw_kernel::SeededRng;
+    ///
+    /// let mut rng = SeededRng::seed_from(7);
+    /// let word = rng.word(b"abc", 2..=4);
+    /// assert!((2..=4).contains(&word.len()));
+    /// assert!(word.bytes().all(|b| b"abc".contains(&b)));
+    /// ```
+    pub fn word(&mut self, alphabet: &[u8], len: RangeInclusive<usize>) -> String {
+        assert!(
+            !alphabet.is_empty() && alphabet.is_ascii(),
+            "alphabet must be non-empty ASCII"
+        );
+        let n = self.range_inclusive(*len.start() as u64, *len.end() as u64);
+        (0..n)
+            .map(|_| char::from(alphabet[self.below(alphabet.len() as u64) as usize]))
+            .collect()
     }
 
     /// Forks an independent generator whose stream is derived from this

@@ -1,68 +1,91 @@
 //! Property tests for the ODP layer: trader matching soundness,
 //! conformance laws, and constraint algebra.
+//!
+//! The `k`-th property in this file draws case `c` from
+//! `SeededRng::seed_from((k << 32) | c)`; a failure names its case and
+//! seed, and replays from that seed alone.
 
+use cscw_kernel::SeededRng;
 use odp::*;
-use proptest::prelude::*;
 use simnet::NodeId;
 
-fn ident() -> impl Strategy<Value = String> {
-    "[a-z]{1,8}"
+fn ident(rng: &mut SeededRng) -> String {
+    rng.word(b"abcdefghijklmnopqrstuvwxyz", 1..=8)
 }
 
-fn arb_kind() -> impl Strategy<Value = ValueKind> {
-    prop_oneof![
-        Just(ValueKind::Unit),
-        Just(ValueKind::Bool),
-        Just(ValueKind::Int),
-        Just(ValueKind::Text),
-        Just(ValueKind::Name),
-        Just(ValueKind::List),
-        Just(ValueKind::Any),
-    ]
+fn arb_kind(rng: &mut SeededRng) -> ValueKind {
+    [
+        ValueKind::Unit,
+        ValueKind::Bool,
+        ValueKind::Int,
+        ValueKind::Text,
+        ValueKind::Name,
+        ValueKind::List,
+        ValueKind::Any,
+    ][rng.below(7) as usize]
 }
 
-fn arb_sig() -> impl Strategy<Value = OperationSig> {
-    (ident(), prop::collection::vec(arb_kind(), 0..4), arb_kind())
-        .prop_map(|(name, params, result)| OperationSig::new(&name, params, result))
+fn arb_sig(rng: &mut SeededRng) -> OperationSig {
+    let name = ident(rng);
+    let params: Vec<ValueKind> = (0..rng.below(4)).map(|_| arb_kind(rng)).collect();
+    OperationSig::new(&name, params, arb_kind(rng))
 }
 
-fn arb_interface() -> impl Strategy<Value = InterfaceType> {
-    (ident(), prop::collection::vec(arb_sig(), 0..5)).prop_map(|(name, sigs)| {
-        let mut seen = Vec::new();
-        let mut iface = InterfaceType::new(&name);
-        for s in sigs {
-            // One signature per operation name, as in a real interface.
-            if !seen.contains(&s.name().to_owned()) {
-                seen.push(s.name().to_owned());
-                iface = iface.with_operation(s);
-            }
+fn arb_interface(rng: &mut SeededRng) -> InterfaceType {
+    let mut iface = InterfaceType::new(&ident(rng));
+    for _ in 0..rng.below(5) {
+        let sig = arb_sig(rng);
+        // One signature per operation name, as in a real interface.
+        if iface.operation(sig.name()).is_none() {
+            iface = iface.with_operation(sig);
         }
-        iface
-    })
+    }
+    iface
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// Conformance is reflexive.
-    #[test]
-    fn conformance_reflexive(iface in arb_interface()) {
-        prop_assert!(iface.conforms_to(&iface).is_ok());
+/// Conformance is reflexive.
+#[test]
+fn conformance_reflexive() {
+    for case in 0..128 {
+        let seed = (1 << 32) | case;
+        let at = format!("case {case}, seed {seed:#x}");
+        let mut rng = SeededRng::seed_from(seed);
+        let iface = arb_interface(&mut rng);
+        assert!(iface.conforms_to(&iface).is_ok(), "{at}");
     }
+}
 
-    /// Adding an operation never breaks conformance to the original.
-    #[test]
-    fn extension_preserves_conformance(iface in arb_interface(), extra in arb_sig()) {
-        prop_assume!(iface.operation(extra.name()).is_none());
+/// Adding an operation never breaks conformance to the original.
+#[test]
+fn extension_preserves_conformance() {
+    for case in 0..128 {
+        let seed = (2 << 32) | case;
+        let at = format!("case {case}, seed {seed:#x}");
+        let mut rng = SeededRng::seed_from(seed);
+        // Redraw until the extra operation is new to the interface.
+        let (iface, extra) = loop {
+            let iface = arb_interface(&mut rng);
+            let extra = arb_sig(&mut rng);
+            if iface.operation(extra.name()).is_none() {
+                break (iface, extra);
+            }
+        };
+
         let extended = iface.clone().with_operation(extra);
-        prop_assert!(extended.conforms_to(&iface).is_ok());
+        assert!(extended.conforms_to(&iface).is_ok(), "{at}");
     }
+}
 
-    /// Everything conforms to the empty interface.
-    #[test]
-    fn empty_interface_is_top(iface in arb_interface()) {
-        let empty = InterfaceType::new("empty");
-        prop_assert!(iface.conforms_to(&empty).is_ok());
+/// Everything conforms to the empty interface.
+#[test]
+fn empty_interface_is_top() {
+    let empty = InterfaceType::new("empty");
+    for case in 0..128 {
+        let seed = (3 << 32) | case;
+        let at = format!("case {case}, seed {seed:#x}");
+        let mut rng = SeededRng::seed_from(seed);
+        let iface = arb_interface(&mut rng);
+        assert!(iface.conforms_to(&empty).is_ok(), "{at}");
     }
 }
 
@@ -95,73 +118,102 @@ fn trader_with_offers(n: usize) -> Trader {
     t
 }
 
-fn arb_constraint() -> impl Strategy<Value = Constraint> {
-    let leaf = prop_oneof![
-        Just(Constraint::True),
-        (0i64..20).prop_map(|b| Constraint::Ge("cost".into(), b)),
-        (0i64..20).prop_map(|b| Constraint::Le("cost".into(), b)),
-        any::<bool>().prop_map(|b| Constraint::Eq("even".into(), Value::Bool(b))),
-        Just(Constraint::Has("cost".into())),
-        Just(Constraint::Has("missing".into())),
-    ];
-    leaf.prop_recursive(3, 16, 3, |inner| {
-        prop_oneof![
-            prop::collection::vec(inner.clone(), 1..3).prop_map(Constraint::All),
-            prop::collection::vec(inner.clone(), 1..3).prop_map(Constraint::Any),
-            inner.prop_map(|c| Constraint::Not(Box::new(c))),
-        ]
-    })
+fn arb_leaf_constraint(rng: &mut SeededRng) -> Constraint {
+    match rng.below(6) {
+        0 => Constraint::True,
+        1 => Constraint::Ge("cost".into(), rng.below(20) as i64),
+        2 => Constraint::Le("cost".into(), rng.below(20) as i64),
+        3 => Constraint::Eq("even".into(), Value::Bool(rng.chance(0.5))),
+        4 => Constraint::Has("cost".into()),
+        _ => Constraint::Has("missing".into()),
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
+/// A constraint nested at most `depth` levels: at each level a leaf
+/// or, with even odds, an All, Any or Not over constraints one level
+/// shallower.
+fn arb_constraint(rng: &mut SeededRng, depth: u32) -> Constraint {
+    if depth == 0 || rng.chance(0.5) {
+        return arb_leaf_constraint(rng);
+    }
+    let inner = |rng: &mut SeededRng| -> Vec<Constraint> {
+        (0..rng.range_inclusive(1, 2))
+            .map(|_| arb_constraint(rng, depth - 1))
+            .collect()
+    };
+    match rng.below(3) {
+        0 => Constraint::All(inner(rng)),
+        1 => Constraint::Any(inner(rng)),
+        _ => Constraint::Not(Box::new(arb_constraint(rng, depth - 1))),
+    }
+}
 
-    /// Import soundness: every returned offer satisfies the constraint;
-    /// completeness: offers satisfying it are returned (no limit set).
-    #[test]
-    fn import_sound_and_complete(n in 1usize..20, c in arb_constraint()) {
+/// Import soundness: every returned offer satisfies the constraint;
+/// completeness: offers satisfying it are returned (no limit set).
+#[test]
+fn import_sound_and_complete() {
+    for case in 0..96 {
+        let seed = (4 << 32) | case;
+        let at = format!("case {case}, seed {seed:#x}");
+        let mut rng = SeededRng::seed_from(seed);
+        let n = rng.range_inclusive(1, 19) as usize;
+        let c = arb_constraint(&mut rng, 3);
+        let at = format!("{at}: {c:?}");
         let t = trader_with_offers(n);
+        let all = t.import(&ImportRequest::any("svc")).unwrap();
+        let matching = all.iter().filter(|o| c.matches(o)).count();
         let req = ImportRequest::any("svc").with_constraint(c.clone());
         match t.import(&req) {
             Ok(offers) => {
                 for o in &offers {
-                    prop_assert!(c.matches(o), "unsound: returned non-matching offer");
+                    assert!(c.matches(o), "{at}: unsound: returned non-matching offer");
                 }
-                // Count matches independently.
-                let expect = (0..n).filter(|_| true).count();
-                let _ = expect; // soundness checked above; completeness below
-                let all = t.import(&ImportRequest::any("svc")).unwrap();
-                let matching = all.iter().filter(|o| c.matches(o)).count();
-                prop_assert_eq!(offers.len(), matching, "incomplete result set");
+                assert_eq!(offers.len(), matching, "{at}: incomplete result set");
             }
             Err(OdpError::NoMatchingOffer { .. }) => {
-                let all = t.import(&ImportRequest::any("svc")).unwrap();
-                prop_assert!(all.iter().all(|o| !c.matches(o)), "matches existed but import failed");
+                assert_eq!(matching, 0, "{at}: matches existed but import failed");
             }
-            Err(e) => return Err(TestCaseError::fail(format!("unexpected error {e}"))),
+            Err(e) => panic!("{at}: unexpected error {e}"),
         }
     }
+}
 
-    /// Preference ordering really orders, and max_matches truncates.
-    #[test]
-    fn preference_and_truncation(n in 2usize..20, limit in 1usize..5) {
+/// Preference ordering really orders, and max_matches truncates.
+#[test]
+fn preference_and_truncation() {
+    for case in 0..96 {
+        let seed = (5 << 32) | case;
+        let at = format!("case {case}, seed {seed:#x}");
+        let mut rng = SeededRng::seed_from(seed);
+        let n = rng.range_inclusive(2, 19) as usize;
+        let limit = rng.range_inclusive(1, 4) as usize;
         let t = trader_with_offers(n);
         let req = ImportRequest::any("svc")
             .with_preference(Preference::Min("cost".into()))
             .with_max_matches(limit);
         let offers = t.import(&req).unwrap();
-        prop_assert!(offers.len() <= limit);
-        let costs: Vec<i64> =
-            offers.iter().map(|o| o.property("cost").unwrap().as_int().unwrap()).collect();
+        assert!(offers.len() <= limit, "{at}: {} offers", offers.len());
+        let costs: Vec<i64> = offers
+            .iter()
+            .map(|o| o.property("cost").unwrap().as_int().unwrap())
+            .collect();
         let mut sorted = costs.clone();
         sorted.sort_unstable();
-        prop_assert_eq!(&costs, &sorted, "Min preference must sort ascending");
-        prop_assert_eq!(costs[0], 0, "cheapest offer first");
+        assert_eq!(&costs, &sorted, "{at}: Min preference must sort ascending");
+        assert_eq!(costs[0], 0, "{at}: cheapest offer first");
     }
+}
 
-    /// Constraint De Morgan over offers.
-    #[test]
-    fn constraint_de_morgan(n in 1usize..10, a in arb_constraint(), b in arb_constraint()) {
+/// Constraint De Morgan over offers.
+#[test]
+fn constraint_de_morgan() {
+    for case in 0..96 {
+        let seed = (6 << 32) | case;
+        let at = format!("case {case}, seed {seed:#x}");
+        let mut rng = SeededRng::seed_from(seed);
+        let n = rng.range_inclusive(1, 9) as usize;
+        let a = arb_constraint(&mut rng, 3);
+        let b = arb_constraint(&mut rng, 3);
         let t = trader_with_offers(n);
         let all = t.import(&ImportRequest::any("svc")).unwrap();
         let lhs = Constraint::Not(Box::new(Constraint::All(vec![a.clone(), b.clone()])));
@@ -170,7 +222,7 @@ proptest! {
             Constraint::Not(Box::new(b)),
         ]);
         for o in all {
-            prop_assert_eq!(lhs.matches(o), rhs.matches(o));
+            assert_eq!(lhs.matches(o), rhs.matches(o), "{at}: {lhs:?}");
         }
     }
 }
@@ -257,39 +309,28 @@ mod transparency_monotonicity {
             .is_ok()
     }
 
-    fn arb_selection() -> impl Strategy<Value = TransparencySelection> {
-        (
-            any::<bool>(),
-            any::<bool>(),
-            any::<bool>(),
-            any::<bool>(),
-            any::<bool>(),
-        )
-            .prop_map(|(access, location, migration, replication, failure)| {
-                TransparencySelection {
-                    access,
-                    location,
-                    migration,
-                    replication,
-                    failure,
-                }
-            })
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
-
-        #[test]
-        fn full_selection_dominates(
-            sel in arb_selection(),
-            seed in any::<u64>(),
-            crash in any::<bool>(),
-            restart in prop::option::of(1u64..5),
-        ) {
-            let partial_ok = try_with(sel, seed, crash, restart);
-            if partial_ok {
-                let full_ok = try_with(TransparencySelection::full(), seed, crash, restart);
-                prop_assert!(full_ok, "full selection failed where {sel:?} succeeded");
+    #[test]
+    fn full_selection_dominates() {
+        for case in 0..48 {
+            let seed = (7 << 32) | case;
+            let at = format!("case {case}, seed {seed:#x}");
+            let mut rng = SeededRng::seed_from(seed);
+            let mut coin = || rng.chance(0.5);
+            let sel = TransparencySelection {
+                access: coin(),
+                location: coin(),
+                migration: coin(),
+                replication: coin(),
+                failure: coin(),
+            };
+            let sim_seed = rng.next_u64();
+            let crash = rng.chance(0.5);
+            let restart = rng.chance(0.5).then(|| rng.range_inclusive(1, 4));
+            if try_with(sel, sim_seed, crash, restart) {
+                assert!(
+                    try_with(TransparencySelection::full(), sim_seed, crash, restart),
+                    "{at}: full selection failed where {sel:?} succeeded"
+                );
             }
         }
     }

@@ -23,24 +23,8 @@
 use std::collections::BTreeMap;
 
 use cscw_directory::{Attribute, Dit, Dn, Entry, EntryId};
+use cscw_kernel::SeededRng;
 use cscw_query::{SubscriptionId, SubscriptionRegistry};
-
-/// SplitMix64 — deterministic, dependency-free stream of test entropy.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
 
 const PEOPLE: u64 = 12;
 const PROJECTS: u64 = 3;
@@ -106,7 +90,7 @@ enum Done {
 }
 
 /// One random mutation of the directory.
-fn random_op(rng: &mut Rng, dit: &mut Dit) -> Done {
+fn random_op(rng: &mut SeededRng, dit: &mut Dit) -> Done {
     match rng.below(7) {
         // Add a person with random surname, mail, and edges.
         0 => {
@@ -225,7 +209,7 @@ fn random_op(rng: &mut Rng, dit: &mut Dit) -> Done {
 
 /// A random replicated-knowledge pair; values sometimes contain the
 /// substrings the knowledge queries look for.
-fn random_pair(rng: &mut Rng) -> (String, String) {
+fn random_pair(rng: &mut SeededRng) -> (String, String) {
     let key = match rng.below(3) {
         0 => format!("org:c=UK,cn=p{}", rng.below(PEOPLE)),
         1 => format!("info:doc-{}", rng.below(4)),
@@ -324,7 +308,7 @@ fn assert_incremental_equals_oracle(
 #[test]
 fn incremental_deltas_equal_full_rescan_at_every_step() {
     for seed in 1..=3u64 {
-        let mut rng = Rng(seed);
+        let mut rng = SeededRng::seed_from(seed);
         let mut dit = seed_dit();
         let mut reg = SubscriptionRegistry::new();
         let mut subs = Vec::new();
@@ -367,7 +351,7 @@ fn oracle_comparison_is_deterministic_across_runs() {
     // The whole stream — deltas and final result sets — must replay
     // identically for the same seed.
     let run = |seed: u64| {
-        let mut rng = Rng(seed);
+        let mut rng = SeededRng::seed_from(seed);
         let mut dit = seed_dit();
         let mut reg = SubscriptionRegistry::new();
         let mut ids = Vec::new();

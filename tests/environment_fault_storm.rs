@@ -19,7 +19,7 @@ use std::collections::BTreeMap;
 
 use open_cscw::directory::Dn;
 use open_cscw::groupware::{descriptor_for, mapping_for, sample_artifact};
-use open_cscw::kernel::{BreakerState, Layer, LayerError, RetryPolicy};
+use open_cscw::kernel::{BreakerState, Layer, LayerError, RetryPolicy, SeededRng};
 use open_cscw::messaging::{MtaNode, OrAddress};
 use open_cscw::mocca::env::AppId;
 use open_cscw::mocca::org::{Person, Role};
@@ -31,29 +31,9 @@ const BREAKER_THRESHOLD: u32 = 3;
 /// Breaker cooldown, in simulated microseconds.
 const COOLDOWN_MICROS: u64 = 50_000;
 
-/// Deterministic storm randomness (xorshift64*): the fault schedule
-/// must be a pure function of the seed, independent of the kernel's
-/// jitter stream.
-struct StormRng(u64);
-
-impl StormRng {
-    fn new(seed: u64) -> Self {
-        StormRng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1)
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    fn pick(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
+/// Salt of the storm's own random stream: the fault schedule is a pure
+/// function of the seed, independent of the kernel's jitter stream.
+const STORM_SALT: u64 = 0x5703;
 
 fn dn(s: &str) -> Dn {
     s.parse().unwrap()
@@ -215,7 +195,7 @@ impl Storm {
 /// fingerprint of the run.
 fn run_storm(seed: u64) -> Vec<(String, u64)> {
     let mut s = Storm::build(seed);
-    let mut rng = StormRng::new(seed);
+    let mut rng = SeededRng::seed_from(seed ^ STORM_SALT);
     let mut outcomes: Vec<Outcome> = Vec::new();
 
     // Warm-up on a healthy platform: the offer/read caches must hold
@@ -226,7 +206,7 @@ fn run_storm(seed: u64) -> Vec<(String, u64)> {
 
     // ---- the random storm --------------------------------------------------
     for _round in 0..8 {
-        match rng.pick(4) {
+        match rng.below(4) {
             0 => {
                 let (clients, servers) = (s.clients.clone(), s.servers.clone());
                 s.sim_platform()
@@ -244,7 +224,7 @@ fn run_storm(seed: u64) -> Vec<(String, u64)> {
             }
             _ => {} // a calm round
         }
-        for _ in 0..=rng.pick(2) {
+        for _ in 0..=rng.below(2) {
             outcomes.push(s.exchange());
         }
         s.heal_everything();
