@@ -195,7 +195,7 @@ fn query_scale_claims_are_checked() {
         QUERY_SCALE,
         &["cells", "4", "incremental_evals_per_delta"],
         Value::U64(7),
-        "claim `incremental evals per delta stay within 2x across the whole file` fails: 3..7",
+        "claim `incremental evals per delta stay within 2x across the whole file` fails: 2..7",
     );
     // Seeds 1 and 3 still span 219..20019 across the file; the claim
     // holds per seed, so seed 2's flat re-scan is caught.

@@ -787,13 +787,13 @@ impl CscwEnvironment {
             ctx: self.platform.telemetry().current_context(),
         };
         port.route_exchange(delivery)?;
+        self.hub.count_sent();
         self.emit_env(
             "env.exchange_remote",
             format_args!("{to} @ {}", resolution.domain),
         );
         // Record the outbound exchange locally; ids are deterministic
-        // per the operations ledger (the remote path performs no local
-        // conversion to count).
+        // per the operations ledger.
         let id = InfoObjectId::new(format!("xchg-remote:{}:{}", self.operations, to));
         self.repository.store(InfoObject::new(
             id.clone(),

@@ -111,7 +111,8 @@ impl InteropHub {
         self.mappings.len()
     }
 
-    /// Conversions performed so far (2 per exchange).
+    /// Conversions performed so far: 2 per local exchange, and 1 on
+    /// each side of an exchange with a peer environment.
     pub fn conversions_performed(&self) -> u64 {
         self.conversions_performed
     }
@@ -147,9 +148,16 @@ impl InteropHub {
         common: &BTreeMap<String, String>,
     ) -> Result<NativeArtifact, MoccaError> {
         let raised = self.from_common(to, common)?;
-        // The sending half, which the caller's `to_common` performed.
-        self.conversions_performed += 1;
+        self.count_sent();
         Ok(raised)
+    }
+
+    /// Counts the sending half of an exchange: the conversion the
+    /// caller's [`Self::to_common`] performed, once the common form is
+    /// on its way to the destination (raised here by
+    /// [`Self::exchange_common`], or handed to a peer environment).
+    pub fn count_sent(&mut self) {
+        self.conversions_performed += 1;
     }
 
     /// Materialises a common-model artifact into `to`'s native format —

@@ -778,6 +778,9 @@ mod tests {
         assert_eq!(fed.fabric().pending_inbound(), 0);
         // The destination environment raised and recorded the artifact.
         assert_eq!(fed.env("env-b").unwrap().repository().len(), 1);
+        // Each side counts its half of the exchange's two conversions.
+        let conversions = |env| fed.env(env).unwrap().hub().conversions_performed();
+        assert_eq!((conversions("env-a"), conversions("env-b")), (1, 1));
     }
 
     /// Every gossip frame leaves its subject in the receiving mailbox,

@@ -1,9 +1,9 @@
 //! The Directory Information Tree.
 //!
-//! A [`Dit`] stores entries indexed by DN and maintains the parent/child
-//! structure. It is the single-DSA building block; the distributed
-//! directory in [`crate::dsa`] composes several DITs (one naming context
-//! each) over the simulated network.
+//! A [`Dit`] stores entries and answers for them by name. It is the
+//! single-DSA building block; the distributed directory in
+//! [`crate::dsa`] composes several DITs (one naming context each) over
+//! the simulated network.
 //!
 //! Every entry also has an identity under its name: a dense
 //! [`EntryId`], allocated by [`Dit::add`], kept by
@@ -13,8 +13,25 @@
 //! standing-query layer's membership table. [`Dit::id`] and
 //! [`Dit::name`] translate between the two, and every logged
 //! [`DitChange`] carries its entry's id.
+//!
+//! The store is the slot table: the slot of an entry's id holds the
+//! entry, so [`Dit::entry`] is one vector read, and an entry's name is
+//! its own [`dn`](Entry::dn). Two indexes map names to ids:
+//!
+//! * a hash map answers every point lookup — [`get`](Dit::get),
+//!   [`id`](Dit::id), [`modify`](Dit::modify) and the existence checks
+//!   of [`add`](Dit::add) and [`rename`](Dit::rename) — and is never
+//!   iterated, so its order never escapes;
+//! * an ordered map keeps DN order for every walk:
+//!   [`iter`](Dit::iter), subtree [`search`](Dit::search),
+//!   [`remove_subtree`](Dit::remove_subtree) and
+//!   [`children`](Dit::children). A subtree is one contiguous run of
+//!   that order, starting at its root, so a child is a name in its
+//!   parent's run one level deeper, and an entry is a leaf when the
+//!   next name after it does not descend from it.
 
-use std::collections::{btree_map, BTreeMap, BTreeSet};
+use std::collections::{hash_map, BTreeMap, HashMap};
+use std::ops::Bound;
 use std::sync::Arc;
 
 use crate::attribute::{Attribute, AttributeType, AttributeValue};
@@ -54,23 +71,23 @@ impl EntryId {
     }
 }
 
-/// The id table: per slot, its generation and the name of the entry
-/// that holds it.
+/// The entry store: per slot, its generation and the entry that holds
+/// it.
 #[derive(Debug, Clone, Default)]
 struct Slots {
     /// Per slot: the current generation and, while the slot is held,
-    /// the holder's name.
-    names: Vec<(u32, Option<Dn>)>,
+    /// the holder.
+    rows: Vec<(u32, Option<Arc<Entry>>)>,
     /// Freed slots, reused last-freed first.
     free: Vec<u32>,
 }
 
 impl Slots {
-    /// A fresh id for an entry named `dn`.
-    fn alloc(&mut self, dn: Dn) -> EntryId {
+    /// Stores `entry` under a fresh id.
+    fn alloc(&mut self, entry: Arc<Entry>) -> EntryId {
         if let Some(slot) = self.free.pop() {
-            let (generation, name) = &mut self.names[slot as usize];
-            *name = Some(dn);
+            let (generation, held) = &mut self.rows[slot as usize];
+            *held = Some(entry);
             return EntryId {
                 slot,
                 generation: *generation,
@@ -78,35 +95,39 @@ impl Slots {
         }
         // A DIT never holds 2^32 entries at once: that alone would
         // take hundreds of GiB.
-        let slot = u32::try_from(self.names.len()).unwrap_or(u32::MAX);
-        self.names.push((0, Some(dn)));
+        let slot = u32::try_from(self.rows.len()).unwrap_or(u32::MAX);
+        self.rows.push((0, Some(entry)));
         EntryId {
             slot,
             generation: 0,
         }
     }
 
-    /// Retires `id`: its slot is free for reuse under the next
-    /// generation (which wraps after 2^32 reuses of one slot).
-    fn release(&mut self, id: EntryId) {
-        if let Some((generation, name)) = self.names.get_mut(id.slot()) {
-            *generation = generation.wrapping_add(1);
-            *name = None;
-            self.free.push(id.slot);
+    /// Retires `id` and hands back its entry: the slot is free for
+    /// reuse under the next generation (which wraps after 2^32 reuses
+    /// of one slot).
+    fn release(&mut self, id: EntryId) -> Option<Arc<Entry>> {
+        let (generation, held) = self.rows.get_mut(id.slot())?;
+        if *generation != id.generation {
+            return None;
+        }
+        *generation = generation.wrapping_add(1);
+        self.free.push(id.slot);
+        held.take()
+    }
+
+    /// The entry `id` holds, if it is still live.
+    fn get(&self, id: EntryId) -> Option<&Arc<Entry>> {
+        match self.rows.get(id.slot()) {
+            Some((generation, held)) if *generation == id.generation => held.as_ref(),
+            _ => None,
         }
     }
 
-    /// Gives `id` a new name.
-    fn relabel(&mut self, id: EntryId, dn: Dn) {
-        if let Some((_, name)) = self.names.get_mut(id.slot()) {
-            *name = Some(dn);
-        }
-    }
-
-    /// The name `id` holds, if it is still live.
-    fn name(&self, id: EntryId) -> Option<&Dn> {
-        match self.names.get(id.slot()) {
-            Some((generation, name)) if *generation == id.generation => name.as_ref(),
+    /// The entry `id` holds, for replacing, if it is still live.
+    fn get_mut(&mut self, id: EntryId) -> Option<&mut Arc<Entry>> {
+        match self.rows.get_mut(id.slot()) {
+            Some((generation, held)) if *generation == id.generation => held.as_mut(),
             _ => None,
         }
     }
@@ -146,10 +167,12 @@ impl Slots {
 /// ```
 #[derive(Debug)]
 pub struct Dit {
-    /// The one entry store, in DN order, each entry with its id.
-    entries: BTreeMap<Dn, (EntryId, Arc<Entry>)>,
-    children: BTreeMap<Dn, BTreeSet<Dn>>,
+    /// The one entry store, by id slot.
     slots: Slots,
+    /// Name → id, for point lookups; never iterated.
+    by_hash: HashMap<Dn, EntryId>,
+    /// Name → id in DN order, for every walk.
+    by_order: BTreeMap<Dn, EntryId>,
     schema: Schema,
     /// The change log, oldest first; `None` until
     /// [`record_changes`](Dit::record_changes) turns it on.
@@ -168,12 +191,12 @@ impl Clone for Dit {
     /// records nothing, so mutations on it never reach readers of the
     /// original's log. Neither side sees the other's later writes: a
     /// write replaces the writer's `Arc`, never the shared entry, and
-    /// each side allocates ids from its own copy of the id table.
+    /// each side allocates ids from its own copy of the slot table.
     fn clone(&self) -> Self {
         Dit {
-            entries: self.entries.clone(),
-            children: self.children.clone(),
             slots: self.slots.clone(),
+            by_hash: self.by_hash.clone(),
+            by_order: self.by_order.clone(),
             schema: self.schema.clone(),
             changes: None,
         }
@@ -189,9 +212,9 @@ impl Dit {
     /// Creates an empty DIT with a custom schema.
     pub fn with_schema(schema: Schema) -> Self {
         Dit {
-            entries: BTreeMap::new(),
-            children: BTreeMap::new(),
             slots: Slots::default(),
+            by_hash: HashMap::new(),
+            by_order: BTreeMap::new(),
             schema,
             changes: None,
         }
@@ -226,12 +249,19 @@ impl Dit {
 
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.by_order.len()
     }
 
     /// True when no entries exist.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.by_order.is_empty()
+    }
+
+    /// Logs `change` when the DIT is recording.
+    fn log(&mut self, change: impl FnOnce() -> DitChange) {
+        if let Some(log) = self.changes.as_mut() {
+            log.push(change());
+        }
     }
 
     /// Adds an entry under a fresh [`EntryId`].
@@ -250,44 +280,39 @@ impl Dit {
         };
         // A taken name always has its parent, so checking the parent
         // first reports what checking the name first would.
-        if !parent.is_root() && !self.entries.contains_key(&parent) {
+        if !parent.is_root() && !self.by_hash.contains_key(&parent) {
             return Err(DirectoryError::NoParent(dn));
         }
-        let btree_map::Entry::Vacant(vacant) = self.entries.entry(dn.clone()) else {
+        let hash_map::Entry::Vacant(vacant) = self.by_hash.entry(dn.clone()) else {
             return Err(DirectoryError::EntryExists(dn));
         };
         self.schema.validate(&entry)?;
-        let id = self.slots.alloc(dn.clone());
         let entry = Arc::new(entry);
-        if let Some(log) = self.changes.as_mut() {
-            log.push(DitChange::Added {
-                id,
-                entry: Arc::clone(&entry),
-            });
-        }
-        vacant.insert((id, entry));
-        self.children.entry(parent).or_default().insert(dn);
+        let id = self.slots.alloc(Arc::clone(&entry));
+        vacant.insert(id);
+        self.by_order.insert(dn, id);
+        self.log(|| DitChange::Added { id, entry });
         Ok(())
     }
 
     /// Reads an entry.
     pub fn get(&self, dn: &Dn) -> Option<&Entry> {
-        self.entries.get(dn).map(|(_, e)| &**e)
+        self.id(dn).and_then(|id| self.entry(id))
     }
 
     /// The id of the entry named `dn`.
     pub fn id(&self, dn: &Dn) -> Option<EntryId> {
-        self.entries.get(dn).map(|(id, _)| *id)
+        self.by_hash.get(dn).copied()
     }
 
     /// The current name of the entry `id`; `None` once it is removed.
     pub fn name(&self, id: EntryId) -> Option<&Dn> {
-        self.slots.name(id)
+        self.entry(id).map(Entry::dn)
     }
 
     /// Reads an entry by id; `None` once it is removed.
     pub fn entry(&self, id: EntryId) -> Option<&Entry> {
-        self.name(id).and_then(|dn| self.get(dn))
+        self.slots.get(id).map(|e| &**e)
     }
 
     /// Reads an entry, as a `Result`.
@@ -307,32 +332,33 @@ impl Dit {
     /// * [`DirectoryError::NoSuchEntry`] — absent.
     /// * [`DirectoryError::NotLeaf`] — entry has children.
     pub fn remove(&mut self, dn: &Dn) -> Result<Arc<Entry>, DirectoryError> {
-        let (id, entry) = self.unlink(dn)?;
-        self.slots.release(id);
-        Ok(entry)
+        let id = self.unlink(dn)?;
+        self.slots
+            .release(id)
+            .ok_or_else(|| DirectoryError::NoSuchEntry(dn.clone()))
     }
 
-    /// Takes a leaf entry out of the tree and logs it as removed, its
-    /// id still held.
-    fn unlink(&mut self, dn: &Dn) -> Result<(EntryId, Arc<Entry>), DirectoryError> {
-        if self.children.get(dn).is_some_and(|c| !c.is_empty()) {
+    /// Takes a leaf's name out of both indexes and logs the entry as
+    /// removed; its slot still holds the entry under the same id.
+    fn unlink(&mut self, dn: &Dn) -> Result<EntryId, DirectoryError> {
+        // A subtree's names follow its root in DN order.
+        let has_children = self
+            .by_order
+            .range::<Dn, _>((Bound::Excluded(dn), Bound::Unbounded))
+            .next()
+            .is_some_and(|(next, _)| dn.is_prefix_of(next));
+        if has_children {
             return Err(DirectoryError::NotLeaf(dn.clone()));
         }
-        let (id, entry) = self
-            .entries
+        let id = self
+            .by_hash
             .remove(dn)
             .ok_or_else(|| DirectoryError::NoSuchEntry(dn.clone()))?;
-        if let Some(siblings) = dn.parent().and_then(|p| self.children.get_mut(&p)) {
-            siblings.remove(dn);
+        self.by_order.remove(dn);
+        if let Some(entry) = self.slots.get(id).map(Arc::clone) {
+            self.log(|| DitChange::Removed { id, entry });
         }
-        self.children.remove(dn);
-        if let Some(log) = self.changes.as_mut() {
-            log.push(DitChange::Removed {
-                id,
-                entry: Arc::clone(&entry),
-            });
-        }
-        Ok((id, entry))
+        Ok(id)
     }
 
     /// Removes an entire subtree rooted at `dn` (inclusive), parent
@@ -344,28 +370,19 @@ impl Dit {
     /// [`DirectoryError::NoSuchEntry`] when the root of the subtree is
     /// absent.
     pub fn remove_subtree(&mut self, dn: &Dn) -> Result<usize, DirectoryError> {
-        if !self.entries.contains_key(dn) {
+        if !self.by_hash.contains_key(dn) {
             return Err(DirectoryError::NoSuchEntry(dn.clone()));
         }
-        // A subtree is one contiguous DN-ordered range.
-        let doomed: Vec<Dn> = self
-            .entries
-            .range(dn.clone()..)
-            .map(|(k, _)| k)
-            .take_while(|k| dn.is_prefix_of(k))
-            .cloned()
+        let doomed: Vec<(Dn, EntryId)> = self
+            .walk(dn.clone())
+            .map(|(name, id)| (name.clone(), id))
             .collect();
-        for d in &doomed {
-            if let Some((id, entry)) = self.entries.remove(d) {
-                self.slots.release(id);
-                if let Some(log) = self.changes.as_mut() {
-                    log.push(DitChange::Removed { id, entry });
-                }
+        for (name, id) in &doomed {
+            self.by_hash.remove(name);
+            self.by_order.remove(name);
+            if let Some(entry) = self.slots.release(*id) {
+                self.log(|| DitChange::Removed { id: *id, entry });
             }
-            self.children.remove(d);
-        }
-        if let Some(siblings) = dn.parent().and_then(|p| self.children.get_mut(&p)) {
-            siblings.remove(dn);
         }
         Ok(doomed.len())
     }
@@ -383,10 +400,9 @@ impl Dit {
     /// * [`DirectoryError::SchemaViolation`] — modification broke schema
     ///   (the stored entry is left untouched).
     pub fn modify(&mut self, dn: &Dn, f: impl FnOnce(&mut Entry)) -> Result<(), DirectoryError> {
-        let (id, stored) = self
-            .entries
-            .get_mut(dn)
-            .ok_or_else(|| DirectoryError::NoSuchEntry(dn.clone()))?;
+        let absent = || DirectoryError::NoSuchEntry(dn.clone());
+        let id = self.id(dn).ok_or_else(absent)?;
+        let stored = self.slots.get_mut(id).ok_or_else(absent)?;
         let mut after = Entry::clone(stored);
         f(&mut after);
         // The DN is structural; modifications must not change it.
@@ -397,14 +413,10 @@ impl Dit {
             // A no-op modification logs nothing.
             Some(_) if after == **stored => {}
             Some(log) => {
-                // The old state moves out of the tree into the log.
+                // The old state moves out of the store into the log.
                 let after = Arc::new(after);
                 let before = std::mem::replace(stored, Arc::clone(&after));
-                log.push(DitChange::Modified {
-                    id: *id,
-                    before,
-                    after,
-                });
+                log.push(DitChange::Modified { id, before, after });
             }
         }
         Ok(())
@@ -437,51 +449,55 @@ impl Dit {
     /// * [`DirectoryError::EntryExists`] / [`DirectoryError::NoParent`] on
     ///   the target.
     pub fn rename(&mut self, from: &Dn, to: Dn) -> Result<(), DirectoryError> {
-        if self.entries.contains_key(&to) {
+        if self.by_hash.contains_key(&to) {
             return Err(DirectoryError::EntryExists(to));
         }
         let to_parent = to
             .parent()
             .ok_or(DirectoryError::InvalidName("rename to root".into()))?;
-        if !to_parent.is_root() && !self.entries.contains_key(&to_parent) {
+        if !to_parent.is_root() && !self.by_hash.contains_key(&to_parent) {
             return Err(DirectoryError::NoParent(to));
         }
-        let (id, entry) = self.unlink(from)?;
-        let mut entry = Arc::unwrap_or_clone(entry);
-        entry.set_dn(to.clone());
-        let entry = Arc::new(entry);
-        self.slots.relabel(id, to.clone());
-        if let Some(log) = self.changes.as_mut() {
-            log.push(DitChange::Added {
-                id,
-                entry: Arc::clone(&entry),
-            });
+        let id = self.unlink(from)?;
+        if let Some(stored) = self.slots.get_mut(id) {
+            // Copies the entry only when the log still holds it.
+            Arc::make_mut(stored).set_dn(to.clone());
+            let entry = Arc::clone(stored);
+            self.log(|| DitChange::Added { id, entry });
         }
-        self.children
-            .entry(to_parent)
-            .or_default()
-            .insert(to.clone());
-        self.entries.insert(to, (id, entry));
+        self.by_hash.insert(to.clone(), id);
+        self.by_order.insert(to, id);
         Ok(())
     }
 
-    /// The immediate children of `base` (which may be the root).
+    /// The names and ids of the subtree rooted at `base` (inclusive;
+    /// every entry for the root), in DN order.
+    fn walk(&self, base: Dn) -> impl Iterator<Item = (&Dn, EntryId)> {
+        self.by_order
+            .range(base.clone()..)
+            .take_while(move |(dn, _)| base.is_prefix_of(dn))
+            .map(|(dn, id)| (dn, *id))
+    }
+
+    /// The immediate children of `base` (which may be the root), in DN
+    /// order: the names of its subtree one level deeper.
     pub fn children(&self, base: &Dn) -> impl Iterator<Item = &Entry> {
-        self.children
-            .get(base)
-            .into_iter()
-            .flat_map(|set| set.iter())
-            .filter_map(|dn| self.get(dn))
+        let depth = base.depth() + 1;
+        self.walk(base.clone())
+            .filter(move |(dn, _)| dn.depth() == depth)
+            .filter_map(|(_, id)| self.entry(id))
     }
 
     /// Iterates over every entry in DN order.
     pub fn iter(&self) -> impl Iterator<Item = &Entry> {
-        self.entries.values().map(|(_, e)| &**e)
+        self.iter_ids().map(|(_, e)| e)
     }
 
     /// Iterates over every entry with its id, in DN order.
     pub fn iter_ids(&self) -> impl Iterator<Item = (EntryId, &Entry)> {
-        self.entries.values().map(|(id, e)| (*id, &**e))
+        self.by_order
+            .values()
+            .filter_map(|&id| Some((id, self.entry(id)?)))
     }
 
     /// Evaluates a search request.
@@ -491,7 +507,7 @@ impl Dit {
     /// [`DirectoryError::NoSuchEntry`] when the base object is missing
     /// (and is not the root).
     pub fn search(&self, request: &SearchRequest) -> Result<SearchOutcome, DirectoryError> {
-        if !request.base.is_root() && !self.entries.contains_key(&request.base) {
+        if !request.base.is_root() && !self.by_hash.contains_key(&request.base) {
             return Err(DirectoryError::NoSuchEntry(request.base.clone()));
         }
         let mut entries = Vec::new();
@@ -500,10 +516,8 @@ impl Dit {
             SearchScope::Base => self.get(&request.base).into_iter().collect(),
             SearchScope::OneLevel => self.children(&request.base).collect(),
             SearchScope::Subtree => self
-                .entries
-                .range(request.base.clone()..)
-                .take_while(|(dn, _)| request.base.is_prefix_of(dn))
-                .map(|(_, (_, e))| &**e)
+                .walk(request.base.clone())
+                .filter_map(|(_, id)| self.entry(id))
                 .collect(),
         };
         for entry in candidates {

@@ -1,6 +1,6 @@
 //! Directory entries.
 
-use std::collections::BTreeMap;
+use std::collections::{btree_map, BTreeMap};
 use std::fmt;
 use std::sync::Arc;
 
@@ -143,6 +143,12 @@ impl Entry {
     /// Iterates over all attributes in type order.
     pub fn attrs(&self) -> impl Iterator<Item = &Attribute> {
         self.attrs.values().map(|a| &**a)
+    }
+
+    /// Every attribute in type order, as the shared allocation it is
+    /// stored in.
+    pub(crate) fn shared_attrs(&self) -> btree_map::Iter<'_, AttributeType, Arc<Attribute>> {
+        self.attrs.iter()
     }
 
     /// Number of attributes.

@@ -21,9 +21,16 @@
 //! where it shows them. A rename logs a `Removed` of the old name and an
 //! `Added` of the new one under the same id; a removal followed by an
 //! add of the same name logs two different ids.
+//!
+//! [`DitChange::changed_types`] names the attribute types a change may
+//! have changed, so a reader can ignore a change to attributes it does
+//! not watch without comparing any value.
 
+use std::cmp::Ordering;
+use std::iter::Peekable;
 use std::sync::Arc;
 
+use crate::attribute::{Attribute, AttributeType};
 use crate::dit::EntryId;
 use crate::entry::Entry;
 
@@ -74,6 +81,70 @@ impl DitChange {
         match self {
             DitChange::Added { entry, .. } | DitChange::Removed { entry, .. } => entry,
             DitChange::Modified { after, .. } => after,
+        }
+    }
+
+    /// The attribute types the change may have changed, in type order,
+    /// each once: every type of the entry for [`DitChange::Added`] and
+    /// [`DitChange::Removed`]; for [`DitChange::Modified`], every type
+    /// whose attribute `before` and `after` do not share.
+    ///
+    /// A shared attribute is one allocation, which a write never
+    /// mutates in place, so it is certainly unchanged. An unshared one
+    /// may still hold equal values (a rewrite with the same value), so
+    /// the set over-approximates the changed types but never misses
+    /// one. [`Dit::modify`](crate::Dit::modify) copies only the
+    /// attributes it writes, which keeps the set close to exact.
+    pub fn changed_types(&self) -> impl Iterator<Item = &AttributeType> {
+        let (before, after) = match self {
+            DitChange::Added { entry, .. } => (None, Some(entry)),
+            DitChange::Modified { before, after, .. } => (Some(before), Some(after)),
+            DitChange::Removed { entry, .. } => (Some(entry), None),
+        };
+        Unshared {
+            before: attrs_of(before).peekable(),
+            after: attrs_of(after).peekable(),
+        }
+    }
+}
+
+/// The attributes of `entry`, if any, in type order.
+fn attrs_of(entry: Option<&Arc<Entry>>) -> impl Iterator<Item = (&AttributeType, &Arc<Attribute>)> {
+    entry.into_iter().flat_map(|e| e.shared_attrs())
+}
+
+/// A merge walk of two type-ordered attribute lists, yielding each type
+/// whose attribute the two sides do not share.
+struct Unshared<I: Iterator> {
+    before: Peekable<I>,
+    after: Peekable<I>,
+}
+
+impl<'a, I> Iterator for Unshared<I>
+where
+    I: Iterator<Item = (&'a AttributeType, &'a Arc<Attribute>)>,
+{
+    type Item = &'a AttributeType;
+
+    fn next(&mut self) -> Option<&'a AttributeType> {
+        loop {
+            let side = match (self.before.peek(), self.after.peek()) {
+                (Some((b, _)), Some((a, _))) => b.cmp(a),
+                (Some(_), None) => Ordering::Less,
+                (None, Some(_)) => Ordering::Greater,
+                (None, None) => return None,
+            };
+            match side {
+                Ordering::Less => return self.before.next().map(|(ty, _)| ty),
+                Ordering::Greater => return self.after.next().map(|(ty, _)| ty),
+                Ordering::Equal => {
+                    let (ty, b) = self.before.next()?;
+                    let (_, a) = self.after.next()?;
+                    if !Arc::ptr_eq(b, a) {
+                        return Some(ty);
+                    }
+                }
+            }
         }
     }
 }
@@ -222,6 +293,53 @@ mod tests {
         assert!(
             matches!(&changes[0], DitChange::Added { entry, .. } if entry.dn().to_string() == "c=UK")
         );
+    }
+
+    /// The types `change` reports as changed, as text.
+    fn changed(change: &DitChange) -> Vec<&str> {
+        change.changed_types().map(|ty| ty.as_str()).collect()
+    }
+
+    #[test]
+    fn changed_types_name_what_a_modify_wrote() {
+        let mut dit = recording();
+        let dn: Dn = "c=UK,cn=Tom Rodden".parse().unwrap();
+        dit.add(
+            person("c=UK,cn=Tom Rodden", "Tom Rodden", "Rodden")
+                .with_attr(Attribute::single("mail", "tom@lancs.ac.uk")),
+        )
+        .unwrap();
+        // Rewriting `sn` with an equal value still copies it: reported,
+        // as the set may over-approximate. `mail` goes and `title`
+        // comes; the shared `cn` and `objectclass` are not reported.
+        dit.modify(&dn, |e| {
+            e.replace_attr(Attribute::single("sn", "Rodden"));
+            e.remove_attr(&"mail".into());
+            e.put_attr(Attribute::single("title", "lecturer"));
+        })
+        .unwrap();
+        dit.remove(&dn).unwrap();
+        let changes = dit.take_changes();
+        assert_eq!(changes.len(), 3, "{changes:?}");
+        let every = ["cn", "mail", "objectclass", "sn"];
+        assert_eq!(changed(&changes[0]), every, "an add reports every type");
+        assert_eq!(changed(&changes[1]), ["mail", "sn", "title"]);
+        assert_eq!(
+            changed(&changes[2]),
+            ["cn", "objectclass", "sn", "title"],
+            "a removal reports every type"
+        );
+    }
+
+    #[test]
+    fn a_modify_of_shared_attributes_reports_nothing() {
+        let before = Arc::new(person("c=UK,cn=A", "A A", "A"));
+        let change = DitChange::Modified {
+            id: recording().id(&"c=UK".parse().unwrap()).unwrap(),
+            before: Arc::clone(&before),
+            after: Arc::new(Entry::clone(&before)),
+        };
+        assert!(changed(&change).is_empty(), "{change:?}");
     }
 
     /// The `Debug` of the id the entry [`rendered`] builds gets, second

@@ -13,14 +13,20 @@
 //! under a higher generation), a removed entry's id stops resolving,
 //! and a snapshot keeps the ids of its source while each side's later
 //! writes leave the other's id table alone.
+//!
+//! After every step the point lookups (`get`, `id`, `entry`, `name`)
+//! must agree with the model for every name the stream can use, each
+//! entry's `children()` must be the model's children in DN order, and
+//! removing an entry with descendants must fail with `NotLeaf`.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 use cscw_kernel::SeededRng;
 
 use cscw_directory::{
-    Attribute, AttributeType, AttributeValue, Dit, DitChange, Dn, Entry, EntryId, Schema,
+    Attribute, AttributeType, AttributeValue, DirectoryError, Dit, DitChange, Dn, Entry, EntryId,
+    Schema,
 };
 
 const SEEDS: u64 = 48;
@@ -114,11 +120,25 @@ fn random_op(rng: &mut SeededRng) -> Op {
             random_person(rng)
         }),
         5..=13 => Op::Modify(random_person(rng), Edit::random(rng)),
-        14..=15 => Op::Remove(random_person(rng)),
+        14..=15 => Op::Remove(if rng.chance(0.25) {
+            org_dn(rng.below(ORGS))
+        } else {
+            random_person(rng)
+        }),
         16..=18 => Op::Rename(random_person(rng), random_person(rng)),
         _ => Op::RemoveSubtree(org_dn(rng.below(ORGS))),
     }
 }
+
+/// Every name a stream can use: the country, the organisations and
+/// the people.
+static NAMES: LazyLock<Vec<Dn>> = LazyLock::new(|| {
+    let people = (0..ORGS).flat_map(|o| (0..PEOPLE).map(move |p| person_dn(o, p)));
+    std::iter::once("c=UK".parse().unwrap())
+        .chain((0..ORGS).map(org_dn))
+        .chain(people)
+        .collect()
+});
 
 /// A valid entry for `dn`: an organisation, or a person with a
 /// multi-valued `mail`.
@@ -304,20 +324,31 @@ impl Model {
     }
 }
 
-fn run(dit: &mut Dit, op: &Op) -> bool {
+fn run(dit: &mut Dit, op: &Op) -> Result<(), DirectoryError> {
     match op {
-        Op::Add(dn) => dit.add(entry_for(dn)).is_ok(),
-        Op::Modify(dn, edit) => dit.modify(dn, |e| edit.apply(e)).is_ok(),
-        Op::Remove(dn) => dit.remove(dn).is_ok(),
-        Op::Rename(from, to) => dit.rename(from, to.clone()).is_ok(),
-        Op::RemoveSubtree(dn) => dit.remove_subtree(dn).is_ok(),
+        Op::Add(dn) => dit.add(entry_for(dn)),
+        Op::Modify(dn, edit) => dit.modify(dn, |e| edit.apply(e)),
+        Op::Remove(dn) => dit.remove(dn).map(drop),
+        Op::Rename(from, to) => dit.rename(from, to.clone()),
+        Op::RemoveSubtree(dn) => dit.remove_subtree(dn).map(drop),
     }
 }
 
 /// Runs `op` on `dit` and `model` and checks the outcome, the log and
 /// the resulting state.
 fn step(dit: &mut Dit, model: &mut Model, op: &Op, ctx: &str) {
-    let ran = run(dit, op);
+    let inner = match op {
+        Op::Remove(dn) => model.entries.contains_key(dn) && !model.is_leaf(dn),
+        _ => false,
+    };
+    let outcome = run(dit, op);
+    if inner {
+        assert!(
+            matches!(outcome, Err(DirectoryError::NotLeaf(_))),
+            "{ctx}: {op:?} of an entry with descendants gave {outcome:?}"
+        );
+    }
+    let ran = outcome.is_ok();
     let (ok, expected) = model.apply(op, |dn| dit.id(dn), ctx);
     assert_eq!(ran, ok, "{ctx}: outcome of {op:?}");
     let logged = dit.take_changes();
@@ -346,8 +377,26 @@ fn assert_state(dit: &Dit, model: &Model, ctx: &str) {
             .eq(model.entries.values().map(|(id, e)| (*id, e))),
         "{ctx}: tree differs from the model"
     );
-    for (dn, (id, _)) in &model.entries {
+    for (dn, (id, e)) in &model.entries {
         assert_eq!(dit.name(*id), Some(dn), "{ctx}: {id:?} names another entry");
+        assert_eq!(dit.id(dn), Some(*id), "{ctx}: {dn} has another id");
+        assert_eq!(dit.get(dn), Some(e), "{ctx}: get({dn})");
+        assert_eq!(dit.entry(*id), Some(e), "{ctx}: entry({id:?})");
+    }
+    for dn in NAMES.iter() {
+        if !model.entries.contains_key(dn) {
+            assert!(dit.get(dn).is_none(), "{ctx}: absent {dn} is found");
+            assert_eq!(dit.id(dn), None, "{ctx}: absent {dn} has an id");
+        }
+    }
+    let mut by_parent: BTreeMap<Dn, Vec<&Dn>> = BTreeMap::new();
+    for dn in model.entries.keys() {
+        by_parent.entry(dn.parent().unwrap()).or_default().push(dn);
+    }
+    for base in std::iter::once(Dn::root()).chain(model.entries.keys().cloned()) {
+        let children: Vec<&Dn> = dit.children(&base).map(Entry::dn).collect();
+        let expected = by_parent.get(&base).map_or(&[][..], Vec::as_slice);
+        assert_eq!(children, expected, "{ctx}: children of {base}");
     }
     for id in model.slots.values() {
         if !model.entries.values().any(|(live, _)| live == id) {
@@ -394,7 +443,7 @@ fn logs_and_snapshots_match_a_deep_copied_model() {
                 // against an empty log and the model's state.
                 let op = random_op(&mut rng);
                 let ctx = format!("seed {seed} step {i}: snapshot");
-                let ran = run(snap, &op);
+                let ran = run(snap, &op).is_ok();
                 let (ok, _) = snap_model.apply(&op, |dn| snap.id(dn), &ctx);
                 assert_eq!(ran, ok, "{ctx} {op:?}");
                 assert!(snap.take_changes().is_empty(), "a snapshot records nothing");

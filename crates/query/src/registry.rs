@@ -11,23 +11,28 @@
 //!
 //! * **attribute index** — entry subscriptions keyed by every
 //!   attribute type their query references; a change is routed to the
-//!   union over the changed entry's attributes (plus negation-bearing
-//!   queries, which cannot be pruned, and queries that currently match
-//!   the changed entry — a removal is relevant to whoever matched it).
-//! * **membership** — one table, indexed by the slot of the entry's
-//!   [`EntryId`], of `entry → its name and the entry subscriptions
-//!   whose result set holds it`. It is the only record of entry
-//!   results: one slot read per change yields both the interested
-//!   matchers and whether each matched the entry before, and a
-//!   transition updates it in place. A row whose generation is not the
-//!   id's reads as "not a member".
+//!   union over the types it touched ([`DitChange::changed_types`]:
+//!   every type of an added or removed entry, the unshared attributes
+//!   of a modified one), plus negation-bearing queries, which cannot be
+//!   pruned, and queries that currently match the changed entry, which
+//!   see every change to it. A query that neither matched the entry nor
+//!   references a changed attribute cannot start to match, so an `sn`
+//!   rewrite never evaluates a query that only watches `workson`.
+//! * **membership** — one table of `entry → its name and the entry
+//!   subscriptions whose result set holds it`, one row per member
+//!   entry, found through a dense index by the slot of the entry's
+//!   [`EntryId`]. It is the only record of entry results: one slot read
+//!   per change yields both the interested matchers and whether each
+//!   matched the entry before, and a transition updates it in place. A
+//!   row whose generation is not the id's reads as "not a member".
 //! * **key index** — knowledge subscriptions with a derivable key
 //!   prefix skip keys outside it.
 //! * **edge index** — a registry-wide reverse map `attr → target value
 //!   → referring entry ids`, so when a join target flips (an entry
 //!   starts or stops matching a join's inner filter) exactly the
 //!   entries whose edge attribute names that target are re-evaluated,
-//!   in DN order.
+//!   in DN order. A change updates it only for an edge attribute the
+//!   two states do not share.
 //!
 //! State is keyed by identity, not by name: an entry keeps its id
 //! through a modify and a rename, so no change searches a DN-keyed map
@@ -474,17 +479,17 @@ impl SubscriptionRegistry {
         let dn = change.entry().dn();
         self.index_edges(id, before, after);
 
-        // Interested subscriptions: negation queries ∪ attribute-index
-        // union ∪ whoever currently matches this entry, which also says
-        // who matched it before the change.
+        // Interested subscriptions: negation queries ∪ the attribute
+        // index over the types the change touched ∪ whoever currently
+        // matches this entry, which also says who matched it before the
+        // change. A non-member none of whose attributes changed cannot
+        // start to match.
         let mut interest = std::mem::take(&mut self.interest);
         interest.clear();
         interest.extend(self.wildcard_subs.iter().map(|&sub| (sub, false)));
-        for e in before.iter().chain(after.iter()) {
-            for attr in e.attrs() {
-                if let Some(set) = self.attr_index.get(attr.ty().as_str()) {
-                    interest.extend(set.iter().map(|&sub| (sub, false)));
-                }
+        for ty in change.changed_types() {
+            if let Some(set) = self.attr_index.get(ty.as_str()) {
+                interest.extend(set.iter().map(|&sub| (sub, false)));
             }
         }
         if let Some(member) = self.members.get(id) {
@@ -600,31 +605,31 @@ impl SubscriptionRegistry {
     }
 
     /// Keeps the edge occurrence index in step with one changed entry;
-    /// an edge attribute equal before and after costs one comparison.
+    /// an edge attribute both states share costs one comparison, and a
+    /// changed one is diffed in place.
     fn index_edges(&mut self, id: EntryId, before: Option<&Entry>, after: Option<&Entry>) {
         for (attr, occ) in &mut self.edge_occ {
-            let old_attr = before.and_then(|e| e.attr(attr));
-            let new_attr = after.and_then(|e| e.attr(attr));
-            if old_attr == new_attr {
+            let old = before.and_then(|e| e.attr(attr));
+            let new = after.and_then(|e| e.attr(attr));
+            // One shared attribute, or none on either side.
+            if old.map(std::ptr::from_ref) == new.map(std::ptr::from_ref) {
                 continue;
             }
-            let old = edge_values(old_attr);
-            let new = edge_values(new_attr);
-            for gone in old.difference(&new) {
-                if let Some(set) = occ.get_mut(*gone) {
+            for gone in edge_values(old).filter(|v| !has_edge(new, v)) {
+                if let Some(set) = occ.get_mut(gone) {
                     set.remove(&id);
                     if set.is_empty() {
-                        occ.remove(*gone);
+                        occ.remove(gone);
                     }
                 }
             }
-            for fresh in new.difference(&old) {
-                match occ.get_mut(*fresh) {
+            for fresh in edge_values(new).filter(|v| !has_edge(old, v)) {
+                match occ.get_mut(fresh) {
                     Some(set) => {
                         set.insert(id);
                     }
                     None => {
-                        occ.insert((*fresh).to_owned(), BTreeSet::from([id]));
+                        occ.insert(fresh.to_owned(), BTreeSet::from([id]));
                     }
                 }
             }
@@ -734,17 +739,23 @@ impl SubscriptionRegistry {
     }
 }
 
-/// Text values of an edge attribute, as a set.
-fn edge_values(attr: Option<&Attribute>) -> BTreeSet<&str> {
-    attr.map(|a| a.values().iter().filter_map(|v| v.as_text()).collect())
-        .unwrap_or_default()
+/// Text values of an edge attribute.
+fn edge_values(attr: Option<&Attribute>) -> impl Iterator<Item = &str> {
+    attr.into_iter()
+        .flat_map(|a| a.values())
+        .filter_map(|v| v.as_text())
+}
+
+/// Whether an edge attribute holds the text value `value`.
+fn has_edge(attr: Option<&Attribute>, value: &str) -> bool {
+    edge_values(attr).any(|v| v == value)
 }
 
 /// One row of the membership table: an entry that is in at least one
 /// entry subscription's result set.
 #[derive(Debug)]
 struct Member {
-    /// The entry; its slot is the row's index.
+    /// The entry.
     id: EntryId,
     /// The entry's name as of the last change applied.
     dn: Dn,
@@ -753,15 +764,29 @@ struct Member {
     subs: Vec<u64>,
 }
 
-/// Entry results, one optional row per entry id slot.
+/// Entry results: one row per member entry, found through a dense
+/// index by entry id slot.
 #[derive(Debug, Default)]
-struct Membership(Vec<Option<Member>>);
+struct Membership {
+    /// Per entry id slot: one more than the index of its row in
+    /// `rows`, or 0 when the slot has none.
+    index: Vec<u32>,
+    /// The rows, in no meaningful order.
+    rows: Vec<Member>,
+}
 
 impl Membership {
+    /// The position in `rows` of the row at `id`'s slot, if it has
+    /// one (which may belong to another generation).
+    fn row_at(&self, id: EntryId) -> Option<usize> {
+        let row = self.index.get(id.slot())?.checked_sub(1)?;
+        Some(row as usize)
+    }
+
     /// The row of `id`; `None` when it is in no result set, or when
     /// the slot's row belongs to another generation.
     fn get(&self, id: EntryId) -> Option<&Member> {
-        self.0.get(id.slot())?.as_ref().filter(|m| m.id == id)
+        self.rows.get(self.row_at(id)?).filter(|m| m.id == id)
     }
 
     /// The row of `id` if subscription `sub`'s result set holds it.
@@ -769,61 +794,76 @@ impl Membership {
         self.get(id).filter(|m| m.subs.binary_search(&sub).is_ok())
     }
 
-    /// Every row, in slot order.
+    /// Every row, in no meaningful order.
     fn rows(&self) -> impl Iterator<Item = &Member> {
-        self.0.iter().flatten()
+        self.rows.iter()
     }
 
     /// Records that `id`, named `dn`, entered `sub`'s result set.
     fn insert(&mut self, id: EntryId, dn: &Dn, sub: u64) {
-        let slot = id.slot();
-        if self.0.len() <= slot {
-            self.0.resize_with(slot + 1, || None);
-        }
-        match &mut self.0[slot] {
+        let fresh = || Member {
+            id,
+            dn: dn.clone(),
+            subs: vec![sub],
+        };
+        match self.row_at(id).and_then(|r| self.rows.get_mut(r)) {
             Some(m) if m.id == id => {
                 if let Err(i) = m.subs.binary_search(&sub) {
                     m.subs.insert(i, sub);
                 }
             }
-            row => {
-                *row = Some(Member {
-                    id,
-                    dn: dn.clone(),
-                    subs: vec![sub],
-                });
+            // A row left by an earlier holder of the slot.
+            Some(m) => *m = fresh(),
+            None => {
+                let slot = id.slot();
+                if self.index.len() <= slot {
+                    self.index.resize(slot + 1, 0);
+                }
+                self.index[slot] = row_index(self.rows.len());
+                self.rows.push(fresh());
             }
         }
     }
 
     /// Records that `id` left `sub`'s result set.
     fn remove(&mut self, id: EntryId, sub: u64) {
-        let Some(row) = self.0.get_mut(id.slot()) else {
+        let Some(r) = self.row_at(id) else {
             return;
         };
-        if let Some(m) = row.as_mut().filter(|m| m.id == id) {
-            if let Ok(i) = m.subs.binary_search(&sub) {
-                m.subs.remove(i);
-            }
-            if m.subs.is_empty() {
-                *row = None;
+        let Some(m) = self.rows.get_mut(r).filter(|m| m.id == id) else {
+            return;
+        };
+        if let Ok(i) = m.subs.binary_search(&sub) {
+            m.subs.remove(i);
+        }
+        if m.subs.is_empty() {
+            let gone = self.rows.swap_remove(r);
+            self.index[gone.id.slot()] = 0;
+            if let Some(moved) = self.rows.get(r) {
+                self.index[moved.id.slot()] = row_index(r);
             }
         }
     }
 
     /// Drops a cancelled subscription from every row.
     fn cancel(&mut self, sub: u64) {
-        for row in &mut self.0 {
-            if let Some(m) = row {
-                if let Ok(i) = m.subs.binary_search(&sub) {
-                    m.subs.remove(i);
-                }
-                if m.subs.is_empty() {
-                    *row = None;
-                }
+        for m in &mut self.rows {
+            if let Ok(i) = m.subs.binary_search(&sub) {
+                m.subs.remove(i);
             }
         }
+        self.rows.retain(|m| !m.subs.is_empty());
+        self.index.fill(0);
+        for (r, m) in self.rows.iter().enumerate() {
+            self.index[m.id.slot()] = row_index(r);
+        }
     }
+}
+
+/// The membership index entry of row `r`. A table never holds 2^32
+/// rows: it has one per live entry.
+fn row_index(r: usize) -> u32 {
+    u32::try_from(r + 1).unwrap_or(u32::MAX)
 }
 
 /// The directory changes one [`apply`](SubscriptionRegistry::apply)
@@ -998,6 +1038,57 @@ mod tests {
                 id: "c=UK,cn=Alice".into()
             }
         );
+        assert_eq!(reg.rescans(), 0);
+    }
+
+    #[test]
+    fn a_change_to_an_unwatched_attribute_reaches_members_and_negations_only() {
+        let telemetry = Telemetry::new();
+        let mut dit = base_dit();
+        let (a, b): (Dn, Dn) = ("c=UK,cn=A".parse().unwrap(), "c=UK,cn=B".parse().unwrap());
+        dit.add(person("c=UK,cn=A", "A A", "Rodden")).unwrap();
+        dit.add(person("c=UK,cn=B", "B B", "Prinz")).unwrap();
+        dit.take_changes();
+        let mut reg = SubscriptionRegistry::with_telemetry(telemetry.clone());
+        let rodden = reg
+            .subscribe(r#"class = person and sn = "Rodden""#, 0)
+            .unwrap();
+        reg.prime(rodden, &dit, 0).unwrap();
+        let evals = || telemetry.counter(Layer::Query, "query.eval.entry");
+
+        // No query names `mail`: B, a non-member, is not evaluated.
+        let start = evals();
+        dit.add_value(&b, "mail", "b@uk").unwrap();
+        assert!(apply_changes(&mut reg, &mut dit).is_empty());
+        assert_eq!(
+            evals(),
+            start,
+            "a non-member's unwatched change evaluates nothing"
+        );
+
+        // A, a member, is evaluated and reported changed.
+        dit.add_value(&a, "mail", "a@uk").unwrap();
+        assert_eq!(
+            apply_changes(&mut reg, &mut dit),
+            [(
+                rodden,
+                QueryDelta::Changed {
+                    id: "c=UK,cn=A".into()
+                }
+            )]
+        );
+        assert_eq!(evals(), start + 1);
+
+        // A negation query sees a change to an attribute it does not
+        // name; the attribute query still skips the non-member.
+        let unmailed = reg
+            .subscribe("class = person and not mail present", 0)
+            .unwrap();
+        assert!(reg.prime(unmailed, &dit, 0).unwrap().is_empty());
+        let start = evals();
+        dit.add_value(&b, "title", "lecturer").unwrap();
+        assert!(apply_changes(&mut reg, &mut dit).is_empty());
+        assert_eq!(evals(), start + 1, "only the negation query evaluates");
         assert_eq!(reg.rescans(), 0);
     }
 

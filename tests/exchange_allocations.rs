@@ -88,7 +88,7 @@ const EXCHANGES: u64 = 100;
 /// `cargo test` builds. To re-pin after a deliberate change, run
 /// `cargo test --test exchange_allocations` and copy the measured total
 /// from the failure message.
-const PINNED_ALLOCS: u64 = 11_553;
+const PINNED_ALLOCS: u64 = 11_540;
 
 /// The `i`-th exchange: source app, destination app, sharer.
 fn pick(i: u64) -> (usize, usize, usize) {
@@ -241,7 +241,7 @@ const AWARE_OPS: u64 = 200;
 
 /// Allocations made by [`AWARE_OPS`] awareness operations in the debug
 /// profile. Re-pin as for [`PINNED_ALLOCS`].
-const PINNED_AWARENESS_ALLOCS: u64 = 1_946;
+const PINNED_AWARENESS_ALLOCS: u64 = 1_742;
 
 /// The standing-query panel: attribute filter, edge literal, one-hop
 /// join.
