@@ -9,9 +9,9 @@
 //!
 //! * **incremental** — entries the registry actually evaluated to keep
 //!   every result set current (the `query.eval.entry` counter). The
-//!   headline claim: this stays flat (within 2×) as the population
-//!   grows 100×, because interest indexes narrow each change to the
-//!   entries it can affect.
+//!   headline claim: per emitted delta this stays flat (within 2×) as
+//!   the population grows 100×, because interest indexes narrow each
+//!   change to the entries it can affect.
 //! * **re-scan** — entries a from-scratch
 //!   [`SubscriptionRegistry::oracle_matches`] pass walks for the same
 //!   freshness, which grows linearly with the population.
@@ -118,14 +118,12 @@ cell! {
         pub ops: u64,
         /// Deltas the registry emitted over the stream.
         pub deltas_emitted: u64,
-        /// Entries evaluated incrementally across the whole stream.
+        /// Entries evaluated incrementally across the whole stream; per
+        /// emitted delta, the flat curve.
         pub incremental_evals: u64,
-        /// [`Self::incremental_evals`] / [`Self::ops`] — the flat curve.
-        pub incremental_evals_per_delta: u64,
-        /// Entries a re-scan pass walked across the whole stream.
+        /// Entries a re-scan pass walked across the whole stream; per
+        /// emitted delta, the linear curve.
         pub rescan_entries: u64,
-        /// [`Self::rescan_entries`] / [`Self::ops`] — the linear curve.
-        pub rescan_entries_per_delta: u64,
         /// Wall-clock quantiles of the incremental apply per operation
         /// (outside the determinism guarantee; scrubbed before replay
         /// comparison).
@@ -133,8 +131,9 @@ cell! {
         /// Wall-clock quantiles of the oracle re-scan per operation (same
         /// caveat).
         pub rescan_micros: PhaseQuantiles,
-        /// Hex FNV-1a digest over every deterministic field above plus the
-        /// final result sets — equal across reruns of the same cell.
+        /// Hex FNV-1a digest over the cell's behaviour: population, seed,
+        /// ops, deltas emitted and the final result sets. The work counts
+        /// stay out, so a change that only evaluates less keeps it.
         pub fingerprint: String,
     }
 }
@@ -156,12 +155,27 @@ pub fn template() -> Report {
     report(false, &[0], &[QueryScaleResult::default()])
 }
 
-/// `(min, max)` of the integer `key` over `cells`, the minimum floored
-/// at 1.
-fn spread<'a>(cells: impl Iterator<Item = &'a Value>, key: &str) -> Result<(u64, u64), String> {
-    let values: Vec<u64> = cells.map(|c| c.u64_at(key)).collect::<Result<_, _>>()?;
-    let min = values.iter().copied().min().unwrap_or(0);
-    Ok((min.max(1), values.iter().copied().max().unwrap_or(0)))
+/// An exact ratio `(numerator, denominator)`, compared by
+/// cross-multiplying rather than rounding.
+type Ratio = (u128, u128);
+
+/// The smallest and largest `key` per emitted delta over `cells`.
+fn spread<'a>(cells: impl Iterator<Item = &'a Value>, key: &str) -> Result<(Ratio, Ratio), String> {
+    let mut extremes: Option<(Ratio, Ratio)> = None;
+    for c in cells {
+        let r: Ratio = (c.u64_at(key)?.into(), c.u64_at("deltas_emitted")?.into());
+        if r.1 == 0 {
+            return Err("a cell emitted no deltas".to_owned());
+        }
+        let (lo, hi) = extremes.get_or_insert((r, r));
+        if r.0 * lo.1 < lo.0 * r.1 {
+            *lo = r;
+        }
+        if r.0 * hi.1 > hi.0 * r.1 {
+            *hi = r;
+        }
+    }
+    extremes.ok_or_else(|| "no cells".to_owned())
 }
 
 /// The query_scale headline claims.
@@ -169,10 +183,12 @@ pub const CLAIMS: &[Claim] = &[
     Claim {
         name: "incremental evals per delta stay within 2x across the whole file",
         check: |doc| {
-            let (min, max) = spread(doc.list_at("cells")?.iter(), "incremental_evals_per_delta")?;
-            let flat = max <= 2 * min;
-            flat.then_some(())
-                .ok_or(format!("{min}..{max} evals per delta"))
+            let (min, max) = spread(doc.list_at("cells")?.iter(), "incremental_evals")?;
+            let flat = max.0 * min.1 <= 2 * min.0 * max.1;
+            flat.then_some(()).ok_or(format!(
+                "{}/{}..{}/{} evals per delta",
+                min.0, min.1, max.0, max.1
+            ))
         },
     },
     Claim {
@@ -183,11 +199,15 @@ pub const CLAIMS: &[Claim] = &[
                     .list_at("cells")?
                     .iter()
                     .filter(|c| c.at("seed") == Ok(seed));
-                let (min, max) = spread(sweep, "rescan_entries_per_delta")?;
-                if max < 50 * min {
+                let (min, max) = spread(sweep, "rescan_entries")?;
+                if max.0 * min.1 < 50 * min.0 * max.1 {
                     return Err(format!(
-                        "seed {}: {min}..{max} entries per delta",
-                        seed.to_json()
+                        "seed {}: {}/{}..{}/{} entries per delta",
+                        seed.to_json(),
+                        min.0,
+                        min.1,
+                        max.0,
+                        max.1
                     ));
                 }
             }
@@ -300,27 +320,25 @@ pub fn run(population: usize, seed: u64) -> Result<QueryScaleResult, Box<dyn std
         ops: OPS,
         deltas_emitted,
         incremental_evals,
-        incremental_evals_per_delta: incremental_evals.div_ceil(OPS),
         rescan_entries,
-        rescan_entries_per_delta: rescan_entries / OPS,
         incremental_micros: PhaseQuantiles::of(&telemetry, Layer::Query, "query.phase.incremental"),
         rescan_micros: PhaseQuantiles::of(&telemetry, Layer::Query, "query.phase.rescan"),
         fingerprint: String::new(),
     };
-    r.fingerprint = format!(
+    r.fingerprint = fingerprint(&r, &digest);
+    Ok(r)
+}
+
+/// The cell's behaviour fingerprint over `digest`, the final result
+/// sets.
+fn fingerprint(r: &QueryScaleResult, digest: &str) -> String {
+    format!(
         "{:016x}",
         fnv1a(&format!(
-            "query_scale:{}:{}:{}:{}:{}:{}:{}",
-            r.population,
-            r.seed,
-            r.ops,
-            r.deltas_emitted,
-            r.incremental_evals,
-            r.rescan_entries,
-            digest,
+            "query_scale:{}:{}:{}:{}:{}",
+            r.population, r.seed, r.ops, r.deltas_emitted, digest,
         ))
-    );
-    Ok(r)
+    )
 }
 
 /// A cell with its wall-clock quantiles zeroed — the deterministic
@@ -343,10 +361,10 @@ mod tests {
         assert!(a.deltas_emitted > 0, "{a:?}");
         // The panel evaluates a handful of entries per op, not the tree.
         assert!(
-            a.incremental_evals_per_delta * 10 <= a.rescan_entries_per_delta,
+            a.incremental_evals * 10 <= a.rescan_entries,
             "incremental {} must be far below re-scan {}",
-            a.incremental_evals_per_delta,
-            a.rescan_entries_per_delta
+            a.incremental_evals,
+            a.rescan_entries
         );
         let b = run(200, 1).expect("cell");
         assert_eq!(scrub(a), scrub(b), "cell must replay bit-for-bit");
@@ -356,18 +374,44 @@ mod tests {
     fn incremental_cost_is_flat_while_rescan_grows() {
         let small = run(200, 1).expect("cell");
         let large = run(2_000, 1).expect("cell");
+        // Per emitted delta, cross-multiplied: a/b <= 2c/d iff ad <= 2cb.
         assert!(
-            large.incremental_evals_per_delta <= 2 * small.incremental_evals_per_delta.max(1),
-            "10x population must not double per-delta cost: {} -> {}",
-            small.incremental_evals_per_delta,
-            large.incremental_evals_per_delta
+            large.incremental_evals * small.deltas_emitted
+                <= 2 * small.incremental_evals * large.deltas_emitted,
+            "10x population must not double per-delta cost: {small:?} -> {large:?}"
         );
         assert!(
-            large.rescan_entries_per_delta >= 5 * small.rescan_entries_per_delta,
-            "re-scan must track population: {} -> {}",
-            small.rescan_entries_per_delta,
-            large.rescan_entries_per_delta
+            large.rescan_entries * small.deltas_emitted
+                >= 5 * small.rescan_entries * large.deltas_emitted,
+            "re-scan must track population: {small:?} -> {large:?}"
         );
+    }
+
+    #[test]
+    fn fingerprint_covers_behaviour_not_work() {
+        let a = QueryScaleResult {
+            population: 200,
+            seed: 1,
+            ops: OPS,
+            deltas_emitted: 81,
+            incremental_evals: 108,
+            rescan_entries: 14_016,
+            ..QueryScaleResult::default()
+        };
+        let evaluates_less = QueryScaleResult {
+            incremental_evals: 54,
+            ..a.clone()
+        };
+        assert_eq!(
+            fingerprint(&a, "3:x;"),
+            fingerprint(&evaluates_less, "3:x;")
+        );
+        let emits_more = QueryScaleResult {
+            deltas_emitted: 82,
+            ..a.clone()
+        };
+        assert_ne!(fingerprint(&a, "3:x;"), fingerprint(&emits_more, "3:x;"));
+        assert_ne!(fingerprint(&a, "3:x;"), fingerprint(&a, "4:x;"));
     }
 
     #[test]

@@ -5,7 +5,7 @@ use std::fmt;
 /// One rule violation at a source location.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule id: `R1`…`R4`.
+    /// Rule id: `R1`…`R6`.
     pub rule: &'static str,
     /// Repo-relative file path (forward slashes).
     pub file: String,
@@ -50,7 +50,7 @@ pub fn sort_findings(findings: &mut [Finding]) {
 }
 
 /// Escapes a string for JSON output.
-pub fn json_escape(s: &str) -> String {
+fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {

@@ -29,13 +29,14 @@
 //! no proc-macro machinery): it must run offline in the same container
 //! as the code it checks, and it must depend on nothing it judges.
 //!
-//! Existing debt is tracked in `conform-baseline.toml` as a ratchet:
-//! new findings fail the check, baselined counts may only go down.
+//! A workspace conforms when [`analyze`] returns no findings. The one
+//! escape hatch is a waiver at the site, with its reason:
+//! `conform: allow(Rn) — reason` covers its own line and the one below,
+//! and `conform: allow-file(Rn) — reason` covers the whole file.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod diag;
 pub mod graph;
 pub mod lexer;
@@ -46,7 +47,6 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::Path;
 
-use baseline::{Baseline, RatchetReport};
 use diag::{sort_findings, Finding};
 use graph::CallGraph;
 use lexer::{lex, strip_test_code};
@@ -142,38 +142,4 @@ pub fn analyze(root: &Path) -> std::io::Result<Analysis> {
 fn rel_path(root: &Path, path: &Path) -> String {
     let rel = path.strip_prefix(root).unwrap_or(path);
     rel.to_string_lossy().replace('\\', "/")
-}
-
-/// The outcome of a full `check` run.
-#[derive(Debug)]
-pub struct CheckOutcome {
-    /// The analysis itself.
-    pub analysis: Analysis,
-    /// The baseline the findings were ratcheted against.
-    pub baseline: Baseline,
-    /// Regression/staleness report.
-    pub report: RatchetReport,
-}
-
-impl CheckOutcome {
-    /// True when the check passes: no findings exceed the baseline, and
-    /// (under `deny_stale`) no baselined debt has silently disappeared.
-    pub fn is_pass(&self, deny_stale: bool) -> bool {
-        self.report.is_pass() && (!deny_stale || self.report.stale.is_empty())
-    }
-}
-
-/// Analyses `root` and ratchets the findings against `baseline`.
-///
-/// # Errors
-///
-/// I/O failures reading the workspace.
-pub fn check(root: &Path, baseline: Baseline) -> std::io::Result<CheckOutcome> {
-    let analysis = analyze(root)?;
-    let report = baseline.ratchet(&analysis.findings);
-    Ok(CheckOutcome {
-        analysis,
-        baseline,
-        report,
-    })
 }

@@ -1,38 +1,34 @@
 //! CLI for the conformance analyzer.
 //!
 //! ```text
-//! cargo run -p cscw-conform -- check [--root PATH] [--baseline PATH]
-//!                                    [--format human|json|github]
-//!                                    [-D|--deny] [--write-baseline]
+//! cargo run -p cscw-conform -- check [--root PATH] [--format human|json|github]
 //! ```
+//!
+//! The gate is zero findings: real debt is fixed, or waived at its site
+//! with a reason (`conform: allow(Rn) — reason`).
 //!
 //! `--format github` renders findings as GitHub Actions workflow
 //! commands (`::error file=…,line=…::…`) so a failing `conform` job
 //! annotates the offending lines right in the PR diff.
 //!
-//! Exit codes: `0` pass, `1` conformance failure (regressions, or stale
-//! baseline entries under `--deny`), `2` usage or I/O error.
+//! Exit codes: `0` no findings, `1` any finding, `2` usage or I/O error.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use cscw_conform::baseline::Baseline;
-use cscw_conform::diag::{findings_to_json, json_escape};
-use cscw_conform::{check, CheckOutcome};
+use cscw_conform::diag::findings_to_json;
+use cscw_conform::{analyze, Analysis};
 
 const USAGE: &str = "\
 usage: cscw-conform check [options]
 
 options:
   --root PATH        workspace root to analyse (default: .)
-  --baseline PATH    baseline file (default: <root>/conform-baseline.toml)
   --format FMT       human | json | github (default: human)
-  -D, --deny         also fail on stale baseline entries
-  --write-baseline   rewrite the baseline to match current findings
   -h, --help         show this help
 ";
 
-#[derive(Clone, Copy, PartialEq, Eq)]
+#[derive(Clone, Copy)]
 enum Format {
     Human,
     Json,
@@ -41,19 +37,13 @@ enum Format {
 
 struct Options {
     root: PathBuf,
-    baseline_path: Option<PathBuf>,
     format: Format,
-    deny: bool,
-    write_baseline: bool,
 }
 
 fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut opts = Options {
         root: PathBuf::from("."),
-        baseline_path: None,
         format: Format::Human,
-        deny: false,
-        write_baseline: false,
     };
     let mut saw_check = false;
     let mut i = 0usize;
@@ -61,26 +51,22 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         let arg = args[i].as_str();
         match arg {
             "check" if !saw_check => saw_check = true,
-            "--root" | "--baseline" | "--format" => {
+            "--root" | "--format" => {
                 let value = args
                     .get(i + 1)
                     .ok_or_else(|| format!("{arg} needs a value"))?;
                 if arg == "--root" {
                     opts.root = PathBuf::from(value);
-                } else if arg == "--baseline" {
-                    opts.baseline_path = Some(PathBuf::from(value));
                 } else {
-                    match value.as_str() {
-                        "human" => opts.format = Format::Human,
-                        "json" => opts.format = Format::Json,
-                        "github" => opts.format = Format::Github,
+                    opts.format = match value.as_str() {
+                        "human" => Format::Human,
+                        "json" => Format::Json,
+                        "github" => Format::Github,
                         other => return Err(format!("unknown format {other:?}")),
-                    }
+                    };
                 }
                 i += 1;
             }
-            "-D" | "--deny" => opts.deny = true,
-            "--write-baseline" => opts.write_baseline = true,
             "-h" | "--help" => return Err(String::new()),
             other => return Err(format!("unknown argument {other:?}")),
         }
@@ -104,126 +90,69 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    match run(&opts) {
-        Ok(pass) => {
-            if pass {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::from(1)
-            }
+    let analysis = match analyze(&opts.root) {
+        Ok(analysis) => analysis,
+        Err(e) => {
+            eprintln!("error: analysing {}: {e}", opts.root.display());
+            return ExitCode::from(2);
         }
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            ExitCode::from(2)
-        }
-    }
-}
-
-fn run(opts: &Options) -> Result<bool, String> {
-    let baseline_path = opts
-        .baseline_path
-        .clone()
-        .unwrap_or_else(|| opts.root.join("conform-baseline.toml"));
-    let baseline = if baseline_path.is_file() {
-        let text = std::fs::read_to_string(&baseline_path)
-            .map_err(|e| format!("reading {}: {e}", baseline_path.display()))?;
-        Baseline::parse(&text)?
-    } else {
-        Baseline::empty()
     };
-
-    let outcome = check(&opts.root, baseline)
-        .map_err(|e| format!("analysing {}: {e}", opts.root.display()))?;
-
-    if opts.write_baseline {
-        let regenerated = Baseline::from_findings(&outcome.analysis.findings);
-        std::fs::write(&baseline_path, regenerated.render())
-            .map_err(|e| format!("writing {}: {e}", baseline_path.display()))?;
-        eprintln!(
-            "wrote {} ({} entries, {} findings)",
-            baseline_path.display(),
-            regenerated.len(),
-            regenerated.total()
-        );
-        return Ok(true);
+    let pass = analysis.findings.is_empty();
+    print!(
+        "{}",
+        match opts.format {
+            Format::Human => render_human(&analysis, pass),
+            Format::Json => render_json(&analysis, pass),
+            Format::Github => render_github(&analysis, pass),
+        }
+    );
+    if pass {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::from(1)
     }
-
-    let pass = outcome.is_pass(opts.deny);
-    match opts.format {
-        Format::Human => print!("{}", render_human(&outcome, opts.deny, pass)),
-        Format::Json => print!("{}", render_json(&outcome, pass)),
-        Format::Github => print!("{}", render_github(&outcome, opts.deny, pass)),
-    }
-    Ok(pass)
 }
 
-fn render_human(outcome: &CheckOutcome, deny: bool, pass: bool) -> String {
-    let mut out = String::new();
-    let a = &outcome.analysis;
-    out.push_str(&format!(
-        "cscw-conform: {} crates, {} files, {} findings ({} baselined)\n",
+fn verdict(pass: bool) -> &'static str {
+    if pass {
+        "PASS"
+    } else {
+        "FAIL"
+    }
+}
+
+fn render_human(a: &Analysis, pass: bool) -> String {
+    let mut out = format!(
+        "cscw-conform: {} crates, {} files, {} findings\n",
         a.crates,
         a.files,
-        a.findings.len(),
-        outcome.baseline.total()
-    ));
-    if !outcome.report.regressions.is_empty() {
-        out.push_str("\nregressions (counts above baseline):\n");
-        for (rule, file, allowed, got, bucket) in &outcome.report.regressions {
-            out.push_str(&format!(
-                "  {rule} {file}: {got} findings, baseline allows {allowed}\n"
-            ));
-            for f in bucket {
-                out.push_str(&format!("    {f}\n"));
-            }
-        }
+        a.findings.len()
+    );
+    for f in &a.findings {
+        out.push_str(&format!("  {f}\n"));
     }
-    if !outcome.report.stale.is_empty() {
-        out.push_str("\nstale baseline entries (debt paid down — regenerate the baseline):\n");
-        for (rule, file, allowed, got) in &outcome.report.stale {
-            out.push_str(&format!(
-                "  {rule} {file}: baseline says {allowed}, found {got}\n"
-            ));
-        }
-        if deny {
-            out.push_str("  (--deny: staleness is a failure)\n");
-        }
-    }
-    out.push_str(if pass {
-        "\nconformance: PASS\n"
-    } else {
-        "\nconformance: FAIL\n"
-    });
+    out.push_str(&format!("\nconformance: {}\n", verdict(pass)));
     out
 }
 
-/// GitHub Actions workflow commands: one `::error` per finding above
-/// the baseline (annotating the PR diff at file+line), one `::warning`
-/// per stale baseline entry, and a human tail line for the job log.
-fn render_github(outcome: &CheckOutcome, deny: bool, pass: bool) -> String {
+/// GitHub Actions workflow commands: one `::error` per finding
+/// (annotating the PR diff at file+line), then a human tail line for
+/// the job log.
+fn render_github(a: &Analysis, pass: bool) -> String {
     let mut out = String::new();
-    for (rule, _file, _allowed, _got, bucket) in &outcome.report.regressions {
-        for f in bucket {
-            out.push_str(&format!(
-                "::error file={},line={},title=cscw-conform {rule}::{}\n",
-                gh_property(&f.file),
-                f.line,
-                gh_message(&f.message)
-            ));
-        }
-    }
-    for (rule, file, allowed, got) in &outcome.report.stale {
+    for f in &a.findings {
         out.push_str(&format!(
-            "::warning file={},title=cscw-conform {rule} stale baseline::baseline \
-             says {allowed}, found {got}{}\n",
-            gh_property(file),
-            if deny { " (failing under --deny)" } else { "" }
+            "::error file={},line={},title=cscw-conform {}::{}\n",
+            gh_property(&f.file),
+            f.line,
+            f.rule,
+            gh_message(&f.message)
         ));
     }
     out.push_str(&format!(
         "cscw-conform: {} findings, conformance {}\n",
-        outcome.analysis.findings.len(),
-        if pass { "PASS" } else { "FAIL" }
+        a.findings.len(),
+        verdict(pass)
     ));
     out
 }
@@ -240,38 +169,11 @@ fn gh_property(s: &str) -> String {
     gh_message(s).replace(':', "%3A").replace(',', "%2C")
 }
 
-fn render_json(outcome: &CheckOutcome, pass: bool) -> String {
-    let a = &outcome.analysis;
-    let mut out = String::from("{");
-    out.push_str(&format!(
-        "\"pass\":{pass},\"crates\":{},\"files\":{},\"baseline_total\":{},",
+fn render_json(a: &Analysis, pass: bool) -> String {
+    format!(
+        "{{\"pass\":{pass},\"crates\":{},\"files\":{},\"findings\":{}}}\n",
         a.crates,
         a.files,
-        outcome.baseline.total()
-    ));
-    out.push_str(&format!("\"findings\":{},", findings_to_json(&a.findings)));
-    out.push_str("\"regressions\":[");
-    for (i, (rule, file, allowed, got, _)) in outcome.report.regressions.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"rule\":\"{}\",\"file\":\"{}\",\"baseline\":{allowed},\"found\":{got}}}",
-            json_escape(rule),
-            json_escape(file)
-        ));
-    }
-    out.push_str("],\"stale\":[");
-    for (i, (rule, file, allowed, got)) in outcome.report.stale.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"rule\":\"{}\",\"file\":\"{}\",\"baseline\":{allowed},\"found\":{got}}}",
-            json_escape(rule),
-            json_escape(file)
-        ));
-    }
-    out.push_str("]}\n");
-    out
+        findings_to_json(&a.findings)
+    )
 }

@@ -20,8 +20,7 @@
 //! `HashMap`; a digest may not.
 //!
 //! Designed-in sites (the kernel `Clock`'s epoch anchor) carry
-//! `conform: allow(determinism)` waivers with their rationale; the
-//! plain `allow(R5)` spelling works too.
+//! `conform: allow(R5)` waivers with their rationale.
 
 use std::collections::BTreeSet;
 
@@ -87,10 +86,6 @@ fn wall_clock_read(toks: &[Token], i: usize) -> Option<&'static str> {
     .then_some(which)
 }
 
-fn waived(ctx: &FileContext<'_>, line: u32) -> bool {
-    ctx.waivers.covers("R5", line) || ctx.waivers.covers("determinism", line)
-}
-
 /// Checks one file's determinism discipline. `file_idx` is this file's
 /// index in the order the call graph was built over; `hash_names` is
 /// the owning crate's set of hash-typed identifiers.
@@ -110,7 +105,7 @@ pub fn check_determinism(
 
         // Wall-clock and unseeded-randomness reads: flagged anywhere.
         if let Some(call) = wall_clock_read(toks, i) {
-            if !waived(ctx, line) {
+            if !ctx.waivers.covers("R5", line) {
                 findings.push(Finding::new(
                     "R5",
                     ctx.rel_path.clone(),
@@ -124,7 +119,7 @@ pub fn check_determinism(
             continue;
         }
         if toks[i].kind.is_ident("thread_rng") || toks[i].kind.is_ident("from_entropy") {
-            if !waived(ctx, line) {
+            if !ctx.waivers.covers("R5", line) {
                 let what = toks[i].kind.ident().unwrap_or_default();
                 findings.push(Finding::new(
                     "R5",
@@ -148,7 +143,7 @@ pub fn check_determinism(
         let Some(sens) = graph.sensitivity(f) else {
             continue;
         };
-        if waived(ctx, line) {
+        if ctx.waivers.covers("R5", line) {
             continue;
         }
         let sink = &graph.fns[sens.sink];

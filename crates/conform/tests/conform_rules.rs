@@ -1,11 +1,9 @@
 //! Fixture-based integration tests: each rule has a clean fixture and a
-//! violating fixture, plus the ratchet semantics over synthetic
-//! baselines.
+//! violating fixture, plus lexer and call-graph edge cases.
 
 use std::path::PathBuf;
 
 use cscw_conform::analyze;
-use cscw_conform::baseline::Baseline;
 use cscw_conform::diag::Finding;
 use cscw_conform::graph::CallGraph;
 use cscw_conform::lexer::{lex, TokenKind};
@@ -166,38 +164,6 @@ fn waiver_pragmas_suppress_findings() {
         findings.is_empty(),
         "expected all waived, got: {findings:#?}"
     );
-}
-
-#[test]
-fn ratchet_passes_at_exact_counts_and_fails_on_one_more() {
-    let findings = findings_for("layering");
-    assert!(!findings.is_empty());
-
-    // A baseline generated from the findings themselves passes.
-    let exact = Baseline::from_findings(&findings);
-    assert!(exact.ratchet(&findings).is_pass());
-
-    // Dropping one entry's count by one (simulating a newly introduced
-    // violation relative to the recorded debt) must fail the check.
-    let mut reduced = findings.clone();
-    reduced.pop();
-    let tighter = Baseline::from_findings(&reduced);
-    let report = tighter.ratchet(&findings);
-    assert!(!report.is_pass());
-    assert_eq!(report.regressions.len(), 1);
-
-    // Paying down debt only goes stale, never fails the default check.
-    let report = exact.ratchet(&reduced);
-    assert!(report.is_pass());
-    assert!(!report.stale.is_empty());
-}
-
-#[test]
-fn baseline_round_trips_through_render_and_parse() {
-    let findings = findings_for("errors");
-    let baseline = Baseline::from_findings(&findings);
-    let parsed = Baseline::parse(&baseline.render()).expect("rendered baseline parses");
-    assert_eq!(baseline, parsed);
 }
 
 // --- Lexer edge cases the call-graph pass depends on ------------------

@@ -20,7 +20,7 @@ fn always_there() -> Option<u64> {
 }
 
 pub fn epoch_micros() -> u64 {
-    // conform: allow(determinism) — fixture exercises the R5 alias pragma
+    // conform: allow(R5) — fixture exercises the determinism waiver
     let anchor = std::time::Instant::now();
     anchor.elapsed().as_micros() as u64
 }

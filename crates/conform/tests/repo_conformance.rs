@@ -1,122 +1,31 @@
-//! The workspace's own conformance gate: `cargo test` enforces the
-//! committed baseline, so a layering/panic/lock/telemetry/determinism/
-//! span regression fails the test suite even before CI runs the
-//! analyzer binary.
+//! The workspace's own conformance gate: `cargo test` runs the analyzer
+//! over the shipping source, so a layering/panic/lock/telemetry/
+//! determinism/span finding fails the test suite even before CI runs
+//! the analyzer binary.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
-use cscw_conform::baseline::Baseline;
-use cscw_conform::diag::Finding;
-use cscw_conform::{analyze, check};
+use cscw_conform::analyze;
 
-fn workspace_root() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+/// Zero findings across every rule. This holds R1 at zero in the
+/// groupware apps that once reached `simnet` directly (`bbs`,
+/// `conference`, `lens_mail`, `procedure`), R2 at zero panic sites, and
+/// R5/R6 at the zero they entered with.
+#[test]
+fn workspace_has_no_findings() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
         .canonicalize()
-        .expect("workspace root exists")
-}
-
-fn committed_baseline(root: &Path) -> Baseline {
-    let path = root.join("conform-baseline.toml");
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("reading {}: {e}", path.display()));
-    Baseline::parse(&text).expect("committed baseline parses")
-}
-
-#[test]
-fn workspace_conforms_to_committed_baseline() {
-    let root = workspace_root();
-    let baseline = committed_baseline(&root);
-    let outcome = check(&root, baseline).expect("analysis succeeds");
-    let mut detail = String::new();
-    for (rule, file, allowed, got, bucket) in &outcome.report.regressions {
-        detail.push_str(&format!(
-            "\n{rule} {file}: {got} findings, baseline allows {allowed}"
-        ));
-        for f in bucket {
-            detail.push_str(&format!("\n    {f}"));
-        }
-    }
+        .expect("workspace root exists");
+    let analysis = analyze(&root).expect("analysis succeeds");
+    let listed: String = analysis
+        .findings
+        .iter()
+        .map(|f| format!("\n  {} {}:{} {}", f.rule, f.file, f.line, f.message))
+        .collect();
     assert!(
-        outcome.report.is_pass(),
-        "conformance regressions (fix them, or if intentional debt, regenerate \
-         conform-baseline.toml with `cargo run -p cscw-conform -- check --write-baseline`):{detail}"
+        analysis.findings.is_empty(),
+        "conformance findings (fix them, or waive each at its site with \
+         `conform: allow(Rn) — reason`):{listed}"
     );
-}
-
-#[test]
-fn groupware_simnet_debt_is_paid_and_stays_paid() {
-    // The groupware→simnet bypasses the analyzer originally tracked as
-    // debt were paid down (the apps now host nodes through
-    // `cscw_messaging::net` and carry kernel `Timestamp`s); the ratchet
-    // must hold them at zero.
-    let root = workspace_root();
-    let baseline = committed_baseline(&root);
-    for file in [
-        "crates/groupware/src/bbs.rs",
-        "crates/groupware/src/conference.rs",
-        "crates/groupware/src/lens_mail.rs",
-        "crates/groupware/src/procedure.rs",
-    ] {
-        assert_eq!(
-            baseline.count("R1", file),
-            0,
-            "R1 debt crept back into the baseline for {file}"
-        );
-    }
-}
-
-#[test]
-fn panic_debt_is_paid_and_stays_paid() {
-    // PR 4 burned down every baselined R2 panic site; the ratchet must
-    // hold the whole rule at zero.
-    let root = workspace_root();
-    let baseline = committed_baseline(&root);
-    assert_eq!(
-        baseline.total_for_rule("R2"),
-        0,
-        "R2 panic debt crept back into the baseline"
-    );
-}
-
-#[test]
-fn determinism_and_span_discipline_enter_with_zero_baseline() {
-    // R5/R6 landed with the shipping code already clean (simnet's maps
-    // became `BTreeMap`s, the kernel clock's epoch carries its
-    // determinism waiver): the ratchet must hold both rules at zero,
-    // and the strict `check -D` the CI job runs must pass.
-    let root = workspace_root();
-    let baseline = committed_baseline(&root);
-    assert_eq!(
-        baseline.total_for_rule("R5"),
-        0,
-        "R5 determinism debt crept into the baseline"
-    );
-    assert_eq!(
-        baseline.total_for_rule("R6"),
-        0,
-        "R6 span debt crept into the baseline"
-    );
-    let outcome = check(&root, baseline).expect("analysis succeeds");
-    assert!(
-        outcome.is_pass(true),
-        "`check -D` must stay clean with R5/R6 enabled: {:#?}",
-        outcome.analysis.findings
-    );
-}
-
-#[test]
-fn a_synthetic_violation_fails_the_ratchet() {
-    let root = workspace_root();
-    let baseline = committed_baseline(&root);
-    let mut analysis = analyze(&root).expect("analysis succeeds");
-    // Simulate one new net-layer bypass appearing in shipping code.
-    analysis.findings.push(Finding::new(
-        "R1",
-        "crates/groupware/src/bbs.rs",
-        1,
-        "synthetic: one more `simnet` reference",
-    ));
-    let report = baseline.ratchet(&analysis.findings);
-    assert!(!report.is_pass(), "the synthetic violation must regress");
 }

@@ -4,8 +4,10 @@
 //! less clear with users having similar powers and status as system
 //! developers." A [`TailorRule`] is the users' programming surface:
 //! *when* an event matching a pattern arrives, *do* an action. The
-//! groupware mail application (and the environment's event bus) run
-//! events through a [`RuleEngine`].
+//! Object-Lens-style mail application (`groupware::lens_mail`) files
+//! its messages through a [`RuleEngine`], and the paper bench's R4
+//! experiment drives one directly; the environment's event bus runs no
+//! rules.
 
 use cscw_directory::Dn;
 

@@ -29,7 +29,7 @@ impl WallClock {
             // This is *the* designed-in wall-clock read: the one place
             // real time enters the system, behind the `Clock` port so
             // everything above can replay against simulated time instead.
-            // conform: allow(determinism) — WallClock is the Clock port's real-time anchor
+            // conform: allow(R5) — WallClock is the Clock port's real-time anchor
             epoch: Instant::now(),
         }
     }

@@ -24,9 +24,11 @@
 //! * **Domains** — management domains and federation contracts backing
 //!   the CSCW organisation transparency ([`DomainRegistry`]).
 //!
-//! The MOCCA environment (`mocca` crate) is built strictly on top of
-//! this layer: every CSCW-environment operation lowers to ODP
-//! invocations, which is the layering claim of the paper's Figure 4.
+//! The MOCCA environment (`mocca` crate) sits above this layer in the
+//! paper's Figure 4, but only its trading operations reach it today:
+//! `register_app` exports an offer and `exchange` imports one.
+//! `store_object` and `publish_knowledge` go straight to the directory
+//! and never touch ODP.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
