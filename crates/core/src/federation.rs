@@ -922,8 +922,8 @@ mod tests {
     }
 
     /// Domain names holding a separator of some wire grammar: the
-    /// frame header (`|`, `@`), the O/R mailbox address (`;`, `=`),
-    /// the vector clock (`,`) and the escape character itself.
+    /// frame header (`|`, `@`), the O/R mailbox address (`;`, `=`)
+    /// and the escape character itself; `,` is a separator of none.
     #[test]
     fn awkward_domain_names_gossip_and_converge() {
         for name in ["env|b", "env;b", "env=b", "env@1.2", "env,a", "env%a"] {

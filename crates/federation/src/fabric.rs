@@ -346,10 +346,14 @@ impl FederationFabric {
             delta.len() as u64,
         );
         let ctx = inner.telemetry.current_context();
-        // Per record: the four text fields, five separators and a seq.
+        // Per record: the three text fields, the stamp's digits, five
+        // separators and a seq of at most 20 digits.
         let body: usize = delta
             .iter()
-            .map(|e| e.key.len() + e.value.len() + e.clock.as_str().len() + e.origin.len() + 26)
+            .map(|e| {
+                let stamp_digits = e.stamp.checked_ilog10().map_or(1, |d| d as usize + 1);
+                e.key.len() + e.value.len() + e.origin.len() + stamp_digits + 25
+            })
             .sum();
         let mut wire = String::with_capacity(HEADER_BYTES + state.name.len() + body);
         GossipFrame::write_header(&mut wire, FrameKind::Delta, &state.name, ctx);

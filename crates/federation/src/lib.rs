@@ -12,8 +12,8 @@
 //!   visited set, with TTL-cached remote offers.
 //! * **Anti-entropy knowledge replication** ([`ReplicatedStore`]) —
 //!   the Information and Organisational models replicate as versioned
-//!   entries under per-environment vector clocks, with causal
-//!   per-origin delivery and deterministic conflict resolution;
+//!   entries, each carrying one Lamport stamp, with causal per-origin
+//!   delivery and deterministic conflict resolution;
 //!   periodic digest exchange + delta sync ride the messaging layer as
 //!   [`cscw_messaging::gossip`] frames.
 //! * **Remote exchange routing** ([`FederationFabric`],
@@ -36,13 +36,11 @@
 
 #![warn(missing_docs)]
 
-pub mod clock;
 pub mod error;
 pub mod fabric;
 pub mod replica;
 pub mod trader;
 
-pub use clock::{ClockOrder, VectorClock};
 pub use error::FederationError;
 pub use fabric::{DomainPort, FederationFabric, FederationPort, RemoteDelivery, SiteId};
 pub use replica::{IngestReport, ReplEntry, ReplicatedStore};

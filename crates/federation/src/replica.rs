@@ -9,6 +9,12 @@
 //! causal per-origin FIFO with deterministic conflict resolution — so
 //! all replicas converge to bit-for-bit identical state regardless of
 //! exchange order.
+//!
+//! Versions are ordered in time by one Lamport stamp each (Lamport,
+//! "Time, Clocks, and the Ordering of Events in a Distributed System",
+//! CACM 1978): a replica stamps a local write one above every stamp it
+//! has written or applied, so a causally later version always carries
+//! a larger stamp.
 
 use std::borrow::{Borrow, Cow};
 use std::collections::BTreeMap;
@@ -17,7 +23,6 @@ use std::sync::Arc;
 
 use cscw_kernel::{percent_escape_into, percent_unescape};
 
-use crate::clock::{ClockStamp, VectorClock};
 use crate::error::FederationError;
 
 /// One versioned update to a replicated key.
@@ -27,8 +32,9 @@ pub struct ReplEntry {
     pub key: String,
     /// Canonical value rendering.
     pub value: String,
-    /// Version vector at write time.
-    pub clock: ClockStamp,
+    /// Lamport stamp: one above every stamp its writer had written or
+    /// applied when it wrote this version (saturating at `u64::MAX`).
+    pub stamp: u64,
     /// The environment that wrote this version.
     pub origin: String,
     /// Gap-free per-origin sequence number (1-based).
@@ -41,24 +47,21 @@ pub struct ReplEntry {
 const FIELD_RESERVED: &[u8] = b"\x1e\x1f";
 
 /// Reverses the field escaping; borrows `s` when it holds no escape.
-pub(crate) fn unescape(s: &str) -> Result<Cow<'_, str>, FederationError> {
+fn unescape(s: &str) -> Result<Cow<'_, str>, FederationError> {
     percent_unescape(s).ok_or_else(|| FederationError::Codec(format!("bad escape in {s:?}")))
 }
 
 impl ReplEntry {
-    /// Appends one record to `out`: fields joined by the unit
-    /// separator.
+    /// Appends one record to `out`: key, value, stamp, origin and seq
+    /// joined by the unit separator, the stamp and seq in decimal.
     pub fn encode_into(&self, out: &mut String) {
         percent_escape_into(out, &self.key, FIELD_RESERVED);
         out.push('\x1f');
         percent_escape_into(out, &self.value, FIELD_RESERVED);
-        out.push('\x1f');
-        out.push_str(self.clock.as_str());
-        out.push('\x1f');
-        percent_escape_into(out, &self.origin, FIELD_RESERVED);
-        out.push('\x1f');
         // Writing to a String cannot fail.
-        let _ = write!(out, "{}", self.seq);
+        let _ = write!(out, "\x1f{}\x1f", self.stamp);
+        percent_escape_into(out, &self.origin, FIELD_RESERVED);
+        let _ = write!(out, "\x1f{}", self.seq);
     }
 
     /// Decodes one record.
@@ -68,7 +71,7 @@ impl ReplEntry {
     /// [`FederationError::Codec`] on wrong arity or malformed fields.
     pub fn decode(record: &str) -> Result<Self, FederationError> {
         let fields: Vec<&str> = record.split('\x1f').collect();
-        let [key, value, clock, origin, seq] = fields.as_slice() else {
+        let [key, value, stamp, origin, seq] = fields.as_slice() else {
             return Err(FederationError::Codec(format!(
                 "entry has {} fields, want 5",
                 fields.len()
@@ -77,7 +80,9 @@ impl ReplEntry {
         Ok(ReplEntry {
             key: unescape(key)?.into_owned(),
             value: unescape(value)?.into_owned(),
-            clock: ClockStamp::decode(clock)?,
+            stamp: stamp
+                .parse()
+                .map_err(|_| FederationError::Codec(format!("bad stamp: {stamp}")))?,
             origin: unescape(origin)?.into_owned(),
             seq: seq
                 .parse()
@@ -208,9 +213,8 @@ pub struct ReplicatedStore {
     applied: BTreeMap<String, u64>,
     /// Out-of-causal-order updates buffered until their gap fills.
     pending: BTreeMap<String, BTreeMap<u64, ReplEntry>>,
-    /// This replica's own clock (ticked on local writes, merged on
-    /// ingestion).
-    clock: VectorClock,
+    /// The highest stamp this replica has written or applied.
+    stamp: u64,
 }
 
 impl ReplicatedStore {
@@ -247,21 +251,23 @@ impl ReplicatedStore {
         self.state.values().map(|e| &**e)
     }
 
-    /// Writes locally: ticks this domain's clock component, appends to
-    /// its own log and applies immediately.
+    /// Writes locally: stamps the version one above every stamp this
+    /// replica has seen, appends it to its own log and applies it
+    /// immediately.
     pub fn put(&mut self, key: impl Into<String>, value: impl Into<String>) {
-        self.clock.tick(&self.domain);
+        // A peer may send `u64::MAX`; the stamp then stays there.
+        self.stamp = self.stamp.saturating_add(1);
         let seq = self.applied.get(&self.domain).copied().unwrap_or(0) + 1;
         let entry = Arc::new(ReplEntry {
             key: key.into(),
             value: value.into(),
-            clock: self.clock.stamp(),
+            stamp: self.stamp,
             origin: self.domain.clone(),
             seq,
         });
         self.append(&entry);
-        // A local write always wins: the clock it carries has merged
-        // every version this replica resolved, and then ticked.
+        // A local write wins: its stamp exceeds that of every version
+        // this replica has applied (until stamps saturate).
         self.resolve(&entry);
     }
 
@@ -364,9 +370,9 @@ impl ReplicatedStore {
     }
 
     /// Applies one update that continues its origin's log: learns its
-    /// clock, logs it, resolves it and reports it; a win joins `wins`.
+    /// stamp, logs it, resolves it and reports it; a win joins `wins`.
     fn apply(&mut self, entry: Arc<ReplEntry>, report: &mut IngestReport, wins: &mut Wins) {
-        self.clock.merge_stamp(&entry.clock);
+        self.stamp = self.stamp.max(entry.stamp);
         self.append(&entry);
         if let Some(displaced) = self.resolve(&entry) {
             wins.push((Arc::clone(&entry), displaced));
@@ -410,12 +416,14 @@ impl ReplicatedStore {
     }
 
     /// Conflict resolution: the surviving version is the maximum under
-    /// a total order on immutable version metadata — clock total, then
-    /// origin, then sequence, then value. Strict clock dominance implies
-    /// a strictly larger total, so causally-later versions always win;
-    /// concurrent versions fall to the deterministic tie-break. A pure
-    /// max over a total order makes the fold commutative, associative
-    /// and idempotent: replicas converge regardless of apply order.
+    /// a total order on immutable version metadata — Lamport stamp, then
+    /// origin, then sequence, then value. A version written after its
+    /// writer applied another carries a strictly larger stamp, so
+    /// causally-later versions always win (until stamps saturate at
+    /// `u64::MAX`); concurrent versions fall to the deterministic
+    /// tie-break. A pure max over a total order makes the fold
+    /// commutative, associative and idempotent: replicas converge
+    /// regardless of apply order.
     ///
     /// Returns `Some` when `incoming` won, holding the version it
     /// displaced (`None` for a key new to the replica).
@@ -441,11 +449,8 @@ impl ReplicatedStore {
             out.push_str(&entry.key);
             out.push('=');
             out.push_str(&entry.value);
-            out.push_str(" @");
-            out.push_str(entry.clock.as_str());
-            out.push_str(" by ");
-            out.push_str(&entry.origin);
-            out.push('\n');
+            // Writing to a String cannot fail.
+            let _ = writeln!(out, " @{} by {}", entry.stamp, entry.origin);
         }
         out
     }
@@ -455,7 +460,7 @@ impl ReplicatedStore {
 /// that never change after a version is written, so every replica ranks
 /// the same pair identically no matter what it has seen in between.
 fn rank(e: &ReplEntry) -> (u64, &str, u64, &str) {
-    (e.clock.total(), &e.origin, e.seq, &e.value)
+    (e.stamp, &e.origin, e.seq, &e.value)
 }
 
 #[cfg(test)]
@@ -602,7 +607,7 @@ mod tests {
         a.put("shared", "from-a");
         b.put("shared", "from-b");
         let mut c = ReplicatedStore::new("env-c");
-        // Concurrent versions tie on clock total; the origin breaks it.
+        // Concurrent versions tie on stamp; the origin breaks it.
         let won = c.ingest(delta(&b, &BTreeMap::new()));
         assert_eq!(changed(&won), vec![("shared", "from-b")]);
         let lost = c.ingest(delta(&a, c.digest()));
@@ -727,18 +732,24 @@ mod tests {
 
     #[test]
     fn entry_and_frame_codecs_round_trip() {
-        let mut clock = VectorClock::new();
-        clock.tick("env-a");
         let entry = ReplEntry {
             key: "info:weird\x1fkey%".into(),
             value: "line1\nline2\x1e".into(),
-            clock: clock.stamp(),
+            stamp: 4,
             origin: "env-a".into(),
             seq: 7,
         };
         let mut record = String::new();
         entry.encode_into(&mut record);
         assert_eq!(ReplEntry::decode(&record).unwrap(), entry);
+        // A stamp that is not a u64 in decimal is refused.
+        for bad in ["x", "-1", "", "99999999999999999999"] {
+            let record = format!("k\x1fv\x1f{bad}\x1fenv-a\x1f1");
+            assert!(
+                matches!(ReplEntry::decode(&record), Err(FederationError::Codec(_))),
+                "{bad:?}"
+            );
+        }
 
         let body = encode_delta([&entry]);
         assert_eq!(decode_delta(&body).unwrap(), vec![entry]);
@@ -787,22 +798,56 @@ mod tests {
         let body = encode_delta(a.delta_since(&BTreeMap::<String, u64>::new()));
         assert_eq!(
             body,
-            "info:100%25\x1fv%1E1\x1fenv-a:1\x1fenv-a\x1f1\x1e\
-             info:100%25\x1fv2%25\x1fenv-a:2,env-b:2\x1fenv-a\x1f2\x1e\
-             org:cn=Tom%1F\x1f50%25 off\x1fenv-b:1\x1fenv-b\x1f1\x1e\
-             org:k\x1fx%1Fy%1Ez\x1fenv-b:2\x1fenv-b\x1f2"
+            "info:100%25\x1fv%1E1\x1f1\x1fenv-a\x1f1\x1e\
+             info:100%25\x1fv2%25\x1f3\x1fenv-a\x1f2\x1e\
+             org:cn=Tom%1F\x1f50%25 off\x1f1\x1fenv-b\x1f1\x1e\
+             org:k\x1fx%1Fy%1Ez\x1f2\x1fenv-b\x1f2"
         );
         assert_eq!(
             a.fingerprint(),
-            "info:100%=v2% @env-a:2,env-b:2 by env-a\n\
-             org:cn=Tom\x1f=50% off @env-b:1 by env-b\n\
-             org:k=x\x1fy\x1ez @env-b:2 by env-b\n"
+            "info:100%=v2% @3 by env-a\n\
+             org:cn=Tom\x1f=50% off @1 by env-b\n\
+             org:k=x\x1fy\x1ez @2 by env-b\n"
         );
+    }
 
-        let zero = VectorClock::decode("env-a:0,env-b:2,env-c:1").unwrap();
-        let mut wire = String::new();
-        zero.encode_into(&mut wire);
-        assert_eq!(wire, "env-b:2,env-c:1", "zero components stay off the wire");
+    /// An entry's record holds one stamp, however many origins its
+    /// writer has heard from.
+    #[test]
+    fn an_entry_does_not_grow_with_the_origins_its_writer_has_seen() {
+        let mut replica = ReplicatedStore::new("env-r");
+        for i in 0..128 {
+            let mut origin = ReplicatedStore::new(format!("site-{i:03}"));
+            origin.put(format!("k{i}"), "v");
+            sync(&origin, &mut replica);
+        }
+        replica.put("info:doc", "minutes");
+        let entry = &replica.logs["env-r"][0];
+        assert_eq!(entry.stamp, 2, "one above the peers' stamp 1");
+        let mut record = String::new();
+        entry.encode_into(&mut record);
+        let fields = "info:doc".len() + "minutes".len() + "env-r".len();
+        let digits = entry.stamp.to_string().len() + entry.seq.to_string().len();
+        assert_eq!(record.len(), fields + digits + 4, "{record:?}");
+    }
+
+    #[test]
+    fn a_peer_stamp_at_u64_max_saturates_the_next_write() {
+        let mut replica = ReplicatedStore::new("env-r");
+        let peer = ReplEntry {
+            key: "k".into(),
+            value: "from-peer".into(),
+            stamp: u64::MAX,
+            origin: "env-p".into(),
+            seq: 1,
+        };
+        let mut record = String::new();
+        peer.encode_into(&mut record);
+        let decoded = ReplEntry::decode(&record).unwrap();
+        assert_eq!(replica.ingest(vec![decoded]).applied_count(), 1);
+        replica.put("k", "local");
+        replica.put("k2", "local");
+        assert_eq!(replica.state["k2"].stamp, u64::MAX);
     }
 
     #[test]
@@ -819,10 +864,102 @@ mod tests {
             let body = encode_delta(origin.delta_since(&BTreeMap::<String, u64>::new()));
             let decoded = decode_delta(&body).unwrap_or_else(|e| panic!("{name:?}: {e}"));
             assert_eq!(decoded, delta(&origin, &BTreeMap::new()), "{name:?}");
+            // The writer saw the peer's stamp 1, then wrote twice.
             let last = decoded.iter().find(|e| e.origin == name && e.seq == 2);
-            assert_eq!(last.map(|e| e.clock.get(name)), Some(2), "{name:?}");
+            assert_eq!(last.map(|e| e.stamp), Some(3), "{name:?}");
             sync(&origin, &mut peer);
             assert_eq!(peer.fingerprint(), origin.fingerprint(), "{name:?}");
+        }
+    }
+
+    /// Three writers, `env-a`, `env-b` and `env-r`, take 24 seeded
+    /// steps, each a local write or a sync from another writer, so
+    /// stamps climb past other writers'. `on_put` sees the writer just
+    /// after each local write.
+    fn interleave(
+        rng: &mut SeededRng,
+        mut on_put: impl FnMut(&ReplicatedStore),
+    ) -> Vec<ReplicatedStore> {
+        const WRITERS: [&str; 3] = ["env-a", "env-b", "env-r"];
+        let mut writers: Vec<ReplicatedStore> =
+            WRITERS.iter().map(|d| ReplicatedStore::new(*d)).collect();
+        for _ in 0..24 {
+            let w = rng.below(3) as usize;
+            if rng.chance(0.3) {
+                let from = rng.below(3) as usize;
+                if from != w {
+                    let updates = delta(&writers[from], writers[w].digest());
+                    writers[w].ingest(updates);
+                }
+            } else {
+                let key = format!("k{}", rng.below(6));
+                writers[w].put(key, format!("v{}", rng.below(100)));
+                on_put(&writers[w]);
+            }
+        }
+        writers
+    }
+
+    /// Seeded interleavings: every version's stamp exceeds the stamp
+    /// of every version its writer had applied before writing it, and
+    /// once all writers have synced both ways they agree, resolving
+    /// each key to a version no other version of that key was written
+    /// after.
+    #[test]
+    fn causally_later_versions_carry_higher_stamps_and_win() {
+        for seed in 1..=200 {
+            let mut rng = SeededRng::seed_from(seed);
+            // Per version: its key, origin and seq, and its writer's
+            // digest just before writing it.
+            let mut written: Vec<(String, String, u64, BTreeMap<String, u64>)> = Vec::new();
+            let mut writers = interleave(&mut rng, |w| {
+                let new = w.logs[w.domain()].last().expect("a local write");
+                for seen in w.logs.values().flatten().filter(|e| !Arc::ptr_eq(e, new)) {
+                    assert!(
+                        new.stamp > seen.stamp,
+                        "seed {seed}: {}#{} @{} written after {}#{} @{}",
+                        new.origin,
+                        new.seq,
+                        new.stamp,
+                        seen.origin,
+                        seen.seq,
+                        seen.stamp
+                    );
+                }
+                let mut before = w.digest().clone();
+                before.insert(new.origin.clone(), new.seq - 1);
+                written.push((new.key.clone(), new.origin.clone(), new.seq, before));
+            });
+            // Every writer syncs from every other until nothing applies.
+            loop {
+                let mut applied = 0;
+                for to in 0..3 {
+                    for from in (0..3).filter(|&from| from != to) {
+                        let updates = delta(&writers[from], writers[to].digest());
+                        applied += writers[to].ingest(updates).applied_count();
+                    }
+                }
+                if applied == 0 {
+                    break;
+                }
+            }
+            for w in &writers[1..] {
+                assert_eq!(w.fingerprint(), writers[0].fingerprint(), "seed {seed}");
+            }
+            for won in writers[0].entries() {
+                let after = written.iter().find(|(key, origin, seq, before)| {
+                    *key == won.key
+                        && (origin, *seq) != (&won.origin, won.seq)
+                        && before.get(&won.origin).is_some_and(|&s| s >= won.seq)
+                });
+                assert!(
+                    after.is_none(),
+                    "seed {seed}: {} resolved to {}#{}, but {after:?} was written after it",
+                    won.key,
+                    won.origin,
+                    won.seq
+                );
+            }
         }
     }
 
@@ -861,7 +998,7 @@ mod tests {
                     break;
                 };
                 let entry = Arc::new(entry);
-                store.clock.merge_stamp(&entry.clock);
+                store.stamp = store.stamp.max(entry.stamp);
                 store.append(&entry);
                 store.resolve(&entry);
                 report.applied.push(entry);
@@ -898,26 +1035,9 @@ mod tests {
     /// batch changed, with their new values.
     #[test]
     fn fast_path_ingest_matches_parking_only() {
-        const WRITERS: [&str; 3] = ["env-a", "env-b", "env-r"];
         for seed in 1..=200 {
             let mut rng = SeededRng::seed_from(seed);
-            // Writers interleave puts with syncs, so clocks carry
-            // several components.
-            let mut writers: Vec<ReplicatedStore> =
-                WRITERS.iter().map(|d| ReplicatedStore::new(*d)).collect();
-            for _ in 0..24 {
-                let w = rng.below(3) as usize;
-                if rng.chance(0.3) {
-                    let from = rng.below(3) as usize;
-                    if from != w {
-                        let updates = delta(&writers[from], writers[w].digest());
-                        writers[w].ingest(updates);
-                    }
-                } else {
-                    let key = format!("k{}", rng.below(6));
-                    writers[w].put(key, format!("v{}", rng.below(100)));
-                }
-            }
+            let writers = interleave(&mut rng, |_| {});
             // Each writer's own log; the receiver is `env-r`, so its
             // own log only ever arrives as own-origin updates.
             let logs: Vec<Vec<ReplEntry>> = writers

@@ -1,12 +1,12 @@
 //! Percent-escaping for the workspace's hand-rolled text codecs.
 //!
-//! Gossip frames, replicated entries, vector clocks and federation
-//! mailbox names all embed free-form names in a text grammar with its
-//! own separators. Each grammar escapes its separators the same way: a
-//! reserved byte becomes `%` and two upper-case hex digits, and `%`
-//! itself is always reserved, so decoding is unambiguous. A string
-//! without reserved bytes encodes to itself, so ordinary names cost
-//! nothing and keep their bytes on the wire.
+//! Gossip frames, replicated entries and federation mailbox names all
+//! embed free-form names in a text grammar with its own separators.
+//! Each grammar escapes its separators the same way: a reserved byte
+//! becomes `%` and two upper-case hex digits, and `%` itself is always
+//! reserved, so decoding is unambiguous. A string without reserved
+//! bytes encodes to itself, so ordinary names cost nothing and keep
+//! their bytes on the wire.
 
 use std::borrow::Cow;
 use std::fmt::Write as _;
