@@ -40,7 +40,7 @@ use crate::org::{KnowledgeBase, OrgTradingPolicy, SharedOrgModel, ENV_PRINCIPAL}
 use crate::platform::{DirectoryPort, LocalPlatform, Platform, TraderPort, TransportPort};
 use crate::tailor::TailorStore;
 use crate::transparency::activity::ActivityIsolation;
-use crate::transparency::{CscwTransparencySelection, OrganisationTransparency, ViewRegistry};
+use crate::transparency::{CscwTransparencySelection, ViewRegistry};
 
 /// The service type under which registered applications are advertised
 /// to the platform's trader (one offer per [`register_app`]).
@@ -102,7 +102,6 @@ pub struct CscwEnvironment {
     expertise: UserExpertiseModel,
     tailoring: TailorStore,
     transparencies: CscwTransparencySelection,
-    org_transparency: OrganisationTransparency,
     views: ViewRegistry,
     registry: AppRegistry,
     hub: InteropHub,
@@ -181,7 +180,6 @@ impl CscwEnvironment {
             expertise: UserExpertiseModel::new(),
             tailoring: TailorStore::new(),
             transparencies: CscwTransparencySelection::full(),
-            org_transparency: OrganisationTransparency::new(),
             views: ViewRegistry::new(),
             registry: AppRegistry::new(),
             hub: InteropHub::new(),
@@ -552,16 +550,6 @@ impl CscwEnvironment {
     /// Mutable view registry access.
     pub fn views_mut(&mut self) -> &mut ViewRegistry {
         &mut self.views
-    }
-
-    /// The organisation-transparency layer.
-    pub fn org_transparency(&self) -> &OrganisationTransparency {
-        &self.org_transparency
-    }
-
-    /// Mutable organisation-transparency access.
-    pub fn org_transparency_mut(&mut self) -> &mut OrganisationTransparency {
-        &mut self.org_transparency
     }
 
     /// The event bus.
@@ -1038,14 +1026,14 @@ impl CscwEnvironment {
     // ---- inter-organisational cooperation ----------------------------------
 
     /// May these two people cooperate over a service? With organisation
-    /// transparency engaged this consults the domain registry; with it
-    /// disengaged the check is skipped and the *caller* owns the
-    /// consequences (the ablation the R5 bench measures).
+    /// transparency engaged, their units' rules decide: the ones the
+    /// trader's policy reads on every import. With it disengaged the
+    /// check is skipped and the *caller* owns the consequences (the
+    /// ablation the R5 bench measures).
     ///
     /// # Errors
     ///
-    /// [`MoccaError::IncompatiblePolicies`] /
-    /// [`MoccaError::UnknownOrgObject`] from the transparency layer.
+    /// As [`OrganisationalModel::check_cooperation`](crate::org::OrganisationalModel::check_cooperation).
     pub fn check_cooperation(
         &mut self,
         importer: &Dn,
@@ -1056,8 +1044,9 @@ impl CscwEnvironment {
         if !self.transparencies.organisation {
             return Ok(());
         }
-        self.org_transparency
-            .check_interaction(importer, exporter, service_type)
+        self.org
+            .read()
+            .check_cooperation(importer, exporter, service_type)
     }
 
     // ---- expertise-driven assignment ----------------------------------------

@@ -5,8 +5,9 @@
 //! crucial to the success of CSCW systems."
 //!
 //! * [`objects`] — people, roles, resources, projects, units, relations.
-//! * [`model`] — the aggregate model with derived queries and
-//!   role-based authorisation.
+//! * [`model`] — the aggregate model with derived queries,
+//!   authorisation over roles and units, and the inter-organisational
+//!   cooperation check (a unit is a management domain).
 //! * [`rules`] — the deontic rule base (permit/forbid/oblige).
 //! * [`knowledge`] — the knowledge base published into the X.500
 //!   directory (§4's requirement).

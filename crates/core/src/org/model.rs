@@ -201,10 +201,103 @@ impl OrganisationalModel {
         }
     }
 
-    /// Full authorisation check: collects the person's roles and
-    /// evaluates the rule base.
+    /// The units a person is a member of, in the order the memberships
+    /// were recorded. The first is the person's management domain.
+    pub fn units_of(&self, person: &Dn) -> Vec<&OrgUnit> {
+        self.relations
+            .iter()
+            .filter(|r| r.kind == RelationKind::MemberOf && &r.from == person)
+            .filter_map(|r| self.units.get(&r.to))
+            .collect()
+    }
+
+    /// What a rule can bind for a person: the roles they occupy and the
+    /// units they are a member of.
+    fn principals_of(&self, person: &Dn) -> Vec<Dn> {
+        let mut principals = self.roles_of(person);
+        principals.extend(self.units_of(person).into_iter().map(|u| u.dn.clone()));
+        principals
+    }
+
+    /// Full authorisation check: evaluates the rule base over the roles
+    /// a person occupies and the units they are a member of.
     pub fn authorise(&self, person: &Dn, action: &str, target_kind: &str) -> Authorisation {
-        evaluate(&self.rules, &self.roles_of(person), action, target_kind)
+        let principals = self.principals_of(person);
+        evaluate(&self.rules, &principals, action, target_kind)
+    }
+
+    /// The importer's side of every trading decision, for the trader's
+    /// [`OrgTradingPolicy`](crate::org::OrgTradingPolicy) and for
+    /// [`check_cooperation`](Self::check_cooperation): `importer` must be
+    /// permitted `import` on `service:<service_type>` and, for an offer
+    /// from organisation `org`, `import-from` on `org:<org>`.
+    ///
+    /// # Errors
+    ///
+    /// [`MoccaError::AccessDenied`] naming the first step not permitted.
+    pub fn check_import(
+        &self,
+        importer: &Dn,
+        service_type: &str,
+        org: Option<&str>,
+    ) -> Result<(), MoccaError> {
+        let principals = self.principals_of(importer);
+        let service = ("import", format!("service:{service_type}"));
+        let contract = org.map(|org| ("import-from", format!("org:{org}")));
+        for (action, target) in std::iter::once(service).chain(contract) {
+            if !evaluate(&self.rules, &principals, action, &target).is_permitted() {
+                return Err(MoccaError::AccessDenied {
+                    who: importer.to_string(),
+                    action: action.to_owned(),
+                    target,
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// May `importer` use `service_type` provided by `exporter`? A
+    /// person's management domain is their first unit; within one unit
+    /// no rule is read. Across units the importer must pass
+    /// [`check_import`](Self::check_import) from the exporter's unit, and
+    /// the exporter must be permitted `export` on `service:<type>`.
+    ///
+    /// # Errors
+    ///
+    /// * [`MoccaError::UnknownOrgObject`] — a person is unknown or in no
+    ///   unit.
+    /// * [`MoccaError::IncompatiblePolicies`] — the rules refuse, with
+    ///   the reason in the message.
+    pub fn check_cooperation(
+        &self,
+        importer: &Dn,
+        exporter: &Dn,
+        service_type: &str,
+    ) -> Result<(), MoccaError> {
+        let domain_of = |person: &Dn| {
+            self.person(person)
+                .and_then(|_| self.units_of(person).first().copied())
+                .ok_or_else(|| MoccaError::UnknownOrgObject(person.to_string()))
+        };
+        let (from, to) = (domain_of(importer)?, domain_of(exporter)?);
+        if from.dn == to.dn {
+            return Ok(());
+        }
+        let (from, to) = (&from.name, &to.name);
+        let reason = match self.check_import(importer, service_type, Some(to)) {
+            Err(MoccaError::AccessDenied { action, .. }) if action == "import" => {
+                format!("{from} forbids importing {service_type}")
+            }
+            Err(_) => format!("no federation contract between {from} and {to}"),
+            Ok(()) => {
+                let service = format!("service:{service_type}");
+                if self.authorise(exporter, "export", &service).is_permitted() {
+                    return Ok(());
+                }
+                format!("{to} does not export {service_type}")
+            }
+        };
+        Err(MoccaError::IncompatiblePolicies(reason))
     }
 
     /// Convenience: authorisation as a `Result`.
@@ -387,5 +480,197 @@ mod tests {
             assert!(m.knows(&dn(d)), "{d}");
         }
         assert!(!m.knows(&dn("cn=ghost")));
+    }
+
+    /// Lancaster, GMD and UPC as management domains: a unit each, its
+    /// members, and unit-bound export, import and contract rules.
+    /// Nomad works on a project but belongs to no unit.
+    fn domains() -> OrganisationalModel {
+        let mut m = OrganisationalModel::new();
+        for (unit, people) in [
+            ("lancaster", &["Tom", "Gordon"][..]),
+            ("gmd", &["Wolfgang"]),
+            ("upc", &["Leandro"]),
+        ] {
+            let ou = dn(&format!("ou={unit}"));
+            m.add_unit(OrgUnit::new(ou.clone(), unit));
+            for name in people {
+                let person = dn(&format!("cn={name}"));
+                m.add_person(Person::new(person.clone(), *name));
+                m.relate(&person, RelationKind::MemberOf, &ou).unwrap();
+            }
+        }
+        m.add_person(Person::new(dn("cn=Nomad"), "Nomad"));
+        m.add_project(Project::new(dn("cn=mocca"), "MOCCA"));
+        m.relate(&dn("cn=Nomad"), RelationKind::MemberOf, &dn("cn=mocca"))
+            .unwrap();
+        for (unit, kind, action, target) in [
+            (
+                "lancaster",
+                RuleKind::Permit,
+                "export",
+                "service:document-store",
+            ),
+            ("lancaster", RuleKind::Permit, "export", "service:gambling"),
+            ("lancaster", RuleKind::Permit, "import", "*"),
+            ("lancaster", RuleKind::Permit, "import-from", "org:gmd"),
+            ("gmd", RuleKind::Permit, "export", "service:coordination"),
+            ("gmd", RuleKind::Permit, "import", "*"),
+            ("gmd", RuleKind::Forbid, "import", "service:gambling"),
+            ("gmd", RuleKind::Permit, "import-from", "org:lancaster"),
+            ("upc", RuleKind::Permit, "export", "service:document-store"),
+            ("upc", RuleKind::Permit, "import", "*"),
+        ] {
+            let ou = dn(&format!("ou={unit}"));
+            m.add_rule(OrgRule::new(ou, kind, action, target));
+        }
+        m
+    }
+
+    /// The reason `check_cooperation` gives for refusing.
+    fn refusal(m: &OrganisationalModel, importer: &str, exporter: &str, service: &str) -> String {
+        match m.check_cooperation(&dn(importer), &dn(exporter), service) {
+            Err(MoccaError::IncompatiblePolicies(why)) => why,
+            other => panic!("{importer} <- {exporter} over {service}: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn unit_rules_hold_for_every_member() {
+        let m = domains();
+        let names = |p: &str| -> Vec<String> {
+            m.units_of(&dn(p)).iter().map(|u| u.name.clone()).collect()
+        };
+        assert_eq!(names("cn=Gordon"), ["lancaster"]);
+        assert!(names("cn=Nomad").is_empty(), "a project is not a unit");
+        assert!(m
+            .authorise(&dn("cn=Gordon"), "export", "service:document-store")
+            .is_permitted());
+        let refused_step = |service: &str, org: Option<&str>| match m.check_import(
+            &dn("cn=Wolfgang"),
+            service,
+            org,
+        ) {
+            Err(MoccaError::AccessDenied { action, target, .. }) => Some((action, target)),
+            Err(other) => panic!("{other}"),
+            Ok(()) => None,
+        };
+        assert_eq!(
+            refused_step("gambling", None),
+            Some(("import".into(), "service:gambling".into()))
+        );
+        assert_eq!(
+            refused_step("document-store", Some("upc")),
+            Some(("import-from".into(), "org:upc".into()))
+        );
+        assert_eq!(refused_step("document-store", Some("lancaster")), None);
+    }
+
+    #[test]
+    fn contracted_exported_service_is_allowed_both_ways() {
+        let m = domains();
+        m.check_cooperation(&dn("cn=Wolfgang"), &dn("cn=Tom"), "document-store")
+            .unwrap();
+        m.check_cooperation(&dn("cn=Tom"), &dn("cn=Wolfgang"), "coordination")
+            .unwrap();
+    }
+
+    #[test]
+    fn one_unit_cooperates_over_any_service_without_a_rule() {
+        let mut m = domains();
+        // Not even a unit-wide ban is read inside the unit.
+        m.add_rule(OrgRule::new(
+            dn("ou=lancaster"),
+            RuleKind::Forbid,
+            "import",
+            "*",
+        ));
+        assert!(m
+            .check_cooperation(&dn("cn=Tom"), &dn("cn=Gordon"), "anything")
+            .is_ok());
+    }
+
+    #[test]
+    fn unexported_service_is_refused() {
+        let m = domains();
+        // GMD may import anything from Lancaster, which never exports
+        // coordination.
+        let why = refusal(&m, "cn=Wolfgang", "cn=Tom", "coordination");
+        assert!(why.contains("does not export"), "{why}");
+        assert_eq!(why, "lancaster does not export coordination");
+    }
+
+    #[test]
+    fn missing_contract_is_refused() {
+        let mut m = domains();
+        assert_eq!(
+            refusal(&m, "cn=Wolfgang", "cn=Leandro", "document-store"),
+            "no federation contract between gmd and upc"
+        );
+        // A contract rule covers one direction only.
+        m.add_rule(OrgRule::new(
+            dn("ou=upc"),
+            RuleKind::Permit,
+            "import-from",
+            "org:gmd",
+        ));
+        assert!(m
+            .check_cooperation(&dn("cn=Leandro"), &dn("cn=Wolfgang"), "coordination")
+            .is_ok());
+        assert_eq!(
+            refusal(&m, "cn=Wolfgang", "cn=Leandro", "document-store"),
+            "no federation contract between gmd and upc"
+        );
+    }
+
+    #[test]
+    fn forbidden_import_is_refused_first() {
+        let m = domains();
+        // Lancaster exports gambling and holds a contract with GMD.
+        assert_eq!(
+            refusal(&m, "cn=Wolfgang", "cn=Tom", "gambling"),
+            "gmd forbids importing gambling"
+        );
+    }
+
+    #[test]
+    fn import_is_denied_until_a_unit_permits_it() {
+        let mut m = domains();
+        let cern = dn("ou=cern");
+        m.add_unit(OrgUnit::new(cern.clone(), "cern"));
+        m.add_person(Person::new(dn("cn=Tim"), "Tim"));
+        m.relate(&dn("cn=Tim"), RelationKind::MemberOf, &cern)
+            .unwrap();
+        m.add_rule(OrgRule::new(
+            cern.clone(),
+            RuleKind::Permit,
+            "import-from",
+            "org:lancaster",
+        ));
+        assert_eq!(
+            refusal(&m, "cn=Tim", "cn=Tom", "document-store"),
+            "cern forbids importing document-store"
+        );
+        m.add_rule(OrgRule::new(cern, RuleKind::Permit, "import", "*"));
+        assert!(m
+            .check_cooperation(&dn("cn=Tim"), &dn("cn=Tom"), "document-store")
+            .is_ok());
+    }
+
+    #[test]
+    fn unknown_or_unaffiliated_people_are_unknown_org_objects() {
+        let m = domains();
+        for (importer, exporter) in [
+            ("cn=Ghost", "cn=Tom"),
+            ("cn=Tom", "cn=Ghost"),
+            ("cn=Nomad", "cn=Tom"),
+            ("cn=Tom", "cn=Nomad"),
+        ] {
+            let verdict = m.check_cooperation(&dn(importer), &dn(exporter), "document-store");
+            assert!(
+                matches!(verdict, Err(MoccaError::UnknownOrgObject(_))),
+                "{importer} <- {exporter}: {verdict:?}"
+            );
+        }
     }
 }

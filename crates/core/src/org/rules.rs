@@ -1,11 +1,12 @@
 //! Organisational rules: role-based authorisation with deontic
 //! modality.
 //!
-//! Rules bind roles (not individuals) to actions on target kinds, in the
-//! X.500/role tradition the paper cites: "traditionally, roles have been
-//! used to signify different access rights of users" (§4). Prohibitions
-//! override permissions; obligations are permissions that monitoring can
-//! audit against.
+//! Rules bind roles and units (not individuals) to actions on target
+//! kinds, in the X.500/role tradition the paper cites: "traditionally,
+//! roles have been used to signify different access rights of users"
+//! (§4). A rule bound to a unit is that management domain's policy: it
+//! holds for every member. Prohibitions override permissions;
+//! obligations are permissions that monitoring can audit against.
 
 use cscw_directory::Dn;
 
@@ -23,7 +24,8 @@ pub enum RuleKind {
 /// One organisational rule.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OrgRule {
-    /// The role the rule binds (by DN).
+    /// The role or unit the rule binds (by DN): it holds for whoever
+    /// occupies the role or is a member of the unit.
     pub role: Dn,
     /// Modality.
     pub kind: RuleKind,

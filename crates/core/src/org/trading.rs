@@ -16,17 +16,20 @@ use crate::org::model::SharedOrgModel;
 /// The DN under which the environment itself performs engineering
 /// imports (e.g. locating the destination application's interface
 /// during an exchange). Those imports are the environment's own
-/// plumbing — user-level authority for the *cooperation* is checked by
-/// `CscwEnvironment::check_cooperation`, not by the trading policy.
+/// plumbing and read no rule. User-level authority for the
+/// *cooperation* is checked by `CscwEnvironment::check_cooperation`
+/// against the same rules, through
+/// [`OrganisationalModel::check_import`](crate::org::OrganisationalModel::check_import).
 pub const ENV_PRINCIPAL: &str = "cn=mocca-environment";
 
 /// Trading policy driven by organisational rules.
 ///
 /// An import of service type `T` by principal `P` (the import request's
-/// `importer` string, a directory DN) is allowed iff the organisational
-/// model authorises `P` to perform action `"import"` on target kind
-/// `"service:T"`. Offers carrying an `org` property are additionally
-/// checked for action `"import-from"` on `"org:<value>"` — the
+/// `importer` string, a directory DN) is allowed iff
+/// [`OrganisationalModel::check_import`](crate::org::OrganisationalModel::check_import)
+/// admits it: `P`'s roles and units are permitted action `"import"` on
+/// target kind `"service:T"` and, for an offer carrying an `org`
+/// property, `"import-from"` on `"org:<value>"` — the
 /// inter-organisational hook. The environment's own engineering
 /// identity ([`ENV_PRINCIPAL`]) is always allowed.
 #[derive(Clone)]
@@ -59,34 +62,23 @@ impl TradingPolicy for OrgTradingPolicy {
         let Ok(dn) = importer.parse::<Dn>() else {
             return false; // unidentified importers get nothing
         };
-        let model = self.model.read();
-        let service_target = format!("service:{}", offer.service_type());
-        if !model
-            .authorise(&dn, "import", &service_target)
-            .is_permitted()
-        {
-            return false;
-        }
-        if let Some(org) = offer.property("org").and_then(Value::as_text) {
-            let org_target = format!("org:{org}");
-            if !model
-                .authorise(&dn, "import-from", &org_target)
-                .is_permitted()
-            {
-                return false;
-            }
-        }
-        true
+        let org = offer.property("org").and_then(Value::as_text);
+        self.model
+            .read()
+            .check_import(&dn, offer.service_type(), org)
+            .is_ok()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::MoccaError;
     use crate::org::model::OrganisationalModel;
-    use crate::org::objects::{Person, Role};
+    use crate::org::objects::{OrgUnit, Person, Role};
     use crate::org::rules::{OrgRule, RuleKind};
     use crate::org::RelationKind;
+    use crate::CscwEnvironment;
     use odp::{ImportRequest, InterfaceRef, InterfaceType, OperationSig, Trader, ValueKind};
     use simnet::NodeId;
 
@@ -176,6 +168,61 @@ mod tests {
         );
         let req = ImportRequest::any("printer").with_importer("not a dn ,,,=");
         assert!(t.import(&req).is_err());
+    }
+
+    #[test]
+    fn one_rule_base_decides_both_checks() {
+        let mut env = CscwEnvironment::new();
+        let (tom, wolfgang) = (dn("c=UK,cn=Tom"), dn("c=DE,cn=Wolfgang"));
+        {
+            let org = env.org();
+            let mut m = org.write();
+            m.add_person(Person::new(tom.clone(), "Tom"));
+            m.add_person(Person::new(wolfgang.clone(), "Wolfgang"));
+            m.add_role(Role::new(dn("cn=staff"), "staff"));
+            m.relate(&tom, RelationKind::Occupies, &dn("cn=staff"))
+                .unwrap();
+            m.add_rule(OrgRule::new(
+                dn("cn=staff"),
+                RuleKind::Permit,
+                "import",
+                "*",
+            ));
+            for (person, unit) in [(&tom, "Lancaster"), (&wolfgang, "GMD")] {
+                let ou = dn(&format!("ou={unit}"));
+                m.add_unit(OrgUnit::new(ou.clone(), unit));
+                m.relate(person, RelationKind::MemberOf, &ou).unwrap();
+            }
+            for (unit, kind, action, target) in [
+                ("Lancaster", RuleKind::Forbid, "import", "service:printer"),
+                ("Lancaster", RuleKind::Permit, "import-from", "org:GMD"),
+                ("GMD", RuleKind::Permit, "export", "service:printer"),
+                ("GMD", RuleKind::Permit, "import", "service:printer"),
+                ("GMD", RuleKind::Permit, "import-from", "org:UPC"),
+            ] {
+                let ou = dn(&format!("ou={unit}"));
+                m.add_rule(OrgRule::new(ou, kind, action, target));
+            }
+        }
+        let t = trader_with_policy(env.org());
+        // Tom's role may import anything; his unit's ban still filters
+        // every printer offer…
+        let req = ImportRequest::any("printer").with_importer("c=UK,cn=Tom");
+        assert!(t.import(&req).is_err(), "unit-level Forbid filters imports");
+        // …and refuses the cooperation over printers.
+        let err = env
+            .check_cooperation(&tom, &wolfgang, "printer")
+            .unwrap_err();
+        assert!(
+            matches!(&err, MoccaError::IncompatiblePolicies(why) if why.contains("forbids importing printer")),
+            "{err}"
+        );
+        // Wolfgang holds no role: his unit's rules alone admit the UPC
+        // offer.
+        let req = ImportRequest::any("printer").with_importer("c=DE,cn=Wolfgang");
+        let offers = t.import(&req).unwrap();
+        assert_eq!(offers.len(), 1, "only the contracted organisation");
+        assert_eq!(offers[0].property("org").unwrap(), &Value::from("UPC"));
     }
 
     #[test]

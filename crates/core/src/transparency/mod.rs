@@ -5,9 +5,11 @@
 //! five ODP distribution transparencies (see [`odp::TransparencySelection`]),
 //! these mask *cooperative* heterogeneity:
 //!
-//! * [`organisation`] — hide inter-organisational policy complexity;
+//! * organisation — hide inter-organisational policy complexity;
 //!   surface [`crate::error::MoccaError::IncompatiblePolicies`] only
-//!   when interaction is truly impossible.
+//!   when interaction is truly impossible. A domain is an
+//!   [`OrgUnit`](crate::org::OrgUnit), so the check is
+//!   [`OrganisationalModel::check_cooperation`](crate::org::OrganisationalModel::check_cooperation).
 //! * [`time`] — make interaction "independent of the mode we are using"
 //!   by bridging synchronous sessions and asynchronous messaging.
 //! * [`view`] — let applications care (WYSIWIS) or not care how each
@@ -19,12 +21,10 @@
 //! R5 bench ablates each flag.
 
 pub mod activity;
-pub mod organisation;
 pub mod time;
 pub mod view;
 
 pub use activity::ActivityIsolation;
-pub use organisation::OrganisationTransparency;
 pub use time::TimeBridge;
 pub use view::{View, ViewRegistry};
 

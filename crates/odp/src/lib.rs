@@ -21,8 +21,6 @@
 //!   tailorable by *users*, as §6.1 demands ([`TransparentInvoker`]).
 //! * **Viewpoints** — the five viewpoint specifications with
 //!   cross-viewpoint consistency checks ([`SystemSpec`]).
-//! * **Domains** — management domains and federation contracts backing
-//!   the CSCW organisation transparency ([`DomainRegistry`]).
 //!
 //! The MOCCA environment (`mocca` crate) sits above this layer in the
 //! paper's Figure 4, but only its trading operations reach it today:
@@ -34,7 +32,6 @@
 #![warn(missing_docs)]
 
 mod binding;
-mod domain;
 mod error;
 mod interface;
 mod object;
@@ -45,7 +42,6 @@ mod value;
 mod viewpoint;
 
 pub use binding::{Binder, Channel, ChannelStats};
-pub use domain::{Domain, DomainRegistry, FederationContract, InteractionVerdict};
 pub use error::OdpError;
 pub use interface::{InterfaceType, OperationSig};
 pub use object::{

@@ -6,7 +6,11 @@
 //! programme of inter-related activities — interviews, a joint report,
 //! progress meetings, monitoring — over the open environment:
 //! inter-activity dependencies, negotiated responsibility, X.400
-//! correspondence across the Channel, and progress monitoring.
+//! correspondence across the Channel, and progress monitoring. Each
+//! contractor is an organisational unit whose rules say what it exports,
+//! what it refuses to import and whom it has a contract with; the
+//! environment's organisation transparency checks cooperation against
+//! them.
 //!
 //! Run with: `cargo run --example channel_tunnel`
 
@@ -16,7 +20,7 @@ use open_cscw::messaging::{Ipm, MtaNode, OrAddress, SubmitOptions, UserAgent};
 use open_cscw::mocca::activity::{
     Activity, ActivityRole, ActivityState, DependencyKind, Monitor, Negotiation, NegotiationSubject,
 };
-use open_cscw::mocca::org::{OrgRule, Person, RelationKind, Role, RuleKind};
+use open_cscw::mocca::org::{OrgRule, OrgUnit, Person, RelationKind, Role, RuleKind};
 use open_cscw::mocca::CscwEnvironment;
 use open_cscw::simnet::{LinkSpec, Sim, TopologyBuilder};
 
@@ -53,11 +57,43 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "monitor",
             "activity",
         ));
+        // The contractors as management domains: a unit each, and the
+        // unit's export, import and contract (`import-from`) rules.
+        let (tml, tml_f): (Dn, Dn) = ("c=UK,o=TML".parse()?, "c=FR,o=TML-F".parse()?);
+        org.add_unit(OrgUnit::new(tml.clone(), "TML"));
+        org.add_unit(OrgUnit::new(tml_f.clone(), "TML-F"));
+        org.relate(&alice, RelationKind::MemberOf, &tml)?;
+        org.relate(&bernard, RelationKind::MemberOf, &tml_f)?;
+        org.relate(&claire, RelationKind::MemberOf, &tml_f)?;
+        for (unit, kind, action, target) in [
+            (&tml, RuleKind::Permit, "export", "service:video-conference"),
+            (&tml, RuleKind::Permit, "import", "*"),
+            (&tml, RuleKind::Permit, "import-from", "org:TML-F"),
+            (&tml_f, RuleKind::Permit, "export", "service:survey-data"),
+            (&tml_f, RuleKind::Permit, "import", "*"),
+            (
+                &tml_f,
+                RuleKind::Forbid,
+                "import",
+                "service:video-conference",
+            ),
+            (&tml_f, RuleKind::Permit, "import-from", "org:TML"),
+        ] {
+            org.add_rule(OrgRule::new(unit.clone(), kind, action, target));
+        }
     }
     println!(
-        "== organisational model: 3 people, 2 roles, knowledge base of {} entries",
+        "== organisational model: 3 people, 2 roles, 2 units, knowledge base of {} entries",
         env.publish_knowledge()?
     );
+
+    // ---- organisation transparency across the Channel ---------------------
+    env.check_cooperation(&alice, &bernard, "survey-data")?;
+    println!("== Alice may use Bernard's survey data: allowed");
+    let refused = env
+        .check_cooperation(&bernard, &alice, "video-conference")
+        .expect_err("TML-F forbids importing video conferences");
+    println!("   Bernard may not use Alice's video conference: {refused}");
 
     // ---- the programme of inter-related activities ------------------------
     let t0 = Timestamp::ZERO;

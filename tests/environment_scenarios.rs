@@ -10,7 +10,7 @@ use open_cscw::kernel::Timestamp;
 use open_cscw::mocca::activity::{Activity, ActivityRole};
 use open_cscw::mocca::env::{AppId, EnvEvent};
 use open_cscw::mocca::info::{AccessRight, InfoContent, InfoObject};
-use open_cscw::mocca::org::{OrgRule, Person, RelationKind, Role, RuleKind};
+use open_cscw::mocca::org::{OrgRule, OrgUnit, Person, RelationKind, Role, RuleKind};
 use open_cscw::mocca::transparency::{CscwTransparencySelection, View};
 use open_cscw::mocca::{CscwEnvironment, LocalPlatform, MoccaError, SimPlatform};
 
@@ -216,19 +216,24 @@ fn organisation_transparency_bridges_or_blocks_interorg_work() {
 
 fn organisation_transparency_bridges_or_blocks_interorg_work_scenario(mut env: CscwEnvironment) {
     {
-        let t = env.org_transparency_mut();
-        let mut lancaster = odp::Domain::new("lancaster");
-        lancaster.export_service("document-store");
-        let gmd = odp::Domain::new("gmd");
-        t.registry_mut().add_domain(lancaster);
-        t.registry_mut().add_domain(gmd);
-        t.registry_mut().add_contract(odp::FederationContract {
-            a: "lancaster".into(),
-            b: "gmd".into(),
-            service_types: vec!["document-store".into()],
-        });
-        t.assign(dn("cn=Tom"), "lancaster");
-        t.assign(dn("cn=Wolfgang"), "gmd");
+        // Each domain is a unit; its policy is the unit's rules.
+        let org = env.org();
+        let mut org = org.write();
+        for (person, unit) in [("cn=Tom", "lancaster"), ("cn=Wolfgang", "gmd")] {
+            let ou = dn(&format!("ou={unit}"));
+            org.add_unit(OrgUnit::new(ou.clone(), unit));
+            org.relate(&dn(person), RelationKind::MemberOf, &ou)
+                .unwrap();
+        }
+        for (unit, action, target) in [
+            ("ou=lancaster", "export", "service:document-store"),
+            ("ou=gmd", "import", "*"),
+            // The contract: one rule per direction.
+            ("ou=gmd", "import-from", "org:lancaster"),
+            ("ou=lancaster", "import-from", "org:gmd"),
+        ] {
+            org.add_rule(OrgRule::new(dn(unit), RuleKind::Permit, action, target));
+        }
     }
     // Contracted service: allowed.
     assert!(env
